@@ -22,7 +22,7 @@
 // least -min-workers wide, at least -min-count such workloads must exist,
 // and workloads recording warm_solves/fallback_colds must keep their warm
 // fallback fraction at or below -max-fallback-ratio — so CI fails if the
-// suite silently falls back to the serial search or the warm re-solves stop
+// suite silently falls back to a wave of one or the warm re-solves stop
 // sticking. serve
 // loops the instrumented pipeline workload forever and exposes the live
 // registry at /metrics (Prometheus text), /metrics.json, and the process at

@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	golden := fs.String("golden", "", "write the golden snapshot files to this directory and exit")
 	tracePath := fs.String("trace", "", "write the run as Chrome trace JSON (one span per experiment section)")
 	metricsPath := fs.String("metrics", "", "write run metrics to this file (Prometheus text, or JSON with a .json suffix)")
-	workers := fs.Int("workers", 1, "branch-and-bound worker count for the solver section (0 = all CPUs, 1 = serial)")
+	workers := fs.Int("workers", 1, "branch-and-bound wave width for the solver section (0 = all CPUs)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

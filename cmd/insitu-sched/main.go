@@ -36,9 +36,8 @@
 // events — to a JSONL ledger file; benchobs flightcheck validates it and
 // benchobs summarize renders the gap-closure timeline.
 //
-// -workers sets the branch-and-bound pool width (0 = all CPUs). The default
-// of 1 keeps the legacy serial search; any width returns the same objective
-// and bound.
+// -workers sets the branch-and-bound wave width (0 = all CPUs, default 1);
+// any width returns the same objective and bound.
 //
 // -monitor scores an executed run ledger (JSONL) against the solved schedule
 // and prints the drift report. Adding -replan replays the same ledger through
@@ -81,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	explainFlag := fs.Bool("explain", false, "print the schedule-explainability report (attribution, duals, search stats; uses the compact model)")
 	tracePath := fs.String("trace", "", "write the branch-and-bound search as Chrome trace JSON to this file")
 	metricsPath := fs.String("metrics", "", "write solver metrics to this file (Prometheus text, or JSON with a .json suffix)")
-	workers := fs.Int("workers", 1, "branch-and-bound worker count (0 = all CPUs, 1 = serial)")
+	workers := fs.Int("workers", 1, "branch-and-bound wave width (0 = all CPUs)")
 	flightPath := fs.String("flight", "", "record the solver's progress stream (solveprog events) to this JSONL ledger file")
 	monitorPath := fs.String("monitor", "", "score an executed run ledger (JSONL) against the solved schedule and print the drift report")
 	replanFlag := fs.Bool("replan", false, "with -monitor: replay the ledger through a rolling-horizon replanner and print the reschedules it would have made (advisory; nothing is re-executed)")

@@ -90,7 +90,7 @@ type serviceFlags struct {
 
 func addServiceFlags(fs *flag.FlagSet) *serviceFlags {
 	return &serviceFlags{
-		workers:       fs.Int("workers", 0, "branch-and-bound workers per solve (0 = serial)"),
+		workers:       fs.Int("workers", 0, "branch-and-bound wave width per solve (0 and 1: one node per wave)"),
 		maxInFlight:   fs.Int("max-inflight", 0, "concurrent solver slots (0 = default 4)"),
 		queueTimeout:  fs.Duration("queue-timeout", 0, "max wait for a solver slot (0 = default 5s)"),
 		cacheEntries:  fs.Int("cache-entries", 0, "solution cache capacity (0 = default 128)"),

@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ledgerPath := fs.String("ledger", "", "align this JSONL run ledger against the plan")
 	width := fs.Int("width", 100, "timeline width in characters")
 	maxNodes := fs.Int("max-nodes", 0, "cap branch-and-bound nodes (0 = solver default)")
-	workers := fs.Int("workers", 1, "branch-and-bound worker count (0 = all CPUs, 1 = serial)")
+	workers := fs.Int("workers", 1, "branch-and-bound wave width (0 = all CPUs)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -85,10 +85,10 @@ type Config struct {
 	Lexicographic bool
 
 	// SolveWorkers selects the solver parallelism: Plan hands it to the
-	// branch-and-bound worker pool (see core.SolveOptions.Workers), and
-	// PlanSweep uses it as the width of its threshold fan-out (sweep
-	// solves run the serial search each, so the machine is not
-	// oversubscribed). 0 and 1 mean serial everywhere.
+	// branch-and-bound search as its wave width (see
+	// core.SolveOptions.Workers), and PlanSweep uses it as the width of its
+	// threshold fan-out (sweep solves run at width 1 each, so the machine
+	// is not oversubscribed). 0 and 1 mean no parallelism anywhere.
 	SolveWorkers int
 
 	// ProbeSteps is how many simulation steps the profiling pass advances
@@ -305,8 +305,8 @@ func (c *Campaign) Plan() (*Plan, error) {
 // PlanSweep profiles once and then solves the scheduling model at each of
 // the given absolute time thresholds — the campaign-level what-if sweep
 // behind threshold studies (§5.3.2/§5.3.4). The independent solves are
-// fanned out across a pool of SolveWorkers goroutines (each running the
-// serial search, so the machine is not oversubscribed); results come back
+// fanned out across a pool of SolveWorkers goroutines (each searching at
+// width 1, so the machine is not oversubscribed); results come back
 // in input order, and ledger events ("sweep") are appended sequentially
 // after all solves finish, keeping a shared EventLog deterministic.
 func (c *Campaign) PlanSweep(thresholds []float64) ([]*Plan, error) {

@@ -16,12 +16,9 @@ func GreedySolve(specs []AnalysisSpec, res Resources) (*Recommendation, error) {
 	if err := res.Validate(); err != nil {
 		return nil, err
 	}
-	norm := make([]AnalysisSpec, len(specs))
-	for i, a := range specs {
-		if err := a.Validate(); err != nil {
-			return nil, err
-		}
-		norm[i] = a.withDefaults()
+	norm, err := normalizeSpecs(specs)
+	if err != nil {
+		return nil, err
 	}
 
 	order := make([]int, len(norm))
@@ -87,12 +84,9 @@ func FixedFrequency(specs []AnalysisSpec, res Resources, outputEvery int) (*Reco
 	if outputEvery <= 0 {
 		outputEvery = 1
 	}
-	norm := make([]AnalysisSpec, len(specs))
-	for i, a := range specs {
-		if err := a.Validate(); err != nil {
-			return nil, err
-		}
-		norm[i] = a.withDefaults()
+	norm, err := normalizeSpecs(specs)
+	if err != nil {
+		return nil, err
 	}
 	rec := &Recommendation{}
 	for _, a := range norm {

@@ -31,13 +31,11 @@ type SolveOptions struct {
 	// solver progress event; when set, Flight is ignored. Like Observer it
 	// runs synchronously on the sequential consume path.
 	Progress func(milp.ProgressEvent)
-	// Workers selects the branch-and-bound pool width (see
-	// milp.Options.Workers): 0 and 1 keep the historical serial search
-	// byte-for-byte, >= 2 enables the parallel search with warm-started
-	// node relaxations and root presolve. The objective and bound are
+	// Workers is the branch-and-bound wave width (see milp.Options.Workers;
+	// 0 and 1 both mean a wave of one). The objective and bound are
 	// identical at any width.
 	Workers int
-	// NoWarmStart forces cold node relaxations in the parallel search.
+	// NoWarmStart forces cold node relaxations at every width.
 	NoWarmStart bool
 	// Ctx, when non-nil, scopes the solve to a caller's lifetime: the search
 	// aborts with an error wrapping milp.ErrCanceled once it is canceled, and
@@ -56,6 +54,23 @@ func (o SolveOptions) milpOptions() milp.Options {
 		NoWarmStart: o.NoWarmStart,
 		Ctx:         o.Ctx,
 	}
+}
+
+// solveModel runs branch and bound on a built model and times it. A solve
+// that ends with nothing to extract — anything but proven optimality or a
+// node-limit incumbent — is an error naming the model; sol is still returned
+// with it so a caller can tell infeasibility from the other outcomes.
+func solveModel(model string, prob *milp.Problem, opts SolveOptions) (sol *milp.Solution, elapsed time.Duration, err error) {
+	start := time.Now()
+	sol, err = milp.Solve(prob, opts.milpOptions())
+	elapsed = time.Since(start)
+	if err != nil {
+		return nil, elapsed, err
+	}
+	if sol.Status != milp.Optimal && !(sol.Status == milp.NodeLimit && sol.HasX) {
+		return sol, elapsed, fmt.Errorf("core: %s solve failed: %v", model, sol.Status)
+	}
+	return sol, elapsed, nil
 }
 
 // mode is one candidate (count, output-stride) schedule for an analysis.
@@ -235,15 +250,9 @@ func Solve(specs []AnalysisSpec, res Resources, opts SolveOptions) (*Recommendat
 		return nil, err
 	}
 	prob, refs := buildCompactProblem(norm, res, opts)
-
-	start := time.Now()
-	sol, err := milp.Solve(prob, opts.milpOptions())
-	elapsed := time.Since(start)
+	sol, elapsed, err := solveModel("compact model", prob, opts)
 	if err != nil {
 		return nil, err
-	}
-	if sol.Status != milp.Optimal && !(sol.Status == milp.NodeLimit && sol.HasX) {
-		return nil, fmt.Errorf("core: compact model solve failed: %v", sol.Status)
 	}
 
 	rec := &Recommendation{SolveTime: elapsed, Nodes: sol.Nodes, Stats: sol.Stats}
@@ -283,25 +292,7 @@ func exactPeakMemory(specs []AnalysisSpec, res Resources, schedules []AnalysisSc
 		if !s.Enabled {
 			continue
 		}
-		a := byName[s.Name]
-		isA := stepSet(s.AnalysisSteps)
-		isO := stepSet(s.OutputSteps)
-		mEnd := a.FM
-		for j := 1; j <= res.Steps; j++ {
-			mStart := mEnd + a.IM
-			if isA[j] {
-				mStart += a.CM
-			}
-			if isO[j] {
-				mStart += a.OM
-			}
-			mem[j] += mStart
-			if isO[j] {
-				mEnd = a.FM
-			} else {
-				mEnd = mStart
-			}
-		}
+		addStepMemory(mem, byName[s.Name], stepSet(s.AnalysisSteps), stepSet(s.OutputSteps))
 	}
 	var peak int64
 	for j := 1; j <= res.Steps; j++ {
@@ -319,14 +310,13 @@ func BruteForceSolve(specs []AnalysisSpec, res Resources) (*Recommendation, erro
 	if err := res.Validate(); err != nil {
 		return nil, err
 	}
-	norm := make([]AnalysisSpec, len(specs))
-	modes := make([][]mode, len(specs))
-	for i, a := range specs {
-		if err := a.Validate(); err != nil {
-			return nil, err
-		}
-		norm[i] = a.withDefaults()
-		modes[i] = append([]mode{{}}, enumerateModes(norm[i], res, 0)...) // {} = disabled
+	norm, err := normalizeSpecs(specs)
+	if err != nil {
+		return nil, err
+	}
+	modes := make([][]mode, len(norm))
+	for i, a := range norm {
+		modes[i] = append([]mode{{}}, enumerateModes(a, res, 0)...) // {} = disabled
 	}
 
 	best := &Recommendation{Objective: math.Inf(-1)}

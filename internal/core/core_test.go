@@ -444,6 +444,52 @@ func TestSolveAlwaysFeasible(t *testing.T) {
 	}
 }
 
+// TestSolveNearIntegralNodeKeepsRows pins three thresholds (found by the
+// benchmark's seeded sweeps over the paper's water+ions and FLASH profiles)
+// where a node relaxation leaves a binary at 1-1e-6: integral within
+// tolerance, but snapped to 1 its ~25 s / ~1500 s cost overshoots the time
+// row by more than Validate allows. The search must branch such a node, not
+// adopt its snapped point, at any width.
+func TestSolveNearIntegralNodeKeepsRows(t *testing.T) {
+	waterIons := []AnalysisSpec{
+		{Name: "A1 hydronium rdf", CT: 0.0653, OT: 0.005, FM: 64 << 20, CM: 16 << 20, OM: 8 << 20, MinInterval: 100},
+		{Name: "A2 ion rdf", CT: 0.0653, OT: 0.005, FM: 64 << 20, CM: 16 << 20, OM: 8 << 20, MinInterval: 100},
+		{Name: "A3 vacf", CT: 0.0654, OT: 0.005, FM: 128 << 20, CM: 16 << 20, OM: 8 << 20, MinInterval: 100},
+		{Name: "A4 msd", CT: 25.85, OT: 0.05, FM: 4 << 30, IM: 1 << 20, CM: 1 << 30, OM: 512 << 20, MinInterval: 100},
+	}
+	flash := []AnalysisSpec{
+		{Name: "F1 vorticity", CT: 3.5, OT: 24.0, FM: 256 << 20, CM: 128 << 20, OM: 2 << 30, MinInterval: 100},
+		{Name: "F2 L1 error norm", CT: 1.25, OT: 3.2, FM: 16 << 20, CM: 1 << 20, OM: 1 << 20, MinInterval: 100},
+		{Name: "F3 L2 error norm", CT: 0.0023, OT: 0.0005, FM: 1 << 20, CM: 1 << 18, OM: 1 << 16, MinInterval: 100},
+	}
+	cases := []struct {
+		name      string
+		specs     []AnalysisSpec
+		threshold float64
+	}{
+		{"water+ions, fails at width 0", waterIons, 131.3149029911305},
+		{"water+ions, fails at width 2", waterIons, 157.15854525359646},
+		{"flash, fails at both", flash, 64.2234963371769},
+	}
+	for _, c := range cases {
+		res := Resources{Steps: 1000, TimeThreshold: c.threshold, MemThreshold: 12 << 30}
+		var objs []float64
+		for _, w := range []int{0, 2} {
+			rec, err := Solve(c.specs, res, SolveOptions{Workers: w})
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", c.name, w, err)
+			}
+			if err := rec.Validate(c.specs, res); err != nil {
+				t.Fatalf("%s, workers=%d: %v", c.name, w, err)
+			}
+			objs = append(objs, rec.Objective)
+		}
+		if objs[0] != objs[1] {
+			t.Fatalf("%s: objective %g at width 0, %g at width 2", c.name, objs[0], objs[1])
+		}
+	}
+}
+
 func TestLexicographicMatchesPaperTable8(t *testing.T) {
 	// The Table-8 scenario: under priority semantics, weights (2,1,2) put
 	// {F1,F3} in a class above {F2}; the high class consumes the budget
@@ -469,6 +515,26 @@ func TestLexicographicMatchesPaperTable8(t *testing.T) {
 	}
 	if err := rec.Validate(specs, res); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLexicographicStatsKeepTaxonomy: a lexicographic recommendation sums
+// the statistics of one solve per priority class, and the sum must still
+// satisfy the documented invariant Nodes == Σ prune-reason taxonomy.
+func TestLexicographicStatsKeepTaxonomy(t *testing.T) {
+	specs := fourAnalyses()
+	specs[0].Weight, specs[3].Weight = 2, 2 // two classes: {A1,A4} over {A2,A3}
+	res := Resources{Steps: 1000, TimeThreshold: 64.69, MemThreshold: 12 << 30}
+	rec, err := SolveLexicographic(specs, res, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rec.Stats
+	if st.Nodes < 2 || st.Nodes != rec.Nodes {
+		t.Fatalf("Stats.Nodes = %d, Nodes = %d, want equal and one root per class", st.Nodes, rec.Nodes)
+	}
+	if sum := st.PrunedBound + st.PrunedInfeasible + st.IntegralNodes + st.BranchedNodes; sum != st.Nodes {
+		t.Fatalf("taxonomy sums to %d for %d nodes: %+v", sum, st.Nodes, st)
 	}
 }
 

@@ -256,11 +256,11 @@ func nextCountModes(a AnalysisSpec, res Resources, count int) []mode {
 // objective price or the minimal infeasible constraint set.
 func explainDisabled(at *Attribution, norm []AnalysisSpec, i int, res Resources, opts SolveOptions, baseObjective float64) error {
 	prob, refs := buildCompactProblemForced(norm, res, opts, i)
-	sol, err := milp.Solve(prob, opts.milpOptions())
-	if err != nil {
+	sol, _, err := solveModel("forced probe", prob, opts)
+	switch {
+	case sol == nil: // the solver itself failed
 		return err
-	}
-	if sol.Status == milp.Optimal || (sol.Status == milp.NodeLimit && sol.HasX) {
+	case err == nil:
 		at.ForcedFeasible = true
 		at.ForcedObjective = sol.Objective
 		at.ForcedDelta = sol.Objective - baseObjective
@@ -270,8 +270,7 @@ func explainDisabled(at *Attribution, norm []AnalysisSpec, i int, res Resources,
 			}
 		}
 		return nil
-	}
-	if sol.Status != milp.Infeasible {
+	case sol.Status != milp.Infeasible:
 		return fmt.Errorf("core: forced probe for %q ended %v", norm[i].Name, sol.Status)
 	}
 	at.ForcedViolation = standaloneViolation(norm[i], res)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"insitu/internal/milp"
+	"insitu/internal/obs"
 )
 
 // explainSpecs is a two-analysis instance where the optimum enables the cheap
@@ -23,32 +24,60 @@ func explainSpecs() ([]AnalysisSpec, Resources) {
 
 func TestExplainIntervalBoundAndInfeasibleCounterfactual(t *testing.T) {
 	specs, res := explainSpecs()
-	ex, err := Explain(specs, res, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cheap := ex.Attribution("cheap")
-	if cheap == nil || !cheap.Enabled {
-		t.Fatalf("cheap = %+v", cheap)
-	}
-	if cheap.Count != 10 || cheap.MaxCount != 10 || cheap.Binding != BindingMinInterval {
-		t.Fatalf("cheap attribution = %+v", cheap)
-	}
-	exp := ex.Attribution("expensive")
-	if exp == nil || exp.Enabled {
-		t.Fatalf("expensive = %+v", exp)
-	}
-	if exp.ForcedFeasible {
-		t.Fatalf("expensive forced probe should be infeasible: %+v", exp)
-	}
-	if !strings.Contains(exp.ForcedViolation, "time-threshold") {
-		t.Fatalf("ForcedViolation = %q", exp.ForcedViolation)
-	}
-	// The minimal conflict must pair the forced membership with the time
-	// row — and nothing else.
-	want := map[string]bool{"force[expensive]": true, "time-threshold": true}
-	if len(exp.Conflict) != 2 || !want[exp.Conflict[0]] || !want[exp.Conflict[1]] {
-		t.Fatalf("conflict = %v", exp.Conflict)
+	for _, w := range []int{0, 1, 2, 8} {
+		// Every solve behind the explanation (base, forced probe, conflict
+		// deletion filter) streams into one slice; a start event opens the
+		// next stream.
+		var streams [][]obs.SolveProgress
+		ex, err := Explain(specs, res, SolveOptions{Workers: w, Progress: func(ev milp.ProgressEvent) {
+			if ev.Kind == milp.ProgressStart {
+				streams = append(streams, nil)
+			}
+			streams[len(streams)-1] = append(streams[len(streams)-1], flightRecord(ev))
+		}})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		cheap := ex.Attribution("cheap")
+		if cheap == nil || !cheap.Enabled {
+			t.Fatalf("workers=%d: cheap = %+v", w, cheap)
+		}
+		if cheap.Count != 10 || cheap.MaxCount != 10 || cheap.Binding != BindingMinInterval {
+			t.Fatalf("workers=%d: cheap attribution = %+v", w, cheap)
+		}
+		exp := ex.Attribution("expensive")
+		if exp == nil || exp.Enabled {
+			t.Fatalf("workers=%d: expensive = %+v", w, exp)
+		}
+		if exp.ForcedFeasible {
+			t.Fatalf("workers=%d: expensive forced probe should be infeasible: %+v", w, exp)
+		}
+		if !strings.Contains(exp.ForcedViolation, "time-threshold") {
+			t.Fatalf("workers=%d: ForcedViolation = %q", w, exp.ForcedViolation)
+		}
+		// The minimal conflict must pair the forced membership with the time
+		// row — and nothing else.
+		want := map[string]bool{"force[expensive]": true, "time-threshold": true}
+		if len(exp.Conflict) != 2 || !want[exp.Conflict[0]] || !want[exp.Conflict[1]] {
+			t.Fatalf("workers=%d: conflict = %v", w, exp.Conflict)
+		}
+		// The forced probe's root is proven infeasible by presolve alone (the
+		// time row caps every expensive mode at 0, the force row needs one):
+		// its flight stream is start -> end with no node, and like every
+		// other stream it must satisfy the recorder's invariants.
+		presolved := 0
+		for i, recs := range streams {
+			if err := obs.CheckSolveProg(recs); err != nil {
+				t.Fatalf("workers=%d: stream %d: %v", w, i, err)
+			}
+			if end := recs[len(recs)-1]; len(recs) == 2 && end.Kind == obs.SolveProgEnd &&
+				end.Status == milp.Infeasible.String() && end.Nodes == 0 {
+				presolved++
+			}
+		}
+		if presolved == 0 {
+			t.Fatalf("workers=%d: no presolve-proven infeasible start->end stream among %d", w, len(streams))
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"insitu/internal/lp"
 	"insitu/internal/milp"
@@ -26,15 +25,9 @@ func SolveFull(specs []AnalysisSpec, res Resources, opts SolveOptions) (*Recomme
 		return nil, err
 	}
 	prob, aVar, oVar := buildFullProblem(norm, res)
-
-	start := time.Now()
-	sol, err := milp.Solve(prob, opts.milpOptions())
-	elapsed := time.Since(start)
+	sol, elapsed, err := solveModel("full model", prob, opts)
 	if err != nil {
 		return nil, err
-	}
-	if sol.Status != milp.Optimal && !(sol.Status == milp.NodeLimit && sol.HasX) {
-		return nil, fmt.Errorf("core: full model solve failed: %v", sol.Status)
 	}
 
 	S := res.Steps

@@ -19,12 +19,9 @@ func SolveLexicographic(specs []AnalysisSpec, res Resources, opts SolveOptions) 
 	if err := res.Validate(); err != nil {
 		return nil, err
 	}
-	norm := make([]AnalysisSpec, len(specs))
-	for i, a := range specs {
-		if err := a.Validate(); err != nil {
-			return nil, err
-		}
-		norm[i] = a.withDefaults()
+	norm, err := normalizeSpecs(specs)
+	if err != nil {
+		return nil, err
 	}
 
 	// Distinct weights, descending: each is one priority class.
@@ -89,22 +86,7 @@ func SolveLexicographic(specs []AnalysisSpec, res Resources, opts SolveOptions) 
 		}
 		out.SolveTime += rec.SolveTime
 		out.Nodes += rec.Nodes
-		out.Stats.Nodes += rec.Stats.Nodes
-		out.Stats.Relaxations += rec.Stats.Relaxations
-		out.Stats.Pivots += rec.Stats.Pivots
-		out.Stats.SolveTime += rec.Stats.SolveTime
-		out.Stats.Workers = rec.Stats.Workers
-		out.Stats.WarmSolves += rec.Stats.WarmSolves
-		out.Stats.ColdSolves += rec.Stats.ColdSolves
-		out.Stats.FallbackColds += rec.Stats.FallbackColds
-		out.Stats.WarmInfeasibles += rec.Stats.WarmInfeasibles
-		out.Stats.PrimalPivots += rec.Stats.PrimalPivots
-		out.Stats.DualPivots += rec.Stats.DualPivots
-		out.Stats.Refactorizations += rec.Stats.Refactorizations
-		if rec.Stats.EtaPeak > out.Stats.EtaPeak {
-			out.Stats.EtaPeak = rec.Stats.EtaPeak
-		}
-		out.Stats.PresolveTightened += rec.Stats.PresolveTightened
+		out.Stats.Add(&rec.Stats)
 	}
 	out.PeakMemory = exactPeakMemory(norm, res, out.Schedules)
 	if err := out.Validate(specs, res); err != nil {

@@ -224,14 +224,9 @@ func SolvePlacement(specs []PlacementSpec, res PlacementResources, opts SolveOpt
 		prob.LP.AddConstraint(stageMemIdx, stageMemCoef, lp.LE, float64(res.StageMemTotal), "stage-mem")
 	}
 
-	start := time.Now()
-	sol, err := milp.Solve(prob, opts.milpOptions())
-	elapsed := time.Since(start)
+	sol, elapsed, err := solveModel("placement", prob, opts)
 	if err != nil {
 		return nil, err
-	}
-	if sol.Status != milp.Optimal && !(sol.Status == milp.NodeLimit && sol.HasX) {
-		return nil, fmt.Errorf("core: placement solve failed: %v", sol.Status)
 	}
 
 	rec := &PlacementRecommendation{SolveTime: elapsed, Stats: sol.Stats}

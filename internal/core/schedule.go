@@ -132,6 +132,29 @@ func stepSet(steps []int) map[int]bool {
 	return m
 }
 
+// addStepMemory adds one analysis' mStart_j of the memory recurrence
+// (equations 5–7) to mem[j] for every step j = 1..len(mem)-1: im accumulates
+// each step, cm and om are added at analysis and output steps, and an output
+// resets the carried memory to fm.
+func addStepMemory(mem []int64, a AnalysisSpec, isA, isO map[int]bool) {
+	mEnd := a.FM
+	for j := 1; j < len(mem); j++ {
+		mStart := mEnd + a.IM
+		if isA[j] {
+			mStart += a.CM
+		}
+		if isO[j] {
+			mStart += a.OM
+		}
+		mem[j] += mStart
+		if isO[j] {
+			mEnd = a.FM
+		} else {
+			mEnd = mStart
+		}
+	}
+}
+
 // buildSchedule materializes an AnalysisSchedule for spec a performed count
 // times with output every k analysis steps.
 func buildSchedule(a AnalysisSpec, res Resources, count, k int) AnalysisSchedule {
@@ -208,23 +231,7 @@ func (r *Recommendation) Validate(specs []AnalysisSpec, res Resources) error {
 		totalTime += t
 
 		// Memory recurrence (equations 5–7) accumulated per step.
-		isO := stepSet(s.OutputSteps)
-		mEnd := a.FM
-		for j := 1; j <= res.Steps; j++ {
-			mStart := mEnd + a.IM
-			if isA[j] {
-				mStart += a.CM
-			}
-			if isO[j] {
-				mStart += a.OM
-			}
-			memPerStep[j] += mStart
-			if isO[j] {
-				mEnd = a.FM
-			} else {
-				mEnd = mStart
-			}
-		}
+		addStepMemory(memPerStep, a, isA, stepSet(s.OutputSteps))
 	}
 
 	if res.TimeThreshold > 0 && totalTime > res.TimeThreshold*(1+1e-9)+1e-12 {

@@ -206,9 +206,11 @@ func TestTable4InSituBeatsPostProcessing(t *testing.T) {
 				r.Atoms, r.InSitu, total)
 		}
 	}
-	// Read time grows with system size (paper: 23.89 s -> 2413 s).
-	if rows[1].ReadTime < rows[0].ReadTime {
-		t.Fatalf("read time should grow with atoms: %v vs %v", rows[0].ReadTime, rows[1].ReadTime)
+	// The read-back volume grows with system size (paper: 23.89 s -> 2413 s
+	// of read time). Two measured wall-clock reads a few ms apart do not
+	// order reliably on a loaded machine, so compare the bytes behind them.
+	if rows[0].readBytes <= 0 || rows[1].readBytes <= rows[0].readBytes {
+		t.Fatalf("bytes read back should grow with atoms: %d vs %d", rows[0].readBytes, rows[1].readBytes)
 	}
 	if FormatTable4(rows) == "" {
 		t.Fatal("empty formatting")

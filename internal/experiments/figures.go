@@ -386,7 +386,7 @@ func FormatFigure5(rows []Figure5Row) string {
 // ---------------------------------------------------------------------------
 
 // SolverRuntime solves every scheduling instance of Tables 5-6 with the
-// given branch-and-bound pool width (≤1 = legacy serial search) and returns
+// given branch-and-bound wave width and returns
 // the min and max solve times. The schedules themselves are identical at
 // any width; only the wall time moves.
 func SolverRuntime(workers int) (min, max time.Duration, err error) {

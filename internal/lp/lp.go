@@ -20,8 +20,8 @@
 // 0-1 variables. Pricing is Devex with a Bland's-rule fallback to guarantee
 // termination under degeneracy; warm re-solves under changed bounds (the
 // Solver handle) restore feasibility with a bounded-variable dual simplex.
-// The retired dense tableau kernel remains available as SolveReference, the
-// differential-testing oracle.
+// The dense tableau kernel this one replaced lives on in package solvercheck
+// as the differential-testing oracle.
 package lp
 
 import (

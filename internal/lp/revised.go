@@ -758,3 +758,34 @@ func (rv *revised) extract(obj float64) *Solution {
 		Slacks:       slacks,
 	}
 }
+
+// rowActivity evaluates each constraint at x, returning the activities a_r·x
+// and the feasible-side slacks (RHS - activity for <=, activity - RHS for >=,
+// |activity - RHS| for equality rows).
+func rowActivity(p *Problem, x []float64) (activity, slacks []float64) {
+	activity = make([]float64, len(p.Constraints))
+	slacks = make([]float64, len(p.Constraints))
+	for r, c := range p.Constraints {
+		act := 0.0
+		for j, v := range c.Coef {
+			if v != 0 {
+				act += v * x[j]
+			}
+		}
+		activity[r] = act
+		var s float64
+		switch c.Sense {
+		case LE:
+			s = c.RHS - act
+		case GE:
+			s = act - c.RHS
+		case EQ:
+			s = math.Abs(act - c.RHS)
+		}
+		if math.Abs(s) < feasTol {
+			s = 0
+		}
+		slacks[r] = s
+	}
+	return activity, slacks
+}

@@ -19,11 +19,9 @@ package lp
 //     refactorization, so neither a warm nor a cold solve re-allocates or
 //     re-scans the matrix.
 //
-// A Solver is not safe for concurrent use; the parallel branch-and-bound
-// driver gives each worker its own. SolveCold is arithmetic-identical to
-// Solve(p) with the same bounds (only the allocations differ), which is what
-// lets the serial search keep its byte-exact golden outputs while routing
-// through a Solver.
+// A Solver is not safe for concurrent use; branch and bound gives each wave
+// worker its own. SolveCold is arithmetic-identical to Solve(p) with the
+// same bounds (only the allocations differ).
 type Solver struct {
 	p  *Problem
 	rv *revised
@@ -33,8 +31,8 @@ type Solver struct {
 	// Lean skips the diagnostic solution fields (duals, reduced costs, row
 	// activity) that branch and bound never reads.
 	Lean bool
-	// NoWarm forces every Solve through the cold path (for byte-exact
-	// serial reproduction and for measuring warm-start savings).
+	// NoWarm forces every Solve through the cold path (branch and bound sets
+	// it for a wave of one and for measuring warm-start savings).
 	NoWarm bool
 
 	// Stats counts the solves by path and the simplex work spent.

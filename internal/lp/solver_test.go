@@ -110,7 +110,7 @@ func TestSolverWarmMatchesCold(t *testing.T) {
 	t.Logf("warm solves: %d", warmSeen)
 }
 
-// TestSolverColdMatchesSolve pins the byte-exactness contract: SolveCold
+// TestSolverColdMatchesSolve pins the cold-path contract: SolveCold
 // through reused buffers must reproduce lp.Solve exactly, including the
 // iteration count (same pivots in the same order).
 func TestSolverColdMatchesSolve(t *testing.T) {

@@ -7,15 +7,15 @@ import (
 	"testing"
 )
 
-// TestSolveCanceled: a pre-canceled context stops both drivers after the
-// root, with an error wrapping ErrCanceled.
+// TestSolveCanceled: a pre-canceled context stops the search after the root
+// at every width, with an error wrapping ErrCanceled.
 func TestSolveCanceled(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for trial := 0; trial < 40; trial++ {
 		p := randParallelMILP(rng)
-		for _, w := range []int{1, 3} {
+		for _, w := range widths {
 			sol, err := Solve(p, Options{Workers: w, Ctx: canceled})
 			if err == nil {
 				// Legal: the root already finished the search (infeasible,

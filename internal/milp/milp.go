@@ -6,12 +6,11 @@
 // The solver performs best-first search on the LP bound with an initial
 // depth-first dive to find an incumbent quickly, branches on the most
 // fractional integer variable, and prunes nodes whose LP bound cannot beat
-// the incumbent. With Options.Workers >= 2 the search runs in
-// wave-synchronous parallel mode with warm-started node re-solves and a
-// root presolve (see parallel.go for the determinism contract). For the
-// pure-binary compact scheduling models in package core, solve times are
-// well under a millisecond; the time-indexed full model with hundreds of
-// binaries solves in milliseconds at test scale.
+// the incumbent. One wave-synchronous driver runs every search after a root
+// presolve; Options.Workers is the wave width (see Solve for the determinism
+// contract). For the pure-binary compact scheduling models in package core,
+// solve times are well under a millisecond; the time-indexed full model with
+// hundreds of binaries solves in milliseconds at test scale.
 package milp
 
 import (
@@ -20,8 +19,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strconv"
+	"sync"
 	"time"
 
 	"insitu/internal/lp"
@@ -117,8 +119,8 @@ type Stats struct {
 	Incumbents  []Incumbent   // improvement trajectory, in discovery order
 	BestBound   float64       // best remaining bound at termination (== Solution.Bound)
 	SolveTime   time.Duration // wall time of the search
-	// Workers is the pool width the search ran with (1 for the serial
-	// search). WarmSolves/ColdSolves split the node relaxations by path
+	// Workers is the wave width the search ran with (at least 1).
+	// WarmSolves/ColdSolves split the node relaxations by path
 	// (heuristic re-solves, always cold, are excluded), and
 	// PresolveTightened counts the root bound reductions; all three are
 	// deterministic for a fixed Workers value.
@@ -152,6 +154,35 @@ type Stats struct {
 	// QueuePruned counts nodes discarded at pop time by the incumbent bound,
 	// without an LP solve; they are not explored nodes.
 	QueuePruned int
+}
+
+// Add accumulates the effort of another search into s, for callers that
+// answer one request with several solves: every counter and SolveTime sum
+// (so Nodes still equals the prune-reason taxonomy), EtaPeak takes the
+// maximum, and Workers follows o. Incumbents and BestBound describe a single
+// search and are left alone.
+func (s *Stats) Add(o *Stats) {
+	s.Nodes += o.Nodes
+	s.Relaxations += o.Relaxations
+	s.Pivots += o.Pivots
+	s.SolveTime += o.SolveTime
+	s.Workers = o.Workers
+	s.WarmSolves += o.WarmSolves
+	s.ColdSolves += o.ColdSolves
+	s.PresolveTightened += o.PresolveTightened
+	s.FallbackColds += o.FallbackColds
+	s.WarmInfeasibles += o.WarmInfeasibles
+	s.PrimalPivots += o.PrimalPivots
+	s.DualPivots += o.DualPivots
+	s.Refactorizations += o.Refactorizations
+	if o.EtaPeak > s.EtaPeak {
+		s.EtaPeak = o.EtaPeak
+	}
+	s.PrunedBound += o.PrunedBound
+	s.PrunedInfeasible += o.PrunedInfeasible
+	s.IntegralNodes += o.IntegralNodes
+	s.BranchedNodes += o.BranchedNodes
+	s.QueuePruned += o.QueuePruned
 }
 
 // Incumbent is one point of the incumbent-improvement trajectory.
@@ -211,29 +242,22 @@ type Options struct {
 	// Now is the clock used for Stats.SolveTime (default time.Now);
 	// injectable so tests are deterministic.
 	Now func() time.Time
-	// Workers is the width of the node-solving pool. 0 and 1 select the
-	// historical serial search, byte-identical to previous releases
-	// (golden observer streams and snapshots included). Values >= 2 enable
-	// the wave-synchronous parallel search with warm-started node
-	// relaxations and a root presolve: the explored tree is deterministic
-	// for a fixed width, and the returned objective and terminal bound are
-	// identical at any width. Use AutoWorkers to map a CLI-style 0 to the
-	// machine width when parallelism is wanted by default.
+	// Workers is the wave width: how many best-bound nodes are popped and
+	// solved concurrently per iteration (0 and 1 both mean a wave of one).
+	// The explored tree is deterministic for a fixed width, and the returned
+	// objective and terminal bound are identical at any width. Use
+	// AutoWorkers to map a CLI-style 0 to the machine width.
 	Workers int
-	// NoWarmStart forces every node relaxation of the parallel search onto
-	// the cold path (the serial search is always cold). The perfbench
-	// suite uses it to measure warm-start pivot savings.
+	// NoWarmStart forces every node relaxation onto the cold path (a wave
+	// of one is always cold, see Solve). The perfbench suite uses it to
+	// measure warm-start pivot savings.
 	NoWarmStart bool
-	// NoPresolve disables the parallel search's root bound-tightening
-	// presolve.
-	NoPresolve bool
 	// Ctx, when non-nil, scopes the search to a caller's lifetime in two
-	// ways: the search checks it between nodes (serial) or waves (parallel)
-	// and aborts with an error wrapping ErrCanceled once it is done, and it
-	// becomes the base context for the solver's pprof phase labels, so
-	// request-scoped labels (e.g. schedd's request IDs) survive into CPU
-	// profiles of the solve. A nil Ctx behaves exactly like previous
-	// releases: never canceled, labels rooted at context.Background().
+	// ways: the search checks it between waves and aborts with an error
+	// wrapping ErrCanceled once it is done, and it becomes the base context
+	// for the solver's pprof phase labels, so request-scoped labels (e.g.
+	// schedd's request IDs) survive into CPU profiles of the solve. A nil
+	// Ctx is never canceled and roots the labels at context.Background().
 	Ctx context.Context
 }
 
@@ -290,9 +314,7 @@ func (q *nodeQueue) Pop() interface{} {
 	return it
 }
 
-// search carries the state of one branch-and-bound run; the serial and
-// parallel drivers share it so node accounting, observer events, pruning,
-// and incumbent management behave identically.
+// search carries the state of one branch-and-bound run.
 type search struct {
 	p           *Problem
 	opts        Options
@@ -408,8 +430,8 @@ func (s *search) observe(nd *node, bound float64, action string) {
 
 // globalBound is the best remaining upper bound: the maximum of the open
 // nodes' bounds (the heap keeps the best first), the incumbent, and extra —
-// the best bound among nodes the parallel driver has popped for the current
-// wave but not yet processed (-Inf in the serial search).
+// the best bound among nodes popped for the current wave but not yet
+// processed (-Inf outside a wave).
 func (s *search) globalBound(extra float64) float64 {
 	b := math.Inf(-1)
 	if s.best.HasX {
@@ -428,14 +450,23 @@ func (s *search) globalBound(extra float64) float64 {
 // children. Each child clones only the bound vector its branch moves and
 // aliases the parent's other vector — halving the allocation rate of the
 // hottest path in the search (nodes never mutate their vectors).
+//
+// A relaxation that is integral within IntTol reaches here only when its
+// snapped point failed the rows (see consume); it is branched on whatever
+// fractionality is left, with no tolerance on the new bounds — rounding
+// v ± IntTol would hand a child the parent's box back.
 func (s *search) expand(nd *node, relaxSol *lp.Solution, parentID int) {
-	j := mostFractional(s.p, relaxSol.X, s.opts.IntTol)
+	tol := s.opts.IntTol
+	j := mostFractional(s.p, relaxSol.X, tol)
 	if j < 0 {
-		return
+		tol = 0
+		if j = mostFractional(s.p, relaxSol.X, tol); j < 0 {
+			return
+		}
 	}
 	v := relaxSol.X[j]
 	downUpper := append([]float64(nil), nd.upper...)
-	downUpper[j] = math.Floor(v + s.opts.IntTol)
+	downUpper[j] = math.Floor(v + tol)
 	down := &node{
 		lower:       nd.lower,
 		upper:       downUpper,
@@ -447,7 +478,7 @@ func (s *search) expand(nd *node, relaxSol *lp.Solution, parentID int) {
 		branchBound: downUpper[j],
 	}
 	upLower := append([]float64(nil), nd.lower...)
-	upLower[j] = math.Ceil(v - s.opts.IntTol)
+	upLower[j] = math.Ceil(v - tol)
 	up := &node{
 		lower:       upLower,
 		upper:       nd.upper,
@@ -462,20 +493,24 @@ func (s *search) expand(nd *node, relaxSol *lp.Solution, parentID int) {
 	heap.Push(s.queue, up)
 }
 
-// consume processes one solved node exactly the way the historical serial
-// loop did: account it, then dispatch on infeasible / pruned / integral /
-// branched. extra is the best bound among popped-but-unprocessed wave nodes
-// (-Inf in the serial search), folded into the global bound recorded with
-// new incumbents.
-func (s *search) consume(nd *node, relaxSol *lp.Solution, warm bool, heur *heurCtx, extra float64) {
-	s.nodes++
+// account charges one node relaxation to the search statistics.
+func (s *search) account(relax *lp.Solution, warm bool) {
 	s.stats.Relaxations++
-	s.stats.Pivots += relaxSol.Iters
+	s.stats.Pivots += relax.Iters
 	if warm {
 		s.stats.WarmSolves++
 	} else {
 		s.stats.ColdSolves++
 	}
+}
+
+// consume processes one solved node: account it, then dispatch on
+// infeasible / pruned / integral / branched. extra is the best bound among
+// popped-but-unprocessed wave nodes (-Inf for the last of a wave), folded
+// into the global bound recorded with new incumbents.
+func (s *search) consume(nd *node, relaxSol *lp.Solution, warm bool, heur *heurCtx, extra float64) {
+	s.nodes++
+	s.account(relaxSol, warm)
 	if relaxSol.Status != lp.Optimal {
 		s.stats.PrunedInfeasible++
 		s.observe(nd, nd.bound, "infeasible")
@@ -486,15 +521,20 @@ func (s *search) consume(nd *node, relaxSol *lp.Solution, warm bool, heur *heurC
 		s.observe(nd, relaxSol.Objective, "pruned")
 		return
 	}
+	// A relaxation integral within IntTol counts as integral only if its
+	// snapped point still satisfies the rows: a binary at 1-1e-6 on a ~1500 s
+	// cost overshoots the time row by ~1.5e-3 once rounded up. Such a node is
+	// branched instead (expand splits on the residual fractionality).
 	if intFeasible(s.p, relaxSol.X, s.opts.IntTol) {
-		x := snap(s.p, relaxSol.X)
-		if obj := s.p.LP.Eval(x); !s.best.HasX || obj > s.best.Objective {
-			s.best = &Solution{Status: Optimal, X: x, Objective: obj, HasX: true}
-			s.recordIncumbent(s.nodes, obj, math.Max(relaxSol.Objective, s.globalBound(extra)))
+		if x := snap(s.p, relaxSol.X); s.p.LP.Feasible(x, 1e-6) {
+			if obj := s.p.LP.Eval(x); !s.best.HasX || obj > s.best.Objective {
+				s.best = &Solution{Status: Optimal, X: x, Objective: obj, HasX: true}
+				s.recordIncumbent(s.nodes, obj, math.Max(relaxSol.Objective, s.globalBound(extra)))
+			}
+			s.stats.IntegralNodes++
+			s.observe(nd, relaxSol.Objective, "integral")
+			return
 		}
-		s.stats.IntegralNodes++
-		s.observe(nd, relaxSol.Objective, "integral")
-		return
 	}
 	// Rounding heuristic: costs two extra LP solves, so throttle it to
 	// early nodes where finding an incumbent matters most.
@@ -526,13 +566,7 @@ func (s *search) openRoot(ctx *lp.Solver, heur *heurCtx, root *node) (done *Solu
 	pprof.Do(s.opts.context(), pprof.Labels("solver_phase", "root"), func(context.Context) {
 		relax, warm = ctx.Solve(root.lower, root.upper)
 	})
-	s.stats.Relaxations++
-	s.stats.Pivots += relax.Iters
-	if warm {
-		s.stats.WarmSolves++
-	} else {
-		s.stats.ColdSolves++
-	}
+	s.account(relax, warm)
 	switch relax.Status {
 	case lp.Infeasible:
 		return s.finish(&Solution{Status: Infeasible}, math.Inf(-1)), nil
@@ -594,9 +628,54 @@ func solveNode(pctx context.Context, ctx *lp.Solver, nd *node) nodeResult {
 	return nodeResult{sol: sol, warm: warm}
 }
 
+// solveWave solves the wave's relaxations into results, node i on worker
+// i%len(ctxs); a wave of one runs on the caller's goroutine.
+func solveWave(pctx context.Context, ctxs []*lp.Solver, wave []*node, results []nodeResult) {
+	if len(wave) == 1 {
+		results[0] = solveNode(pctx, ctxs[0], wave[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < len(ctxs) && g < len(wave); g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// The phase label attributes wave-solve CPU (and each
+			// worker's share of it) in pprof profiles.
+			pprof.Do(pctx, pprof.Labels(
+				"solver_phase", "wave",
+				"solver_worker", strconv.Itoa(g),
+			), func(lctx context.Context) {
+				for i := g; i < len(wave); i += len(ctxs) {
+					results[i] = solveNode(lctx, ctxs[g], wave[i])
+				}
+			})
+		}(g)
+	}
+	wg.Wait()
+}
+
+// AutoWorkers resolves a CLI-style -workers value: n > 0 is taken as-is,
+// anything else means "use every core".
+func AutoWorkers(n int) int {
+	if n > 0 {
+		return n
+	}
+	return runtime.NumCPU()
+}
+
 // Solve runs branch and bound and returns the best integer-feasible
-// solution. Options.Workers selects the serial (<= 1) or parallel (>= 2)
-// driver; both return the same objective and terminal bound.
+// solution. After a root presolve (bound tightening, see presolve.go) each
+// iteration pops up to Workers best-bound nodes (a "wave"), solves their
+// relaxations concurrently — node i on worker i%W, so each worker sees a
+// deterministic node sequence and its warm-start trajectory is reproducible
+// — and then consumes the results sequentially in pop order. Because
+// pruning, incumbent updates, observer events, and branching all happen in
+// that sequential consume step, the search explores a deterministic tree
+// for a fixed Workers value and streams observer events in a deterministic
+// order; and since best-first search with the same pruning rule visits the
+// same optimum, the returned objective and terminal bound are identical at
+// any width (only the explored tree may differ between widths).
 func Solve(p *Problem, opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
 	s, err := newSearch(p, opts)
@@ -604,57 +683,89 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 		return nil, err
 	}
 	s.emitStart()
-	if opts.Workers >= 2 {
-		return s.runParallel()
-	}
-	return s.runSerial()
-}
+	w := opts.workersWidth()
+	pctx := opts.context()
+	// The one policy the width still decides: a wave of one re-solves its
+	// nodes cold. Measured with benchmark/ on this tree, warm nodes at
+	// width 1 are not a free win — sparse_default ops_per_s 16.95 -> 58.3,
+	// but replan_loop 199.6 -> 88.0 and alloc_kb_per_op +36 % / +20 % — so
+	// flipping it is a perf change with its own measurements, not a default.
+	cold := opts.Workers <= 1 || opts.NoWarmStart
 
-// runSerial is the historical best-first search: one node at a time, every
-// relaxation solved cold. Its arithmetic, node order, and observer stream
-// are byte-identical to previous releases; the only change is that LP
-// solves route through a buffer-reusing solver context.
-func (s *search) runSerial() (*Solution, error) {
-	ctx, err := lp.NewSolver(s.p.LP)
+	lower := append([]float64(nil), p.LP.Lower...)
+	upper := append([]float64(nil), p.LP.Upper...)
+	var infeasible bool
+	pprof.Do(pctx, pprof.Labels("solver_phase", "presolve"), func(context.Context) {
+		s.stats.PresolveTightened, infeasible = presolveBounds(p, lower, upper)
+	})
+	if infeasible {
+		return s.finish(&Solution{Status: Infeasible}, math.Inf(-1)), nil
+	}
+	ctxs := make([]*lp.Solver, w)
+	for g := range ctxs {
+		ctx, err := lp.NewSolver(p.LP)
+		if err != nil {
+			return nil, err
+		}
+		ctx.Lean = true
+		ctx.NoWarm = cold
+		ctxs[g] = ctx
+	}
+	heur, err := newHeurCtx(p)
 	if err != nil {
 		return nil, err
 	}
-	ctx.Lean = true
-	ctx.NoWarm = true
-	heur, err := newHeurCtx(s.p)
-	if err != nil {
-		return nil, err
-	}
-	s.registerSolvers(ctx, heur.solver)
-	root := &node{
-		lower:     append([]float64(nil), s.p.LP.Lower...),
-		upper:     append([]float64(nil), s.p.LP.Upper...),
-		branchVar: -1,
-	}
-	if done, err := s.openRoot(ctx, heur, root); done != nil || err != nil {
+	// Flight events and the final Stats aggregate the lp-level counters of
+	// the node solvers plus the heuristic solver.
+	s.solvers = append(ctxs, heur.solver)
+	root := &node{lower: lower, upper: upper, branchVar: -1}
+	if done, err := s.openRoot(ctxs[0], heur, root); done != nil || err != nil {
 		return done, err
 	}
 
-	pctx := s.opts.context()
-	for s.queue.Len() > 0 {
+	wave := make([]*node, 0, w)
+	results := make([]nodeResult, w)
+	for {
 		if err := pctx.Err(); err != nil {
 			return nil, fmt.Errorf("%w after %d nodes: %v", ErrCanceled, s.nodes, err)
 		}
-		if s.nodes >= s.opts.MaxNodes {
+		// Assemble the next wave: best-bound order, pre-pruning against the
+		// current incumbent, and never popping more nodes than the node
+		// budget allows.
+		wave = wave[:0]
+		for len(wave) < w && s.queue.Len() > 0 && s.nodes+len(wave) < opts.MaxNodes {
+			nd := heap.Pop(s.queue).(*node)
+			if s.best.HasX && nd.bound <= s.best.Objective+s.pruneTol() {
+				s.stats.QueuePruned++
+				continue // pruned by bound before solving; not an explored node
+			}
+			wave = append(wave, nd)
+		}
+		if len(wave) == 0 {
+			if s.queue.Len() == 0 {
+				break
+			}
+			// Budget exhausted with open nodes left.
 			out := *s.best
 			out.Status = NodeLimit
 			out.Nodes = s.nodes
 			return s.finish(&out, s.globalBound(math.Inf(-1))), nil
 		}
-		nd := heap.Pop(s.queue).(*node)
-		if s.best.HasX && nd.bound <= s.best.Objective+s.pruneTol() {
-			s.stats.QueuePruned++
-			continue // pruned by bound before solving; not an explored node
+
+		solveWave(pctx, ctxs, wave, results)
+
+		for i, nd := range wave {
+			// Popped-but-unprocessed wave nodes are open too; the wave is in
+			// descending bound order, so the next node carries the best of
+			// them for global-bound purposes.
+			extra := math.Inf(-1)
+			if i+1 < len(wave) {
+				extra = wave[i+1].bound
+			}
+			s.consume(nd, results[i].sol, results[i].warm, heur, extra)
 		}
-		res := solveNode(pctx, ctx, nd)
-		s.consume(nd, res.sol, res.warm, heur, math.Inf(-1))
 		s.waveIdx++
-		s.emitWave(1, s.globalBound(math.Inf(-1)))
+		s.emitWave(len(wave), s.globalBound(math.Inf(-1)))
 	}
 
 	out := *s.best

@@ -9,6 +9,11 @@ import (
 	"insitu/internal/lp"
 )
 
+// widths are the wave widths every width-sensitive test runs at: the two
+// spellings of a wave of one, the smallest real wave, and one wider than
+// most test trees.
+var widths = []int{0, 1, 2, 8}
+
 // randParallelMILP draws a small binary program with mixed senses, shaped
 // like the compact scheduling model (knapsack rows plus occasional equality
 // couplings), including infeasible instances.
@@ -45,9 +50,8 @@ func randParallelMILP(rng *rand.Rand) *Problem {
 	return p
 }
 
-// TestParallelMatchesSerial pins the cross-width contract: any worker count
-// returns the same status, objective, and terminal bound as the serial
-// search.
+// TestParallelMatchesSerial pins the cross-width contract: any wave width
+// returns the same status, objective, and terminal bound as a wave of one.
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(511))
 	for trial := 0; trial < 120; trial++ {
@@ -163,9 +167,9 @@ func TestParallelObserverStream(t *testing.T) {
 	}
 }
 
-// TestParallelWarmStarts checks that the parallel search actually exercises
-// the warm path on a branching-heavy instance, that NoWarmStart suppresses
-// it, and that both return the same answer.
+// TestParallelWarmStarts checks that a wave of two actually exercises the
+// warm path on a branching-heavy instance, that NoWarmStart suppresses it,
+// and that both return the same answer.
 func TestParallelWarmStarts(t *testing.T) {
 	p := hardInstance(3, 16)
 	warm, err := Solve(p, Options{Workers: 2})
@@ -177,7 +181,7 @@ func TestParallelWarmStarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if warm.Stats.WarmSolves == 0 {
-		t.Fatal("parallel search never took the warm path")
+		t.Fatal("wave of two never took the warm path")
 	}
 	if cold.Stats.WarmSolves != 0 {
 		t.Fatalf("NoWarmStart still produced %d warm solves", cold.Stats.WarmSolves)
@@ -190,22 +194,24 @@ func TestParallelWarmStarts(t *testing.T) {
 	}
 }
 
-// TestParallelNodeLimit checks the budget path: the parallel driver must
-// stop at MaxNodes with NodeLimit and keep its incumbent.
+// TestParallelNodeLimit checks the budget path at every width: the search
+// must stop at MaxNodes with NodeLimit and keep its incumbent.
 func TestParallelNodeLimit(t *testing.T) {
 	p := hardInstance(11, 18)
-	sol, err := Solve(p, Options{Workers: 4, MaxNodes: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != NodeLimit {
-		t.Fatalf("status %v, want node-limit", sol.Status)
-	}
-	if sol.Stats.Nodes > 8 {
-		t.Fatalf("explored %d nodes past the budget of 8", sol.Stats.Nodes)
-	}
-	if sol.HasX && sol.Bound < sol.Objective-1e-9 {
-		t.Fatalf("terminal bound %g below incumbent %g", sol.Bound, sol.Objective)
+	for _, w := range widths {
+		sol, err := Solve(p, Options{Workers: w, MaxNodes: 8})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if sol.Status != NodeLimit {
+			t.Fatalf("workers=%d: status %v, want node-limit", w, sol.Status)
+		}
+		if sol.Stats.Nodes > 8 {
+			t.Fatalf("workers=%d: explored %d nodes past the budget of 8", w, sol.Stats.Nodes)
+		}
+		if sol.HasX && sol.Bound < sol.Objective-1e-9 {
+			t.Fatalf("workers=%d: terminal bound %g below incumbent %g", w, sol.Bound, sol.Objective)
+		}
 	}
 }
 

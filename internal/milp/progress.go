@@ -12,7 +12,7 @@ import (
 // exactly one ProgressEnd.
 const (
 	ProgressStart     = "start"     // problem shape, before the root relaxation
-	ProgressWave      = "wave"      // one consumed wave (one node in the serial search)
+	ProgressWave      = "wave"      // one consumed wave (one node at width 1)
 	ProgressIncumbent = "incumbent" // the incumbent improved
 	ProgressEnd       = "end"       // terminal status, objective, and bound
 )
@@ -22,7 +22,7 @@ const (
 // sequential in-order consume path, so for a fixed Options.Workers width the
 // stream is deterministic run to run — every field except T, which follows
 // the Options.Now clock. Across widths the explored tree differs (see
-// runParallel), so only the start/end projection is width-invariant; package
+// Solve), so only the start/end projection is width-invariant; package
 // obs exposes it as the canonical stream.
 //
 // All counters are cumulative since the start of the solve, so a consumer
@@ -34,7 +34,7 @@ type ProgressEvent struct {
 	T    time.Duration
 
 	// Search position. Wave counts consumed waves (the root is wave 1; the
-	// serial search consumes one node per wave). Open is the number of nodes
+	// width-1 search consumes one node per wave). Open is the number of nodes
 	// left in the queue; WaveSize the nodes consumed by this wave, so
 	// WaveSize/Workers is the worker occupancy of the wave.
 	Wave     int
@@ -102,16 +102,13 @@ func (o Options) workersWidth() int {
 	return 1
 }
 
-// solverTotals aggregates the lp-level statistics across the registered
+// solverTotals aggregates the lp-level statistics across the search's
 // solver contexts: sums for the counters, max for the eta-file peak. The
 // heuristic solver is registered too — it is always cold, so it never
 // contributes warm fallbacks or dual pivots, but its primal pivots and
 // refactorizations are real work that Stats.Pivots already charges.
 func (s *search) solverTotals() (t lp.SolverStats) {
 	for _, sv := range s.solvers {
-		if sv == nil {
-			continue
-		}
 		st := &sv.Stats
 		t.FallbackCold += st.FallbackCold
 		t.WarmInfeasible += st.WarmInfeasible
@@ -225,8 +222,3 @@ func (s *search) emitEnd(sol *Solution, bound float64) {
 	ev.Nodes = sol.Nodes // NodeLimit copies may lag s.nodes by pre-popped waves
 	s.opts.Progress(ev)
 }
-
-// registerSolvers records the solver contexts (node solvers plus the
-// heuristic solver) so flight events and the final Stats can report the
-// aggregated lp-level counters; it must run before the root solve.
-func (s *search) registerSolvers(ctxs ...*lp.Solver) { s.solvers = ctxs }

@@ -458,8 +458,8 @@ func DeterministicBytes(recs []SolveProgress) []byte {
 
 // CanonicalBytes renders the width-invariant projection of the stream: the
 // problem shape from the start event and the terminal status, objective,
-// bound, and gap from the end event. The parallel search explores a
-// different tree at different widths (see milp.runParallel), but the
+// bound, and gap from the end event. The search explores a
+// different tree at different widths (see milp.Solve), but the
 // objective and terminal bound are identical at any width — so this
 // projection is byte-identical at Workers=1 and Workers=8 while
 // DeterministicBytes pins the full per-wave stream per width.

@@ -29,7 +29,7 @@ var SuiteNames = []string{SuiteSolver, SuitePipeline, SuiteIOSim, SuiteService}
 
 // BenchWorkers is the branch-and-bound pool width the scheduling workloads
 // run with. It is fixed (not runtime.NumCPU()) so the recorded
-// nodes/pivots metrics are byte-stable across hosts — the parallel search
+// nodes/pivots metrics are byte-stable across hosts — the search
 // is deterministic per width, not across widths.
 const BenchWorkers = 8
 
@@ -57,7 +57,7 @@ func Workloads(suite string) ([]Workload, error) {
 // reports branch-and-bound effort plus the optimal objective as a model
 // metric (any objective drift is a solver behaviour change). Solves run at
 // BenchWorkers width and record it as solver_workers, so the bench gate
-// can prove the suite did not silently fall back to the serial search.
+// can prove the suite did not silently fall back to a wave of one.
 // Warm-start health is recorded alongside: warm_solves and fallback_colds
 // are deterministic per width and exact-gated (a rising fallback count means
 // the dual-simplex warm re-solves stopped surviving the branching pattern),

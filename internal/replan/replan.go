@@ -424,18 +424,18 @@ func (r *Replanner) incumbentRemaining(rescaled []core.AnalysisSpec, step, remai
 	return value, cost
 }
 
-// solveCanonical solves a scheduling instance at the requested pool width and
+// solveCanonical solves a scheduling instance at the requested wave width and
 // returns the canonical argmax. The milp determinism contract pins the
 // objective and terminal bound at any width, but not which of several tied
 // optimal schedules the search lands on — different widths can return
 // different ties. Everything the replanner derives from a solution (adopted
 // schedules, re-emitted plan events, recorded remaining costs) ends up in the
 // ledger, which must be byte-identical however wide the machine was. So the
-// width-W solve acts as the probe and its solution is replaced by the serial
-// search's (the historical byte-identical one) before any number is recorded;
-// the objectives are guaranteed equal. Remaining-horizon instances are small
-// — a few kernels over the steps left — so the extra serial solve is cheap,
-// and it is skipped entirely at width 1.
+// width-W solve acts as the probe and its solution is replaced by the width-1
+// search's before any number is recorded; the objectives are guaranteed
+// equal. Remaining-horizon instances are small — a few kernels over the
+// steps left — so the extra solve is cheap, and it is skipped entirely at
+// width 1. Dropping it needs a canonical tie-break in the search itself.
 func solveCanonical(specs []core.AnalysisSpec, res core.Resources, workers int) (*core.Recommendation, error) {
 	sol, err := core.Solve(specs, res, core.SolveOptions{Workers: workers})
 	if err != nil || workers <= 1 {

@@ -64,8 +64,8 @@ var errKindCodes = map[string]float64{
 
 // Config tunes the daemon. The zero value serves with defaults.
 type Config struct {
-	// Workers is the branch-and-bound pool width per solve (see
-	// core.SolveOptions.Workers). 0 and 1 run the serial search.
+	// Workers is the branch-and-bound wave width per solve (see
+	// core.SolveOptions.Workers; 0 and 1 both mean a wave of one).
 	Workers int
 	// MaxInFlight is the solver-pool width: how many solves may run
 	// concurrently (default 4). Distinct concurrent requests share this pool

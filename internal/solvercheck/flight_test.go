@@ -26,7 +26,7 @@ func flightSolve(t *testing.T, specs []core.AnalysisSpec, res core.Resources, wo
 // valid, (b) byte-identical run to run at a fixed width once the wall-clock
 // field is projected out (obs.DeterministicBytes), and (c) byte-identical
 // across Workers=1 and Workers=8 under the canonical projection
-// (obs.CanonicalBytes) — the parallel search walks a different tree per
+// (obs.CanonicalBytes) — the search walks a different tree per
 // width, but problem shape and terminal objective/bound/gap may not move.
 // It runs in the CI race job, so the recording path is also exercised under
 // the race detector here.

@@ -85,7 +85,7 @@ func CheckLP(rng *rand.Rand, p *lp.Problem) error {
 // CheckMILP runs the MILP oracle suite on one instance: branch-and-bound vs
 // exhaustive enumeration (status and objective must agree exactly, size-gated
 // on milp.BruteForce's typed refusal), integrality and feasibility of the
-// incumbent, the LP relaxation as an upper bound, serial-vs-parallel search
+// incumbent, the LP relaxation as an upper bound, cross-width search
 // agreement at Workers=8, permutation invariance, and a WriteLP -> ReadLP ->
 // Solve round trip.
 func CheckMILP(rng *rand.Rand, p *milp.Problem) error {
@@ -137,8 +137,8 @@ func CheckMILP(rng *rand.Rand, p *milp.Problem) error {
 		}
 	}
 
-	// Cross-width contract: the parallel search must reproduce the serial
-	// search's status, objective, and terminal bound.
+	// Cross-width contract: a wave of eight must reproduce the wave of one's
+	// status, objective, and terminal bound.
 	wsol, err := milp.Solve(p, milp.Options{Workers: 8})
 	if err != nil {
 		return fmt.Errorf("milp.Solve(workers=8): %v", err)

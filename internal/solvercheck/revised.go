@@ -10,7 +10,7 @@ import (
 
 // This file is the revised-simplex differential oracle: lp.Solve (the sparse
 // revised kernel with product-form factorization, Devex pricing, and dual
-// warm re-solves) against lp.SolveReference (the retired dense tableau,
+// warm re-solves) against SolveReference (the retired dense tableau,
 // kept as the independent ground truth). Beyond the generic RandLP shapes it
 // carries two pathological generators aimed at the revised kernel's weak
 // spots — long eta chains (factorization update pressure) and near-singular
@@ -22,9 +22,9 @@ import (
 // every warm re-solve through an lp.Solver must match a dense solve of the
 // same bounds. Failures name the violated property.
 func CheckRevised(rng *rand.Rand, p *lp.Problem) error {
-	ref, err := lp.SolveReference(p)
+	ref, err := SolveReference(p)
 	if err != nil {
-		return fmt.Errorf("lp.SolveReference: %v", err)
+		return fmt.Errorf("SolveReference: %v", err)
 	}
 	rev, err := lp.Solve(p)
 	if err != nil {
@@ -61,9 +61,9 @@ func CheckRevised(rng *rand.Rand, p *lp.Problem) error {
 		q := p.Clone()
 		q.Lower = append([]float64(nil), lower...)
 		q.Upper = append([]float64(nil), upper...)
-		dsol, err := lp.SolveReference(q)
+		dsol, err := SolveReference(q)
 		if err != nil {
-			return fmt.Errorf("round %d: lp.SolveReference: %v", round, err)
+			return fmt.Errorf("round %d: SolveReference: %v", round, err)
 		}
 		if err := compareRevised(dsol, wsol, q); err != nil {
 			return fmt.Errorf("round %d (var %d in [%g,%g]): %v", round, j, lower[j], upper[j], err)

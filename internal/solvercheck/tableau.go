@@ -1,9 +1,20 @@
-package lp
+package solvercheck
 
-import "math"
+import (
+	"math"
 
-// tableau is the legacy dense bounded-variable simplex working
-// representation:
+	"insitu/internal/lp"
+)
+
+// The oracle's own copies of the lp package tolerances: the two kernels
+// share no code, only these values.
+const (
+	eps       = 1e-9
+	feasTol   = 1e-7
+	blandTrip = 5000 // switch to Bland's rule after this many Dantzig pivots
+)
+
+// tableau is the dense bounded-variable simplex working representation:
 //
 //	maximize  c·y   subject to  A y = b,  lo_j <= y_j <= u_j
 //
@@ -13,13 +24,13 @@ import "math"
 // bound, and the ratio test admits bound flips — so bounded variables cost
 // no extra rows.
 //
-// The production hot path is the sparse revised simplex in revised.go; this
+// The production kernel is the sparse revised simplex in package lp; this
 // dense kernel is retained only as SolveReference, the independent oracle
-// the solvercheck differential suite pits the revised kernel against. The
-// two implementations share no simplex code beyond the package tolerances,
-// which is what makes agreement between them meaningful.
+// the differential suite (revised.go) pits the revised kernel against. The
+// two implementations share no simplex code, which is what makes agreement
+// between them meaningful.
 type tableau struct {
-	p *Problem
+	p *lp.Problem
 
 	m, n  int         // rows, structural+slack columns (artificials appended after n)
 	a     [][]float64 // m x width coefficient matrix, canonical w.r.t. basis
@@ -53,28 +64,27 @@ type tableau struct {
 	// (-1 for equality rows), and consSense records the original sense, for
 	// dual recovery.
 	consSlack []int
-	consSense []Sense
+	consSense []lp.Sense
 }
 
-// SolveReference solves the linear program with the legacy dense tableau
-// simplex. It exists for differential testing only: the solvercheck suite
-// pits it against the production revised-simplex Solve across the seeded
-// corpora and fuzz targets, and any disagreement beyond tolerance is a bug
-// in one of the kernels. Production callers should use Solve.
-func SolveReference(p *Problem) (*Solution, error) {
+// SolveReference solves the linear program with the dense tableau simplex.
+// It exists for differential testing only: CheckRevised pits it against
+// lp.Solve across the seeded corpora and fuzz targets, and any disagreement
+// beyond tolerance is a bug in one of the kernels.
+func SolveReference(p *lp.Problem) (*lp.Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return newTableau(p).solve(), nil
 }
 
-func newTableau(p *Problem) *tableau {
+func newTableau(p *lp.Problem) *tableau {
 	lower, upper := p.Lower, p.Upper
 	nOrig := p.NumVars()
 	m := len(p.Constraints)
 	nSlack := 0
 	for _, c := range p.Constraints {
-		if c.Sense != EQ {
+		if c.Sense != lp.EQ {
 			nSlack++
 		}
 	}
@@ -99,7 +109,7 @@ func newTableau(p *Problem) *tableau {
 	t.cb = make([]float64, m)
 	t.objScratch = make([]float64, width)
 	t.consSlack = make([]int, m)
-	t.consSense = make([]Sense, m)
+	t.consSense = make([]lp.Sense, m)
 	copy(t.shift, lower)
 	copy(t.curLow, lower)
 	copy(t.curUp, upper)
@@ -135,27 +145,27 @@ func newTableau(p *Problem) *tableau {
 			}
 			rhs = -rhs
 			switch sense {
-			case LE:
-				sense = GE
-			case GE:
-				sense = LE
+			case lp.LE:
+				sense = lp.GE
+			case lp.GE:
+				sense = lp.LE
 			}
 		}
 		t.val[i] = rhs
 		switch sense {
-		case LE:
+		case lp.LE:
 			t.a[i][slack] = 1
 			t.setBasic(i, slack)
 			t.consSlack[i] = slack
 			slack++
-		case GE:
+		case lp.GE:
 			t.a[i][slack] = -1
 			t.consSlack[i] = slack
 			slack++
 			t.a[i][art] = 1
 			t.setBasic(i, art)
 			art++
-		case EQ:
+		case lp.EQ:
 			t.a[i][art] = 1
 			t.setBasic(i, art)
 			art++
@@ -171,7 +181,7 @@ func (t *tableau) setBasic(row, col int) {
 	t.atUpper[col] = false
 }
 
-func (t *tableau) solve() *Solution {
+func (t *tableau) solve() *lp.Solution {
 	// Phase 1: drive the artificials to zero.
 	if t.nArt > 0 {
 		phase1 := t.objScratch
@@ -182,11 +192,11 @@ func (t *tableau) solve() *Solution {
 			phase1[j] = -1
 		}
 		status, obj := t.simplex(phase1)
-		if status == IterationLimit {
-			return &Solution{Status: IterationLimit, Iters: t.iters}
+		if status == lp.IterationLimit {
+			return &lp.Solution{Status: lp.IterationLimit, Iters: t.iters}
 		}
 		if obj < -feasTol {
-			return &Solution{Status: Infeasible, Iters: t.iters}
+			return &lp.Solution{Status: lp.Infeasible, Iters: t.iters}
 		}
 		// Drive remaining basic artificials (at value 0) out where possible.
 		// Only columns resting at their lower bound may enter: they hold
@@ -221,8 +231,8 @@ func (t *tableau) solve() *Solution {
 	}
 
 	status, obj := t.simplex(t.c)
-	if status != Optimal {
-		return &Solution{Status: status, Iters: t.iters}
+	if status != lp.Optimal {
+		return &lp.Solution{Status: status, Iters: t.iters}
 	}
 	return t.extract(obj)
 }
@@ -232,7 +242,7 @@ func (t *tableau) solve() *Solution {
 // fields (duals, reduced costs, row activity) are skipped — the
 // branch-and-bound hot path never reads them and their allocations dominate
 // a node solve.
-func (t *tableau) extract(obj float64) *Solution {
+func (t *tableau) extract(obj float64) *lp.Solution {
 	x := make([]float64, t.p.NumVars())
 	for j := range x {
 		if t.atUpper[j] {
@@ -256,11 +266,11 @@ func (t *tableau) extract(obj float64) *Solution {
 		}
 	}
 	if t.lean {
-		return &Solution{Status: Optimal, X: x, Objective: obj + t.cons, Iters: t.iters}
+		return &lp.Solution{Status: lp.Optimal, X: x, Objective: obj + t.cons, Iters: t.iters}
 	}
 	activity, slacks := rowActivity(t.p, x)
-	return &Solution{
-		Status:       Optimal,
+	return &lp.Solution{
+		Status:       lp.Optimal,
 		X:            x,
 		Objective:    obj + t.cons,
 		Iters:        t.iters,
@@ -297,7 +307,7 @@ func (t *tableau) reducedCosts() []float64 {
 // rowActivity evaluates each constraint at x, returning the activities a_r·x
 // and the feasible-side slacks (RHS - activity for <=, activity - RHS for >=,
 // |activity - RHS| for equality rows).
-func rowActivity(p *Problem, x []float64) (activity, slacks []float64) {
+func rowActivity(p *lp.Problem, x []float64) (activity, slacks []float64) {
 	activity = make([]float64, len(p.Constraints))
 	slacks = make([]float64, len(p.Constraints))
 	for r, c := range p.Constraints {
@@ -310,11 +320,11 @@ func rowActivity(p *Problem, x []float64) (activity, slacks []float64) {
 		activity[r] = act
 		var s float64
 		switch c.Sense {
-		case LE:
+		case lp.LE:
 			s = c.RHS - act
-		case GE:
+		case lp.GE:
 			s = act - c.RHS
-		case EQ:
+		case lp.EQ:
 			s = math.Abs(act - c.RHS)
 		}
 		if math.Abs(s) < feasTol {
@@ -343,7 +353,7 @@ func (t *tableau) duals() []float64 {
 				z += cb * t.a[i][col]
 			}
 		}
-		if t.consSense[r] == GE {
+		if t.consSense[r] == lp.GE {
 			z = -z
 		}
 		if math.Abs(z) < feasTol {
@@ -379,13 +389,13 @@ func (t *tableau) objValue(obj []float64) float64 {
 // positive, a nonbasic-at-upper column when negative; the ratio test limits
 // the move by basic variables hitting either of their bounds or the
 // entering variable flipping to its opposite bound.
-func (t *tableau) simplex(obj []float64) (Status, float64) {
+func (t *tableau) simplex(obj []float64) (lp.Status, float64) {
 	maxIters := 20000 + 200*(t.m+t.width)
 	cb := t.cb
 	ncols := t.n + t.nArt
 	for iter := 0; ; iter++ {
 		if t.iters++; t.iters > maxIters {
-			return IterationLimit, 0
+			return lp.IterationLimit, 0
 		}
 		for i := 0; i < t.m; i++ {
 			cb[i] = obj[t.basis[i]]
@@ -423,7 +433,7 @@ func (t *tableau) simplex(obj []float64) (Status, float64) {
 			}
 		}
 		if enter < 0 {
-			return Optimal, t.objValue(obj)
+			return lp.Optimal, t.objValue(obj)
 		}
 
 		// Direction: +1 when increasing from lower, -1 when decreasing from
@@ -459,7 +469,7 @@ func (t *tableau) simplex(obj []float64) (Status, float64) {
 			}
 		}
 		if math.IsInf(limit, 1) {
-			return Unbounded, 0
+			return lp.Unbounded, 0
 		}
 		if limit < 0 {
 			limit = 0
