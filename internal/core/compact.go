@@ -35,7 +35,9 @@ type SolveOptions struct {
 	// 0 and 1 both mean a wave of one). The objective and bound are
 	// identical at any width.
 	Workers int
-	// NoWarmStart forces cold node relaxations at every width.
+	// NoWarmStart solves every node relaxation cold instead of from its
+	// parent's basis (see milp.Options.NoWarmStart); by default nodes are
+	// warm at every width.
 	NoWarmStart bool
 	// Ctx, when non-nil, scopes the solve to a caller's lifetime: the search
 	// aborts with an error wrapping milp.ErrCanceled once it is canceled, and

@@ -1,0 +1,62 @@
+package lp
+
+// Basis is an immutable snapshot of a Solver's optimal basis: which column
+// is basic in each row, and which nonbasic structural/slack columns rest at
+// their upper bound. It is all a dual-simplex warm start needs — the matrix,
+// objective and bounds come from the problem and the solve call — so a
+// branch-and-bound node can carry its parent's Basis instead of a live
+// solver, and any Solver of the same problem can continue from it.
+//
+// A basic artificial (a redundant equality row keeps one, clamped at zero) is
+// recorded like any other column, without its sign: a column fixed at
+// [0, 0] spans the same basis and the same feasible set as +e_i or -e_i, so
+// the installing solver is free to use +1.
+type Basis struct {
+	cols    []int32 // basic column per row
+	atUpper []bool  // per structural+slack column: nonbasic at upper bound
+}
+
+// snapshot copies the current basis out of the working state.
+func (rv *revised) snapshot() *Basis {
+	b := &Basis{
+		cols:    make([]int32, rv.m),
+		atUpper: append([]bool(nil), rv.atUpper[:rv.n]...),
+	}
+	for i, col := range rv.basis {
+		b.cols[i] = int32(col)
+	}
+	return b
+}
+
+// install replaces the working basis with b and refactorizes. Artificial
+// columns are installed the way a finished phase 1 leaves them — clamped to
+// [0, 0], so a basic one keeps acting as its equality row's identity column
+// and none can enter. It reports false when b does not fit this problem
+// (wrong shape, a column out of range or basic twice) or its basis matrix is
+// numerically singular here; the working state is then unusable until the
+// next cold solve resets it.
+func (rv *revised) install(b *Basis) bool {
+	if len(b.cols) != rv.m || len(b.atUpper) != rv.n {
+		return false
+	}
+	for j := rv.n; j < rv.width; j++ {
+		rv.lo[j], rv.up[j] = 0, 0
+		rv.atUpper[j] = false
+	}
+	copy(rv.atUpper, b.atUpper)
+	for i := range rv.artSign {
+		rv.artSign[i] = 1
+	}
+	for j := range rv.inBasis {
+		rv.inBasis[j] = false
+	}
+	for i, c := range b.cols {
+		col := int(c)
+		if col < 0 || col >= rv.width || rv.inBasis[col] {
+			return false
+		}
+		rv.basis[i] = col
+		rv.inBasis[col] = true
+	}
+	return rv.refactor()
+}

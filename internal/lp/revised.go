@@ -1,9 +1,6 @@
 package lp
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 const (
 	// refactorEvery bounds how many eta updates may stack on one
@@ -67,14 +64,16 @@ type revised struct {
 	lean  bool // skip duals/reduced costs/activity in extracted solutions
 
 	// Per-solve scratch (length m unless noted).
-	wrk  []float64
-	col  []float64
-	rho  []float64
-	y    []float64
-	cPh1 []float64 // length width; phase-1 objective
+	wrk   []float64
+	col   []float64
+	rho   []float64
+	y     []float64
+	cPh1  []float64 // length width; phase-1 objective
+	xLean []float64 // length nOrig; the point lean solutions return
 	// Refactorization scratch, allocated on first use.
 	factOrder []int
 	factBasis []int
+	factCount []int // length m+2; counting-sort buckets by column nonzeros
 	rowUsed   []bool
 
 	stats *SolverStats // counter sink; never nil (lp.Solve uses a throwaway)
@@ -116,6 +115,11 @@ func newRevised(p *Problem) *revised {
 	for j := 0; j < cs.nOrig; j++ {
 		rv.c[j] = p.Objective[j]
 	}
+	// Slack/surplus columns are [0, +Inf) for good; only structural and
+	// artificial bounds move between solves.
+	for j := cs.nOrig; j < cs.n; j++ {
+		rv.up[j] = math.Inf(1)
+	}
 	return rv
 }
 
@@ -156,9 +160,6 @@ func (rv *revised) reset(lower, upper []float64) {
 	nOrig := rv.cs.nOrig
 	for j := 0; j < nOrig; j++ {
 		rv.lo[j], rv.up[j] = lower[j], upper[j]
-	}
-	for j := nOrig; j < rv.n; j++ {
-		rv.lo[j], rv.up[j] = 0, math.Inf(1)
 	}
 	for j := rv.n; j < rv.width; j++ {
 		rv.lo[j], rv.up[j] = 0, 0 // opened per-row below when used
@@ -239,27 +240,56 @@ func (rv *revised) reset(lower, upper []float64) {
 // the basic values. A best pivot below singularTol means the basis is
 // numerically singular and the caller must recover (retry cold, or fall
 // back from a warm solve).
+//
+// Singleton columns (slacks, artificials, one-row structurals) sort first,
+// so every eta before them is itself a fill-free singleton on another row:
+// the FTRAN would return the column unchanged and the pivot scan would find
+// its only row. They are seated directly.
 func (rv *revised) refactor() bool {
 	rv.stats.Refactorizations++
 	rv.ef.reset()
 	if rv.factOrder == nil {
 		rv.factOrder = make([]int, rv.m)
 		rv.factBasis = make([]int, rv.m)
+		rv.factCount = make([]int, rv.m+2)
 		rv.rowUsed = make([]bool, rv.m)
 	}
-	order := rv.factOrder
-	for i := range order {
-		order[i] = i
+	// Stable counting sort of the basis positions by column nonzero count
+	// (at most m per column).
+	count := rv.factCount
+	for k := range count {
+		count[k] = 0
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return rv.colNNZ(rv.basis[order[a]]) < rv.colNNZ(rv.basis[order[b]])
-	})
+	for _, j := range rv.basis {
+		count[rv.colNNZ(j)+1]++
+	}
+	for k := 1; k < len(count); k++ {
+		count[k] += count[k-1]
+	}
+	order := rv.factOrder
+	for pos, j := range rv.basis {
+		k := rv.colNNZ(j)
+		order[count[k]] = pos
+		count[k]++
+	}
 	for i := range rv.rowUsed {
 		rv.rowUsed[i] = false
 	}
 	w := rv.col
 	for _, pos := range order {
 		j := rv.basis[pos]
+		if rv.colNNZ(j) == 1 {
+			r, v := rv.singleton(j)
+			if rv.rowUsed[r] || math.Abs(v) <= singularTol {
+				return false
+			}
+			if v != 1 {
+				rv.ef.pushSingleton(r, 1/v)
+			}
+			rv.rowUsed[r] = true
+			rv.factBasis[r] = j
+			continue
+		}
 		for i := range w {
 			w[i] = 0
 		}
@@ -287,6 +317,16 @@ func (rv *revised) refactor() bool {
 	rv.lastFact = rv.ef.count()
 	rv.noteEta()
 	return true
+}
+
+// singleton returns the row and value of the only entry of column j, which
+// must have exactly one (colNNZ(j) == 1).
+func (rv *revised) singleton(j int) (row int, val float64) {
+	if j < rv.n {
+		k := rv.cs.ptr[j]
+		return rv.cs.idx[k], rv.cs.val[k]
+	}
+	return j - rv.n, rv.artSign[j-rv.n]
 }
 
 // refactorAndRecompute refactorizes and rebuilds xB from the new
@@ -687,10 +727,19 @@ func (rv *revised) devexUpdate(enter, leave int, piv float64, rho []float64) {
 // extract materializes the current optimal basis into a Solution, snapping
 // values near the current bounds onto them. In lean mode the diagnostic
 // fields (duals, reduced costs, row activity) are skipped — the
-// branch-and-bound hot path never reads them.
+// branch-and-bound hot path never reads them — and the point is written into
+// the state's own buffer instead of a fresh vector per solve.
 func (rv *revised) extract(obj float64) *Solution {
 	nOrig := rv.cs.nOrig
-	x := make([]float64, nOrig)
+	var x []float64
+	if rv.lean {
+		if rv.xLean == nil {
+			rv.xLean = make([]float64, nOrig)
+		}
+		x = rv.xLean
+	} else {
+		x = make([]float64, nOrig)
+	}
 	for j := 0; j < nOrig; j++ {
 		if rv.atUpper[j] {
 			x[j] = rv.up[j]

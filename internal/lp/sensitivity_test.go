@@ -59,9 +59,9 @@ func TestReducedCostPredictsEntry(t *testing.T) {
 	if rc >= 0 {
 		t.Fatalf("rc(y) = %g, want negative", rc)
 	}
-	below := solveOK(t, build(2 - rc - 0.5)) // cy = 2.5, still below breakeven 3
+	below := solveOK(t, build(2-rc-0.5)) // cy = 2.5, still below breakeven 3
 	approx(t, below.Objective, base.Objective, 1e-8, "objective below breakeven")
-	above := solveOK(t, build(2 - rc + 0.5)) // cy = 3.5, past breakeven
+	above := solveOK(t, build(2-rc+0.5)) // cy = 3.5, past breakeven
 	if above.Objective <= base.Objective+1e-9 {
 		t.Fatalf("objective %g did not improve past breakeven (base %g)", above.Objective, base.Objective)
 	}

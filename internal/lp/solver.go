@@ -13,7 +13,11 @@ package lp
 //     pivots where a cold solve needs dozens of phase-1+phase-2 pivots; and
 //     when the dual run proves the child infeasible outright (see
 //     SolverStats.WarmInfeasible) even the cold confirmation solve is
-//     skipped.
+//     skipped. The basis need not be the previous solve's: Basis snapshots
+//     an optimal basis and SolveFrom continues from a snapshot on any Solver
+//     of the problem, which is how a best-first search re-solves each child
+//     from its parent however long ago, and on whichever worker, the parent
+//     was solved.
 //   - Shared factorization state. All solves run over one CSC column store
 //     and one product-form basis factorization with periodic
 //     refactorization, so neither a warm nor a cold solve re-allocates or
@@ -27,12 +31,15 @@ type Solver struct {
 	rv *revised
 
 	hasBasis bool
+	live     *Basis // snapshot of the basis rv sits on, nil once it has moved
 
 	// Lean skips the diagnostic solution fields (duals, reduced costs, row
-	// activity) that branch and bound never reads.
+	// activity) that branch and bound never reads, and returns Solution.X in
+	// a buffer the solver owns: it is overwritten by this solver's next
+	// solve, so a caller that keeps the point must copy it.
 	Lean bool
-	// NoWarm forces every Solve through the cold path (branch and bound sets
-	// it for a wave of one and for measuring warm-start savings).
+	// NoWarm forces every Solve and SolveFrom through the cold path (branch
+	// and bound sets it to measure warm-start savings).
 	NoWarm bool
 
 	// Stats counts the solves by path and the simplex work spent.
@@ -89,20 +96,50 @@ func NewSolver(p *Problem) (*Solver, error) {
 // certificate. Conflicting bounds (lower above upper) short-circuit to an
 // Infeasible solution.
 func (s *Solver) Solve(lower, upper []float64) (*Solution, bool) {
+	return s.SolveFrom(nil, lower, upper)
+}
+
+// Basis returns a snapshot of the basis the last solve ended on, or nil when
+// there is none to continue from (nothing solved yet, or a cold solve that
+// was not optimal). Repeated calls between solves return the same snapshot.
+func (s *Solver) Basis() *Basis {
+	if !s.hasBasis {
+		return nil
+	}
+	if s.live == nil {
+		s.live = s.rv.snapshot()
+	}
+	return s.live
+}
+
+// SolveFrom is Solve warm-started from b — a snapshot taken by any Solver of
+// the same problem — instead of from this solver's previous solve: the basis
+// is installed and refactorized, then restored exactly as Solve restores its
+// own (dual simplex, primal clean-up, Farkas-certified infeasibility). The
+// install is skipped when b is the snapshot of the basis this solver is
+// still sitting on. A snapshot that does not fit the problem, or whose basis
+// matrix is singular, counts as a failed restoration and falls back cold. A
+// nil b means the solver's own basis, i.e. Solve.
+func (s *Solver) SolveFrom(b *Basis, lower, upper []float64) (*Solution, bool) {
 	for j := range lower {
 		if lower[j] > upper[j] {
 			return &Solution{Status: Infeasible}, false
 		}
 	}
-	if !s.NoWarm && s.hasBasis {
-		s.rv.lean = s.Lean
-		if sol, ok := s.rv.resolve(lower, upper); ok {
-			s.Stats.Warm++
-			s.Stats.Pivots += sol.Iters
-			if sol.Status == Infeasible {
-				s.Stats.WarmInfeasible++
+	if !s.NoWarm && (b != nil || s.hasBasis) {
+		rv := s.state()
+		installed := b == nil || b == s.live || rv.install(b)
+		s.live = nil
+		if installed {
+			if sol, ok := rv.resolve(lower, upper); ok {
+				s.hasBasis = true
+				s.Stats.Warm++
+				s.Stats.Pivots += sol.Iters
+				if sol.Status == Infeasible {
+					s.Stats.WarmInfeasible++
+				}
+				return sol, true
 			}
-			return sol, true
 		}
 		// The failed restoration left the basis mid-pivot; the cold solve
 		// below rebuilds from scratch.
@@ -112,17 +149,24 @@ func (s *Solver) Solve(lower, upper []float64) (*Solution, bool) {
 	return s.SolveCold(lower, upper), false
 }
 
-// SolveCold restarts from the all-slack basis for the given bounds (reusing
-// the column store and factorization buffers) and solves with the two-phase
-// primal simplex — the same arithmetic as Solve(p) on a problem carrying
-// these bounds.
-func (s *Solver) SolveCold(lower, upper []float64) *Solution {
+// state returns the working state, built on first use, in the Lean mode
+// currently selected.
+func (s *Solver) state() *revised {
 	if s.rv == nil {
 		s.rv = newRevised(s.p)
 		s.rv.stats = &s.Stats
 	}
 	s.rv.lean = s.Lean
-	sol := s.rv.solveCold(lower, upper)
+	return s.rv
+}
+
+// SolveCold restarts from the all-slack basis for the given bounds (reusing
+// the column store and factorization buffers) and solves with the two-phase
+// primal simplex — the same arithmetic as Solve(p) on a problem carrying
+// these bounds.
+func (s *Solver) SolveCold(lower, upper []float64) *Solution {
+	sol := s.state().solveCold(lower, upper)
+	s.live = nil
 	s.hasBasis = sol.Status == Optimal
 	s.Stats.Cold++
 	s.Stats.Pivots += sol.Iters

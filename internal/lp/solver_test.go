@@ -206,3 +206,134 @@ func TestSolverWarmReducesPivots(t *testing.T) {
 	t.Logf("pivots: warm=%d cold=%d (%.1f%% saved)", totalWarm, totalCold,
 		100*(1-float64(totalWarm)/float64(totalCold)))
 }
+
+// TestSolveFromMatchesCold is the contract branch and bound relies on when a
+// child is re-solved from its parent's basis on whichever solver is free:
+// a snapshot taken on one Solver, continued on another (fresh, or with a
+// history of its own) under later bounds, gives the status and objective of
+// a cold solve of those bounds.
+func TestSolveFromMatchesCold(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	warmSeen := 0
+	for trial := 0; trial < 120; trial++ {
+		p := randBoundedProblem(rng)
+		src, _ := NewSolver(p)
+		fresh, _ := NewSolver(p)
+		used, _ := NewSolver(p)
+		used.Lean = true
+		lower := append([]float64(nil), p.Lower...)
+		upper := append([]float64(nil), p.Upper...)
+		for step := 0; step < 8; step++ {
+			src.Solve(lower, upper)
+			snap := src.Basis()
+			perturbBounds(rng, p, lower, upper)
+			if snap == nil {
+				continue
+			}
+			work := p.Clone()
+			copy(work.Lower, lower)
+			copy(work.Upper, upper)
+			ref, err := Solve(work)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, s := range map[string]*Solver{"fresh": fresh, "used": used} {
+				sol, warm := s.SolveFrom(snap, lower, upper)
+				if warm {
+					warmSeen++
+				}
+				if sol.Status != ref.Status {
+					t.Fatalf("trial %d step %d %s (warm=%t): status %v, cold %v", trial, step, name, warm, sol.Status, ref.Status)
+				}
+				if sol.Status != Optimal {
+					continue
+				}
+				if math.Abs(sol.Objective-ref.Objective) > 1e-6*(1+math.Abs(ref.Objective)) {
+					t.Fatalf("trial %d step %d %s (warm=%t): objective %g, cold %g", trial, step, name, warm, sol.Objective, ref.Objective)
+				}
+				if v := work.FirstViolation(sol.X, 1e-6); v != "" {
+					t.Fatalf("trial %d step %d %s (warm=%t): infeasible point: %s", trial, step, name, warm, v)
+				}
+			}
+			fresh, _ = NewSolver(p)
+		}
+	}
+	if warmSeen < 100 {
+		t.Fatalf("only %d snapshot continuations stayed warm; the path is barely exercised", warmSeen)
+	}
+}
+
+// TestSolveFromSkipsInstallOnLiveBasis pins the shortcut a depth-first dive
+// depends on: continuing from the snapshot of the basis the solver is still
+// sitting on costs no refactorization, while any other solver (or the same
+// one after it has moved on) pays exactly one to install it.
+func TestSolveFromSkipsInstallOnLiveBasis(t *testing.T) {
+	p := &Problem{}
+	for j := 0; j < 4; j++ {
+		p.AddVar(float64(3+j), 0, 1, "")
+	}
+	p.AddConstraint([]int{0, 1, 2, 3}, []float64{2, 3, 4, 5}, LE, 6.5, "cap")
+	a, _ := NewSolver(p)
+	b, _ := NewSolver(p)
+	if sol, _ := a.Solve(p.Lower, p.Upper); sol.Status != Optimal {
+		t.Fatalf("root: %v", sol.Status)
+	}
+	snap := a.Basis()
+	if again := a.Basis(); again != snap {
+		t.Fatal("Basis() snapshotted an unmoved basis twice")
+	}
+	down := []float64{1, 1, 0, 1}
+	before := a.Stats.Refactorizations
+	if _, warm := a.SolveFrom(snap, p.Lower, down); !warm || a.Stats.Refactorizations != before {
+		t.Fatalf("live basis: warm=%t, %d refactorizations", warm, a.Stats.Refactorizations-before)
+	}
+	// a has moved on; its own old snapshot now has to be installed.
+	if _, warm := a.SolveFrom(snap, p.Lower, down); !warm || a.Stats.Refactorizations != before+1 {
+		t.Fatalf("moved basis: warm=%t, %d refactorizations, want 1", warm, a.Stats.Refactorizations-before)
+	}
+	if _, warm := b.SolveFrom(snap, p.Lower, down); !warm || b.Stats.Refactorizations != 1 || b.Stats.Cold != 0 {
+		t.Fatalf("second solver: warm=%t, stats %+v", warm, b.Stats)
+	}
+}
+
+// TestSolveFromWithBasicArtificial covers a snapshot that holds an artificial
+// column: a duplicated equality row keeps one basic at zero (with sign -1 in
+// the source solver: the row's residual at the lower bounds is negative), and
+// a second solver, which installs it as a +1 column, must still land on the
+// cold answer when later bounds move the row.
+func TestSolveFromWithBasicArtificial(t *testing.T) {
+	p := &Problem{}
+	p.AddVar(1, 0, 4, "x")
+	p.AddVar(2, 0, 4, "y")
+	p.AddVar(0, 3, 9, "z")
+	p.AddConstraint([]int{0, 1, 2}, []float64{1, 1, -1}, EQ, -5, "eq")
+	p.AddConstraint([]int{0, 1, 2}, []float64{2, 2, -2}, EQ, -10, "eq_twice")
+	p.AddConstraint([]int{0, 1}, []float64{1, 3}, LE, 9, "cap")
+	src, _ := NewSolver(p)
+	if sol := src.SolveCold(p.Lower, p.Upper); sol.Status != Optimal {
+		t.Fatalf("status %v", sol.Status)
+	}
+	snap := src.Basis()
+	negative := false
+	for _, c := range snap.cols {
+		if row := int(c) - src.rv.n; row >= 0 && src.rv.artSign[row] < 0 {
+			negative = true
+		}
+	}
+	if !negative {
+		t.Fatal("no basic artificial with sign -1; the instance no longer tests what it is for")
+	}
+	for _, upper := range [][]float64{{4, 2, 9}, {4, 4, 6}, {1, 0, 9}} {
+		work := p.Clone()
+		copy(work.Upper, upper)
+		ref, _ := Solve(work)
+		dst, _ := NewSolver(p)
+		sol, warm := dst.SolveFrom(snap, p.Lower, upper)
+		if !warm || sol.Status != ref.Status || math.Abs(sol.Objective-ref.Objective) > 1e-9 {
+			t.Fatalf("upper %v: warm=%t status %v objective %g; cold %v %g", upper, warm, sol.Status, sol.Objective, ref.Status, ref.Objective)
+		}
+		if v := work.FirstViolation(sol.X, 1e-6); v != "" {
+			t.Fatalf("upper %v: continued point violates %s", upper, v)
+		}
+	}
+}

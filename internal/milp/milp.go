@@ -3,14 +3,16 @@
 // from-scratch stand-in for the GAMS + CPLEX 12.6.1 pipeline the paper uses
 // to solve the in-situ analysis scheduling model.
 //
-// The solver performs best-first search on the LP bound with an initial
-// depth-first dive to find an incumbent quickly, branches on the most
-// fractional integer variable, and prunes nodes whose LP bound cannot beat
-// the incumbent. One wave-synchronous driver runs every search after a root
-// presolve; Options.Workers is the wave width (see Solve for the determinism
-// contract). For the pure-binary compact scheduling models in package core,
-// solve times are well under a millisecond; the time-indexed full model with
-// hundreds of binaries solves in milliseconds at test scale.
+// The solver performs best-first search on the LP bound, rounds every
+// branched relaxation for an incumbent, branches on the most fractional
+// integer variable, and prunes nodes whose LP bound cannot beat the
+// incumbent. A node is its parent plus one bound change, re-solved by the
+// dual simplex from the parent's optimal basis. One wave-synchronous driver
+// runs every search after a root presolve; Options.Workers is the wave width
+// (see Solve for the determinism contract). For the pure-binary compact
+// scheduling models in package core, solve times are well under a
+// millisecond; the time-indexed full model with hundreds of binaries solves
+// in milliseconds at test scale.
 package milp
 
 import (
@@ -113,17 +115,24 @@ type Solution struct {
 // 0.17-1.36 s solve times on its instances; these counters show where that
 // time goes).
 type Stats struct {
-	Nodes       int           // nodes explored (root included)
-	Relaxations int           // LP relaxations solved, heuristic re-solves included
-	Pivots      int           // simplex iterations across all relaxations
+	Nodes int // nodes explored (root included)
+	// Relaxations and Pivots count the LP relaxations solved and the simplex
+	// iterations spent on them, the rounding heuristic's LP solves included.
+	// On a pure-integer model the heuristic solves none (it checks the
+	// rounded point against the rows directly), so there Relaxations equals
+	// the node solves.
+	Relaxations int
+	Pivots      int
 	Incumbents  []Incumbent   // improvement trajectory, in discovery order
 	BestBound   float64       // best remaining bound at termination (== Solution.Bound)
 	SolveTime   time.Duration // wall time of the search
 	// Workers is the wave width the search ran with (at least 1).
-	// WarmSolves/ColdSolves split the node relaxations by path
-	// (heuristic re-solves, always cold, are excluded), and
-	// PresolveTightened counts the root bound reductions; all three are
-	// deterministic for a fixed Workers value.
+	// WarmSolves/ColdSolves split the node relaxations by path: warm from
+	// the parent's basis, or cold (the root, warm attempts that fell back or
+	// had to be redone, and everything under NoWarmStart); heuristic
+	// re-solves, always cold, are excluded. PresolveTightened counts the
+	// root bound reductions. All three are deterministic for a fixed Workers
+	// value.
 	Workers           int
 	WarmSolves        int
 	ColdSolves        int
@@ -248,9 +257,9 @@ type Options struct {
 	// objective and terminal bound are identical at any width. Use
 	// AutoWorkers to map a CLI-style 0 to the machine width.
 	Workers int
-	// NoWarmStart forces every node relaxation onto the cold path (a wave
-	// of one is always cold, see Solve). The perfbench suite uses it to
-	// measure warm-start pivot savings.
+	// NoWarmStart solves every node relaxation cold instead of from its
+	// parent's basis — the only way to ask for cold nodes, at any width. The
+	// perfbench suite uses it to measure warm-start pivot savings.
 	NoWarmStart bool
 	// Ctx, when non-nil, scopes the search to a caller's lifetime in two
 	// ways: the search checks it between waves and aborts with an error
@@ -282,20 +291,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// node is one open subproblem, stored as a delta against its parent: the one
+// bound its branch moved, and the parent's optimal basis to re-solve from.
+// Its full bound vectors exist only while it is being solved (see
+// search.bounds), so an open node costs a few words however many variables
+// the model has.
 type node struct {
-	// lower/upper are the node's variable bounds. Children alias the
-	// parent's slice on the side their branch did not move, so these must
-	// never be mutated after the node is created.
-	lower []float64
-	upper []float64
-	bound float64 // LP bound (objective of relaxation)
-	depth int
+	parent *node     // nil at the root
+	warm   *lp.Basis // the parent's optimal basis; dropped once this node is solved
+	bound  float64   // LP bound: the parent's relaxation objective until solved
+	depth  int
+	id     int // explored-node id, assigned when the node is consumed
 
-	// Provenance for the observer: the explored-node id of the parent and
-	// the branching decision that created this node.
-	parent      int
+	// The branching decision that created this node (branchVar -1 at the
+	// root): up tightened the lower bound to branchBound, down the upper.
 	branchVar   int
-	branchDir   string
+	up          bool
 	branchBound float64
 }
 
@@ -309,7 +320,7 @@ func (q *nodeQueue) Pop() interface{} {
 	old := *q
 	n := len(old)
 	it := old[n-1]
-	old[n-1] = nil // release the node (and its bound vectors) to the GC
+	old[n-1] = nil // release the node to the GC
 	*q = old[:n-1]
 	return it
 }
@@ -324,6 +335,11 @@ type search struct {
 	best        *Solution
 	queue       *nodeQueue
 	nodes       int
+	// The presolved root box every node's bounds are materialised from, and
+	// scratch for a relaxation's snapped point.
+	rootLower, rootUpper, snapped []float64
+	// roundCtx is the base context labeled solver_phase=incumbent.
+	roundCtx context.Context
 
 	// Flight-recording state: the progress-event sequence number, the
 	// consumed-wave counter, and the node solver contexts (for warm-fallback
@@ -414,18 +430,24 @@ func (s *search) observe(nd *node, bound float64, action string) {
 	if s.opts.Observer == nil {
 		return
 	}
-	s.opts.Observer(NodeEvent{
+	ev := NodeEvent{
 		Node:        s.nodes,
 		Depth:       nd.depth,
 		Bound:       bound,
 		Incumbent:   s.best.Objective,
 		HasInc:      s.best.HasX,
 		Action:      action,
-		Parent:      nd.parent,
 		BranchVar:   nd.branchVar,
-		BranchDir:   nd.branchDir,
 		BranchBound: nd.branchBound,
-	})
+	}
+	if nd.parent != nil {
+		ev.Parent = nd.parent.id
+		ev.BranchDir = "down"
+		if nd.up {
+			ev.BranchDir = "up"
+		}
+	}
+	s.opts.Observer(ev)
 }
 
 // globalBound is the best remaining upper bound: the maximum of the open
@@ -446,51 +468,45 @@ func (s *search) globalBound(extra float64) float64 {
 	return b
 }
 
-// expand branches nd on its most fractional variable and queues both
-// children. Each child clones only the bound vector its branch moves and
-// aliases the parent's other vector — halving the allocation rate of the
-// hottest path in the search (nodes never mutate their vectors).
+// bounds materialises nd's variable bounds into lower/upper: the presolved
+// root box, tightened by one entry per ancestor. Branch bounds only tighten
+// going down the tree, so the order of the walk does not matter.
+func (s *search) bounds(nd *node, lower, upper []float64) {
+	copy(lower, s.rootLower)
+	copy(upper, s.rootUpper)
+	for ; nd.parent != nil; nd = nd.parent {
+		j := nd.branchVar
+		if nd.up {
+			lower[j] = math.Max(lower[j], nd.branchBound)
+		} else {
+			upper[j] = math.Min(upper[j], nd.branchBound)
+		}
+	}
+}
+
+// expand branches nd on the most fractional variable of its relaxation x and
+// queues both children, each carrying basis — nd's optimal basis — to warm
+// start from.
 //
 // A relaxation that is integral within IntTol reaches here only when its
 // snapped point failed the rows (see consume); it is branched on whatever
 // fractionality is left, with no tolerance on the new bounds — rounding
 // v ± IntTol would hand a child the parent's box back.
-func (s *search) expand(nd *node, relaxSol *lp.Solution, parentID int) {
+func (s *search) expand(nd *node, x []float64, basis *lp.Basis) {
 	tol := s.opts.IntTol
-	j := mostFractional(s.p, relaxSol.X, tol)
+	j := mostFractional(s.p, x, tol)
 	if j < 0 {
 		tol = 0
-		if j = mostFractional(s.p, relaxSol.X, tol); j < 0 {
+		if j = mostFractional(s.p, x, tol); j < 0 {
 			return
 		}
 	}
-	v := relaxSol.X[j]
-	downUpper := append([]float64(nil), nd.upper...)
-	downUpper[j] = math.Floor(v + tol)
-	down := &node{
-		lower:       nd.lower,
-		upper:       downUpper,
-		bound:       relaxSol.Objective,
-		depth:       nd.depth + 1,
-		parent:      parentID,
-		branchVar:   j,
-		branchDir:   "down",
-		branchBound: downUpper[j],
-	}
-	upLower := append([]float64(nil), nd.lower...)
-	upLower[j] = math.Ceil(v - tol)
-	up := &node{
-		lower:       upLower,
-		upper:       nd.upper,
-		bound:       relaxSol.Objective,
-		depth:       nd.depth + 1,
-		parent:      parentID,
-		branchVar:   j,
-		branchDir:   "up",
-		branchBound: upLower[j],
-	}
-	heap.Push(s.queue, down)
-	heap.Push(s.queue, up)
+	child := node{parent: nd, warm: basis, bound: nd.bound, depth: nd.depth + 1, branchVar: j}
+	down, up := child, child
+	down.branchBound = math.Floor(x[j] + tol)
+	up.up, up.branchBound = true, math.Ceil(x[j]-tol)
+	heap.Push(s.queue, &down)
+	heap.Push(s.queue, &up)
 }
 
 // account charges one node relaxation to the search statistics.
@@ -505,12 +521,16 @@ func (s *search) account(relax *lp.Solution, warm bool) {
 }
 
 // consume processes one solved node: account it, then dispatch on
-// infeasible / pruned / integral / branched. extra is the best bound among
+// infeasible / pruned / integral / branched. sl is the slot that solved it,
+// still sitting on the node's final basis. extra is the best bound among
 // popped-but-unprocessed wave nodes (-Inf for the last of a wave), folded
 // into the global bound recorded with new incumbents.
-func (s *search) consume(nd *node, relaxSol *lp.Solution, warm bool, heur *heurCtx, extra float64) {
+func (s *search) consume(nd *node, res nodeResult, sl *slot, heur *heurCtx, extra float64) {
 	s.nodes++
-	s.account(relaxSol, warm)
+	nd.id = s.nodes
+	nd.warm = nil
+	relaxSol := res.sol
+	s.account(relaxSol, res.warm)
 	if relaxSol.Status != lp.Optimal {
 		s.stats.PrunedInfeasible++
 		s.observe(nd, nd.bound, "infeasible")
@@ -526,45 +546,46 @@ func (s *search) consume(nd *node, relaxSol *lp.Solution, warm bool, heur *heurC
 	// cost overshoots the time row by ~1.5e-3 once rounded up. Such a node is
 	// branched instead (expand splits on the residual fractionality).
 	if intFeasible(s.p, relaxSol.X, s.opts.IntTol) {
-		if x := snap(s.p, relaxSol.X); s.p.LP.Feasible(x, 1e-6) {
-			if obj := s.p.LP.Eval(x); !s.best.HasX || obj > s.best.Objective {
-				s.best = &Solution{Status: Optimal, X: x, Objective: obj, HasX: true}
-				s.recordIncumbent(s.nodes, obj, math.Max(relaxSol.Objective, s.globalBound(extra)))
-			}
+		if x := snapInto(s.snapped, s.p, relaxSol.X); s.p.LP.Feasible(x, 1e-6) {
+			s.offer(x, s.nodes, math.Max(relaxSol.Objective, s.globalBound(extra)))
 			s.stats.IntegralNodes++
 			s.observe(nd, relaxSol.Objective, "integral")
 			return
 		}
 	}
-	// Rounding heuristic: costs two extra LP solves, so throttle it to
-	// early nodes where finding an incumbent matters most.
-	if s.nodes < 16 || s.nodes%32 == 0 {
-		var x []float64
-		var ok bool
-		pprof.Do(s.opts.context(), pprof.Labels("solver_phase", "incumbent"), func(context.Context) {
-			x, ok = heur.round(s.p, relaxSol.X, s.opts.IntTol, &s.stats)
-		})
-		if ok {
-			if obj := s.p.LP.Eval(x); !s.best.HasX || obj > s.best.Objective {
-				s.best = &Solution{Status: Optimal, X: x, Objective: obj, HasX: true}
-				s.recordIncumbent(s.nodes, obj, math.Max(relaxSol.Objective, s.globalBound(extra)))
-			}
-		}
+	// Rounding runs at every branched node, so its pprof label is the
+	// context built once in Solve rather than a pprof.Do per node.
+	pprof.SetGoroutineLabels(s.roundCtx)
+	if x, ok := heur.round(s.p, relaxSol.X, s.opts.IntTol, &s.stats); ok {
+		s.offer(x, s.nodes, math.Max(relaxSol.Objective, s.globalBound(extra)))
 	}
+	pprof.SetGoroutineLabels(s.opts.context())
 	s.stats.BranchedNodes++
 	s.observe(nd, relaxSol.Objective, "branched")
-	s.expand(nd, relaxSol, s.nodes)
+	nd.bound = relaxSol.Objective
+	s.expand(nd, relaxSol.X, sl.basis())
+}
+
+// offer makes a copy of the integer-feasible point x the incumbent if it
+// improves on the current one; nodes and bound are what the trajectory
+// records with it.
+func (s *search) offer(x []float64, nodes int, bound float64) {
+	if obj := s.p.LP.Eval(x); !s.best.HasX || obj > s.best.Objective {
+		s.best = &Solution{Status: Optimal, X: append([]float64(nil), x...), Objective: obj, HasX: true}
+		s.recordIncumbent(nodes, obj, bound)
+	}
 }
 
 // openRoot solves the root relaxation, seeds the incumbent with the
 // rounding heuristic, and either finishes the search outright (root
 // infeasible, unbounded, or already integral) or queues the root's
 // children. done is non-nil when the search is complete.
-func (s *search) openRoot(ctx *lp.Solver, heur *heurCtx, root *node) (done *Solution, err error) {
+func (s *search) openRoot(sl *slot, heur *heurCtx) (done *Solution, err error) {
+	root := &node{branchVar: -1, id: 1}
 	var relax *lp.Solution
 	var warm bool
 	pprof.Do(s.opts.context(), pprof.Labels("solver_phase", "root"), func(context.Context) {
-		relax, warm = ctx.Solve(root.lower, root.upper)
+		relax, warm = sl.solver.Solve(s.rootLower, s.rootUpper)
 	})
 	s.account(relax, warm)
 	switch relax.Status {
@@ -579,8 +600,7 @@ func (s *search) openRoot(ctx *lp.Solver, heur *heurCtx, root *node) (done *Solu
 
 	// Seed the incumbent by rounding the root relaxation.
 	if x, ok := heur.round(s.p, relax.X, s.opts.IntTol, &s.stats); ok {
-		s.best = &Solution{Status: Optimal, X: x, Objective: s.p.LP.Eval(x), HasX: true}
-		s.recordIncumbent(0, s.best.Objective, root.bound)
+		s.offer(x, 0, root.bound)
 	}
 
 	s.nodes = 1
@@ -599,46 +619,66 @@ func (s *search) openRoot(ctx *lp.Solver, heur *heurCtx, root *node) (done *Solu
 	}
 	s.stats.BranchedNodes++
 	s.observe(root, root.bound, "branched")
-	s.expand(root, relax, 1)
+	s.expand(root, relax.X, sl.basis())
 	s.waveIdx++
 	s.emitWave(1, s.globalBound(math.Inf(-1)))
 	return nil, nil
 }
 
+// slot is one lane of the wave: the solver that solves the lane's node and
+// the scratch its bounds are materialised into. Wave node i always runs on
+// slot i, so each solver sees a deterministic node sequence.
+type slot struct {
+	solver       *lp.Solver
+	lower, upper []float64
+}
+
+// basis snapshots the optimal basis the slot's solver sits on, for the
+// children of the node it just solved (nil when nodes are solved cold).
+func (sl *slot) basis() *lp.Basis {
+	if sl.solver.NoWarm {
+		return nil
+	}
+	return sl.solver.Basis()
+}
+
 // nodeResult is one node's solved relaxation plus the path that produced it.
+// sol.X is the slot solver's own buffer, valid until that slot solves its
+// next node.
 type nodeResult struct {
 	sol  *lp.Solution
 	warm bool
 }
 
-// solveNode solves one node's relaxation through a per-worker solver
-// context. A warm answer above the parent bound is numerically suspect (a
-// child's relaxation can never beat its parent's), so it is re-solved cold
-// before anyone trusts it. pctx is the pprof label base — the wave workers
-// pass their already-labeled context so the warm-resolve label nests under
-// the wave/worker labels.
-func solveNode(pctx context.Context, ctx *lp.Solver, nd *node) nodeResult {
-	sol, warm := ctx.Solve(nd.lower, nd.upper)
+// solveNode solves one node's relaxation on a slot, warm-started from the
+// parent's basis. A warm answer above the parent bound is numerically
+// suspect (a child's relaxation can never beat its parent's), so it is
+// re-solved cold before anyone trusts it. pctx is the pprof label base — the
+// wave workers pass their already-labeled context so the warm-resolve label
+// nests under the wave/worker labels.
+func (s *search) solveNode(pctx context.Context, sl *slot, nd *node) nodeResult {
+	s.bounds(nd, sl.lower, sl.upper)
+	sol, warm := sl.solver.SolveFrom(nd.warm, sl.lower, sl.upper)
 	if warm && sol.Objective > nd.bound+1e-6 {
 		pprof.Do(pctx, pprof.Labels("solver_phase", "warm-resolve"), func(context.Context) {
-			sol = ctx.SolveCold(nd.lower, nd.upper)
+			sol = sl.solver.SolveCold(sl.lower, sl.upper)
 		})
 		warm = false
 	}
 	return nodeResult{sol: sol, warm: warm}
 }
 
-// solveWave solves the wave's relaxations into results, node i on worker
-// i%len(ctxs); a wave of one runs on the caller's goroutine.
-func solveWave(pctx context.Context, ctxs []*lp.Solver, wave []*node, results []nodeResult) {
+// solveWave solves the wave's relaxations into results, node i on slot i; a
+// wave of one runs on the caller's goroutine.
+func (s *search) solveWave(pctx context.Context, slots []slot, wave []*node, results []nodeResult) {
 	if len(wave) == 1 {
-		results[0] = solveNode(pctx, ctxs[0], wave[0])
+		results[0] = s.solveNode(pctx, &slots[0], wave[0])
 		return
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < len(ctxs) && g < len(wave); g++ {
+	for g := range wave {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			// The phase label attributes wave-solve CPU (and each
 			// worker's share of it) in pprof profiles.
@@ -646,11 +686,9 @@ func solveWave(pctx context.Context, ctxs []*lp.Solver, wave []*node, results []
 				"solver_phase", "wave",
 				"solver_worker", strconv.Itoa(g),
 			), func(lctx context.Context) {
-				for i := g; i < len(wave); i += len(ctxs) {
-					results[i] = solveNode(lctx, ctxs[g], wave[i])
-				}
+				results[g] = s.solveNode(lctx, &slots[g], wave[g])
 			})
-		}(g)
+		}()
 	}
 	wg.Wait()
 }
@@ -667,15 +705,45 @@ func AutoWorkers(n int) int {
 // Solve runs branch and bound and returns the best integer-feasible
 // solution. After a root presolve (bound tightening, see presolve.go) each
 // iteration pops up to Workers best-bound nodes (a "wave"), solves their
-// relaxations concurrently — node i on worker i%W, so each worker sees a
-// deterministic node sequence and its warm-start trajectory is reproducible
-// — and then consumes the results sequentially in pop order. Because
-// pruning, incumbent updates, observer events, and branching all happen in
-// that sequential consume step, the search explores a deterministic tree
-// for a fixed Workers value and streams observer events in a deterministic
-// order; and since best-first search with the same pruning rule visits the
-// same optimum, the returned objective and terminal bound are identical at
-// any width (only the explored tree may differ between widths).
+// relaxations concurrently — node i on slot i, each warm-started from its
+// parent's optimal basis, so what a solve starts from depends on the tree
+// and the slot, never on scheduling — and then consumes the results
+// sequentially in pop order. Because pruning, incumbent updates, observer
+// events, and branching all happen in that sequential consume step, the
+// search explores a deterministic tree for a fixed Workers value and streams
+// observer events in a deterministic order; and since best-first search with
+// the same pruning rule visits the same optimum, the returned objective and
+// terminal bound are identical at any width (only the explored tree may
+// differ between widths).
+//
+// Why a node is (parent, one bound change, parent's basis) and why it is
+// rounded every time: each piece is there for a workload of benchmark/
+// (seed 2015, ops_per_s unless noted, one 4 s run each). This design against
+// the commit before it — width-1 nodes cold, wider waves warm from whatever
+// the worker solved last, rounding at nodes < 16 and every 32nd by two LP
+// solves, two bound vectors per node — moves sparse_default 16.5 -> 124,
+// sparse_wide 14.1 -> 19.8 and replan_loop 200 -> 195 with alloc_kb_per_op
+// 1365 -> 522. Taking one piece back out of it:
+//
+//   - warm from the slot's last basis instead of the parent's: replan_loop
+//     195 -> 96 (pivots 4136 -> 8272, fallback colds 32 -> 64), sparse_wide
+//     19.8 -> 15.8 (pivots 8025 -> 14644) — best-first order makes the last
+//     basis an unrelated one;
+//   - every node cold: sparse_default 124 -> 24.8, sparse_wide 19.8 -> 1.52;
+//     replan_loop is the one that would rather be cold (195 -> 214: its
+//     three-analysis models re-solve in four pivots either way);
+//   - rounding throttled as before: sparse_default 124 -> 86 (176 -> 598
+//     nodes), sparse_wide 19.8 -> 13.3 and op_ms_p90 82 -> 115 (680 -> 2752
+//     nodes) — incumbents arrive on the throttle's schedule, and the node
+//     count follows;
+//   - rounding every node but by two LP solves where the model is pure
+//     integer: replan_loop 195 -> 176, alloc_kb_per_op 522 -> 591;
+//   - a fresh X per solve: alloc_kb_per_op 522 -> 790 on replan_loop, 5392
+//     -> 6145 on sparse_wide.
+//
+// Off the pools (24 unseen sub-seeds of benchmark/'s generator each, every
+// objective equal): n=100 at the default width 111.7 s -> 4.3 s (33212 ->
+// 26670 nodes), n=220 at Workers 2 40.9 s -> 15.0 s (73130 -> 25162 nodes).
 func Solve(p *Problem, opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
 	s, err := newSearch(p, opts)
@@ -685,41 +753,42 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	s.emitStart()
 	w := opts.workersWidth()
 	pctx := opts.context()
-	// The one policy the width still decides: a wave of one re-solves its
-	// nodes cold. Measured with benchmark/ on this tree, warm nodes at
-	// width 1 are not a free win — sparse_default ops_per_s 16.95 -> 58.3,
-	// but replan_loop 199.6 -> 88.0 and alloc_kb_per_op +36 % / +20 % — so
-	// flipping it is a perf change with its own measurements, not a default.
-	cold := opts.Workers <= 1 || opts.NoWarmStart
+	s.roundCtx = pprof.WithLabels(pctx, pprof.Labels("solver_phase", "incumbent"))
 
-	lower := append([]float64(nil), p.LP.Lower...)
-	upper := append([]float64(nil), p.LP.Upper...)
+	n := p.LP.NumVars()
+	s.rootLower = append([]float64(nil), p.LP.Lower...)
+	s.rootUpper = append([]float64(nil), p.LP.Upper...)
+	s.snapped = make([]float64, n)
 	var infeasible bool
 	pprof.Do(pctx, pprof.Labels("solver_phase", "presolve"), func(context.Context) {
-		s.stats.PresolveTightened, infeasible = presolveBounds(p, lower, upper)
+		s.stats.PresolveTightened, infeasible = presolveBounds(p, s.rootLower, s.rootUpper)
 	})
 	if infeasible {
 		return s.finish(&Solution{Status: Infeasible}, math.Inf(-1)), nil
 	}
-	ctxs := make([]*lp.Solver, w)
-	for g := range ctxs {
-		ctx, err := lp.NewSolver(p.LP)
+	slots := make([]slot, w)
+	scratch := make([]float64, 2*n*w)
+	for g := range slots {
+		solver, err := lp.NewSolver(p.LP)
 		if err != nil {
 			return nil, err
 		}
-		ctx.Lean = true
-		ctx.NoWarm = cold
-		ctxs[g] = ctx
+		solver.Lean = true
+		solver.NoWarm = opts.NoWarmStart
+		slots[g] = slot{solver: solver, lower: scratch[:n:n], upper: scratch[n : 2*n : 2*n]}
+		scratch = scratch[2*n:]
+		s.solvers = append(s.solvers, solver)
 	}
-	heur, err := newHeurCtx(p)
+	heur, err := newHeurCtx(p, hasContinuous(p))
 	if err != nil {
 		return nil, err
 	}
-	// Flight events and the final Stats aggregate the lp-level counters of
-	// the node solvers plus the heuristic solver.
-	s.solvers = append(ctxs, heur.solver)
-	root := &node{lower: lower, upper: upper, branchVar: -1}
-	if done, err := s.openRoot(ctxs[0], heur, root); done != nil || err != nil {
+	if heur.solver != nil {
+		// Flight events and the final Stats aggregate the lp-level counters
+		// of the node solvers plus the heuristic solver.
+		s.solvers = append(s.solvers, heur.solver)
+	}
+	if done, err := s.openRoot(&slots[0], heur); done != nil || err != nil {
 		return done, err
 	}
 
@@ -752,7 +821,7 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 			return s.finish(&out, s.globalBound(math.Inf(-1))), nil
 		}
 
-		solveWave(pctx, ctxs, wave, results)
+		s.solveWave(pctx, slots, wave, results)
 
 		for i, nd := range wave {
 			// Popped-but-unprocessed wave nodes are open too; the wave is in
@@ -762,7 +831,7 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 			if i+1 < len(wave) {
 				extra = wave[i+1].bound
 			}
-			s.consume(nd, results[i].sol, results[i].warm, heur, extra)
+			s.consume(nd, results[i], &slots[i], heur, extra)
 		}
 		s.waveIdx++
 		s.emitWave(len(wave), s.globalBound(math.Inf(-1)))
@@ -824,52 +893,76 @@ func mostFractional(p *Problem, x []float64, tol float64) int {
 	return best
 }
 
-// snap rounds integer variables of x to the nearest integer.
+// snap returns a copy of x with its integer variables rounded to the nearest
+// integer.
 func snap(p *Problem, x []float64) []float64 {
-	out := append([]float64(nil), x...)
-	for j, isInt := range p.Integer {
-		if isInt {
-			out[j] = math.Round(out[j])
-		}
-	}
-	return out
+	return snapInto(make([]float64, len(x)), p, x)
 }
 
-// heurCtx is the rounding heuristic's reusable solver context: one cold
-// solver (heuristic solves fix every integer variable, so a warm basis
-// rarely survives) plus bound scratch buffers.
+// snapInto is snap writing into dst, which it returns.
+func snapInto(dst []float64, p *Problem, x []float64) []float64 {
+	copy(dst, x)
+	for j, isInt := range p.Integer {
+		if isInt {
+			dst[j] = math.Round(dst[j])
+		}
+	}
+	return dst
+}
+
+// hasContinuous reports whether any variable of p is continuous.
+func hasContinuous(p *Problem) bool {
+	for _, isInt := range p.Integer {
+		if !isInt {
+			return true
+		}
+	}
+	return false
+}
+
+// heurCtx is the rounding heuristic's reusable state: candidate-bound
+// scratch, plus — when the model has continuous variables to re-optimise —
+// one cold solver (heuristic solves fix every integer variable, so a warm
+// basis rarely survives).
 type heurCtx struct {
-	solver       *lp.Solver
+	solver       *lp.Solver // nil: candidates are checked directly, no LP
 	lower, upper []float64
 }
 
-func newHeurCtx(p *Problem) (*heurCtx, error) {
-	s, err := lp.NewSolver(p.LP)
-	if err != nil {
-		return nil, err
+// newHeurCtx prepares the heuristic for p. lpBacked must be true when p has
+// continuous variables; on a pure-integer model it only selects the slower
+// of two equivalent paths (tests compare them).
+func newHeurCtx(p *Problem, lpBacked bool) (*heurCtx, error) {
+	h := &heurCtx{
+		lower: make([]float64, p.LP.NumVars()),
+		upper: make([]float64, p.LP.NumVars()),
 	}
-	s.Lean = true
-	s.NoWarm = true
-	return &heurCtx{
-		solver: s,
-		lower:  make([]float64, p.LP.NumVars()),
-		upper:  make([]float64, p.LP.NumVars()),
-	}, nil
+	if lpBacked {
+		s, err := lp.NewSolver(p.LP)
+		if err != nil {
+			return nil, err
+		}
+		s.Lean = true
+		s.NoWarm = true
+		h.solver = s
+	}
+	return h, nil
 }
 
-// round fixes fractional integer variables to rounded values and re-solves
-// the continuous remainder, returning a feasible point if found. Its LP
-// work is charged to st so Stats.Relaxations/Pivots cover the whole search,
-// heuristics included.
+// round looks for a feasible point near the relaxation x: the snapped x
+// itself if it is integral, then floor-all and round-all of the integer
+// variables, each clamped to the integers inside the variable's bounds. With
+// a solver the continuous remainder is re-solved with the integers fixed,
+// and that LP work is charged to st; without one (pure-integer model) the
+// candidate is complete and only the rows are checked. The returned point
+// lives in the heuristic's scratch until the next call — most nodes round to
+// some feasible point, few to a better one, so the caller copies on keeping.
 func (h *heurCtx) round(p *Problem, x []float64, tol float64, st *Stats) ([]float64, bool) {
 	if intFeasible(p, x, tol) {
-		cand := snap(p, x)
-		if p.LP.Feasible(cand, 1e-6) {
+		if cand := snapInto(h.upper, p, x); p.LP.Feasible(cand, 1e-6) {
 			return cand, true
 		}
 	}
-	// Try floor-all then round-all of integer variables, resolving the LP
-	// over continuous variables with integers fixed.
 	for _, mode := range []func(float64) float64{math.Floor, math.Round} {
 		copy(h.lower, p.LP.Lower)
 		copy(h.upper, p.LP.Upper)
@@ -877,19 +970,25 @@ func (h *heurCtx) round(p *Problem, x []float64, tol float64, st *Stats) ([]floa
 			if !isInt {
 				continue
 			}
-			v := mode(x[j] + tol)
-			v = math.Max(v, p.LP.Lower[j])
-			v = math.Min(v, p.LP.Upper[j])
+			lo, hi := math.Ceil(p.LP.Lower[j]), math.Floor(p.LP.Upper[j])
+			if lo > hi {
+				return nil, false // no integer inside the bounds
+			}
+			v := math.Min(math.Max(mode(x[j]+tol), lo), hi)
 			h.lower[j], h.upper[j] = v, v
 		}
-		sol := h.solver.SolveCold(h.lower, h.upper)
-		st.Relaxations++
-		st.Pivots += sol.Iters
-		if sol.Status == lp.Optimal {
-			cand := snap(p, sol.X)
-			if p.LP.Feasible(cand, 1e-6) {
-				return cand, true
+		cand := h.lower // integral by construction when every variable is
+		if h.solver != nil {
+			sol := h.solver.SolveCold(h.lower, h.upper)
+			st.Relaxations++
+			st.Pivots += sol.Iters
+			if sol.Status != lp.Optimal {
+				continue
 			}
+			cand = snapInto(h.upper, p, sol.X)
+		}
+		if p.LP.Feasible(cand, 1e-6) {
+			return cand, true
 		}
 	}
 	return nil, false

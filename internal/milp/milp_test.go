@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -406,6 +407,58 @@ func TestSolveStats(t *testing.T) {
 	}
 	if last := st.Incumbents[len(st.Incumbents)-1]; math.Abs(last.Objective-sol.Objective) > 1e-9 {
 		t.Fatalf("trajectory ends at %g, solution objective %g", last.Objective, sol.Objective)
+	}
+}
+
+// TestRoundingNeedsNoLPOnPureIntegerModels checks the two rounding paths
+// against each other where both apply: on a model with no continuous
+// variable, checking the rounded point directly must find exactly what
+// fixing every integer and solving the (empty) continuous remainder finds.
+func TestRoundingNeedsNoLPOnPureIntegerModels(t *testing.T) {
+	rng := rand.New(rand.NewSource(2015))
+	found := 0
+	for trial := 0; trial < 200; trial++ {
+		p := randParallelMILP(rng)
+		if trial%2 == 1 {
+			// General integers, some with fractional bounds.
+			for j := range p.LP.Upper {
+				p.LP.Lower[j] = float64(rng.Intn(3)) / 2
+				p.LP.Upper[j] = p.LP.Lower[j] + float64(rng.Intn(7))/2
+			}
+		}
+		relax, err := lp.Solve(p.LP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if relax.Status != lp.Optimal {
+			continue
+		}
+		direct, err := newHeurCtx(p, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backed, err := newHeurCtx(p, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st, stLP Stats
+		x, ok := direct.round(p, relax.X, 1e-6, &st)
+		xLP, okLP := backed.round(p, relax.X, 1e-6, &stLP)
+		if ok != okLP || !reflect.DeepEqual(x, xLP) {
+			t.Fatalf("trial %d: direct rounding gave %v (%t), LP-backed %v (%t)", trial, x, ok, xLP, okLP)
+		}
+		if st.Relaxations != 0 || st.Pivots != 0 {
+			t.Fatalf("trial %d: direct rounding charged %d relaxations, %d pivots", trial, st.Relaxations, st.Pivots)
+		}
+		if ok {
+			found++
+			if !intFeasible(p, x, 0) || !p.LP.Feasible(x, 1e-6) {
+				t.Fatalf("trial %d: rounded point %v is not an integer-feasible point", trial, x)
+			}
+		}
+	}
+	if found < 20 {
+		t.Fatalf("only %d of 200 instances rounded to a feasible point; the comparison is near-vacuous", found)
 	}
 }
 

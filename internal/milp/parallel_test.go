@@ -167,30 +167,66 @@ func TestParallelObserverStream(t *testing.T) {
 	}
 }
 
-// TestParallelWarmStarts checks that a wave of two actually exercises the
-// warm path on a branching-heavy instance, that NoWarmStart suppresses it,
-// and that both return the same answer.
+// TestParallelWarmStarts checks that every width re-solves children from
+// their parents' bases — one cold root and nothing else cold unless a warm
+// answer had to be redone — that NoWarmStart suppresses it, and that both
+// return the same answer.
 func TestParallelWarmStarts(t *testing.T) {
 	p := hardInstance(3, 16)
-	warm, err := Solve(p, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, w := range widths {
+		warm, err := Solve(p, Options{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Solve(p, Options{Workers: w, NoWarmStart: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := warm.Stats; st.WarmSolves == 0 || st.WarmSolves+st.ColdSolves != st.Nodes {
+			t.Fatalf("workers=%d: %d warm + %d cold solves over %d nodes", w, st.WarmSolves, st.ColdSolves, st.Nodes)
+		}
+		if st := warm.Stats; st.FallbackColds == 0 && st.ColdSolves > 1+st.Nodes/10 {
+			t.Fatalf("workers=%d: %d of %d nodes solved cold with no fallback to blame", w, st.ColdSolves, st.Nodes)
+		}
+		if cold.Stats.WarmSolves != 0 {
+			t.Fatalf("workers=%d: NoWarmStart still produced %d warm solves", w, cold.Stats.WarmSolves)
+		}
+		if math.Abs(warm.Objective-cold.Objective) > 1e-9 {
+			t.Fatalf("workers=%d: warm objective %g, cold %g", w, warm.Objective, cold.Objective)
+		}
+		if want := max(w, 1); warm.Stats.Workers != want {
+			t.Fatalf("Stats.Workers = %d, want %d", warm.Stats.Workers, want)
+		}
 	}
-	cold, err := Solve(p, Options{Workers: 2, NoWarmStart: true})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestFractionalIntegerBoundsNeverYieldIncumbent pins the rounding
+// heuristic's clamp on a pure-integer model: with 0.3 <= x <= 0.7 there is no
+// integer to round to, and a candidate clamped to the raw bounds (x = 0.3
+// satisfies every row) must not be taken for a solution at any width.
+func TestFractionalIntegerBoundsNeverYieldIncumbent(t *testing.T) {
+	p := NewProblem(&lp.Problem{})
+	x := p.AddIntVar(1, 0.3, 0.7, "x")
+	idx, coef := []int{x}, []float64{1}
+	for j := 0; j < 6; j++ {
+		// Free binaries around x, so the search branches (and rounds) at
+		// several nodes before it runs out of tree.
+		idx = append(idx, p.AddBinVar(1+float64(j)/4, ""))
+		coef = append(coef, 1.5+float64(j)/3)
 	}
-	if warm.Stats.WarmSolves == 0 {
-		t.Fatal("wave of two never took the warm path")
-	}
-	if cold.Stats.WarmSolves != 0 {
-		t.Fatalf("NoWarmStart still produced %d warm solves", cold.Stats.WarmSolves)
-	}
-	if math.Abs(warm.Objective-cold.Objective) > 1e-9 {
-		t.Fatalf("warm objective %g, cold %g", warm.Objective, cold.Objective)
-	}
-	if warm.Stats.Workers != 2 {
-		t.Fatalf("Stats.Workers = %d, want 2", warm.Stats.Workers)
+	p.LP.AddConstraint(idx, coef, lp.LE, 5, "cap")
+	for _, w := range widths {
+		sol, err := Solve(p, Options{Workers: w})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if sol.Status != Infeasible || sol.HasX || len(sol.Stats.Incumbents) != 0 {
+			t.Fatalf("workers=%d: status %v, HasX %t, %d incumbents; want infeasible with none",
+				w, sol.Status, sol.HasX, len(sol.Stats.Incumbents))
+		}
+		if sol.Stats.BranchedNodes == 0 {
+			t.Fatalf("workers=%d: nothing branched, the heuristic never ran below the root", w)
+		}
 	}
 }
 

@@ -104,9 +104,10 @@ func (o Options) workersWidth() int {
 
 // solverTotals aggregates the lp-level statistics across the search's
 // solver contexts: sums for the counters, max for the eta-file peak. The
-// heuristic solver is registered too — it is always cold, so it never
-// contributes warm fallbacks or dual pivots, but its primal pivots and
-// refactorizations are real work that Stats.Pivots already charges.
+// heuristic solver, where the model needs one, is registered too — it is
+// always cold, so it never contributes warm fallbacks or dual pivots, but
+// its primal pivots and refactorizations are real work that Stats.Pivots
+// already charges.
 func (s *search) solverTotals() (t lp.SolverStats) {
 	for _, sv := range s.solvers {
 		st := &sv.Stats

@@ -60,11 +60,11 @@ type chromeTrace struct {
 }
 
 type chromeEvent struct {
-	Name string             `json:"name"`
-	Cat  string             `json:"cat"`
-	Ph   string             `json:"ph"`
-	Pid  int                `json:"pid"`
-	Tid  int                `json:"tid"`
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
 	Ts   float64        `json:"ts"`
 	Dur  float64        `json:"dur"`
 	Args map[string]any `json:"args"` // numeric for events, string for metadata

@@ -32,11 +32,11 @@ func TestTrimAndMedian(t *testing.T) {
 		kept   int
 		median float64
 	}{
-		{[]float64{5, 1, 9, 3, 7}, 1, 3, 5},   // drops 1 and 9
-		{[]float64{5, 1, 9, 3, 7}, 0, 5, 5},   // no trim
-		{[]float64{2, 4}, 1, 2, 3},            // too few to trim: kept whole
-		{[]float64{10}, 3, 1, 10},             // single sample survives any trim
-		{[]float64{1, 2, 3, 4}, 1, 2, 2.5},    // even count median
+		{[]float64{5, 1, 9, 3, 7}, 1, 3, 5},      // drops 1 and 9
+		{[]float64{5, 1, 9, 3, 7}, 0, 5, 5},      // no trim
+		{[]float64{2, 4}, 1, 2, 3},               // too few to trim: kept whole
+		{[]float64{10}, 3, 1, 10},                // single sample survives any trim
+		{[]float64{1, 2, 3, 4}, 1, 2, 2.5},       // even count median
 		{[]float64{9, 8, 7, 6, 5, 4}, 2, 2, 6.5}, // heavy trim
 	}
 	for i, tc := range cases {

@@ -104,12 +104,12 @@ func largeSparseSpecs(n int) []core.AnalysisSpec {
 	specs := make([]core.AnalysisSpec, n)
 	for i := range specs {
 		specs[i] = core.AnalysisSpec{
-			Name:        fmt.Sprintf("a%03d", i),
-			CT:          0.25 + 0.25*float64(rng.Intn(12)),
-			OT:          0.25 * float64(rng.Intn(4)),
-			FM:          int64(rng.Intn(64)) << 20,
-			CM:          int64(rng.Intn(64)) << 20,
-			OM:          int64(rng.Intn(64)) << 20,
+			Name: fmt.Sprintf("a%03d", i),
+			CT:   0.25 + 0.25*float64(rng.Intn(12)),
+			OT:   0.25 * float64(rng.Intn(4)),
+			FM:   int64(rng.Intn(64)) << 20,
+			CM:   int64(rng.Intn(64)) << 20,
+			OM:   int64(rng.Intn(64)) << 20,
 			// Integer weights keep the objective integral, so branch and
 			// bound can use its incumbent+1 pruning fast path; fractional
 			// weights here create a plateau of equal-value schedules that
@@ -344,10 +344,10 @@ type benchKernel struct {
 	acc     float64
 }
 
-func (k *benchKernel) Name() string                     { return k.name }
-func (k *benchKernel) Setup() (int64, error)            { k.acc = 0; return 1 << 10, nil }
-func (k *benchKernel) PreStep(step int) (int64, error)  { k.acc += float64(step); return 16, nil }
-func (k *benchKernel) Free()                            {}
+func (k *benchKernel) Name() string                    { return k.name }
+func (k *benchKernel) Setup() (int64, error)           { k.acc = 0; return 1 << 10, nil }
+func (k *benchKernel) PreStep(step int) (int64, error) { k.acc += float64(step); return 16, nil }
+func (k *benchKernel) Free()                           {}
 func (k *benchKernel) Analyze(step int) (int64, error) {
 	s := k.acc
 	for i := 0; i < k.work; i++ {

@@ -97,10 +97,10 @@ type Replanner struct {
 	mu     sync.Mutex
 	cfg    Config
 	mon    *runmon.Monitor
-	specs  []core.AnalysisSpec // current cost beliefs (rescaled on adoption)
-	res    core.Resources      // full-run envelope the initial plan was solved against
+	specs  []core.AnalysisSpec  // current cost beliefs (rescaled on adoption)
+	res    core.Resources       // full-run envelope the initial plan was solved against
 	rec    *core.Recommendation // incumbent, in full-run step coordinates
-	simSec float64             // current belief of seconds per simulation step
+	simSec float64              // current belief of seconds per simulation step
 
 	seenAlerts int
 	pending    *runmon.Alert

@@ -85,8 +85,8 @@ type SimResult struct {
 	// Exceeded reports whether realized analysis time overran the budget.
 	Exceeded bool `json:"exceeded"`
 	// Replans counts adopted replans; Records carries every decision.
-	Replans int                    `json:"replans"`
-	Records []runmon.ReplanRecord  `json:"records,omitempty"`
+	Replans int                   `json:"replans"`
+	Records []runmon.ReplanRecord `json:"records,omitempty"`
 	// Events is the full ledger-style event stream of the run, including
 	// replan and re-emitted plan events; the determinism tests byte-compare
 	// it across solver worker counts. Excluded from JSON snapshots.

@@ -23,17 +23,17 @@ const (
 // monitor collects them (live or from a ledger replay) into the snapshot's
 // replan timeline.
 type ReplanRecord struct {
-	Step    int    `json:"step"`              // simulation step the decision was made after
-	Trigger string `json:"trigger"`           // alert kind that woke the replanner (drift|budget)
-	Stream  string `json:"stream"`            // residual stream of the triggering alert
-	Reason  string `json:"reason"`            // one of the Replan* reasons
-	Adopted bool   `json:"adopted"`           // true exactly when Reason == ReplanAdopted
-	OldValue float64 `json:"old_value"`       // incumbent remaining-horizon objective
-	NewValue float64 `json:"new_value"`       // re-solved remaining-horizon objective (0 unless solved)
-	OldCostSec float64 `json:"old_cost_sec"`  // incumbent remaining cost under rescaled profiles
-	NewCostSec float64 `json:"new_cost_sec"`  // re-solved remaining predicted cost
-	BudgetSec  float64 `json:"budget_sec"`    // remaining budget the re-solve ran against
-	SpentSec   float64 `json:"spent_sec"`     // analysis+output seconds already observed
+	Step       int     `json:"step"`         // simulation step the decision was made after
+	Trigger    string  `json:"trigger"`      // alert kind that woke the replanner (drift|budget)
+	Stream     string  `json:"stream"`       // residual stream of the triggering alert
+	Reason     string  `json:"reason"`       // one of the Replan* reasons
+	Adopted    bool    `json:"adopted"`      // true exactly when Reason == ReplanAdopted
+	OldValue   float64 `json:"old_value"`    // incumbent remaining-horizon objective
+	NewValue   float64 `json:"new_value"`    // re-solved remaining-horizon objective (0 unless solved)
+	OldCostSec float64 `json:"old_cost_sec"` // incumbent remaining cost under rescaled profiles
+	NewCostSec float64 `json:"new_cost_sec"` // re-solved remaining predicted cost
+	BudgetSec  float64 `json:"budget_sec"`   // remaining budget the re-solve ran against
+	SpentSec   float64 `json:"spent_sec"`    // analysis+output seconds already observed
 }
 
 // Delta returns the objective change the decision bought (new − old); zero

@@ -46,19 +46,24 @@ func FuzzRevisedSimplex(f *testing.F) {
 	f.Add(int64(42), uint8(12), uint8(8), uint8(1))
 	f.Add(int64(-7), uint8(3), uint8(2), uint8(2))
 	f.Add(int64(1<<33), uint8(20), uint8(12), uint8(0))
+	f.Add(int64(5), uint8(8), uint8(4), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, vars, cons, kind uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		var p *lp.Problem
-		switch kind % 3 {
+		switch kind % 4 {
 		case 0:
 			p = RandLP(rng, LPConfig{MaxVars: 1 + int(vars%24), MaxCons: 1 + int(cons%16)})
 		case 1:
 			p = RandChainLP(rng, 16+int(vars)%80)
-		default:
+		case 2:
 			p = RandNearSingularLP(rng)
+		default:
+			p = RandRedundantEqLP(rng)
 		}
+		// CheckRevised includes the snapshot steps: a basis carried to a
+		// second solver three rounds on, and snapshots that must fall back.
 		if err := CheckRevised(rng, p); err != nil {
-			t.Fatalf("seed %d kind %d: %v", seed, kind%3, err)
+			t.Fatalf("seed %d kind %d: %v", seed, kind%4, err)
 		}
 	})
 }

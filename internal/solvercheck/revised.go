@@ -20,8 +20,24 @@ import (
 // on one instance: cold solve agreement (status, objective, feasibility of
 // both points), then a short branching-style walk of bound tightenings where
 // every warm re-solve through an lp.Solver must match a dense solve of the
-// same bounds. Failures name the violated property.
+// same bounds. Along the walk the basis is snapshotted once and, three rounds
+// later, continued on a second Solver under the bounds of that round — the
+// way branch and bound re-solves a child from a parent another worker solved
+// — and finally snapshots that cannot be continued (wrong shape, singular
+// here) must be answered by a counted cold fallback. Failures name the
+// violated property.
 func CheckRevised(rng *rand.Rand, p *lp.Problem) error {
+	return checkRevised(rng, p, &revisedCoverage{})
+}
+
+// revisedCoverage counts how often checkRevised reached the snapshot paths,
+// so the corpus tests can pin that they are exercised at all.
+type revisedCoverage struct {
+	warmTransfers int // snapshots a second solver continued warm
+	singular      int // snapshots rejected as singular
+}
+
+func checkRevised(rng *rand.Rand, p *lp.Problem, cov *revisedCoverage) error {
 	ref, err := SolveReference(p)
 	if err != nil {
 		return fmt.Errorf("SolveReference: %v", err)
@@ -41,6 +57,15 @@ func CheckRevised(rng *rand.Rand, p *lp.Problem) error {
 	if err != nil {
 		return fmt.Errorf("lp.NewSolver: %v", err)
 	}
+	other, err := lp.NewSolver(p)
+	if err != nil {
+		return fmt.Errorf("lp.NewSolver: %v", err)
+	}
+	// The second solver has a history of its own, so the snapshot lands on a
+	// used state rather than a fresh one.
+	other.SolveCold(p.Lower, p.Upper)
+	var snap *lp.Basis
+	snapRound := rng.Intn(3)
 	lower := append([]float64(nil), p.Lower...)
 	upper := append([]float64(nil), p.Upper...)
 	for round := 0; round < 6; round++ {
@@ -68,8 +93,84 @@ func CheckRevised(rng *rand.Rand, p *lp.Problem) error {
 		if err := compareRevised(dsol, wsol, q); err != nil {
 			return fmt.Errorf("round %d (var %d in [%g,%g]): %v", round, j, lower[j], upper[j], err)
 		}
+		if round == snapRound {
+			// Nil after a round that ended without a basis: nothing to carry.
+			snap = sv.Basis()
+		}
+		if snap != nil && round == snapRound+3 {
+			osol, warm := other.SolveFrom(snap, lower, upper)
+			if err := compareRevised(dsol, osol, q); err != nil {
+				return fmt.Errorf("round %d: basis of round %d continued on a second solver: %v", round, snapRound, err)
+			}
+			if warm {
+				cov.warmTransfers++
+			}
+		}
 	}
-	return nil
+	return checkBadSnapshots(p, rev, ref, cov)
+}
+
+// checkBadSnapshots hands SolveFrom snapshots it cannot continue from and
+// requires the cold fallback to answer, and to be counted: the optimal basis
+// of p on a problem with one more row (wrong shape), and on a copy of p in
+// which two of its basic columns are made identical (singular there). opt
+// and ref are p's revised and dense cold solutions.
+func checkBadSnapshots(p *lp.Problem, opt, ref *lp.Solution, cov *revisedCoverage) error {
+	if opt.Status != lp.Optimal {
+		return nil
+	}
+	sv, err := lp.NewSolver(p)
+	if err != nil {
+		return fmt.Errorf("lp.NewSolver: %v", err)
+	}
+	sv.SolveCold(p.Lower, p.Upper)
+	snap := sv.Basis()
+
+	try := func(what string, q *lp.Problem, want *lp.Solution) error {
+		qs, err := lp.NewSolver(q)
+		if err != nil {
+			return fmt.Errorf("%s: lp.NewSolver: %v", what, err)
+		}
+		got, warm := qs.SolveFrom(snap, q.Lower, q.Upper)
+		if warm || qs.Stats.FallbackCold != 1 || qs.Stats.Cold != 1 {
+			return fmt.Errorf("%s: warm=%t with %d fallbacks and %d cold solves, want one counted cold fallback",
+				what, warm, qs.Stats.FallbackCold, qs.Stats.Cold)
+		}
+		if err := compareRevised(want, got, q); err != nil {
+			return fmt.Errorf("%s: %v", what, err)
+		}
+		return nil
+	}
+
+	// One more row, slack at the optimum: the answer is p's own.
+	taller := p.Clone()
+	taller.AddConstraint([]int{0}, []float64{1}, lp.LE, p.Upper[0]+1, "extra")
+	if err := try("snapshot with a row too few", taller, ref); err != nil {
+		return err
+	}
+
+	// A variable strictly inside its bounds is basic; two of them with the
+	// same column make p's optimal basis singular.
+	var inside []int
+	for j, x := range opt.X {
+		if x > p.Lower[j]+1e-6 && x < p.Upper[j]-1e-6 {
+			inside = append(inside, j)
+		}
+	}
+	if len(inside) < 2 {
+		return nil
+	}
+	a, b := inside[0], inside[1]
+	twin := p.Clone()
+	for r := range twin.Constraints {
+		twin.Constraints[r].Coef[b] = twin.Constraints[r].Coef[a]
+	}
+	want, err := SolveReference(twin)
+	if err != nil {
+		return fmt.Errorf("SolveReference: %v", err)
+	}
+	cov.singular++
+	return try(fmt.Sprintf("snapshot singular after columns %d and %d coincide", a, b), twin, want)
 }
 
 // compareRevised checks one dense/revised solution pair over problem p:
@@ -180,5 +281,40 @@ func RandNearSingularLP(rng *rand.Rand) *lp.Problem {
 			p.AddConstraint(idx, twin, lp.GE, at2-float64(rng.Intn(3)), fmt.Sprintf("p%db", r))
 		}
 	}
+	return p
+}
+
+// RandRedundantEqLP generates a feasible RandLP-shaped instance carrying the
+// same equality row twice (the copy doubled). The pair is linearly
+// dependent, so phase 1 cannot drive both artificials out: every optimal
+// basis keeps one, clamped at zero, and a Basis snapshot of it hands another
+// solver an artificial column to seat.
+func RandRedundantEqLP(rng *rand.Rand) *lp.Problem {
+	n := 3 + rng.Intn(6)
+	p := &lp.Problem{}
+	witness := make([]float64, n)
+	for j := 0; j < n; j++ {
+		witness[j] = float64(1 + rng.Intn(4))
+		p.AddVar(float64(rng.Intn(11)-5), 0, 6, fmt.Sprintf("v%d", j))
+	}
+	at := func(idx []int, coef []float64) float64 {
+		v := 0.0
+		for k, j := range idx {
+			v += coef[k] * witness[j]
+		}
+		return v
+	}
+	for r := 0; r < 1+rng.Intn(4); r++ {
+		idx, coef := randRow(rng, n)
+		p.AddConstraint(idx, coef, lp.LE, at(idx, coef)+float64(rng.Intn(4)), fmt.Sprintf("r%d", r))
+	}
+	idx, coef := randRow(rng, n)
+	rhs := at(idx, coef)
+	p.AddConstraint(idx, coef, lp.EQ, rhs, "eq")
+	twice := make([]float64, len(coef))
+	for k := range coef {
+		twice[k] = 2 * coef[k]
+	}
+	p.AddConstraint(idx, twice, lp.EQ, 2*rhs, "eq_twice")
 	return p
 }

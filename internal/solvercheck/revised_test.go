@@ -13,12 +13,35 @@ import (
 // machinery. Failure messages carry the seed for one-line reproduction.
 
 func TestRevisedMatchesDense(t *testing.T) {
+	var cov revisedCoverage
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := RandLP(rng, LPConfig{})
-		if err := CheckRevised(rng, p); err != nil {
+		if err := checkRevised(rng, p, &cov); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
+	}
+	// The snapshot steps only mean something if the corpus reaches them.
+	if cov.warmTransfers < 20 || cov.singular < 20 {
+		t.Errorf("corpus continued %d snapshots warm on a second solver and rejected %d as singular, want at least 20 each",
+			cov.warmTransfers, cov.singular)
+	}
+}
+
+// TestRevisedMatchesDenseOnRedundantEqualities runs the oracle on instances
+// whose optimal basis keeps an artificial (a duplicated equality row), so the
+// snapshots the walk carries between solvers include one.
+func TestRevisedMatchesDenseOnRedundantEqualities(t *testing.T) {
+	var cov revisedCoverage
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := RandRedundantEqLP(rng)
+		if err := checkRevised(rng, p, &cov); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+	if cov.warmTransfers < 20 {
+		t.Errorf("corpus continued only %d snapshots warm on a second solver", cov.warmTransfers)
 	}
 }
 
@@ -89,6 +112,9 @@ func TestPathologicalGeneratorsAreValid(t *testing.T) {
 		}
 		if err := RandNearSingularLP(rng).Validate(); err != nil {
 			t.Errorf("seed %d: invalid near-singular LP: %v", seed, err)
+		}
+		if err := RandRedundantEqLP(rng).Validate(); err != nil {
+			t.Errorf("seed %d: invalid redundant-equality LP: %v", seed, err)
 		}
 	}
 }
