@@ -67,35 +67,45 @@ func TestRunAndCompareEndToEnd(t *testing.T) {
 		}
 	}
 
-	// A solver-only re-run compares clean against its own baseline: the
-	// counters repeat exactly. Two quick runs of a millisecond workload do
-	// not repeat each other's wall clock within the 2.5x gate when the other
-	// packages' tests share the CPUs, so the comparison runs at a slack that
-	// takes the wall gate out of the question and still leaves the counters
-	// gated at 8% (the poisoned one below is off by 100%).
+	// A solver-only re-run compares clean against its own baseline even at
+	// slack 1 (deterministic gated metrics; wall gate is wide). wall_ns_min is
+	// the one gated metric two quick runs do not reproduce when the other
+	// packages' tests share the CPUs, so a re-run whose only regressions are
+	// wall_ns_min is repeated; a regression on any other metric fails at once.
 	curDir := t.TempDir()
-	if code := run([]string{"run", "-quick", "-suite", "solver", "-out", curDir}, &out, &errBuf); code != 0 {
-		t.Fatalf("solver run -> %d: %s", code, errBuf.String())
-	}
-	out.Reset()
 	jsonPath := filepath.Join(curDir, "diff.json")
-	code := run([]string{"compare", "-suite", "solver", "-slack", "8", "-baseline", baseDir, "-current", curDir, "-json", jsonPath}, &out, &errBuf)
-	if code != 0 {
-		t.Fatalf("compare -> %d:\n%s\n%s", code, out.String(), errBuf.String())
+	var results []perfbench.CompareResult
+	for attempt := 1; ; attempt++ {
+		if code := run([]string{"run", "-quick", "-suite", "solver", "-out", curDir}, &out, &errBuf); code != 0 {
+			t.Fatalf("solver run -> %d: %s", code, errBuf.String())
+		}
+		out.Reset()
+		errBuf.Reset()
+		code := run([]string{"compare", "-suite", "solver", "-baseline", baseDir, "-current", curDir, "-json", jsonPath}, &out, &errBuf)
+		data, err := os.ReadFile(jsonPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &results); err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != 1 || results[0].Suite != "solver" || len(results[0].Deltas) == 0 {
+			t.Fatalf("machine diff = %+v", results)
+		}
+		if code == 0 {
+			break
+		}
+		regs := results[0].Regressions()
+		retry := len(regs) > 0 && attempt < 3
+		for _, d := range regs {
+			retry = retry && d.Metric == "wall_ns_min"
+		}
+		if !retry {
+			t.Fatalf("compare -> %d (attempt %d):\n%s\n%s", code, attempt, out.String(), errBuf.String())
+		}
 	}
 	if !strings.Contains(out.String(), "no regressions") {
 		t.Fatalf("table = %s", out.String())
-	}
-	var results []perfbench.CompareResult
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &results); err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 || results[0].Suite != "solver" || len(results[0].Deltas) == 0 {
-		t.Fatalf("machine diff = %+v", results)
 	}
 
 	// Poison a deterministic counter in the current run: compare must fail.
@@ -113,7 +123,7 @@ func TestRunAndCompareEndToEnd(t *testing.T) {
 	}
 	out.Reset()
 	errBuf.Reset()
-	code = run([]string{"compare", "-suite", "solver", "-baseline", baseDir, "-current", curDir}, &out, &errBuf)
+	code := run([]string{"compare", "-suite", "solver", "-baseline", baseDir, "-current", curDir}, &out, &errBuf)
 	if code != 1 {
 		t.Fatalf("poisoned compare -> %d:\n%s", code, out.String())
 	}

@@ -30,8 +30,8 @@ type Solver struct {
 	p  *Problem
 	rv *revised
 
-	hasBasis bool
-	live     *Basis // snapshot of the basis rv sits on, nil once it has moved
+	hasBasis bool // rv sits on a dual-feasible basis the next Solve can continue from
+	optimal  bool // ... and the last solve ended Optimal on it
 
 	// Lean skips the diagnostic solution fields (duals, reduced costs, row
 	// activity) that branch and bound never reads, and returns Solution.X in
@@ -99,27 +99,23 @@ func (s *Solver) Solve(lower, upper []float64) (*Solution, bool) {
 	return s.SolveFrom(nil, lower, upper)
 }
 
-// Basis returns a snapshot of the basis the last solve ended on, or nil when
-// there is none to continue from (nothing solved yet, or a cold solve that
-// was not optimal). Repeated calls between solves return the same snapshot.
+// Basis returns a snapshot of the optimal basis the last solve ended on, or
+// nil when there is none to continue from (nothing solved yet, or the last
+// solve was not optimal).
 func (s *Solver) Basis() *Basis {
-	if !s.hasBasis {
+	if !s.optimal {
 		return nil
 	}
-	if s.live == nil {
-		s.live = s.rv.snapshot()
-	}
-	return s.live
+	return s.rv.snapshot()
 }
 
 // SolveFrom is Solve warm-started from b — a snapshot taken by any Solver of
 // the same problem — instead of from this solver's previous solve: the basis
 // is installed and refactorized, then restored exactly as Solve restores its
-// own (dual simplex, primal clean-up, Farkas-certified infeasibility). The
-// install is skipped when b is the snapshot of the basis this solver is
-// still sitting on. A snapshot that does not fit the problem, or whose basis
-// matrix is singular, counts as a failed restoration and falls back cold. A
-// nil b means the solver's own basis, i.e. Solve.
+// own (dual simplex, primal clean-up, Farkas-certified infeasibility). A
+// snapshot that does not fit the problem, or whose basis matrix is singular,
+// counts as a failed restoration and falls back cold. A nil b means the
+// solver's own basis, i.e. Solve.
 func (s *Solver) SolveFrom(b *Basis, lower, upper []float64) (*Solution, bool) {
 	for j := range lower {
 		if lower[j] > upper[j] {
@@ -128,11 +124,10 @@ func (s *Solver) SolveFrom(b *Basis, lower, upper []float64) (*Solution, bool) {
 	}
 	if !s.NoWarm && (b != nil || s.hasBasis) {
 		rv := s.state()
-		installed := b == nil || b == s.live || rv.install(b)
-		s.live = nil
-		if installed {
+		if b == nil || rv.install(b) {
 			if sol, ok := rv.resolve(lower, upper); ok {
 				s.hasBasis = true
+				s.optimal = sol.Status == Optimal
 				s.Stats.Warm++
 				s.Stats.Pivots += sol.Iters
 				if sol.Status == Infeasible {
@@ -166,8 +161,8 @@ func (s *Solver) state() *revised {
 // these bounds.
 func (s *Solver) SolveCold(lower, upper []float64) *Solution {
 	sol := s.state().solveCold(lower, upper)
-	s.live = nil
-	s.hasBasis = sol.Status == Optimal
+	s.optimal = sol.Status == Optimal
+	s.hasBasis = s.optimal
 	s.Stats.Cold++
 	s.Stats.Pivots += sol.Iters
 	return sol

@@ -263,36 +263,43 @@ func TestSolveFromMatchesCold(t *testing.T) {
 	}
 }
 
-// TestSolveFromSkipsInstallOnLiveBasis pins the shortcut a depth-first dive
-// depends on: continuing from the snapshot of the basis the solver is still
-// sitting on costs no refactorization, while any other solver (or the same
-// one after it has moved on) pays exactly one to install it.
-func TestSolveFromSkipsInstallOnLiveBasis(t *testing.T) {
+// TestBasisOnlyAfterOptimal pins what Basis hands out: nothing before a
+// solve, a snapshot after an optimal one — which a second solver continues
+// from for one refactorization and no cold solve — and nothing again after a
+// warm solve the dual simplex certified infeasible (Solve can still continue
+// from that basis, but it is not an optimum to snapshot).
+func TestBasisOnlyAfterOptimal(t *testing.T) {
 	p := &Problem{}
 	for j := 0; j < 4; j++ {
 		p.AddVar(float64(3+j), 0, 1, "")
 	}
 	p.AddConstraint([]int{0, 1, 2, 3}, []float64{2, 3, 4, 5}, LE, 6.5, "cap")
+	p.AddConstraint([]int{0, 1}, []float64{1, 1}, GE, 0.5, "need")
 	a, _ := NewSolver(p)
 	b, _ := NewSolver(p)
+	if a.Basis() != nil {
+		t.Fatal("Basis() before any solve")
+	}
 	if sol, _ := a.Solve(p.Lower, p.Upper); sol.Status != Optimal {
 		t.Fatalf("root: %v", sol.Status)
 	}
 	snap := a.Basis()
-	if again := a.Basis(); again != snap {
-		t.Fatal("Basis() snapshotted an unmoved basis twice")
+	if snap == nil {
+		t.Fatal("no Basis() after an optimal solve")
 	}
 	down := []float64{1, 1, 0, 1}
-	before := a.Stats.Refactorizations
-	if _, warm := a.SolveFrom(snap, p.Lower, down); !warm || a.Stats.Refactorizations != before {
-		t.Fatalf("live basis: warm=%t, %d refactorizations", warm, a.Stats.Refactorizations-before)
+	if sol, warm := b.SolveFrom(snap, p.Lower, down); !warm || sol.Status != Optimal || b.Stats.Refactorizations != 1 || b.Stats.Cold != 0 {
+		t.Fatalf("second solver: warm=%t status %v stats %+v", warm, sol.Status, b.Stats)
 	}
-	// a has moved on; its own old snapshot now has to be installed.
-	if _, warm := a.SolveFrom(snap, p.Lower, down); !warm || a.Stats.Refactorizations != before+1 {
-		t.Fatalf("moved basis: warm=%t, %d refactorizations, want 1", warm, a.Stats.Refactorizations-before)
+	none := []float64{0, 0, 1, 1}
+	if sol, warm := a.Solve(p.Lower, none); !warm || sol.Status != Infeasible || a.Stats.WarmInfeasible != 1 {
+		t.Fatalf("infeasible child: warm=%t status %v stats %+v", warm, sol.Status, a.Stats)
 	}
-	if _, warm := b.SolveFrom(snap, p.Lower, down); !warm || b.Stats.Refactorizations != 1 || b.Stats.Cold != 0 {
-		t.Fatalf("second solver: warm=%t, stats %+v", warm, b.Stats)
+	if a.Basis() != nil {
+		t.Fatal("Basis() after an infeasible solve")
+	}
+	if sol, warm := a.Solve(p.Lower, down); !warm || sol.Status != Optimal || a.Basis() == nil {
+		t.Fatalf("continuing past the infeasible solve: warm=%t status %v", warm, sol.Status)
 	}
 }
 

@@ -546,7 +546,7 @@ func (s *search) consume(nd *node, res nodeResult, sl *slot, heur *heurCtx, extr
 	// cost overshoots the time row by ~1.5e-3 once rounded up. Such a node is
 	// branched instead (expand splits on the residual fractionality).
 	if intFeasible(s.p, relaxSol.X, s.opts.IntTol) {
-		if x := snapInto(s.snapped, s.p, relaxSol.X); s.p.LP.Feasible(x, 1e-6) {
+		if x := snap(s.snapped, s.p, relaxSol.X); s.p.LP.Feasible(x, 1e-6) {
 			s.offer(x, s.nodes, math.Max(relaxSol.Objective, s.globalBound(extra)))
 			s.stats.IntegralNodes++
 			s.observe(nd, relaxSol.Objective, "integral")
@@ -605,7 +605,7 @@ func (s *search) openRoot(sl *slot, heur *heurCtx) (done *Solution, err error) {
 
 	s.nodes = 1
 	if intFeasible(s.p, relax.X, s.opts.IntTol) {
-		x := snap(s.p, relax.X)
+		x := snap(make([]float64, len(relax.X)), s.p, relax.X)
 		if s.p.LP.Feasible(x, 1e-6) {
 			obj := s.p.LP.Eval(x)
 			s.best = &Solution{Status: Optimal, X: x, Objective: obj, Nodes: s.nodes, HasX: true}
@@ -718,32 +718,36 @@ func AutoWorkers(n int) int {
 //
 // Why a node is (parent, one bound change, parent's basis) and why it is
 // rounded every time: each piece is there for a workload of benchmark/
-// (seed 2015, ops_per_s unless noted, one 4 s run each). This design against
-// the commit before it — width-1 nodes cold, wider waves warm from whatever
-// the worker solved last, rounding at nodes < 16 and every 32nd by two LP
-// solves, two bound vectors per node — moves sparse_default 16.5 -> 124,
-// sparse_wide 14.1 -> 19.8 and replan_loop 200 -> 195 with alloc_kb_per_op
-// 1365 -> 522. Taking one piece back out of it:
+// (seed 2015, ops_per_s unless noted). Against the commit before it — width-1
+// nodes cold, wider waves warm from whatever the worker solved last, rounding
+// at nodes < 16 and every 32nd by two LP solves, two bound vectors per node —
+// this design moves sparse_default 16.2 -> 123, sparse_wide 14.0 -> 19.3 and
+// replan_loop 198 -> 217 with alloc_kb_per_op 1365 -> 509 (medians of ten
+// alternating 10 s pairs, the design ahead in all ten on each). Taking one
+// piece back out of it (median of three 10 s runs each, which spread under
+// 3 %; the whole design read 125 / 19.6 / 219 in that session):
 //
 //   - warm from the slot's last basis instead of the parent's: replan_loop
-//     195 -> 96 (pivots 4136 -> 8272, fallback colds 32 -> 64), sparse_wide
-//     19.8 -> 15.8 (pivots 8025 -> 14644) — best-first order makes the last
-//     basis an unrelated one;
-//   - every node cold: sparse_default 124 -> 24.8, sparse_wide 19.8 -> 1.52;
-//     replan_loop is the one that would rather be cold (195 -> 214: its
-//     three-analysis models re-solve in four pivots either way);
-//   - rounding throttled as before: sparse_default 124 -> 86 (176 -> 598
-//     nodes), sparse_wide 19.8 -> 13.3 and op_ms_p90 82 -> 115 (680 -> 2752
-//     nodes) — incumbents arrive on the throttle's schedule, and the node
-//     count follows;
+//     219 -> 97 (pivots 3368 -> 8272, fallback colds 40 -> 64), sparse_wide
+//     19.6 -> 15.5 (pivots 8065 -> 14644) — best-first order makes the last
+//     basis an unrelated one; sparse_default does not tell the two apart;
+//   - every node cold: sparse_default 125 -> 24.6, sparse_wide 19.6 -> 1.57;
+//     replan_loop's three-analysis models re-solve in four pivots either
+//     way (219 -> 212);
+//   - rounding throttled as before: sparse_default 125 -> 91 (168 -> 508
+//     nodes), replan_loop 219 -> 208. sparse_wide reads the other way, 19.6
+//     -> 21.0: 678 -> 1280 nodes, but a rounding pass over its 20400 columns
+//     costs about what a warm re-solve does (845 -> 408 us per node), so
+//     on that workload the throttle comes out 7 % ahead;
 //   - rounding every node but by two LP solves where the model is pure
-//     integer: replan_loop 195 -> 176, alloc_kb_per_op 522 -> 591;
-//   - a fresh X per solve: alloc_kb_per_op 522 -> 790 on replan_loop, 5392
-//     -> 6145 on sparse_wide.
+//     integer: sparse_default 125 -> 117, sparse_wide 19.6 -> 18.5,
+//     replan_loop 219 -> 199 with alloc_kb_per_op 509 -> 574;
+//   - a fresh X per solve: alloc_kb_per_op 509 -> 754 on replan_loop, 5398
+//     -> 6149 on sparse_wide, timings inside the spread.
 //
-// Off the pools (24 unseen sub-seeds of benchmark/'s generator each, every
-// objective equal): n=100 at the default width 111.7 s -> 4.3 s (33212 ->
-// 26670 nodes), n=220 at Workers 2 40.9 s -> 15.0 s (73130 -> 25162 nodes).
+// Off the pools (24 unseen sub-seeds of benchmark/'s generator each, one run,
+// every objective equal): n=100 at the default width 111.7 s -> 4.2 s (33212
+// -> 26471 nodes), n=220 at Workers 2 40.9 s -> 18.8 s (73130 -> 28726 nodes).
 func Solve(p *Problem, opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
 	s, err := newSearch(p, opts)
@@ -779,7 +783,7 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 		scratch = scratch[2*n:]
 		s.solvers = append(s.solvers, solver)
 	}
-	heur, err := newHeurCtx(p, hasContinuous(p))
+	heur, err := newHeurCtx(p)
 	if err != nil {
 		return nil, err
 	}
@@ -893,14 +897,9 @@ func mostFractional(p *Problem, x []float64, tol float64) int {
 	return best
 }
 
-// snap returns a copy of x with its integer variables rounded to the nearest
-// integer.
-func snap(p *Problem, x []float64) []float64 {
-	return snapInto(make([]float64, len(x)), p, x)
-}
-
-// snapInto is snap writing into dst, which it returns.
-func snapInto(dst []float64, p *Problem, x []float64) []float64 {
+// snap writes x with its integer variables rounded to the nearest integer
+// into dst, which it returns.
+func snap(dst []float64, p *Problem, x []float64) []float64 {
 	copy(dst, x)
 	for j, isInt := range p.Integer {
 		if isInt {
@@ -929,15 +928,14 @@ type heurCtx struct {
 	lower, upper []float64
 }
 
-// newHeurCtx prepares the heuristic for p. lpBacked must be true when p has
-// continuous variables; on a pure-integer model it only selects the slower
-// of two equivalent paths (tests compare them).
-func newHeurCtx(p *Problem, lpBacked bool) (*heurCtx, error) {
+// newHeurCtx prepares the heuristic for p, with a solver only when p has
+// continuous variables.
+func newHeurCtx(p *Problem) (*heurCtx, error) {
 	h := &heurCtx{
 		lower: make([]float64, p.LP.NumVars()),
 		upper: make([]float64, p.LP.NumVars()),
 	}
-	if lpBacked {
+	if hasContinuous(p) {
 		s, err := lp.NewSolver(p.LP)
 		if err != nil {
 			return nil, err
@@ -959,7 +957,7 @@ func newHeurCtx(p *Problem, lpBacked bool) (*heurCtx, error) {
 // some feasible point, few to a better one, so the caller copies on keeping.
 func (h *heurCtx) round(p *Problem, x []float64, tol float64, st *Stats) ([]float64, bool) {
 	if intFeasible(p, x, tol) {
-		if cand := snapInto(h.upper, p, x); p.LP.Feasible(cand, 1e-6) {
+		if cand := snap(h.upper, p, x); p.LP.Feasible(cand, 1e-6) {
 			return cand, true
 		}
 	}
@@ -985,7 +983,7 @@ func (h *heurCtx) round(p *Problem, x []float64, tol float64, st *Stats) ([]floa
 			if sol.Status != lp.Optimal {
 				continue
 			}
-			cand = snapInto(h.upper, p, sol.X)
+			cand = snap(h.upper, p, sol.X)
 		}
 		if p.LP.Feasible(cand, 1e-6) {
 			return cand, true

@@ -433,12 +433,15 @@ func TestRoundingNeedsNoLPOnPureIntegerModels(t *testing.T) {
 		if relax.Status != lp.Optimal {
 			continue
 		}
-		direct, err := newHeurCtx(p, false)
+		direct, err := newHeurCtx(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		backed, err := newHeurCtx(p, true)
-		if err != nil {
+		if direct.solver != nil {
+			t.Fatalf("trial %d: pure-integer model got a heuristic solver", trial)
+		}
+		backed, _ := newHeurCtx(p)
+		if backed.solver, err = lp.NewSolver(p.LP); err != nil {
 			t.Fatal(err)
 		}
 		var st, stLP Stats
