@@ -162,10 +162,8 @@ func buildCompactProblem(norm []AnalysisSpec, res Resources, opts SolveOptions) 
 func buildCompactProblemForced(norm []AnalysisSpec, res Resources, opts SolveOptions, force int) (*milp.Problem, []compactRef) {
 	prob := milp.NewProblem(&lp.Problem{})
 	var refs []compactRef
-	var timeIdx []int
-	var timeCoef []float64
-	var memIdx []int
-	var memCoef []float64
+	var cols []int // every column, in order: the time and memory rows span them all
+	var timeCoef, memCoef []float64
 	perAnalysis := make([][]int, len(norm))
 
 	for i, a := range norm {
@@ -176,39 +174,35 @@ func buildCompactProblemForced(norm []AnalysisSpec, res Resources, opts SolveOpt
 			j := prob.AddBinVar(obj, fmt.Sprintf("x[%s,n=%d,k=%d]", a.Name, m.count, m.k))
 			refs = append(refs, compactRef{analysis: i, m: m})
 			perAnalysis[i] = append(perAnalysis[i], j)
-			timeIdx = append(timeIdx, j)
+			cols = append(cols, j)
 			timeCoef = append(timeCoef, m.cost)
-			memIdx = append(memIdx, j)
 			memCoef = append(memCoef, float64(m.peakMem))
 		}
 	}
 
+	// One run of ones serves every membership row: AddConstraint copies.
+	ones := make([]float64, len(refs))
+	for k := range ones {
+		ones[k] = 1
+	}
 	for i, vars := range perAnalysis {
 		if len(vars) == 0 {
 			continue
 		}
-		ones := make([]float64, len(vars))
-		for k := range ones {
-			ones[k] = 1
-		}
-		prob.LP.AddConstraint(vars, ones, lp.LE, 1, fmt.Sprintf("one-mode[%s]", norm[i].Name))
+		prob.LP.AddConstraint(vars, ones[:len(vars)], lp.LE, 1, fmt.Sprintf("one-mode[%s]", norm[i].Name))
 	}
-	if res.TimeThreshold > 0 && len(timeIdx) > 0 {
-		prob.LP.AddConstraint(timeIdx, timeCoef, lp.LE, res.TimeThreshold, "time-threshold")
+	if res.TimeThreshold > 0 && len(cols) > 0 {
+		prob.LP.AddConstraint(cols, timeCoef, lp.LE, res.TimeThreshold, "time-threshold")
 	}
-	if res.MemThreshold > 0 && len(memIdx) > 0 {
-		prob.LP.AddConstraint(memIdx, memCoef, lp.LE, float64(res.MemThreshold), "memory-threshold")
+	if res.MemThreshold > 0 && len(cols) > 0 {
+		prob.LP.AddConstraint(cols, memCoef, lp.LE, float64(res.MemThreshold), "memory-threshold")
 	}
 	if force >= 0 && force < len(norm) {
 		vars := perAnalysis[force]
-		ones := make([]float64, len(vars))
-		for k := range ones {
-			ones[k] = 1
-		}
 		// With no modes at all (Steps < MinInterval) this is an always-false
 		// zero row, which is exactly the diagnosis: the forced membership
 		// itself is unsatisfiable.
-		prob.LP.AddConstraint(vars, ones, lp.GE, 1, fmt.Sprintf("force[%s]", norm[force].Name))
+		prob.LP.AddConstraint(vars, ones[:len(vars)], lp.GE, 1, fmt.Sprintf("force[%s]", norm[force].Name))
 	}
 	return prob, refs
 }
@@ -294,7 +288,7 @@ func exactPeakMemory(specs []AnalysisSpec, res Resources, schedules []AnalysisSc
 		if !s.Enabled {
 			continue
 		}
-		addStepMemory(mem, byName[s.Name], stepSet(s.AnalysisSteps), stepSet(s.OutputSteps))
+		addStepMemory(mem, byName[s.Name], s.AnalysisSteps, s.OutputSteps)
 	}
 	var peak int64
 	for j := 1; j <= res.Steps; j++ {

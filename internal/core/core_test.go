@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -295,6 +296,32 @@ func TestValidateCatchesViolations(t *testing.T) {
 	res.TimeThreshold = 1
 	if err := rec.Validate(specs, res); err == nil || !strings.Contains(err.Error(), "exceeds threshold") {
 		t.Fatalf("expected time violation, got %v", err)
+	}
+}
+
+// TestValidateTakesOutputStepsInAnyOrder: OutputSteps is a set to Validate.
+// Given out of order it is judged as if sorted (subset test and the memory
+// reset at each output alike) and handed back as it came.
+func TestValidateTakesOutputStepsInAnyOrder(t *testing.T) {
+	specs := []AnalysisSpec{{Name: "a", FM: 100, IM: 10, CM: 50, OM: 5, MinInterval: 10}}
+	// Peak with an output at every analysis: fm + 10 steps of im + cm + om.
+	res := Resources{Steps: 30, MemThreshold: 100 + 10*10 + 50 + 5}
+	rec := &Recommendation{Schedules: []AnalysisSchedule{{
+		Name: "a", Enabled: true, Count: 3, AnalysisSteps: []int{10, 20, 30}, OutputSteps: []int{30, 10, 20},
+	}}}
+	if err := rec.Validate(specs, res); err != nil {
+		t.Fatalf("out-of-order outputs rejected: %v", err)
+	}
+	if got := rec.Schedules[0].OutputSteps; !reflect.DeepEqual(got, []int{30, 10, 20}) {
+		t.Fatalf("Validate reordered the caller's OutputSteps to %v", got)
+	}
+	rec.Schedules[0].OutputSteps = []int{30, 20} // no reset at 10: memory carries to step 20
+	if err := rec.Validate(specs, res); err == nil || !strings.Contains(err.Error(), "memory") {
+		t.Fatalf("expected memory violation at step 20, got %v", err)
+	}
+	rec.Schedules[0].OutputSteps = []int{30, 15, 10}
+	if err := rec.Validate(specs, res); err == nil || !strings.Contains(err.Error(), "step 15 without an analysis") {
+		t.Fatalf("expected output-subset violation, got %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -124,30 +125,38 @@ func modePeakMemory(a AnalysisSpec, steps int, analysisSteps, outputSteps []int)
 	return peak
 }
 
-func stepSet(steps []int) map[int]bool {
-	m := make(map[int]bool, len(steps))
-	for _, s := range steps {
-		m[s] = true
+// stepCursor answers "is step j listed?" for j asked in ascending order over
+// an ascending step list, advancing past smaller (and repeated) entries.
+type stepCursor struct {
+	steps []int
+	i     int
+}
+
+func (c *stepCursor) at(j int) bool {
+	for c.i < len(c.steps) && c.steps[c.i] < j {
+		c.i++
 	}
-	return m
+	return c.i < len(c.steps) && c.steps[c.i] == j
 }
 
 // addStepMemory adds one analysis' mStart_j of the memory recurrence
 // (equations 5–7) to mem[j] for every step j = 1..len(mem)-1: im accumulates
 // each step, cm and om are added at analysis and output steps, and an output
-// resets the carried memory to fm.
-func addStepMemory(mem []int64, a AnalysisSpec, isA, isO map[int]bool) {
+// resets the carried memory to fm. Both step lists must be ascending.
+func addStepMemory(mem []int64, a AnalysisSpec, analysisSteps, outputSteps []int) {
+	isA, isO := stepCursor{steps: analysisSteps}, stepCursor{steps: outputSteps}
 	mEnd := a.FM
 	for j := 1; j < len(mem); j++ {
 		mStart := mEnd + a.IM
-		if isA[j] {
+		if isA.at(j) {
 			mStart += a.CM
 		}
-		if isO[j] {
+		out := isO.at(j)
+		if out {
 			mStart += a.OM
 		}
 		mem[j] += mStart
-		if isO[j] {
+		if out {
 			mEnd = a.FM
 		} else {
 			mEnd = mStart
@@ -217,10 +226,15 @@ func (r *Recommendation) Validate(specs []AnalysisSpec, res Resources) error {
 			}
 			prev = j
 		}
-		// Outputs must be a subset of analysis steps.
-		isA := stepSet(s.AnalysisSteps)
-		for _, j := range s.OutputSteps {
-			if !isA[j] {
+		// Outputs must be a subset of analysis steps (ascending, just checked).
+		outs := s.OutputSteps
+		if !sort.IntsAreSorted(outs) {
+			outs = append([]int(nil), outs...)
+			sort.Ints(outs)
+		}
+		isA := stepCursor{steps: s.AnalysisSteps}
+		for _, j := range outs {
+			if !isA.at(j) {
 				return fmt.Errorf("core: %q outputs at step %d without an analysis", s.Name, j)
 			}
 		}
@@ -231,7 +245,7 @@ func (r *Recommendation) Validate(specs []AnalysisSpec, res Resources) error {
 		totalTime += t
 
 		// Memory recurrence (equations 5–7) accumulated per step.
-		addStepMemory(memPerStep, a, isA, stepSet(s.OutputSteps))
+		addStepMemory(memPerStep, a, s.AnalysisSteps, outs)
 	}
 
 	if res.TimeThreshold > 0 && totalTime > res.TimeThreshold*(1+1e-9)+1e-12 {
@@ -252,15 +266,14 @@ func (r *Recommendation) Validate(specs []AnalysisSpec, res Resources) error {
 // at analysis steps, "Oa" at analysis-output steps, and "Os" at simulation
 // output steps (every simOutputEvery steps; 0 disables simulation output).
 func CouplingString(res Resources, s AnalysisSchedule, simOutputEvery int) string {
-	isA := stepSet(s.AnalysisSteps)
-	isO := stepSet(s.OutputSteps)
+	isA, isO := stepCursor{steps: s.AnalysisSteps}, stepCursor{steps: s.OutputSteps}
 	var b strings.Builder
 	for j := 1; j <= res.Steps; j++ {
 		b.WriteString("S")
-		if isA[j] {
+		if isA.at(j) {
 			b.WriteString("A")
 		}
-		if isO[j] {
+		if isO.at(j) {
 			b.WriteString("Oa")
 		}
 		if simOutputEvery > 0 && j%simOutputEvery == 0 {
@@ -289,19 +302,18 @@ func (r *Recommendation) GanttString(res Resources, width int) string {
 		if !s.Enabled {
 			continue
 		}
-		isA := stepSet(s.AnalysisSteps)
-		isO := stepSet(s.OutputSteps)
+		isA, isO := stepCursor{steps: s.AnalysisSteps}, stepCursor{steps: s.OutputSteps}
 		fmt.Fprintf(&b, "%-*s |", nameW, s.Name)
 		for c := 0; c < width; c++ {
 			lo := c*res.Steps/width + 1
 			hi := (c + 1) * res.Steps / width
 			ch := byte('.')
 			for j := lo; j <= hi; j++ {
-				if isO[j] {
+				if isO.at(j) {
 					ch = 'O'
 					break
 				}
-				if isA[j] {
+				if isA.at(j) {
 					ch = 'A'
 				}
 			}

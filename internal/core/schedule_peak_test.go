@@ -10,8 +10,13 @@ import (
 // (equations 5–7 walked step by step); the event-jumping implementation in
 // schedule.go must agree with it exactly on every schedule shape.
 func modePeakMemoryWalk(a AnalysisSpec, steps int, analysisSteps, outputSteps []int) int64 {
-	isA := stepSet(analysisSteps)
-	isO := stepSet(outputSteps)
+	isA, isO := map[int]bool{}, map[int]bool{}
+	for _, j := range analysisSteps {
+		isA[j] = true
+	}
+	for _, j := range outputSteps {
+		isO[j] = true
+	}
 	mEnd := a.FM
 	peak := a.FM
 	for j := 1; j <= steps; j++ {
@@ -85,6 +90,60 @@ func TestModePeakMemoryRealSchedules(t *testing.T) {
 					t.Fatalf("steps=%d count=%d k=%d: event-jump peak %d, walk peak %d",
 						steps, count, k, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestAddStepMemoryMatchesRecurrence pins the two-cursor walk against
+// equations 5–7 written out naively: one membership scan per step per list.
+func TestAddStepMemoryMatchesRecurrence(t *testing.T) {
+	listed := func(steps []int, j int) bool {
+		for _, s := range steps {
+			if s == j {
+				return true
+			}
+		}
+		return false
+	}
+	for _, tc := range []struct {
+		name   string
+		a      AnalysisSpec
+		steps  int
+		as, os []int
+	}{
+		{"output on the last step", AnalysisSpec{FM: 100, IM: 3, CM: 20, OM: 7}, 12, []int{4, 8, 12}, []int{8, 12}},
+		{"output on every analysis", AnalysisSpec{FM: 100, IM: 3, CM: 20, OM: 7}, 9, []int{3, 6, 9}, []int{3, 6, 9}},
+		{"no output", AnalysisSpec{FM: 50, IM: 2, CM: 9, OM: 5}, 10, []int{2, 5, 10}, nil},
+		{"memory released each step", AnalysisSpec{FM: 1000, IM: -4, CM: 30, OM: 11}, 10, []int{1, 5, 9}, []int{5}},
+		{"empty schedule", AnalysisSpec{FM: 10, IM: 1}, 6, nil, nil},
+		{"first step", AnalysisSpec{FM: 10, IM: 1, CM: 5, OM: 2}, 4, []int{1}, []int{1}},
+		{"repeats and strays", AnalysisSpec{FM: 10, IM: 1, CM: 5, OM: 2}, 8, []int{0, 2, 2, 6, 9}, []int{-3, 6, 6, 40}},
+		{"output without analysis", AnalysisSpec{FM: 10, IM: 1, CM: 5, OM: 2}, 8, []int{2, 6}, []int{4}},
+	} {
+		// A non-zero start shows the walk adds to what other analyses left.
+		got, want := make([]int64, tc.steps+1), make([]int64, tc.steps+1)
+		for j := range got {
+			got[j], want[j] = int64(1000*j), int64(1000*j)
+		}
+		mEnd := tc.a.FM
+		for j := 1; j <= tc.steps; j++ {
+			mStart := mEnd + tc.a.IM
+			if listed(tc.as, j) {
+				mStart += tc.a.CM
+			}
+			if listed(tc.os, j) {
+				mStart += tc.a.OM
+				mEnd = tc.a.FM
+			} else {
+				mEnd = mStart
+			}
+			want[j] += mStart
+		}
+		addStepMemory(got, tc.a, tc.as, tc.os)
+		for j := range got {
+			if got[j] != want[j] {
+				t.Errorf("%s: step %d memory %d, recurrence gives %d", tc.name, j, got[j], want[j])
 			}
 		}
 	}

@@ -154,7 +154,7 @@ type AnalysisSchedule struct {
 	// Outputs is |O_i|.
 	Outputs int
 	// AnalysisSteps and OutputSteps are the concrete simulation steps
-	// (1-based) at which the analysis runs and outputs.
+	// (1-based) at which the analysis runs and outputs, in ascending order.
 	AnalysisSteps []int
 	OutputSteps   []int
 	// PredictedTime is the analysis' total contribution to the time budget.

@@ -9,7 +9,10 @@
 //	subject to  a_r·x {<=,=,>=} b_r   for each constraint r
 //	            lo_j <= x_j <= up_j   for each variable j
 //
-// with finite or infinite bounds. Internally the problem is converted to
+// with finite or infinite bounds. A row a_r is held as its nonzeros only
+// (Constraint.Idx/Coef), so building, cloning, validating and evaluating a
+// Problem cost O(nonzeros), never O(rows × columns): the scheduling models
+// carry about three nonzeros per column. Internally the problem is converted to
 // standard equality form and solved with a bounded-variable revised simplex
 // over a compressed-sparse-column store, keeping the basis inverse in
 // product form (an eta file with periodic refactorization) so each pivot
@@ -28,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Sense is the direction of a linear constraint.
@@ -56,10 +60,14 @@ func (s Sense) String() string {
 // Inf is positive infinity, usable as an upper bound.
 var Inf = math.Inf(1)
 
-// Constraint is a single linear constraint a·x {<=,=,>=} b. Coef is indexed
-// by variable and must have length equal to the problem's NumVars; sparse
-// construction helpers on Problem fill the rest with zeros.
+// Constraint is a single linear constraint a·x {<=,=,>=} b, stored as its
+// nonzeros: Coef[k] is the coefficient of variable Idx[k] and every variable
+// not listed has coefficient zero. Idx is strictly ascending (AddConstraint
+// establishes that; Validate rejects a hand-built row that breaks it), so a
+// row can be merged against another sorted list or scattered into a dense
+// vector in one pass. A stored zero is allowed and means what it says.
 type Constraint struct {
+	Idx   []int
 	Coef  []float64
 	Sense Sense
 	RHS   float64
@@ -86,8 +94,8 @@ type Problem struct {
 func (p *Problem) NumVars() int { return len(p.Objective) }
 
 // AddVar appends a variable with the given objective coefficient and bounds,
-// returning its index. Existing constraints are implicitly extended with a
-// zero coefficient for the new variable.
+// returning its index. Existing constraints do not list the new variable, so
+// its coefficient in each of them is zero.
 func (p *Problem) AddVar(obj, lower, upper float64, name string) int {
 	p.Objective = append(p.Objective, obj)
 	p.Lower = append(p.Lower, lower)
@@ -96,24 +104,62 @@ func (p *Problem) AddVar(obj, lower, upper float64, name string) int {
 	return len(p.Objective) - 1
 }
 
-// AddConstraint appends a constraint given as sparse (index, coefficient)
-// pairs. Indices must refer to existing variables.
+// AddConstraint appends a constraint given as (index, coefficient) pairs in
+// any order. Indices must refer to existing variables; an index given more
+// than once contributes the sum of its coefficients, added in the order
+// given. The slices are copied.
 func (p *Problem) AddConstraint(idx []int, coef []float64, sense Sense, rhs float64, name string) {
 	if len(idx) != len(coef) {
 		panic("lp: AddConstraint index/coefficient length mismatch")
 	}
-	row := make([]float64, p.NumVars())
+	ascending := true
 	for k, j := range idx {
 		if j < 0 || j >= p.NumVars() {
 			panic(fmt.Sprintf("lp: AddConstraint variable index %d out of range", j))
 		}
-		row[j] += coef[k]
+		if k > 0 && j <= idx[k-1] {
+			ascending = false
+		}
 	}
-	p.Constraints = append(p.Constraints, Constraint{Coef: row, Sense: sense, RHS: rhs, Name: name})
+	c := Constraint{
+		Idx:   append([]int(nil), idx...),
+		Coef:  append([]float64(nil), coef...),
+		Sense: sense,
+		RHS:   rhs,
+		Name:  name,
+	}
+	if !ascending {
+		// Stable, so duplicates are summed in the caller's order.
+		sort.Stable(byIndex(c))
+		w := 0
+		for k, j := range c.Idx {
+			if k > 0 && j == c.Idx[w-1] {
+				c.Coef[w-1] += c.Coef[k]
+				continue
+			}
+			c.Idx[w], c.Coef[w] = j, c.Coef[k]
+			w++
+		}
+		c.Idx, c.Coef = c.Idx[:w], c.Coef[:w]
+	}
+	p.Constraints = append(p.Constraints, c)
 }
 
-// Clone returns a deep copy of the problem. The milp branch-and-bound solver
-// clones the root problem at every node before tightening bounds.
+// byIndex sorts a row's (index, coefficient) pairs by index.
+type byIndex Constraint
+
+func (c byIndex) Len() int           { return len(c.Idx) }
+func (c byIndex) Less(a, b int) bool { return c.Idx[a] < c.Idx[b] }
+func (c byIndex) Swap(a, b int) {
+	c.Idx[a], c.Idx[b] = c.Idx[b], c.Idx[a]
+	c.Coef[a], c.Coef[b] = c.Coef[b], c.Coef[a]
+}
+
+// Clone returns a deep copy of the problem, for callers that go on to edit
+// bounds, rows or the objective of the copy (sensitivity probes, the
+// solvercheck metamorphic transforms). The branch and bound does not clone:
+// its nodes share one Problem and differ only in the bounds they pass to a
+// Solver.
 func (p *Problem) Clone() *Problem {
 	q := &Problem{
 		Objective:   append([]float64(nil), p.Objective...),
@@ -123,18 +169,16 @@ func (p *Problem) Clone() *Problem {
 		Constraints: make([]Constraint, len(p.Constraints)),
 	}
 	for i, c := range p.Constraints {
-		q.Constraints[i] = Constraint{
-			Coef:  append([]float64(nil), c.Coef...),
-			Sense: c.Sense,
-			RHS:   c.RHS,
-			Name:  c.Name,
-		}
+		c.Idx = append([]int(nil), c.Idx...)
+		c.Coef = append([]float64(nil), c.Coef...)
+		q.Constraints[i] = c
 	}
 	return q
 }
 
-// Validate checks structural consistency: coefficient row lengths, bound
-// ordering, and NaN coefficients.
+// Validate checks structural consistency: bound ordering, each row's index
+// and coefficient lists of equal length with indices in range and strictly
+// ascending, and no NaN or infinite coefficient.
 func (p *Problem) Validate() error {
 	n := p.NumVars()
 	if len(p.Lower) != n || len(p.Upper) != n {
@@ -152,11 +196,17 @@ func (p *Problem) Validate() error {
 		}
 	}
 	for r, c := range p.Constraints {
-		if len(c.Coef) != n {
-			return fmt.Errorf("lp: constraint %d has %d coefficients for %d variables", r, len(c.Coef), n)
+		if len(c.Idx) != len(c.Coef) {
+			return fmt.Errorf("lp: constraint %d has %d indices for %d coefficients", r, len(c.Idx), len(c.Coef))
 		}
-		for j, v := range c.Coef {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+		for k, j := range c.Idx {
+			if j < 0 || j >= n {
+				return fmt.Errorf("lp: constraint %d names variable %d of %d", r, j, n)
+			}
+			if k > 0 && j <= c.Idx[k-1] {
+				return fmt.Errorf("lp: constraint %d indices not strictly ascending at %d, %d", r, c.Idx[k-1], j)
+			}
+			if v := c.Coef[k]; math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("lp: constraint %d coefficient %d is %g", r, j, v)
 			}
 		}
@@ -275,8 +325,8 @@ func (p *Problem) FirstViolation(x []float64, tol float64) string {
 	}
 	for r, c := range p.Constraints {
 		lhs := 0.0
-		for j, v := range c.Coef {
-			lhs += v * x[j]
+		for k, j := range c.Idx {
+			lhs += c.Coef[k] * x[j]
 		}
 		ok := true
 		switch c.Sense {

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -193,6 +194,91 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsMalformedRows: a Constraint built by hand, past
+// AddConstraint, must be caught before a solver walks its index list.
+func TestValidateRejectsMalformedRows(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		row  Constraint
+		ok   bool
+	}{
+		{"ascending", Constraint{Idx: []int{0, 2}, Coef: []float64{1, 0}}, true},
+		{"empty", Constraint{}, true},
+		{"more indices than coefficients", Constraint{Idx: []int{0, 1}, Coef: []float64{1}}, false},
+		{"more coefficients than indices", Constraint{Idx: []int{0}, Coef: []float64{1, 1}}, false},
+		{"dense row without indices", Constraint{Coef: []float64{1, 1, 1}}, false},
+		{"index past the last variable", Constraint{Idx: []int{0, 3}, Coef: []float64{1, 1}}, false},
+		{"negative index", Constraint{Idx: []int{-1, 0}, Coef: []float64{1, 1}}, false},
+		{"descending", Constraint{Idx: []int{2, 1}, Coef: []float64{1, 1}}, false},
+		{"repeated index", Constraint{Idx: []int{1, 1}, Coef: []float64{1, 1}}, false},
+		{"NaN coefficient", Constraint{Idx: []int{1}, Coef: []float64{math.NaN()}}, false},
+		{"infinite coefficient", Constraint{Idx: []int{1}, Coef: []float64{Inf}}, false},
+		{"infinite RHS", Constraint{Idx: []int{1}, Coef: []float64{1}, RHS: Inf}, false},
+	} {
+		p := &Problem{}
+		for j := 0; j < 3; j++ {
+			p.AddVar(1, 0, 1, "")
+		}
+		p.Constraints = []Constraint{tc.row}
+		if err := p.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if _, err := Solve(p); (err == nil) != tc.ok {
+			t.Errorf("%s: Solve error = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// TestAddConstraintSortsAndSums: a row means what row[j] += coef[k] over the
+// caller's list meant, to the bit (sums of tenths depend on their order, and
+// a list this long would be reordered by an unstable sort), and the caller
+// keeps its slices.
+func TestAddConstraintSortsAndSums(t *testing.T) {
+	p := &Problem{}
+	for j := 0; j < 4; j++ {
+		p.AddVar(1, 0, 1, "")
+	}
+	rng := rand.New(rand.NewSource(3))
+	idx := make([]int, 200)
+	coef := make([]float64, 200)
+	dense, reversed := make([]float64, 4), make([]float64, 4)
+	for k := range idx {
+		idx[k] = []int{0, 1, 3}[rng.Intn(3)]
+		coef[k] = 0.1 * float64(1+rng.Intn(9))
+		dense[idx[k]] += coef[k]
+	}
+	for k := len(idx) - 1; k >= 0; k-- {
+		reversed[idx[k]] += coef[k]
+	}
+	p.AddConstraint(idx, coef, LE, 9, "r")
+	idx[0], coef[0] = 2, 99
+	c := p.Constraints[0]
+	if want := []int{0, 1, 3}; !reflect.DeepEqual(c.Idx, want) {
+		t.Fatalf("Idx = %v, want %v", c.Idx, want)
+	}
+	for k, j := range c.Idx {
+		if c.Coef[k] != dense[j] {
+			t.Errorf("coefficient of x%d = %v, accumulated %v", j, c.Coef[k], dense[j])
+		}
+	}
+	if reflect.DeepEqual(dense, reversed) {
+		t.Fatal("the sums chosen do not depend on the order, the test proves nothing")
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]int{{0, 4}, {-1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddConstraint(%v) did not panic", bad)
+				}
+			}()
+			p.AddConstraint(bad, make([]float64, len(bad)), LE, 1, "")
+		}()
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	p := &Problem{}
 	x := p.AddVar(1, 0, 5, "x")
@@ -200,6 +286,7 @@ func TestCloneIndependence(t *testing.T) {
 	q := p.Clone()
 	q.Upper[0] = 1
 	q.Constraints[0].RHS = 0.5
+	q.Constraints[0].Coef[0] = 100
 	sol := solveOK(t, p)
 	approx(t, sol.Objective, 3, 1e-8, "original objective after clone mutation")
 }

@@ -816,10 +816,8 @@ func rowActivity(p *Problem, x []float64) (activity, slacks []float64) {
 	slacks = make([]float64, len(p.Constraints))
 	for r, c := range p.Constraints {
 		act := 0.0
-		for j, v := range c.Coef {
-			if v != 0 {
-				act += v * x[j]
-			}
+		for k, j := range c.Idx {
+			act += c.Coef[k] * x[j]
 		}
 		activity[r] = act
 		var s float64

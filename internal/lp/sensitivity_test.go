@@ -120,8 +120,8 @@ func TestSensitivityFieldsConsistentRandom(t *testing.T) {
 		}
 		for r, c := range p.Constraints {
 			act := 0.0
-			for j, v := range c.Coef {
-				act += v * sol.X[j]
+			for k, j := range c.Idx {
+				act += c.Coef[k] * sol.X[j]
 			}
 			approx(t, sol.RowActivity[r], act, 1e-6, "activity recompute")
 			if sol.Slacks[r] < -1e-7 {

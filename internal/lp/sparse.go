@@ -26,8 +26,8 @@ type colStore struct {
 	sense    []Sense // per row: original constraint sense
 }
 
-// buildColStore compresses the problem's dense constraint rows into column
-// form and appends the slack/surplus singletons.
+// buildColStore transposes the problem's sparse constraint rows into column
+// form (stored zeros dropped) and appends the slack/surplus singletons.
 func buildColStore(p *Problem) *colStore {
 	nOrig := p.NumVars()
 	m := len(p.Constraints)
@@ -51,8 +51,8 @@ func buildColStore(p *Problem) *colStore {
 	counts := make([]int, n)
 	nnz := 0
 	for _, c := range p.Constraints {
-		for j, v := range c.Coef {
-			if v != 0 {
+		for k, j := range c.Idx {
+			if c.Coef[k] != 0 {
 				counts[j]++
 				nnz++
 			}
@@ -77,8 +77,8 @@ func buildColStore(p *Problem) *colStore {
 		counts[j] = cs.ptr[j] // reuse as fill cursor
 	}
 	for i, c := range p.Constraints {
-		for j, v := range c.Coef {
-			if v != 0 {
+		for t, j := range c.Idx {
+			if v := c.Coef[t]; v != 0 {
 				k := counts[j]
 				cs.idx[k] = i
 				cs.val[k] = v

@@ -20,35 +20,28 @@ import (
 // proven infeasible outright (a row unsatisfiable even at minimum
 // activity, or a variable's bounds crossing).
 func presolveBounds(p *Problem, lower, upper []float64) (tightened int, infeasible bool) {
-	neg := make([]float64, p.LP.NumVars())
+	var neg []float64 // a GE row negated into LE form, grown to the longest row
 	// A few passes let tightenings propagate between rows; the scheduling
 	// models converge in one or two.
 	for pass := 0; pass < 4; pass++ {
 		changed := 0
-		apply := func(coef []float64, rhs float64) bool {
-			ch, bad := tightenLERow(p, coef, rhs, lower, upper)
+		apply := func(idx []int, coef []float64, rhs float64) bool {
+			ch, bad := tightenLERow(p, idx, coef, rhs, lower, upper)
 			tightened += ch
 			changed += ch
 			return bad
 		}
 		for _, c := range p.LP.Constraints {
 			bad := false
-			switch c.Sense {
-			case lp.LE:
-				bad = apply(c.Coef, c.RHS)
-			case lp.GE:
-				for j, v := range c.Coef {
-					neg[j] = -v
+			if c.Sense != lp.GE {
+				bad = apply(c.Idx, c.Coef, c.RHS)
+			}
+			if c.Sense != lp.LE && !bad {
+				neg = neg[:0]
+				for _, v := range c.Coef {
+					neg = append(neg, -v)
 				}
-				bad = apply(neg, -c.RHS)
-			case lp.EQ:
-				bad = apply(c.Coef, c.RHS)
-				if !bad {
-					for j, v := range c.Coef {
-						neg[j] = -v
-					}
-					bad = apply(neg, -c.RHS)
-				}
+				bad = apply(c.Idx, neg, -c.RHS)
 			}
 			if bad {
 				return tightened, true
@@ -61,21 +54,21 @@ func presolveBounds(p *Problem, lower, upper []float64) (tightened int, infeasib
 	return tightened, false
 }
 
-// tightenLERow applies implied bounds from one a·x <= b row. Lower bounds
-// are always finite in this package (lp.Validate rejects -Inf), so the
-// only infinite contribution to the row's minimum activity comes from a
-// negative coefficient on a variable with an infinite upper bound; one
-// such column can still be bounded by the rest of the row, two make the
-// row uninformative.
-func tightenLERow(p *Problem, coef []float64, rhs float64, lower, upper []float64) (changed int, infeasible bool) {
+// tightenLERow applies implied bounds from one a·x <= b row given as its
+// nonzeros (coef[k] on variable idx[k]). Lower bounds are always finite in
+// this package (lp.Validate rejects -Inf), so the only infinite contribution
+// to the row's minimum activity comes from a negative coefficient on a
+// variable with an infinite upper bound; one such column can still be
+// bounded by the rest of the row, two make the row uninformative.
+func tightenLERow(p *Problem, idx []int, coef []float64, rhs float64, lower, upper []float64) (changed int, infeasible bool) {
 	const (
 		feas    = 1e-7 // infeasibility margin, matches the LP feasibility tolerance
 		improve = 1e-9 // minimum improvement worth recording
 	)
 	minAct := 0.0
 	infIdx := -1
-	for j, a := range coef {
-		switch {
+	for k, j := range idx {
+		switch a := coef[k]; {
 		case a > 0:
 			minAct += a * lower[j]
 		case a < 0:
@@ -92,7 +85,8 @@ func tightenLERow(p *Problem, coef []float64, rhs float64, lower, upper []float6
 	if infIdx < 0 && minAct > rhs+feas {
 		return 0, true // row unsatisfiable even at its minimum activity
 	}
-	for j, a := range coef {
+	for k, j := range idx {
+		a := coef[k]
 		if a == 0 {
 			continue
 		}

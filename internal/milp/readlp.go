@@ -86,14 +86,6 @@ func ReadLP(r io.Reader) (*Problem, error) {
 	if section != "end" {
 		return nil, fmt.Errorf("milp: LP file is missing the End marker")
 	}
-	// Variables first seen in the Bounds or Generals sections postdate the
-	// constraint rows; pad every row to the final variable count.
-	n := p.prob.LP.NumVars()
-	for r := range p.prob.LP.Constraints {
-		if c := &p.prob.LP.Constraints[r]; len(c.Coef) < n {
-			c.Coef = append(c.Coef, make([]float64, n-len(c.Coef))...)
-		}
-	}
 	return p.prob, nil
 }
 

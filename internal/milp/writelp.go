@@ -26,7 +26,7 @@ func WriteLP(w io.Writer, p *Problem) error {
 	if _, err := fmt.Fprintf(w, "\\ exported by insitu/internal/milp\nMaximize\n obj:"); err != nil {
 		return err
 	}
-	if err := writeLinear(w, p.LP.Objective, name); err != nil {
+	if err := writeLinear(w, nil, p.LP.Objective, name); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "\nSubject To\n"); err != nil {
@@ -40,7 +40,7 @@ func WriteLP(w io.Writer, p *Problem) error {
 		if _, err := fmt.Fprintf(w, " %s:", sanitize(label)); err != nil {
 			return err
 		}
-		if err := writeLinear(w, c.Coef, name); err != nil {
+		if err := writeLinear(w, c.Idx, c.Coef, name); err != nil {
 			return err
 		}
 		op := "<="
@@ -91,12 +91,16 @@ func WriteLP(w io.Writer, p *Problem) error {
 	return err
 }
 
-// writeLinear emits "+ c x" terms for the nonzero coefficients.
-func writeLinear(w io.Writer, coef []float64, name func(int) string) error {
+// writeLinear emits "+ c x" terms for the nonzero coefficients: coef[k] on
+// variable idx[k], or on variable k when idx is nil (the dense objective).
+func writeLinear(w io.Writer, idx []int, coef []float64, name func(int) string) error {
 	wrote := false
 	for j, c := range coef {
 		if c == 0 {
 			continue
+		}
+		if idx != nil {
+			j = idx[j]
 		}
 		sign := "+"
 		if c < 0 {

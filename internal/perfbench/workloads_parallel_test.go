@@ -1,8 +1,12 @@
 package perfbench
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"time"
+
+	"insitu/internal/core"
 )
 
 // TestInfoMetricsInformational checks the Sample.Info path: info metrics
@@ -97,4 +101,39 @@ func TestSchedWorkloadsRecordWorkers(t *testing.T) {
 			t.Fatalf("%s recorded solver_workers=%g, want %d", w.Name, got, BenchWorkers)
 		}
 	}
+}
+
+// TestLargeSparseBuildStaysSparse guards the problem representation: the
+// 220-analysis compact model is ~1 700 columns × 222 rows holding ~5 000
+// nonzeros, and building it must cost memory in proportion to the nonzeros
+// (about 1.2 MiB, most of it mode enumeration and names). One dense
+// coefficient row per constraint alone is 3 MiB.
+func TestLargeSparseBuildStaysSparse(t *testing.T) {
+	specs := largeSparseSpecs(220)
+	res := core.Resources{Steps: 1000, TimeThreshold: 600, MemThreshold: 12 << 30}
+	opts := core.SolveOptions{MaxCount: 4}
+	const limit = 1536 << 10
+	var ms runtime.MemStats
+	best := uint64(math.MaxUint64)
+	// The lowest of three: TotalAlloc is process-wide, and a background
+	// goroutine's allocations can only add to a run.
+	for run := 0; run < 3; run++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		names, err := core.CompactNames(specs, res, opts)
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(names) < 1000 {
+			t.Fatalf("model has %d columns, the guard wants the full-size one", len(names))
+		}
+		if d := ms.TotalAlloc - before; d < best {
+			best = d
+		}
+	}
+	if best >= limit {
+		t.Fatalf("building the compact model allocated %d KiB, want under %d KiB", best>>10, limit>>10)
+	}
+	t.Logf("build allocates %d KiB", best>>10)
 }

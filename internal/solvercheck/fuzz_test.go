@@ -47,23 +47,31 @@ func FuzzRevisedSimplex(f *testing.F) {
 	f.Add(int64(-7), uint8(3), uint8(2), uint8(2))
 	f.Add(int64(1<<33), uint8(20), uint8(12), uint8(0))
 	f.Add(int64(5), uint8(8), uint8(4), uint8(3))
+	f.Add(int64(9), uint8(10), uint8(6), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, vars, cons, kind uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		var p *lp.Problem
-		switch kind % 4 {
+		switch kind % 5 {
 		case 0:
 			p = RandLP(rng, LPConfig{MaxVars: 1 + int(vars%24), MaxCons: 1 + int(cons%16)})
 		case 1:
 			p = RandChainLP(rng, 16+int(vars)%80)
 		case 2:
 			p = RandNearSingularLP(rng)
-		default:
+		case 3:
 			p = RandRedundantEqLP(rng)
+		default:
+			// Rows given to AddConstraint unsorted, with repeated indices.
+			var dense *lp.Problem
+			p, dense = RandDupIndexLP(rng, LPConfig{MaxVars: 1 + int(vars%24), MaxCons: 1 + int(cons%16)})
+			if err := sameRows(rng, p, dense); err != nil {
+				t.Fatalf("seed %d kind %d: %v", seed, kind%5, err)
+			}
 		}
 		// CheckRevised includes the snapshot steps: a basis carried to a
 		// second solver three rounds on, and snapshots that must fall back.
 		if err := CheckRevised(rng, p); err != nil {
-			t.Fatalf("seed %d kind %d: %v", seed, kind%4, err)
+			t.Fatalf("seed %d kind %d: %v", seed, kind%5, err)
 		}
 	})
 }

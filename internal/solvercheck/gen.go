@@ -88,6 +88,52 @@ func RandLP(rng *rand.Rand, cfg LPConfig) *lp.Problem {
 	return p
 }
 
+// RandDupIndexLP generates one RandLP instance two ways. p hands
+// AddConstraint every row as an unsorted (index, coefficient) list in which
+// variables recur: a coefficient split over up to three entries, and now and
+// then a pair that cancels, leaving a stored zero. dense hands it the same
+// list accumulated first, row[j] += coef[k] in list order, as one entry per
+// variable. Parts are quarters, so every sum is exact and the two are the
+// same model.
+func RandDupIndexLP(rng *rand.Rand, cfg LPConfig) (p, dense *lp.Problem) {
+	base := RandLP(rng, cfg)
+	n := base.NumVars()
+	p, dense = base.Clone(), base.Clone()
+	p.Constraints, dense.Constraints = nil, nil
+	every := make([]int, n)
+	for j := range every {
+		every[j] = j
+	}
+	for _, c := range base.Constraints {
+		var idx []int
+		var coef []float64
+		for k, j := range c.Idx {
+			rest := c.Coef[k]
+			for parts := rng.Intn(3); parts > 0; parts-- {
+				part := quarter(rng, 17) - 2
+				idx, coef = append(idx, j), append(coef, part)
+				rest -= part
+			}
+			idx, coef = append(idx, j), append(coef, rest)
+		}
+		if rng.Intn(2) == 0 {
+			j, v := rng.Intn(n), 0.25+quarter(rng, 8)
+			idx, coef = append(idx, j, j), append(coef, v, -v)
+		}
+		rng.Shuffle(len(idx), func(a, b int) {
+			idx[a], idx[b] = idx[b], idx[a]
+			coef[a], coef[b] = coef[b], coef[a]
+		})
+		row := make([]float64, n)
+		for k, j := range idx {
+			row[j] += coef[k]
+		}
+		p.AddConstraint(idx, coef, c.Sense, c.RHS, c.Name)
+		dense.AddConstraint(every, row, c.Sense, c.RHS, c.Name)
+	}
+	return p, dense
+}
+
 // MILPConfig bounds the shape of RandBinaryMILP instances.
 type MILPConfig struct {
 	// MaxBinaries caps the 0-1 variable count (default 9, small enough that

@@ -368,11 +368,11 @@ func permuteLP(p *lp.Problem, perm []int) *lp.Problem {
 		q.Names[perm[j]] = p.Names[j]
 	}
 	for _, c := range p.Constraints {
-		coef := make([]float64, n)
-		for j, v := range c.Coef {
-			coef[perm[j]] = v
+		idx := make([]int, len(c.Idx))
+		for k, j := range c.Idx {
+			idx[k] = perm[j]
 		}
-		q.Constraints = append(q.Constraints, lp.Constraint{Coef: coef, Sense: c.Sense, RHS: c.RHS, Name: c.Name})
+		q.AddConstraint(idx, c.Coef, c.Sense, c.RHS, c.Name)
 	}
 	return q
 }

@@ -162,8 +162,20 @@ func checkBadSnapshots(p *lp.Problem, opt, ref *lp.Solution, cov *revisedCoverag
 	}
 	a, b := inside[0], inside[1]
 	twin := p.Clone()
-	for r := range twin.Constraints {
-		twin.Constraints[r].Coef[b] = twin.Constraints[r].Coef[a]
+	twin.Constraints = nil
+	for _, c := range p.Constraints {
+		var idx []int
+		var coef []float64
+		for k, j := range c.Idx {
+			if j == b {
+				continue
+			}
+			idx, coef = append(idx, j), append(coef, c.Coef[k])
+			if j == a {
+				idx, coef = append(idx, b), append(coef, c.Coef[k])
+			}
+		}
+		twin.AddConstraint(idx, coef, c.Sense, c.RHS, c.Name)
 	}
 	want, err := SolveReference(twin)
 	if err != nil {

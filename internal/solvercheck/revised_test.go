@@ -1,6 +1,7 @@
 package solvercheck
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -116,5 +117,85 @@ func TestPathologicalGeneratorsAreValid(t *testing.T) {
 		if err := RandRedundantEqLP(rng).Validate(); err != nil {
 			t.Errorf("seed %d: invalid redundant-equality LP: %v", seed, err)
 		}
+	}
+}
+
+// sameRows checks that p, whose rows reached AddConstraint unsorted and with
+// repeated indices, is the model dense states one entry per variable: the
+// stored rows scatter to dense's bit for bit, and Feasible, FirstViolation,
+// RowActivity and the optimum agree, the last against the dense tableau fed
+// the accumulated rows.
+func sameRows(rng *rand.Rand, p, dense *lp.Problem) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	n := p.NumVars()
+	for r, c := range p.Constraints {
+		row := make([]float64, n)
+		for k, j := range c.Idx {
+			row[j] = c.Coef[k]
+		}
+		for j, v := range dense.Constraints[r].Coef {
+			if row[j] != v {
+				return fmt.Errorf("row %d: coefficient %d is %g, accumulated %g", r, j, row[j], v)
+			}
+		}
+	}
+	x := make([]float64, n)
+	for trial := 0; trial < 8; trial++ {
+		for j := range x {
+			x[j] = p.Lower[j] + quarter(rng, 4*int(p.Upper[j]-p.Lower[j])+1)
+		}
+		if got, want := p.FirstViolation(x, 1e-9), dense.FirstViolation(x, 1e-9); got != want || p.Feasible(x, 1e-9) != (want == "") {
+			return fmt.Errorf("at %v: FirstViolation %q, accumulated rows say %q", x, got, want)
+		}
+	}
+	got, err := lp.Solve(p)
+	if err != nil {
+		return err
+	}
+	want, err := SolveReference(dense)
+	if err != nil {
+		return err
+	}
+	if err := compareRevised(want, got, p); err != nil {
+		return err
+	}
+	if got.Status != lp.Optimal {
+		return nil
+	}
+	act, err := lp.Solve(dense)
+	if err != nil {
+		return err
+	}
+	for r := range got.RowActivity {
+		if got.RowActivity[r] != act.RowActivity[r] {
+			return fmt.Errorf("row %d: activity %g, accumulated rows give %g", r, got.RowActivity[r], act.RowActivity[r])
+		}
+	}
+	return nil
+}
+
+func TestDuplicateIndexRowsMatchAccumulatedDense(t *testing.T) {
+	zeros := 0
+	for seed := int64(0); seed < 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p, dense := RandDupIndexLP(rng, LPConfig{})
+		for _, c := range p.Constraints {
+			for _, v := range c.Coef {
+				if v == 0 {
+					zeros++ // a cancelled pair, kept as a stored zero
+				}
+			}
+		}
+		if err := sameRows(rng, p, dense); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+		if err := CheckLP(rng, p); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+	if zeros < 20 {
+		t.Errorf("corpus left only %d stored zeros, want at least 20", zeros)
 	}
 }

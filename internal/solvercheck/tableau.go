@@ -132,12 +132,12 @@ func newTableau(p *lp.Problem) *tableau {
 		t.consSense[i] = c.Sense
 		// Shift RHS for lower bounds: a·(lo+y) <= b  =>  a·y <= b - a·lo.
 		shift := 0.0
-		for j, v := range c.Coef {
-			shift += v * lower[j]
+		for k, j := range c.Idx {
+			shift += c.Coef[k] * lower[j]
+			t.a[i][j] = c.Coef[k] // scatter into the oracle's own dense row
 		}
 		rhs := c.RHS - shift
 		sense := c.Sense
-		copy(t.a[i], c.Coef)
 		// Normalize to non-negative RHS so artificials start feasible.
 		if rhs < 0 {
 			for j := 0; j < nOrig; j++ {
@@ -312,10 +312,8 @@ func rowActivity(p *lp.Problem, x []float64) (activity, slacks []float64) {
 	slacks = make([]float64, len(p.Constraints))
 	for r, c := range p.Constraints {
 		act := 0.0
-		for j, v := range c.Coef {
-			if v != 0 {
-				act += v * x[j]
-			}
+		for k, j := range c.Idx {
+			act += c.Coef[k] * x[j]
 		}
 		activity[r] = act
 		var s float64
