@@ -29,6 +29,7 @@ func flightRecord(ev milp.ProgressEvent) obs.SolveProgress {
 		DualPivots:       ev.DualPivots,
 		Refactorizations: ev.Refactorizations,
 		EtaPeak:          ev.EtaPeak,
+		ReducedCostFixed: ev.ReducedCostFixed,
 		PrunedBound:      ev.PrunedBound,
 		PrunedInfeasible: ev.PrunedInfeasible,
 		IntegralNodes:    ev.IntegralNodes,

@@ -47,6 +47,39 @@ func modeCost(a AnalysisSpec, res Resources, count, outputs int) float64 {
 	return a.FT + a.IT*float64(res.Steps) + a.CT*float64(count) + ot*float64(outputs)
 }
 
+// stepEvents merges an analysis' ascending analysis-step and output-step
+// lists into the ascending sequence of distinct steps listed in either —
+// the only steps where the memory recurrence is not a straight line.
+type stepEvents struct {
+	analysis, output []int
+	ai, oi           int
+}
+
+// next returns the next event step and which lists name it, or ok == false
+// once both lists are spent. Repeated entries collapse into one event.
+func (ev *stepEvents) next() (e int, isA, isO, ok bool) {
+	as, os := ev.analysis, ev.output
+	switch {
+	case ev.ai >= len(as) && ev.oi >= len(os):
+		return 0, false, false, false
+	case ev.ai >= len(as):
+		e = os[ev.oi]
+	case ev.oi >= len(os):
+		e = as[ev.ai]
+	case as[ev.ai] < os[ev.oi]:
+		e = as[ev.ai]
+	default:
+		e = os[ev.oi]
+	}
+	for ; ev.ai < len(as) && as[ev.ai] == e; ev.ai++ {
+		isA = true
+	}
+	for ; ev.oi < len(os) && os[ev.oi] == e; ev.oi++ {
+		isO = true
+	}
+	return e, isA, isO, true
+}
+
 // modePeakMemory returns the maximum mStart of equations 5–7: fixed fm plus
 // im accumulating every step, cm added at analysis steps, om at output steps,
 // with a reset to fm after each output. Between events memory changes
@@ -59,43 +92,31 @@ func modePeakMemory(a AnalysisSpec, steps int, analysisSteps, outputSteps []int)
 	mEnd := a.FM
 	peak := a.FM
 	prev := 0 // step whose end-of-step memory mEnd currently holds
-	ai, oi := 0, 0
-	for ai < len(analysisSteps) || oi < len(outputSteps) {
-		var e int
-		switch {
-		case ai >= len(analysisSteps):
-			e = outputSteps[oi]
-		case oi >= len(outputSteps):
-			e = analysisSteps[ai]
-		case analysisSteps[ai] < outputSteps[oi]:
-			e = analysisSteps[ai]
-		default:
-			e = outputSteps[oi]
+	// stretch folds in the peak of the gap event-free steps after prev.
+	stretch := func(gap int64) {
+		if gap <= 0 {
+			return
 		}
-		isA := ai < len(analysisSteps) && analysisSteps[ai] == e
-		for ai < len(analysisSteps) && analysisSteps[ai] == e {
-			ai++
+		if a.IM > 0 {
+			if v := mEnd + a.IM*gap; v > peak {
+				peak = v
+			}
+		} else if v := mEnd + a.IM; v > peak {
+			peak = v
 		}
-		isO := oi < len(outputSteps) && outputSteps[oi] == e
-		for oi < len(outputSteps) && outputSteps[oi] == e {
-			oi++
+	}
+	ev := stepEvents{analysis: analysisSteps, output: outputSteps}
+	for {
+		e, isA, isO, ok := ev.next()
+		if !ok || e > steps {
+			break
 		}
 		if e < 1 {
 			continue // steps outside [1, steps] are never executed
 		}
-		if e > steps {
-			break
-		}
-		if gap := int64(e - 1 - prev); gap > 0 {
-			if a.IM > 0 {
-				if v := mEnd + a.IM*gap; v > peak {
-					peak = v
-				}
-			} else if v := mEnd + a.IM; v > peak {
-				peak = v
-			}
-			mEnd += a.IM * gap
-		}
+		gap := int64(e - 1 - prev) // events are distinct and ascending: never negative
+		stretch(gap)
+		mEnd += a.IM * gap
 		mStart := mEnd + a.IM
 		if isA {
 			mStart += a.CM
@@ -113,15 +134,7 @@ func modePeakMemory(a AnalysisSpec, steps int, analysisSteps, outputSteps []int)
 		}
 		prev = e
 	}
-	if gap := int64(steps - prev); gap > 0 {
-		if a.IM > 0 {
-			if v := mEnd + a.IM*gap; v > peak {
-				peak = v
-			}
-		} else if v := mEnd + a.IM; v > peak {
-			peak = v
-		}
-	}
+	stretch(int64(steps - prev))
 	return peak
 }
 
@@ -142,26 +155,44 @@ func (c *stepCursor) at(j int) bool {
 // addStepMemory adds one analysis' mStart_j of the memory recurrence
 // (equations 5–7) to mem[j] for every step j = 1..len(mem)-1: im accumulates
 // each step, cm and om are added at analysis and output steps, and an output
-// resets the carried memory to fm. Both step lists must be ascending.
+// resets the carried memory to fm. Both step lists must be ascending. Like
+// modePeakMemory it jumps from event to event; the steps in between are one
+// straight line, filled without a test per step.
 func addStepMemory(mem []int64, a AnalysisSpec, analysisSteps, outputSteps []int) {
-	isA, isO := stepCursor{steps: analysisSteps}, stepCursor{steps: outputSteps}
+	// line adds the event-free steps seg, which follow a step ending at
+	// mEnd, and returns the memory the last of them ends at.
+	line := func(seg []int64, mEnd int64) int64 {
+		for k := range seg {
+			mEnd += a.IM
+			seg[k] += mEnd
+		}
+		return mEnd
+	}
 	mEnd := a.FM
-	for j := 1; j < len(mem); j++ {
-		mStart := mEnd + a.IM
-		if isA.at(j) {
+	prev := 0 // step whose end-of-step memory mEnd holds
+	ev := stepEvents{analysis: analysisSteps, output: outputSteps}
+	for {
+		e, isA, isO, ok := ev.next()
+		if !ok || e >= len(mem) {
+			break
+		}
+		if e < 1 {
+			continue // steps outside [1, len(mem)) are never executed
+		}
+		mStart := line(mem[prev+1:e], mEnd) + a.IM
+		if isA {
 			mStart += a.CM
 		}
-		out := isO.at(j)
-		if out {
+		if isO {
 			mStart += a.OM
-		}
-		mem[j] += mStart
-		if out {
 			mEnd = a.FM
 		} else {
 			mEnd = mStart
 		}
+		mem[e] += mStart
+		prev = e
 	}
+	line(mem[prev+1:], mEnd)
 }
 
 // buildSchedule materializes an AnalysisSchedule for spec a performed count

@@ -95,8 +95,96 @@ func TestModePeakMemoryRealSchedules(t *testing.T) {
 	}
 }
 
-// TestAddStepMemoryMatchesRecurrence pins the two-cursor walk against
-// equations 5–7 written out naively: one membership scan per step per list.
+// addStepMemoryWalk is the step-by-step reference for addStepMemory:
+// equations 5–7 with one hash-set lookup per step per list, entries outside
+// the run simply never visited.
+func addStepMemoryWalk(mem []int64, a AnalysisSpec, analysisSteps, outputSteps []int) {
+	isA, isO := map[int]bool{}, map[int]bool{}
+	for _, j := range analysisSteps {
+		isA[j] = true
+	}
+	for _, j := range outputSteps {
+		isO[j] = true
+	}
+	mEnd := a.FM
+	for j := 1; j < len(mem); j++ {
+		mStart := mEnd + a.IM
+		if isA[j] {
+			mStart += a.CM
+		}
+		if isO[j] {
+			mStart += a.OM
+			mEnd = a.FM
+		} else {
+			mEnd = mStart
+		}
+		mem[j] += mStart
+	}
+}
+
+// TestAddStepMemoryMatchesWalk holds the event-jumping addStepMemory to the
+// step-by-step walk on random schedules: im of either sign, repeated and
+// out-of-range steps in both lists, outputs on analysis steps and off them,
+// several analyses accumulated into one vector.
+func TestAddStepMemoryMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var withIM, strays, repeats, outputOnAnalysis int
+	for trial := 0; trial < 2000; trial++ {
+		steps := 1 + rng.Intn(64)
+		got, want := make([]int64, steps+1), make([]int64, steps+1)
+		for analyses := 1 + rng.Intn(3); analyses > 0; analyses-- {
+			a := AnalysisSpec{
+				FM: int64(rng.Intn(1 << 20)),
+				IM: int64(rng.Intn(1<<10) - 1<<8),
+				CM: int64(rng.Intn(1 << 16)),
+				OM: int64(rng.Intn(1 << 16)),
+			}
+			if a.IM != 0 {
+				withIM++
+			}
+			var as, os []int
+			for i, n := 0, rng.Intn(steps+1); i < n; i++ {
+				as = append(as, 1+rng.Intn(steps))
+			}
+			for _, s := range as {
+				if rng.Intn(3) == 0 {
+					os = append(os, s)
+					outputOnAnalysis++
+				}
+			}
+			if rng.Intn(4) == 0 {
+				os = append(os, 1+rng.Intn(steps)) // maybe not an analysis step
+			}
+			if rng.Intn(4) == 0 {
+				as = append(as, -rng.Intn(3), steps+1+rng.Intn(5))
+				os = append(os, 0, steps+1+rng.Intn(5))
+				strays++
+			}
+			if len(as) > 0 && rng.Intn(4) == 0 {
+				as = append(as, as[rng.Intn(len(as))])
+				repeats++
+			}
+			sort.Ints(as)
+			sort.Ints(os)
+			addStepMemory(got, a, as, os)
+			addStepMemoryWalk(want, a, as, os)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("trial %d: steps=%d as=%v os=%v spec=%+v: step %d memory %d, walk %d",
+						trial, steps, as, os, a, j, got[j], want[j])
+				}
+			}
+		}
+	}
+	if withIM < 1000 || strays < 100 || repeats < 100 || outputOnAnalysis < 1000 {
+		t.Fatalf("corpus too tame: %d analyses with im, %d with strays, %d with repeats, %d outputs on analysis steps",
+			withIM, strays, repeats, outputOnAnalysis)
+	}
+}
+
+// TestAddStepMemoryMatchesRecurrence pins addStepMemory against equations 5–7
+// written out naively on hand-picked shapes: one membership scan per step per
+// list.
 func TestAddStepMemoryMatchesRecurrence(t *testing.T) {
 	listed := func(steps []int, j int) bool {
 		for _, s := range steps {

@@ -8,7 +8,29 @@ import (
 // Degeneracy and bounded-variable edge cases. The simplex core relies on
 // Bland's rule to escape cycling and on the implicit-bound machinery for
 // bound flips in both directions; each test here pins one of those paths
-// with a hand-checkable instance.
+// with a hand-checkable instance. The two instances wide enough for it are
+// also solved with the pricing working set shrunk below their column count,
+// so the refill path meets the same degeneracy.
+
+// solveAllWays solves p the production way and on working sets of one and two
+// columns (skipping a set size that would still price the whole model).
+func solveAllWays(t *testing.T, p *Problem) map[string]*Solution {
+	t.Helper()
+	sol, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]*Solution{"production pricing": sol}
+	for c, name := range map[int]string{1: "working set of 1", 2: "working set of 2"} {
+		if small, _ := solveWithSet(p, c); small != nil {
+			out[name] = small
+		}
+	}
+	if len(out) == 1 {
+		t.Fatal("instance too narrow to select a working set on")
+	}
+	return out
+}
 
 // TestBealeCyclingInstance solves Beale's classic cycling example, on which
 // pure Dantzig pricing with a naive tie-break cycles forever. The solver
@@ -23,21 +45,19 @@ func TestBealeCyclingInstance(t *testing.T) {
 	p.AddConstraint([]int{x1, x2, x3, x4}, []float64{0.5, -90, -0.02, 3}, LE, 0, "c2")
 	p.AddConstraint([]int{x3}, []float64{1}, LE, 1, "c3")
 
-	sol, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v, want optimal", sol.Status)
-	}
-	if math.Abs(sol.Objective-0.05) > 1e-9 {
-		t.Errorf("objective = %g, want 0.05", sol.Objective)
-	}
-	if math.Abs(sol.X[x1]-0.04) > 1e-9 || math.Abs(sol.X[x3]-1) > 1e-9 {
-		t.Errorf("X = %v, want x1=0.04, x3=1", sol.X)
-	}
-	if v := p.FirstViolation(sol.X, 1e-9); v != "" {
-		t.Errorf("optimal point infeasible: %s", v)
+	for how, sol := range solveAllWays(t, p) {
+		if sol.Status != Optimal {
+			t.Fatalf("%s: status = %v, want optimal", how, sol.Status)
+		}
+		if math.Abs(sol.Objective-0.05) > 1e-9 {
+			t.Errorf("%s: objective = %g, want 0.05", how, sol.Objective)
+		}
+		if math.Abs(sol.X[x1]-0.04) > 1e-9 || math.Abs(sol.X[x3]-1) > 1e-9 {
+			t.Errorf("%s: X = %v, want x1=0.04, x3=1", how, sol.X)
+		}
+		if v := p.FirstViolation(sol.X, 1e-9); v != "" {
+			t.Errorf("%s: optimal point infeasible: %s", how, v)
+		}
 	}
 }
 
@@ -144,21 +164,19 @@ func TestBasicArtificialStaysClamped(t *testing.T) {
 		p.AddConstraint(idx, row.coef, row.sense, row.rhs, "")
 	}
 
-	sol, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v, want optimal", sol.Status)
-	}
-	if v := p.FirstViolation(sol.X, 1e-7); v != "" {
-		t.Fatalf("optimal point infeasible: %s (X = %v)", v, sol.X)
-	}
-	// The two equality rows pin x2 = 4 and x0 = 3 exactly.
-	if sol.X[0] != 3 || sol.X[2] != 4 {
-		t.Errorf("equality rows not honored: x0 = %g (want 3), x2 = %g (want 4)", sol.X[0], sol.X[2])
-	}
-	if math.Abs(sol.Objective-p.Eval(sol.X)) > 1e-9 {
-		t.Errorf("objective %g does not match c·x = %g", sol.Objective, p.Eval(sol.X))
+	for how, sol := range solveAllWays(t, p) {
+		if sol.Status != Optimal {
+			t.Fatalf("%s: status = %v, want optimal", how, sol.Status)
+		}
+		if v := p.FirstViolation(sol.X, 1e-7); v != "" {
+			t.Fatalf("%s: optimal point infeasible: %s (X = %v)", how, v, sol.X)
+		}
+		// The two equality rows pin x2 = 4 and x0 = 3 exactly.
+		if sol.X[0] != 3 || sol.X[2] != 4 {
+			t.Errorf("%s: equality rows not honored: x0 = %g (want 3), x2 = %g (want 4)", how, sol.X[0], sol.X[2])
+		}
+		if math.Abs(sol.Objective-p.Eval(sol.X)) > 1e-9 {
+			t.Errorf("%s: objective %g does not match c·x = %g", how, sol.Objective, p.Eval(sol.X))
+		}
 	}
 }

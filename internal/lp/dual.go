@@ -87,11 +87,7 @@ func (rv *revised) dualSimplex() (ok, infeasible bool) {
 		}
 		rho[r] = 1
 		rv.ef.btran(rho)
-		y := rv.y
-		for i := 0; i < rv.m; i++ {
-			y[i] = rv.c[rv.basis[i]]
-		}
-		rv.ef.btran(y)
+		y := rv.multipliers(rv.c)
 
 		// Entering column: among sign-admissible nonbasic columns (those
 		// whose pivot keeps every reduced cost on its feasible side), take
@@ -100,8 +96,8 @@ func (rv *revised) dualSimplex() (ok, infeasible bool) {
 		enter := -1
 		bestRatio := math.Inf(1)
 		for j := 0; j < rv.width; j++ {
-			if rv.inBasis[j] || !(rv.up[j]-rv.lo[j] > eps) {
-				continue // basic, or fixed: cannot move
+			if !rv.canMove(j) {
+				continue
 			}
 			alpha := rv.colDot(j, rho)
 			if math.Abs(alpha) < dualPivTol {

@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 const (
 	// refactorEvery bounds how many eta updates may stack on one
@@ -18,6 +21,11 @@ const (
 	// dvxReset caps the Devex reference weights; when any weight outgrows it
 	// the reference framework is reset to the current basis.
 	dvxReset = 1e7
+	// wsMinCap is the smallest pricing working set (see workingSetCap), and
+	// wsSparsity how many times over the columns must outnumber the set
+	// before selecting one pays (see pricesAll).
+	wsMinCap   = 64
+	wsSparsity = 4
 )
 
 // numericFailure is an internal status for "the factorization went bad":
@@ -59,7 +67,14 @@ type revised struct {
 	ef       etaFile
 	lastFact int // eta count right after the last refactorization
 
-	dvx   []float64 // Devex reference weights per column
+	// Pricing working set (see simplex): ws lists the candidate columns the
+	// primal simplex prices each pivot and dvx holds their Devex reference
+	// weights — meaningful for members only. wsCap is the size a refill
+	// selects; a state too narrow for selection to pay (see pricesAll) keeps
+	// every column a member.
+	ws    []int
+	dvx   []float64
+	wsCap int
 	iters int
 	lean  bool // skip duals/reduced costs/activity in extracted solutions
 
@@ -120,7 +135,31 @@ func newRevised(p *Problem) *revised {
 	for j := cs.nOrig; j < cs.n; j++ {
 		rv.up[j] = math.Inf(1)
 	}
+	rv.setWorkingSetCap(workingSetCap(m))
 	return rv
+}
+
+// workingSetCap is the number of columns a pricing refill selects for a
+// state with m rows: as many as the basis holds, and never fewer than
+// wsMinCap. At most m of any set can enter before the multipliers have moved
+// on, and on the scheduling models a set is spent after a dozen pivots
+// whatever its size, so a larger one only costs more per pivot.
+func workingSetCap(m int) int { return max(m, wsMinCap) }
+
+// setWorkingSetCap sizes the pricing working set. A state that prices all
+// its columns (see pricesAll) makes every column a member once and for all —
+// full pricing, with no selection work ever; any other starts each simplex
+// run with an empty set of capacity c.
+func (rv *revised) setWorkingSetCap(c int) {
+	rv.wsCap = c
+	if !rv.pricesAll() {
+		rv.ws = make([]int, 0, c)
+		return
+	}
+	rv.ws = make([]int, rv.width)
+	for j := range rv.ws {
+		rv.ws[j] = j
+	}
 }
 
 // colDot returns a_j · y, where j may be any column including the implicit
@@ -511,15 +550,22 @@ func (rv *revised) objValue(obj []float64) float64 {
 // primal rules: a nonbasic-at-lower column enters on positive reduced cost,
 // a nonbasic-at-upper column on negative; the ratio test limits the move by
 // basic variables hitting either bound or the entering variable flipping to
-// its opposite bound. Pricing is Devex (steepest-edge approximation over a
-// reference framework) with a Bland's-rule fallback after blandTrip
+// its opposite bound.
+//
+// Pricing is Devex (steepest-edge approximation over a reference framework)
+// over a working set of candidate columns rather than over every column: a
+// pivot prices and weight-updates the members only, and when none of them
+// improves, one full pass over all columns refills the set with the
+// best-scoring improving ones (see refill). "That pass found none" is the
+// optimality proof, so every Optimal verdict rests on a full pass, as does
+// every step of the Bland's-rule fallback that takes over after blandTrip
 // iterations to guarantee termination under degeneracy. Each iteration costs
-// one BTRAN for the multipliers, one sparse pricing pass, one FTRAN for the
-// entering column, and (on a pivot) one BTRAN'd pivot row for the Devex
-// update — O(nnz + eta fill) instead of the dense tableau's O(m·n).
+// one BTRAN for the multipliers, one pricing pass over the set, one FTRAN for
+// the entering column, and (on a pivot) one BTRAN'd pivot row for the Devex
+// update — O(set nonzeros + eta fill), whatever the column count.
 func (rv *revised) simplex(obj []float64) (Status, float64) {
 	maxIters := 20000 + 200*(rv.m+rv.width)
-	rv.devexInit()
+	rv.openWorkingSet()
 	for iter := 0; ; iter++ {
 		if rv.iters++; rv.iters > maxIters {
 			return IterationLimit, 0
@@ -529,41 +575,14 @@ func (rv *revised) simplex(obj []float64) (Status, float64) {
 				return numericFailure, 0
 			}
 		}
-		// Simplex multipliers y = c_B B^-1.
-		y := rv.y
-		for i := 0; i < rv.m; i++ {
-			y[i] = obj[rv.basis[i]]
-		}
-		rv.ef.btran(y)
+		y := rv.multipliers(obj)
 
 		useBland := iter > blandTrip
-		enter := -1
-		bestScore := 0.0
-		for j := 0; j < rv.width; j++ {
-			if rv.inBasis[j] {
-				continue
-			}
-			if !(rv.up[j]-rv.lo[j] > eps) {
-				continue // fixed (includes clamped artificials): cannot move
-			}
-			rc := obj[j] - rv.colDot(j, y)
-			// Improving directions: increase from lower (rc > 0) or decrease
-			// from upper (rc < 0).
-			if !rv.atUpper[j] && rc > eps {
-				// eligible
-			} else if rv.atUpper[j] && rc < -eps {
-				// eligible
-			} else {
-				continue
-			}
-			if useBland {
-				enter = j
-				break
-			}
-			if score := rc * rc / rv.dvx[j]; score > bestScore {
-				bestScore = score
-				enter = j
-			}
+		var enter int
+		if useBland {
+			enter = rv.priceBland(obj, y)
+		} else if enter = rv.priceSet(obj, y); enter < 0 && !rv.pricesAll() {
+			enter = rv.refill(obj, y)
 		}
 		if enter < 0 {
 			return Optimal, rv.objValue(obj)
@@ -642,14 +661,18 @@ func (rv *revised) simplex(obj []float64) (Status, float64) {
 			continue
 		}
 
-		// Devex update needs the pivot row of the outgoing basis inverse.
-		rho := rv.rho
-		for i := range rho {
-			rho[i] = 0
+		// The Devex update needs the pivot row of the outgoing basis inverse.
+		// Bland's rule, once on, stays on until this run ends and reads no
+		// weight.
+		if !useBland {
+			rho := rv.rho
+			for i := range rho {
+				rho[i] = 0
+			}
+			rho[leave] = 1
+			rv.ef.btran(rho)
+			rv.devexUpdate(enter, leave, piv, rho)
 		}
-		rho[leave] = 1
-		rv.ef.btran(rho)
-		rv.devexUpdate(enter, leave, piv, rho)
 
 		// Move the point and swap the basis.
 		newVal := rv.lo[enter] + dir*limit
@@ -678,29 +701,201 @@ func (rv *revised) simplex(obj []float64) (Status, float64) {
 	}
 }
 
-// devexInit resets the Devex reference framework to the current basis: every
-// weight returns to one, making the first pricing pass plain Dantzig.
-func (rv *revised) devexInit() {
-	for j := range rv.dvx {
+// multipliers returns the simplex multipliers y = obj_B B^-1 of the current
+// basis, in the state's scratch.
+func (rv *revised) multipliers(obj []float64) []float64 {
+	y := rv.y
+	for i := 0; i < rv.m; i++ {
+		y[i] = obj[rv.basis[i]]
+	}
+	rv.ef.btran(y)
+	return y
+}
+
+// canMove reports whether column j is nonbasic and free to move: a fixed
+// column (clamped artificials included) can neither enter the basis nor
+// change a ratio test.
+func (rv *revised) canMove(j int) bool {
+	return !rv.inBasis[j] && rv.up[j]-rv.lo[j] > eps
+}
+
+// improves reports whether nonbasic column j raises the objective by leaving
+// its resting bound on reduced cost rc: up from the lower bound on a positive
+// one, down from the upper on a negative.
+func (rv *revised) improves(j int, rc float64) bool {
+	if rv.atUpper[j] {
+		return rc < -eps
+	}
+	return rc > eps
+}
+
+// priceSet returns the working-set member with the best Devex score among
+// those that improve the objective, or -1 when none does. The set is in
+// column order, so ties keep the lowest column, as they do under full
+// pricing.
+func (rv *revised) priceSet(obj, y []float64) int {
+	rv.stats.PricedColumns += len(rv.ws)
+	if rv.pricesAll() {
+		rv.stats.FullPricingPasses++
+	}
+	enter, best := -1, 0.0
+	for _, j := range rv.ws {
+		if !rv.canMove(j) {
+			continue
+		}
+		rc := obj[j] - rv.colDot(j, y)
+		if !rv.improves(j, rc) {
+			continue
+		}
+		if score := rc * rc / rv.dvx[j]; score > best {
+			best, enter = score, j
+		}
+	}
+	return enter
+}
+
+// priceBland returns the lowest-numbered improving column of all, or -1.
+func (rv *revised) priceBland(obj, y []float64) int {
+	rv.stats.PricedColumns += rv.width
+	rv.stats.FullPricingPasses++
+	for j := 0; j < rv.width; j++ {
+		if rv.canMove(j) && rv.improves(j, obj[j]-rv.colDot(j, y)) {
+			return j
+		}
+	}
+	return -1
+}
+
+// refill prices every column once and makes the wsCap improving columns with
+// the largest squared reduced cost the new working set, each at reference
+// weight one — a refill restarts the Devex framework on the set it selects,
+// which is why no weight is ever needed for a non-member. It returns the best
+// of them (ties to the lowest column, so the choice is the Dantzig rule's),
+// or -1 when no column improves: the current basis is optimal.
+//
+// Selection is a bounded min-heap held in ws itself, keyed by the candidates'
+// scores parked in dvx; the root is the worst candidate kept (see wsWorse),
+// so a column displaces it only on a strictly larger score and the ascending
+// scan prefers low columns among equals. The chosen set is then put in column
+// order, which is the order priceSet breaks its ties in.
+func (rv *revised) refill(obj, y []float64) int {
+	rv.stats.PricedColumns += rv.width
+	rv.stats.FullPricingPasses++
+	rv.ws = rv.ws[:0]
+	enter, best := -1, 0.0
+	for j := 0; j < rv.width; j++ {
+		if !rv.canMove(j) {
+			continue
+		}
+		rc := obj[j] - rv.colDot(j, y)
+		if !rv.improves(j, rc) {
+			continue
+		}
+		score := rc * rc
+		if score > best {
+			best, enter = score, j
+		}
+		if len(rv.ws) < rv.wsCap {
+			rv.dvx[j] = score
+			rv.ws = append(rv.ws, j)
+			rv.wsSiftUp(len(rv.ws) - 1)
+		} else if score > rv.dvx[rv.ws[0]] {
+			rv.dvx[j] = score
+			rv.ws[0] = j
+			rv.wsSiftDown(0)
+		}
+	}
+	sort.Ints(rv.ws)
+	rv.devexReset()
+	return enter
+}
+
+// wsWorse orders refill candidates: column a is a worse pick than b on a
+// lower score, or on an equal score and a higher column number.
+func (rv *revised) wsWorse(a, b int) bool {
+	return rv.dvx[a] < rv.dvx[b] || (rv.dvx[a] == rv.dvx[b] && a > b)
+}
+
+// wsSiftUp and wsSiftDown restore the refill heap (worst candidate at the
+// root) after an append at i, or a replacement there.
+func (rv *revised) wsSiftUp(i int) {
+	ws := rv.ws
+	for i > 0 {
+		up := (i - 1) / 2
+		if !rv.wsWorse(ws[i], ws[up]) {
+			return
+		}
+		ws[i], ws[up] = ws[up], ws[i]
+		i = up
+	}
+}
+
+func (rv *revised) wsSiftDown(i int) {
+	ws := rv.ws
+	for {
+		c := 2*i + 1
+		if c >= len(ws) {
+			return
+		}
+		if c+1 < len(ws) && rv.wsWorse(ws[c+1], ws[c]) {
+			c++
+		}
+		if !rv.wsWorse(ws[c], ws[i]) {
+			return
+		}
+		ws[i], ws[c] = ws[c], ws[i]
+		i = c
+	}
+}
+
+// pricesAll reports whether the working set is every column, for good:
+// pricing it is a full pass and it is never refilled. That is the case unless
+// the columns outnumber a selected set wsSparsity times over — a refill is a
+// full pass itself and buys a dozen pivots, each on a staler choice than full
+// Devex pricing would make, so it pays only where it skips most of the model
+// (the 100-analysis campaigns: 102 rows, ~990 columns); the paper's models
+// (6 rows, ~150 columns) are priced whole.
+func (rv *revised) pricesAll() bool { return rv.width <= wsSparsity*rv.wsCap }
+
+// openWorkingSet starts a simplex run: an all-member set gets its reference
+// framework reset to the current basis (every weight one, making the first
+// pricing pass plain Dantzig); a selected set is dropped, so the run's first
+// pricing is a refill against its own objective and basis.
+func (rv *revised) openWorkingSet() {
+	if rv.pricesAll() {
+		rv.devexReset()
+	} else {
+		rv.ws = rv.ws[:0]
+	}
+}
+
+// devexReset returns every member's reference weight to one.
+func (rv *revised) devexReset() {
+	for _, j := range rv.ws {
 		rv.dvx[j] = 1
 	}
 }
 
 // devexUpdate maintains the Devex reference weights after a pivot: each
-// nonbasic column's weight rises to track its steepest-edge norm estimate
+// nonbasic member's weight rises to track its steepest-edge norm estimate
 // through the basis change, and the leaving variable gets the entering
 // column's transformed weight. Weights that outgrow dvxReset reset the whole
 // framework (the estimates have drifted too far from the reference basis to
 // stay meaningful).
+//
+// A selected set only shrinks between refills: the entering column stays
+// listed while basic (pricing skips it, and it is a member again, at the
+// weight written here, if it leaves), but a leaving column that was not
+// listed is not added — its weight lands in a slot nothing reads, and it
+// waits for the next refill like every other non-member. Letting it join
+// invites the swap straight back, which on the 220-analysis models cost a
+// quarter more root iterations.
 func (rv *revised) devexUpdate(enter, leave int, piv float64, rho []float64) {
 	wq := rv.dvx[enter]
 	pivSq := piv * piv
 	maxW := 0.0
-	for j := 0; j < rv.width; j++ {
-		if rv.inBasis[j] || j == enter {
-			continue
-		}
-		if !(rv.up[j]-rv.lo[j] > eps) {
+	for _, j := range rv.ws {
+		if j == enter || !rv.canMove(j) {
 			continue
 		}
 		arj := rv.colDot(j, rho)
@@ -720,7 +915,7 @@ func (rv *revised) devexUpdate(enter, leave int, piv float64, rho []float64) {
 	}
 	rv.dvx[rv.basis[leave]] = nw
 	if maxW > dvxReset || nw > dvxReset {
-		rv.devexInit()
+		rv.devexReset()
 	}
 }
 
@@ -767,11 +962,7 @@ func (rv *revised) extract(obj float64) *Solution {
 	// the shadow price of a <= or >= row is y_r; equality rows report NaN
 	// (their artificial columns are destroyed during phase 1, matching the
 	// dense tableau's contract).
-	y := rv.y
-	for i := 0; i < rv.m; i++ {
-		y[i] = rv.c[rv.basis[i]]
-	}
-	rv.ef.btran(y)
+	y := rv.multipliers(rv.c)
 	duals := make([]float64, rv.m)
 	for r := 0; r < rv.m; r++ {
 		if rv.cs.sense[r] == EQ {

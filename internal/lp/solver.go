@@ -76,6 +76,15 @@ type SolverStats struct {
 	// describe how hard the product-form update machinery is working.
 	Refactorizations int
 	EtaPeak          int
+	// PricedColumns counts the columns the primal simplex priced (one add per
+	// pricing pass: the working set's size, or every column on a full pass)
+	// and FullPricingPasses the passes that took in every column — refills of
+	// the working set, optimality proofs, Bland steps, and each pass of a
+	// model narrow enough to be priced whole. PricedColumns per pivot is what
+	// pricing costs; it sliding back toward the column count means the
+	// working set stopped doing its job.
+	PricedColumns     int
+	FullPricingPasses int
 }
 
 // NewSolver validates the problem once and returns a reusable solver for it.
@@ -107,6 +116,28 @@ func (s *Solver) Basis() *Basis {
 		return nil
 	}
 	return s.rv.snapshot()
+}
+
+// ReducedCosts writes, for the optimal basis the last solve ended on, the
+// reduced cost d[j] = c_j - a_j·y of every original variable (exactly zero
+// on a basic one) and whether a nonbasic variable rests at its upper bound;
+// both slices must hold one entry per variable. Unlike
+// Solution.ReducedCosts it is not rounded toward zero and is available in
+// Lean mode. It reports false, writing nothing, when there is no optimal
+// basis to price (nothing solved yet, or the last solve was not optimal).
+func (s *Solver) ReducedCosts(d []float64, atUpper []bool) bool {
+	if !s.optimal {
+		return false
+	}
+	rv := s.rv
+	y := rv.multipliers(rv.c)
+	for j := range d {
+		d[j], atUpper[j] = 0, false
+		if !rv.inBasis[j] {
+			d[j], atUpper[j] = rv.c[j]-rv.cs.dot(j, y), rv.atUpper[j]
+		}
+	}
+	return true
 }
 
 // SolveFrom is Solve warm-started from b — a snapshot taken by any Solver of

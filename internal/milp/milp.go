@@ -5,8 +5,9 @@
 //
 // The solver performs best-first search on the LP bound, rounds every
 // branched relaxation for an incumbent, branches on the most fractional
-// integer variable, and prunes nodes whose LP bound cannot beat the
-// incumbent. A node is its parent plus one bound change, re-solved by the
+// integer variable, prunes nodes whose LP bound cannot beat the incumbent,
+// and by the same cut-off fixes columns whose root reduced cost alone rules
+// them out. A node is its parent plus one bound change, re-solved by the
 // dual simplex from the parent's optimal basis. One wave-synchronous driver
 // runs every search after a root presolve; Options.Workers is the wave width
 // (see Solve for the determinism contract). For the pure-binary compact
@@ -154,6 +155,15 @@ type Stats struct {
 	DualPivots       int
 	Refactorizations int
 	EtaPeak          int
+	// PricedColumns and FullPricingPasses measure primal pricing the same
+	// way (summed over the solver contexts): columns priced, and passes that
+	// took in every column. See lp.SolverStats.
+	PricedColumns     int
+	FullPricingPasses int
+	// ReducedCostFixed counts the integer columns fixed at their root resting
+	// bound because the root reduced cost alone prices any move off it out of
+	// contention against the incumbent (see search.fixByReducedCost).
+	ReducedCostFixed int
 	// Prune-reason taxonomy over explored nodes:
 	// Nodes == PrunedBound + PrunedInfeasible + IntegralNodes + BranchedNodes.
 	PrunedBound      int // relaxation solved but dominated by the incumbent
@@ -187,6 +197,9 @@ func (s *Stats) Add(o *Stats) {
 	if o.EtaPeak > s.EtaPeak {
 		s.EtaPeak = o.EtaPeak
 	}
+	s.PricedColumns += o.PricedColumns
+	s.FullPricingPasses += o.FullPricingPasses
+	s.ReducedCostFixed += o.ReducedCostFixed
 	s.PrunedBound += o.PrunedBound
 	s.PrunedInfeasible += o.PrunedInfeasible
 	s.IntegralNodes += o.IntegralNodes
@@ -338,6 +351,12 @@ type search struct {
 	// The presolved root box every node's bounds are materialised from, and
 	// scratch for a relaxation's snapped point.
 	rootLower, rootUpper, snapped []float64
+	// The root relaxation's objective, reduced costs and nonbasic resting
+	// sides, kept for reduced-cost fixing; rootRC is nil when there is none
+	// to fix by (no root solved yet, or one integral as it stands).
+	rootObj     float64
+	rootRC      []float64
+	rootAtUpper []bool
 	// roundCtx is the base context labeled solver_phase=incumbent.
 	roundCtx context.Context
 
@@ -399,6 +418,8 @@ func (s *search) finish(sol *Solution, bound float64) *Solution {
 	s.stats.DualPivots = t.DualPivots
 	s.stats.Refactorizations = t.Refactorizations
 	s.stats.EtaPeak = t.EtaPeak
+	s.stats.PricedColumns = t.PricedColumns
+	s.stats.FullPricingPasses = t.FullPricingPasses
 	s.stats.SolveTime = s.opts.Now().Sub(s.started)
 	sol.Bound = bound
 	sol.Stats = s.stats
@@ -573,6 +594,44 @@ func (s *search) offer(x []float64, nodes int, bound float64) {
 	if obj := s.p.LP.Eval(x); !s.best.HasX || obj > s.best.Objective {
 		s.best = &Solution{Status: Optimal, X: append([]float64(nil), x...), Objective: obj, HasX: true}
 		s.recordIncumbent(nodes, obj, bound)
+		s.fixByReducedCost()
+	}
+}
+
+// fixByReducedCost shrinks the root box against the incumbent: an integer
+// column nonbasic at the root with reduced cost d moves the objective of any
+// feasible point by at most -|d| per unit it leaves its resting bound (the
+// root duals price every point of the box, whatever has been fixed since), so
+// once rootObj - |d| is within pruneTol of the incumbent every point that
+// moves it — by a whole unit at least — is one the search would prune, and
+// the column is fixed where it rests. That is the node-pruning cut-off
+// applied to a column instead of a node: what it discards, pruning would
+// have discarded, and Gap, the integral-objective margin and node-limit
+// bounds mean what they meant. Every node materialised afterwards inherits
+// the fix, and the LP layer skips fixed columns in the dual ratio test and in
+// pricing. Continuous columns are never fixed, nor one resting on a
+// fractional bound (its nearest integer point is less than a unit away).
+func (s *search) fixByReducedCost() {
+	if s.rootRC == nil {
+		return
+	}
+	room := s.rootObj - (s.best.Objective + s.pruneTol())
+	if room <= 0 {
+		return // every open node is about to be pruned by bound anyway
+	}
+	for j, d := range s.rootRC {
+		if math.Abs(d) < room || !s.p.Integer[j] || s.rootLower[j] == s.rootUpper[j] {
+			continue
+		}
+		rest := s.rootLower[j]
+		if s.rootAtUpper[j] {
+			rest = s.rootUpper[j]
+		}
+		if rest != math.Floor(rest) {
+			continue
+		}
+		s.rootLower[j], s.rootUpper[j] = rest, rest
+		s.stats.ReducedCostFixed++
 	}
 }
 
@@ -598,13 +657,23 @@ func (s *search) openRoot(sl *slot, heur *heurCtx) (done *Solution, err error) {
 	}
 	root.bound = relax.Objective
 
+	// A root that will be branched keeps its duals for reduced-cost fixing,
+	// read before anything else is solved on the slot.
+	integral := intFeasible(s.p, relax.X, s.opts.IntTol)
+	if !integral {
+		rc, atUpper := make([]float64, len(relax.X)), make([]bool, len(relax.X))
+		if sl.solver.ReducedCosts(rc, atUpper) {
+			s.rootObj, s.rootRC, s.rootAtUpper = relax.Objective, rc, atUpper
+		}
+	}
+
 	// Seed the incumbent by rounding the root relaxation.
 	if x, ok := heur.round(s.p, relax.X, s.opts.IntTol, &s.stats); ok {
 		s.offer(x, 0, root.bound)
 	}
 
 	s.nodes = 1
-	if intFeasible(s.p, relax.X, s.opts.IntTol) {
+	if integral {
 		x := snap(make([]float64, len(relax.X)), s.p, relax.X)
 		if s.p.LP.Feasible(x, 1e-6) {
 			obj := s.p.LP.Eval(x)
@@ -736,8 +805,8 @@ func AutoWorkers(n int) int {
 //     way (219 -> 212);
 //   - rounding throttled as before: sparse_default 125 -> 91 (168 -> 508
 //     nodes), replan_loop 219 -> 208. sparse_wide reads the other way, 19.6
-//     -> 21.0: 678 -> 1280 nodes, but a rounding pass over its 20400 columns
-//     costs about what a warm re-solve does (845 -> 408 us per node), so
+//     -> 21.0: 678 -> 1280 nodes, but a rounding pass over a model's ~1700
+//     columns costs about what a warm re-solve does (845 -> 408 us per node), so
 //     on that workload the throttle comes out 7 % ahead;
 //   - rounding every node but by two LP solves where the model is pure
 //     integer: sparse_default 125 -> 117, sparse_wide 19.6 -> 18.5,

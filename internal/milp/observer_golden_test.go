@@ -60,13 +60,11 @@ func TestObserverGoldenStream(t *testing.T) {
 		"n4 p2 d2 x1>=1 integral bound=7.3000",
 		"n5 p2 d2 x1<=0 pruned bound=6.9000",
 		"n6 p3 d2 x4<=0 branched bound=7.5048",
-		"n7 p3 d2 x4>=1 branched bound=7.4429",
-		"n8 p6 d3 x2>=1 pruned bound=7.1643",
+		"n7 p3 d2 x4>=1 infeasible bound=7.5333",
+		"n8 p6 d3 x2>=1 infeasible bound=7.5048",
 		"n9 p6 d3 x2<=0 branched bound=7.4154",
-		"n10 p7 d3 x3<=0 pruned bound=7.1810",
-		"n11 p7 d3 x3>=1 infeasible bound=7.4429",
-		"n12 p9 d4 x1<=0 pruned bound=6.4000",
-		"n13 p9 d4 x1>=1 infeasible bound=7.4154",
+		"n10 p9 d4 x1<=0 pruned bound=6.4000",
+		"n11 p9 d4 x1>=1 infeasible bound=7.4154",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("stream length %d, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))

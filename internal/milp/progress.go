@@ -65,6 +65,9 @@ type ProgressEvent struct {
 	DualPivots       int
 	Refactorizations int
 	EtaPeak          int
+	// ReducedCostFixed is the number of integer columns fixed in the root box
+	// by reduced cost so far (matching Stats.ReducedCostFixed).
+	ReducedCostFixed int
 
 	// Prune-reason taxonomy over explored nodes, cumulative:
 	// Nodes == PrunedBound + PrunedInfeasible + IntegralNodes + BranchedNodes.
@@ -116,6 +119,8 @@ func (s *search) solverTotals() (t lp.SolverStats) {
 		t.PrimalPivots += st.PrimalPivots
 		t.DualPivots += st.DualPivots
 		t.Refactorizations += st.Refactorizations
+		t.PricedColumns += st.PricedColumns
+		t.FullPricingPasses += st.FullPricingPasses
 		if st.EtaPeak > t.EtaPeak {
 			t.EtaPeak = st.EtaPeak
 		}
@@ -144,6 +149,7 @@ func (s *search) fill(ev *ProgressEvent) {
 	ev.DualPivots = t.DualPivots
 	ev.Refactorizations = t.Refactorizations
 	ev.EtaPeak = t.EtaPeak
+	ev.ReducedCostFixed = s.stats.ReducedCostFixed
 	ev.PrunedBound = s.stats.PrunedBound
 	ev.PrunedInfeasible = s.stats.PrunedInfeasible
 	ev.IntegralNodes = s.stats.IntegralNodes

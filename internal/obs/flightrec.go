@@ -66,6 +66,10 @@ type SolveProgress struct {
 	DualPivots       int `json:"dual_pivots,omitempty"`
 	Refactorizations int `json:"refactorizations,omitempty"`
 	EtaPeak          int `json:"eta_peak,omitempty"`
+	// ReducedCostFixed is the number of integer columns the search has fixed
+	// at their root resting bound by reduced cost (zero on older streams,
+	// like the fields above).
+	ReducedCostFixed int `json:"rc_fixed,omitempty"`
 
 	PrunedBound      int `json:"prune_bound"`
 	PrunedInfeasible int `json:"prune_infeasible"`
@@ -148,6 +152,7 @@ func (p SolveProgress) Event(name string) LedgerEvent {
 		"dual_pivots":      float64(p.DualPivots),
 		"refactorizations": float64(p.Refactorizations),
 		"eta_peak":         float64(p.EtaPeak),
+		"rc_fixed":         float64(p.ReducedCostFixed),
 		"prune_bound":      float64(p.PrunedBound),
 		"prune_infeasible": float64(p.PrunedInfeasible),
 		"integral":         float64(p.IntegralNodes),
@@ -204,6 +209,7 @@ func SolveProgFromEvent(e LedgerEvent) (SolveProgress, bool) {
 		DualPivots:       int(e.Args["dual_pivots"]),
 		Refactorizations: int(e.Args["refactorizations"]),
 		EtaPeak:          int(e.Args["eta_peak"]),
+		ReducedCostFixed: int(e.Args["rc_fixed"]),
 		PrunedBound:      int(e.Args["prune_bound"]),
 		PrunedInfeasible: int(e.Args["prune_infeasible"]),
 		IntegralNodes:    int(e.Args["integral"]),
@@ -441,9 +447,9 @@ func DeterministicBytes(recs []SolveProgress) []byte {
 		if p.HasBound {
 			fmt.Fprintf(&b, " bound=%.9g", p.Bound)
 		}
-		fmt.Fprintf(&b, " pivots=%d relax=%d warm=%d cold=%d fb=%d wi=%d pp=%d dp=%d refac=%d eta=%d prune=%d/%d int=%d branch=%d qprune=%d",
+		fmt.Fprintf(&b, " pivots=%d relax=%d warm=%d cold=%d fb=%d wi=%d pp=%d dp=%d refac=%d eta=%d fixed=%d prune=%d/%d int=%d branch=%d qprune=%d",
 			p.Pivots, p.Relaxations, p.WarmSolves, p.ColdSolves, p.FallbackColds,
-			p.WarmInfeasibles, p.PrimalPivots, p.DualPivots, p.Refactorizations, p.EtaPeak,
+			p.WarmInfeasibles, p.PrimalPivots, p.DualPivots, p.Refactorizations, p.EtaPeak, p.ReducedCostFixed,
 			p.PrunedBound, p.PrunedInfeasible, p.IntegralNodes, p.BranchedNodes, p.QueuePruned)
 		if p.Kind == SolveProgStart {
 			fmt.Fprintf(&b, " vars=%d ints=%d rows=%d", p.Vars, p.IntVars, p.Constraints)
@@ -625,6 +631,9 @@ func WriteGapTimeline(w io.Writer, name string, recs []SolveProgress) error {
 		}
 		if end.WarmInfeasibles > 0 {
 			line += fmt.Sprintf(", %d dual-certified prune(s)", end.WarmInfeasibles)
+		}
+		if end.ReducedCostFixed > 0 {
+			line += fmt.Sprintf(", %d column(s) fixed by reduced cost", end.ReducedCostFixed)
 		}
 		line += fmt.Sprintf("; pruned %d bound / %d infeasible, %d integral, %d branched)",
 			end.PrunedBound, end.PrunedInfeasible, end.IntegralNodes, end.BranchedNodes)

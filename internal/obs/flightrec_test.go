@@ -22,7 +22,7 @@ func progStream() []SolveProgress {
 			PrunedBound: 1, IntegralNodes: 1, BranchedNodes: 2},
 		{Seq: 4, Kind: SolveProgEnd, Wave: 2, Workers: 1, Nodes: 3,
 			HasInc: true, Incumbent: 15, HasBound: true, Bound: 15, Pivots: 25, Relaxations: 3, WarmSolves: 2, ColdSolves: 1,
-			PrunedBound: 1, IntegralNodes: 1, BranchedNodes: 2, Status: "optimal"},
+			PrunedBound: 1, IntegralNodes: 1, BranchedNodes: 2, ReducedCostFixed: 3, Status: "optimal"},
 	}
 }
 

@@ -61,9 +61,14 @@ func Workloads(suite string) ([]Workload, error) {
 // Warm-start health is recorded alongside: warm_solves and fallback_colds
 // are deterministic per width and exact-gated (a rising fallback count means
 // the dual-simplex warm re-solves stopped surviving the branching pattern),
-// and `benchobs check` additionally gates their ratio across the suite. The
-// revised-simplex internals (primal/dual pivot split, refactorizations, eta
-// peak) ride along as informational metrics.
+// and `benchobs check` additionally gates their ratio across the suite.
+// priced_per_pivot — columns the primal simplex priced per simplex iteration —
+// is exact-gated too: on sched_large_sparse it is a few hundred of ~2 150
+// while working-set pricing does its job, so a slide back to one full pass
+// per pivot fails the compare instead of waiting for a wall-clock run to show
+// it. The revised-simplex internals (primal/dual pivot split,
+// refactorizations, eta peak, full pricing passes, columns fixed by reduced
+// cost) ride along as informational metrics.
 func schedSolve(name string, specs []core.AnalysisSpec, res core.Resources) Workload {
 	return schedSolveOpts(name, specs, res, core.SolveOptions{Workers: BenchWorkers})
 }
@@ -74,20 +79,26 @@ func schedSolveOpts(name string, specs []core.AnalysisSpec, res core.Resources, 
 		if err != nil {
 			return Sample{}, err
 		}
+		model := map[string]float64{
+			"objective":      rec.Objective,
+			"solver_workers": float64(rec.Stats.Workers),
+			"warm_solves":    float64(rec.Stats.WarmSolves),
+			"fallback_colds": float64(rec.Stats.FallbackColds),
+		}
+		if rec.Stats.Pivots > 0 {
+			model["priced_per_pivot"] = float64(rec.Stats.PricedColumns) / float64(rec.Stats.Pivots)
+		}
 		return Sample{
 			Nodes:  rec.Stats.Nodes,
 			Pivots: rec.Stats.Pivots,
-			Model: map[string]float64{
-				"objective":      rec.Objective,
-				"solver_workers": float64(rec.Stats.Workers),
-				"warm_solves":    float64(rec.Stats.WarmSolves),
-				"fallback_colds": float64(rec.Stats.FallbackColds),
-			},
+			Model:  model,
 			Info: map[string]float64{
-				"primal_pivots":    float64(rec.Stats.PrimalPivots),
-				"dual_pivots":      float64(rec.Stats.DualPivots),
-				"refactorizations": float64(rec.Stats.Refactorizations),
-				"eta_peak":         float64(rec.Stats.EtaPeak),
+				"primal_pivots":       float64(rec.Stats.PrimalPivots),
+				"dual_pivots":         float64(rec.Stats.DualPivots),
+				"refactorizations":    float64(rec.Stats.Refactorizations),
+				"eta_peak":            float64(rec.Stats.EtaPeak),
+				"full_pricing_passes": float64(rec.Stats.FullPricingPasses),
+				"reduced_cost_fixed":  float64(rec.Stats.ReducedCostFixed),
 			},
 		}, nil
 	}}

@@ -137,3 +137,40 @@ func TestLargeSparseBuildStaysSparse(t *testing.T) {
 	}
 	t.Logf("build allocates %d KiB", best>>10)
 }
+
+// TestLargeSparsePricesAWorkingSet guards the pricing counter the solver
+// baseline gates: on the 220-analysis model (~1 700 columns, ~2 150 with
+// slacks and artificials) the primal simplex prices a selected working set
+// per pivot, a few hundred columns with the refills averaged in. A
+// priced_per_pivot near the column count means every pivot is a full pass
+// again.
+func TestLargeSparsePricesAWorkingSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the large sparse workload")
+	}
+	ws, err := Workloads(SuiteSolver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range ws {
+		if w.Name != "sched_large_sparse" {
+			continue
+		}
+		s, err := w.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Model["priced_per_pivot"]
+		if !ok || got <= 0 || got > 700 {
+			t.Fatalf("priced_per_pivot = %g (recorded: %t), want a working set's worth, under 700", got, ok)
+		}
+		if s.Info["full_pricing_passes"] <= 0 || s.Info["reduced_cost_fixed"] <= 0 {
+			t.Fatalf("full passes %g, columns fixed %g: both should be at work on this model",
+				s.Info["full_pricing_passes"], s.Info["reduced_cost_fixed"])
+		}
+		t.Logf("priced_per_pivot %.1f, %g full passes over %d pivots, %g columns fixed",
+			got, s.Info["full_pricing_passes"], s.Pivots, s.Info["reduced_cost_fixed"])
+		return
+	}
+	t.Fatal("sched_large_sparse is not in the solver suite")
+}

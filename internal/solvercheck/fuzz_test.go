@@ -48,10 +48,11 @@ func FuzzRevisedSimplex(f *testing.F) {
 	f.Add(int64(1<<33), uint8(20), uint8(12), uint8(0))
 	f.Add(int64(5), uint8(8), uint8(4), uint8(3))
 	f.Add(int64(9), uint8(10), uint8(6), uint8(4))
+	f.Add(int64(13), uint8(0), uint8(0), uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, vars, cons, kind uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		var p *lp.Problem
-		switch kind % 5 {
+		switch kind % 6 {
 		case 0:
 			p = RandLP(rng, LPConfig{MaxVars: 1 + int(vars%24), MaxCons: 1 + int(cons%16)})
 		case 1:
@@ -60,18 +61,21 @@ func FuzzRevisedSimplex(f *testing.F) {
 			p = RandNearSingularLP(rng)
 		case 3:
 			p = RandRedundantEqLP(rng)
+		case 4:
+			// Wide enough to price selected working sets and refill them.
+			p = RandWideLP(rng)
 		default:
 			// Rows given to AddConstraint unsorted, with repeated indices.
 			var dense *lp.Problem
 			p, dense = RandDupIndexLP(rng, LPConfig{MaxVars: 1 + int(vars%24), MaxCons: 1 + int(cons%16)})
 			if err := sameRows(rng, p, dense); err != nil {
-				t.Fatalf("seed %d kind %d: %v", seed, kind%5, err)
+				t.Fatalf("seed %d kind %d: %v", seed, kind%6, err)
 			}
 		}
 		// CheckRevised includes the snapshot steps: a basis carried to a
 		// second solver three rounds on, and snapshots that must fall back.
 		if err := CheckRevised(rng, p); err != nil {
-			t.Fatalf("seed %d kind %d: %v", seed, kind%5, err)
+			t.Fatalf("seed %d kind %d: %v", seed, kind%6, err)
 		}
 	})
 }

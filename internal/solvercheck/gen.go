@@ -198,6 +198,32 @@ func RandBinaryMILP(rng *rand.Rand, cfg MILPConfig) *milp.Problem {
 	return p
 }
 
+// RandMixedMILP turns a RandBinaryMILP instance into a mixed one: about a
+// quarter of the binaries become general integers on [0, 3], and one to three
+// bounded continuous columns that carry objective enter about half the rows
+// each — so the optimum is not on an integer lattice, the rounding heuristic
+// has an LP to re-solve, and reduced-cost fixing meets columns it must leave
+// alone. The binary instance's witness, with the new columns at zero, still
+// satisfies every row it satisfied.
+func RandMixedMILP(rng *rand.Rand, cfg MILPConfig) *milp.Problem {
+	p := RandBinaryMILP(rng, cfg)
+	for j := range p.Integer {
+		if rng.Intn(4) == 0 {
+			p.LP.Upper[j] = 3
+		}
+	}
+	for k, n := 0, 1+rng.Intn(3); k < n; k++ {
+		j := p.AddContVar(quarter(rng, 13)-1, 0, float64(1+rng.Intn(4)), fmt.Sprintf("c%d", k))
+		for r := range p.LP.Constraints {
+			if c := &p.LP.Constraints[r]; rng.Intn(2) == 0 {
+				// The newest column has the highest index, so the row stays ascending.
+				c.Idx, c.Coef = append(c.Idx, j), append(c.Coef, float64(1+rng.Intn(4))*float64(1-2*rng.Intn(2)))
+			}
+		}
+	}
+	return p
+}
+
 // randRow draws a sparse row with 1..n nonzero small-integer coefficients.
 func randRow(rng *rand.Rand, n int) ([]int, []float64) {
 	nz := 1 + rng.Intn(n)

@@ -85,10 +85,22 @@ func CheckLP(rng *rand.Rand, p *lp.Problem) error {
 // CheckMILP runs the MILP oracle suite on one instance: branch-and-bound vs
 // exhaustive enumeration (status and objective must agree exactly, size-gated
 // on milp.BruteForce's typed refusal), integrality and feasibility of the
-// incumbent, the LP relaxation as an upper bound, cross-width search
-// agreement at Workers=8, permutation invariance, and a WriteLP -> ReadLP ->
-// Solve round trip.
+// incumbent, the LP relaxation as an upper bound, the contracts of a search
+// that stops early (a relative gap, a node limit) against the enumerated
+// optimum, cross-width search agreement at Workers=8, permutation
+// invariance, and a WriteLP -> ReadLP -> Solve round trip.
 func CheckMILP(rng *rand.Rand, p *milp.Problem) error {
+	return checkMILP(rng, p, &milpCoverage{})
+}
+
+// milpCoverage counts how often checkMILP reached the paths that only some
+// instances have, so the corpus tests can pin that they are exercised at all.
+type milpCoverage struct {
+	fixed       int // default searches that fixed a column by reduced cost
+	nodeLimited int // searches a two-node budget actually cut short
+}
+
+func checkMILP(rng *rand.Rand, p *milp.Problem, cov *milpCoverage) error {
 	sol, err := milp.Solve(p, milp.Options{})
 	if err != nil {
 		return fmt.Errorf("milp.Solve: %v", err)
@@ -136,6 +148,14 @@ func CheckMILP(rng *rand.Rand, p *milp.Problem) error {
 			return fmt.Errorf("brute force objective %g, branch-and-bound %g", brute.Objective, sol.Objective)
 		}
 	}
+	if sol.Stats.ReducedCostFixed > 0 {
+		cov.fixed++
+	}
+	if brute != nil && brute.Status == milp.Optimal {
+		if err := checkEarlyStops(p, brute.Objective, cov); err != nil {
+			return err
+		}
+	}
 
 	// Cross-width contract: a wave of eight must reproduce the wave of one's
 	// status, objective, and terminal bound.
@@ -168,6 +188,53 @@ func CheckMILP(rng *rand.Rand, p *milp.Problem) error {
 	}
 
 	return checkMILPRoundTrip(p, sol)
+}
+
+// checkEarlyStops solves p twice more, to a 10% relative gap and under a
+// two-node budget, and holds both answers to their contracts against the
+// enumerated optimum: whatever the search cut off — by pruning or by fixing
+// columns on reduced cost, which share one cut-off — the gap answer is within
+// the gap of the optimum, and a node-limited search reports a bound no lower
+// than it.
+func checkEarlyStops(p *milp.Problem, optimum float64, cov *milpCoverage) error {
+	const gap = 0.1
+	gsol, err := milp.Solve(p, milp.Options{Gap: gap})
+	if err != nil {
+		return fmt.Errorf("milp.Solve(gap): %v", err)
+	}
+	if gsol.Status != milp.Optimal {
+		return fmt.Errorf("gap %g changed status to %v", gap, gsol.Status)
+	}
+	if viol := p.LP.FirstViolation(gsol.X, 1e-6); viol != "" {
+		return fmt.Errorf("gap %g incumbent infeasible: %s", gap, viol)
+	}
+	if gsol.Objective > optimum+objTol || optimum > gsol.Objective+gap*math.Abs(gsol.Objective)+objTol {
+		return fmt.Errorf("gap %g returned %g for an optimum of %g", gap, gsol.Objective, optimum)
+	}
+
+	nsol, err := milp.Solve(p, milp.Options{MaxNodes: 2})
+	if err != nil {
+		return fmt.Errorf("milp.Solve(2 nodes): %v", err)
+	}
+	switch nsol.Status {
+	case milp.NodeLimit:
+		cov.nodeLimited++
+	case milp.Optimal:
+	default:
+		return fmt.Errorf("2-node budget changed status to %v", nsol.Status)
+	}
+	if nsol.Bound < optimum-objTol {
+		return fmt.Errorf("2-node search reports bound %g below the optimum %g", nsol.Bound, optimum)
+	}
+	if nsol.HasX {
+		if viol := p.LP.FirstViolation(nsol.X, 1e-6); viol != "" {
+			return fmt.Errorf("2-node incumbent infeasible: %s", viol)
+		}
+		if nsol.Objective > optimum+objTol {
+			return fmt.Errorf("2-node incumbent %g above the optimum %g", nsol.Objective, optimum)
+		}
+	}
+	return nil
 }
 
 // checkMILPRoundTrip serializes the model in LP format, reparses it, and

@@ -12,9 +12,11 @@ import (
 // revised kernel with product-form factorization, Devex pricing, and dual
 // warm re-solves) against SolveReference (the retired dense tableau,
 // kept as the independent ground truth). Beyond the generic RandLP shapes it
-// carries two pathological generators aimed at the revised kernel's weak
-// spots — long eta chains (factorization update pressure) and near-singular
-// bases (tiny pivots, refactorization rescues).
+// carries pathological generators aimed at the revised kernel's weak spots —
+// long eta chains (factorization update pressure), near-singular bases (tiny
+// pivots, refactorization rescues) — and a wide one (RandWideLP) whose
+// columns outnumber its rows by enough that the primal simplex prices
+// selected working sets and has to refill them.
 
 // CheckRevised cross-checks the revised simplex against the dense reference
 // on one instance: cold solve agreement (status, objective, feasibility of
@@ -35,6 +37,7 @@ func CheckRevised(rng *rand.Rand, p *lp.Problem) error {
 type revisedCoverage struct {
 	warmTransfers int // snapshots a second solver continued warm
 	singular      int // snapshots rejected as singular
+	refilled      int // cold solves that spent and refilled a pricing working set at least twice
 }
 
 func checkRevised(rng *rand.Rand, p *lp.Problem, cov *revisedCoverage) error {
@@ -64,6 +67,12 @@ func checkRevised(rng *rand.Rand, p *lp.Problem, cov *revisedCoverage) error {
 	// The second solver has a history of its own, so the snapshot lands on a
 	// used state rather than a fresh one.
 	other.SolveCold(p.Lower, p.Upper)
+	// After one cold solve Pivots is its iteration count. Fewer full pricing
+	// passes than that means some iterations priced a selected set alone, and
+	// of the passes up to two are the optimality proofs of the two phases.
+	if st := other.Stats; st.FullPricingPasses < st.Pivots && st.FullPricingPasses >= 4 {
+		cov.refilled++
+	}
 	var snap *lp.Basis
 	snapRound := rng.Intn(3)
 	lower := append([]float64(nil), p.Lower...)
@@ -208,6 +217,57 @@ func compareRevised(dense, revised *lp.Solution, p *lp.Problem) error {
 		return fmt.Errorf("revised objective %g disagrees with c·x = %g", revised.Objective, got)
 	}
 	return nil
+}
+
+// RandWideLP generates a multiple-choice knapsack relaxation shaped like the
+// compact scheduling model and wide enough to be priced from working sets:
+// 200-2000 columns over 3-12 rows — pick-at-most-one (now and then
+// pick-exactly-one, which needs a phase 1) rows over consecutive groups of
+// columns, and one or two knapsack rows across all of them. Values are small
+// integers, so ties are everywhere, and some are zero or negative: columns
+// that never improve. Most columns are 0-1, a few reach 3. All-zero is
+// feasible unless an exactly-one row says otherwise, and then its first
+// member at one is.
+func RandWideLP(rng *rand.Rand) *lp.Problem {
+	n := 200 + rng.Intn(1801)
+	knapsacks := 1 + rng.Intn(2)
+	groups := 1 + rng.Intn(11-knapsacks)
+	if groups+knapsacks < 3 {
+		groups = 3 - knapsacks
+	}
+	p := &lp.Problem{}
+	for j := 0; j < n; j++ {
+		up := 1.0
+		if rng.Intn(16) == 0 {
+			up = 3
+		}
+		p.AddVar(float64(rng.Intn(8)-1), 0, up, fmt.Sprintf("x%d", j))
+	}
+	all := make([]int, n)
+	for j := range all {
+		all[j] = j
+	}
+	for g := 0; g < groups; g++ {
+		lo, hi := g*n/groups, (g+1)*n/groups
+		ones := make([]float64, hi-lo)
+		for k := range ones {
+			ones[k] = 1
+		}
+		sense := lp.LE
+		if rng.Intn(4) == 0 {
+			sense = lp.EQ
+		}
+		p.AddConstraint(all[lo:hi], ones, sense, 1, fmt.Sprintf("pick%d", g))
+	}
+	for r := 0; r < knapsacks; r++ {
+		w := make([]float64, n)
+		for j := range w {
+			w[j] = float64(1 + rng.Intn(9))
+		}
+		// Room for every exactly-one row's first member, and then some.
+		p.AddConstraint(all, w, lp.LE, float64(9*groups+rng.Intn(10*groups)), fmt.Sprintf("knap%d", r))
+	}
+	return p
 }
 
 // RandChainLP generates a long-eta-chain instance: a chain of equality rows

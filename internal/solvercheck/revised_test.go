@@ -56,6 +56,25 @@ func TestRevisedMatchesDenseOnWideLPs(t *testing.T) {
 	}
 }
 
+// TestRevisedMatchesDenseOnSelectedWorkingSets runs the oracle on models wide
+// enough that the primal simplex prices selected working sets — cold solves,
+// the warm walk, and snapshots continued elsewhere all end their primal runs
+// on a refill that finds nothing — and pins that the corpus does exhaust and
+// refill its sets, which no RandLP instance (8 variables at most) ever can.
+func TestRevisedMatchesDenseOnSelectedWorkingSets(t *testing.T) {
+	var cov revisedCoverage
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := RandWideLP(rng)
+		if err := checkRevised(rng, p, &cov); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+	if cov.refilled < 20 {
+		t.Errorf("only %d of 40 wide instances refilled a working set twice", cov.refilled)
+	}
+}
+
 func TestRevisedMatchesDenseOnEtaChains(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -116,6 +135,9 @@ func TestPathologicalGeneratorsAreValid(t *testing.T) {
 		}
 		if err := RandRedundantEqLP(rng).Validate(); err != nil {
 			t.Errorf("seed %d: invalid redundant-equality LP: %v", seed, err)
+		}
+		if err := RandWideLP(rng).Validate(); err != nil {
+			t.Errorf("seed %d: invalid wide LP: %v", seed, err)
 		}
 	}
 }

@@ -25,12 +25,37 @@ func TestDifferentialLP(t *testing.T) {
 }
 
 func TestDifferentialMILP(t *testing.T) {
+	var cov milpCoverage
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := RandBinaryMILP(rng, MILPConfig{})
-		if err := CheckMILP(rng, p); err != nil {
+		if err := checkMILP(rng, p, &cov); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
+	}
+	// Enumeration only vouches for reduced-cost fixing and the node-limit
+	// bound on the instances that get that far.
+	if cov.fixed < 10 || cov.nodeLimited < 10 {
+		t.Errorf("corpus fixed columns by reduced cost on %d instances and hit the node limit on %d, want at least 10 each",
+			cov.fixed, cov.nodeLimited)
+	}
+}
+
+// TestDifferentialMixedMILP runs the same oracles on models with general
+// integer and continuous columns: the search that fixes integer columns by
+// reduced cost must still land on the enumerated optimum when part of the
+// objective rides on columns it may not touch.
+func TestDifferentialMixedMILP(t *testing.T) {
+	var cov milpCoverage
+	for seed := int64(0); seed < 120; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := RandMixedMILP(rng, MILPConfig{})
+		if err := checkMILP(rng, p, &cov); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+	if cov.fixed < 10 {
+		t.Errorf("corpus fixed columns by reduced cost on only %d instances", cov.fixed)
 	}
 }
 
@@ -92,6 +117,9 @@ func TestGeneratorsAreValid(t *testing.T) {
 		m := RandBinaryMILP(rng, MILPConfig{})
 		if err := m.LP.Validate(); err != nil {
 			t.Errorf("seed %d: invalid MILP: %v", seed, err)
+		}
+		if err := RandMixedMILP(rng, MILPConfig{}).LP.Validate(); err != nil {
+			t.Errorf("seed %d: invalid mixed MILP: %v", seed, err)
 		}
 		specs, res := RandScenario(rng, ScenarioConfig{})
 		if err := res.Validate(); err != nil {
