@@ -138,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		flight.SetName("solve")
 		opts.Flight = flight
 	}
-	var solveSpan *obs.Span
+	var solveSpan obs.Span
 	if *tracePath != "" {
 		tracer = obs.NewTracer()
 		solveSpan = tracer.Begin("solve", "solver")

@@ -138,18 +138,19 @@ func modePeakMemory(a AnalysisSpec, steps int, analysisSteps, outputSteps []int)
 	return peak
 }
 
-// stepCursor answers "is step j listed?" for j asked in ascending order over
+// StepCursor answers "is step j listed?" for j asked in ascending order over
 // an ascending step list, advancing past smaller (and repeated) entries.
-type stepCursor struct {
-	steps []int
+type StepCursor struct {
+	Steps []int
 	i     int
 }
 
-func (c *stepCursor) at(j int) bool {
-	for c.i < len(c.steps) && c.steps[c.i] < j {
+// At reports whether step j is listed; j must not decrease between calls.
+func (c *StepCursor) At(j int) bool {
+	for c.i < len(c.Steps) && c.Steps[c.i] < j {
 		c.i++
 	}
-	return c.i < len(c.steps) && c.steps[c.i] == j
+	return c.i < len(c.Steps) && c.Steps[c.i] == j
 }
 
 // addStepMemory adds one analysis' mStart_j of the memory recurrence
@@ -263,9 +264,9 @@ func (r *Recommendation) Validate(specs []AnalysisSpec, res Resources) error {
 			outs = append([]int(nil), outs...)
 			sort.Ints(outs)
 		}
-		isA := stepCursor{steps: s.AnalysisSteps}
+		isA := StepCursor{Steps: s.AnalysisSteps}
 		for _, j := range outs {
-			if !isA.at(j) {
+			if !isA.At(j) {
 				return fmt.Errorf("core: %q outputs at step %d without an analysis", s.Name, j)
 			}
 		}
@@ -297,14 +298,14 @@ func (r *Recommendation) Validate(specs []AnalysisSpec, res Resources) error {
 // at analysis steps, "Oa" at analysis-output steps, and "Os" at simulation
 // output steps (every simOutputEvery steps; 0 disables simulation output).
 func CouplingString(res Resources, s AnalysisSchedule, simOutputEvery int) string {
-	isA, isO := stepCursor{steps: s.AnalysisSteps}, stepCursor{steps: s.OutputSteps}
+	isA, isO := StepCursor{Steps: s.AnalysisSteps}, StepCursor{Steps: s.OutputSteps}
 	var b strings.Builder
 	for j := 1; j <= res.Steps; j++ {
 		b.WriteString("S")
-		if isA.at(j) {
+		if isA.At(j) {
 			b.WriteString("A")
 		}
-		if isO.at(j) {
+		if isO.At(j) {
 			b.WriteString("Oa")
 		}
 		if simOutputEvery > 0 && j%simOutputEvery == 0 {
@@ -333,18 +334,18 @@ func (r *Recommendation) GanttString(res Resources, width int) string {
 		if !s.Enabled {
 			continue
 		}
-		isA, isO := stepCursor{steps: s.AnalysisSteps}, stepCursor{steps: s.OutputSteps}
+		isA, isO := StepCursor{Steps: s.AnalysisSteps}, StepCursor{Steps: s.OutputSteps}
 		fmt.Fprintf(&b, "%-*s |", nameW, s.Name)
 		for c := 0; c < width; c++ {
 			lo := c*res.Steps/width + 1
 			hi := (c + 1) * res.Steps / width
 			ch := byte('.')
 			for j := lo; j <= hi; j++ {
-				if isO.at(j) {
+				if isO.At(j) {
 					ch = 'O'
 					break
 				}
-				if isA.at(j) {
+				if isA.At(j) {
 					ch = 'A'
 				}
 			}

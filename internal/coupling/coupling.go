@@ -9,6 +9,7 @@ package coupling
 import (
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"insitu/internal/analysis"
@@ -58,16 +59,28 @@ type Runner struct {
 }
 
 // emit routes one event to the ledger (if any) and the Observe hook (if any).
-func (r *Runner) emit(e obs.LedgerEvent) {
-	r.Ledger.Append(e)
+// at is the clock reading that closed the region the event reports — the
+// ledger stamps the event with it rather than reading the clock again — or
+// the zero time for an event that closes none.
+func (r *Runner) emit(at time.Time, e obs.LedgerEvent) {
+	r.Ledger.AppendAt(at, e)
 	if r.Observe != nil {
 		r.Observe(e)
 	}
 }
 
-// emitTimed emits a span-style event, converting dur to ledger microseconds.
-func (r *Runner) emitTimed(typ, name string, step int, dur time.Duration) {
-	r.emit(obs.LedgerEvent{Type: typ, Name: name, Step: step, Dur: float64(dur.Nanoseconds()) / 1e3})
+// ledgerMicros converts a measured duration to ledger microseconds.
+func ledgerMicros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+
+// stepCursor returns a membership cursor over a schedule's step list. The
+// solver's lists are ascending; a hand-built plan's may not be, and is then
+// sorted in a copy.
+func stepCursor(steps []int) core.StepCursor {
+	if !sort.IntsAreSorted(steps) {
+		steps = append([]int(nil), steps...)
+		sort.Ints(steps)
+	}
+	return core.StepCursor{Steps: steps}
 }
 
 // KernelReport summarizes one kernel's execution.
@@ -130,8 +143,10 @@ func (r *Runner) Run() (*Report, error) {
 
 	type active struct {
 		kernel   analysis.Kernel
-		isA, isO map[int]bool
+		isA, isO core.StepCursor
 		report   *KernelReport
+		// Span names, built once per schedule rather than once per event.
+		analyzeSpan, outputSpan string
 		// Telemetry handles, resolved once so the loop stays cheap; all
 		// are nil-safe no-ops when Metrics is nil.
 		mAnalyses *obs.Counter
@@ -173,23 +188,26 @@ func (r *Runner) Run() (*Report, error) {
 			kr := report(s.Name)
 			if !setup[s.Name] {
 				setup[s.Name] = true
-				sp := r.Trace.Begin(s.Name+"/setup", "kernel")
 				t0 := time.Now()
+				sp := r.Trace.BeginAt(t0, 0, s.Name+"/setup", "kernel")
 				if _, err := k.Setup(); err != nil {
 					return nil, fmt.Errorf("coupling: setup %s: %w", s.Name, err)
 				}
-				kr.SetupTime = time.Since(t0)
-				sp.End()
+				t1 := time.Now()
+				kr.SetupTime = t1.Sub(t0)
+				sp.EndAt(t1)
 			}
 			labels := obs.Labels{"kernel": s.Name}
 			run = append(run, active{
-				kernel:    k,
-				isA:       intSet(s.AnalysisSteps),
-				isO:       intSet(s.OutputSteps),
-				report:    kr,
-				mAnalyses: r.Metrics.Counter("coupling_analyses_total", labels),
-				mOutputs:  r.Metrics.Counter("coupling_outputs_total", labels),
-				mOutBytes: r.Metrics.Counter("coupling_output_bytes_total", labels),
+				kernel:      k,
+				isA:         stepCursor(s.AnalysisSteps),
+				isO:         stepCursor(s.OutputSteps),
+				report:      kr,
+				analyzeSpan: s.Name + "/analyze",
+				outputSpan:  s.Name + "/output",
+				mAnalyses:   r.Metrics.Counter("coupling_analyses_total", labels),
+				mOutputs:    r.Metrics.Counter("coupling_outputs_total", labels),
+				mOutBytes:   r.Metrics.Counter("coupling_output_bytes_total", labels),
 			})
 		}
 		return run, nil
@@ -199,58 +217,66 @@ func (r *Runner) Run() (*Report, error) {
 		return nil, err
 	}
 
-	r.emit(obs.LedgerEvent{Type: obs.LedgerRunStart, Name: r.App, Args: map[string]float64{
+	// One clock reading per boundary: the reading that opens a timed region
+	// is also its span's start, the reading that closes it is the span's end
+	// and the ledger event's timestamp.
+	r.emit(time.Time{}, obs.LedgerEvent{Type: obs.LedgerRunStart, Name: r.App, Args: map[string]float64{
 		"steps": float64(r.Res.Steps), "kernels": float64(len(run)),
 	}})
 	for step := 1; step <= r.Res.Steps; step++ {
-		stepSpan := r.Trace.Begin("step", "sim").Arg("step", float64(step))
-		advSpan := r.Trace.Begin("advance", "sim")
+		stepArg := float64(step)
+		stepSpan := r.Trace.Begin("step", "sim").Arg("step", stepArg)
 		t0 := time.Now()
+		advSpan := r.Trace.BeginAt(t0, 0, "advance", "sim")
 		r.Step()
-		dt := time.Since(t0)
-		advSpan.End()
+		t1 := time.Now()
+		dt := t1.Sub(t0)
+		advSpan.EndAt(t1)
 		rep.SimTime += dt
 		mSteps.Inc()
 		mStepDur.Observe(dt.Seconds())
-		r.emitTimed(obs.LedgerStep, "", step, dt)
+		r.emit(t1, obs.LedgerEvent{Type: obs.LedgerStep, Step: step, Dur: ledgerMicros(dt)})
 
-		for _, a := range run {
+		for i := range run {
+			a := &run[i] // the cursors advance in place
 			t1 := time.Now()
 			if _, err := a.kernel.PreStep(step); err != nil {
 				return nil, fmt.Errorf("coupling: prestep %s at %d: %w", a.report.Name, step, err)
 			}
 			a.report.PreTime += time.Since(t1)
 
-			if a.isA[step] {
-				sp := r.Trace.Begin(a.report.Name+"/analyze", "kernel").Arg("step", float64(step))
+			if a.isA.At(step) {
 				t2 := time.Now()
+				sp := r.Trace.BeginAt(t2, 0, a.analyzeSpan, "kernel").Arg("step", stepArg)
 				if _, err := a.kernel.Analyze(step); err != nil {
 					return nil, fmt.Errorf("coupling: analyze %s at %d: %w", a.report.Name, step, err)
 				}
-				da := time.Since(t2)
+				t3 := time.Now()
+				da := t3.Sub(t2)
 				a.report.Analyze += da
 				a.report.Analyses++
-				sp.End()
+				sp.EndAt(t3)
 				a.mAnalyses.Inc()
-				r.emitTimed(obs.LedgerAnalysis, a.report.Name, step, da)
+				r.emit(t3, obs.LedgerEvent{Type: obs.LedgerAnalysis, Name: a.report.Name, Step: step, Dur: ledgerMicros(da)})
 			}
-			if a.isO[step] {
-				sp := r.Trace.Begin(a.report.Name+"/output", "output").Arg("step", float64(step))
-				t3 := time.Now()
+			if a.isO.At(step) {
+				t2 := time.Now()
+				sp := r.Trace.BeginAt(t2, 0, a.outputSpan, "output").Arg("step", stepArg)
 				n, err := a.kernel.Output(out)
 				if err != nil {
 					return nil, fmt.Errorf("coupling: output %s at %d: %w", a.report.Name, step, err)
 				}
-				do := time.Since(t3)
+				t3 := time.Now()
+				do := t3.Sub(t2)
 				a.report.OutputTime += do
 				a.report.OutBytes += n
 				a.report.Outputs++
-				sp.End()
+				sp.EndAt(t3)
 				a.mOutputs.Inc()
 				a.mOutBytes.Add(float64(n))
-				r.emit(obs.LedgerEvent{
+				r.emit(t3, obs.LedgerEvent{
 					Type: obs.LedgerOutput, Name: a.report.Name, Step: step,
-					Dur: float64(do.Nanoseconds()) / 1e3, Bytes: n,
+					Dur: ledgerMicros(do), Bytes: n,
 				})
 			}
 		}
@@ -270,19 +296,11 @@ func (r *Runner) Run() (*Report, error) {
 	for i := range rep.Kernels {
 		rep.AnalysisTime += rep.Kernels[i].Total()
 	}
-	r.emit(obs.LedgerEvent{Type: obs.LedgerRunEnd, Args: map[string]float64{
+	r.emit(time.Time{}, obs.LedgerEvent{Type: obs.LedgerRunEnd, Args: map[string]float64{
 		"sim_seconds":      rep.SimTime.Seconds(),
 		"analysis_seconds": rep.AnalysisTime.Seconds(),
 	}})
 	return rep, nil
-}
-
-func intSet(xs []int) map[int]bool {
-	m := make(map[int]bool, len(xs))
-	for _, x := range xs {
-		m[x] = true
-	}
-	return m
 }
 
 // SpecFromCosts converts measured kernel costs into a scheduling spec,

@@ -222,8 +222,10 @@ func TestRunnerReplanSwapsSchedule(t *testing.T) {
 	kernels["off"] = off
 	next := &core.Recommendation{Schedules: []core.AnalysisSchedule{
 		{Name: "k1", Enabled: false},
-		{Name: "k2", Enabled: true, Count: 2, AnalysisSteps: []int{14, 18}, OutputSteps: []int{18}, Outputs: 1},
-		{Name: "off", Enabled: true, Count: 2, AnalysisSteps: []int{12, 16}, OutputSteps: []int{16}, Outputs: 1},
+		// The new schedule also lists steps at and before the swap (a replanner
+		// may hand over a whole-run plan): those are in the past and never run.
+		{Name: "k2", Enabled: true, Count: 4, AnalysisSteps: []int{4, 10, 14, 18}, OutputSteps: []int{10, 18}, Outputs: 2},
+		{Name: "off", Enabled: true, Count: 3, AnalysisSteps: []int{2, 12, 16}, OutputSteps: []int{2, 16}, Outputs: 2},
 	}}
 	var replanSteps []int
 	r := &Runner{
@@ -258,6 +260,10 @@ func TestRunnerReplanSwapsSchedule(t *testing.T) {
 	}
 	if k2.setup != 1 {
 		t.Fatalf("k2 set up %d times across the swap, want 1", k2.setup)
+	}
+	// Its old output at 20 was swapped away, the new one at 10 is past.
+	if k2.outs != 1 {
+		t.Fatalf("k2 outs=%d, want the one output at step 18", k2.outs)
 	}
 	// The newly enabled kernel is set up once, at the swap, and runs the new
 	// schedule only.

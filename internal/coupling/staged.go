@@ -75,15 +75,17 @@ func (r *PlacementRunner) Run() (*PlacementReport, error) {
 		StagedRuns: map[string]int{},
 	}
 
+	// Span names are built once per schedule rather than once per event.
 	type inSituActive struct {
-		kernel analysis.Kernel
-		isA    map[int]bool
-		isO    map[int]bool
-		name   string
+		kernel                  analysis.Kernel
+		isA, isO                core.StepCursor
+		name                    string
+		analyzeSpan, outputSpan string
 	}
 	type stagedActive struct {
-		sa  StagedAnalysis
-		isA map[int]bool
+		sa                      StagedAnalysis
+		isA                     core.StepCursor
+		captureSpan, stagedSpan string
 	}
 	var inSitu []inSituActive
 	var staged []stagedActive
@@ -103,24 +105,31 @@ func (r *PlacementRunner) Run() (*PlacementReport, error) {
 			}
 			rep.SimSiteTime += time.Since(t0)
 			inSitu = append(inSitu, inSituActive{
-				kernel: k,
-				isA:    intSet(s.AnalysisSteps),
-				isO:    intSet(s.OutputSteps),
-				name:   s.Name,
+				kernel:      k,
+				isA:         stepCursor(s.AnalysisSteps),
+				isO:         stepCursor(s.OutputSteps),
+				name:        s.Name,
+				analyzeSpan: s.Name + "/analyze",
+				outputSpan:  s.Name + "/output",
 			})
 		case core.CoAnalysis:
 			sa, ok := r.Staged[s.Name]
 			if !ok {
 				return nil, fmt.Errorf("coupling: no staged analysis for %q", s.Name)
 			}
-			staged = append(staged, stagedActive{sa: sa, isA: intSet(s.AnalysisSteps)})
+			staged = append(staged, stagedActive{
+				sa:          sa,
+				isA:         stepCursor(s.AnalysisSteps),
+				captureSpan: sa.Name + "/capture",
+				stagedSpan:  sa.Name + "/staged",
+			})
 		}
 	}
 
 	// Staging worker pool.
 	type job struct {
-		name string
-		fn   func() error
+		name, span string
+		fn         func() error
 	}
 	jobs := make(chan job, workers*2)
 	errCh := make(chan error, workers)
@@ -135,11 +144,14 @@ func (r *PlacementRunner) Run() (*PlacementReport, error) {
 		go func(track int) {
 			defer wg.Done()
 			for j := range jobs {
-				sp := r.Trace.BeginOn(track, j.name+"/staged", "staged")
+				// As in Runner.Run, the readings that time the job are its
+				// span's start and end.
 				t0 := time.Now()
+				sp := r.Trace.BeginAt(t0, track, j.span, "staged")
 				err := j.fn()
-				dt := time.Since(t0)
-				sp.End()
+				t1 := time.Now()
+				dt := t1.Sub(t0)
+				sp.EndAt(t1)
 				mStagedRuns.Inc()
 				stageMu.Lock()
 				rep.StageTime += dt
@@ -175,13 +187,14 @@ func (r *PlacementRunner) Run() (*PlacementReport, error) {
 		rep.SimTime += time.Since(t0)
 		mSteps.Inc()
 
-		for _, a := range inSitu {
+		for i := range inSitu {
+			a := &inSitu[i] // the cursors advance in place
 			t1 := time.Now()
 			if _, err := a.kernel.PreStep(step); err != nil {
 				return fail(err)
 			}
-			if a.isA[step] {
-				sp := r.Trace.Begin(a.name+"/analyze", "kernel").Arg("step", float64(step))
+			if a.isA.At(step) {
+				sp := r.Trace.Begin(a.analyzeSpan, "kernel").Arg("step", float64(step))
 				if _, err := a.kernel.Analyze(step); err != nil {
 					return fail(err)
 				}
@@ -189,8 +202,8 @@ func (r *PlacementRunner) Run() (*PlacementReport, error) {
 				rep.InSituRuns[a.name]++
 				mInSituRuns.Inc()
 			}
-			if a.isO[step] {
-				sp := r.Trace.Begin(a.name+"/output", "output").Arg("step", float64(step))
+			if a.isO.At(step) {
+				sp := r.Trace.Begin(a.outputSpan, "output").Arg("step", float64(step))
 				if _, err := a.kernel.Output(io.Discard); err != nil {
 					return fail(err)
 				}
@@ -198,21 +211,23 @@ func (r *PlacementRunner) Run() (*PlacementReport, error) {
 			}
 			rep.SimSiteTime += time.Since(t1)
 		}
-		for _, s := range staged {
-			if !s.isA[step] {
+		for i := range staged {
+			s := &staged[i]
+			if !s.isA.At(step) {
 				continue
 			}
-			sp := r.Trace.Begin(s.sa.Name+"/capture", "transfer").Arg("step", float64(step))
 			t1 := time.Now()
+			sp := r.Trace.BeginAt(t1, 0, s.captureSpan, "transfer").Arg("step", float64(step))
 			fn, bytes, err := s.sa.Capture(step)
 			if err != nil {
 				return fail(fmt.Errorf("coupling: capture %s at %d: %w", s.sa.Name, step, err))
 			}
-			rep.SimSiteTime += time.Since(t1) // only the transfer blocks the simulation
-			sp.Arg("bytes", float64(bytes)).End()
+			t2 := time.Now()
+			rep.SimSiteTime += t2.Sub(t1) // only the transfer blocks the simulation
+			sp.Arg("bytes", float64(bytes)).EndAt(t2)
 			rep.Transferred += bytes
 			mTransfer.Add(float64(bytes))
-			jobs <- job{name: s.sa.Name, fn: fn}
+			jobs <- job{name: s.sa.Name, span: s.stagedSpan, fn: fn}
 		}
 		stepSpan.End()
 		select {

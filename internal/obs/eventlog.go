@@ -77,12 +77,13 @@ type LedgerEvent struct {
 // appends become no-ops.
 type EventLog struct {
 	mu     sync.Mutex
-	w      *bufio.Writer
+	w      io.Writer
 	closer io.Closer
 	now    func() time.Time
 	epoch  time.Time
 	err    error
 	count  int
+	enc    ledgerEncoder // reused under mu: an append allocates nothing
 
 	// Rotation state, set only for file-backed ledgers (OpenEventLog).
 	// maxBytes caps the active file: once an append pushes written past it,
@@ -101,7 +102,7 @@ const rotateSuffix = ".1"
 
 // NewEventLog starts a ledger on w with the epoch at the current time.
 func NewEventLog(w io.Writer) *EventLog {
-	l := &EventLog{w: bufio.NewWriter(w), now: time.Now}
+	l := &EventLog{w: w, now: time.Now}
 	if c, ok := w.(io.Closer); ok {
 		l.closer = c
 	}
@@ -153,7 +154,7 @@ func (l *EventLog) SetMaxBytes(maxBytes int64) error {
 	return nil
 }
 
-// Rotate flushes and closes the active ledger file, renames it to
+// Rotate closes the active ledger file, renames it to
 // path+".1" (replacing the previous generation, so at most two files ever
 // exist), and starts a fresh file at path. The epoch is preserved: events
 // in the new generation keep timestamps relative to the original open, so
@@ -190,10 +191,6 @@ func (l *EventLog) Rotations() int {
 // rotateLocked performs the rename-and-reopen under l.mu; any failure is
 // recorded as the sticky error.
 func (l *EventLog) rotateLocked() {
-	if err := l.w.Flush(); err != nil {
-		l.err = err
-		return
-	}
 	if l.closer != nil {
 		if err := l.closer.Close(); err != nil {
 			l.err = err
@@ -210,7 +207,7 @@ func (l *EventLog) rotateLocked() {
 		l.err = err
 		return
 	}
-	l.w = bufio.NewWriter(f)
+	l.w = f
 	l.closer = f
 	l.written = 0
 	l.rotations++
@@ -228,9 +225,20 @@ func (l *EventLog) SetClock(now func() time.Time) {
 	l.epoch = now()
 }
 
-// Append stamps e (schema version and, when unset, the timestamp) and
-// writes it as one JSON line.
-func (l *EventLog) Append(e LedgerEvent) {
+// Append stamps e (schema version and, when unset, the timestamp read from
+// the log's clock) and writes it as one JSON line.
+func (l *EventLog) Append(e LedgerEvent) { l.AppendAt(time.Time{}, e) }
+
+// AppendAt is Append for a caller that has already read the clock: an unset
+// timestamp is taken from at rather than from a second reading, so an event
+// closing a timed region carries the very instant the region closed. A zero
+// at reads the log's clock, as Append does.
+//
+// The line is encoded into a buffer the log owns and handed to the writer,
+// newline included, in one Write before AppendAt returns: the ledger is an
+// audit trail, so a crash mid-run must not lose the steps that already
+// completed, and a tailing summarizer sees whole lines only.
+func (l *EventLog) AppendAt(at time.Time, e LedgerEvent) {
 	if l == nil {
 		return
 	}
@@ -241,9 +249,12 @@ func (l *EventLog) Append(e LedgerEvent) {
 	}
 	e.Schema = LedgerSchemaVersion
 	if e.TS == 0 {
-		e.TS = float64(l.now().Sub(l.epoch).Nanoseconds()) / 1e3
+		if at.IsZero() {
+			at = l.now()
+		}
+		e.TS = float64(at.Sub(l.epoch).Nanoseconds()) / 1e3
 	}
-	line, err := marshalLedgerEvent(e)
+	line, err := l.enc.encodeLine(e)
 	if err != nil {
 		l.err = err
 		return
@@ -252,19 +263,8 @@ func (l *EventLog) Append(e LedgerEvent) {
 		l.err = err
 		return
 	}
-	if err := l.w.WriteByte('\n'); err != nil {
-		l.err = err
-		return
-	}
-	// Flush per line: the ledger is an audit trail, so a crash mid-run must
-	// not lose the steps that already completed, and a tailing summarizer
-	// sees whole lines only.
-	if err := l.w.Flush(); err != nil {
-		l.err = err
-		return
-	}
 	l.count++
-	l.written += int64(len(line)) + 1
+	l.written += int64(len(line))
 	if l.maxBytes > 0 && l.written >= l.maxBytes {
 		l.rotateLocked()
 	}
@@ -295,17 +295,15 @@ func (l *EventLog) Err() error {
 	return l.err
 }
 
-// Close flushes the ledger and closes the underlying file when the log owns
-// one. Close reports the first error seen over the log's lifetime.
+// Close closes the underlying file when the log owns one (every appended
+// line has already reached it). Close reports the first error seen over the
+// log's lifetime.
 func (l *EventLog) Close() error {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil && l.err == nil {
-		l.err = err
-	}
 	if l.closer != nil {
 		if err := l.closer.Close(); err != nil && l.err == nil {
 			l.err = err
@@ -313,18 +311,6 @@ func (l *EventLog) Close() error {
 		l.closer = nil
 	}
 	return l.err
-}
-
-// marshalLedgerEvent encodes with sorted Args keys (encoding/json already
-// sorts map keys) and no HTML escaping, so ledgers are byte-stable.
-func marshalLedgerEvent(e LedgerEvent) ([]byte, error) {
-	var b strings.Builder
-	enc := json.NewEncoder(&b)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(e); err != nil {
-		return nil, err
-	}
-	return []byte(strings.TrimSuffix(b.String(), "\n")), nil
 }
 
 // ErrSchemaTooNew marks a ledger line written under a schema this reader

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -105,6 +107,115 @@ func TestEventLogNilAndErrors(t *testing.T) {
 	fl.Append(LedgerEvent{Type: LedgerStep, Step: 2})
 	if fl.Err() != before {
 		t.Fatal("first error not sticky")
+	}
+}
+
+// lineRecorder keeps every Write it receives, and fails them all once
+// failAfter writes have succeeded (negative: never).
+type lineRecorder struct {
+	writes    []string
+	failAfter int
+}
+
+func (w *lineRecorder) Write(p []byte) (int, error) {
+	if w.failAfter >= 0 && len(w.writes) >= w.failAfter {
+		return 0, errors.New("sink full")
+	}
+	w.writes = append(w.writes, string(p))
+	return len(p), nil
+}
+
+// TestEventLogOneWritePerLine pins the audit-trail property: when Append
+// returns, the writer has received the event as exactly one Write holding one
+// complete newline-terminated line — nothing is held back for a later flush.
+func TestEventLogOneWritePerLine(t *testing.T) {
+	w := &lineRecorder{failAfter: -1}
+	l := NewEventLog(w)
+	events := []LedgerEvent{
+		{Type: LedgerRunStart, Name: "app", Args: map[string]float64{"steps": 2, "kernels": 1}},
+		{Type: LedgerStep, Step: 1, Dur: 12.5},
+		{Type: LedgerOutput, Name: `quo"ted`, Step: 1, Dur: 3, Bytes: 4096},
+		{Type: LedgerRunEnd, Args: map[string]float64{"sim_seconds": 1e-9}},
+	}
+	for i, e := range events {
+		l.Append(e)
+		if len(w.writes) != i+1 {
+			t.Fatalf("after append %d the writer has seen %d writes", i+1, len(w.writes))
+		}
+		line := w.writes[i]
+		if !strings.HasSuffix(line, "\n") || strings.Count(line, "\n") != 1 {
+			t.Fatalf("write %d is not one terminated line: %q", i, line)
+		}
+		got, err := ParseLedgerEvent([]byte(strings.TrimSuffix(line, "\n")))
+		if err != nil || got.Type != e.Type || got.Name != e.Name || got.Step != e.Step {
+			t.Fatalf("write %d = %q (%v), want event %+v", i, line, err, e)
+		}
+	}
+	if err := l.Close(); err != nil || len(w.writes) != len(events) {
+		t.Fatalf("close: %v, %d writes", err, len(w.writes))
+	}
+}
+
+// TestEventLogFailingWriterDropsLaterAppends: the first write error sticks,
+// and nothing is offered to the writer after it.
+func TestEventLogFailingWriterDropsLaterAppends(t *testing.T) {
+	w := &lineRecorder{failAfter: 2}
+	l := NewEventLog(w)
+	for step := 1; step <= 5; step++ {
+		l.Append(LedgerEvent{Type: LedgerStep, Step: step})
+	}
+	if l.Err() == nil || l.Err().Error() != "sink full" {
+		t.Fatalf("sticky error = %v", l.Err())
+	}
+	if l.Len() != 2 || len(w.writes) != 2 {
+		t.Fatalf("len = %d, writes = %d, want 2 and 2", l.Len(), len(w.writes))
+	}
+	if err := l.Close(); err == nil || err != l.Err() {
+		t.Fatalf("close = %v, want the sticky error", err)
+	}
+}
+
+// TestEventLogAppendAt: a caller's reading stamps an unset timestamp, a set
+// timestamp wins, and the zero time falls back to the log's clock.
+func TestEventLogAppendAt(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewEventLog(&buf)
+	clock := newFakeClock(time.Millisecond)
+	l.SetClock(clock.now) // epoch at +1 ms
+	at := time.Unix(1000, 0).Add(251 * time.Millisecond)
+	l.AppendAt(at, LedgerEvent{Type: LedgerStep, Step: 1})
+	l.AppendAt(at, LedgerEvent{Type: LedgerStep, Step: 2, TS: 7})
+	l.AppendAt(time.Time{}, LedgerEvent{Type: LedgerStep, Step: 3}) // reads the clock: +2 ms
+	events, err := ReadLedger(&buf)
+	if err != nil || len(events) != 3 {
+		t.Fatalf("events = %v, %v", events, err)
+	}
+	if events[0].TS != 250000 || events[1].TS != 7 || events[2].TS != 1000 {
+		t.Fatalf("ts_us = %g, %g, %g; want 250000, 7, 1000", events[0].TS, events[1].TS, events[2].TS)
+	}
+}
+
+// TestEventLogAppendAllocatesNothing: once the line buffer has grown, a step
+// event — and an event with args — is encoded and written without a single
+// allocation.
+func TestEventLogAppendAllocatesNothing(t *testing.T) {
+	l := NewEventLog(io.Discard)
+	args := map[string]float64{"nodes": 3, "pivots": 17, "objective": 41.5}
+	l.Append(LedgerEvent{Type: LedgerSolve, Name: "plan", Dur: 10, Args: args})
+	step := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		step++
+		l.Event(LedgerStep, "", step, 1500*time.Nanosecond)
+	}); n != 0 {
+		t.Fatalf("appending a step event allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		l.Append(LedgerEvent{Type: LedgerSolve, Name: "plan", Dur: 10, Args: args})
+	}); n != 0 {
+		t.Fatalf("appending an event with args allocates %v times", n)
+	}
+	if err := l.Err(); err != nil || l.Len() != 2003 { // AllocsPerRun warms up once
+		t.Fatalf("err = %v, len = %d", err, l.Len())
 	}
 }
 

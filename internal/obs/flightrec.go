@@ -243,23 +243,25 @@ func SolveProgFromEvents(events []LedgerEvent) []SolveProgress {
 	return out
 }
 
-// DefaultFlightCapacity is the ring size NewFlightRecorder uses for
+// DefaultFlightCapacity is the ring's size limit NewFlightRecorder uses for
 // capacity <= 0: large enough to hold every event of the paper instances
 // (hundreds of waves) with room for big what-if sweeps.
 const DefaultFlightCapacity = 8192
 
-// FlightRecorder captures a solver progress stream into a fixed-size ring
-// buffer. It is safe for concurrent use (the solver records from its consume
-// path while an HTTP handler snapshots) and nil-safe, so instrumented code
-// needs no enable checks. When the ring wraps, the oldest records drop and
-// Dropped counts them; because every SolveProgress counter is cumulative, a
-// suffix of the stream still reads correct totals.
+// FlightRecorder captures a solver progress stream into a ring buffer of
+// bounded size, grown on demand: a solve that records a few dozen samples
+// holds a few dozen, not the limit. It is safe for concurrent use (the
+// solver records from its consume path while an HTTP handler snapshots) and
+// nil-safe, so instrumented code needs no enable checks. When the ring wraps,
+// the oldest records drop and Dropped counts them; because every
+// SolveProgress counter is cumulative, a suffix of the stream still reads
+// correct totals.
 type FlightRecorder struct {
 	mu      sync.Mutex
 	name    string
-	buf     []SolveProgress
-	next    int
-	filled  bool
+	buf     []SolveProgress // grows by append up to limit, then wraps
+	limit   int
+	next    int // oldest record, once the ring is full
 	total   int
 	dropped int
 }
@@ -270,7 +272,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &FlightRecorder{buf: make([]SolveProgress, 0, capacity)}
+	return &FlightRecorder{limit: capacity}
 }
 
 // SetName labels the stream (typically the solve or instance name); it is
@@ -302,11 +304,8 @@ func (r *FlightRecorder) Record(p SolveProgress) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
-	if !r.filled && len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.limit {
 		r.buf = append(r.buf, p)
-		if len(r.buf) == cap(r.buf) {
-			r.filled, r.next = true, 0
-		}
 		return
 	}
 	r.buf[r.next] = p
@@ -322,7 +321,7 @@ func (r *FlightRecorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.buf = r.buf[:0]
-	r.next, r.filled, r.total, r.dropped = 0, false, 0, 0
+	r.next, r.total, r.dropped = 0, 0, 0
 }
 
 // Len returns the number of records currently held.
@@ -362,14 +361,10 @@ func (r *FlightRecorder) Snapshot() []SolveProgress {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// next is 0 until the ring wraps, so this is buf itself before that.
 	out := make([]SolveProgress, 0, len(r.buf))
-	if r.filled {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
-	}
-	return out
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
 }
 
 // AppendLedger drains the held records into the ledger as solveprog events,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -89,6 +90,51 @@ func TestFlightRecorderRing(t *testing.T) {
 	r.Reset()
 	if r.Len() != 0 || r.Total() != 0 || r.Dropped() != 0 || r.Name() != "demo" {
 		t.Fatalf("reset kept state: len=%d total=%d dropped=%d name=%q", r.Len(), r.Total(), r.Dropped(), r.Name())
+	}
+}
+
+// TestFlightRecorderGrowsOnDemand: the capacity is a limit, not a
+// reservation. A default recorder costs next to nothing to build (schedd
+// makes one per cache miss and the LRU keeps it), and one holding k records,
+// k far below the limit, retains O(k).
+func TestFlightRecorderGrowsOnDemand(t *testing.T) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	const built = 64
+	recs := make([]*FlightRecorder, built)
+	for i := range recs {
+		recs[i] = NewFlightRecorder(0)
+	}
+	runtime.ReadMemStats(&ms)
+	if per := (ms.TotalAlloc - before) / built; per >= 1024 {
+		t.Fatalf("NewFlightRecorder(0) allocates %d bytes", per)
+	}
+
+	for _, k := range []int{1, 3, 40, 300} {
+		r := NewFlightRecorder(0)
+		for i := 0; i < k; i++ {
+			r.Record(SolveProgress{Seq: i})
+		}
+		if r.Len() != k || r.Dropped() != 0 || cap(r.buf) > 2*k {
+			t.Fatalf("%d records: len %d, dropped %d, retained capacity %d", k, r.Len(), r.Dropped(), cap(r.buf))
+		}
+		if snap := r.Snapshot(); len(snap) != k || snap[0].Seq != 0 || snap[k-1].Seq != k-1 {
+			t.Fatalf("%d records: snapshot of %d", k, len(snap))
+		}
+	}
+
+	// The limit still holds, and a Reset ring wraps again at the same place.
+	r := NewFlightRecorder(0)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < DefaultFlightCapacity+5; i++ {
+			r.Record(SolveProgress{Seq: i})
+		}
+		snap := r.Snapshot()
+		if r.Len() != DefaultFlightCapacity || r.Dropped() != 5 || snap[0].Seq != 5 || snap[len(snap)-1].Seq != DefaultFlightCapacity+4 {
+			t.Fatalf("round %d: len %d, dropped %d, snapshot %d..%d", round, r.Len(), r.Dropped(), snap[0].Seq, snap[len(snap)-1].Seq)
+		}
+		r.Reset()
 	}
 }
 

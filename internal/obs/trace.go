@@ -35,13 +35,79 @@ type Event struct {
 
 // Tracer records spans and events against a monotonic epoch. The zero value
 // is not ready for use; call NewTracer. A nil *Tracer is a valid no-op sink.
+//
+// Every span, instant and counter is one slot of a chunked store: chunks are
+// fixed-size arrays that are never re-copied, so recording costs a slot
+// write, not a growing slice. A span owns its slot from Begin on and writes
+// its arguments there; the slot is sealed — and only then visible to Len,
+// Events and the exporters — by End.
 type Tracer struct {
 	mu         sync.Mutex
 	now        func() time.Time
 	epoch      time.Time
-	events     []Event
+	chunks     []*[slotsPerChunk]slot
+	opened     int // slots handed out, open spans included
+	sealed     int // slots readers can see
 	procName   string
 	trackNames map[int]string
+}
+
+const (
+	// slotsPerChunk slots, with the allocator's header, fill a 28 KiB size
+	// class; one more would take a 32 KiB one.
+	slotsPerChunk = 255
+	// inlineArgs arguments live in the slot itself; the runners' spans carry
+	// one (step) or two (step, bytes).
+	inlineArgs = 2
+)
+
+// slot is the stored form of an Event. Tracks are lane numbers and are kept
+// in 32 bits.
+type slot struct {
+	name, cat  string
+	start, dur time.Duration
+	track      int32
+	phase      Phase
+	sealed     bool
+	nargs      uint8 // inline arguments in use
+	keys       [inlineArgs]string
+	vals       [inlineArgs]float64
+	more       map[string]float64 // arguments beyond the inline ones
+}
+
+// set stores one argument, overwriting an earlier value of the same key.
+func (sl *slot) set(key string, v float64) {
+	for i := 0; i < int(sl.nargs); i++ {
+		if sl.keys[i] == key {
+			sl.vals[i] = v
+			return
+		}
+	}
+	if sl.nargs < inlineArgs { // a span's more fills only after its inline storage
+		sl.keys[sl.nargs], sl.vals[sl.nargs] = key, v
+		sl.nargs++
+		return
+	}
+	if sl.more == nil {
+		sl.more = make(map[string]float64)
+	}
+	sl.more[key] = v
+}
+
+// event builds the reader's view of a sealed slot. A slot without inline
+// arguments hands out its map as it is (an Instant's is the caller's).
+func (sl *slot) event() Event {
+	e := Event{Name: sl.name, Cat: sl.cat, Phase: sl.phase, Track: int(sl.track), Start: sl.start, Dur: sl.dur, Args: sl.more}
+	if sl.nargs > 0 {
+		e.Args = make(map[string]float64, int(sl.nargs)+len(sl.more))
+		for k, v := range sl.more {
+			e.Args[k] = v
+		}
+		for i := 0; i < int(sl.nargs); i++ {
+			e.Args[sl.keys[i]] = sl.vals[i]
+		}
+	}
+	return e
 }
 
 // NewTracer returns a tracer whose epoch is the current wall-clock time.
@@ -90,71 +156,102 @@ func (t *Tracer) SetClock(now func() time.Time) {
 	t.epoch = now()
 }
 
-// Span is an open interval on the timeline; End closes it and records a
-// PhaseComplete event. A nil *Span is a valid no-op.
+// open hands out the next slot — zeroed, since no slot is used twice — with
+// its name, category and phase set, and its start read from at (see offset).
+// Callers hold t.mu.
+func (t *Tracer) open(at time.Time, name, cat string, phase Phase) (*slot, int) {
+	i := t.opened
+	if i == len(t.chunks)*slotsPerChunk {
+		t.chunks = append(t.chunks, new([slotsPerChunk]slot))
+	}
+	t.opened++
+	sl := t.slot(i)
+	sl.name, sl.cat, sl.phase, sl.start = name, cat, phase, t.offset(at)
+	return sl, i
+}
+
+// slot resolves a slot index. Callers hold t.mu.
+func (t *Tracer) slot(i int) *slot { return &t.chunks[i/slotsPerChunk][i%slotsPerChunk] }
+
+// seal makes a slot visible to readers. Callers hold t.mu.
+func (t *Tracer) seal(sl *slot) {
+	sl.sealed = true
+	t.sealed++
+}
+
+// offset converts a clock reading to an offset from the epoch; a zero at
+// reads the tracer's clock. Callers hold t.mu.
+func (t *Tracer) offset(at time.Time) time.Duration {
+	if at.IsZero() {
+		at = t.now()
+	}
+	return at.Sub(t.epoch)
+}
+
+// Span is the handle of an open interval on the timeline; End closes it and
+// makes it visible as a PhaseComplete event. Spans are small values: pass
+// and store them as such. The zero Span is a valid no-op.
 type Span struct {
-	t     *Tracer
-	name  string
-	cat   string
-	track int
-	start time.Duration
-	args  map[string]float64
-	done  bool
+	t *Tracer
+	i int // slot index
 }
 
 // Begin opens a span on track 0.
-func (t *Tracer) Begin(name, cat string) *Span { return t.BeginOn(0, name, cat) }
+func (t *Tracer) Begin(name, cat string) Span { return t.BeginAt(time.Time{}, 0, name, cat) }
 
 // BeginOn opens a span on the given track (Chrome renders each track as one
 // tid lane; use distinct tracks for concurrent actors such as staging
 // workers).
-func (t *Tracer) BeginOn(track int, name, cat string) *Span {
+func (t *Tracer) BeginOn(track int, name, cat string) Span {
+	return t.BeginAt(time.Time{}, track, name, cat)
+}
+
+// BeginAt is BeginOn for a caller that has already read the clock: the span
+// starts at that reading instead of at a second one. A zero at reads the
+// tracer's clock.
+func (t *Tracer) BeginAt(at time.Time, track int, name, cat string) Span {
 	if t == nil {
-		return nil
+		return Span{}
 	}
 	t.mu.Lock()
-	start := t.now().Sub(t.epoch)
-	t.mu.Unlock()
-	return &Span{t: t, name: name, cat: cat, track: track, start: start}
+	defer t.mu.Unlock()
+	sl, i := t.open(at, name, cat, PhaseComplete)
+	sl.track = int32(track)
+	return Span{t: t, i: i}
 }
 
 // Arg attaches a numeric argument to the span and returns it for chaining.
-// After End the span is sealed and Arg is a no-op — the recorded event owns
-// the argument map, so late writes must not reach readers of the timeline.
-func (s *Span) Arg(key string, v float64) *Span {
-	if s == nil || s.done {
+// After End the span is sealed and Arg is a no-op — late writes must not
+// reach readers of the timeline.
+func (s Span) Arg(key string, v float64) Span {
+	if s.t == nil {
 		return s
 	}
-	if s.args == nil {
-		s.args = make(map[string]float64)
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	if sl := s.t.slot(s.i); !sl.sealed {
+		sl.set(key, v)
 	}
-	s.args[key] = v
 	return s
 }
 
 // End closes the span and records it. End is idempotent.
-func (s *Span) End() {
-	if s == nil || s.done {
+func (s Span) End() { s.EndAt(time.Time{}) }
+
+// EndAt is End for a caller that has already read the clock; a zero at reads
+// the tracer's clock.
+func (s Span) EndAt(at time.Time) {
+	if s.t == nil {
 		return
 	}
-	s.done = true
-	// Hand the argument map over to the recorded event; the span keeps no
-	// reference, so a (buggy) post-End Arg cannot race with trace writers.
-	args := s.args
-	s.args = nil
-	t := s.t
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	end := t.now().Sub(t.epoch)
-	t.events = append(t.events, Event{
-		Name:  s.name,
-		Cat:   s.cat,
-		Phase: PhaseComplete,
-		Track: s.track,
-		Start: s.start,
-		Dur:   end - s.start,
-		Args:  args,
-	})
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	sl := s.t.slot(s.i)
+	if sl.sealed {
+		return
+	}
+	sl.dur = s.t.offset(at) - sl.start
+	s.t.seal(sl)
 }
 
 // Instant records a point event on track 0.
@@ -164,13 +261,9 @@ func (t *Tracer) Instant(name, cat string, args map[string]float64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.events = append(t.events, Event{
-		Name:  name,
-		Cat:   cat,
-		Phase: PhaseInstant,
-		Start: t.now().Sub(t.epoch),
-		Args:  args,
-	})
+	sl, _ := t.open(time.Time{}, name, cat, PhaseInstant)
+	sl.more = args
+	t.seal(sl)
 }
 
 // Counter records a sampled counter value; Chrome renders a stacked area
@@ -181,35 +274,48 @@ func (t *Tracer) Counter(name string, value float64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.events = append(t.events, Event{
-		Name:  name,
-		Cat:   "counter",
-		Phase: PhaseCounter,
-		Start: t.now().Sub(t.epoch),
-		Args:  map[string]float64{"value": value},
-	})
+	sl, _ := t.open(time.Time{}, name, "counter", PhaseCounter)
+	sl.set("value", value)
+	t.seal(sl)
 }
 
-// Len returns the number of recorded events.
+// Len returns the number of recorded events; a span counts once it has
+// ended.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	return t.sealed
 }
 
 // Events returns a copy of the recorded timeline ordered by start time
-// (ties broken by longer-span-first so parents sort before children).
+// (ties broken by longer-span-first so parents sort before children). Spans
+// still open are not part of it.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	out := append([]Event(nil), t.events...)
+	out := t.snapshot()
 	t.mu.Unlock()
 	sortEvents(out)
+	return out
+}
+
+// snapshot builds the events of the sealed slots in slot order. Callers hold
+// t.mu.
+func (t *Tracer) snapshot() []Event {
+	if t.sealed == 0 {
+		return nil
+	}
+	out := make([]Event, 0, t.sealed)
+	for i := 0; i < t.opened; i++ {
+		if sl := t.slot(i); sl.sealed {
+			out = append(out, sl.event())
+		}
+	}
 	return out
 }
 
@@ -252,7 +358,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	for i, id := range tracks {
 		names[i] = t.trackNames[id]
 	}
-	events := append([]Event(nil), t.events...)
+	events := t.snapshot()
 	t.mu.Unlock()
 	sortEvents(events)
 	if proc == "" {

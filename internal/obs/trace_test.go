@@ -3,6 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -219,5 +223,159 @@ func TestNilTracerNoOps(t *testing.T) {
 	}
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTracerTimelineGolden records one fixed event set under the fake clock —
+// nested and overlapping spans on two tracks with zero to three arguments,
+// an instant, a counter — and holds Events(), WriteChromeTrace and WriteCSV
+// to what the heap-span tracer (before spans became slots) produced for it.
+// The span left open at the end never appears.
+func TestTracerTimelineGolden(t *testing.T) {
+	tr := NewTracer()
+	tr.SetClock(newFakeClock(time.Millisecond).now)
+	tr.SetProcessName("golden")
+	tr.SetTrackName(0, "sim+analysis")
+	tr.SetTrackName(1, "staging-0")
+	step := tr.Begin("step", "sim").Arg("step", 1)
+	tr.Begin("advance", "sim").End()
+	tr.Begin("rdf/analyze", "kernel").Arg("step", 1).End()
+	capture := tr.Begin("msd/capture", "transfer").Arg("step", 1)
+	staged := tr.BeginOn(1, "msd/staged", "staged")
+	capture.Arg("bytes", 4096).End()
+	tr.Instant("incumbent", "solver", map[string]float64{"objective": 42, "node": 7})
+	tr.Counter("backlog", 3)
+	tr.Begin("solve", "solver").Arg("nodes", 5).Arg("pivots", 40).Arg("gap", 0.125).Arg("nodes", 6).End()
+	staged.End()
+	step.End()
+	tr.Begin("never-ended", "sim").Arg("step", 2)
+
+	var lines []string
+	for _, e := range tr.Events() {
+		lines = append(lines, fmt.Sprintf("%s %s %c %d %v %v %v", e.Name, e.Cat, e.Phase, e.Track, e.Start, e.Dur, e.Args))
+	}
+	wantEvents := []string{
+		"step sim X 0 1ms 13ms map[step:1]",
+		"advance sim X 0 2ms 1ms map[]",
+		"rdf/analyze kernel X 0 4ms 1ms map[step:1]",
+		"msd/capture transfer X 0 6ms 2ms map[bytes:4096 step:1]",
+		"msd/staged staged X 1 7ms 6ms map[]",
+		"incumbent solver i 0 9ms 0s map[node:7 objective:42]",
+		"backlog counter C 0 10ms 0s map[value:3]",
+		"solve solver X 0 11ms 1ms map[gap:0.125 nodes:6 pivots:40]",
+	}
+	if got, want := strings.Join(lines, "\n"), strings.Join(wantEvents, "\n"); got != want {
+		t.Fatalf("Events():\n%s\nwant:\n%s", got, want)
+	}
+	if tr.Len() != len(wantEvents) {
+		t.Fatalf("Len() = %d, want %d", tr.Len(), len(wantEvents))
+	}
+
+	want, err := os.ReadFile(filepath.Join("testdata", "trace_timeline.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WriteChromeTrace:\n%s\nwant:\n%s", buf.Bytes(), want)
+	}
+
+	buf.Reset()
+	if err := tr.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	wantCSV := `track,phase,cat,name,start_us,dur_us
+0,X,sim,step,1000.000,13000.000
+0,X,sim,advance,2000.000,1000.000
+0,X,kernel,rdf/analyze,4000.000,1000.000
+0,X,transfer,msd/capture,6000.000,2000.000
+1,X,staged,msd/staged,7000.000,6000.000
+0,i,solver,incumbent,9000.000,0.000
+0,C,counter,backlog,10000.000,0.000
+0,X,solver,solve,11000.000,1000.000
+`
+	if buf.String() != wantCSV {
+		t.Fatalf("WriteCSV:\n%s\nwant:\n%s", buf.String(), wantCSV)
+	}
+}
+
+// TestOpenSpanInvisibleUntilEnd: a span occupies its slot from Begin on, but
+// no reader sees it — arguments included — before End seals it.
+func TestOpenSpanInvisibleUntilEnd(t *testing.T) {
+	tr := NewTracer()
+	tr.SetClock(newFakeClock(time.Millisecond).now)
+	export := func() string {
+		var b strings.Builder
+		if err := tr.WriteChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	empty := export()
+	outer := tr.Begin("outer", "test").Arg("a", 1)
+	inner := tr.Begin("inner", "test")
+	if tr.Len() != 0 || tr.Events() != nil || export() != empty {
+		t.Fatalf("open spans are visible: len %d, events %v", tr.Len(), tr.Events())
+	}
+	inner.End()
+	if evs := tr.Events(); tr.Len() != 1 || len(evs) != 1 || evs[0].Name != "inner" {
+		t.Fatalf("after inner.End: len %d, events %v", tr.Len(), evs)
+	}
+	if strings.Contains(export(), "outer") {
+		t.Fatal("the open outer span reached an export")
+	}
+	outer.Arg("b", 2).Arg("c", 3).End()
+	evs := tr.Events()
+	if tr.Len() != 2 || len(evs) != 2 || evs[0].Name != "outer" {
+		t.Fatalf("after outer.End: len %d, events %v", tr.Len(), evs)
+	}
+	// Three arguments: two inline, one beyond.
+	if want := map[string]float64{"a": 1, "b": 2, "c": 3}; !reflect.DeepEqual(evs[0].Args, want) {
+		t.Fatalf("args = %v, want %v", evs[0].Args, want)
+	}
+	if !strings.Contains(export(), `"args":{"a":1,"b":2,"c":3}`) {
+		t.Fatalf("export lacks the three arguments:\n%s", export())
+	}
+}
+
+// TestSpanAtCallerReadings: BeginAt and EndAt place the span at the caller's
+// readings without consulting the tracer's clock.
+func TestSpanAtCallerReadings(t *testing.T) {
+	tr := NewTracer()
+	reads := 0
+	base := time.Unix(1000, 0)
+	tr.SetClock(func() time.Time { reads++; return base })
+	sp := tr.BeginAt(base.Add(3*time.Millisecond), 2, "region", "test")
+	sp.EndAt(base.Add(10 * time.Millisecond))
+	sp.EndAt(base.Add(20 * time.Millisecond)) // idempotent
+	evs := tr.Events()
+	if len(evs) != 1 || evs[0].Track != 2 || evs[0].Start != 3*time.Millisecond || evs[0].Dur != 7*time.Millisecond {
+		t.Fatalf("events = %+v", evs)
+	}
+	if reads != 1 { // SetClock's epoch reading
+		t.Fatalf("the tracer read its clock %d times", reads)
+	}
+	var none Span
+	none.Arg("k", 1).EndAt(base) // the zero Span is a no-op
+	(*Tracer)(nil).BeginAt(base, 0, "x", "y").Arg("k", 1).End()
+}
+
+// TestSpanAllocatesNothingAmortised: a span is a slot write; the only
+// allocation is one chunk per slotsPerChunk spans, which rounds to none.
+func TestSpanAllocatesNothingAmortised(t *testing.T) {
+	tr := NewTracer()
+	if n := testing.AllocsPerRun(4*slotsPerChunk, func() {
+		tr.Begin("capture", "transfer").Arg("step", 7).Arg("bytes", 4096).End()
+	}); n != 0 {
+		t.Fatalf("Begin+Arg+Arg+End allocates %v times", n)
+	}
+	if tr.Len() != 4*slotsPerChunk+1 {
+		t.Fatalf("len = %d", tr.Len())
 	}
 }

@@ -100,6 +100,10 @@ type streamState struct {
 	mCusumNeg *obs.Gauge
 }
 
+// kernelStreams holds one kernel's two streams, each nil until its first
+// event creates it (creation order is report order).
+type kernelStreams struct{ analyze, output *streamState }
+
 // Monitor consumes ledger-style run events and maintains the per-stream
 // residual statistics. It is safe for concurrent use; Observe is cheap
 // enough to sit on the coupling runner's hot path.
@@ -109,6 +113,11 @@ type Monitor struct {
 	profile *Profile
 	streams map[string]*streamState
 	order   []string // stream creation order, for stable reports
+	// kernels resolves an analysis or output event to its stream by the
+	// kernel's name, so the stream's name is built once per kernel rather
+	// than per event. A streamState lives as long as the monitor (rebaseline
+	// resets it in place), so the entries never go stale.
+	kernels map[string]*kernelStreams
 
 	app         string
 	runs        int
@@ -132,6 +141,7 @@ func NewMonitor(profile *Profile, cfg Config) *Monitor {
 	m := &Monitor{
 		cfg:     cfg.withDefaults(),
 		streams: map[string]*streamState{},
+		kernels: map[string]*kernelStreams{},
 	}
 	m.profile = profile
 	if profile != nil {
@@ -209,18 +219,33 @@ func (m *Monitor) Observe(e obs.LedgerEvent) {
 		if e.Step > m.step {
 			m.step = e.Step
 		}
-		m.observe(StreamSim, e.Step, e.Dur/1e6)
-	case obs.LedgerAnalysis:
+		m.observe(m.stream(StreamSim), e.Step, e.Dur/1e6)
+	case obs.LedgerAnalysis, obs.LedgerOutput:
 		sec := e.Dur / 1e6
 		m.analysisSec += sec
-		m.observe(AnalyzeStream(e.Name), e.Step, sec)
-		m.projectBudget(e.Step)
-	case obs.LedgerOutput:
-		sec := e.Dur / 1e6
-		m.analysisSec += sec
-		m.observe(OutputStream(e.Name), e.Step, sec)
+		m.observe(m.kernelStream(e), e.Step, sec)
 		m.projectBudget(e.Step)
 	}
+}
+
+// kernelStream returns (creating on first use) the stream an analysis or
+// output event belongs to.
+func (m *Monitor) kernelStream(e obs.LedgerEvent) *streamState {
+	ks, ok := m.kernels[e.Name]
+	if !ok {
+		ks = &kernelStreams{}
+		m.kernels[e.Name] = ks
+	}
+	if e.Type == obs.LedgerOutput {
+		if ks.output == nil {
+			ks.output = m.stream(OutputStream(e.Name))
+		}
+		return ks.output
+	}
+	if ks.analyze == nil {
+		ks.analyze = m.stream(AnalyzeStream(e.Name))
+	}
+	return ks.analyze
 }
 
 // rebaseline aligns an already-created stream with a freshly absorbed plan
@@ -278,8 +303,7 @@ func (m *Monitor) stream(name string) *streamState {
 // (profile or calibration), compute the signed relative error, update the
 // EWMA and CUSUM, and raise the stream's drift alert the first time the
 // CUSUM alarms.
-func (m *Monitor) observe(name string, step int, sec float64) {
-	st := m.stream(name)
+func (m *Monitor) observe(st *streamState, step int, sec float64) {
 	st.count++
 	st.obsSec += sec
 	st.lastSec = sec
@@ -312,7 +336,7 @@ func (m *Monitor) observe(name string, step int, sec float64) {
 			stat = neg
 		}
 		m.raise(Alert{
-			Kind: AlertDrift, Stream: name, Step: step,
+			Kind: AlertDrift, Stream: st.name, Step: step,
 			Direction: st.cusum.Direction(),
 			RelErr:    st.ewma.Value(), CUSUM: stat,
 			Predicted: st.predicted, Observed: sec,

@@ -2,6 +2,7 @@ package runmon
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -436,5 +437,37 @@ func TestMonitorFlightRetentionBounds(t *testing.T) {
 	}
 	if got := len(m.Flights()); got != maxFlightRuns {
 		t.Fatalf("retained %d flight runs, want %d", got, maxFlightRuns)
+	}
+}
+
+// TestObserveResolvesStreamsWithoutAllocating: after a kernel's first events
+// its two streams are found by the kernel's name — no stream name is built
+// per event — and the streams are the ones a by-name lookup finds, in
+// creation order, so plan events and reports see the same state.
+func TestObserveResolvesStreamsWithoutAllocating(t *testing.T) {
+	m := NewMonitor(nil, Config{})
+	m.Observe(analysisEvent(1, "rdf", 0.004))
+	m.Observe(obs.LedgerEvent{Type: obs.LedgerOutput, Name: "msd", Step: 1, Dur: 1000})
+	m.Observe(obs.LedgerEvent{Type: obs.LedgerOutput, Name: "rdf", Step: 1, Dur: 1000})
+	step := 1
+	if n := testing.AllocsPerRun(200, func() {
+		step++
+		m.Observe(analysisEvent(step, "rdf", 0.004))
+		m.Observe(obs.LedgerEvent{Type: obs.LedgerOutput, Name: "rdf", Step: step, Dur: 1000})
+		m.Observe(obs.LedgerEvent{Type: obs.LedgerOutput, Name: "msd", Step: step, Dur: 1000})
+	}); n != 0 {
+		t.Fatalf("observing known streams allocates %v times", n)
+	}
+	s := m.Snapshot()
+	var names []string
+	for _, st := range s.Streams {
+		names = append(names, st.Stream)
+	}
+	want := []string{AnalyzeStream("rdf"), OutputStream("msd"), OutputStream("rdf")}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("streams = %v, want %v (creation order)", names, want)
+	}
+	if s.Streams[0].Count != 202 || s.Streams[1].Count != 202 {
+		t.Fatalf("counts = %d, %d, want 202 each", s.Streams[0].Count, s.Streams[1].Count)
 	}
 }
