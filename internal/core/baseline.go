@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // GreedySolve is the empirical baseline the paper contrasts with (§3.2:
 // "scientists perform simulation-time analyses at a pre-determined
@@ -68,11 +65,7 @@ func GreedySolve(specs []AnalysisSpec, res Resources) (*Recommendation, error) {
 	}
 
 	rec := &Recommendation{Schedules: schedules, Objective: objective, TotalTime: total}
-	rec.PeakMemory = exactPeakMemory(norm, res, schedules)
-	if err := rec.Validate(specs, res); err != nil {
-		return nil, fmt.Errorf("core: greedy solution failed validation: %w", err)
-	}
-	return rec, nil
+	return rec.validated("greedy", specs, res)
 }
 
 // FixedFrequency builds the user-prescribed baseline: every analysis runs at
@@ -99,6 +92,6 @@ func FixedFrequency(specs []AnalysisSpec, res Resources, outputEvery int) (*Reco
 		rec.Objective += 1 + a.Weight*float64(n)
 		rec.TotalTime += s.PredictedTime
 	}
-	rec.PeakMemory = exactPeakMemory(norm, res, rec.Schedules)
-	return rec, rec.Validate(specs, res)
+	rec.PeakMemory, err = rec.check(specs, res)
+	return rec, err
 }

@@ -1,0 +1,228 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"insitu/internal/milp"
+)
+
+// checkEvaluator compares the arithmetic evaluator with the materialised
+// lists it replaces in enumeration.
+func checkEvaluator(t *testing.T, a AnalysisSpec, steps, count, k int) {
+	t.Helper()
+	as := expandSteps(steps, count)
+	os := expandOutputs(as, k)
+	outputs, peak := modeOutputsPeak(a, steps, count, k)
+	if want := modePeakMemory(a, steps, as, os); outputs != len(os) || peak != want {
+		t.Fatalf("steps=%d count=%d k=%d spec=%+v: evaluator (%d outputs, peak %d), step lists (%d, %d)",
+			steps, count, k, a, outputs, peak, len(os), want)
+	}
+}
+
+func TestModeOutputsPeakExhaustive(t *testing.T) {
+	grid := []int64{0, 3, 1 << 20}
+	for _, fm := range grid {
+		for _, im := range grid {
+			for _, cm := range grid {
+				for _, om := range grid {
+					a := AnalysisSpec{FM: fm, IM: im, CM: cm, OM: om}
+					for steps := 1; steps <= 40; steps++ {
+						for count := 1; count <= steps; count++ {
+							for k := 0; k <= count; k++ {
+								checkEvaluator(t, a, steps, count, k)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestModeOutputsPeakRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	draw := func() int64 { // zero a third of the time
+		if rng.Intn(3) == 0 {
+			return 0
+		}
+		return rng.Int63n(1 << 30)
+	}
+	for trial := 0; trial < 20000; trial++ {
+		steps := 1 + rng.Intn(5000)
+		count := 1 + rng.Intn(steps)
+		if rng.Intn(2) == 0 {
+			count = 1 + rng.Intn(1+steps/(1+rng.Intn(50))) // the sparse counts real intervals give
+		}
+		k := rng.Intn(count + 1)
+		checkEvaluator(t, AnalysisSpec{FM: draw(), IM: draw(), CM: draw(), OM: draw()}, steps, count, k)
+	}
+}
+
+// buildUnnamed is the build Solve runs.
+func buildUnnamed(t testing.TB, specs []AnalysisSpec, res Resources, opts SolveOptions) (*milp.Problem, modeTable) {
+	t.Helper()
+	norm, err := normalizeSpecs(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, tab, err := buildCompactProblem(norm, res, opts, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prob, tab
+}
+
+// TestBuildAllocationBudget pins that the build allocates its arrays, not its
+// candidates: a fixed small number of allocations however many (count, k)
+// pairs were priced (55 per analysis at 1000 steps, 210 at 2000; the
+// materialising enumerator made 997 allocations at 1000).
+func TestBuildAllocationBudget(t *testing.T) {
+	norm, err := normalizeSpecs(fourAnalyses())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(steps int) float64 {
+		res := Resources{Steps: steps, TimeThreshold: 60, MemThreshold: 1 << 30}
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := buildCompactProblem(norm, res, SolveOptions{}, -1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	at1000, at2000 := allocs(1000), allocs(2000)
+	if at1000 > 32 {
+		t.Errorf("build at 1000 steps made %.0f allocations, budget 32", at1000)
+	}
+	if at2000 > at1000 {
+		t.Errorf("build made %.0f allocations at 2000 steps against %.0f at 1000: the count follows the candidates", at2000, at1000)
+	}
+}
+
+// TestSolveModelIsUnnamed: the model Solve hands the solver has no column
+// names, the solver's diagnostics still say which variable they mean, and
+// the naming step produces exactly the historical names.
+func TestSolveModelIsUnnamed(t *testing.T) {
+	res := Resources{Steps: 1000, TimeThreshold: 60, MemThreshold: 1 << 30}
+	prob, tab := buildUnnamed(t, fourAnalyses(), res, SolveOptions{})
+	if len(prob.LP.Names) != 0 {
+		t.Fatalf("solver-side model carries %d column names", len(prob.LP.Names))
+	}
+	prob.LP.Upper[3] = math.Inf(1)
+	_, err := milp.Solve(prob, milp.Options{})
+	if err == nil || !strings.Contains(err.Error(), "variable 3 (x3)") {
+		t.Fatalf("unnamed model's diagnostic does not identify the variable: %v", err)
+	}
+	names, err := CompactNames(fourAnalyses(), res, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != len(tab.modes) || names[0] != "x[A1,n=1,k=1]" {
+		t.Fatalf("CompactNames = %d names starting %q, want %d starting x[A1,n=1,k=1]", len(names), names[0], len(tab.modes))
+	}
+}
+
+// TestCloneDoesNotShareRows: the built model's rows are windows of shared
+// arrays; a Clone must own its rows outright, so editing one of the clone's
+// rows reaches neither the original nor the clone's other rows.
+func TestCloneDoesNotShareRows(t *testing.T) {
+	res := Resources{Steps: 1000, TimeThreshold: 60, MemThreshold: 1 << 30}
+	prob, _ := buildUnnamed(t, fourAnalyses(), res, SolveOptions{})
+	pristine, _ := buildUnnamed(t, fourAnalyses(), res, SolveOptions{})
+	clone := prob.LP.Clone()
+	for k := range clone.Constraints[0].Coef {
+		clone.Constraints[0].Coef[k] = 7
+		clone.Constraints[0].Idx[k] += 1000
+	}
+	if !reflect.DeepEqual(prob.LP.Constraints, pristine.LP.Constraints) {
+		t.Fatal("editing a row of the clone changed the original's rows")
+	}
+	if !reflect.DeepEqual(clone.Constraints[1:], pristine.LP.Constraints[1:]) {
+		t.Fatal("editing a row of the clone changed the clone's other rows")
+	}
+	// And an append to one membership row of the original cannot run into
+	// the next analysis' window.
+	row := prob.LP.Constraints[0]
+	_ = append(row.Idx, -1)
+	_ = append(row.Coef, -1)
+	if !reflect.DeepEqual(prob.LP.Constraints, pristine.LP.Constraints) {
+		t.Fatal("appending to a membership row overwrote its neighbour")
+	}
+}
+
+// denseInstance is the one-analysis request whose build used to take seconds:
+// itv = 1 puts every count from 1 to Steps, and every stride under each, in
+// the table (29 778 columns at 800 steps).
+func denseInstance(steps int) ([]AnalysisSpec, Resources) {
+	return []AnalysisSpec{{Name: "dense", CT: 1, OT: 1, FM: 1, CM: 1, OM: 1, MinInterval: 1}}, Resources{Steps: steps}
+}
+
+func TestBuildHonoursContext(t *testing.T) {
+	specs, res := denseInstance(800)
+	ctx, cancel := context.WithCancel(context.Background())
+	_, tab := buildUnnamed(t, specs, res, SolveOptions{Ctx: ctx})
+	if len(tab.modes) != 29778 {
+		t.Fatalf("uncancelled build has %d columns, want 29778", len(tab.modes))
+	}
+	cancel()
+	for name, call := range map[string]func() error{
+		"Solve": func() error { _, err := Solve(specs, res, SolveOptions{Ctx: ctx}); return err },
+		"Explain": func() error {
+			_, err := Explain(specs, res, SolveOptions{Ctx: ctx})
+			return err
+		},
+		"CompactNames": func() error { _, err := CompactNames(specs, res, SolveOptions{Ctx: ctx}); return err },
+	} {
+		start := time.Now()
+		err := call()
+		if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
+			t.Errorf("%s with a cancelled context took %v", name, elapsed)
+		}
+		if !errors.Is(err, milp.ErrCanceled) {
+			t.Errorf("%s with a cancelled context returned %v, want an error wrapping milp.ErrCanceled", name, err)
+		}
+	}
+}
+
+// BenchmarkBuildCompact times the model build alone — what core adds in front
+// of every milp.Solve — on a paper instance and on the 100-analysis synthetic
+// campaign, as Solve builds it (unnamed) and as CompactNames and ExportLP do.
+func BenchmarkBuildCompact(b *testing.B) {
+	for _, in := range []struct {
+		name  string
+		specs []AnalysisSpec
+		res   Resources
+		opts  SolveOptions
+	}{
+		{"paper", fourAnalyses(), Resources{Steps: 1000, TimeThreshold: 60, MemThreshold: 1 << 30}, SolveOptions{}},
+		{"sparse100", LargeSparseSpecs(100), Resources{Steps: 1000, TimeThreshold: 600 * 100.0 / 220, MemThreshold: 12 << 30}, SolveOptions{MaxCount: 4}},
+	} {
+		norm, err := normalizeSpecs(in.specs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(in.name+"/unnamed", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				prob, _, err := buildCompactProblem(norm, in.res, in.opts, -1)
+				if err != nil || prob.LP.NumVars() == 0 {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(in.name+"/named", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if names, err := CompactNames(in.specs, in.res, in.opts); err != nil || len(names) == 0 {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -84,127 +84,205 @@ type mode struct {
 	peakMem int64
 }
 
+// modeTable holds every analysis' kept modes in one slice, in column order:
+// analysis i owns modes[start[i]:start[i+1]], and mode v is column v of the
+// compact model built from the table.
+type modeTable struct {
+	modes []mode
+	start []int
+}
+
+// chosen returns the mode of analysis i that solution x selects, if any.
+func (t modeTable) chosen(i int, x []float64) (m mode, ok bool) {
+	for v := t.start[i]; v < t.start[i+1]; v++ {
+		if x[v] > 0.5 {
+			m, ok = t.modes[v], true
+		}
+	}
+	return m, ok
+}
+
 // enumerateModes lists every feasible (count, k) pair for one analysis:
 // count from 1 to Steps/itv, k from 1 to count. Modes whose standalone cost
 // already exceeds the thresholds are pruned.
 func enumerateModes(a AnalysisSpec, res Resources, maxCount int) []mode {
-	return enumerateModesPruned(a, res, maxCount, true)
+	out, _ := appendModes(nil, nil, a, res, maxCount, true) // no context, no error
+	return out
 }
 
-// enumerateModesPruned is enumerateModes with the threshold pruning
-// switchable: the explainability layer enumerates unpruned modes when forcing
-// a disabled analysis on, so the infeasibility diagnosis can name the
-// threshold row that excludes every mode (rather than meeting a model the
-// modes were silently pruned from).
-func enumerateModesPruned(a AnalysisSpec, res Resources, maxCount int, prune bool) []mode {
+// countBound is the largest count enumerated for a: the interval ceiling
+// Steps/itv of equation 9, or the caller's MaxCount when that is lower.
+func countBound(a AnalysisSpec, res Resources, maxCount int) int {
 	bound := res.Steps / a.MinInterval
 	if maxCount > 0 && bound > maxCount {
 		bound = maxCount
 	}
-	var out []mode
-	for count := 1; count <= bound; count++ {
-		as := expandSteps(res.Steps, count)
-		kMin := 1
-		if a.OutputOptional {
-			kMin = 0 // k = 0: never output
+	return bound
+}
+
+// modeBound bounds the modes appendModes can keep for a, so that the table is
+// allocated once. Same-count modes with equally many outputs tie on cost and
+// the smallest stride among them has the lowest peak, so dominance keeps at
+// most one mode per distinct ceil(count/k): with r = floor(sqrt(count-1)) that
+// is 2r+1 values, one fewer when r(r+1) > count-1; k = 0 adds one. It is only
+// a capacity — were it ever short, append would grow the table.
+func modeBound(a AnalysisSpec, res Resources, maxCount int) int {
+	total := 0
+	for count, bound := 1, countBound(a, res, maxCount); count <= bound; count++ {
+		r := int(math.Sqrt(float64(count - 1)))
+		total += 2*r + 1
+		if r*(r+1) > count-1 {
+			total--
 		}
-		for k := kMin; k <= count; k++ {
-			os := expandOutputs(as, k)
-			m := mode{
-				count:   count,
-				k:       k,
-				outputs: len(os),
-				cost:    modeCost(a, res, count, len(os)),
-				peakMem: modePeakMemory(a, res.Steps, as, os),
+		if a.OutputOptional {
+			total++
+		}
+	}
+	return total
+}
+
+// appendModes appends the modes of one analysis to out, count by count. The
+// threshold pruning is switchable: the explainability layer enumerates
+// unpruned modes when forcing a disabled analysis on, so the infeasibility
+// diagnosis can name the threshold row that excludes every mode (rather than
+// meeting a model the modes were silently pruned from). The candidates number
+// O((Steps/itv)²), so a non-nil ctx is checked once per count and, once
+// cancelled, ends the enumeration with an error wrapping milp.ErrCanceled.
+func appendModes(ctx context.Context, out []mode, a AnalysisSpec, res Resources, maxCount int, prune bool) ([]mode, error) {
+	for count, bound := 1, countBound(a, res, maxCount); count <= bound; count++ {
+		if ctx != nil && ctx.Err() != nil {
+			return nil, fmt.Errorf("core: %w while enumerating modes of %q: %v", milp.ErrCanceled, a.Name, ctx.Err())
+		}
+		out = appendCountModes(out, a, res, count, prune)
+	}
+	return out, nil
+}
+
+// appendCountModes appends the modes with exactly count analysis steps
+// (count <= Steps/itv): k from 1 to count, and k = 0, never output, when
+// outputs are optional. Candidates are priced by arithmetic; step lists are
+// built once, by buildSchedule, for the mode the solver chose.
+func appendCountModes(out []mode, a AnalysisSpec, res Resources, count int, prune bool) []mode {
+	run := len(out) // where this count's modes start
+	kMin := 1
+	if a.OutputOptional {
+		kMin = 0
+	}
+	for k := kMin; k <= count; k++ {
+		outputs, peak := modeOutputsPeak(a, res.Steps, count, k)
+		m := mode{count: count, k: k, outputs: outputs, cost: modeCost(a, res, count, outputs), peakMem: peak}
+		if prune && res.TimeThreshold > 0 && m.cost > res.TimeThreshold {
+			continue
+		}
+		if prune && res.MemThreshold > 0 && m.peakMem > res.MemThreshold {
+			continue
+		}
+		// Dominance pruning: for equal count, keep only the cheapest
+		// (cost, mem) frontier over k. A mode dominated in both cost and
+		// peak memory by another same-count mode can never be optimal.
+		dominated := false
+		for _, e := range out[run:] {
+			if e.cost <= m.cost && e.peakMem <= m.peakMem {
+				dominated = true
+				break
 			}
-			if prune && res.TimeThreshold > 0 && m.cost > res.TimeThreshold {
-				continue
-			}
-			if prune && res.MemThreshold > 0 && m.peakMem > res.MemThreshold {
-				continue
-			}
-			// Dominance pruning: for equal count, keep only the cheapest
-			// (cost, mem) frontier over k. A mode dominated in both cost and
-			// peak memory by another same-count mode can never be optimal.
-			dominated := false
-			for _, e := range out {
-				if e.count == count && e.cost <= m.cost && e.peakMem <= m.peakMem {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				out = append(out, m)
-			}
+		}
+		if !dominated {
+			out = append(out, m)
 		}
 	}
 	return out
 }
 
-// compactRef records which analysis and mode a compact-model binary selects.
-type compactRef struct {
-	analysis int
-	m        mode
-}
-
 // buildCompactProblem constructs the compact mode-based MILP over the
-// normalized specs. It is shared by Solve and ExportLP.
-func buildCompactProblem(norm []AnalysisSpec, res Resources, opts SolveOptions) (*milp.Problem, []compactRef) {
-	return buildCompactProblemForced(norm, res, opts, -1)
-}
-
-// buildCompactProblemForced builds the compact model with one twist used by
-// the counterfactual probes in Explain: when force is a valid analysis index,
-// that analysis gets a "force[name] >= 1" membership row and its modes are
-// enumerated without threshold pruning, so an impossible forced enablement
-// shows up as an infeasibility between the force row and the threshold rows
-// instead of a silently empty mode set.
-func buildCompactProblemForced(norm []AnalysisSpec, res Resources, opts SolveOptions, force int) (*milp.Problem, []compactRef) {
-	prob := milp.NewProblem(&lp.Problem{})
-	var refs []compactRef
-	var cols []int // every column, in order: the time and memory rows span them all
-	var timeCoef, memCoef []float64
-	perAnalysis := make([][]int, len(norm))
-
+// normalized specs: the one model Solve solves, CompactNames and ExportLP
+// name, and Explain probes. force is -1 except in Explain's counterfactual
+// probes, where it is the index of an analysis that gets a "force[name] >= 1"
+// membership row and whose modes are enumerated without threshold pruning, so
+// an impossible forced enablement shows up as an infeasibility between the
+// force row and the threshold rows instead of a silently empty mode set.
+//
+// The mode table is completed first, so every model array is allocated once
+// at its final size. Rows share storage: a membership row is a window of the
+// one ascending column list and the one run of ones, the time and memory rows
+// are that column list whole — safe because rows are read-only once built
+// (see lp.Constraint). Columns carry no names: solving reads none, and
+// nameColumns adds them for the callers that show them.
+func buildCompactProblem(norm []AnalysisSpec, res Resources, opts SolveOptions, force int) (*milp.Problem, modeTable, error) {
+	capacity := 0
+	for _, a := range norm {
+		capacity += modeBound(a, res, opts.MaxCount)
+	}
+	tab := modeTable{modes: make([]mode, 0, capacity), start: make([]int, len(norm)+1)}
 	for i, a := range norm {
-		for _, m := range enumerateModesPruned(a, res, opts.MaxCount, i != force) {
+		var err error
+		if tab.modes, err = appendModes(opts.Ctx, tab.modes, a, res, opts.MaxCount, i != force); err != nil {
+			return nil, tab, err
+		}
+		tab.start[i+1] = len(tab.modes)
+	}
+
+	n := len(tab.modes)
+	p := &lp.Problem{
+		Objective:   make([]float64, n),
+		Lower:       make([]float64, n),
+		Upper:       make([]float64, n),
+		Constraints: make([]lp.Constraint, 0, len(norm)+3),
+	}
+	prob := &milp.Problem{LP: p, Integer: make([]bool, n)}
+	cols := make([]int, n) // every column, in order
+	ones := make([]float64, n)
+	timeCoef := make([]float64, n)
+	memCoef := make([]float64, n)
+	for i, a := range norm {
+		for v := tab.start[i]; v < tab.start[i+1]; v++ {
+			m := &tab.modes[v]
 			// Objective: enabling contributes 1 (membership in A) plus
 			// w_i per analysis step.
-			obj := 1 + a.Weight*float64(m.count)
-			j := prob.AddBinVar(obj, fmt.Sprintf("x[%s,n=%d,k=%d]", a.Name, m.count, m.k))
-			refs = append(refs, compactRef{analysis: i, m: m})
-			perAnalysis[i] = append(perAnalysis[i], j)
-			cols = append(cols, j)
-			timeCoef = append(timeCoef, m.cost)
-			memCoef = append(memCoef, float64(m.peakMem))
+			p.Objective[v] = 1 + a.Weight*float64(m.count)
+			p.Upper[v] = 1
+			prob.Integer[v] = true
+			cols[v], ones[v] = v, 1
+			timeCoef[v], memCoef[v] = m.cost, float64(m.peakMem)
 		}
 	}
 
-	// One run of ones serves every membership row: AddConstraint copies.
-	ones := make([]float64, len(refs))
-	for k := range ones {
-		ones[k] = 1
+	// membership is analysis i's window of the shared arrays, capped so that
+	// not even an append to it can reach the next analysis' columns.
+	membership := func(i int, sense lp.Sense, name string) lp.Constraint {
+		lo, hi := tab.start[i], tab.start[i+1]
+		return lp.Constraint{Idx: cols[lo:hi:hi], Coef: ones[lo:hi:hi], Sense: sense, RHS: 1, Name: name + "[" + norm[i].Name + "]"}
 	}
-	for i, vars := range perAnalysis {
-		if len(vars) == 0 {
-			continue
+	for i := range norm {
+		if tab.start[i+1] > tab.start[i] {
+			p.Constraints = append(p.Constraints, membership(i, lp.LE, "one-mode"))
 		}
-		prob.LP.AddConstraint(vars, ones[:len(vars)], lp.LE, 1, fmt.Sprintf("one-mode[%s]", norm[i].Name))
 	}
-	if res.TimeThreshold > 0 && len(cols) > 0 {
-		prob.LP.AddConstraint(cols, timeCoef, lp.LE, res.TimeThreshold, "time-threshold")
+	if res.TimeThreshold > 0 && n > 0 {
+		p.Constraints = append(p.Constraints, lp.Constraint{Idx: cols, Coef: timeCoef, Sense: lp.LE, RHS: res.TimeThreshold, Name: "time-threshold"})
 	}
-	if res.MemThreshold > 0 && len(cols) > 0 {
-		prob.LP.AddConstraint(cols, memCoef, lp.LE, float64(res.MemThreshold), "memory-threshold")
+	if res.MemThreshold > 0 && n > 0 {
+		p.Constraints = append(p.Constraints, lp.Constraint{Idx: cols, Coef: memCoef, Sense: lp.LE, RHS: float64(res.MemThreshold), Name: "memory-threshold"})
 	}
 	if force >= 0 && force < len(norm) {
-		vars := perAnalysis[force]
 		// With no modes at all (Steps < MinInterval) this is an always-false
 		// zero row, which is exactly the diagnosis: the forced membership
 		// itself is unsatisfiable.
-		prob.LP.AddConstraint(vars, ones[:len(vars)], lp.GE, 1, fmt.Sprintf("force[%s]", norm[force].Name))
+		p.Constraints = append(p.Constraints, membership(force, lp.GE, "force"))
 	}
-	return prob, refs
+	return prob, tab, nil
+}
+
+// nameColumns names every column of a built compact model after the mode it
+// selects. It is a step apart from the build because only CompactNames and
+// ExportLP show names to anyone.
+func nameColumns(prob *milp.Problem, norm []AnalysisSpec, tab modeTable) {
+	prob.LP.Names = make([]string, len(tab.modes))
+	for i, a := range norm {
+		for v := tab.start[i]; v < tab.start[i+1]; v++ {
+			prob.LP.Names[v] = fmt.Sprintf("x[%s,n=%d,k=%d]", a.Name, tab.modes[v].count, tab.modes[v].k)
+		}
+	}
 }
 
 // CompactNames returns the variable names of the compact model, in variable
@@ -216,8 +294,12 @@ func CompactNames(specs []AnalysisSpec, res Resources, opts SolveOptions) ([]str
 	if err != nil {
 		return nil, err
 	}
-	prob, _ := buildCompactProblem(norm, res, opts)
-	return append([]string(nil), prob.LP.Names...), nil
+	prob, tab, err := buildCompactProblem(norm, res, opts, -1)
+	if err != nil {
+		return nil, err
+	}
+	nameColumns(prob, norm, tab)
+	return prob.LP.Names, nil
 }
 
 // normalizeSpecs validates and defaults a spec list.
@@ -245,58 +327,28 @@ func Solve(specs []AnalysisSpec, res Resources, opts SolveOptions) (*Recommendat
 	if err != nil {
 		return nil, err
 	}
-	prob, refs := buildCompactProblem(norm, res, opts)
+	prob, tab, err := buildCompactProblem(norm, res, opts, -1)
+	if err != nil {
+		return nil, err
+	}
 	sol, elapsed, err := solveModel("compact model", prob, opts)
 	if err != nil {
 		return nil, err
 	}
 
-	rec := &Recommendation{SolveTime: elapsed, Nodes: sol.Nodes, Stats: sol.Stats}
-	chosen := make(map[int]mode)
-	for v, ref := range refs {
-		if sol.HasX && sol.X[v] > 0.5 {
-			chosen[ref.analysis] = ref.m
-		}
-	}
+	rec := &Recommendation{SolveTime: elapsed, Nodes: sol.Nodes, Stats: sol.Stats, Schedules: make([]AnalysisSchedule, len(norm))}
 	for i, a := range norm {
-		m, ok := chosen[i]
+		m, ok := tab.chosen(i, sol.X)
 		if !ok {
-			rec.Schedules = append(rec.Schedules, AnalysisSchedule{Name: a.Name})
+			rec.Schedules[i] = AnalysisSchedule{Name: a.Name}
 			continue
 		}
 		s := buildSchedule(a, res, m.count, m.k)
-		rec.Schedules = append(rec.Schedules, s)
+		rec.Schedules[i] = s
 		rec.Objective += 1 + a.Weight*float64(m.count)
 		rec.TotalTime += s.PredictedTime
 	}
-	rec.PeakMemory = exactPeakMemory(norm, res, rec.Schedules)
-	if err := rec.Validate(specs, res); err != nil {
-		return nil, fmt.Errorf("core: compact solution failed validation: %w", err)
-	}
-	return rec, nil
-}
-
-// exactPeakMemory computes max_j Σ_i mStart_{i,j} for the concrete
-// schedules (equation 8's left-hand side).
-func exactPeakMemory(specs []AnalysisSpec, res Resources, schedules []AnalysisSchedule) int64 {
-	mem := make([]int64, res.Steps+1)
-	byName := map[string]AnalysisSpec{}
-	for _, a := range specs {
-		byName[a.Name] = a.withDefaults()
-	}
-	for _, s := range schedules {
-		if !s.Enabled {
-			continue
-		}
-		addStepMemory(mem, byName[s.Name], s.AnalysisSteps, s.OutputSteps)
-	}
-	var peak int64
-	for j := 1; j <= res.Steps; j++ {
-		if mem[j] > peak {
-			peak = mem[j]
-		}
-	}
-	return peak
+	return rec.validated("compact", specs, res)
 }
 
 // BruteForceSolve enumerates every mode combination (exponential) and
@@ -334,7 +386,6 @@ func BruteForceSolve(specs []AnalysisSpec, res Resources) (*Recommendation, erro
 			if cand.Validate(specs, res) != nil {
 				return
 			}
-			cand.PeakMemory = exactPeakMemory(norm, res, cand.Schedules)
 			if cand.Objective > best.Objective {
 				best = cand
 			}
@@ -349,5 +400,6 @@ func BruteForceSolve(specs []AnalysisSpec, res Resources) (*Recommendation, erro
 	if math.IsInf(best.Objective, -1) {
 		return nil, fmt.Errorf("core: no feasible schedule")
 	}
+	best.PeakMemory, _ = best.check(specs, res) // validated above
 	return best, nil
 }

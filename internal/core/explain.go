@@ -125,7 +125,10 @@ func Explain(specs []AnalysisSpec, res Resources, opts SolveOptions) (*Explanati
 	}
 	probeOpts := opts
 	probeOpts.Observer = nil
-	prob, _ := buildCompactProblem(norm, res, probeOpts)
+	prob, _, err := buildCompactProblem(norm, res, probeOpts, -1)
+	if err != nil {
+		return nil, err
+	}
 
 	ex := &Explanation{Rec: rec, Res: res}
 
@@ -204,7 +207,7 @@ func explainEnabled(at *Attribution, a AnalysisSpec, s AnalysisSchedule, res Res
 	// schedule could move to.
 	curCost := s.PredictedTime
 	curPeak := s.PeakMemory
-	next := nextCountModes(a, res, at.Count+1)
+	next := appendCountModes(nil, a, res, at.Count+1, false)
 	if len(next) == 0 {
 		// Unreachable for count+1 <= MaxCount, but stay defensive.
 		at.Binding = BindingMinInterval
@@ -240,22 +243,14 @@ func explainEnabled(at *Attribution, a AnalysisSpec, s AnalysisSchedule, res Res
 	}
 }
 
-// nextCountModes enumerates the unpruned modes with exactly the given count.
-func nextCountModes(a AnalysisSpec, res Resources, count int) []mode {
-	var out []mode
-	for _, m := range enumerateModesPruned(a, res, count, false) {
-		if m.count == count {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // explainDisabled runs the counterfactual probe for a disabled analysis:
 // re-solve with it forced on (modes unpruned) and report either the
 // objective price or the minimal infeasible constraint set.
 func explainDisabled(at *Attribution, norm []AnalysisSpec, i int, res Resources, opts SolveOptions, baseObjective float64) error {
-	prob, refs := buildCompactProblemForced(norm, res, opts, i)
+	prob, tab, err := buildCompactProblem(norm, res, opts, i)
+	if err != nil {
+		return err
+	}
 	sol, _, err := solveModel("forced probe", prob, opts)
 	switch {
 	case sol == nil: // the solver itself failed
@@ -264,10 +259,8 @@ func explainDisabled(at *Attribution, norm []AnalysisSpec, i int, res Resources,
 		at.ForcedFeasible = true
 		at.ForcedObjective = sol.Objective
 		at.ForcedDelta = sol.Objective - baseObjective
-		for v, ref := range refs {
-			if ref.analysis == i && sol.X[v] > 0.5 {
-				at.ForcedCount = ref.m.count
-			}
+		if m, ok := tab.chosen(i, sol.X); ok {
+			at.ForcedCount = m.count
 		}
 		return nil
 	case sol.Status != milp.Infeasible:
@@ -291,7 +284,7 @@ func standaloneViolation(a AnalysisSpec, res Resources) string {
 	}
 	minCost := math.Inf(1)
 	minPeak := int64(math.MaxInt64)
-	for _, m := range nextCountModes(a, res, 1) {
+	for _, m := range appendCountModes(nil, a, res, 1, false) {
 		if m.cost < minCost {
 			minCost = m.cost
 		}

@@ -20,7 +20,11 @@ func ExportLP(w io.Writer, specs []AnalysisSpec, res Resources, opts SolveOption
 	if err != nil {
 		return err
 	}
-	prob, _ := buildCompactProblem(norm, res, opts)
+	prob, tab, err := buildCompactProblem(norm, res, opts, -1)
+	if err != nil {
+		return err
+	}
+	nameColumns(prob, norm, tab)
 	return milp.WriteLP(w, prob)
 }
 

@@ -63,11 +63,7 @@ func SolveFull(specs []AnalysisSpec, res Resources, opts SolveOptions) (*Recomme
 		rec.Objective += 1 + a.Weight*float64(len(as))
 		rec.TotalTime += s.PredictedTime
 	}
-	rec.PeakMemory = exactPeakMemory(norm, res, rec.Schedules)
-	if err := rec.Validate(specs, res); err != nil {
-		return nil, fmt.Errorf("core: full solution failed validation: %w", err)
-	}
-	return rec, nil
+	return rec.validated("full", specs, res)
 }
 
 // ExportFullLP writes the time-indexed formulation (equations 1-9) in CPLEX

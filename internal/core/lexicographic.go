@@ -88,9 +88,5 @@ func SolveLexicographic(specs []AnalysisSpec, res Resources, opts SolveOptions) 
 		out.Nodes += rec.Nodes
 		out.Stats.Add(&rec.Stats)
 	}
-	out.PeakMemory = exactPeakMemory(norm, res, out.Schedules)
-	if err := out.Validate(specs, res); err != nil {
-		return nil, fmt.Errorf("core: lexicographic solution failed validation: %w", err)
-	}
-	return out, nil
+	return out.validated("lexicographic", specs, res)
 }

@@ -165,11 +165,7 @@ func SolvePlacement(specs []PlacementSpec, res PlacementResources, opts SolveOpt
 		// setup), it per step, and the transfer per analysis step; compute
 		// and output run on the staging side.
 		transfer := float64(a.TransferBytes) / res.NetBandwidth
-		bound := res.Steps / a.MinInterval
-		if opts.MaxCount > 0 && bound > opts.MaxCount {
-			bound = opts.MaxCount
-		}
-		for count := 1; count <= bound; count++ {
+		for count, bound := 1, countBound(a.AnalysisSpec, res.Resources, opts.MaxCount); count <= bound; count++ {
 			simTime := a.FT + a.IT*float64(res.Steps) + transfer*float64(count)
 			stage := (a.CT + a.outputTime(res.Bandwidth)) * float64(count)
 			if res.TimeThreshold > 0 && simTime > res.TimeThreshold {

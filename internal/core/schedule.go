@@ -138,6 +138,35 @@ func modePeakMemory(a AnalysisSpec, steps int, analysisSteps, outputSteps []int)
 	return peak
 }
 
+// modeOutputsPeak prices a (count, k) mode by arithmetic: the number of
+// outputs and the peak memory that expandSteps, expandOutputs and
+// modePeakMemory would report, with no step list built. Analysis e (1-based)
+// lands on step e·steps/count and an output follows every k-th analysis and
+// the last. Validate admits only im, cm, om >= 0, so memory only rises between
+// two outputs and the peak of equations 5–7 is fm + im·(steps) + cm·(analyses)
+// + om at the end of the output-to-output segment where that is largest —
+// O(outputs) per candidate, which is what mode enumeration pays. With k = 0
+// nothing resets and the last step is the peak. Requires count <= steps.
+func modeOutputsPeak(a AnalysisSpec, steps, count, k int) (outputs int, peak int64) {
+	if k <= 0 {
+		return 0, a.FM + a.IM*int64(steps) + a.CM*int64(count)
+	}
+	var rise int64 // largest im·steps + cm·analyses over the segments
+	prev, prevStep := 0, 0
+	for e := k; prev < count; e += k {
+		if e > count {
+			e = count // the last segment may be short
+		}
+		step := e * steps / count
+		if v := a.IM*int64(step-prevStep) + a.CM*int64(e-prev); v > rise {
+			rise = v
+		}
+		prev, prevStep = e, step
+		outputs++
+	}
+	return outputs, a.FM + rise + a.OM
+}
+
 // StepCursor answers "is step j listed?" for j asked in ascending order over
 // an ascending step list, advancing past smaller (and repeated) entries.
 type StepCursor struct {
@@ -219,11 +248,30 @@ func buildSchedule(a AnalysisSpec, res Resources, count, k int) AnalysisSchedule
 
 // Validate re-checks a recommendation against the raw constraint recurrences
 // (equations 2–9) for the given specs and resources, returning a descriptive
-// error on any violation. Solvers call it before returning; it is also the
-// oracle the tests use.
+// error on any violation. It is the oracle the tests use; every scheduler
+// runs the same checks, through validated, before returning.
 func (r *Recommendation) Validate(specs []AnalysisSpec, res Resources) error {
+	_, err := r.check(specs, res)
+	return err
+}
+
+// validated is the tail every scheduler ends on: one pass checks the
+// recommendation and yields its exact peak memory, which it records.
+func (r *Recommendation) validated(model string, specs []AnalysisSpec, res Resources) (*Recommendation, error) {
+	var err error
+	if r.PeakMemory, err = r.check(specs, res); err != nil {
+		return nil, fmt.Errorf("core: %s solution failed validation: %w", model, err)
+	}
+	return r, nil
+}
+
+// check is Validate, also returning max_j Σ_i mStart_{i,j} (equation 8's
+// left-hand side), which its per-step memory sweep computes anyway. A
+// threshold violation still reports the peak; a structural error, which ends
+// the pass early, reports 0.
+func (r *Recommendation) check(specs []AnalysisSpec, res Resources) (peak int64, err error) {
 	if err := res.Validate(); err != nil {
-		return err
+		return 0, err
 	}
 	byName := map[string]AnalysisSpec{}
 	for _, a := range specs {
@@ -235,26 +283,26 @@ func (r *Recommendation) Validate(specs []AnalysisSpec, res Resources) error {
 	for _, s := range r.Schedules {
 		if !s.Enabled {
 			if s.Count != 0 || len(s.AnalysisSteps) != 0 {
-				return fmt.Errorf("core: disabled analysis %q has scheduled steps", s.Name)
+				return 0, fmt.Errorf("core: disabled analysis %q has scheduled steps", s.Name)
 			}
 			continue
 		}
 		a, ok := byName[s.Name]
 		if !ok {
-			return fmt.Errorf("core: schedule for unknown analysis %q", s.Name)
+			return 0, fmt.Errorf("core: schedule for unknown analysis %q", s.Name)
 		}
 		if len(s.AnalysisSteps) != s.Count {
-			return fmt.Errorf("core: %q count %d does not match %d scheduled steps", s.Name, s.Count, len(s.AnalysisSteps))
+			return 0, fmt.Errorf("core: %q count %d does not match %d scheduled steps", s.Name, s.Count, len(s.AnalysisSteps))
 		}
 		// Interval constraint (equation 9 plus the running-total rule: the
 		// first analysis may not occur before itv steps have elapsed).
 		prev := 0
 		for _, j := range s.AnalysisSteps {
 			if j < 1 || j > res.Steps {
-				return fmt.Errorf("core: %q analysis step %d outside [1,%d]", s.Name, j, res.Steps)
+				return 0, fmt.Errorf("core: %q analysis step %d outside [1,%d]", s.Name, j, res.Steps)
 			}
 			if j-prev < a.MinInterval {
-				return fmt.Errorf("core: %q violates min interval %d between steps %d and %d", s.Name, a.MinInterval, prev, j)
+				return 0, fmt.Errorf("core: %q violates min interval %d between steps %d and %d", s.Name, a.MinInterval, prev, j)
 			}
 			prev = j
 		}
@@ -267,7 +315,7 @@ func (r *Recommendation) Validate(specs []AnalysisSpec, res Resources) error {
 		isA := StepCursor{Steps: s.AnalysisSteps}
 		for _, j := range outs {
 			if !isA.At(j) {
-				return fmt.Errorf("core: %q outputs at step %d without an analysis", s.Name, j)
+				return 0, fmt.Errorf("core: %q outputs at step %d without an analysis", s.Name, j)
 			}
 		}
 
@@ -280,17 +328,22 @@ func (r *Recommendation) Validate(specs []AnalysisSpec, res Resources) error {
 		addStepMemory(memPerStep, a, s.AnalysisSteps, outs)
 	}
 
-	if res.TimeThreshold > 0 && totalTime > res.TimeThreshold*(1+1e-9)+1e-12 {
-		return fmt.Errorf("core: total analysis time %.6f exceeds threshold %.6f", totalTime, res.TimeThreshold)
-	}
-	if res.MemThreshold > 0 {
-		for j := 1; j <= res.Steps; j++ {
-			if memPerStep[j] > res.MemThreshold {
-				return fmt.Errorf("core: memory %d at step %d exceeds threshold %d", memPerStep[j], j, res.MemThreshold)
-			}
+	for j := 1; j <= res.Steps; j++ {
+		if memPerStep[j] > peak {
+			peak = memPerStep[j]
 		}
 	}
-	return nil
+	if res.TimeThreshold > 0 && totalTime > res.TimeThreshold*(1+1e-9)+1e-12 {
+		return peak, fmt.Errorf("core: total analysis time %.6f exceeds threshold %.6f", totalTime, res.TimeThreshold)
+	}
+	if res.MemThreshold > 0 && peak > res.MemThreshold {
+		j := 1 // the first step over the threshold; the peak's step is one
+		for memPerStep[j] <= res.MemThreshold {
+			j++
+		}
+		return peak, fmt.Errorf("core: memory %d at step %d exceeds threshold %d", memPerStep[j], j, res.MemThreshold)
+	}
+	return peak, nil
 }
 
 // CouplingString renders the Figure-1 style coupling string for a single

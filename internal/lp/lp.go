@@ -66,6 +66,12 @@ var Inf = math.Inf(1)
 // establishes that; Validate rejects a hand-built row that breaks it), so a
 // row can be merged against another sorted list or scattered into a dense
 // vector in one pass. A stored zero is allowed and means what it says.
+//
+// Rows are read-only once built: solvers, presolve and the LP writer only
+// read Idx and Coef, and the two places that write a row — AddConstraint's
+// sort and Clone — write their own copies. A builder may therefore hand
+// several rows windows of one backing array (package core does); code that
+// wants to edit a row edits a Clone.
 type Constraint struct {
 	Idx   []int
 	Coef  []float64
