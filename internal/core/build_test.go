@@ -190,6 +190,51 @@ func TestBuildHonoursContext(t *testing.T) {
 	}
 }
 
+// TestEstimateColumns: the estimate never undercounts the model Solve builds
+// (it is the capacity the build allocates, summed over un-normalised specs),
+// and on a request too large to build it stops at the limit instead of
+// counting to the end.
+func TestEstimateColumns(t *testing.T) {
+	const noLimit = math.MaxInt
+	dense, denseRes := denseInstance(800)
+	raw := append([]AnalysisSpec{{Name: "defaults", CT: 1, MinInterval: 0}, {Name: "optional", CT: 1, OT: 1, MinInterval: -3, OutputOptional: true}}, fourAnalyses()...)
+	for _, in := range []struct {
+		name  string
+		specs []AnalysisSpec
+		res   Resources
+	}{
+		{"dense", dense, denseRes},
+		{"paper", fourAnalyses(), Resources{Steps: 1000, TimeThreshold: 60, MemThreshold: 1 << 30}},
+		{"raw", raw, Resources{Steps: 90, TimeThreshold: 500}},
+		{"steps below every interval", fourAnalyses(), Resources{Steps: 1}},
+	} {
+		_, tab := buildUnnamed(t, in.specs, in.res, SolveOptions{})
+		est := EstimateColumns(in.specs, in.res, noLimit)
+		if est != cap(tab.modes) || est < len(tab.modes) {
+			t.Errorf("%s: estimate %d, build allocated %d and kept %d columns", in.name, est, cap(tab.modes), len(tab.modes))
+		}
+		if half := est / 2; est > 1 {
+			if got := EstimateColumns(in.specs, in.res, half); got <= half || got > est {
+				t.Errorf("%s: estimate against limit %d = %d, want above the limit and at most %d", in.name, half, got, est)
+			}
+		}
+	}
+
+	// A billion steps at interval one: refused after counting ~3 000 counts,
+	// not after a billion.
+	start := time.Now()
+	huge := []AnalysisSpec{{Name: "huge", CT: 1, MinInterval: 1}, {Name: "huge2", CT: 1, MinInterval: 1}}
+	if got := EstimateColumns(huge, Resources{Steps: 1e9}, 200_000); got <= 200_000 || got > 201_000 {
+		t.Errorf("bounded estimate = %d, want just past 200000", got)
+	}
+	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
+		t.Errorf("bounded estimate took %v", elapsed)
+	}
+	if got := EstimateColumns(huge, Resources{Steps: -4}, 10); got != 0 {
+		t.Errorf("estimate for negative steps = %d, want 0", got)
+	}
+}
+
 // BenchmarkBuildCompact times the model build alone — what core adds in front
 // of every milp.Solve — on a paper instance and on the 100-analysis synthetic
 // campaign, as Solve builds it (unnamed) and as CompactNames and ExportLP do.

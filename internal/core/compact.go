@@ -121,21 +121,45 @@ func countBound(a AnalysisSpec, res Resources, maxCount int) int {
 }
 
 // modeBound bounds the modes appendModes can keep for a, so that the table is
-// allocated once. Same-count modes with equally many outputs tie on cost and
-// the smallest stride among them has the lowest peak, so dominance keeps at
-// most one mode per distinct ceil(count/k): with r = floor(sqrt(count-1)) that
-// is 2r+1 values, one fewer when r(r+1) > count-1; k = 0 adds one. It is only
-// a capacity — were it ever short, append would grow the table.
+// allocated once. It is only a capacity — were it ever short, append would
+// grow the table.
 func modeBound(a AnalysisSpec, res Resources, maxCount int) int {
 	total := 0
 	for count, bound := 1, countBound(a, res, maxCount); count <= bound; count++ {
-		r := int(math.Sqrt(float64(count - 1)))
-		total += 2*r + 1
-		if r*(r+1) > count-1 {
-			total--
-		}
-		if a.OutputOptional {
-			total++
+		total += countModeBound(a, count)
+	}
+	return total
+}
+
+// countModeBound bounds the modes kept with exactly count analysis steps.
+// Same-count modes with equally many outputs tie on cost and the smallest
+// stride among them has the lowest peak, so dominance keeps at most one mode
+// per distinct ceil(count/k): with r = floor(sqrt(count-1)) that is 2r+1
+// values, one fewer when r(r+1) > count-1; k = 0 adds one.
+func countModeBound(a AnalysisSpec, count int) int {
+	r := int(math.Sqrt(float64(count - 1)))
+	n := 2*r + 1
+	if r*(r+1) > count-1 {
+		n--
+	}
+	if a.OutputOptional {
+		n++
+	}
+	return n
+}
+
+// EstimateColumns bounds from above the columns of the compact model Solve
+// would build for specs, without building anything: a caller that must refuse
+// oversized work (schedd, before it grants a solver slot) compares it with its
+// limit. Counting stops as soon as the total passes limit, so the cost is
+// O(limit) however large Steps is; a result above limit means "too many", not
+// how many.
+func EstimateColumns(specs []AnalysisSpec, res Resources, limit int) int {
+	total := 0
+	for _, a := range specs {
+		a = a.withDefaults()
+		for count, bound := 1, countBound(a, res, 0); count <= bound && total <= limit; count++ {
+			total += countModeBound(a, count)
 		}
 	}
 	return total

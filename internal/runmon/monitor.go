@@ -112,7 +112,7 @@ type Monitor struct {
 	cfg     Config
 	profile *Profile
 	streams map[string]*streamState
-	order   []string // stream creation order, for stable reports
+	order   []*streamState // the streams in creation order: reports and sums walk this, never the map
 	// kernels resolves an analysis or output event to its stream by the
 	// kernel's name, so the stream's name is built once per kernel rather
 	// than per event. A streamState lives as long as the monitor (rebaseline
@@ -294,7 +294,7 @@ func (m *Monitor) stream(name string) *streamState {
 		st.mCusumPos = m.cfg.Metrics.Gauge("runmon_cusum_pos", labels)
 		st.mCusumNeg = m.cfg.Metrics.Gauge("runmon_cusum_neg", labels)
 		m.streams[name] = st
-		m.order = append(m.order, name)
+		m.order = append(m.order, st)
 	}
 	return st
 }
@@ -354,7 +354,7 @@ func (m *Monitor) projectBudget(step int) {
 		return
 	}
 	var obsSec, predSec float64
-	for _, st := range m.streams {
+	for _, st := range m.order {
 		if st.name == StreamSim {
 			continue
 		}

@@ -116,6 +116,40 @@ func TestMonitorBudgetAtRisk(t *testing.T) {
 	}
 }
 
+// TestProjectionSumsInStreamOrder: the budget projection adds the streams'
+// scored seconds in the order the streams were created. Float addition does
+// not associate, so a sum in map order — what this replaced — came out a last
+// bit apart from run to run on values like these, and that bit reaches the
+// gauge and the budget alert's ledger line.
+func TestProjectionSumsInStreamOrder(t *testing.T) {
+	kernels := []string{"rdf", "msd", "vacf", "histo", "fft"}
+	secs := []float64{0.1, 0.2, 0.3, 0.7, 1e-9}
+	p := testProfile()
+	p.PlannedSec, p.ThresholdSec = 1000, 1e6 // large beside the observed seconds, so the inflation's last bit shows
+	for i, k := range kernels {
+		p.Streams[AnalyzeStream(k)] = secs[i] / 3
+	}
+	var obsSec, predSec float64
+	for i := range kernels {
+		obsSec += secs[i]
+		predSec += secs[i] / 3
+	}
+	var analysisSec float64
+	for _, sec := range secs {
+		analysisSec += sec
+	}
+	want := analysisSec + p.PlannedSec*float64(p.Steps-10)/float64(p.Steps)*(obsSec/predSec)
+	for run := 0; run < 64; run++ {
+		m := NewMonitor(p, Config{})
+		for i, k := range kernels {
+			m.Observe(analysisEvent(10, k, secs[i]))
+		}
+		if got := m.Snapshot().ProjectedSec; got != want {
+			t.Fatalf("run %d: projected %v, want %v (the sum in creation order)", run, got, want)
+		}
+	}
+}
+
 func TestMonitorSelfCalibration(t *testing.T) {
 	// No profile at all: the first Calibration observations seed the
 	// baseline, then drift past it is detected.

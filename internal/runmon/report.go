@@ -63,8 +63,7 @@ func (m *Monitor) Snapshot() Snapshot {
 		s.Steps = m.profile.Steps
 		s.ThresholdSec = m.profile.ThresholdSec
 	}
-	for _, name := range m.order {
-		st := m.streams[name]
+	for _, st := range m.order {
 		ss := StreamSnapshot{
 			Stream:       st.name,
 			Count:        st.count,

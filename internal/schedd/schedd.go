@@ -22,14 +22,17 @@
 package schedd
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/pprof"
+	"strconv"
 	"sync"
 	"time"
 
@@ -43,8 +46,23 @@ import (
 // reqlog ledger events ("reqlog_v").
 const SchemaVersion = 1
 
-// maxBodyBytes caps a request body; scenario documents are a few KiB.
+// maxBodyBytes caps a request body; scenario documents are a few KiB. The
+// body is read whole before anything is decoded, so one byte more is a
+// bad_request even when the first JSON value ends earlier.
 const maxBodyBytes = 1 << 20
+
+// maxRememberedBody caps the request body a cache entry keeps to recognise a
+// byte-identical repeat (cache.getBody); a larger one still hits through its
+// fingerprint.
+const maxRememberedBody = 16 << 10
+
+// maxModelColumns is the largest compact model (core.EstimateColumns) a
+// request may ask for; past it the request is unprocessable before it takes
+// a solver slot. One analysis at Steps/MinInterval = 1000 is 42k columns and
+// 0.1 s of a slot, and no committed scenario, golden or test builds over 30k;
+// the limit is one analysis at Steps/MinInterval = 2800, about a second, and
+// the cost grows as (Steps/MinInterval)^1.5 from there.
+const maxModelColumns = 200_000
 
 // Error taxonomy: every failed request is classified with one of these
 // kinds, reported in the response error object and counted on
@@ -183,15 +201,23 @@ type ErrorJSON struct {
 	Message string `json:"message"`
 }
 
-// SolveResponse is the POST /v1/solve reply (also the /v1/requests/{id}
-// record, minus the schedules).
-type SolveResponse struct {
+// responseHead is the part of a reply that belongs to one request; the rest
+// of a successful SolveResponse is a function of the cached solve alone.
+type responseHead struct {
 	Schema      int     `json:"schedd_v"`
 	RequestID   string  `json:"request_id"`
 	Fingerprint string  `json:"fingerprint,omitempty"`
 	CacheHit    bool    `json:"cache_hit"`
 	Coalesced   bool    `json:"coalesced,omitempty"`
 	CacheAgeSec float64 `json:"cache_age_sec,omitempty"`
+}
+
+// SolveResponse is the POST /v1/solve reply (also the /v1/requests/{id}
+// record, minus the schedules). Its first six keys are the embedded request
+// head (schedd_v, request_id, fingerprint, cache_hit, coalesced,
+// cache_age_sec).
+type SolveResponse struct {
+	responseHead
 
 	Objective       float64        `json:"objective"`
 	TotalTimeSec    float64        `json:"total_time_sec"`
@@ -217,7 +243,8 @@ type reqRecord struct {
 	Nodes       int     `json:"nodes,omitempty"`
 	Objective   float64 `json:"objective,omitempty"`
 
-	flight *obs.FlightRecorder
+	cacheAge time.Duration // of a hit: the reply's cache_age_sec
+	flight   *obs.FlightRecorder
 }
 
 // flightCall is one in-flight solve that duplicate concurrent requests
@@ -256,6 +283,10 @@ type Server struct {
 	warmTot     *obs.Counter
 	fallbackTot *obs.Counter
 	warmInfTot  *obs.Counter
+
+	// coreSolve is core.Solve; a field so that a test can put a solver that
+	// fails in ways the real one does not in its place.
+	coreSolve func([]core.AnalysisSpec, core.Resources, core.SolveOptions) (*core.Recommendation, error)
 }
 
 // New builds a Server; it is ready as soon as it returns.
@@ -281,6 +312,8 @@ func New(cfg Config) *Server {
 		warmTot:     reg.Counter("schedd_solver_warm_total", nil),
 		fallbackTot: reg.Counter("schedd_solver_warm_fallback_total", nil),
 		warmInfTot:  reg.Counter("schedd_solver_warm_infeasible_total", nil),
+
+		coreSolve: core.Solve,
 	}
 	return s
 }
@@ -321,24 +354,36 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// genID mints a request ID when the client did not send one.
+// genID mints a request ID when the client did not send one: "r", the
+// server's request sequence number padded to six digits, four random bytes.
 func (s *Server) genID() string {
 	s.mu.Lock()
 	s.seq++
 	n := s.seq
 	s.mu.Unlock()
-	var b [4]byte
-	_, _ = rand.Read(b[:])
-	return fmt.Sprintf("r%06d-%s", n, hex.EncodeToString(b[:]))
+	var r [4]byte
+	_, _ = rand.Read(r[:]) // never fails (crypto/rand aborts the process instead)
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], n, 10)
+	id := append(make([]byte, 0, 32), 'r')
+	for pad := len(d); pad < 6; pad++ {
+		id = append(id, '0')
+	}
+	id = append(append(id, d...), '-')
+	return string(hex.AppendEncode(id, r[:]))
 }
 
+// bodyPool holds the buffers request bodies are read into. A cache entry
+// that remembers a body keeps its own copy, so a buffer is free again as
+// soon as its request is answered.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	id := r.Header.Get(obs.RequestIDHeader)
-	var req SolveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	decodeErr := dec.Decode(&req)
-	resp, code := s.process(r.Context(), id, req, decodeErr)
-	writeJSON(w, resp.RequestID, code, resp)
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	s.process(r.Context(), r.Header.Get(obs.RequestIDHeader), nil, buf.Bytes(), err).write(w)
 }
 
 // Process runs one request through the full service pipeline — request ID,
@@ -347,60 +392,88 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // CLI solves answer byte-identically (schema, telemetry, cache keys) to the
 // daemon. An empty id mints one. The int is the would-be HTTP status.
 func (s *Server) Process(ctx context.Context, id string, req SolveRequest) (*SolveResponse, int) {
-	return s.process(ctx, id, req, nil)
+	a := s.process(ctx, id, &req, nil, nil)
+	return a.response(), a.rec.Code
 }
 
-func (s *Server) process(ctx context.Context, id string, req SolveRequest, decodeErr error) (*SolveResponse, int) {
+// answer is one finished request before its transport renders it. rec
+// carries what is the request's own in a reply (ID, hit and coalesced flags,
+// cache age, status); a success shares val with every other reply for the
+// same solve, a failure has ejson instead.
+type answer struct {
+	rec   *reqRecord
+	val   *solved
+	ejson *ErrorJSON
+}
+
+// process is the pipeline. Process hands it a decoded req; the handler hands
+// it a nil req and the body it read (or the error reading it), so that a body
+// the cache recognises is answered without being decoded at all.
+func (s *Server) process(ctx context.Context, id string, req *SolveRequest, body []byte, bodyErr error) answer {
 	start := s.cfg.Now()
 	if id == "" {
 		id = s.genID()
 	}
-	ctx = obs.WithRequestID(ctx, id)
 	s.requests.Inc()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
 	rec := &reqRecord{ID: id}
-	if decodeErr != nil {
-		return s.finish(start, rec, nil, &ErrorJSON{Kind: ErrBadRequest, Message: "decoding request: " + decodeErr.Error()})
+	if req == nil {
+		if bodyErr != nil {
+			return s.finish(start, rec, nil, &ErrorJSON{Kind: ErrBadRequest, Message: "reading request: " + bodyErr.Error()})
+		}
+		if val, age, ok := s.cache.getBody(body); ok {
+			return s.finishHit(start, rec, val, age)
+		}
+		req = new(SolveRequest)
+		// The first JSON value is the request; bytes after it are ignored.
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(req); err != nil {
+			return s.finish(start, rec, nil, &ErrorJSON{Kind: ErrBadRequest, Message: "decoding request: " + err.Error()})
+		}
 	}
 	if len(req.Scenario.Analyses) == 0 {
 		return s.finish(start, rec, nil, &ErrorJSON{Kind: ErrUnprocessable, Message: "scenario: no analyses"})
 	}
-	fp := req.Scenario.Fingerprint()
-	rec.Fingerprint = fp
-	key := fp
+	rec.Fingerprint = req.Scenario.Fingerprint()
+	m := miss{key: rec.Fingerprint, body: body, explain: req.Explain}
 	if req.Explain {
-		key += "|explain"
+		m.key += "|explain"
+	}
+	if val, age, ok := s.cache.get(m.key, body); ok {
+		return s.finishHit(start, rec, val, age)
 	}
 
-	if val, age, ok := s.cache.get(key); ok {
-		rec.CacheHit = true
-		resp := s.buildResponse(id, val, req.Explain)
-		resp.CacheHit = true
-		resp.CacheAgeSec = age.Seconds()
-		rec.flight = val.flight
-		rec.Nodes = 0 // served from cache: no new solver work
-		rec.Objective = val.rec.Objective
-		return s.finish(start, rec, resp, nil)
+	m.specs, m.res = req.Scenario.Decode()
+	if n := core.EstimateColumns(m.specs, m.res, maxModelColumns); n > maxModelColumns {
+		return s.finish(start, rec, nil, &ErrorJSON{Kind: ErrUnprocessable, Message: fmt.Sprintf(
+			"scenario: the model would have over %d columns (counted to %d); lower steps or raise min_interval", maxModelColumns, n)})
 	}
+	val, ejson := s.solveShared(obs.WithRequestID(ctx, id), rec, m)
+	return s.finish(start, rec, val, ejson)
+}
 
-	val, ejson := s.solveShared(ctx, id, key, rec, req)
-	if ejson != nil {
-		return s.finish(start, rec, nil, ejson)
-	}
-	resp := s.buildResponse(id, val, req.Explain)
-	resp.Coalesced = rec.Coalesced
-	rec.flight = val.flight
-	rec.Objective = val.rec.Objective
-	return s.finish(start, rec, resp, nil)
+// finishHit closes out a request the cache answered, by key or by body.
+// rec.Nodes stays 0: no new solver work.
+func (s *Server) finishHit(start time.Time, rec *reqRecord, val *solved, age time.Duration) answer {
+	rec.CacheHit, rec.cacheAge = true, age
+	return s.finish(start, rec, val, nil)
+}
+
+// miss is a request the cache could not answer, on its way to the solver.
+type miss struct {
+	key     string // cache and coalescing key: the fingerprint plus the explain bit
+	body    []byte // the transport form, if there was one, for the new entry to remember
+	specs   []core.AnalysisSpec
+	res     core.Resources
+	explain bool
 }
 
 // solveShared coalesces identical concurrent requests onto one solve and
 // admission-controls the leader through the solver-slot semaphore.
-func (s *Server) solveShared(ctx context.Context, id, key string, rec *reqRecord, req SolveRequest) (*solved, *ErrorJSON) {
+func (s *Server) solveShared(ctx context.Context, rec *reqRecord, m miss) (*solved, *ErrorJSON) {
 	s.mu.Lock()
-	if f, ok := s.calls[key]; ok {
+	if f, ok := s.calls[m.key]; ok {
 		s.mu.Unlock()
 		s.coalesced.Inc()
 		rec.Coalesced = true
@@ -415,11 +488,11 @@ func (s *Server) solveShared(ctx context.Context, id, key string, rec *reqRecord
 		}
 	}
 	f := &flightCall{done: make(chan struct{})}
-	s.calls[key] = f
+	s.calls[m.key] = f
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
-		delete(s.calls, key)
+		delete(s.calls, m.key)
 		s.mu.Unlock()
 		close(f.done)
 	}()
@@ -442,26 +515,33 @@ func (s *Server) solveShared(ctx context.Context, id, key string, rec *reqRecord
 	s.queueDur.Observe(queue.Seconds())
 	rec.QueueUs = float64(queue.Microseconds())
 
-	val, err := s.solve(ctx, id, req)
+	val, err := s.solve(ctx, rec, m)
 	if err != nil {
 		f.err = err
 		return nil, classify(err)
 	}
 	rec.SolveUs = float64(val.rec.SolveTime.Microseconds())
 	rec.Nodes = val.rec.Stats.Nodes
-	s.cache.put(key, val)
+	s.cache.put(m.key, val, m.body)
 	f.val = val
 	return val, nil
 }
 
-// errQueueTimeout marks an admission rejection for classify.
-var errQueueTimeout = errors.New("schedd: no solver slot within the queue timeout")
+var (
+	// errQueueTimeout marks an admission rejection for classify.
+	errQueueTimeout = errors.New("schedd: no solver slot within the queue timeout")
+	// errSolver marks a failure that is the service's own and not the
+	// request's: a panic below the solve, an answer that cannot be encoded.
+	errSolver = errors.New("schedd: solver failed")
+)
 
 // classify maps a solve-path error onto the response taxonomy.
 func classify(err error) *ErrorJSON {
 	switch {
 	case errors.Is(err, errQueueTimeout):
 		return &ErrorJSON{Kind: ErrQueueTimeout, Message: err.Error()}
+	case errors.Is(err, errSolver):
+		return &ErrorJSON{Kind: ErrSolver, Message: err.Error()}
 	case errors.Is(err, milp.ErrCanceled), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return &ErrorJSON{Kind: ErrCanceled, Message: err.Error()}
 	default:
@@ -473,26 +553,33 @@ func classify(err error) *ErrorJSON {
 }
 
 // solve runs one cache-miss solve under the request's pprof label, records
-// its flight stream, and ledgers the solve span plus the flight events under
-// the request ID.
-func (s *Server) solve(ctx context.Context, id string, req SolveRequest) (*solved, error) {
-	specs, res := req.Scenario.Decode()
+// its flight stream, ledgers the solve span plus the flight events under the
+// request ID, and renders the part of the reply every request for this solve
+// will share. A panic below it comes back as an error wrapping errSolver (the
+// value, not the stack), with the flight recorded up to that point on rec.
+func (s *Server) solve(ctx context.Context, rec *reqRecord, m miss) (val *solved, err error) {
+	id := rec.ID
 	fr := obs.NewFlightRecorder(0)
 	fr.SetName(id)
 	opts := core.SolveOptions{Workers: s.cfg.Workers, Flight: fr}
+	defer func() {
+		if p := recover(); p != nil {
+			rec.flight = fr
+			val, err = nil, fmt.Errorf("%w: panic: %v", errSolver, p)
+		}
+	}()
 
 	var rc *core.Recommendation
 	var expl *core.Explanation
-	var err error
 	pprof.Do(ctx, pprof.Labels("schedd_request", id), func(lctx context.Context) {
 		opts.Ctx = lctx
-		if req.Explain {
-			expl, err = core.Explain(specs, res, opts)
+		if m.explain {
+			expl, err = core.Explain(m.specs, m.res, opts)
 			if err == nil {
 				rc = expl.Rec
 			}
 		} else {
-			rc, err = core.Solve(specs, res, opts)
+			rc, err = s.coreSolve(m.specs, m.res, opts)
 		}
 	})
 	if err != nil {
@@ -511,20 +598,23 @@ func (s *Server) solve(ctx context.Context, id string, req SolveRequest) (*solve
 			"nodes":     float64(rc.Stats.Nodes),
 			"pivots":    float64(rc.Stats.Pivots),
 			"objective": rc.Objective,
-			"threshold": res.TimeThreshold,
+			"threshold": m.res.TimeThreshold,
 		},
 	})
 	fr.AppendLedger(s.ledger, id)
-	return &solved{fingerprint: req.Scenario.Fingerprint(), rec: rc, expl: expl, flight: fr, at: s.cfg.Now()}, nil
+	val = &solved{fingerprint: rec.Fingerprint, rec: rc, expl: expl, flight: fr, at: s.cfg.Now()}
+	if val.tail, err = renderTail(buildResponse(responseHead{}, val)); err != nil {
+		return nil, fmt.Errorf("%w: encoding the reply: %v", errSolver, err)
+	}
+	return val, nil
 }
 
-// buildResponse renders a solved into a fresh response document.
-func (s *Server) buildResponse(id string, val *solved, withExplain bool) *SolveResponse {
+// buildResponse is the one definition of the reply document: a request's head
+// and everything a solved says.
+func buildResponse(head responseHead, val *solved) *SolveResponse {
 	rc := val.rec
 	resp := &SolveResponse{
-		Schema:          SchemaVersion,
-		RequestID:       id,
-		Fingerprint:     val.fingerprint,
+		responseHead:    head,
 		Objective:       rc.Objective,
 		TotalTimeSec:    rc.TotalTime,
 		PeakMemoryBytes: rc.PeakMemory,
@@ -559,7 +649,7 @@ func (s *Server) buildResponse(id string, val *solved, withExplain bool) *SolveR
 			PeakMemoryBytes:  sch.PeakMemory,
 		})
 	}
-	if withExplain && val.expl != nil {
+	if val.expl != nil {
 		ex := &ExplainJSON{TimeSlackSec: val.expl.TimeSlack, MemSlackBytes: val.expl.MemSlack}
 		for _, a := range val.expl.Attributions {
 			ex.Attributions = append(ex.Attributions, AttributionJSON{
@@ -580,6 +670,74 @@ func (s *Server) buildResponse(id string, val *solved, withExplain bool) *SolveR
 	return resp
 }
 
+// tailMark is where a successful reply stops being its request's and starts
+// being its solve's: the comma that ends the last head line, and the first
+// key that follows. The encoder ends every line of the indented document with
+// a raw newline and a JSON string cannot hold one, so no request ID or
+// fingerprint can fake the mark and its first occurrence is the real one.
+const tailMark = ",\n  \"objective\": "
+
+// encodeIndented is the wire format of every document the service writes.
+func encodeIndented(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// renderTail encodes a reply once and keeps it from tailMark on.
+func renderTail(resp *SolveResponse) ([]byte, error) {
+	var doc bytes.Buffer
+	if err := encodeIndented(&doc, resp); err != nil {
+		return nil, err
+	}
+	i := bytes.Index(doc.Bytes(), []byte(tailMark))
+	if i < 0 {
+		return nil, errors.New("no objective key in the encoded reply")
+	}
+	return bytes.Clone(doc.Bytes()[i:]), nil
+}
+
+// head is the request's own part of a successful reply.
+func (a answer) head() responseHead {
+	return responseHead{
+		Schema:      SchemaVersion,
+		RequestID:   a.rec.ID,
+		Fingerprint: a.val.fingerprint,
+		CacheHit:    a.rec.CacheHit,
+		Coalesced:   a.rec.Coalesced,
+		CacheAgeSec: a.rec.cacheAge.Seconds(),
+	}
+}
+
+// response renders the answer as a document value, for callers that encode
+// or read it themselves.
+func (a answer) response() *SolveResponse {
+	if a.ejson != nil {
+		return &SolveResponse{responseHead: responseHead{Schema: SchemaVersion, RequestID: a.rec.ID}, Error: a.ejson}
+	}
+	return buildResponse(a.head(), a.val)
+}
+
+// write renders the answer over HTTP. A success is the request's head,
+// encoded here, spliced onto the tail its solve rendered once; the bytes are
+// those the encoder would write for response().
+func (a answer) write(w http.ResponseWriter) {
+	w.Header().Set(obs.RequestIDHeader, a.rec.ID)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(a.rec.Code)
+	if a.ejson != nil {
+		_ = encodeIndented(w, a.response())
+		return
+	}
+	head := a.head()
+	doc, err := json.MarshalIndent(&head, "", "  ")
+	if err != nil {
+		return // strings, bools and a finite age always encode
+	}
+	_, _ = w.Write(doc[:len(doc)-len("\n}")])
+	_, _ = w.Write(a.val.tail)
+}
+
 // httpCode maps an error kind onto its status code.
 func httpCode(kind string) int {
 	switch kind {
@@ -596,48 +754,51 @@ func httpCode(kind string) int {
 	}
 }
 
-// finish closes out one request: RED metrics, the reqlog root event, and
-// the recent-request registry entry. It returns the response document and
-// its status code; the transport (HTTP handler or CLI) renders them.
-func (s *Server) finish(start time.Time, rec *reqRecord, resp *SolveResponse, ejson *ErrorJSON) (*SolveResponse, int) {
+// finish closes out one request, a success (val) or a failure (ejson): RED
+// metrics, the reqlog root event, and the recent-request registry entry. The
+// transport (HTTP handler or CLI) renders the answer it returns.
+func (s *Server) finish(start time.Time, rec *reqRecord, val *solved, ejson *ErrorJSON) answer {
 	dur := s.cfg.Now().Sub(start)
 	s.reqDur.Observe(dur.Seconds())
 	rec.DurUs = float64(dur.Microseconds())
 
-	code := http.StatusOK
+	rec.Code = http.StatusOK
+	if val != nil {
+		rec.Fingerprint, rec.flight, rec.Objective = val.fingerprint, val.flight, val.rec.Objective
+	}
 	if ejson != nil {
-		code = httpCode(ejson.Kind)
+		rec.Code = httpCode(ejson.Kind)
 		rec.ErrKind = ejson.Kind
 		s.reg.Counter("schedd_errors_total", obs.Labels{"kind": ejson.Kind}).Inc()
 		if ejson.Kind == ErrQueueTimeout {
 			s.reg.Counter("schedd_rejected_total", obs.Labels{"reason": "queue_timeout"}).Inc()
 		}
-		resp = &SolveResponse{Schema: SchemaVersion, RequestID: rec.ID, Error: ejson}
 	}
-	rec.Code = code
 
 	// The request's root span: everything nested under it (solve span,
 	// solveprog flight events) shares the request ID in Name.
-	args := map[string]float64{
-		"reqlog_v":  SchemaVersion,
-		"code":      float64(code),
-		"err":       errKindCodes[rec.ErrKind],
-		"cache_hit": b2f(rec.CacheHit),
-		"queue_us":  rec.QueueUs,
-		"solve_us":  rec.SolveUs,
-		"nodes":     float64(rec.Nodes),
+	if s.ledger != nil {
+		args := map[string]float64{
+			"reqlog_v":  SchemaVersion,
+			"code":      float64(rec.Code),
+			"err":       errKindCodes[rec.ErrKind],
+			"cache_hit": b2f(rec.CacheHit),
+			"queue_us":  rec.QueueUs,
+			"solve_us":  rec.SolveUs,
+			"nodes":     float64(rec.Nodes),
+		}
+		if rec.Coalesced {
+			args["coalesced"] = 1
+		}
+		if ejson == nil {
+			args["objective"] = rec.Objective
+		}
+		s.ledger.Append(obs.LedgerEvent{
+			Type: obs.LedgerReqLog, Name: rec.ID,
+			Dur:  rec.DurUs,
+			Args: args,
+		})
 	}
-	if rec.Coalesced {
-		args["coalesced"] = 1
-	}
-	if resp != nil && resp.Error == nil {
-		args["objective"] = resp.Objective
-	}
-	s.ledger.Append(obs.LedgerEvent{
-		Type: obs.LedgerReqLog, Name: rec.ID,
-		Dur:  rec.DurUs,
-		Args: args,
-	})
 
 	s.mu.Lock()
 	s.recent = append(s.recent, rec)
@@ -645,17 +806,7 @@ func (s *Server) finish(start time.Time, rec *reqRecord, resp *SolveResponse, ej
 		s.recent = append(s.recent[:0], s.recent[over:]...)
 	}
 	s.mu.Unlock()
-	return resp, code
-}
-
-// writeJSON renders one finished request over HTTP.
-func writeJSON(w http.ResponseWriter, id string, code int, resp *SolveResponse) {
-	w.Header().Set(obs.RequestIDHeader, id)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	return answer{rec: rec, val: val, ejson: ejson}
 }
 
 func b2f(b bool) float64 {
@@ -674,9 +825,7 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(out)
+	_ = encodeIndented(w, out)
 }
 
 // handleRequestFlight serves one request's solver flight stream in the same
