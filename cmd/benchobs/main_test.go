@@ -113,9 +113,9 @@ func TestRunAndCompareEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cur.Workloads[0].Metric("solver_nodes_per_op")
+	m := cur.Workload("placement_waterions").Metric("solver_nodes_per_op")
 	if m == nil {
-		t.Fatal("no solver_nodes_per_op on first workload")
+		t.Fatal("no solver_nodes_per_op on placement_waterions")
 	}
 	m.Value *= 2
 	if err := cur.WriteFile(filepath.Join(curDir, perfbench.BenchFileName("solver"))); err != nil {

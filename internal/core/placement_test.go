@@ -40,9 +40,15 @@ func TestPlacementOffloadsExpensiveAnalysis(t *testing.T) {
 	if heavy.Count != 10 {
 		t.Fatalf("offloaded analysis count = %d, want 10 (transfers are cheap)", heavy.Count)
 	}
-	cheap := rec.Schedule("cheap")
-	if cheap.Site != InSitu || cheap.Count != 10 {
-		t.Fatalf("cheap analysis: site=%v count=%d, want in-situ x10", cheap.Site, cheap.Count)
+	// The cheap analysis transfers nothing, so either site runs it ten
+	// times at no cost to the other: which of the two tied optima comes
+	// back is the search's business, the count and the objective are the
+	// model's.
+	if cheap := rec.Schedule("cheap"); cheap.Count != 10 {
+		t.Fatalf("cheap analysis: site=%v count=%d, want x10", cheap.Site, cheap.Count)
+	}
+	if rec.Objective != 22 {
+		t.Fatalf("objective = %g, want 22 (two analyses, ten steps each)", rec.Objective)
 	}
 	if rec.SimSiteTime > 30 {
 		t.Fatalf("sim-site time %g over threshold", rec.SimSiteTime)

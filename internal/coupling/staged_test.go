@@ -179,17 +179,20 @@ func TestPlacementRunnerEndToEndWithSolver(t *testing.T) {
 	if rec.Schedule("heavy").Site != core.CoAnalysis {
 		t.Fatalf("heavy should offload: %+v", rec.Schedule("heavy"))
 	}
+	// The cheap analysis transfers nothing, so both sites run it at the same
+	// objective and the solver may return either: it gets a workload for
+	// each, and the runner must use the one the schedule names.
+	staged := func(name string, bytes int64) StagedAnalysis {
+		return StagedAnalysis{Name: name, Capture: func(step int) (func() error, int64, error) {
+			return func() error { return nil }, bytes, nil
+		}}
+	}
 	runner := &PlacementRunner{
 		Step:   func() {},
 		InSitu: map[string]analysis.Kernel{"cheap": &fakeKernel{name: "cheap"}},
-		Staged: map[string]StagedAnalysis{"heavy": {
-			Name: "heavy",
-			Capture: func(step int) (func() error, int64, error) {
-				return func() error { return nil }, 1 << 20, nil
-			},
-		}},
-		Rec: rec,
-		Res: res,
+		Staged: map[string]StagedAnalysis{"heavy": staged("heavy", 1<<20), "cheap": staged("cheap", 0)},
+		Rec:    rec,
+		Res:    res,
 	}
 	rep, err := runner.Run()
 	if err != nil {
@@ -197,5 +200,10 @@ func TestPlacementRunnerEndToEndWithSolver(t *testing.T) {
 	}
 	if rep.StagedRuns["heavy"] != rec.Schedule("heavy").Count {
 		t.Fatalf("staged runs %d != scheduled %d", rep.StagedRuns["heavy"], rec.Schedule("heavy").Count)
+	}
+	cheap := rec.Schedule("cheap")
+	if cheap.Count != 3 || rep.InSituRuns["cheap"]+rep.StagedRuns["cheap"] != cheap.Count {
+		t.Fatalf("cheap scheduled %d times at %v, ran %d in-situ and %d staged, want 3 in all",
+			cheap.Count, cheap.Site, rep.InSituRuns["cheap"], rep.StagedRuns["cheap"])
 	}
 }

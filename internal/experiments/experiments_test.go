@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"insitu/internal/core"
 )
 
 func TestWaterIonsSimTimes(t *testing.T) {
@@ -84,6 +86,80 @@ func TestTable6ReproducesPaper(t *testing.T) {
 	}
 	if FormatTable6(rows) == "" {
 		t.Fatal("empty formatting")
+	}
+}
+
+// TestMovedGoldensWereTies is the licence for the golden entries PR 21
+// regenerated (the root LP starts from a crash basis, so the search meets
+// tied optima in another order): the answer the old golden held is still a
+// valid schedule of the unrestricted problem, at the objective of the answer
+// returned now. The old answer is recovered by solving a problem restricted to
+// it — Table 6's 100 s row with R2 and R3 capped at the old counts {2, 3}
+// through their minimum intervals, the memory sweep's 4 GiB and 1 GiB rows
+// under the old peak as ceiling — or, for Table 6's 10 s row, written out.
+func TestMovedGoldensWereTies(t *testing.T) {
+	specs := RhodopsinSpecs()
+	res := core.Resources{Steps: 1000, TimeThreshold: 100, MemThreshold: 12 << 30}
+	now, err := core.Solve(specs, res, core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped := RhodopsinSpecs()
+	capped[1].MinInterval, capped[2].MinInterval = res.Steps/2, res.Steps/3
+	old, err := core.Solve(capped, res, core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := [3]int{old.Schedules[0].Count, old.Schedules[1].Count, old.Schedules[2].Count}; c != [3]int{10, 2, 3} {
+		t.Fatalf("capped table 6 row solved to counts %v, want the old golden's [10 2 3]", c)
+	}
+	if err := old.Validate(specs, res); err != nil {
+		t.Fatalf("old table 6 answer under the uncapped specs: %v", err)
+	}
+	if old.Objective != now.Objective {
+		t.Fatalf("old table 6 answer scores %g, today's %g", old.Objective, now.Objective)
+	}
+
+	// Table 6's 10 s row kept its counts {10, 0, 0}, which are all the
+	// objective reads; the old answer output after every R1 step (0.3 % of
+	// the budget), today's outputs once (0.291 %).
+	res.TimeThreshold = 10
+	if now, err = core.Solve(specs, res, core.SolveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	every := make([]int, 10)
+	for i := range every {
+		every[i] = 100 * (i + 1)
+	}
+	old = &core.Recommendation{Schedules: []core.AnalysisSchedule{
+		{Name: specs[0].Name, Enabled: true, Count: 10, Outputs: 10, OutputEvery: 1, AnalysisSteps: every, OutputSteps: every},
+	}}
+	if err := old.Validate(specs, res); err != nil {
+		t.Fatalf("old table 6 answer at 10 s: %v", err)
+	}
+	if c := [3]int{now.Schedules[0].Count, now.Schedules[1].Count, now.Schedules[2].Count}; c != [3]int{10, 0, 0} || now.Objective != 11 {
+		t.Fatalf("table 6 at 10 s: counts %v scoring %g, want the old golden's [10 0 0] scoring 11", c, now.Objective)
+	}
+
+	water := WaterIonsSpecs(16384)
+	for _, mth := range []int64{4 << 30, 1 << 30} {
+		res := core.Resources{Steps: 1000, TimeThreshold: 129.35, MemThreshold: mth}
+		now, err := core.Solve(water, res, core.SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tight := res
+		tight.MemThreshold = 343932928 // the old golden's PeakMemory
+		old, err := core.Solve(water, tight, core.SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := old.Validate(water, res); err != nil {
+			t.Fatalf("mth %d: old answer: %v", mth, err)
+		}
+		if old.Objective != now.Objective || old.PeakMemory != tight.MemThreshold {
+			t.Fatalf("mth %d: old answer scores %g at peak %d, today's %g", mth, old.Objective, old.PeakMemory, now.Objective)
+		}
 	}
 }
 

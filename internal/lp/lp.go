@@ -21,7 +21,9 @@
 // (nonbasic variables rest at either bound and may bound-flip), so the
 // binary-heavy scheduling MILPs built on top pay no extra rows for their
 // 0-1 variables. Pricing is Devex with a Bland's-rule fallback to guarantee
-// termination under degeneracy; warm re-solves under changed bounds (the
+// termination under degeneracy; a cold solve of a multiple-choice knapsack
+// (the scheduling models' shape) starts from the basis of Dantzig's greedy
+// instead of the slacks (crash.go); warm re-solves under changed bounds (the
 // Solver handle) restore feasibility with a bounded-variable dual simplex.
 // The dense tableau kernel this one replaced lives on in package solvercheck
 // as the differential-testing oracle.

@@ -91,6 +91,9 @@ type revised struct {
 	factCount []int // length m+2; counting-sort buckets by column nonzeros
 	rowUsed   []bool
 
+	shape   *crashShape // see crash; detected by the first cold solve
+	noCrash bool        // tests: start every cold solve from the all-slack basis
+
 	stats *SolverStats // counter sink; never nil (lp.Solve uses a throwaway)
 }
 
@@ -409,10 +412,12 @@ func (rv *revised) noteEta() {
 }
 
 // solveCold runs the two-phase primal simplex from the state reset
-// installed. On a numeric failure (singular refactorization) it rebuilds the
-// initial basis and retries once before giving up with IterationLimit.
+// installed, or from the crash basis put in its place. On a numeric failure
+// (singular refactorization) it rebuilds the all-slack basis and retries once
+// from there before giving up with IterationLimit.
 func (rv *revised) solveCold(lower, upper []float64) *Solution {
 	rv.reset(lower, upper)
+	rv.crash(lower, upper)
 	sol := rv.runCold()
 	if sol.Status == numericFailure {
 		rv.reset(lower, upper)

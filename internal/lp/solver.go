@@ -51,6 +51,9 @@ type SolverStats struct {
 	Warm   int // solves answered from a warm-started basis
 	Cold   int // solves that (re)built the starting basis from scratch
 	Pivots int // simplex iterations (primal and dual) across all solves
+	// CrashStarts counts the cold solves that started from a crash basis
+	// (see revised.crash) instead of the all-slack one.
+	CrashStarts int
 	// FallbackCold counts warm attempts whose basis restoration failed, so
 	// the solve fell through to the cold path. Those solves are counted in
 	// Cold as well; FallbackCold only classifies how they got there. The
@@ -186,10 +189,11 @@ func (s *Solver) state() *revised {
 	return s.rv
 }
 
-// SolveCold restarts from the all-slack basis for the given bounds (reusing
-// the column store and factorization buffers) and solves with the two-phase
-// primal simplex — the same arithmetic as Solve(p) on a problem carrying
-// these bounds.
+// SolveCold restarts from scratch for the given bounds — the crash basis
+// where the problem's shape offers one, the all-slack basis otherwise —
+// reusing the column store and factorization buffers, and solves with the
+// two-phase primal simplex: the same arithmetic as Solve(p) on a problem
+// carrying these bounds.
 func (s *Solver) SolveCold(lower, upper []float64) *Solution {
 	sol := s.state().solveCold(lower, upper)
 	s.optimal = sol.Status == Optimal

@@ -133,6 +133,11 @@ type Workload struct {
 	Name string
 	// Run performs one iteration and reports its sample.
 	Run func() (Sample, error)
+	// CountersOnly marks a workload whose whole result is its Sample.Model:
+	// it runs once, unwarmed and untimed, and records no wall or allocation
+	// metric — for corpora that are there for their deterministic counters
+	// and too long to repeat.
+	CountersOnly bool
 }
 
 // Runner executes workloads with warmup, repetition, and outlier trimming.
@@ -170,6 +175,13 @@ const (
 
 // Measure runs one workload and aggregates its samples into metrics.
 func (r *Runner) Measure(w Workload) (WorkloadResult, error) {
+	if w.CountersOnly {
+		s, err := w.Run()
+		if err != nil {
+			return WorkloadResult{}, fmt.Errorf("perfbench: %s: %w", w.Name, err)
+		}
+		return WorkloadResult{Name: w.Name, Reps: 1, Metrics: modelMetrics(s.Model)}, nil
+	}
 	if r.now == nil {
 		r.now = time.Now
 	}
@@ -223,14 +235,7 @@ func (r *Runner) Measure(w Workload) (WorkloadResult, error) {
 			Metric{Name: "solver_pivots_per_op", Value: float64(last.Pivots), Unit: "pivots/op", Threshold: exactThreshold},
 		)
 	}
-	modelKeys := make([]string, 0, len(last.Model))
-	for k := range last.Model {
-		modelKeys = append(modelKeys, k)
-	}
-	sort.Strings(modelKeys)
-	for _, k := range modelKeys {
-		res.Metrics = append(res.Metrics, Metric{Name: k, Value: last.Model[k], Unit: "model", Threshold: exactThreshold})
-	}
+	res.Metrics = append(res.Metrics, modelMetrics(last.Model)...)
 	infoKeys := make([]string, 0, len(last.Info))
 	for k := range last.Info {
 		infoKeys = append(infoKeys, k)
@@ -240,6 +245,21 @@ func (r *Runner) Measure(w Workload) (WorkloadResult, error) {
 		res.Metrics = append(res.Metrics, Metric{Name: k, Value: last.Info[k], Unit: "info"})
 	}
 	return res, nil
+}
+
+// modelMetrics turns a sample's model outputs into exact-gated metrics, in
+// name order.
+func modelMetrics(model map[string]float64) []Metric {
+	keys := make([]string, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	ms := make([]Metric, 0, len(keys))
+	for _, k := range keys {
+		ms = append(ms, Metric{Name: k, Value: model[k], Unit: "model", Threshold: exactThreshold})
+	}
+	return ms
 }
 
 // RunSuite measures every workload into one suite.

@@ -59,7 +59,10 @@ func TestHostileRequests(t *testing.T) {
 		{"negative min_interval", hostileScenario("", `[{"name":"a","ct_sec":1,"min_interval":-4}]`), 200, ""},
 		{"empty analyses", hostileScenario("", `[]`), 422, ErrUnprocessable},
 		{"empty name", hostileScenario("", `[{"name":"","ct_sec":1,"min_interval":1}]`), 422, ErrUnprocessable},
-		{"duplicate names", hostileScenario("", `[{"name":"a","ct_sec":1,"min_interval":2},{"name":"a","ct_sec":0.5,"min_interval":3}]`), 200, ""},
+		{"duplicate names", hostileScenario("", `[{"name":"a","ct_sec":1,"min_interval":2},{"name":"a","ct_sec":0.5,"min_interval":3}]`), 422, ErrUnprocessable},
+		{"negative memory cost", hostileScenario("", `[{"name":"a","ct_sec":1,"fm_bytes":-1,"min_interval":1}]`), 422, ErrUnprocessable},
+		{"negative weight", hostileScenario("", `[{"name":"a","ct_sec":1,"weight":-2,"min_interval":1}]`), 422, ErrUnprocessable},
+		{"negative bandwidth", hostileScenario(`{"steps":12,"bandwidth_bytes_per_sec":-1}`, ""), 422, ErrUnprocessable},
 		{"1 MiB + 1 behind a valid value", valid + strings.Repeat(" ", maxBodyBytes+1-len(valid)), 400, ErrBadRequest},
 		{"exactly 1 MiB", valid + strings.Repeat(" ", maxBodyBytes-len(valid)), 200, ""},
 		{"trailing garbage", valid + `}}garbage{"`, 200, ""},
@@ -100,9 +103,9 @@ func TestHostileRequests(t *testing.T) {
 			if doc.Error == nil || doc.Error.Kind != c.kind || doc.Error.Message == "" {
 				t.Fatalf("error %+v, want kind %s", doc.Error, c.kind)
 			}
-			// What core rejects it rejects in microseconds, inside a slot; a
-			// request refused for its size or before decoding never gets one.
-			if got := histogramCount(s, "schedd_queue_seconds"); got != queued && !strings.HasPrefix(doc.Error.Message, "core:") {
+			// No refused request is granted a solver slot: what core would
+			// reject is rejected by its own validators before admission.
+			if got := histogramCount(s, "schedd_queue_seconds"); got != queued {
 				t.Fatalf("a refused request went through admission (%d -> %d slots granted): %s", queued, got, doc.Error.Message)
 			}
 		})

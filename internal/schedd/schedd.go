@@ -445,12 +445,36 @@ func (s *Server) process(ctx context.Context, id string, req *SolveRequest, body
 	}
 
 	m.specs, m.res = req.Scenario.Decode()
+	if err := validate(m.specs, m.res); err != nil {
+		return s.finish(start, rec, nil, &ErrorJSON{Kind: ErrUnprocessable, Message: err.Error()})
+	}
 	if n := core.EstimateColumns(m.specs, m.res, maxModelColumns); n > maxModelColumns {
 		return s.finish(start, rec, nil, &ErrorJSON{Kind: ErrUnprocessable, Message: fmt.Sprintf(
 			"scenario: the model would have over %d columns (counted to %d); lower steps or raise min_interval", maxModelColumns, n)})
 	}
 	val, ejson := s.solveShared(obs.WithRequestID(ctx, id), rec, m)
 	return s.finish(start, rec, val, ejson)
+}
+
+// validate refuses before admission what core.Solve would refuse inside a
+// solver slot (a step count or threshold out of range, a nameless analysis, a
+// negative cost), and analyses that share a name, which core accepts although
+// a reply keyed by name cannot tell them apart.
+func validate(specs []core.AnalysisSpec, res core.Resources) error {
+	if err := res.Validate(); err != nil {
+		return err
+	}
+	seen := make(map[string]struct{}, len(specs))
+	for _, a := range specs {
+		if err := a.Validate(); err != nil {
+			return err
+		}
+		if _, dup := seen[a.Name]; dup {
+			return fmt.Errorf("scenario: two analyses named %q", a.Name)
+		}
+		seen[a.Name] = struct{}{}
+	}
+	return nil
 }
 
 // finishHit closes out a request the cache answered, by key or by body.

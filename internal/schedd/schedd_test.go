@@ -317,8 +317,18 @@ func TestCoalesce(t *testing.T) {
 	if outs[0].Coalesced == outs[1].Coalesced {
 		t.Fatalf("exactly one request should be marked coalesced: %v %v", outs[0].Coalesced, outs[1].Coalesced)
 	}
-	if solves := metricValue(t, s.Registry(), "schedd_solve_seconds_count", nil); solves > 1 {
-		t.Fatalf("coalesced pair ran %v solves", solves)
+	if n := solves(s); n != 1 {
+		t.Fatalf("coalesced pair ran %v solves", n)
+	}
+	// Control: the reading moves with real solves. A third request that
+	// differs in its threshold shares nothing and runs the second one.
+	other := testScenario()
+	other.Resources.TimeSec *= 2
+	if _, out := postSolve(t, srv, SolveRequest{Scenario: other}, "req-2"); out.Error != nil {
+		t.Fatalf("third request failed: %+v", out.Error)
+	}
+	if n := solves(s); n != 2 {
+		t.Fatalf("%v solves after an unrelated third request, want 2", n)
 	}
 }
 

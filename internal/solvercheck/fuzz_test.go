@@ -17,10 +17,17 @@ func FuzzLPSolve(f *testing.F) {
 	f.Add(int64(42), uint8(8), uint8(6))
 	f.Add(int64(-7), uint8(1), uint8(0))
 	f.Add(int64(1<<40), uint8(12), uint8(9))
+	// Top bit of cons: a multiple-choice knapsack, whose cold solve crashes.
+	f.Add(int64(3), uint8(5), uint8(0x83))
+	f.Add(int64(-19), uint8(11), uint8(0x87))
+	f.Add(int64(77), uint8(0), uint8(0x80))
 	f.Fuzz(func(t *testing.T, seed int64, vars, cons uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := LPConfig{MaxVars: 1 + int(vars%12), MaxCons: 1 + int(cons%9)}
 		p := RandLP(rng, cfg)
+		if cons&0x80 != 0 {
+			p = RandChoiceLP(rng, 1+int(vars%12), 1+int(cons%8))
+		}
 		if err := CheckLP(rng, p); err != nil {
 			t.Fatalf("seed %d cfg %+v: %v", seed, cfg, err)
 		}
@@ -49,10 +56,13 @@ func FuzzRevisedSimplex(f *testing.F) {
 	f.Add(int64(5), uint8(8), uint8(4), uint8(3))
 	f.Add(int64(9), uint8(10), uint8(6), uint8(4))
 	f.Add(int64(13), uint8(0), uint8(0), uint8(5))
+	f.Add(int64(2), uint8(7), uint8(5), uint8(6))
+	f.Add(int64(-31), uint8(11), uint8(2), uint8(6))
+	f.Add(int64(404), uint8(0), uint8(7), uint8(6))
 	f.Fuzz(func(t *testing.T, seed int64, vars, cons, kind uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		var p *lp.Problem
-		switch kind % 6 {
+		switch kind % 7 {
 		case 0:
 			p = RandLP(rng, LPConfig{MaxVars: 1 + int(vars%24), MaxCons: 1 + int(cons%16)})
 		case 1:
@@ -64,18 +74,21 @@ func FuzzRevisedSimplex(f *testing.F) {
 		case 4:
 			// Wide enough to price selected working sets and refill them.
 			p = RandWideLP(rng)
+		case 6:
+			// Multiple-choice knapsacks: cold solves start from a crash basis.
+			p = RandChoiceLP(rng, 1+int(vars%12), 1+int(cons%8))
 		default:
 			// Rows given to AddConstraint unsorted, with repeated indices.
 			var dense *lp.Problem
 			p, dense = RandDupIndexLP(rng, LPConfig{MaxVars: 1 + int(vars%24), MaxCons: 1 + int(cons%16)})
 			if err := sameRows(rng, p, dense); err != nil {
-				t.Fatalf("seed %d kind %d: %v", seed, kind%6, err)
+				t.Fatalf("seed %d kind %d: %v", seed, kind%7, err)
 			}
 		}
 		// CheckRevised includes the snapshot steps: a basis carried to a
 		// second solver three rounds on, and snapshots that must fall back.
 		if err := CheckRevised(rng, p); err != nil {
-			t.Fatalf("seed %d kind %d: %v", seed, kind%6, err)
+			t.Fatalf("seed %d kind %d: %v", seed, kind%7, err)
 		}
 	})
 }

@@ -353,6 +353,32 @@ func RandScenario(rng *rand.Rand, cfg ScenarioConfig) ([]core.AnalysisSpec, core
 	return specs, res
 }
 
+// SparseCampaign is the synthetic campaign family behind the sparse benchmark
+// pools and perfbench's large-sparse and off-pool workloads: n analyses with
+// coarse minimum intervals whose compact model under a mode cap of 4 is a
+// wide, sparse 0-1 program (about ten columns and one row per analysis, three
+// nonzeros per column), with a time budget that scales with n. Integer
+// weights keep the objective integral, so branch and bound can use its
+// incumbent+1 pruning; fractional weights create a plateau of equal-value
+// schedules that explodes the node count. sub seeds the instance.
+func SparseCampaign(sub int64, n int) ([]core.AnalysisSpec, core.Resources) {
+	rng := rand.New(rand.NewSource(sub))
+	specs := make([]core.AnalysisSpec, n)
+	for i := range specs {
+		specs[i] = core.AnalysisSpec{
+			Name:        fmt.Sprintf("a%03d", i),
+			CT:          0.25 + 0.25*float64(rng.Intn(12)),
+			OT:          0.25 * float64(rng.Intn(4)),
+			FM:          int64(rng.Intn(64)) << 20,
+			CM:          int64(rng.Intn(64)) << 20,
+			OM:          int64(rng.Intn(64)) << 20,
+			Weight:      []float64{1, 1, 2, 3}[rng.Intn(4)],
+			MinInterval: []int{50, 100, 200, 250}[rng.Intn(4)],
+		}
+	}
+	return specs, core.Resources{Steps: 1000, TimeThreshold: 600 * float64(n) / 220, MemThreshold: 12 << 30}
+}
+
 // quarter draws a non-negative multiple of 0.25 below n/4.
 func quarter(rng *rand.Rand, n int) float64 {
 	return 0.25 * float64(rng.Intn(n))

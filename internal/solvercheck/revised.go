@@ -38,6 +38,7 @@ type revisedCoverage struct {
 	warmTransfers int // snapshots a second solver continued warm
 	singular      int // snapshots rejected as singular
 	refilled      int // cold solves that spent and refilled a pricing working set at least twice
+	crashed       int // cold solves that started from a crash basis
 }
 
 func checkRevised(rng *rand.Rand, p *lp.Problem, cov *revisedCoverage) error {
@@ -67,6 +68,7 @@ func checkRevised(rng *rand.Rand, p *lp.Problem, cov *revisedCoverage) error {
 	// The second solver has a history of its own, so the snapshot lands on a
 	// used state rather than a fresh one.
 	other.SolveCold(p.Lower, p.Upper)
+	cov.crashed += other.Stats.CrashStarts
 	// After one cold solve Pivots is its iteration count. Fewer full pricing
 	// passes than that means some iterations priced a selected set alone, and
 	// of the passes up to two are the optimality proofs of the two phases.

@@ -2,9 +2,11 @@ package solvercheck
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"insitu/internal/core"
 	"insitu/internal/lp"
 )
 
@@ -75,6 +77,112 @@ func TestRevisedMatchesDenseOnSelectedWorkingSets(t *testing.T) {
 	}
 }
 
+// RandChoiceLP generates a small multiple-choice knapsack: groups of columns
+// under a pick-at-most-one row each and one to three knapsack rows across all
+// of them — the shape lp's cold start crashes from a greedy instead of the
+// slacks. Small integers put ties everywhere: equal efficiencies, collinear
+// hull points, columns that cost nothing on some row or on all of them,
+// columns worth nothing, a few closed at zero the way presolve closes them and
+// a few that may exceed one, and right-hand sides from nothing-fits to
+// everything-fits.
+func RandChoiceLP(rng *rand.Rand, groups, perGroup int) *lp.Problem {
+	p := &lp.Problem{}
+	var all []int
+	for g := 0; g < groups; g++ {
+		var idx []int
+		var ones []float64
+		for k := 0; k < 1+rng.Intn(perGroup); k++ {
+			up := []float64{1, 1, 1, 1, 1, 0, 3}[rng.Intn(7)]
+			j := p.AddVar(float64(rng.Intn(7)), 0, up, fmt.Sprintf("x%d_%d", g, k))
+			idx, ones, all = append(idx, j), append(ones, 1), append(all, j)
+		}
+		p.AddConstraint(idx, ones, lp.LE, 1, fmt.Sprintf("pick%d", g))
+	}
+	for r := 0; r < 1+rng.Intn(3); r++ {
+		w := make([]float64, len(all))
+		for j := range w {
+			w[j] = float64(rng.Intn(8))
+		}
+		p.AddConstraint(all, w, lp.LE, float64(1+rng.Intn(5*groups)), fmt.Sprintf("knap%d", r))
+	}
+	return p
+}
+
+// TestCrashStartMatchesDense runs the oracle on multiple-choice knapsacks,
+// the shape whose cold solves start from lp's crash basis: the cold answer,
+// the warm walk from it and the snapshots carried elsewhere must all match
+// the dense tableau, which knows no crash.
+func TestCrashStartMatchesDense(t *testing.T) {
+	var cov revisedCoverage
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := RandChoiceLP(rng, 1+rng.Intn(12), 1+rng.Intn(8))
+		if err := checkRevised(rng, p, &cov); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+	if cov.crashed < 200 {
+		t.Errorf("only %d of 300 choice knapsacks started from a crash basis", cov.crashed)
+	}
+	t.Logf("%d of 300 choice knapsacks started from a crash basis", cov.crashed)
+}
+
+// TestCrashStartOnCompactModels: the compact scheduling model is the shape
+// the crash was built for. On RandScenario draws and on both sparse campaign
+// sizes the root relaxation must start from a crash basis wherever a
+// threshold row exists and some mode is worth seating, and reach the dense
+// tableau's optimum from it.
+func TestCrashStartOnCompactModels(t *testing.T) {
+	crashed := 0
+	check := func(name string, specs []core.AnalysisSpec, res core.Resources, opts core.SolveOptions) {
+		t.Helper()
+		mp, err := CompactModel(specs, res, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s, err := lp.NewSolver(mp.LP)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := s.SolveCold(mp.LP.Lower, mp.LP.Upper)
+		want, err := SolveReference(mp.LP)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// Not compareRevised: its absolute 1e-6 row tolerance is two ulps of
+		// the 12 GiB memory row, which both binding rows of a 220-analysis
+		// campaign put to the test.
+		if got.Status != want.Status || got.Status == lp.Optimal && !objClose(got.Objective, want.Objective) {
+			t.Fatalf("%s: %v %.12g, dense tableau %v %.12g", name, got.Status, got.Objective, want.Status, want.Objective)
+		}
+		for r, c := range mp.LP.Constraints {
+			if act := got.RowActivity[r]; act > c.RHS+1e-9*(1+math.Abs(c.RHS)) {
+				t.Fatalf("%s: row %s at %.17g above %.17g", name, c.Name, act, c.RHS)
+			}
+		}
+		crashed += s.Stats.CrashStarts
+		if name != "scenario" && (s.Stats.CrashStarts != 1 || got.Iters > want.Iters/3) {
+			t.Fatalf("%s: %d crash starts, %d iterations against the dense tableau's %d", name, s.Stats.CrashStarts, got.Iters, want.Iters)
+		}
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		specs, res := RandScenario(rng, ScenarioConfig{MaxAnalyses: 4})
+		check("scenario", specs, res, core.SolveOptions{})
+	}
+	if crashed < 80 {
+		t.Errorf("only %d of 200 scenario models started from a crash basis", crashed)
+	}
+	t.Logf("%d of 200 scenario models started from a crash basis", crashed)
+	// The dense tableau takes seconds on the larger size: one instance.
+	for _, c := range []struct{ n, instances int }{{100, 3}, {220, 1}} {
+		for sub := int64(5000); sub < 5000+int64(c.instances); sub++ {
+			specs, res := SparseCampaign(sub, c.n)
+			check(fmt.Sprintf("sparse campaign %d/%d", c.n, sub), specs, res, core.SolveOptions{MaxCount: 4})
+		}
+	}
+}
+
 func TestRevisedMatchesDenseOnEtaChains(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -138,6 +246,9 @@ func TestPathologicalGeneratorsAreValid(t *testing.T) {
 		}
 		if err := RandWideLP(rng).Validate(); err != nil {
 			t.Errorf("seed %d: invalid wide LP: %v", seed, err)
+		}
+		if err := RandChoiceLP(rng, 1+rng.Intn(12), 1+rng.Intn(8)).Validate(); err != nil {
+			t.Errorf("seed %d: invalid choice LP: %v", seed, err)
 		}
 	}
 }
