@@ -2,12 +2,7 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +10,6 @@ import (
 	"time"
 
 	"insitu/internal/obs"
-	"insitu/internal/perfbench"
 )
 
 func TestUsageAndUnknownCommands(t *testing.T) {
@@ -33,175 +27,15 @@ func TestUsageAndUnknownCommands(t *testing.T) {
 	if code := run([]string{"help"}, &out, &errBuf); code != 0 || !strings.Contains(out.String(), "summarize") {
 		t.Fatalf("help -> %d, %s", code, out.String())
 	}
-	// Bad flag values and bad suite names are usage errors.
-	if code := run([]string{"run", "-suite", "nope"}, &out, &errBuf); code != 2 {
-		t.Fatal("unknown suite accepted")
-	}
-	if code := run([]string{"compare", "-suite", "nope", "-current", "x"}, &out, &errBuf); code != 2 {
-		t.Fatal("unknown compare suite accepted")
-	}
-	if code := run([]string{"compare"}, &out, &errBuf); code != 2 {
-		t.Fatal("compare without -current accepted")
+	// The measuring subcommands are gone: benchmark/ and the perfbench
+	// baseline test took their place.
+	for _, gone := range []string{"run", "compare", "check", "serve"} {
+		if code := run([]string{gone}, &out, &errBuf); code != 2 {
+			t.Fatalf("%s -> %d, want 2 (unknown command)", gone, code)
+		}
 	}
 	if code := run([]string{"summarize"}, &out, &errBuf); code != 2 {
 		t.Fatal("summarize without -ledger accepted")
-	}
-}
-
-func TestRunAndCompareEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full quick benchmark catalog twice")
-	}
-	baseDir := t.TempDir()
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"run", "-quick", "-out", baseDir}, &out, &errBuf); code != 0 {
-		t.Fatalf("run -> %d: %s", code, errBuf.String())
-	}
-	for _, suite := range perfbench.SuiteNames {
-		s, err := perfbench.ReadFile(filepath.Join(baseDir, perfbench.BenchFileName(suite)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(s.Workloads) == 0 {
-			t.Fatalf("suite %s empty", suite)
-		}
-	}
-
-	// A solver-only re-run compares clean against its own baseline even at
-	// slack 1 (deterministic gated metrics; wall gate is wide). wall_ns_min is
-	// the one gated metric two quick runs do not reproduce when the other
-	// packages' tests share the CPUs, so a re-run whose only regressions are
-	// wall_ns_min is repeated; a regression on any other metric fails at once.
-	curDir := t.TempDir()
-	jsonPath := filepath.Join(curDir, "diff.json")
-	var results []perfbench.CompareResult
-	for attempt := 1; ; attempt++ {
-		if code := run([]string{"run", "-quick", "-suite", "solver", "-out", curDir}, &out, &errBuf); code != 0 {
-			t.Fatalf("solver run -> %d: %s", code, errBuf.String())
-		}
-		out.Reset()
-		errBuf.Reset()
-		code := run([]string{"compare", "-suite", "solver", "-baseline", baseDir, "-current", curDir, "-json", jsonPath}, &out, &errBuf)
-		data, err := os.ReadFile(jsonPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, &results); err != nil {
-			t.Fatal(err)
-		}
-		if len(results) != 1 || results[0].Suite != "solver" || len(results[0].Deltas) == 0 {
-			t.Fatalf("machine diff = %+v", results)
-		}
-		if code == 0 {
-			break
-		}
-		regs := results[0].Regressions()
-		retry := len(regs) > 0 && attempt < 3
-		for _, d := range regs {
-			retry = retry && d.Metric == "wall_ns_min"
-		}
-		if !retry {
-			t.Fatalf("compare -> %d (attempt %d):\n%s\n%s", code, attempt, out.String(), errBuf.String())
-		}
-	}
-	if !strings.Contains(out.String(), "no regressions") {
-		t.Fatalf("table = %s", out.String())
-	}
-
-	// Poison a deterministic counter in the current run: compare must fail.
-	cur, err := perfbench.ReadFile(filepath.Join(curDir, perfbench.BenchFileName("solver")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := cur.Workload("placement_waterions").Metric("solver_nodes_per_op")
-	if m == nil {
-		t.Fatal("no solver_nodes_per_op on placement_waterions")
-	}
-	m.Value *= 2
-	if err := cur.WriteFile(filepath.Join(curDir, perfbench.BenchFileName("solver"))); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errBuf.Reset()
-	code := run([]string{"compare", "-suite", "solver", "-baseline", baseDir, "-current", curDir}, &out, &errBuf)
-	if code != 1 {
-		t.Fatalf("poisoned compare -> %d:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL") || !strings.Contains(errBuf.String(), "regression(s)") {
-		t.Fatalf("poisoned compare output:\n%s\n%s", out.String(), errBuf.String())
-	}
-
-	// Missing baseline directory is a usage error, not a pass.
-	if code := run([]string{"compare", "-baseline", filepath.Join(baseDir, "absent"), "-current", curDir}, &out, &errBuf); code != 2 {
-		t.Fatalf("absent baseline -> %d", code)
-	}
-}
-
-func TestServeLoopFeedsRegistry(t *testing.T) {
-	reg := obs.NewRegistry()
-	if err := serveLoop(context.Background(), reg, 1); err != nil {
-		t.Fatal(err)
-	}
-	var steps float64
-	for _, m := range reg.Snapshot() {
-		if m.Name == "coupling_steps_total" {
-			steps = m.Value
-		}
-	}
-	if steps != 240 {
-		t.Fatalf("steps_total = %g after one pipeline run, want 240", steps)
-	}
-	// A pre-canceled context still completes the in-flight run, then exits.
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := serveLoop(canceled, reg, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunServeGracefulShutdown boots the serve stack on a real listener,
-// scrapes it once, then cancels the context and requires runServe to drain
-// the workload loop and return cleanly — the SIGINT/SIGTERM path without the
-// signal.
-func TestRunServeGracefulShutdown(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var out, errBuf bytes.Buffer
-	done := make(chan int, 1)
-	go func() {
-		done <- runServe(ctx, ln, &out, &errBuf)
-	}()
-
-	url := fmt.Sprintf("http://%s/metrics", ln.Addr())
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(url)
-		if err == nil {
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK && strings.Contains(string(body), "coupling_steps_total") {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("metrics endpoint never came up: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	cancel()
-	select {
-	case code := <-done:
-		if code != 0 {
-			t.Fatalf("runServe exit %d, stderr:\n%s", code, errBuf.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("runServe did not shut down after cancellation")
 	}
 }
 
@@ -246,115 +80,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if !strings.Contains(errBuf.String(), "no events") {
 		t.Fatalf("stderr = %q", errBuf.String())
-	}
-}
-
-// TestCheckGatesOnWorkers covers the check subcommand: a suite recording the
-// parallel width passes, one downgraded to serial fails, and a suite with no
-// solver_workers metadata at all fails the -min-count floor.
-func TestCheckGatesOnWorkers(t *testing.T) {
-	dir := t.TempDir()
-	suite := perfbench.Suite{Suite: "solver", Workloads: []perfbench.WorkloadResult{
-		{Name: "sched_a", Metrics: []perfbench.Metric{
-			{Name: "solver_workers", Value: 8, Unit: "model"},
-		}},
-		{Name: "micro_no_solver", Metrics: []perfbench.Metric{
-			{Name: "wall_ns_min", Value: 1, Unit: "ns/op"},
-		}},
-	}}
-	path := filepath.Join(dir, perfbench.BenchFileName("solver"))
-	if err := suite.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"check", "-dir", dir}, &stdout, &stderr); code != 0 {
-		t.Fatalf("parallel suite: exit %d, stderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "sched_a") || !strings.Contains(stdout.String(), "ok") {
-		t.Errorf("check output missing audit line:\n%s", stdout.String())
-	}
-
-	// WriteFile sorts the workload slice in place, so locate by name.
-	suite.Workload("sched_a").Metric("solver_workers").Value = 1 // silently serial
-	if err := suite.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"check", "-dir", dir}, &stdout, &stderr); code != 1 {
-		t.Fatalf("serial suite: exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "below 2 workers") {
-		t.Errorf("stderr = %q", stderr.String())
-	}
-
-	suite.Workloads = []perfbench.WorkloadResult{*suite.Workload("micro_no_solver")} // no solver_workers anywhere
-	if err := suite.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	stderr.Reset()
-	if code := run([]string{"check", "-dir", dir}, &stdout, &stderr); code != 1 {
-		t.Fatalf("empty suite: exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "want >= 1") {
-		t.Errorf("stderr = %q", stderr.String())
-	}
-
-	if code := run([]string{"check", "-dir", t.TempDir()}, &stdout, &stderr); code != 1 {
-		t.Fatal("missing file must fail")
-	}
-}
-
-// TestCheckGatesOnFallbackRatio covers the warm-resolve health gate: a suite
-// whose warm re-solves mostly stick passes, one whose fallback fraction
-// exceeds -max-fallback-ratio fails, and the flag moves the bar.
-func TestCheckGatesOnFallbackRatio(t *testing.T) {
-	dir := t.TempDir()
-	suite := perfbench.Suite{Suite: "solver", Workloads: []perfbench.WorkloadResult{
-		{Name: "sched_warm", Metrics: []perfbench.Metric{
-			{Name: "solver_workers", Value: 8, Unit: "model"},
-			{Name: "warm_solves", Value: 95, Unit: "model"},
-			{Name: "fallback_colds", Value: 5, Unit: "model"},
-		}},
-	}}
-	path := filepath.Join(dir, perfbench.BenchFileName("solver"))
-	if err := suite.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"check", "-dir", dir}, &stdout, &stderr); code != 0 {
-		t.Fatalf("healthy warm ratio: exit %d, stderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "fallback_ratio=0.050") {
-		t.Errorf("check output missing fallback ratio:\n%s", stdout.String())
-	}
-
-	suite.Workload("sched_warm").Metric("fallback_colds").Value = 40 // warm starts rotting
-	if err := suite.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"check", "-dir", dir}, &stdout, &stderr); code != 1 {
-		t.Fatalf("rotten warm ratio: exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "fallback ratio") {
-		t.Errorf("stderr = %q", stderr.String())
-	}
-
-	// A raised bar admits the same suite.
-	stderr.Reset()
-	if code := run([]string{"check", "-dir", dir, "-max-fallback-ratio", "0.5"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("raised bar: exit %d, stderr: %s", code, stderr.String())
-	}
-}
-
-// TestCheckCommittedBaseline audits the repo's committed solver baseline the
-// same way CI does: it must already record the parallel pool width.
-func TestCheckCommittedBaseline(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"check", "-dir", "../.."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("committed baseline fails check (exit %d): %s", code, stderr.String())
 	}
 }
 

@@ -46,8 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "shrink measured experiments for a fast pass")
 	verify := fs.Bool("verify", false, "check the scheduling experiments against the paper's published values and exit")
 	golden := fs.String("golden", "", "write the golden snapshot files to this directory and exit")
-	tracePath := fs.String("trace", "", "write the run as Chrome trace JSON (one span per experiment section)")
-	metricsPath := fs.String("metrics", "", "write run metrics to this file (Prometheus text, or JSON with a .json suffix)")
+	sinks := obs.SinkFlags(fs, false)
 	workers := fs.Int("workers", 1, "branch-and-bound wave width for the solver section (0 = all CPUs)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -77,16 +76,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		tracer = obs.NewTracer()
-		tracer.SetProcessName("experiments")
-		tracer.SetTrackName(0, "sections")
+	if err := sinks.Open(); err != nil {
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 1
 	}
-	var reg *obs.Registry
-	if *metricsPath != "" {
-		reg = obs.NewRegistry()
-	}
+	tracer, reg := sinks.Trace, sinks.Metrics
+	tracer.SetProcessName("experiments")
+	tracer.SetTrackName(0, "sections")
 
 	// section runs one experiment when selected, as one trace span and one
 	// duration observation. Both handles are nil-safe, so uninstrumented
@@ -240,19 +236,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if *tracePath != "" {
-		if err := obs.WriteTraceFile(*tracePath, tracer); err != nil {
-			fmt.Fprintf(stderr, "experiments: trace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote trace (%d events) to %s\n", tracer.Len(), *tracePath)
-	}
-	if *metricsPath != "" {
-		if err := obs.WriteMetricsFile(*metricsPath, reg); err != nil {
-			fmt.Fprintf(stderr, "experiments: metrics: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote metrics to %s\n", *metricsPath)
+	if err := sinks.Close(stdout); err != nil {
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 1
 	}
 	return 0
 }

@@ -16,20 +16,22 @@
 // when drift or budget alerts fire and swaps adopted schedules into the
 // running loop (see mdsim -replan); Sedov runs drift naturally as the blast
 // refines the lattice, so no synthetic perturbation hook is needed here.
+//
+// The profile → solve → run pipeline itself is internal/campaign; this
+// command builds its Config and prints the result.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"insitu/internal/analysis"
 	"insitu/internal/analysis/amrkernels"
-	"insitu/internal/core"
-	"insitu/internal/coupling"
+	"insitu/internal/campaign"
 	"insitu/internal/obs"
 	"insitu/internal/replan"
 	"insitu/internal/runmon"
@@ -37,25 +39,7 @@ import (
 )
 
 func main() {
-	blocks := flag.Int("blocks", 4, "blocks per side of the block lattice")
-	nb := flag.Int("nb", 8, "cells per block side")
-	steps := flag.Int("steps", 100, "simulation steps")
-	thresholdPct := flag.Float64("threshold-pct", 10, "analysis threshold as % of simulation time")
-	interval := flag.Int("interval", 10, "minimum interval between analysis steps")
-	ranks := flag.Int("ranks", 4, "analysis reduction ranks")
-	weights := flag.String("weights", "1,1,1", "importance weights for F1,F2,F3")
-	tracePath := flag.String("trace", "", "write the executed run as Chrome trace JSON to this file")
-	metricsPath := flag.String("metrics", "", "write run metrics to this file (Prometheus text, or JSON with a .json suffix)")
-	ledgerPath := flag.String("ledger", "", "write the run as a JSONL event ledger to this file")
-	monitor := flag.Bool("monitor", false, "watch the run live for drift against the solved schedule (prints a drift report; plan and alert events land in the ledger when -ledger is set)")
-	replanOn := flag.Bool("replan", false, "reschedule the remaining run when the monitor detects drift (implies -monitor; replan events land in the ledger)")
-	render := flag.Bool("render", false, "print an ASCII density slice after the run")
-	flag.Parse()
-
-	if err := run(*blocks, *nb, *steps, *thresholdPct, *interval, *ranks, *weights, *render, *tracePath, *metricsPath, *ledgerPath, *monitor, *replanOn); err != nil {
-		fmt.Fprintln(os.Stderr, "flashsim:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 func parseWeights(s string) ([3]float64, error) {
@@ -74,158 +58,117 @@ func parseWeights(s string) ([3]float64, error) {
 	return w, nil
 }
 
-func run(blocks, nb, steps int, thresholdPct float64, interval, ranks int, weightStr string, render bool, tracePath, metricsPath, ledgerPath string, monitor, replanOn bool) error {
-	monitor = monitor || replanOn
-	w, err := parseWeights(weightStr)
-	if err != nil {
-		return err
+// run executes the CLI and returns the process exit code: 0 ok, 1 failure,
+// 2 usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flashsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	blocks := fs.Int("blocks", 4, "blocks per side of the block lattice")
+	nb := fs.Int("nb", 8, "cells per block side")
+	steps := fs.Int("steps", 100, "simulation steps")
+	thresholdPct := fs.Float64("threshold-pct", 10, "analysis threshold as % of simulation time")
+	interval := fs.Int("interval", 10, "minimum interval between analysis steps")
+	ranks := fs.Int("ranks", 4, "analysis reduction ranks")
+	weights := fs.String("weights", "1,1,1", "importance weights for F1,F2,F3")
+	sinks := obs.SinkFlags(fs, true)
+	monitor := fs.Bool("monitor", false, "watch the run live for drift against the solved schedule (prints a drift report; plan and alert events land in the ledger when -ledger is set)")
+	replanOn := fs.Bool("replan", false, "reschedule the remaining run when the monitor detects drift (implies -monitor; replan events land in the ledger)")
+	render := fs.Bool("render", false, "print an ASCII density slice after the run")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	grid, err := amr.NewSedov(amr.Config{BlocksX: blocks, NB: nb})
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "flashsim:", err)
+		return 1
+	}
+	w, err := parseWeights(*weights)
 	if err != nil {
-		return err
+		fail(err)
+		return 2
 	}
 
-	var kernels []analysis.Kernel
-	f1, err := amrkernels.NewVorticity(grid, ranks)
+	grid, err := amr.NewSedov(amr.Config{BlocksX: *blocks, NB: *nb})
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	f2, err := amrkernels.NewL1Norm(grid, ranks)
-	if err != nil {
-		return err
-	}
-	f3, err := amrkernels.NewL2Norm(grid, ranks)
-	if err != nil {
-		return err
-	}
-	f4, err := amrkernels.NewShockTracker(grid, ranks)
-	if err != nil {
-		return err
-	}
-	f5, err := amrkernels.NewRadialProfile(grid, 32, ranks)
-	if err != nil {
-		return err
-	}
-	kernels = append(kernels, f1, f2, f3, f4, f5)
-
-	step := func() { grid.StepCFL() }
-
-	t0 := time.Now()
-	for i := 0; i < 5; i++ {
-		step()
-	}
-	simPerStep := time.Since(t0).Seconds() / 5
-	res := core.Resources{
-		Steps:         steps,
-		TimeThreshold: core.PercentThreshold(simPerStep, steps, thresholdPct),
-		MemThreshold:  1 << 32,
-	}
-	fmt.Printf("sedov blocks=%d^3 nb=%d cells=%d sim=%.5fs/step threshold=%.3fs\n",
-		blocks, nb, grid.NumCells(), simPerStep, res.TimeThreshold)
-
-	rec, specs, err := coupling.MeasureAndSolve(kernels, step, 4, interval, res)
-	if err != nil {
-		return err
-	}
-	// Apply the importance weights to F1-F3 and re-solve (MeasureAndSolve
-	// uses defaults; the weighted solve is the Table-8 workflow). The
+	// F1-F3 carry the importance weights (the Table-8 workflow); the
 	// auxiliary kernels (shock tracker, radial profile) keep weight 1.
-	for i := range specs {
-		if i < len(w) {
-			specs[i].Weight = w[i]
+	var kernels []analysis.Kernel
+	add := func(k analysis.Kernel, e error) {
+		if err == nil {
+			err = e
+			kernels = append(kernels, k)
 		}
 	}
-	rec, err = core.Solve(specs, res, core.SolveOptions{})
+	add(amrkernels.NewVorticity(grid, *ranks))
+	add(amrkernels.NewL1Norm(grid, *ranks))
+	add(amrkernels.NewL2Norm(grid, *ranks))
+	add(amrkernels.NewShockTracker(grid, *ranks))
+	add(amrkernels.NewRadialProfile(grid, 32, *ranks))
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	fmt.Printf("\nweights=%v\nrecommended schedule:\n%s", w, rec.String())
+	weightOf := map[string]float64{}
+	for i, v := range w {
+		weightOf[kernels[i].Name()] = v
+	}
 
-	byName := map[string]analysis.Kernel{}
-	for _, k := range kernels {
-		byName[k.Name()] = k
+	if err := sinks.Open(); err != nil {
+		return fail(err)
 	}
-	var tracer *obs.Tracer
-	if tracePath != "" {
-		tracer = obs.NewTracer()
+	cfg := campaign.Config{
+		Sim:              campaign.SimFunc{AppName: "flashsim/sedov", StepFn: func() { grid.StepCFL() }},
+		Kernels:          kernels,
+		Steps:            *steps,
+		MinInterval:      *interval,
+		ThresholdPercent: *thresholdPct,
+		MemBudget:        1 << 32,
+		Weights:          weightOf,
+		Trace:            sinks.Trace,
+		Metrics:          sinks.Metrics,
+		Ledger:           sinks.Ledger,
 	}
-	var reg *obs.Registry
-	if metricsPath != "" {
-		reg = obs.NewRegistry()
+	if *monitor || *replanOn {
+		cfg.Monitor = runmon.NewMonitor(nil, runmon.Config{Ledger: sinks.Ledger, Metrics: sinks.Metrics})
 	}
-	var ledger *obs.EventLog
-	if ledgerPath != "" {
-		ledger, err = obs.OpenEventLog(ledgerPath)
-		if err != nil {
-			return err
-		}
-		ledger.Append(obs.LedgerEvent{
-			Type: obs.LedgerSolve, Name: "schedule",
-			Dur: float64(rec.SolveTime.Nanoseconds()) / 1e3,
-			Args: map[string]float64{
-				"nodes":     float64(rec.Stats.Nodes),
-				"pivots":    float64(rec.Stats.Pivots),
-				"objective": rec.Objective,
-				"threshold": res.TimeThreshold,
-			},
-		})
+	if *replanOn {
+		cfg.Replan = &replan.Config{}
 	}
-	runner := &coupling.Runner{Step: step, Kernels: byName, Rec: rec, Res: res, Trace: tracer, Metrics: reg, Ledger: ledger, App: "flashsim/sedov"}
-	var mon *runmon.Monitor
-	if monitor {
-		profile := runmon.FromPlan(specs, rec, res, simPerStep)
-		profile.App = "flashsim/sedov"
-		mon = runmon.NewMonitor(profile, runmon.Config{Ledger: ledger, Metrics: reg})
-		for _, e := range profile.PlanEvents() {
-			ledger.Append(e)
-		}
-		runner.Observe = mon.Observe
-	}
-	var rp *replan.Replanner
-	if replanOn {
-		rp = replan.New(mon, specs, res, rec, simPerStep, replan.Config{
-			BudgetPercent: thresholdPct, Ledger: ledger, Metrics: reg,
-		})
-		runner.Replan = rp.Hook()
-	}
-	rep, err := runner.Run()
+	c, err := campaign.New(cfg)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	fmt.Printf("\nexecuted: sim=%v analyses=%v (%.1f%% of threshold)\n",
-		rep.SimTime, rep.AnalysisTime, rep.Utilization(res)*100)
-	if mon != nil {
-		fmt.Println("\nrun monitor:")
-		if err := mon.Snapshot().WriteText(os.Stdout); err != nil {
-			return err
+	p, err := c.Plan()
+	if err != nil {
+		return fail(err)
+	}
+	fmt.Fprintf(stdout, "sedov blocks=%d^3 nb=%d cells=%d sim=%.5fs/step threshold=%.3fs\n",
+		*blocks, *nb, grid.NumCells(), p.SimSecPerStep, p.Resources.TimeThreshold)
+	fmt.Fprintf(stdout, "\nweights=%v\nrecommended schedule:\n%s", w, p.Rec.String())
+
+	o, err := c.Execute(p)
+	if err != nil {
+		return fail(err)
+	}
+	fmt.Fprintf(stdout, "\nexecuted: sim=%v analyses=%v (%.1f%% of threshold)\n",
+		o.Report.SimTime, o.Report.AnalysisTime, o.Report.Utilization(p.Resources)*100)
+	if cfg.Monitor != nil {
+		fmt.Fprintln(stdout, "\nrun monitor:")
+		if err := cfg.Monitor.Snapshot().WriteText(stdout); err != nil {
+			return fail(err)
 		}
 	}
-	if rp != nil {
-		fmt.Println(rp.String())
+	if *replanOn {
+		fmt.Fprintf(stdout, "replan: %d decision(s), %d adopted\n", len(o.Replans), o.AdoptedReplans())
 	}
-	if tracePath != "" {
-		if err := obs.WriteTraceFile(tracePath, tracer); err != nil {
-			return err
-		}
-		fmt.Printf("wrote trace (%d events) to %s\n", tracer.Len(), tracePath)
-	}
-	if metricsPath != "" {
-		if err := obs.WriteMetricsFile(metricsPath, reg); err != nil {
-			return err
-		}
-		fmt.Printf("wrote metrics to %s\n", metricsPath)
-	}
-	if ledgerPath != "" {
-		if err := ledger.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote ledger (%d events) to %s\n", ledger.Len(), ledgerPath)
+	if err := sinks.Close(stdout); err != nil {
+		return fail(err)
 	}
 	ref := amr.NewSedovReference(grid.Gamma)
-	fmt.Printf("shock radius after %d steps: %.4f (Sedov-Taylor %.4f at t=%.4f)\n",
+	fmt.Fprintf(stdout, "shock radius after %d steps: %.4f (Sedov-Taylor %.4f at t=%.4f)\n",
 		grid.StepCount, grid.ShockRadius(), ref.ShockRadius(grid.Time), grid.Time)
-	if render {
-		fmt.Println(grid.RenderSlice(64, 28))
+	if *render {
+		fmt.Fprintln(stdout, grid.RenderSlice(64, 28))
 	}
-	return nil
+	return 0
 }

@@ -78,8 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	exportLP := fs.String("export-lp", "", "write the model in CPLEX LP format to this file (for cross-checking with external solvers)")
 	sensitivity := fs.Bool("sensitivity", false, "report the threshold at which each analysis gains one more step")
 	explainFlag := fs.Bool("explain", false, "print the schedule-explainability report (attribution, duals, search stats; uses the compact model)")
-	tracePath := fs.String("trace", "", "write the branch-and-bound search as Chrome trace JSON to this file")
-	metricsPath := fs.String("metrics", "", "write solver metrics to this file (Prometheus text, or JSON with a .json suffix)")
+	sinks := obs.SinkFlags(fs, false)
 	workers := fs.Int("workers", 1, "branch-and-bound wave width (0 = all CPUs)")
 	flightPath := fs.String("flight", "", "record the solver's progress stream (solveprog events) to this JSONL ledger file")
 	monitorPath := fs.String("monitor", "", "score an executed run ledger (JSONL) against the solved schedule and print the drift report")
@@ -130,7 +129,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *full {
 		solve = core.SolveFull
 	}
-	var tracer *obs.Tracer
+	if err := sinks.Open(); err != nil {
+		return fail(err)
+	}
+	tracer := sinks.Trace
 	opts := core.SolveOptions{Workers: milp.AutoWorkers(*workers)}
 	var flight *obs.FlightRecorder
 	if *flightPath != "" {
@@ -139,8 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Flight = flight
 	}
 	var solveSpan obs.Span
-	if *tracePath != "" {
-		tracer = obs.NewTracer()
+	if tracer != nil {
 		solveSpan = tracer.Begin("solve", "solver")
 		opts.Observer = func(ev milp.NodeEvent) {
 			args := map[string]float64{"node": float64(ev.Node), "depth": float64(ev.Depth), "bound": ev.Bound}
@@ -173,14 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stderr, line)
 	}
-	if *tracePath != "" {
-		if err := obs.WriteTraceFile(*tracePath, tracer); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "wrote trace (%d events) to %s\n", tracer.Len(), *tracePath)
-	}
-	if *metricsPath != "" {
-		reg := obs.NewRegistry()
+	if reg := sinks.Metrics; reg != nil {
 		st := rec.Stats
 		reg.Counter("solver_nodes_total", nil).Add(float64(st.Nodes))
 		reg.Counter("solver_relaxations_total", nil).Add(float64(st.Relaxations))
@@ -189,10 +183,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reg.Gauge("solver_best_bound", nil).Set(st.BestBound)
 		reg.Gauge("solver_objective", nil).Set(rec.Objective)
 		reg.Counter("solver_solve_seconds_total", nil).Add(st.SolveTime.Seconds())
-		if err := obs.WriteMetricsFile(*metricsPath, reg); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "wrote metrics to %s\n", *metricsPath)
+	}
+	if err := sinks.Close(stderr); err != nil {
+		return fail(err)
 	}
 
 	if *asJSON {

@@ -26,6 +26,9 @@
 // from the given execution step on, each simulation step is padded to
 // FACTOR times the profiled step time, so the profiles are guaranteed wrong
 // mid-run.
+//
+// The profile → solve → run pipeline itself is internal/campaign; this
+// command builds its Config and prints the result.
 package main
 
 import (
@@ -37,8 +40,7 @@ import (
 
 	"insitu/internal/analysis"
 	"insitu/internal/analysis/mdkernels"
-	"insitu/internal/core"
-	"insitu/internal/coupling"
+	"insitu/internal/campaign"
 	"insitu/internal/obs"
 	"insitu/internal/replan"
 	"insitu/internal/runmon"
@@ -46,45 +48,44 @@ import (
 )
 
 func main() {
-	system := flag.String("system", "water", "system to simulate: water (A1-A4) or rhodopsin (R1-R3)")
-	atoms := flag.Int("atoms", 4000, "number of particles")
-	steps := flag.Int("steps", 200, "simulation steps")
-	thresholdPct := flag.Float64("threshold-pct", 10, "in-situ analysis threshold as % of simulation time")
-	interval := flag.Int("interval", 20, "minimum interval between analysis steps")
-	ranks := flag.Int("ranks", 4, "analysis reduction ranks")
-	outPath := flag.String("out", "", "write analysis output to this file (default: discard)")
-	tracePath := flag.String("trace", "", "write the executed run as Chrome trace JSON to this file")
-	metricsPath := flag.String("metrics", "", "write run metrics to this file (Prometheus text, or JSON with a .json suffix)")
-	ledgerPath := flag.String("ledger", "", "write the run as a JSONL event ledger to this file")
-	monitor := flag.Bool("monitor", false, "watch the run live for drift against the solved schedule (prints a drift report; plan and alert events land in the ledger when -ledger is set)")
-	replanOn := flag.Bool("replan", false, "reschedule the remaining run when the monitor detects drift (implies -monitor; replan events land in the ledger)")
-	perturbSim := flag.String("perturb-sim", "", "pad each simulation step to FACTOR times the profiled step time from step N on (format \"1.5@50\"); a testing hook for -replan")
-	render := flag.Bool("render", false, "print a Figure-3 style ASCII snapshot before running")
-	flag.Parse()
-
-	if *render {
-		sys, err := buildSystem(*system, *atoms)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mdsim:", err)
-			os.Exit(1)
-		}
-		fmt.Print(sys.RenderSlice(72, 28, sys.Box[1]/4))
-	}
-	if err := run(*system, *atoms, *steps, *thresholdPct, *interval, *ranks, *outPath, *tracePath, *metricsPath, *ledgerPath, *monitor, *replanOn, *perturbSim); err != nil {
-		fmt.Fprintln(os.Stderr, "mdsim:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func buildSystem(system string, atoms int) (*md.System, error) {
+// buildSystem constructs the named system and its analysis kernels (A1-A4
+// plus statistics and a speed histogram for water, R1-R3 for rhodopsin).
+func buildSystem(system string, atoms, ranks int) (*md.System, []analysis.Kernel, error) {
 	cfg := md.Config{NAtoms: atoms, Seed: 1}
+	var sys *md.System
+	var err error
+	var kernels []analysis.Kernel
+	add := func(k analysis.Kernel, e error) {
+		if err == nil {
+			err = e
+			kernels = append(kernels, k)
+		}
+	}
 	switch system {
 	case "water":
-		return md.NewWaterIons(cfg)
+		if sys, err = md.NewWaterIons(cfg); err != nil {
+			return nil, nil, err
+		}
+		add(mdkernels.NewHydroniumRDF(sys, mdkernels.RDFConfig{Ranks: ranks}))
+		add(mdkernels.NewIonRDF(sys, mdkernels.RDFConfig{Ranks: ranks}))
+		add(mdkernels.NewVACF(sys, ranks))
+		add(mdkernels.NewMSD(sys, ranks))
+		add(mdkernels.NewStats(sys, ranks))
+		add(mdkernels.NewSpeedHistogram(sys, 64, 4, ranks))
 	case "rhodopsin":
-		return md.NewRhodopsin(cfg)
+		if sys, err = md.NewRhodopsin(cfg); err != nil {
+			return nil, nil, err
+		}
+		add(mdkernels.NewGyration(sys, ranks))
+		add(mdkernels.NewMembraneHist(sys, mdkernels.HistConfig{Ranks: ranks}))
+		add(mdkernels.NewProteinHist(sys, mdkernels.HistConfig{Ranks: ranks}))
+	default:
+		return nil, nil, fmt.Errorf("unknown system %q", system)
 	}
-	return nil, fmt.Errorf("unknown system %q", system)
+	return sys, kernels, err
 }
 
 // parsePerturb parses the -perturb-sim testing hook ("FACTOR@STEP").
@@ -98,203 +99,137 @@ func parsePerturb(s string) (factor float64, at int, err error) {
 	return factor, at, nil
 }
 
-func run(system string, atoms, steps int, thresholdPct float64, interval, ranks int, outPath, tracePath, metricsPath, ledgerPath string, monitor, replanOn bool, perturbSim string) error {
-	monitor = monitor || replanOn
-	cfg := md.Config{NAtoms: atoms, Seed: 1}
-	var sys *md.System
-	var err error
-	var kernels []analysis.Kernel
-	mk := func(k analysis.Kernel, e error) error {
-		if e != nil {
-			return e
-		}
-		kernels = append(kernels, k)
-		return nil
+// run executes the CLI and returns the process exit code: 0 ok, 1 failure,
+// 2 usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mdsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	system := fs.String("system", "water", "system to simulate: water (A1-A4) or rhodopsin (R1-R3)")
+	atoms := fs.Int("atoms", 4000, "number of particles")
+	steps := fs.Int("steps", 200, "simulation steps")
+	thresholdPct := fs.Float64("threshold-pct", 10, "in-situ analysis threshold as % of simulation time")
+	interval := fs.Int("interval", 20, "minimum interval between analysis steps")
+	ranks := fs.Int("ranks", 4, "analysis reduction ranks")
+	outPath := fs.String("out", "", "write analysis output to this file (default: discard)")
+	sinks := obs.SinkFlags(fs, true)
+	monitor := fs.Bool("monitor", false, "watch the run live for drift against the solved schedule (prints a drift report; plan and alert events land in the ledger when -ledger is set)")
+	replanOn := fs.Bool("replan", false, "reschedule the remaining run when the monitor detects drift (implies -monitor; replan events land in the ledger)")
+	perturbSim := fs.String("perturb-sim", "", "pad each simulation step to FACTOR times the profiled step time from step N on (format \"1.5@50\"); a testing hook for -replan")
+	render := fs.Bool("render", false, "print a Figure-3 style ASCII snapshot before running")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	switch system {
-	case "water":
-		sys, err = md.NewWaterIons(cfg)
-		if err != nil {
-			return err
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "mdsim:", err)
+		return 1
+	}
+	// Every flag is checked before the first simulation step.
+	var factor float64
+	var at int
+	if *perturbSim != "" {
+		var err error
+		if factor, at, err = parsePerturb(*perturbSim); err != nil {
+			fail(err)
+			return 2
 		}
-		if err := mk(mdkernels.NewHydroniumRDF(sys, mdkernels.RDFConfig{Ranks: ranks})); err != nil {
-			return err
-		}
-		if err := mk(mdkernels.NewIonRDF(sys, mdkernels.RDFConfig{Ranks: ranks})); err != nil {
-			return err
-		}
-		if err := mk(mdkernels.NewVACF(sys, ranks)); err != nil {
-			return err
-		}
-		if err := mk(mdkernels.NewMSD(sys, ranks)); err != nil {
-			return err
-		}
-		if err := mk(mdkernels.NewStats(sys, ranks)); err != nil {
-			return err
-		}
-		if err := mk(mdkernels.NewSpeedHistogram(sys, 64, 4, ranks)); err != nil {
-			return err
-		}
-	case "rhodopsin":
-		sys, err = md.NewRhodopsin(cfg)
-		if err != nil {
-			return err
-		}
-		if err := mk(mdkernels.NewGyration(sys, ranks)); err != nil {
-			return err
-		}
-		if err := mk(mdkernels.NewMembraneHist(sys, mdkernels.HistConfig{Ranks: ranks})); err != nil {
-			return err
-		}
-		if err := mk(mdkernels.NewProteinHist(sys, mdkernels.HistConfig{Ranks: ranks})); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown system %q", system)
 	}
 
-	step := func() { sys.Step(0.002) }
-
-	// Estimate the simulation time per step to derive the threshold.
-	t0 := time.Now()
-	probe := 5
-	for i := 0; i < probe; i++ {
-		step()
-	}
-	simPerStep := time.Since(t0).Seconds() / float64(probe)
-	res := core.Resources{
-		Steps:         steps,
-		TimeThreshold: core.PercentThreshold(simPerStep, steps, thresholdPct),
-		MemThreshold:  1 << 32,
-	}
-	fmt.Printf("system=%s atoms=%d steps=%d sim=%.4fs/step threshold=%.3fs (%.0f%%)\n",
-		system, sys.N, steps, simPerStep, res.TimeThreshold, thresholdPct)
-
-	rec, specs, err := coupling.MeasureAndSolve(kernels, step, 4, interval, res)
+	sys, kernels, err := buildSystem(*system, *atoms, *ranks)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	fmt.Println("\nmeasured analysis profiles:")
-	for _, s := range specs {
-		fmt.Printf("  %-24s ct=%.5fs ot=%.5fs fm=%d im=%d\n", s.Name, s.CT, s.OT, s.FM, s.IM)
+	if *render {
+		fmt.Fprint(stdout, sys.RenderSlice(72, 28, sys.Box[1]/4))
 	}
-	fmt.Println("\nrecommended schedule:")
-	fmt.Print(rec.String())
-
-	var out io.Writer = io.Discard
-	if outPath != "" {
-		f, err := os.Create(outPath)
+	if err := sinks.Open(); err != nil {
+		return fail(err)
+	}
+	var out io.Writer
+	if *outPath != "" {
+		f, err := os.Create(*outPath)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		defer f.Close()
 		out = f
 	}
 
-	byName := map[string]analysis.Kernel{}
-	for _, k := range kernels {
-		byName[k.Name()] = k
-	}
-	var tracer *obs.Tracer
-	if tracePath != "" {
-		tracer = obs.NewTracer()
-	}
-	var reg *obs.Registry
-	if metricsPath != "" {
-		reg = obs.NewRegistry()
-	}
-	var ledger *obs.EventLog
-	if ledgerPath != "" {
-		ledger, err = obs.OpenEventLog(ledgerPath)
-		if err != nil {
-			return err
-		}
-		ledger.Append(obs.LedgerEvent{
-			Type: obs.LedgerSolve, Name: "schedule",
-			Dur: float64(rec.SolveTime.Nanoseconds()) / 1e3,
-			Args: map[string]float64{
-				"nodes":     float64(rec.Stats.Nodes),
-				"pivots":    float64(rec.Stats.Pivots),
-				"objective": rec.Objective,
-				"threshold": res.TimeThreshold,
-			},
-		})
-	}
-	execStep := step
-	if perturbSim != "" {
-		factor, at, err := parsePerturb(perturbSim)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("perturbation: sim steps padded to %.2fx profiled time from step %d\n", factor, at)
-		n := 0
-		execStep = func() {
-			n++
+	step := func() { sys.Step(0.002) }
+	// pad stays zero through probing and profiling, so -perturb-sim slows
+	// executed steps only, counted from the first of them.
+	var pad time.Duration
+	if *perturbSim != "" {
+		executed := 0
+		step = func() {
 			t := time.Now()
-			step()
-			if n >= at {
-				if pad := time.Duration(simPerStep*factor*1e9) - time.Since(t); pad > 0 {
-					time.Sleep(pad)
+			sys.Step(0.002)
+			if pad > 0 {
+				if executed++; executed >= at {
+					time.Sleep(pad - time.Since(t))
 				}
 			}
 		}
 	}
-	runner := &coupling.Runner{Step: execStep, Kernels: byName, Rec: rec, Res: res, Output: out, Trace: tracer, Metrics: reg, Ledger: ledger, App: "mdsim/" + system}
-	var mon *runmon.Monitor
-	if monitor {
-		profile := runmon.FromPlan(specs, rec, res, simPerStep)
-		profile.App = "mdsim/" + system
-		mon = runmon.NewMonitor(profile, runmon.Config{Ledger: ledger, Metrics: reg})
-		// Plan events make the ledger self-describing: a later
-		// `runmon report -ledger` scores against the same predictions.
-		for _, e := range profile.PlanEvents() {
-			ledger.Append(e)
-		}
-		runner.Observe = mon.Observe
+	cfg := campaign.Config{
+		Sim:              campaign.SimFunc{AppName: "mdsim/" + *system, StepFn: step},
+		Kernels:          kernels,
+		Steps:            *steps,
+		MinInterval:      *interval,
+		ThresholdPercent: *thresholdPct,
+		MemBudget:        1 << 32,
+		Output:           out,
+		Trace:            sinks.Trace,
+		Metrics:          sinks.Metrics,
+		Ledger:           sinks.Ledger,
 	}
-	var rp *replan.Replanner
-	if replanOn {
-		rp = replan.New(mon, specs, res, rec, simPerStep, replan.Config{
-			BudgetPercent: thresholdPct, Ledger: ledger, Metrics: reg,
-		})
-		runner.Replan = rp.Hook()
+	if *monitor || *replanOn {
+		cfg.Monitor = runmon.NewMonitor(nil, runmon.Config{Ledger: sinks.Ledger, Metrics: sinks.Metrics})
 	}
-	rep, err := runner.Run()
+	if *replanOn {
+		cfg.Replan = &replan.Config{}
+	}
+	c, err := campaign.New(cfg)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	fmt.Printf("\nexecuted: sim=%v analyses=%v (%.1f%% of threshold)\n",
-		rep.SimTime, rep.AnalysisTime, rep.Utilization(res)*100)
-	for _, kr := range rep.Kernels {
-		fmt.Printf("  %-24s analyses=%d outputs=%d total=%v out_bytes=%d\n",
+	p, err := c.Plan()
+	if err != nil {
+		return fail(err)
+	}
+	fmt.Fprintf(stdout, "system=%s atoms=%d steps=%d sim=%.4fs/step threshold=%.3fs (%.0f%%)\n",
+		*system, sys.N, *steps, p.SimSecPerStep, p.Resources.TimeThreshold, *thresholdPct)
+	fmt.Fprintln(stdout, "\nmeasured analysis profiles:")
+	for _, s := range p.Specs {
+		fmt.Fprintf(stdout, "  %-24s ct=%.5fs ot=%.5fs fm=%d im=%d\n", s.Name, s.CT, s.OT, s.FM, s.IM)
+	}
+	fmt.Fprintln(stdout, "\nrecommended schedule:")
+	fmt.Fprint(stdout, p.Rec.String())
+	if *perturbSim != "" {
+		fmt.Fprintf(stdout, "perturbation: sim steps padded to %.2fx profiled time from step %d\n", factor, at)
+		pad = time.Duration(p.SimSecPerStep * factor * 1e9)
+	}
+
+	o, err := c.Execute(p)
+	if err != nil {
+		return fail(err)
+	}
+	fmt.Fprintf(stdout, "\nexecuted: sim=%v analyses=%v (%.1f%% of threshold)\n",
+		o.Report.SimTime, o.Report.AnalysisTime, o.Report.Utilization(p.Resources)*100)
+	for _, kr := range o.Report.Kernels {
+		fmt.Fprintf(stdout, "  %-24s analyses=%d outputs=%d total=%v out_bytes=%d\n",
 			kr.Name, kr.Analyses, kr.Outputs, kr.Total(), kr.OutBytes)
 	}
-	if mon != nil {
-		fmt.Println("\nrun monitor:")
-		if err := mon.Snapshot().WriteText(os.Stdout); err != nil {
-			return err
+	if cfg.Monitor != nil {
+		fmt.Fprintln(stdout, "\nrun monitor:")
+		if err := cfg.Monitor.Snapshot().WriteText(stdout); err != nil {
+			return fail(err)
 		}
 	}
-	if rp != nil {
-		fmt.Println(rp.String())
+	if *replanOn {
+		fmt.Fprintf(stdout, "replan: %d decision(s), %d adopted\n", len(o.Replans), o.AdoptedReplans())
 	}
-	if tracePath != "" {
-		if err := obs.WriteTraceFile(tracePath, tracer); err != nil {
-			return err
-		}
-		fmt.Printf("wrote trace (%d events) to %s\n", tracer.Len(), tracePath)
+	if err := sinks.Close(stdout); err != nil {
+		return fail(err)
 	}
-	if metricsPath != "" {
-		if err := obs.WriteMetricsFile(metricsPath, reg); err != nil {
-			return err
-		}
-		fmt.Printf("wrote metrics to %s\n", metricsPath)
-	}
-	if ledgerPath != "" {
-		if err := ledger.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote ledger (%d events) to %s\n", ledger.Len(), ledgerPath)
-	}
-	return nil
+	return 0
 }

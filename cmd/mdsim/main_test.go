@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -12,11 +13,42 @@ import (
 )
 
 func TestBuildSystem(t *testing.T) {
-	if _, err := buildSystem("water", 500); err != nil {
-		t.Fatal(err)
+	if _, kernels, err := buildSystem("water", 500, 2); err != nil || len(kernels) != 6 {
+		t.Fatalf("water: %d kernels, %v", len(kernels), err)
 	}
-	if _, err := buildSystem("nope", 500); err == nil {
+	if _, _, err := buildSystem("nope", 500, 2); err == nil {
 		t.Fatal("expected error for unknown system")
+	}
+}
+
+// mdsim runs the CLI in-process and fails the test on a non-zero exit.
+func mdsim(t *testing.T, args ...string) string {
+	t.Helper()
+	var out, errBuf bytes.Buffer
+	if code := run(args, &out, &errBuf); code != 0 {
+		t.Fatalf("mdsim %v -> %d: %s", args, code, errBuf.String())
+	}
+	return out.String()
+}
+
+// TestPerturbSimRejectedBeforeAnyStep pins that a bad -perturb-sim is a usage
+// error raised before the planning phase. The unknown -system proves it: a
+// run that got as far as building the system, let alone stepping it, would
+// report that instead (exit 1) and print the planning banner.
+func TestPerturbSimRejectedBeforeAnyStep(t *testing.T) {
+	for name, arg := range map[string]string{
+		"bad factor": "0.5@3",
+		"bad step":   "1.5@0",
+		"malformed":  "fast",
+	} {
+		var out, errBuf bytes.Buffer
+		code := run([]string{"-system", "nope", "-perturb-sim", arg}, &out, &errBuf)
+		if code != 2 || !strings.Contains(errBuf.String(), "bad -perturb-sim") {
+			t.Errorf("%s (%q): exit %d, stderr %q", name, arg, code, errBuf.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s (%q): printed %q before rejecting the flag", name, arg, out.String())
+		}
 	}
 }
 
@@ -44,9 +76,8 @@ func TestRunWritesValidChromeTrace(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.json")
 	metricsPath := filepath.Join(dir, "metrics.txt")
 	ledgerPath := filepath.Join(dir, "run.jsonl")
-	if err := run("water", 600, 20, 20, 5, 2, "", tracePath, metricsPath, ledgerPath, false, false, ""); err != nil {
-		t.Fatal(err)
-	}
+	mdsim(t, "-atoms", "600", "-steps", "20", "-threshold-pct", "20", "-interval", "5", "-ranks", "2",
+		"-trace", tracePath, "-metrics", metricsPath, "-ledger", ledgerPath)
 
 	raw, err := os.ReadFile(tracePath)
 	if err != nil {
@@ -107,7 +138,7 @@ func TestRunWritesValidChromeTrace(t *testing.T) {
 	if sum.App != "mdsim/water" || len(sum.Steps) != 20 {
 		t.Fatalf("ledger app=%q steps=%d, want mdsim/water with 20 steps", sum.App, len(sum.Steps))
 	}
-	if len(sum.Solves) != 1 || sum.Solves[0].Name != "schedule" {
+	if len(sum.Solves) != 1 || sum.Solves[0].Name != "plan" {
 		t.Fatalf("ledger solves = %+v", sum.Solves)
 	}
 }
@@ -117,9 +148,8 @@ func TestRunMonitoredLedgerSelfDescribes(t *testing.T) {
 		t.Skip("full pipeline too heavy for -short")
 	}
 	ledgerPath := filepath.Join(t.TempDir(), "run.jsonl")
-	if err := run("water", 600, 20, 20, 5, 2, "", "", "", ledgerPath, true, false, ""); err != nil {
-		t.Fatal(err)
-	}
+	mdsim(t, "-atoms", "600", "-steps", "20", "-threshold-pct", "20", "-interval", "5", "-ranks", "2",
+		"-monitor", "-ledger", ledgerPath)
 	events, err := obs.ReadLedgerFile(ledgerPath)
 	if err != nil {
 		t.Fatal(err)
@@ -136,5 +166,46 @@ func TestRunMonitoredLedgerSelfDescribes(t *testing.T) {
 	}
 	if len(s.Streams) == 0 {
 		t.Fatal("post-hoc analysis tracked no streams")
+	}
+}
+
+// TestReplanRunLedgerOrder drives a -monitor -replan -ledger run and checks
+// the campaign path wrote the ledger in pipeline order: the plan's solve
+// event, then the plan events carrying its predictions, then the run.
+func TestReplanRunLedgerOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline too heavy for -short")
+	}
+	ledgerPath := filepath.Join(t.TempDir(), "run.jsonl")
+	text := mdsim(t, "-atoms", "600", "-steps", "20", "-threshold-pct", "20", "-interval", "5", "-ranks", "2",
+		"-monitor", "-replan", "-ledger", ledgerPath)
+	for _, want := range []string{"recommended schedule:", "executed: sim=", "run monitor:", "replan: "} {
+		if !strings.Contains(text, want) {
+			t.Errorf("output missing %q:\n%s", want, text)
+		}
+	}
+	events, err := obs.ReadLedgerFile(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solves, plans := 0, 0
+	for _, e := range events {
+		if e.Type == obs.LedgerRunStart {
+			break
+		}
+		switch {
+		case e.Type == obs.LedgerSolve && plans == 0:
+			solves++
+		case e.Type == obs.LedgerPlan:
+			plans++
+		default:
+			t.Fatalf("unexpected %q event before run_start (after %d solve, %d plan)", e.Type, solves, plans)
+		}
+	}
+	if solves != 1 || plans == 0 {
+		t.Fatalf("%d solve and %d plan events before run_start, want 1 and some", solves, plans)
+	}
+	if events[0].Name != "plan" || events[len(events)-1].Type != obs.LedgerRunEnd {
+		t.Fatalf("ledger opens with solve %q and ends with %q", events[0].Name, events[len(events)-1].Type)
 	}
 }

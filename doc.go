@@ -17,6 +17,5 @@
 //   - internal/experiments — regenerates every table and figure of §5
 //
 // See README.md for a walkthrough, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate each experiment under `go test -bench`.
+// EXPERIMENTS.md for paper-vs-measured results.
 package insitu

@@ -4,7 +4,9 @@
 // MILP under the chosen threshold policy (§3.2), execute the recommended
 // schedule (§5), and report predicted-versus-executed overhead. Downstream
 // codes embed their simulation behind the Simulation interface and their
-// analyses behind analysis.Kernel; everything else is configuration.
+// analyses behind analysis.Kernel; everything else is configuration. It is
+// the only implementation of that pipeline: cmd/mdsim, cmd/flashsim and
+// experiments.ValidateCoupling build a Config and print what comes back.
 package campaign
 
 import (
@@ -13,7 +15,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"insitu/internal/analysis"
@@ -84,11 +85,8 @@ type Config struct {
 	// Lexicographic treats the weights as strict priority classes.
 	Lexicographic bool
 
-	// SolveWorkers selects the solver parallelism: Plan hands it to the
-	// branch-and-bound search as its wave width (see
-	// core.SolveOptions.Workers), and PlanSweep uses it as the width of its
-	// threshold fan-out (sweep solves run at width 1 each, so the machine
-	// is not oversubscribed). 0 and 1 mean no parallelism anywhere.
+	// SolveWorkers is the wave width Plan hands to the branch-and-bound
+	// search (see core.SolveOptions.Workers); 0 and 1 both mean a wave of one.
 	SolveWorkers int
 
 	// ProbeSteps is how many simulation steps the profiling pass advances
@@ -111,8 +109,7 @@ type Config struct {
 	// Flight, when non-nil, captures the Plan solve's progress stream (see
 	// obs.FlightRecorder): Plan resets and attaches it to the
 	// branch-and-bound solve, then drains it into the Ledger as solveprog
-	// events. PlanSweep gives each threshold solve its own recorder and
-	// drains them in input order, so a shared ledger stays deterministic.
+	// events.
 	Flight *obs.FlightRecorder
 	// Monitor, when non-nil, watches the executed run live: Execute installs
 	// the solved plan as the monitor's predicted profile, writes the profile
@@ -120,8 +117,8 @@ type Config struct {
 	// same predictions), and feeds every run event through the monitor's
 	// drift detectors as it happens.
 	Monitor *runmon.Monitor
-	// Ctx, when non-nil, scopes the campaign's solves to a caller's lifetime:
-	// Plan and PlanSweep hand it to the branch-and-bound search, which aborts
+	// Ctx, when non-nil, scopes the campaign's solve to a caller's lifetime:
+	// Plan hands it to the branch-and-bound search, which aborts
 	// with an error wrapping milp.ErrCanceled once it is canceled, and any
 	// request-scoped pprof labels on it survive into solver CPU profiles. The
 	// service tier (schedd) sets it per request.
@@ -255,21 +252,27 @@ func (c *Campaign) envelope(simPerStep float64) core.Resources {
 	}
 }
 
-// solvePlan runs the configured scheduling solve (weighted or
-// lexicographic) for one envelope.
-func (c *Campaign) solvePlan(specs []core.AnalysisSpec, res core.Resources, opts core.SolveOptions) (*core.Recommendation, error) {
+// Plan profiles every kernel against the live simulation, derives the
+// resource envelope, and solves for the optimal schedule (weighted, or
+// lexicographic when configured) with SolveWorkers branch-and-bound workers.
+func (c *Campaign) Plan() (*Plan, error) {
+	specs, simPerStep, err := c.profile()
+	if err != nil {
+		return nil, err
+	}
+	res := c.envelope(simPerStep)
+	c.cfg.Flight.Reset()
+	c.cfg.Flight.SetName("plan")
 	solve := core.Solve
 	if c.cfg.Lexicographic {
 		solve = core.SolveLexicographic
 	}
-	return solve(specs, res, opts)
-}
-
-// ledgerSolve appends one solve event to the campaign ledger (a no-op
-// without a ledger).
-func (c *Campaign) ledgerSolve(name string, rec *core.Recommendation, res core.Resources) {
+	rec, err := solve(specs, res, core.SolveOptions{Workers: c.cfg.SolveWorkers, Flight: c.cfg.Flight, Ctx: c.cfg.Ctx})
+	if err != nil {
+		return nil, err
+	}
 	c.cfg.Ledger.Append(obs.LedgerEvent{
-		Type: obs.LedgerSolve, Name: name,
+		Type: obs.LedgerSolve, Name: "plan",
 		Dur: float64(rec.SolveTime.Nanoseconds()) / 1e3,
 		Args: map[string]float64{
 			"nodes":     float64(rec.Stats.Nodes),
@@ -278,102 +281,8 @@ func (c *Campaign) ledgerSolve(name string, rec *core.Recommendation, res core.R
 			"threshold": res.TimeThreshold,
 		},
 	})
-}
-
-// Plan profiles every kernel against the live simulation, derives the
-// resource envelope, and solves for the optimal schedule. The solve runs
-// with SolveWorkers branch-and-bound workers.
-func (c *Campaign) Plan() (*Plan, error) {
-	specs, simPerStep, err := c.profile()
-	if err != nil {
-		return nil, err
-	}
-	res := c.envelope(simPerStep)
-	if c.cfg.Flight != nil {
-		c.cfg.Flight.Reset()
-		c.cfg.Flight.SetName("plan")
-	}
-	rec, err := c.solvePlan(specs, res, core.SolveOptions{Workers: c.cfg.SolveWorkers, Flight: c.cfg.Flight, Ctx: c.cfg.Ctx})
-	if err != nil {
-		return nil, err
-	}
-	c.ledgerSolve("plan", rec, res)
 	c.cfg.Flight.AppendLedger(c.cfg.Ledger, "plan")
 	return &Plan{Specs: specs, Resources: res, Rec: rec, SimSecPerStep: simPerStep}, nil
-}
-
-// PlanSweep profiles once and then solves the scheduling model at each of
-// the given absolute time thresholds — the campaign-level what-if sweep
-// behind threshold studies (§5.3.2/§5.3.4). The independent solves are
-// fanned out across a pool of SolveWorkers goroutines (each searching at
-// width 1, so the machine is not oversubscribed); results come back
-// in input order, and ledger events ("sweep") are appended sequentially
-// after all solves finish, keeping a shared EventLog deterministic.
-func (c *Campaign) PlanSweep(thresholds []float64) ([]*Plan, error) {
-	if len(thresholds) == 0 {
-		return nil, fmt.Errorf("campaign: sweep needs at least one threshold")
-	}
-	specs, simPerStep, err := c.profile()
-	if err != nil {
-		return nil, err
-	}
-	base := c.envelope(simPerStep)
-
-	plans := make([]*Plan, len(thresholds))
-	errs := make([]error, len(thresholds))
-	// Each sweep solve gets its own flight recorder (the solves run
-	// concurrently; interleaving one shared ring would scramble the streams),
-	// drained below in input order.
-	var flights []*obs.FlightRecorder
-	if c.cfg.Flight != nil {
-		flights = make([]*obs.FlightRecorder, len(thresholds))
-	}
-	w := c.cfg.SolveWorkers
-	if w < 1 {
-		w = 1
-	}
-	if w > len(thresholds) {
-		w = len(thresholds)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				res := base
-				res.TimeThreshold = thresholds[i]
-				var fr *obs.FlightRecorder
-				if flights != nil {
-					fr = obs.NewFlightRecorder(0)
-					flights[i] = fr
-				}
-				rec, err := c.solvePlan(specs, res, core.SolveOptions{Flight: fr, Ctx: c.cfg.Ctx})
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				plans[i] = &Plan{Specs: specs, Resources: res, Rec: rec, SimSecPerStep: simPerStep}
-			}
-		}()
-	}
-	for i := range thresholds {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	for i, p := range plans {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		c.ledgerSolve("sweep", p.Rec, p.Resources)
-		if flights != nil {
-			flights[i].AppendLedger(c.cfg.Ledger, "sweep")
-		}
-	}
-	return plans, nil
 }
 
 // Execute runs the plan's schedule against the simulation.
@@ -455,6 +364,17 @@ func (c *Campaign) Run() (*Outcome, error) {
 	return c.Execute(p)
 }
 
+// AdoptedReplans counts the replan decisions that swapped the schedule.
+func (o *Outcome) AdoptedReplans() int {
+	n := 0
+	for _, r := range o.Replans {
+		if r.Adopted {
+			n++
+		}
+	}
+	return n
+}
+
 // Summary renders the §5-style report: the recommendation, then executed
 // versus threshold.
 func (o *Outcome) Summary() string {
@@ -466,13 +386,7 @@ func (o *Outcome) Summary() string {
 		o.Report.SimTime, o.Report.AnalysisTime,
 		o.Report.Utilization(o.Plan.Resources)*100, o.WithinThreshold)
 	if len(o.Replans) > 0 {
-		adopted := 0
-		for _, r := range o.Replans {
-			if r.Adopted {
-				adopted++
-			}
-		}
-		fmt.Fprintf(&b, "replans: %d decision(s), %d adopted\n", len(o.Replans), adopted)
+		fmt.Fprintf(&b, "replans: %d decision(s), %d adopted\n", len(o.Replans), o.AdoptedReplans())
 	}
 	for _, kr := range o.Report.Kernels {
 		fmt.Fprintf(&b, "  %-26s analyses=%-4d outputs=%-4d total=%v\n",

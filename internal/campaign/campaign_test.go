@@ -61,9 +61,13 @@ func TestCampaignEndToEndMD(t *testing.T) {
 	}
 	for _, kr := range out.Report.Kernels {
 		s := out.Plan.Rec.Schedule(kr.Name)
-		if kr.Analyses != s.Count {
-			t.Fatalf("%s: executed %d of %d", kr.Name, kr.Analyses, s.Count)
+		if kr.Analyses != s.Count || kr.Outputs != s.Outputs {
+			t.Fatalf("%s: executed %d analyses and %d outputs, scheduled %d and %d",
+				kr.Name, kr.Analyses, kr.Outputs, s.Count, s.Outputs)
 		}
+	}
+	if out.Report.SimTime <= 0 || out.Plan.Specs[0].CT <= 0 {
+		t.Fatalf("nothing measured: sim %v, specs %+v", out.Report.SimTime, out.Plan.Specs)
 	}
 	sum := out.Summary()
 	for _, want := range []string{"plan (", "executed:", "A1 hydronium rdf"} {
@@ -226,34 +230,15 @@ func TestCampaignFlightRecorder(t *testing.T) {
 	}
 }
 
-func TestCampaignSweepFlights(t *testing.T) {
-	var ledger bytes.Buffer
-	c := mdCampaign(t, 20, 0, func(cfg *Config) {
-		cfg.Flight = obs.NewFlightRecorder(0)
-		cfg.Ledger = obs.NewEventLog(&ledger)
-		cfg.SolveWorkers = 2
-	})
-	thresholds := []float64{0.05, 0.1, 0.2}
-	if _, err := c.PlanSweep(thresholds); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.cfg.Ledger.Close(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := obs.ReadLedger(&ledger)
+// TestPlanWithWorkers runs the single-plan path through the parallel
+// branch-and-bound search.
+func TestPlanWithWorkers(t *testing.T) {
+	c := mdCampaign(t, 20, 0, func(cfg *Config) { cfg.SolveWorkers = 2 })
+	p, err := c.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := obs.GroupSolveProgEvents(events)
-	if len(runs) != len(thresholds) {
-		t.Fatalf("sweep produced %d flight runs, want %d", len(runs), len(thresholds))
-	}
-	for i, run := range runs {
-		if run.Name != "sweep" {
-			t.Fatalf("run %d name = %q", i, run.Name)
-		}
-		if err := obs.CheckSolveProg(run.Records); err != nil {
-			t.Fatalf("sweep run %d: %v", i, err)
-		}
+	if p.Rec.Stats.Workers != 2 {
+		t.Fatalf("plan solve ran with %d workers, want 2", p.Rec.Stats.Workers)
 	}
 }

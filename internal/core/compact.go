@@ -27,10 +27,6 @@ type SolveOptions struct {
 	// per-wave / incumbent / end progress samples) into the recorder's ring
 	// buffer; drain it to a ledger, trace, or the /solve pages afterwards.
 	Flight *obs.FlightRecorder
-	// Progress overrides the flight hookup with a raw callback on every
-	// solver progress event; when set, Flight is ignored. Like Observer it
-	// runs synchronously on the sequential consume path.
-	Progress func(milp.ProgressEvent)
 	// Workers is the branch-and-bound wave width (see milp.Options.Workers;
 	// 0 and 1 both mean a wave of one). The objective and bound are
 	// identical at any width.

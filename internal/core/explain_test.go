@@ -26,17 +26,22 @@ func TestExplainIntervalBoundAndInfeasibleCounterfactual(t *testing.T) {
 	specs, res := explainSpecs()
 	for _, w := range []int{0, 1, 2, 8} {
 		// Every solve behind the explanation (base, forced probe, conflict
-		// deletion filter) streams into one slice; a start event opens the
-		// next stream.
-		var streams [][]obs.SolveProgress
-		ex, err := Explain(specs, res, SolveOptions{Workers: w, Progress: func(ev milp.ProgressEvent) {
-			if ev.Kind == milp.ProgressStart {
-				streams = append(streams, nil)
-			}
-			streams[len(streams)-1] = append(streams[len(streams)-1], flightRecord(ev))
-		}})
+		// deletion filter) records into one flight recorder; a start event
+		// opens the next stream.
+		fr := obs.NewFlightRecorder(0)
+		ex, err := Explain(specs, res, SolveOptions{Workers: w, Flight: fr})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if fr.Dropped() != 0 {
+			t.Fatalf("workers=%d: recorder dropped %d records", w, fr.Dropped())
+		}
+		var streams [][]obs.SolveProgress
+		for _, p := range fr.Snapshot() {
+			if p.Kind == obs.SolveProgStart {
+				streams = append(streams, nil)
+			}
+			streams[len(streams)-1] = append(streams[len(streams)-1], p)
 		}
 		cheap := ex.Attribution("cheap")
 		if cheap == nil || !cheap.Enabled {

@@ -51,13 +51,9 @@ func flightRecord(ev milp.ProgressEvent) obs.SolveProgress {
 	return p
 }
 
-// progressFunc builds the milp progress callback for these options: the
-// explicit Progress hook when set, otherwise a recorder feed when Flight is
-// attached, otherwise nil (zero solver overhead).
+// progressFunc builds the milp progress callback for these options: a
+// recorder feed when Flight is attached, otherwise nil (zero solver overhead).
 func (o SolveOptions) progressFunc() func(milp.ProgressEvent) {
-	if o.Progress != nil {
-		return o.Progress
-	}
 	if o.Flight == nil {
 		return nil
 	}

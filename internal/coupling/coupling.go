@@ -321,27 +321,3 @@ func SpecFromCosts(c analysis.Costs, minInterval int) core.AnalysisSpec {
 		MinInterval: minInterval,
 	}
 }
-
-// MeasureAndSolve profiles every kernel against the simulation (stepFn is
-// shared), builds the spec set, and solves for the optimal schedule — the
-// full §4-then-§3.2 pipeline in one call. Profiling advances the simulation
-// by probeSteps steps per kernel.
-func MeasureAndSolve(kernels []analysis.Kernel, stepFn func(), probeSteps, minInterval int, res core.Resources) (*core.Recommendation, []core.AnalysisSpec, error) {
-	var specs []core.AnalysisSpec
-	for _, k := range kernels {
-		interval := probeSteps / 2
-		if interval < 1 {
-			interval = 1
-		}
-		costs, err := analysis.Measure(k, stepFn, probeSteps, interval)
-		if err != nil {
-			return nil, nil, err
-		}
-		specs = append(specs, SpecFromCosts(costs, minInterval))
-	}
-	rec, err := core.Solve(specs, res, core.SolveOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return rec, specs, nil
-}

@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"insitu/internal/analysis"
-	"insitu/internal/analysis/mdkernels"
 	"insitu/internal/core"
-	"insitu/internal/sim/md"
 )
 
 // fakeKernel counts lifecycle calls and spins briefly in Analyze.
@@ -158,56 +156,6 @@ func TestSpecFromCosts(t *testing.T) {
 	}
 	if s.FM != 1 || s.IM != 2 || s.CM != 3 || s.OM != 4 || s.MinInterval != 50 {
 		t.Fatalf("spec memory: %+v", s)
-	}
-}
-
-func TestMeasureAndSolveEndToEnd(t *testing.T) {
-	// Real pipeline on the MD mini-app: profile kernels, solve, execute.
-	sys, err := md.NewWaterIons(md.Config{NAtoms: 1200, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkKernels := func() []analysis.Kernel {
-		k1, err := mdkernels.NewHydroniumRDF(sys, mdkernels.RDFConfig{Bins: 16, Ranks: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []analysis.Kernel{k1}
-	}
-	res := core.Resources{Steps: 30, TimeThreshold: 10, MemThreshold: 1 << 30}
-	rec, specs, err := MeasureAndSolve(mkKernels(), func() { sys.Step(0.002) }, 4, 10, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 1 || specs[0].CT <= 0 {
-		t.Fatalf("specs = %+v", specs)
-	}
-	s := rec.Schedule(specs[0].Name)
-	if s == nil || !s.Enabled || s.Count == 0 {
-		t.Fatalf("kernel not scheduled: %+v", rec)
-	}
-
-	// Execute the recommendation on a fresh kernel instance.
-	ks := mkKernels()
-	runner := &Runner{
-		Step:    func() { sys.Step(0.002) },
-		Kernels: map[string]analysis.Kernel{specs[0].Name: ks[0]},
-		Rec:     rec,
-		Res:     res,
-	}
-	rep, err := runner.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kr := rep.Kernel(specs[0].Name)
-	if kr.Analyses != s.Count {
-		t.Fatalf("executed %d analyses, scheduled %d", kr.Analyses, s.Count)
-	}
-	if kr.Outputs != s.Outputs {
-		t.Fatalf("executed %d outputs, scheduled %d", kr.Outputs, s.Outputs)
-	}
-	if rep.SimTime <= 0 {
-		t.Fatal("sim time not measured")
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 
 	"insitu/internal/analysis"
 	"insitu/internal/analysis/mdkernels"
+	"insitu/internal/campaign"
 	"insitu/internal/core"
-	"insitu/internal/coupling"
 	"insitu/internal/sim/md"
 )
 
@@ -86,7 +86,6 @@ func ValidateCoupling(atoms, steps int, thresholdPct float64) (*CouplingValidati
 	if err != nil {
 		return nil, err
 	}
-	var kernels []analysis.Kernel
 	a1, err := mdkernels.NewHydroniumRDF(sys, mdkernels.RDFConfig{Ranks: 2})
 	if err != nil {
 		return nil, err
@@ -99,42 +98,30 @@ func ValidateCoupling(atoms, steps int, thresholdPct float64) (*CouplingValidati
 	if err != nil {
 		return nil, err
 	}
-	kernels = append(kernels, a1, a3, a4)
-
-	step := func() { sys.Step(0.002) }
-	// Estimate sim time per step from a short probe.
-	t0 := time.Now()
-	for i := 0; i < 5; i++ {
-		step()
-	}
-	simPerStep := time.Since(t0).Seconds() / 5
-	res := core.Resources{
-		Steps:         steps,
-		TimeThreshold: core.PercentThreshold(simPerStep, steps, thresholdPct),
-		MemThreshold:  1 << 32,
-	}
-	rec, _, err := coupling.MeasureAndSolve(kernels, step, 4, steps/10, res)
+	c, err := campaign.New(campaign.Config{
+		Sim:              campaign.SimFunc{AppName: "water+ions", StepFn: func() { sys.Step(0.002) }},
+		Kernels:          []analysis.Kernel{a1, a3, a4},
+		Steps:            steps,
+		MinInterval:      steps / 10,
+		ThresholdPercent: thresholdPct,
+		MemBudget:        1 << 32,
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	byName := map[string]analysis.Kernel{}
-	for _, k := range kernels {
-		byName[k.Name()] = k
-	}
-	runner := &coupling.Runner{Step: step, Kernels: byName, Rec: rec, Res: res}
-	rep, err := runner.Run()
+	o, err := c.Run()
 	if err != nil {
 		return nil, err
 	}
+	res := o.Plan.Resources
 	out := &CouplingValidation{
 		Threshold:   time.Duration(res.TimeThreshold * float64(time.Second)),
-		SimTime:     rep.SimTime,
-		Executed:    rep.AnalysisTime,
-		Utilization: rep.Utilization(res),
-		Scheduled:   rec.TotalAnalyses(),
+		SimTime:     o.Report.SimTime,
+		Executed:    o.Report.AnalysisTime,
+		Utilization: o.Report.Utilization(res),
+		Scheduled:   o.Plan.Rec.TotalAnalyses(),
 	}
-	for _, kr := range rep.Kernels {
+	for _, kr := range o.Report.Kernels {
 		out.Analyses += kr.Analyses
 	}
 	return out, nil

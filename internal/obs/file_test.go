@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -148,5 +151,55 @@ func TestExportersSurfaceWriteFailures(t *testing.T) {
 	var nilReg *Registry
 	if err := nilReg.WriteJSON(failWriter{}); err == nil {
 		t.Fatal("nil-registry WriteJSON ignored write failure")
+	}
+}
+
+// TestSinksFlagsToFiles walks the CLI helper end to end: only the sinks whose
+// flags were given exist, Close writes each one's file and reports it, and
+// -ledger is registered only on request.
+func TestSinksFlagsToFiles(t *testing.T) {
+	dir := t.TempDir()
+	trace, ledger := filepath.Join(dir, "trace.json"), filepath.Join(dir, "run.jsonl")
+	fs := flag.NewFlagSet("cli", flag.ContinueOnError)
+	s := SinkFlags(fs, true)
+	if err := fs.Parse([]string{"-trace", trace, "-ledger", ledger}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Trace == nil || s.Ledger == nil || s.Metrics != nil {
+		t.Fatalf("sinks after -trace -ledger: %+v", s)
+	}
+	s.Trace.Begin("step", "sim").End()
+	s.Ledger.Append(LedgerEvent{Type: LedgerStep, Step: 1})
+	var out bytes.Buffer
+	if err := s.Close(&out); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != "wrote trace (1 events) to "+trace+"\nwrote ledger (1 events) to "+ledger+"\n" {
+		t.Fatalf("Close reported %q", got)
+	}
+	if events, err := ReadLedgerFile(ledger); err != nil || len(events) != 1 {
+		t.Fatalf("ledger file: %d events, %v", len(events), err)
+	}
+	if data, err := os.ReadFile(trace); err != nil || !strings.Contains(string(data), `"name":"step"`) {
+		t.Fatalf("trace file: %s, %v", data, err)
+	}
+
+	fs = flag.NewFlagSet("cli", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	SinkFlags(fs, false)
+	if err := fs.Parse([]string{"-ledger", ledger}); err == nil {
+		t.Fatal("-ledger accepted though not registered")
+	}
+	// An unopenable ledger path is Open's error, before any run starts.
+	fs = flag.NewFlagSet("cli", flag.ContinueOnError)
+	s = SinkFlags(fs, true)
+	if err := fs.Parse([]string{"-ledger", filepath.Join(dir, "absent", "run.jsonl")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Open(); err == nil {
+		t.Fatal("Open accepted an unwritable ledger path")
 	}
 }

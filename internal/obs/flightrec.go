@@ -732,14 +732,6 @@ func GapCurveHandler(snap func() (string, []SolveProgress)) http.Handler {
 	})
 }
 
-// AddFlightRoutes mounts /solve.json and /solve (live gap-curve page) for
-// the recorder on mux; benchobs serve and runmon serve both use it.
-func AddFlightRoutes(mux *http.ServeMux, r *FlightRecorder) {
-	snap := func() (string, []SolveProgress) { return r.Name(), r.Snapshot() }
-	mux.Handle("/solve.json", FlightJSONHandler(snap))
-	mux.Handle("/solve", GapCurveHandler(snap))
-}
-
 // WriteGapCurveHTML renders the gap-closure page: header, an SVG plotting
 // incumbent (rising) and bound (falling) against explored nodes, and the
 // text timeline for the numbers behind the picture.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -336,8 +337,14 @@ func TestFlightHandlers(t *testing.T) {
 	for _, p := range progStream() {
 		r.Record(p)
 	}
-	mux := NewServeMux(nil)
-	AddFlightRoutes(mux, r)
+	mount := func(r *FlightRecorder) *http.ServeMux {
+		snap := func() (string, []SolveProgress) { return r.Name(), r.Snapshot() }
+		mux := NewServeMux(nil)
+		mux.Handle("/solve.json", FlightJSONHandler(snap))
+		mux.Handle("/solve", GapCurveHandler(snap))
+		return mux
+	}
+	mux := mount(r)
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/solve.json", nil))
@@ -369,9 +376,7 @@ func TestFlightHandlers(t *testing.T) {
 	}
 
 	// An empty recorder still serves a valid page.
-	empty := NewFlightRecorder(0)
-	mux2 := NewServeMux(nil)
-	AddFlightRoutes(mux2, empty)
+	mux2 := mount(NewFlightRecorder(0))
 	rec = httptest.NewRecorder()
 	mux2.ServeHTTP(rec, httptest.NewRequest("GET", "/solve", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "no solveprog events") {

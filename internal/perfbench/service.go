@@ -3,10 +3,7 @@ package perfbench
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/http"
-	"sync"
-	"time"
 
 	"insitu/internal/core"
 	"insitu/internal/experiments"
@@ -16,9 +13,8 @@ import (
 )
 
 // serviceScenarios returns the four paper instances as scenario documents —
-// the same water+ions/rhodopsin/FLASH problems the solver suite times, here
-// posted through the schedd service pipeline so the suite measures request
-// overhead, admission, and the solution cache rather than raw solves.
+// the same water+ions/rhodopsin/FLASH problems the solver workloads solve,
+// here posted through the schedd service pipeline.
 func serviceScenarios() []scenario.Problem {
 	mem := int64(12) << 30
 	return []scenario.Problem{
@@ -33,9 +29,9 @@ func serviceScenarios() []scenario.Problem {
 	}
 }
 
-// serviceRequests is the request count every service workload issues per
-// iteration: each of the four scenarios four times, so exactly four requests
-// miss and the rest are served from the cache (or coalesced under load).
+// serviceRequests is the request count the service workload issues: each of
+// the four scenarios four times, so exactly four requests miss and the rest
+// are served from the cache.
 const serviceRequests = 16
 
 // snapshotValue sums a metric family's values across its label sets.
@@ -49,122 +45,43 @@ func snapshotValue(snap []obs.Metric, name string) float64 {
 	return v
 }
 
-// snapshotHistogram returns the first histogram series with the given name.
-func snapshotHistogram(snap []obs.Metric, name string) (obs.Metric, bool) {
-	for _, m := range snap {
-		if m.Name == name && m.Kind == "histogram" {
-			return m, true
-		}
-	}
-	return obs.Metric{}, false
-}
-
-// serviceIteration drives serviceRequests requests through a fresh schedd
-// server from the given number of concurrent clients and reports the RED
-// view: request throughput, p50/p99 latency from the service's own
-// histogram, and the cache-hit ratio. Sequential runs (clients == 1) have a
-// deterministic hit pattern — 4 misses then 12 hits — so their ratio is
-// exact-gated via Model; concurrent runs race misses against coalescing, so
-// theirs is informational.
-func serviceIteration(clients int) (Sample, error) {
-	reg := obs.NewRegistry()
-	s := schedd.New(schedd.Config{Workers: BenchWorkers, Registry: reg})
-	problems := serviceScenarios()
-
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := c; i < serviceRequests; i += clients {
-				req := schedd.SolveRequest{Scenario: problems[i%len(problems)]}
-				resp, code := s.Process(context.Background(), fmt.Sprintf("bench-%02d", i), req)
-				if code != http.StatusOK {
-					errs[c] = fmt.Errorf("request %d: status %d (%+v)", i, code, resp.Error)
-					return
-				}
+// serviceSequentialCache drives serviceRequests requests, one after another,
+// through a fresh schedd server and pins the cache behaviour — 4 misses, then
+// 12 hits — and the solver effort behind the four unique solves. (Throughput
+// and latency under concurrent clients are benchmark/'s service_mix.)
+func serviceSequentialCache() Workload {
+	return Workload{Name: "service_sequential_cache", Run: func() (Counters, error) {
+		reg := obs.NewRegistry()
+		s := schedd.New(schedd.Config{Workers: BenchWorkers, Registry: reg})
+		problems := serviceScenarios()
+		for i := 0; i < serviceRequests; i++ {
+			req := schedd.SolveRequest{Scenario: problems[i%len(problems)]}
+			resp, code := s.Process(context.Background(), fmt.Sprintf("bench-%02d", i), req)
+			if code != http.StatusOK {
+				return nil, fmt.Errorf("request %d: status %d (%+v)", i, code, resp.Error)
 			}
-		}(c)
-	}
-	wg.Wait()
-	wall := time.Since(t0)
-	for _, err := range errs {
-		if err != nil {
-			return Sample{}, err
 		}
-	}
-
-	snap := reg.Snapshot()
-	if n := snapshotValue(snap, "schedd_errors_total"); n != 0 {
-		return Sample{}, fmt.Errorf("service errored %v times", n)
-	}
-	hits := snapshotValue(snap, "schedd_cache_hits_total")
-	misses := snapshotValue(snap, "schedd_cache_misses_total")
-	coalesced := snapshotValue(snap, "schedd_coalesced_total")
-	sample := Sample{
-		Model: map[string]float64{},
-		Info: map[string]float64{
-			"coalesced_requests": coalesced,
-		},
-	}
-	ratio := hits / (hits + misses)
-	if clients == 1 {
-		// 4 distinct scenarios, 16 sequential requests: exactly 12 hits.
-		sample.Model["cache_hit_ratio"] = ratio
-		sample.Model["cache_misses"] = misses
-	} else {
-		sample.Info["cache_hit_ratio"] = ratio
-	}
-	if wall > 0 {
-		sample.Info["requests_per_sec"] = serviceRequests / wall.Seconds()
-	}
-	if h, ok := snapshotHistogram(snap, "schedd_request_seconds"); ok {
-		if p50 := h.Quantile(0.50); !math.IsNaN(p50) {
-			sample.Info["request_p50_sec"] = p50
+		snap := reg.Snapshot()
+		if n := snapshotValue(snap, "schedd_errors_total"); n != 0 {
+			return nil, fmt.Errorf("service errored %v times", n)
 		}
-		if p99 := h.Quantile(0.99); !math.IsNaN(p99) {
-			sample.Info["request_p99_sec"] = p99
-		}
-	}
-	return sample, nil
-}
-
-// serviceWorkloads covers the scheduling service: the same request mix at 1,
-// 8, and 64 concurrent clients. The sequential workload pins the cache
-// behaviour and the solver effort behind the four unique solves (both
-// deterministic, exact-gated); the concurrent ones record the service's
-// throughput and tail latency as the client count outruns the solver pool
-// (MaxInFlight 4), where admission queueing and request coalescing carry the
-// load.
-func serviceWorkloads() []Workload {
-	ws := []Workload{{Name: "service_sequential_cache", Run: func() (Sample, error) {
-		sample, err := serviceIteration(1)
-		if err != nil {
-			return Sample{}, err
-		}
+		hits := snapshotValue(snap, "schedd_cache_hits_total")
+		misses := snapshotValue(snap, "schedd_cache_misses_total")
 		// Re-solve the unique instances directly to surface the solver effort
 		// the service spent on its four cache misses.
 		var nodes, pivots int
-		for _, p := range serviceScenarios() {
+		for _, p := range problems {
 			specs, res := p.Decode()
 			rec, err := core.Solve(specs, res, core.SolveOptions{Workers: BenchWorkers})
 			if err != nil {
-				return Sample{}, err
+				return nil, err
 			}
 			nodes += rec.Stats.Nodes
 			pivots += rec.Stats.Pivots
 		}
-		sample.Nodes, sample.Pivots = nodes, pivots
-		return sample, nil
-	}}}
-	for _, clients := range []int{8, 64} {
-		clients := clients
-		ws = append(ws, Workload{
-			Name: fmt.Sprintf("service_clients_%d", clients),
-			Run:  func() (Sample, error) { return serviceIteration(clients) },
-		})
-	}
-	return ws
+		return effort(Counters{
+			"cache_hit_ratio": hits / (hits + misses),
+			"cache_misses":    misses,
+		}, nodes, pivots), nil
+	}}
 }

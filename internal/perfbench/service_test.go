@@ -2,60 +2,21 @@ package perfbench
 
 import "testing"
 
-// TestServiceSequentialCache pins the deterministic half of the service
-// suite: 16 sequential requests over 4 distinct scenarios must miss exactly
-// 4 times (a 0.75 hit ratio) and surface the solver effort behind the
-// misses. These are the exact-gated Model metrics BENCH_service.json rests
-// on.
+// TestServiceSequentialCache pins the service workload: 16 sequential
+// requests over 4 distinct scenarios must miss exactly 4 times (a 0.75 hit
+// ratio) and surface the solver effort behind the misses.
 func TestServiceSequentialCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("solves the four paper instances")
+	c, ok := catalog(t)["service_sequential_cache"]
+	if !ok {
+		t.Fatal("service_sequential_cache missing from the catalog")
 	}
-	ws := serviceWorkloads()
-	if len(ws) != 3 || ws[0].Name != "service_sequential_cache" {
-		t.Fatalf("unexpected service workloads: %+v", ws)
-	}
-	sample, err := ws[0].Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sample.Model["cache_hit_ratio"]; got != 0.75 {
+	if got := c["cache_hit_ratio"]; got != 0.75 {
 		t.Fatalf("cache_hit_ratio = %v, want exactly 0.75", got)
 	}
-	if got := sample.Model["cache_misses"]; got != 4 {
+	if got := c["cache_misses"]; got != 4 {
 		t.Fatalf("cache_misses = %v, want 4", got)
 	}
-	if sample.Nodes <= 0 || sample.Pivots <= 0 {
-		t.Fatalf("no solver effort surfaced: nodes=%d pivots=%d", sample.Nodes, sample.Pivots)
-	}
-	if sample.Info["requests_per_sec"] <= 0 {
-		t.Fatalf("requests_per_sec missing: %+v", sample.Info)
-	}
-}
-
-// TestServiceConcurrentClients runs the 8-client workload once and checks
-// the service survives contention without errors and reports its RED view.
-func TestServiceConcurrentClients(t *testing.T) {
-	if testing.Short() {
-		t.Skip("solves the four paper instances under contention")
-	}
-	var w Workload
-	for _, cand := range serviceWorkloads() {
-		if cand.Name == "service_clients_8" {
-			w = cand
-		}
-	}
-	if w.Run == nil {
-		t.Fatal("service_clients_8 workload missing")
-	}
-	sample, err := w.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio := sample.Info["cache_hit_ratio"]; ratio < 0 || ratio > 1 {
-		t.Fatalf("cache_hit_ratio = %v, want within [0, 1]", ratio)
-	}
-	if sample.Info["request_p50_sec"] <= 0 || sample.Info["request_p99_sec"] <= 0 {
-		t.Fatalf("latency quantiles missing: %+v", sample.Info)
+	if c["solver_nodes_per_op"] <= 0 || c["solver_pivots_per_op"] <= 0 {
+		t.Fatalf("no solver effort surfaced: %v", c)
 	}
 }

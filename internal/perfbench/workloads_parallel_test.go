@@ -4,43 +4,10 @@ import (
 	"math"
 	"runtime"
 	"testing"
-	"time"
 
 	"insitu/internal/core"
 	"insitu/internal/solvercheck"
 )
-
-// TestInfoMetricsInformational checks the Sample.Info path: info metrics
-// are recorded with a zero threshold, after the gated model metrics.
-func TestInfoMetricsInformational(t *testing.T) {
-	r := QuickRunner()
-	r.SetClock(func() func() time.Time {
-		tick := time.Unix(0, 0)
-		return func() time.Time { tick = tick.Add(time.Millisecond); return tick }
-	}())
-	res, err := r.Measure(Workload{Name: "w", Run: func() (Sample, error) {
-		return Sample{
-			Model: map[string]float64{"objective": 42},
-			Info:  map[string]float64{"speedup_w8": 1.7},
-		}, nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := res.Metric("speedup_w8")
-	if m == nil {
-		t.Fatalf("info metric not recorded: %+v", res.Metrics)
-	}
-	if m.Threshold != 0 {
-		t.Fatalf("info metric carries threshold %g, want 0 (informational)", m.Threshold)
-	}
-	if m.Unit != "info" || m.Value != 1.7 {
-		t.Fatalf("info metric = %+v", m)
-	}
-	if obj := res.Metric("objective"); obj == nil || obj.Threshold == 0 {
-		t.Fatalf("model metric lost its gate: %+v", obj)
-	}
-}
 
 // TestWarmStartWorkloadSavesPivots runs the warm-start workload once and
 // checks what a warm start still promises on the paper batch: a node re-solved
@@ -49,58 +16,30 @@ func TestInfoMetricsInformational(t *testing.T) {
 // recorded solver width is the parallel one. It no longer promises fewer
 // pivots than NoWarmStart: since cold solves start from the crash basis a cold
 // node on these four-class models is a greedy pass and a pivot or two, so
-// the two counts are recorded and gated in BENCH_solver.json, not ordered.
+// the two counts are recorded and held in BENCH_counters.json, not ordered.
 func TestWarmStartWorkloadSavesPivots(t *testing.T) {
-	if testing.Short() {
-		t.Skip("solves the paper batch twice")
+	c, ok := catalog(t)["sched_batch_warmstart"]
+	if !ok {
+		t.Fatal("sched_batch_warmstart missing from the catalog")
 	}
-	ws, err := Workloads(SuiteSolver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var run func() (Sample, error)
-	for _, w := range ws {
-		if w.Name == "sched_batch_warmstart" {
-			run = w.Run
-		}
-	}
-	if run == nil {
-		t.Fatal("sched_batch_warmstart missing from the solver suite")
-	}
-	s, err := run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, cold := s.Model["pivots_warm"], s.Model["pivots_cold"]
+	warm, cold, nodes := c["pivots_warm"], c["pivots_cold"], c["solver_nodes_per_op"]
 	if warm <= 0 || cold <= 0 {
 		t.Fatalf("degenerate pivot counts: warm=%g cold=%g", warm, cold)
 	}
-	if perNode := warm / float64(s.Nodes); perNode > 5 {
-		t.Fatalf("warm starts cost %.1f pivots a node (%g over %d nodes), want a handful", perNode, warm, s.Nodes)
+	if perNode := warm / nodes; perNode > 5 {
+		t.Fatalf("warm starts cost %.1f pivots a node (%g over %g nodes), want a handful", perNode, warm, nodes)
 	}
 }
 
-// TestSchedWorkloadsRecordWorkers asserts every scheduling workload records
-// the parallel pool width — the metadata the CI bench gate checks so the
-// suite can't silently run serial.
+// TestSchedWorkloadsRecordWorkers asserts the three solve entry points
+// (weighted, lexicographic, placement) each record the parallel pool width
+// they were asked for — the metadata the baseline test audits so the catalog
+// can't silently run serial.
 func TestSchedWorkloadsRecordWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the scheduling workloads")
-	}
-	ws, err := Workloads(SuiteSolver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range ws {
-		if w.Name != "sched_waterions_a1a4_t10" && w.Name != "sched_flash_f1f3_lexicographic" && w.Name != "placement_waterions" {
-			continue
-		}
-		s, err := w.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		if got := s.Model["solver_workers"]; got != BenchWorkers {
-			t.Fatalf("%s recorded solver_workers=%g, want %d", w.Name, got, BenchWorkers)
+	got := catalog(t)
+	for _, name := range []string{"sched_waterions_a1a4_t10", "sched_flash_f1f3_lexicographic", "placement_waterions"} {
+		if w := got[name]["solver_workers"]; w != BenchWorkers {
+			t.Fatalf("%s recorded solver_workers=%g, want %d", name, w, BenchWorkers)
 		}
 	}
 }
@@ -149,33 +88,25 @@ func TestLargeSparseBuildStaysSparse(t *testing.T) {
 // the working set from the all-slack start, where it still does the work.)
 func TestLargeSparsePricesAWorkingSet(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the large sparse workload")
+		t.Skip("solves the large sparse instance")
 	}
-	ws, err := Workloads(SuiteSolver)
+	// sched_large_sparse's instance and options, solved here for the
+	// statistics the workload does not report.
+	specs, res := solvercheck.SparseCampaign(271828, 220)
+	rec, err := core.Solve(specs, res, core.SolveOptions{Workers: BenchWorkers, MaxCount: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range ws {
-		if w.Name != "sched_large_sparse" {
-			continue
-		}
-		s, err := w.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, ok := s.Model["priced_per_pivot"]
-		if perNode := got * float64(s.Pivots) / float64(s.Nodes); !ok || got <= 0 || perNode > 3000 {
-			t.Fatalf("priced_per_pivot = %g (recorded: %t): %.0f columns priced a node, want under 3000", got, ok, perNode)
-		}
-		if s.Info["full_pricing_passes"] <= 0 || s.Info["reduced_cost_fixed"] <= 0 {
-			t.Fatalf("full passes %g, columns fixed %g: both should be at work on this model",
-				s.Info["full_pricing_passes"], s.Info["reduced_cost_fixed"])
-		}
-		t.Logf("priced_per_pivot %.1f, %g full passes over %d pivots, %g columns fixed",
-			got, s.Info["full_pricing_passes"], s.Pivots, s.Info["reduced_cost_fixed"])
-		return
+	st := rec.Stats
+	if perNode := float64(st.PricedColumns) / float64(st.Nodes); st.PricedColumns <= 0 || perNode > 3000 {
+		t.Fatalf("%d columns priced over %d nodes: %.0f a node, want under 3000", st.PricedColumns, st.Nodes, perNode)
 	}
-	t.Fatal("sched_large_sparse is not in the solver suite")
+	if st.FullPricingPasses <= 0 || st.ReducedCostFixed <= 0 {
+		t.Fatalf("full passes %d, columns fixed %d: both should be at work on this model",
+			st.FullPricingPasses, st.ReducedCostFixed)
+	}
+	t.Logf("priced_per_pivot %.1f, %d full passes over %d pivots, %d columns fixed",
+		float64(st.PricedColumns)/float64(st.Pivots), st.FullPricingPasses, st.Pivots, st.ReducedCostFixed)
 }
 
 // TestOffPoolCorpusAgreesAcrossWidths runs the off-pool workload and holds
@@ -204,13 +135,13 @@ func TestOffPoolCorpusAgreesAcrossWidths(t *testing.T) {
 		}
 		reference += rec.Objective
 	}
-	if got := s.Model["objective_total"]; math.Abs(got-reference) > 1e-6 {
+	if got := s["objective_total"]; math.Abs(got-reference) > 1e-6 {
 		t.Fatalf("objective_total %v, cross-width reference %v", got, reference)
 	}
-	if root := s.Model["root_pivots_total"]; root <= 0 || root > 10*offPoolCount {
+	if root := s["root_pivots_total"]; root <= 0 || root > 10*offPoolCount {
 		t.Fatalf("root_pivots_total = %v over %d instances, want a crash start's handful each", root, offPoolCount)
 	}
-	if s.Model["nodes_max"] <= 0 || s.Model["nodes_total"] < s.Model["nodes_max"] || s.Model["pivots_total"] < s.Model["root_pivots_total"] {
-		t.Fatalf("inconsistent counters: %v", s.Model)
+	if s["nodes_max"] <= 0 || s["nodes_total"] < s["nodes_max"] || s["pivots_total"] < s["root_pivots_total"] {
+		t.Fatalf("inconsistent counters: %v", s)
 	}
 }

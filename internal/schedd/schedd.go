@@ -86,9 +86,8 @@ type Config struct {
 	// core.SolveOptions.Workers; 0 and 1 both mean a wave of one).
 	Workers int
 	// MaxInFlight is the solver-pool width: how many solves may run
-	// concurrently (default 4). Distinct concurrent requests share this pool
-	// the way campaign.PlanSweep shares its threshold fan-out pool; requests
-	// past the limit queue.
+	// concurrently (default 4). Distinct concurrent requests share this
+	// pool; requests past the limit queue.
 	MaxInFlight int
 	// QueueTimeout bounds how long a request waits for a solver slot before
 	// it is rejected with a queue_timeout error (default 5s).
