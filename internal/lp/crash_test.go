@@ -115,12 +115,13 @@ func TestCrashStartMatchesAllSlack(t *testing.T) {
 	check := func(name string, p *Problem) {
 		upper := append([]float64(nil), p.Upper...)
 		for round := 0; round < 3; round++ {
-			probe := newRevised(p)
+			cs := buildColStore(p)
+			probe := newRevised(p, cs)
 			if seatCrash(probe, p.Lower, upper) {
 				seated++
 				checkSeated(t, name, probe, upper)
 			}
-			crash, slack := newRevised(p), newRevised(p)
+			crash, slack := newRevised(p, cs), newRevised(p, cs)
 			slack.noCrash = true
 			got, want := crash.solveCold(p.Lower, upper), slack.solveCold(p.Lower, upper)
 			if got.Status != want.Status {
@@ -158,7 +159,7 @@ func TestCrashLandsOnTheOptimumOfOneBindingRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 20; trial++ {
 		p := campaignLP(rng, 20+rng.Intn(80), false)
-		rv := newRevised(p)
+		rv := newRevised(p, buildColStore(p))
 		sol := rv.solveCold(p.Lower, p.Upper)
 		if sol.Status != Optimal || rv.stats.CrashStarts != 1 || rv.stats.PrimalPivots != 0 {
 			t.Fatalf("trial %d: %v after %d iterations and %d pivots from %d crash starts, want the proof alone",
@@ -183,7 +184,7 @@ func TestCrashDeclines(t *testing.T) {
 		p.AddConstraint([]int{0, 1, 2, 3, 4, 5}, []float64{3, 1, 2, 5, 2, 1}, LE, 4, "")
 		return p
 	}
-	if rv := newRevised(base()); !seatCrash(rv, rv.p.Lower, rv.p.Upper) {
+	if p := base(); !seatCrash(newRevised(p, buildColStore(p)), p.Lower, p.Upper) {
 		t.Fatal("the base model itself is declined; the table below would prove nothing")
 	}
 	cases := []struct {
@@ -214,7 +215,8 @@ func TestCrashDeclines(t *testing.T) {
 	for _, tc := range cases {
 		p := base()
 		tc.edit(p)
-		crash, slack := newRevised(p), newRevised(p)
+		cs := buildColStore(p)
+		crash, slack := newRevised(p, cs), newRevised(p, cs)
 		slack.noCrash = true
 		got, want := crash.solveCold(p.Lower, p.Upper), slack.solveCold(p.Lower, p.Upper)
 		if crash.stats.CrashStarts != 0 {
@@ -237,7 +239,7 @@ func TestCrashDeclines(t *testing.T) {
 	// and the closed class keeps its slack.
 	p := base()
 	p.Upper[0], p.Upper[1], p.Upper[2] = 0, 0, 0
-	rv := newRevised(p)
+	rv := newRevised(p, buildColStore(p))
 	if !seatCrash(rv, p.Lower, p.Upper) {
 		t.Fatal("a closed class made the crash decline the open one")
 	}

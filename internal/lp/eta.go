@@ -42,19 +42,37 @@ func (e *etaFile) entries() int { return len(e.pivRow) + len(e.idx) }
 // column w. Identity etas (unit pivot, no fill) are dropped: applying them is
 // a no-op, and the all-slack initial factorization is made entirely of them.
 func (e *etaFile) push(r int, w []float64) {
-	piv := 1 / w[r]
-	if len(e.start) == 0 {
-		e.start = append(e.start, 0)
-	}
-	base := len(e.idx)
+	piv, base := 1/w[r], len(e.idx)
 	for i, wi := range w {
 		if i != r && wi != 0 {
 			e.idx = append(e.idx, i)
 			e.val = append(e.val, -wi*piv)
 		}
 	}
+	e.seal(r, piv, base)
+}
+
+// pushPattern is push for a w whose nonzeros all lie on the ascending rows of
+// pat: the same entries in the same order, without visiting the other rows.
+func (e *etaFile) pushPattern(r int, w []float64, pat []int) {
+	piv, base := 1/w[r], len(e.idx)
+	for _, i := range pat {
+		if wi := w[i]; i != r && wi != 0 {
+			e.idx = append(e.idx, i)
+			e.val = append(e.val, -wi*piv)
+		}
+	}
+	e.seal(r, piv, base)
+}
+
+// seal closes the eta on row r whose off-pivot entries start at base, or
+// drops it when it is an identity.
+func (e *etaFile) seal(r int, piv float64, base int) {
 	if piv == 1 && len(e.idx) == base {
-		return // identity
+		return
+	}
+	if len(e.start) == 0 {
+		e.start = append(e.start, 0)
 	}
 	e.pivRow = append(e.pivRow, r)
 	e.pivVal = append(e.pivVal, piv)
@@ -86,6 +104,31 @@ func (e *etaFile) ftran(x []float64) {
 		}
 		x[r] = e.pivVal[k] * xr
 	}
+}
+
+// ftranPattern is ftran for an x whose nonzeros lie on the rows listed in
+// pat, each marked in mark. It appends, and marks, every row an eta fills,
+// and returns the extended pattern (unsorted), which then covers every
+// nonzero of x. The arithmetic is ftran's, operation for operation; only the
+// bookkeeping is added.
+func (e *etaFile) ftranPattern(x []float64, pat []int, mark []bool) []int {
+	for k := 0; k < len(e.pivRow); k++ {
+		r := e.pivRow[k]
+		xr := x[r]
+		if xr == 0 {
+			continue
+		}
+		for t := e.start[k]; t < e.start[k+1]; t++ {
+			i := e.idx[t]
+			if !mark[i] {
+				mark[i] = true
+				pat = append(pat, i)
+			}
+			x[i] += e.val[t] * xr
+		}
+		x[r] = e.pivVal[k] * xr
+	}
+	return pat
 }
 
 // btran applies y <- E_1^T · ... · E_k^T · y in place (reverse eta order),

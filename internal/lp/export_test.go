@@ -1,0 +1,6 @@
+package lp
+
+// RefactorOracle is refactorOracle for package lp_test, whose tests draw
+// problems from solvercheck's generators (solvercheck imports lp, so package
+// lp's own tests cannot).
+var RefactorOracle = refactorOracle

@@ -298,7 +298,7 @@ func Solve(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	rv := newRevised(p)
+	rv := newRevised(p, buildColStore(p))
 	return rv.solveCold(p.Lower, p.Upper), nil
 }
 

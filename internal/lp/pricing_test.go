@@ -41,7 +41,7 @@ func randChoiceKnapsack(rng *rand.Rand, groups, perGroup int) *Problem {
 // solveWithSet solves p cold with a pricing working set of c columns, or
 // returns nil when even that set would price the whole model.
 func solveWithSet(p *Problem, c int) (*Solution, *SolverStats) {
-	rv := newRevised(p)
+	rv := newRevised(p, buildColStore(p))
 	rv.noCrash = true
 	rv.setWorkingSetCap(c)
 	if rv.pricesAll() {
@@ -56,7 +56,7 @@ func TestWorkingSetMatchesFullPricing(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	selected := 0
 	check := func(name string, p *Problem) {
-		full := newRevised(p)
+		full := newRevised(p, buildColStore(p))
 		full.noCrash = true
 		full.setWorkingSetCap(full.width)
 		want := full.solveCold(p.Lower, p.Upper)
@@ -97,13 +97,13 @@ func TestWorkingSetMatchesFullPricing(t *testing.T) {
 func TestWideModelRefillsItsWorkingSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := randChoiceKnapsack(rng, 40, 12)
-	rv := newRevised(p)
+	rv := newRevised(p, buildColStore(p))
 	rv.noCrash = true
 	if rv.pricesAll() {
 		t.Fatalf("%d columns over %d rows still priced whole", rv.width, rv.m)
 	}
 	got := rv.solveCold(p.Lower, p.Upper)
-	full := newRevised(p)
+	full := newRevised(p, buildColStore(p))
 	full.noCrash = true
 	full.setWorkingSetCap(full.width)
 	want := full.solveCold(p.Lower, p.Upper)

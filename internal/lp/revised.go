@@ -88,8 +88,8 @@ type revised struct {
 	// Refactorization scratch, allocated on first use.
 	factOrder []int
 	factBasis []int
-	factCount []int // length m+2; counting-sort buckets by column nonzeros
-	rowUsed   []bool
+	factCount []int  // length m+2; counting-sort buckets by column nonzeros, then a column's pattern
+	inPattern []bool // per row: in the pattern; all false between columns
 
 	shape   *crashShape // see crash; detected by the first cold solve
 	noCrash bool        // tests: start every cold solve from the all-slack basis
@@ -97,10 +97,10 @@ type revised struct {
 	stats *SolverStats // counter sink; never nil (lp.Solve uses a throwaway)
 }
 
-// newRevised builds the solver state for a validated problem. Bounds and
-// basis are installed by reset before each cold solve.
-func newRevised(p *Problem) *revised {
-	cs := buildColStore(p)
+// newRevised builds the solver state for a validated problem over its column
+// store, which the state only reads. Bounds and basis are installed by reset
+// before each cold solve.
+func newRevised(p *Problem, cs *colStore) *revised {
 	m := cs.m
 	width := cs.n + m
 	rv := &revised{
@@ -287,6 +287,14 @@ func (rv *revised) reset(lower, upper []float64) {
 // so every eta before them is itself a fill-free singleton on another row:
 // the FTRAN would return the column unchanged and the pivot scan would find
 // its only row. They are seated directly.
+//
+// Every other column is carried with its nonzero pattern — its own rows plus
+// each row the FTRAN fills — so it costs its nonzeros, one pass over the etas
+// and its fill, not m: on the scheduling models a column FTRANs to about five
+// nonzeros of a hundred or more rows. The pattern is sorted before the pivot
+// search and the eta push, so both meet the nonzeros in the row order a dense
+// scan would, and every row left out is an exact zero: the pivots, the etas
+// and everything computed from them are the dense loop's bit for bit.
 func (rv *revised) refactor() bool {
 	rv.stats.Refactorizations++
 	rv.ef.reset()
@@ -294,7 +302,7 @@ func (rv *revised) refactor() bool {
 		rv.factOrder = make([]int, rv.m)
 		rv.factBasis = make([]int, rv.m)
 		rv.factCount = make([]int, rv.m+2)
-		rv.rowUsed = make([]bool, rv.m)
+		rv.inPattern = make([]bool, rv.m)
 	}
 	// Stable counting sort of the basis positions by column nonzero count
 	// (at most m per column).
@@ -314,33 +322,51 @@ func (rv *revised) refactor() bool {
 		order[count[k]] = pos
 		count[k]++
 	}
-	for i := range rv.rowUsed {
-		rv.rowUsed[i] = false
+	seated := rv.factBasis // per row: the column pivoted there, -1 while free
+	for i := range seated {
+		seated[i] = -1
 	}
+	// The caller's last FTRAN'd column is still in col: clear it once, and
+	// each column below clears the rows it wrote.
 	w := rv.col
+	for i := range w {
+		w[i] = 0
+	}
+	cs, mark := rv.cs, rv.inPattern
 	for _, pos := range order {
 		j := rv.basis[pos]
 		if rv.colNNZ(j) == 1 {
 			r, v := rv.singleton(j)
-			if rv.rowUsed[r] || math.Abs(v) <= singularTol {
+			if seated[r] >= 0 || math.Abs(v) <= singularTol {
 				return false
 			}
 			if v != 1 {
 				rv.ef.pushSingleton(r, 1/v)
 			}
-			rv.rowUsed[r] = true
-			rv.factBasis[r] = j
+			seated[r] = j
 			continue
 		}
-		for i := range w {
-			w[i] = 0
+		// A structural column (artificials are singletons). The counting-sort
+		// buckets are spent, so factCount holds the pattern.
+		pat := rv.factCount[:0]
+		for k := cs.ptr[j]; k < cs.ptr[j+1]; k++ {
+			i := cs.idx[k]
+			w[i] = cs.val[k]
+			mark[i] = true
+			pat = append(pat, i)
 		}
-		rv.colScatterAdd(j, 1, w)
-		rv.ef.ftran(w)
+		pat = rv.ef.ftranPattern(w, pat, mark)
+		// Insertion sort: a handful of rows, the column's own already
+		// ascending.
+		for a := 1; a < len(pat); a++ {
+			for b := a; b > 0 && pat[b] < pat[b-1]; b-- {
+				pat[b], pat[b-1] = pat[b-1], pat[b]
+			}
+		}
 		r := -1
 		best := singularTol
-		for i := 0; i < rv.m; i++ {
-			if rv.rowUsed[i] {
+		for _, i := range pat {
+			if seated[i] >= 0 {
 				continue
 			}
 			if a := math.Abs(w[i]); a > best {
@@ -348,14 +374,19 @@ func (rv *revised) refactor() bool {
 				r = i
 			}
 		}
+		if r >= 0 {
+			rv.ef.pushPattern(r, w, pat)
+			seated[r] = j
+		}
+		for _, i := range pat {
+			w[i] = 0
+			mark[i] = false
+		}
 		if r < 0 {
 			return false
 		}
-		rv.ef.push(r, w)
-		rv.rowUsed[r] = true
-		rv.factBasis[r] = j
 	}
-	copy(rv.basis, rv.factBasis)
+	copy(rv.basis, seated)
 	rv.lastFact = rv.ef.count()
 	rv.noteEta()
 	return true
@@ -458,9 +489,7 @@ func (rv *revised) runCold() *Solution {
 		if obj < -feasTol {
 			return &Solution{Status: Infeasible, Iters: rv.iters}
 		}
-		if !rv.driveOutArtificials() {
-			return &Solution{Status: numericFailure}
-		}
+		rv.driveOutArtificials()
 		// Forbid artificials from re-entering or growing: clamp to zero. A
 		// still-basic artificial (value 0) keeps acting as its row's
 		// identity column, but the zero upper bound makes the phase-2 ratio
@@ -487,7 +516,7 @@ func (rv *revised) runCold() *Solution {
 // for nonbasic structural/slack columns resting at their lower bound where a
 // nonzero pivot exists, shrinking the set of clamped identity columns phase 2
 // must carry. The swap is degenerate — the point does not move.
-func (rv *revised) driveOutArtificials() bool {
+func (rv *revised) driveOutArtificials() {
 	for i := 0; i < rv.m; i++ {
 		if rv.basis[i] < rv.n {
 			continue
@@ -528,7 +557,6 @@ func (rv *revised) driveOutArtificials() bool {
 			break
 		}
 	}
-	return true
 }
 
 // objValue evaluates obj at the current point: basic values plus nonbasic

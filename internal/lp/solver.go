@@ -24,10 +24,12 @@ package lp
 //     re-scans the matrix.
 //
 // A Solver is not safe for concurrent use; branch and bound gives each wave
-// worker its own. SolveCold is arithmetic-identical to Solve(p) with the
-// same bounds (only the allocations differ).
+// worker its own, all built by one NewSolvers call over one read-only column
+// store. SolveCold is arithmetic-identical to Solve(p) with the same bounds
+// (only the allocations differ).
 type Solver struct {
 	p  *Problem
+	cs *colStore // read-only; shared by the solvers of one NewSolvers call
 	rv *revised
 
 	hasBasis bool // rv sits on a dual-feasible basis the next Solve can continue from
@@ -94,10 +96,27 @@ type SolverStats struct {
 // The problem must not be mutated afterwards; pass per-solve bounds to Solve
 // instead.
 func NewSolver(p *Problem) (*Solver, error) {
+	s, err := NewSolvers(p, 1)
+	if err != nil {
+		return nil, err
+	}
+	return s[0], nil
+}
+
+// NewSolvers is NewSolver for k solvers of one problem at once: one
+// validation and one transpose of the matrix into the column store they all
+// read. Each solver keeps its own working state, so they may run
+// concurrently.
+func NewSolvers(p *Problem, k int) ([]*Solver, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Solver{p: p}, nil
+	cs := buildColStore(p)
+	out := make([]*Solver, k)
+	for i := range out {
+		out[i] = &Solver{p: p, cs: cs}
+	}
+	return out, nil
 }
 
 // Solve solves the problem under the given bounds, warm-starting from the
@@ -182,7 +201,7 @@ func (s *Solver) SolveFrom(b *Basis, lower, upper []float64) (*Solution, bool) {
 // currently selected.
 func (s *Solver) state() *revised {
 	if s.rv == nil {
-		s.rv = newRevised(s.p)
+		s.rv = newRevised(s.p, s.cs)
 		s.rv.stats = &s.Stats
 	}
 	s.rv.lean = s.Lean

@@ -7,9 +7,9 @@ package lp
 // so the revised simplex prices and FTRANs columns in O(nnz) where the dense
 // tableau paid O(rows) per column regardless of structure.
 //
-// The store is built once per Problem (NewSolver / Solve) and shared by every
-// cold and warm solve: only variable bounds change between branch-and-bound
-// nodes, never the matrix. Phase-1 artificial columns are NOT stored here;
+// The store is built once per Problem (NewSolvers / Solve) and read, never
+// written, by every cold and warm solve of every solver built with it: only
+// variable bounds change between branch-and-bound nodes, never the matrix. Phase-1 artificial columns are NOT stored here;
 // they are implicit ±1 singletons handled by the revised solver (colDot /
 // colScatter), so the store never has to be rebuilt when artificial signs
 // change between cold builds.

@@ -839,28 +839,33 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	if infeasible {
 		return s.finish(&Solution{Status: Infeasible}, math.Inf(-1)), nil
 	}
+	// One solver per slot, plus the rounding heuristic's where the model has
+	// continuous variables to re-optimise, all over one column store. Flight
+	// events and the final Stats aggregate the lp-level counters of all of
+	// them.
+	k := w
+	if hasContinuous(p) {
+		k++
+	}
+	solvers, err := lp.NewSolvers(p.LP, k)
+	if err != nil {
+		return nil, err
+	}
+	s.solvers = solvers
 	slots := make([]slot, w)
 	scratch := make([]float64, 2*n*w)
 	for g := range slots {
-		solver, err := lp.NewSolver(p.LP)
-		if err != nil {
-			return nil, err
-		}
+		solver := solvers[g]
 		solver.Lean = true
 		solver.NoWarm = opts.NoWarmStart
 		slots[g] = slot{solver: solver, lower: scratch[:n:n], upper: scratch[n : 2*n : 2*n]}
 		scratch = scratch[2*n:]
-		s.solvers = append(s.solvers, solver)
 	}
-	heur, err := newHeurCtx(p)
-	if err != nil {
-		return nil, err
+	var heurSolver *lp.Solver
+	if k > w {
+		heurSolver = solvers[w]
 	}
-	if heur.solver != nil {
-		// Flight events and the final Stats aggregate the lp-level counters
-		// of the node solvers plus the heuristic solver.
-		s.solvers = append(s.solvers, heur.solver)
-	}
+	heur := newHeurCtx(p, heurSolver)
 	if done, err := s.openRoot(&slots[0], heur); done != nil || err != nil {
 		return done, err
 	}
@@ -997,23 +1002,19 @@ type heurCtx struct {
 	lower, upper []float64
 }
 
-// newHeurCtx prepares the heuristic for p, with a solver only when p has
-// continuous variables.
-func newHeurCtx(p *Problem) (*heurCtx, error) {
-	h := &heurCtx{
-		lower: make([]float64, p.LP.NumVars()),
-		upper: make([]float64, p.LP.NumVars()),
+// newHeurCtx prepares the heuristic for p over solver, which Solve passes
+// exactly when p has continuous variables and nil otherwise; it is switched
+// to lean, always-cold solves.
+func newHeurCtx(p *Problem, solver *lp.Solver) *heurCtx {
+	if solver != nil {
+		solver.Lean = true
+		solver.NoWarm = true
 	}
-	if hasContinuous(p) {
-		s, err := lp.NewSolver(p.LP)
-		if err != nil {
-			return nil, err
-		}
-		s.Lean = true
-		s.NoWarm = true
-		h.solver = s
+	return &heurCtx{
+		solver: solver,
+		lower:  make([]float64, p.LP.NumVars()),
+		upper:  make([]float64, p.LP.NumVars()),
 	}
-	return h, nil
 }
 
 // round looks for a feasible point near the relaxation x: the snapped x

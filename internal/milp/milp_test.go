@@ -433,17 +433,14 @@ func TestRoundingNeedsNoLPOnPureIntegerModels(t *testing.T) {
 		if relax.Status != lp.Optimal {
 			continue
 		}
-		direct, err := newHeurCtx(p)
+		if hasContinuous(p) {
+			t.Fatalf("trial %d: pure-integer model would get a heuristic solver", trial)
+		}
+		solver, err := lp.NewSolver(p.LP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if direct.solver != nil {
-			t.Fatalf("trial %d: pure-integer model got a heuristic solver", trial)
-		}
-		backed, _ := newHeurCtx(p)
-		if backed.solver, err = lp.NewSolver(p.LP); err != nil {
-			t.Fatal(err)
-		}
+		direct, backed := newHeurCtx(p, nil), newHeurCtx(p, solver)
 		var st, stLP Stats
 		x, ok := direct.round(p, relax.X, 1e-6, &st)
 		xLP, okLP := backed.round(p, relax.X, 1e-6, &stLP)

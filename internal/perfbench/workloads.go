@@ -31,7 +31,10 @@ func effort(c Counters, nodes, pivots int) Counters {
 // their ratio. priced_per_pivot — columns the primal simplex priced per
 // simplex iteration — is a few hundred of ~2 150 on sched_large_sparse while
 // working-set pricing does its job, so a slide back to one full pass per
-// pivot shows here instead of waiting for a wall-clock run.
+// pivot shows here instead of waiting for a wall-clock run. refactorizations
+// and eta_peak hold the factorizations themselves: a kernel change that keeps
+// every pivot but rebuilds the basis more often, or with more fill, moves
+// them.
 func schedSolve(name string, specs []core.AnalysisSpec, res core.Resources) Workload {
 	return schedSolveOpts(name, specs, res, core.SolveOptions{Workers: BenchWorkers})
 }
@@ -43,10 +46,12 @@ func schedSolveOpts(name string, specs []core.AnalysisSpec, res core.Resources, 
 			return nil, err
 		}
 		c := effort(Counters{
-			"objective":      rec.Objective,
-			"solver_workers": float64(rec.Stats.Workers),
-			"warm_solves":    float64(rec.Stats.WarmSolves),
-			"fallback_colds": float64(rec.Stats.FallbackColds),
+			"objective":        rec.Objective,
+			"solver_workers":   float64(rec.Stats.Workers),
+			"warm_solves":      float64(rec.Stats.WarmSolves),
+			"fallback_colds":   float64(rec.Stats.FallbackColds),
+			"refactorizations": float64(rec.Stats.Refactorizations),
+			"eta_peak":         float64(rec.Stats.EtaPeak),
 		}, rec.Stats.Nodes, rec.Stats.Pivots)
 		if rec.Stats.Pivots > 0 {
 			c["priced_per_pivot"] = float64(rec.Stats.PricedColumns) / float64(rec.Stats.Pivots)
@@ -73,10 +78,11 @@ const (
 // search width and reports deterministic effort counters only: nodes and
 // simplex iterations over the corpus, the worst instance's nodes, the
 // iterations of the root relaxations alone (lp.Solve on the compact model, as
-// benchmark/'s lp.root_pivots probe takes them) and the summed objective.
+// benchmark/'s lp.root_pivots probe takes them), the summed objective, and
+// the searches' refactorizations (summed) and eta peak (the worst instance's).
 func offPoolWorkload(name string, n int) Workload {
 	return Workload{Name: name, Run: func() (Counters, error) {
-		var nodes, nodesMax, pivots, rootPivots int
+		var nodes, nodesMax, pivots, rootPivots, refactors, etaPeak int
 		objective := 0.0
 		for sub := int64(offPoolFirst); sub < offPoolFirst+offPoolCount; sub++ {
 			specs, res := solvercheck.SparseCampaign(sub, n)
@@ -91,6 +97,8 @@ func offPoolWorkload(name string, n int) Workload {
 			nodes += rec.Stats.Nodes
 			nodesMax = max(nodesMax, rec.Stats.Nodes)
 			pivots += rec.Stats.Pivots
+			refactors += rec.Stats.Refactorizations
+			etaPeak = max(etaPeak, rec.Stats.EtaPeak)
 			objective += rec.Objective
 			mp, err := solvercheck.CompactModel(specs, res, opts)
 			if err != nil {
@@ -108,6 +116,8 @@ func offPoolWorkload(name string, n int) Workload {
 			"pivots_total":      float64(pivots),
 			"root_pivots_total": float64(rootPivots),
 			"objective_total":   objective,
+			"refactorizations":  float64(refactors),
+			"eta_peak":          float64(etaPeak),
 		}, nil
 	}}
 }
