@@ -12,13 +12,27 @@ const dualPivTol = 1e-7
 // resting side unless that side no longer exists (an upper bound relaxed to
 // +Inf moves the variable to its lower bound). The basic values are
 // recomputed from scratch by the caller, so no delta propagation is needed.
+// The same pass lists the movable columns for the re-solve: the new bounds
+// fix and free columns, and an installed basis changes which are basic.
 func (rv *revised) applyBounds(lower, upper []float64) {
-	for j := 0; j < rv.cs.nOrig; j++ {
-		rv.lo[j], rv.up[j] = lower[j], upper[j]
-		if !rv.inBasis[j] && rv.atUpper[j] && math.IsInf(upper[j], 1) {
+	nOrig := rv.cs.nOrig
+	mov, k := rv.mov[:rv.width], 0
+	for j := 0; j < nOrig; j++ {
+		lo, up := lower[j], upper[j]
+		rv.lo[j], rv.up[j] = lo, up
+		if rv.inBasis[j] {
+			continue
+		}
+		if rv.atUpper[j] && math.IsInf(up, 1) {
 			rv.atUpper[j] = false
 		}
+		mov[k] = int32(j)
+		if up-lo > eps { // canMove, on the bounds in hand
+			k++
+		}
 	}
+	rv.mov = mov[:k]
+	rv.listMovable(nOrig)
 }
 
 // resolve warm-starts the previously solved state under new bounds: install
@@ -89,16 +103,16 @@ func (rv *revised) dualSimplex() (ok, infeasible bool) {
 		rv.ef.btran(rho)
 		y := rv.multipliers(rv.c)
 
-		// Entering column: among sign-admissible nonbasic columns (those
+		// Entering column: among sign-admissible movable columns (those
 		// whose pivot keeps every reduced cost on its feasible side), take
 		// the minimum |d_j|/|alpha_j| ratio; ties break on the smallest
-		// index so the restoration is deterministic.
+		// index so the restoration is deterministic. mov holds exactly the
+		// columns a full scan would not skip, in the order it meets them,
+		// so the eps-window tie-break sees the same sequence.
 		enter := -1
 		bestRatio := math.Inf(1)
-		for j := 0; j < rv.width; j++ {
-			if !rv.canMove(j) {
-				continue
-			}
+		for _, j := range rv.mov {
+			j := int(j)
 			alpha := rv.colDot(j, rho)
 			if math.Abs(alpha) < dualPivTol {
 				continue
@@ -181,6 +195,7 @@ func (rv *revised) dualSimplex() (ok, infeasible bool) {
 		rv.atUpper[leavingCol] = above
 		rv.xB[r] = rest + step
 		rv.stats.DualPivots++
+		rv.swapMovable(enter, leavingCol)
 	}
 	return false, false
 }
@@ -198,6 +213,9 @@ func (rv *revised) dualSimplex() (ok, infeasible bool) {
 // Infeasible directly instead of paying a cold phase-1 re-solve for the same
 // verdict. With enough capacity the failure is merely numerical (every
 // repairing pivot was below tolerance) and the caller falls back cold.
+//
+// The pass is over every nonbasic column, not the movable list: a column
+// fixed within eps still adds its sliver of span to the capacity.
 func (rv *revised) certifyInfeasible(rho []float64, violation float64, above bool) (ok, infeasible bool) {
 	capacity := 0.0
 	for j := 0; j < rv.width; j++ {

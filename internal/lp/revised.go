@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -75,6 +76,11 @@ type revised struct {
 	ws    []int
 	dvx   []float64
 	wsCap int
+	// mov lists the movable columns (see canMove) in ascending order — every
+	// column the dual ratio test, refill and Bland's rule could act on. It is
+	// rebuilt by applyBounds and before each cold simplex phase, and kept
+	// current through every basis change; bound flips leave it alone.
+	mov   []int32
 	iters int
 	lean  bool // skip duals/reduced costs/activity in extracted solutions
 
@@ -93,6 +99,7 @@ type revised struct {
 
 	shape   *crashShape // see crash; detected by the first cold solve
 	noCrash bool        // tests: start every cold solve from the all-slack basis
+	onPivot func()      // tests: called after every basis change and rebuild of mov
 
 	stats *SolverStats // counter sink; never nil (lp.Solve uses a throwaway)
 }
@@ -120,6 +127,7 @@ func newRevised(p *Problem, cs *colStore) *revised {
 		atUpper: make([]bool, width),
 		xB:      make([]float64, m),
 		dvx:     make([]float64, width),
+		mov:     make([]int32, 0, width),
 		wrk:     make([]float64, m),
 		col:     make([]float64, m),
 		rho:     make([]float64, m),
@@ -479,6 +487,7 @@ func (rv *revised) runCold() *Solution {
 				ph1[rv.n+i] = -1
 			}
 		}
+		rv.rebuildMovable()
 		status, obj := rv.simplex(ph1)
 		if status == numericFailure {
 			return &Solution{Status: numericFailure}
@@ -502,6 +511,9 @@ func (rv *revised) runCold() *Solution {
 			}
 		}
 	}
+	// The crash, the phase-1 clamp and driveOutArtificials all move what can
+	// move without keeping the list; each phase starts from a fresh one.
+	rv.rebuildMovable()
 	status, obj := rv.simplex(rv.c)
 	if status == numericFailure {
 		return &Solution{Status: numericFailure}
@@ -560,7 +572,8 @@ func (rv *revised) driveOutArtificials() {
 }
 
 // objValue evaluates obj at the current point: basic values plus nonbasic
-// columns resting at nonzero bounds.
+// columns resting at nonzero bounds. Fixed columns count, so the pass is over
+// every column, not the movable list.
 func (rv *revised) objValue(obj []float64) float64 {
 	v := 0.0
 	for i := 0; i < rv.m; i++ {
@@ -731,6 +744,7 @@ func (rv *revised) simplex(obj []float64) (Status, float64) {
 		rv.atUpper[leavingCol] = leaveAtUpper
 		rv.xB[leave] = newVal
 		rv.stats.PrimalPivots++
+		rv.swapMovable(enter, leavingCol)
 	}
 }
 
@@ -750,6 +764,48 @@ func (rv *revised) multipliers(obj []float64) []float64 {
 // change a ratio test.
 func (rv *revised) canMove(j int) bool {
 	return !rv.inBasis[j] && rv.up[j]-rv.lo[j] > eps
+}
+
+// rebuildMovable lists the movable columns afresh.
+func (rv *revised) rebuildMovable() {
+	rv.mov = rv.mov[:0]
+	rv.listMovable(0)
+}
+
+// listMovable appends every movable column from j on to mov, whose entries
+// must be the movable columns before j.
+func (rv *revised) listMovable(j int) {
+	mov, k := rv.mov[:rv.width], len(rv.mov)
+	for ; j < rv.width; j++ {
+		mov[k] = int32(j)
+		if rv.canMove(j) {
+			k++
+		}
+	}
+	rv.mov = mov[:k]
+	if rv.onPivot != nil {
+		rv.onPivot()
+	}
+}
+
+// swapMovable keeps mov current through a basis change: enter, which was
+// movable, is now basic, and leaving is nonbasic and joins the list if it can
+// move. One shift of the entries between the two positions does both.
+func (rv *revised) swapMovable(enter, leaving int) {
+	mov := rv.mov
+	a, _ := slices.BinarySearch(mov, int32(enter))
+	if !rv.canMove(leaving) {
+		rv.mov = slices.Delete(mov, a, a+1)
+	} else if b, _ := slices.BinarySearch(mov, int32(leaving)); b <= a {
+		copy(mov[b+1:a+1], mov[b:a])
+		mov[b] = int32(leaving)
+	} else {
+		copy(mov[a:b-1], mov[a+1:b])
+		mov[b-1] = int32(leaving)
+	}
+	if rv.onPivot != nil {
+		rv.onPivot()
+	}
 }
 
 // improves reports whether nonbasic column j raises the objective by leaving
@@ -791,15 +847,16 @@ func (rv *revised) priceSet(obj, y []float64) int {
 func (rv *revised) priceBland(obj, y []float64) int {
 	rv.stats.PricedColumns += rv.width
 	rv.stats.FullPricingPasses++
-	for j := 0; j < rv.width; j++ {
-		if rv.canMove(j) && rv.improves(j, obj[j]-rv.colDot(j, y)) {
+	for _, j := range rv.mov {
+		if j := int(j); rv.improves(j, obj[j]-rv.colDot(j, y)) {
 			return j
 		}
 	}
 	return -1
 }
 
-// refill prices every column once and makes the wsCap improving columns with
+// refill prices every movable column once (mov, in column order: a basic or
+// fixed column cannot enter) and makes the wsCap improving columns with
 // the largest squared reduced cost the new working set, each at reference
 // weight one — a refill restarts the Devex framework on the set it selects,
 // which is why no weight is ever needed for a non-member. It returns the best
@@ -816,10 +873,8 @@ func (rv *revised) refill(obj, y []float64) int {
 	rv.stats.FullPricingPasses++
 	rv.ws = rv.ws[:0]
 	enter, best := -1, 0.0
-	for j := 0; j < rv.width; j++ {
-		if !rv.canMove(j) {
-			continue
-		}
+	for _, j := range rv.mov {
+		j := int(j)
 		rc := obj[j] - rv.colDot(j, y)
 		if !rv.improves(j, rc) {
 			continue
@@ -968,24 +1023,20 @@ func (rv *revised) extract(obj float64) *Solution {
 	} else {
 		x = make([]float64, nOrig)
 	}
-	for j := 0; j < nOrig; j++ {
-		if rv.atUpper[j] {
-			x[j] = rv.up[j]
-		} else {
-			x[j] = rv.lo[j]
+	lo, up := rv.lo[:nOrig], rv.up[:nOrig]
+	for j := range x {
+		if rv.inBasis[j] {
+			continue
 		}
+		v := lo[j]
+		if rv.atUpper[j] {
+			v = up[j]
+		}
+		x[j] = snapToBounds(v, lo[j], up[j])
 	}
 	for i, col := range rv.basis {
 		if col < nOrig {
-			x[col] = rv.xB[i]
-		}
-	}
-	for j := 0; j < nOrig; j++ {
-		if math.Abs(x[j]-rv.lo[j]) < feasTol {
-			x[j] = rv.lo[j]
-		}
-		if !math.IsInf(rv.up[j], 1) && math.Abs(x[j]-rv.up[j]) < feasTol {
-			x[j] = rv.up[j]
+			x[col] = snapToBounds(rv.xB[i], lo[col], up[col])
 		}
 	}
 	if rv.lean {
@@ -1030,6 +1081,18 @@ func (rv *revised) extract(obj float64) *Solution {
 		RowActivity:  activity,
 		Slacks:       slacks,
 	}
+}
+
+// snapToBounds returns v moved onto a bound it lies within feasTol of — lo
+// first, then a finite up.
+func snapToBounds(v, lo, up float64) float64 {
+	if math.Abs(v-lo) < feasTol {
+		v = lo
+	}
+	if !math.IsInf(up, 1) && math.Abs(v-up) < feasTol {
+		v = up
+	}
+	return v
 }
 
 // rowActivity evaluates each constraint at x, returning the activities a_r·x

@@ -85,9 +85,12 @@ type SolverStats struct {
 	// pricing pass: the working set's size, or every column on a full pass)
 	// and FullPricingPasses the passes that took in every column — refills of
 	// the working set, optimality proofs, Bland steps, and each pass of a
-	// model narrow enough to be priced whole. PricedColumns per pivot is what
-	// pricing costs; it sliding back toward the column count means the
-	// working set stopped doing its job.
+	// model narrow enough to be priced whole. A full pass counts every
+	// column, although it visits only the movable ones (basic and fixed
+	// columns cannot enter), so the count reads as it did before the pass
+	// skipped them. PricedColumns per pivot is what pricing costs; it sliding
+	// back toward the column count means the working set stopped doing its
+	// job.
 	PricedColumns     int
 	FullPricingPasses int
 }

@@ -291,6 +291,10 @@ func (o Options) context() context.Context {
 	return context.Background()
 }
 
+// nodeRowTol is the row tolerance a snapped integral point must meet to count
+// as feasible: an integral relaxation, or a rounded candidate.
+const nodeRowTol = 1e-6
+
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 200000
@@ -505,17 +509,16 @@ func (s *search) bounds(nd *node, lower, upper []float64) {
 	}
 }
 
-// expand branches nd on the most fractional variable of its relaxation x and
-// queues both children, each carrying basis — nd's optimal basis — to warm
-// start from.
+// expand branches nd on j, the most fractional variable of its relaxation x
+// under IntTol, and queues both children, each carrying basis — nd's optimal
+// basis — to warm start from.
 //
-// A relaxation that is integral within IntTol reaches here only when its
-// snapped point failed the rows (see consume); it is branched on whatever
+// A relaxation that is integral within IntTol (j < 0) reaches here only when
+// its snapped point failed the rows (see consume); it is branched on whatever
 // fractionality is left, with no tolerance on the new bounds — rounding
 // v ± IntTol would hand a child the parent's box back.
-func (s *search) expand(nd *node, x []float64, basis *lp.Basis) {
+func (s *search) expand(nd *node, x []float64, j int, basis *lp.Basis) {
 	tol := s.opts.IntTol
-	j := mostFractional(s.p, x, tol)
 	if j < 0 {
 		tol = 0
 		if j = mostFractional(s.p, x, tol); j < 0 {
@@ -565,9 +568,11 @@ func (s *search) consume(nd *node, res nodeResult, sl *slot, heur *heurCtx, extr
 	// A relaxation integral within IntTol counts as integral only if its
 	// snapped point still satisfies the rows: a binary at 1-1e-6 on a ~1500 s
 	// cost overshoots the time row by ~1.5e-3 once rounded up. Such a node is
-	// branched instead (expand splits on the residual fractionality).
-	if intFeasible(s.p, relaxSol.X, s.opts.IntTol) {
-		if x := snap(s.snapped, s.p, relaxSol.X); s.p.LP.Feasible(x, 1e-6) {
+	// branched instead (expand splits on the residual fractionality). The one
+	// fractionality scan answers the integral test, rounding's and branching.
+	frac := mostFractional(s.p, relaxSol.X, s.opts.IntTol)
+	if frac < 0 {
+		if x := snap(s.snapped, s.p, relaxSol.X); s.p.LP.Feasible(x, nodeRowTol) {
 			s.offer(x, s.nodes, math.Max(relaxSol.Objective, s.globalBound(extra)))
 			s.stats.IntegralNodes++
 			s.observe(nd, relaxSol.Objective, "integral")
@@ -577,14 +582,14 @@ func (s *search) consume(nd *node, res nodeResult, sl *slot, heur *heurCtx, extr
 	// Rounding runs at every branched node, so its pprof label is the
 	// context built once in Solve rather than a pprof.Do per node.
 	pprof.SetGoroutineLabels(s.roundCtx)
-	if x, ok := heur.round(s.p, relaxSol.X, s.opts.IntTol, &s.stats); ok {
+	if x, ok := heur.round(s.p, relaxSol.X, s.opts.IntTol, frac < 0, &s.stats); ok {
 		s.offer(x, s.nodes, math.Max(relaxSol.Objective, s.globalBound(extra)))
 	}
 	pprof.SetGoroutineLabels(s.opts.context())
 	s.stats.BranchedNodes++
 	s.observe(nd, relaxSol.Objective, "branched")
 	nd.bound = relaxSol.Objective
-	s.expand(nd, relaxSol.X, sl.basis())
+	s.expand(nd, relaxSol.X, frac, sl.basis())
 }
 
 // offer makes a copy of the integer-feasible point x the incumbent if it
@@ -659,7 +664,8 @@ func (s *search) openRoot(sl *slot, heur *heurCtx) (done *Solution, err error) {
 
 	// A root that will be branched keeps its duals for reduced-cost fixing,
 	// read before anything else is solved on the slot.
-	integral := intFeasible(s.p, relax.X, s.opts.IntTol)
+	frac := mostFractional(s.p, relax.X, s.opts.IntTol)
+	integral := frac < 0
 	if !integral {
 		rc, atUpper := make([]float64, len(relax.X)), make([]bool, len(relax.X))
 		if sl.solver.ReducedCosts(rc, atUpper) {
@@ -668,14 +674,14 @@ func (s *search) openRoot(sl *slot, heur *heurCtx) (done *Solution, err error) {
 	}
 
 	// Seed the incumbent by rounding the root relaxation.
-	if x, ok := heur.round(s.p, relax.X, s.opts.IntTol, &s.stats); ok {
+	if x, ok := heur.round(s.p, relax.X, s.opts.IntTol, integral, &s.stats); ok {
 		s.offer(x, 0, root.bound)
 	}
 
 	s.nodes = 1
 	if integral {
 		x := snap(make([]float64, len(relax.X)), s.p, relax.X)
-		if s.p.LP.Feasible(x, 1e-6) {
+		if s.p.LP.Feasible(x, nodeRowTol) {
 			obj := s.p.LP.Eval(x)
 			s.best = &Solution{Status: Optimal, X: x, Objective: obj, Nodes: s.nodes, HasX: true}
 			s.recordIncumbent(s.nodes, obj, root.bound)
@@ -688,7 +694,7 @@ func (s *search) openRoot(sl *slot, heur *heurCtx) (done *Solution, err error) {
 	}
 	s.stats.BranchedNodes++
 	s.observe(root, root.bound, "branched")
-	s.expand(root, relax.X, sl.basis())
+	s.expand(root, relax.X, frac, sl.basis())
 	s.waveIdx++
 	s.emitWave(1, s.globalBound(math.Inf(-1)))
 	return nil, nil
@@ -941,21 +947,9 @@ func name(p *lp.Problem, j int) string {
 	return fmt.Sprintf("x%d", j)
 }
 
-// intFeasible reports whether all integer variables are integral within tol.
-func intFeasible(p *Problem, x []float64, tol float64) bool {
-	for j, isInt := range p.Integer {
-		if !isInt {
-			continue
-		}
-		if math.Abs(x[j]-math.Round(x[j])) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // mostFractional returns the integer variable whose value is farthest from
-// integrality, or -1 if none is fractional.
+// integrality, or -1 if none is fractional beyond tol — which is to say every
+// integer variable is integral within tol.
 func mostFractional(p *Problem, x []float64, tol float64) int {
 	best, bestDist := -1, tol
 	for j, isInt := range p.Integer {
@@ -993,57 +987,90 @@ func hasContinuous(p *Problem) bool {
 	return false
 }
 
-// heurCtx is the rounding heuristic's reusable state: candidate-bound
+// heurCtx is the rounding heuristic's reusable state: the candidate's
 // scratch, plus — when the model has continuous variables to re-optimise —
 // one cold solver (heuristic solves fix every integer variable, so a warm
-// basis rarely survives).
+// basis rarely survives) and the upper bounds it solves under.
 type heurCtx struct {
-	solver       *lp.Solver // nil: candidates are checked directly, no LP
-	lower, upper []float64
+	solver *lp.Solver // nil: candidates are checked directly, no LP
+	lower  []float64  // the candidate, or the lower bounds it is solved under
+	upper  []float64  // nil without a solver
+	// What the integer variables' bounds allow, fixed for the search: some
+	// box holds no integer (only an integral x rounds), or every bound is an
+	// integer already (it is its own ceiling or floor).
+	noInteger, integralBounds bool
 }
 
 // newHeurCtx prepares the heuristic for p over solver, which Solve passes
 // exactly when p has continuous variables and nil otherwise; it is switched
 // to lean, always-cold solves.
 func newHeurCtx(p *Problem, solver *lp.Solver) *heurCtx {
+	h := &heurCtx{solver: solver, lower: make([]float64, p.LP.NumVars()), integralBounds: true}
 	if solver != nil {
 		solver.Lean = true
 		solver.NoWarm = true
+		h.upper = make([]float64, p.LP.NumVars())
 	}
-	return &heurCtx{
-		solver: solver,
-		lower:  make([]float64, p.LP.NumVars()),
-		upper:  make([]float64, p.LP.NumVars()),
+	for j, isInt := range p.Integer {
+		if !isInt {
+			continue
+		}
+		lo, hi := math.Ceil(p.LP.Lower[j]), math.Floor(p.LP.Upper[j])
+		h.noInteger = h.noInteger || lo > hi
+		h.integralBounds = h.integralBounds && lo == p.LP.Lower[j] && hi == p.LP.Upper[j]
 	}
+	return h
 }
 
 // round looks for a feasible point near the relaxation x: the snapped x
-// itself if it is integral, then floor-all and round-all of the integer
-// variables, each clamped to the integers inside the variable's bounds. With
-// a solver the continuous remainder is re-solved with the integers fixed,
-// and that LP work is charged to st; without one (pure-integer model) the
-// candidate is complete and only the rows are checked. The returned point
-// lives in the heuristic's scratch until the next call — most nodes round to
-// some feasible point, few to a better one, so the caller copies on keeping.
-func (h *heurCtx) round(p *Problem, x []float64, tol float64, st *Stats) ([]float64, bool) {
-	if intFeasible(p, x, tol) {
-		if cand := snap(h.upper, p, x); p.LP.Feasible(cand, 1e-6) {
+// itself if it is integral (integral is the caller's mostFractional verdict
+// on x under tol), then floor-all and round-all of the integer variables,
+// each clamped to the integers inside the variable's bounds (a model with an
+// integer box holding none has no such point). With a solver
+// the continuous remainder is re-solved with the integers fixed, and that LP
+// work is charged to st; without one (pure-integer model) the candidate is
+// complete — every variable written, nothing copied — and only the rows are
+// checked. The returned point lives in the heuristic's scratch until the next
+// call — most nodes round to some feasible point, few to a better one, so the
+// caller copies on keeping.
+func (h *heurCtx) round(p *Problem, x []float64, tol float64, integral bool, st *Stats) ([]float64, bool) {
+	if integral {
+		if cand := snap(h.lower, p, x); p.LP.Feasible(cand, nodeRowTol) {
 			return cand, true
 		}
 	}
-	for _, mode := range []func(float64) float64{math.Floor, math.Round} {
-		copy(h.lower, p.LP.Lower)
-		copy(h.upper, p.LP.Upper)
-		for j, isInt := range p.Integer {
+	if h.noInteger {
+		return nil, false
+	}
+	// The loop reads and writes through locals sliced to one length, so it
+	// carries no bounds checks and reloads nothing through p or h.
+	ints, integralBounds := p.Integer, h.integralBounds
+	lower, upper := p.LP.Lower[:len(ints)], p.LP.Upper[:len(ints)]
+	x, fixed, fixedUp := x[:len(ints)], h.lower[:len(ints)], h.upper
+	for _, floor := range [2]bool{true, false} {
+		if h.solver != nil {
+			copy(h.lower, lower)
+			copy(h.upper, upper)
+		}
+		for j, isInt := range ints {
 			if !isInt {
 				continue
 			}
-			lo, hi := math.Ceil(p.LP.Lower[j]), math.Floor(p.LP.Upper[j])
-			if lo > hi {
-				return nil, false // no integer inside the bounds
+			lo, hi := lower[j], upper[j]
+			if !integralBounds {
+				lo, hi = math.Ceil(lo), math.Floor(hi)
 			}
-			v := math.Min(math.Max(mode(x[j]+tol), lo), hi)
-			h.lower[j], h.upper[j] = v, v
+			v := x[j] + tol
+			if floor {
+				v = math.Floor(v)
+			} else {
+				v = math.Round(v)
+			}
+			v = min(max(v, lo), hi)
+			fixed[j] = v
+			if fixedUp != nil {
+				fixedUp[j] = v
+			}
 		}
 		cand := h.lower // integral by construction when every variable is
 		if h.solver != nil {
@@ -1055,7 +1082,7 @@ func (h *heurCtx) round(p *Problem, x []float64, tol float64, st *Stats) ([]floa
 			}
 			cand = snap(h.upper, p, sol.X)
 		}
-		if p.LP.Feasible(cand, 1e-6) {
+		if p.LP.Feasible(cand, nodeRowTol) {
 			return cand, true
 		}
 	}

@@ -442,8 +442,9 @@ func TestRoundingNeedsNoLPOnPureIntegerModels(t *testing.T) {
 		}
 		direct, backed := newHeurCtx(p, nil), newHeurCtx(p, solver)
 		var st, stLP Stats
-		x, ok := direct.round(p, relax.X, 1e-6, &st)
-		xLP, okLP := backed.round(p, relax.X, 1e-6, &stLP)
+		integral := mostFractional(p, relax.X, 1e-6) < 0
+		x, ok := direct.round(p, relax.X, 1e-6, integral, &st)
+		xLP, okLP := backed.round(p, relax.X, 1e-6, integral, &stLP)
 		if ok != okLP || !reflect.DeepEqual(x, xLP) {
 			t.Fatalf("trial %d: direct rounding gave %v (%t), LP-backed %v (%t)", trial, x, ok, xLP, okLP)
 		}
@@ -452,7 +453,7 @@ func TestRoundingNeedsNoLPOnPureIntegerModels(t *testing.T) {
 		}
 		if ok {
 			found++
-			if !intFeasible(p, x, 0) || !p.LP.Feasible(x, 1e-6) {
+			if mostFractional(p, x, 0) >= 0 || !p.LP.Feasible(x, 1e-6) {
 				t.Fatalf("trial %d: rounded point %v is not an integer-feasible point", trial, x)
 			}
 		}
