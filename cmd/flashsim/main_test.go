@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"insitu/internal/obs"
+	"insitu/internal/runmon"
 )
 
 func TestParseWeights(t *testing.T) {
@@ -46,9 +47,9 @@ func TestRunSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := obs.SummarizeLedger(events)
-	if sum.App != "flashsim/sedov" || len(sum.Steps) != 10 || len(sum.Solves) != 1 {
-		t.Fatalf("ledger app=%q steps=%d solves=%d", sum.App, len(sum.Steps), len(sum.Solves))
+	sum := runmon.Analyze(events, nil, runmon.Config{})
+	if sum.App != "flashsim/sedov" || sum.Step != 10 || len(sum.Solves) != 1 {
+		t.Fatalf("ledger app=%q steps=%d solves=%d", sum.App, sum.Step, len(sum.Solves))
 	}
 }
 

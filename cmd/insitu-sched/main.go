@@ -33,8 +33,8 @@
 //
 // -flight records the solver's flight-recorder stream — per-wave incumbent,
 // bound, gap, and prune-taxonomy samples as schema-versioned solveprog
-// events — to a JSONL ledger file; benchobs flightcheck validates it and
-// benchobs summarize renders the gap-closure timeline.
+// events — to a JSONL ledger file; runmon check validates it and runmon
+// report renders the gap-closure timeline.
 //
 // -workers sets the branch-and-bound wave width (0 = all CPUs, default 1);
 // any width returns the same objective and bound.

@@ -14,11 +14,11 @@
 // -trace writes the executed run as Chrome trace JSON (load in
 // chrome://tracing or Perfetto); -metrics writes run counters in Prometheus
 // text format (or a JSON snapshot when the path ends in .json); -ledger
-// writes the run as a JSONL event ledger that `benchobs summarize` replays
-// into a per-step timeline. -monitor watches the run live with a
-// runmon.Monitor: residuals against the solved schedule are scored as the
-// run happens, a drift report prints after execution, and (with -ledger)
-// plan and alert events are written into the ledger for `runmon report`.
+// writes the run as a JSONL event ledger that `runmon report` replays.
+// -monitor watches the run live with a runmon.Monitor: residuals against
+// the solved schedule are scored as the run happens, a drift report prints
+// after execution, and (with -ledger) plan and alert events are written
+// into the ledger for `runmon report`.
 // -replan (implies -monitor) closes the loop: drift and budget alerts
 // trigger a rolling-horizon re-solve, adopted schedules swap into the
 // running loop, and every decision lands in the ledger as a replan event.

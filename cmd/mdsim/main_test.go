@@ -134,9 +134,9 @@ func TestRunWritesValidChromeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := obs.SummarizeLedger(events)
-	if sum.App != "mdsim/water" || len(sum.Steps) != 20 {
-		t.Fatalf("ledger app=%q steps=%d, want mdsim/water with 20 steps", sum.App, len(sum.Steps))
+	sum := runmon.Analyze(events, nil, runmon.Config{})
+	if sum.App != "mdsim/water" || sum.Step != 20 {
+		t.Fatalf("ledger app=%q steps=%d, want mdsim/water with 20 steps", sum.App, sum.Step)
 	}
 	if len(sum.Solves) != 1 || sum.Solves[0].Name != "plan" {
 		t.Fatalf("ledger solves = %+v", sum.Solves)

@@ -9,14 +9,20 @@
 //	runmon tail   -ledger run.jsonl [-poll 500ms] [-once]
 //	runmon report -ledger run.jsonl [-html report.html] [-json]
 //	runmon serve  -ledger run.jsonl [-addr host:port] [-poll 500ms]
+//	runmon check  run.jsonl...
 //
 // tail follows a growing ledger and redraws the terminal drift dashboard as
 // events arrive, exiting when the run ends (or on interrupt). report replays
-// a completed ledger once and prints the post-hoc drift report — with -html
-// it also writes a self-contained HTML report, with -json the raw snapshot.
-// serve follows the ledger and exposes the live dashboard over HTTP: / (the
-// HTML report), /runs, /drift.json, and /metrics with the runmon detector
-// gauges; it shuts down cleanly on SIGINT/SIGTERM.
+// a completed ledger once and prints the post-hoc drift report — the
+// residual table, one row per solve, the replans and every solver flight's
+// gap timeline — with -html it also writes a self-contained HTML report,
+// with -json the raw snapshot. serve follows the ledger and exposes the live
+// dashboard over HTTP: / (the HTML report), /runs, /drift.json, and /metrics
+// with the runmon detector gauges; it shuts down cleanly on SIGINT/SIGTERM.
+// check is the CI gate for solver flight recordings: for each ledger it
+// prints the /runs row and one ok/BAD line per flight stream, and exits 1
+// unless every ledger holds at least one stream and every stream keeps the
+// obs.CheckSolveProg invariants and ends optimal with its gap closed.
 //
 // Ledgers written by monitored runs (mdsim -monitor, flashsim -monitor,
 // campaign.Config.Monitor) embed their predictions as plan events, so runmon
@@ -33,6 +39,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -46,6 +53,7 @@ commands:
   tail    follow a growing run ledger and redraw the drift dashboard
   report  replay a completed ledger and print the drift report
   serve   follow a ledger and expose the dashboard over HTTP
+  check   validate the solver flight streams of ledgers; exit 1 on violation
 
 run 'runmon <command> -h' for the flags of each command.
 `
@@ -71,6 +79,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return cmdReport(args[1:], stdout, stderr)
 	case "serve":
 		return cmdServe(ctx, args[1:], stdout, stderr)
+	case "check":
+		return cmdCheck(args[1:], stdout, stderr)
 	case "-h", "-help", "--help", "help":
 		fmt.Fprint(stdout, usageText)
 		return 0
@@ -239,4 +249,75 @@ func serveLedger(ctx context.Context, ln net.Listener, path string, poll time.Du
 		return 1
 	}
 	return 0
+}
+
+// cmdCheck validates every solver flight stream in each named ledger. It
+// reads all the streams (obs.GroupSolveProgEvents), not the live monitor's
+// most recent few, so a replanning run's every re-solve is checked.
+func cmdCheck(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprintln(stderr, "usage: runmon check run.jsonl...")
+		return 2
+	}
+	var bad []string
+	for _, path := range args {
+		if !checkLedger(path, stdout, stderr) {
+			bad = append(bad, path)
+		}
+	}
+	if len(bad) > 0 {
+		fmt.Fprintf(stderr, "runmon: check failed for %d of %d ledger(s): %s\n",
+			len(bad), len(args), strings.Join(bad, ", "))
+		return 1
+	}
+	return 0
+}
+
+// checkLedger prints one ledger's run row and stream verdicts and reports
+// whether every stream passed.
+func checkLedger(path string, stdout, stderr io.Writer) bool {
+	events, err := obs.ReadLedgerFile(path)
+	if err != nil {
+		fmt.Fprintf(stderr, "runmon: %v\n", err)
+		return false
+	}
+	info := runmon.Analyze(events, nil, runmon.Config{}).RunInfo()
+	app := info.App
+	if app == "" {
+		app = "-"
+	}
+	fmt.Fprintf(stdout, "%s: app=%s runs=%d step=%d ended=%t streams=%d alerts=%d budget_at_risk=%t\n",
+		path, app, info.Runs, info.Step, info.Ended, info.Streams, info.Alerts, info.AtRisk)
+	flights := obs.GroupSolveProgEvents(events)
+	if len(flights) == 0 {
+		fmt.Fprintf(stderr, "runmon: ledger %s: no solveprog events\n", path)
+		return false
+	}
+	ok := true
+	for i, f := range flights {
+		name := f.Name
+		if name == "" {
+			name = fmt.Sprintf("solve[%d]", i)
+		}
+		verdict, pass := flightVerdict(f.Records)
+		ok = ok && pass
+		fmt.Fprintf(stdout, "  %-32s %4d event(s) %s\n", name, len(f.Records), verdict)
+	}
+	return ok
+}
+
+// flightVerdict checks one stream: the monotone invariants, then an end
+// event that is optimal with the gap closed to within obs.CheckTol.
+func flightVerdict(recs []obs.SolveProgress) (string, bool) {
+	if err := obs.CheckSolveProg(recs); err != nil {
+		return "BAD: " + err.Error(), false
+	}
+	gap, status, defined := obs.FinalGap(recs)
+	switch {
+	case !defined:
+		return "BAD: no end event with a defined gap", false
+	case status != "optimal" || gap > obs.CheckTol:
+		return fmt.Sprintf("BAD: status %s, final gap %.4g", status, gap), false
+	}
+	return fmt.Sprintf("ok (optimal, gap %.4g)", gap), true
 }

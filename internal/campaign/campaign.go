@@ -104,7 +104,7 @@ type Config struct {
 	// Ledger, when non-nil, receives the campaign as a JSONL run ledger: a
 	// solve event from Plan (branch-and-bound nodes, pivots, objective, and
 	// solve time) followed by the executed run's events from the coupling
-	// runner. benchobs summarize reconstructs the timeline from the file.
+	// runner. runmon report replays the file.
 	Ledger *obs.EventLog
 	// Flight, when non-nil, captures the Plan solve's progress stream (see
 	// obs.FlightRecorder): Plan resets and attaches it to the

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"insitu/internal/obs"
+	"insitu/internal/runmon"
 )
 
 // TestCampaignLedgerRoundTrip runs a small coupled campaign with a JSONL run
-// ledger attached, reads the file back, and checks that the reconstructed
-// timeline matches the executed report: the acceptance path for the
-// benchobs-summarize workflow.
+// ledger attached, reads the file back, and checks that the replayed run
+// matches the executed report: the acceptance path for the runmon-report
+// workflow.
 func TestCampaignLedgerRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	led, err := obs.OpenEventLog(path)
@@ -30,7 +31,7 @@ func TestCampaignLedgerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := obs.SummarizeLedger(events)
+	sum := runmon.Analyze(events, nil, runmon.Config{})
 	if sum.App != "water+ions" || sum.Runs != 1 {
 		t.Fatalf("app=%q runs=%d", sum.App, sum.Runs)
 	}
@@ -44,11 +45,17 @@ func TestCampaignLedgerRoundTrip(t *testing.T) {
 	if solve.Args["threshold"] != out.Plan.Resources.TimeThreshold {
 		t.Fatalf("solve threshold = %g, want %g", solve.Args["threshold"], out.Plan.Resources.TimeThreshold)
 	}
-	if len(sum.Steps) != out.Report.Steps {
-		t.Fatalf("timeline has %d steps, report ran %d", len(sum.Steps), out.Report.Steps)
+	if sum.Step != out.Report.Steps {
+		t.Fatalf("ledger reaches step %d, report ran %d", sum.Step, out.Report.Steps)
 	}
-	if sum.TotalUS <= 0 {
-		t.Fatal("no step time recorded")
+	var sim runmon.StreamSnapshot
+	for _, st := range sum.Streams {
+		if st.Stream == runmon.StreamSim {
+			sim = st
+		}
+	}
+	if sim.Count != out.Report.Steps || sim.MeanSec <= 0 {
+		t.Fatalf("no step time recorded: %+v", sim)
 	}
 
 	// Per-kernel analysis/output invocations and output volume must agree

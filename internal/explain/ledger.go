@@ -11,7 +11,7 @@ import (
 type KernelAlignment struct {
 	Name          string
 	PlannedCount  int     // analysis steps the schedule grants
-	ExecutedCount int     // ledger steps with an analysis event for this kernel
+	ExecutedCount int     // analysis events in the ledger for this kernel (one per step it ran)
 	PlannedSec    float64 // predicted total analysis time (the model's cost)
 	ExecutedSec   float64 // summed analysis+output durations from the ledger
 }
@@ -32,29 +32,36 @@ type Alignment struct {
 	Flights []obs.SolveProgRun
 }
 
-// AlignLedger reconstructs the ledger's per-step timelines and aligns them
+// AlignLedger tallies the ledger's per-kernel work in one pass and aligns it
 // with the planned schedule: one row per planned analysis (in schedule order),
 // plus one for any kernel the ledger saw that the plan never mentioned.
 func (r *Report) AlignLedger(events []obs.LedgerEvent) {
-	sum := obs.SummarizeLedger(events)
 	a := &Alignment{
-		App:     sum.App,
-		Steps:   len(sum.Steps),
 		Replans: runmon.ReplansFromEvents(events),
 		Flights: obs.GroupSolveProgEvents(events),
 	}
 
+	steps := map[int]bool{}
 	counts := map[string]int{}
 	seconds := map[string]float64{}
-	for _, st := range sum.Steps {
-		for name, us := range st.Analyses {
-			counts[name]++
-			seconds[name] += us / 1e6
-		}
-		for name, us := range st.Outputs {
-			seconds[name] += us / 1e6
+	for _, e := range events {
+		switch e.Type {
+		case obs.LedgerRunStart:
+			if a.App == "" {
+				a.App = e.Name
+			}
+		case obs.LedgerStep:
+			steps[e.Step] = true
+		case obs.LedgerAnalysis:
+			steps[e.Step] = true
+			counts[e.Name]++
+			seconds[e.Name] += e.Dur / 1e6
+		case obs.LedgerOutput:
+			steps[e.Step] = true
+			seconds[e.Name] += e.Dur / 1e6
 		}
 	}
+	a.Steps = len(steps)
 
 	known := map[string]bool{}
 	for _, s := range r.Ex.Rec.Schedules {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -17,9 +16,9 @@ import (
 // reject lines from a newer schema rather than misinterpreting them.
 const LedgerSchemaVersion = 1
 
-// Ledger event types. The set is open — emitters may add their own — but
-// these are the ones the coupling runner and campaign write and that
-// SummarizeLedger understands.
+// Ledger event types. The set is open — emitters may add their own, and
+// readers skip types they do not know — but these are the ones the coupling
+// runner, campaign and schedd write and that runmon reads.
 const (
 	LedgerRunStart  = "run_start" // one per run: args carry steps, kernels
 	LedgerRunEnd    = "run_end"   // one per run: args carry totals
@@ -34,19 +33,6 @@ const (
 	LedgerSolveProg = "solveprog" // one solver flight-recorder sample: args carry the solveprog_v payload
 	LedgerReqLog    = "reqlog"    // one service request (schedd access ledger): args carry the reqlog_v payload
 )
-
-// KnownLedgerType reports whether this obs version understands the event
-// type. Readers must not fail on unknown types — newer emitters may add
-// their own — but they count them so tooling can surface the skew.
-func KnownLedgerType(t string) bool {
-	switch t {
-	case LedgerRunStart, LedgerRunEnd, LedgerStep, LedgerPhase,
-		LedgerAnalysis, LedgerOutput, LedgerSolve, LedgerPlan, LedgerAlert,
-		LedgerReplan, LedgerSolveProg, LedgerReqLog:
-		return true
-	}
-	return false
-}
 
 // LedgerEvent is one line of the JSONL run ledger. Times are offsets from
 // the log's epoch in microseconds, like the Chrome trace export, so ledgers
@@ -314,8 +300,8 @@ func (l *EventLog) Close() error {
 }
 
 // ErrSchemaTooNew marks a ledger line written under a schema this reader
-// does not understand. Lenient readers skip (and count) such lines instead
-// of failing, so old tooling keeps working against ledgers from newer code.
+// does not understand. Lenient readers skip such lines instead of failing,
+// so old tooling keeps working against ledgers from newer code.
 var ErrSchemaTooNew = fmt.Errorf("obs: ledger line from a newer schema than v%d", LedgerSchemaVersion)
 
 // ParseLedgerEvent parses one JSONL ledger line. It returns ErrSchemaTooNew
@@ -335,28 +321,14 @@ func ParseLedgerEvent(raw []byte) (LedgerEvent, error) {
 	return e, nil
 }
 
-// LedgerReadStats counts what a lenient ledger read skipped.
-type LedgerReadStats struct {
-	Lines        int // non-blank lines scanned
-	SkippedNewer int // lines from a newer schema, skipped with a count
-}
-
 // ReadLedger parses a JSONL ledger stream. Blank lines are skipped, as are
 // lines stamped with a newer schema version (forward compatibility: a new
 // emitter must not break old tooling); malformed JSON is an error carrying
 // the 1-based line number.
 func ReadLedger(r io.Reader) ([]LedgerEvent, error) {
-	events, _, err := ReadLedgerStats(r)
-	return events, err
-}
-
-// ReadLedgerStats is ReadLedger plus the skip counts, for tooling that wants
-// to surface a warning when a ledger carries events it cannot interpret.
-func ReadLedgerStats(r io.Reader) ([]LedgerEvent, LedgerReadStats, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var out []LedgerEvent
-	var stats LedgerReadStats
 	line := 0
 	for sc.Scan() {
 		line++
@@ -364,21 +336,19 @@ func ReadLedgerStats(r io.Reader) ([]LedgerEvent, LedgerReadStats, error) {
 		if raw == "" {
 			continue
 		}
-		stats.Lines++
 		e, err := ParseLedgerEvent([]byte(raw))
 		if err != nil {
 			if errors.Is(err, ErrSchemaTooNew) {
-				stats.SkippedNewer++
 				continue
 			}
-			return nil, stats, fmt.Errorf("obs: ledger line %d: %w", line, err)
+			return nil, fmt.Errorf("obs: ledger line %d: %w", line, err)
 		}
 		out = append(out, e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, stats, fmt.Errorf("obs: ledger scan: %w", err)
+		return nil, fmt.Errorf("obs: ledger scan: %w", err)
 	}
-	return out, stats, nil
+	return out, nil
 }
 
 // ReadLedgerFile parses the ledger at path.
@@ -389,179 +359,4 @@ func ReadLedgerFile(path string) ([]LedgerEvent, error) {
 	}
 	defer f.Close()
 	return ReadLedger(f)
-}
-
-// StepTimeline is one simulation step reconstructed from a ledger.
-type StepTimeline struct {
-	Step     int
-	SimUS    float64            // duration of the step event itself
-	Analyses map[string]float64 // kernel -> analysis us
-	Outputs  map[string]float64 // kernel -> output us
-	Bytes    int64              // output bytes across all kernels
-}
-
-// LedgerSummary is the reconstruction SummarizeLedger returns.
-type LedgerSummary struct {
-	App    string // Name of the run_start event, if present
-	Steps  []StepTimeline
-	Solves []LedgerEvent // solve events in order
-	// SolveProg holds the solver flight streams decoded from solveprog
-	// events, grouped per solve. Old ledgers leave it nil.
-	SolveProg []SolveProgRun
-	Runs      int     // run_start events seen
-	TotalUS   float64 // summed step durations
-	// Unknown counts events whose type this obs version does not understand,
-	// by type. They are skipped with a warning rather than failing the
-	// summary, so new event families never break old tooling.
-	Unknown map[string]int
-}
-
-// SummarizeLedger reconstructs per-step timelines from a ledger: one
-// StepTimeline per distinct step, ordered by step number, with analysis and
-// output durations grouped by kernel name.
-func SummarizeLedger(events []LedgerEvent) LedgerSummary {
-	var s LedgerSummary
-	var progEvents []LedgerEvent
-	byStep := map[int]*StepTimeline{}
-	stepAt := func(n int) *StepTimeline {
-		st, ok := byStep[n]
-		if !ok {
-			st = &StepTimeline{Step: n, Analyses: map[string]float64{}, Outputs: map[string]float64{}}
-			byStep[n] = st
-		}
-		return st
-	}
-	for _, e := range events {
-		switch e.Type {
-		case LedgerRunStart:
-			s.Runs++
-			if s.App == "" {
-				s.App = e.Name
-			}
-		case LedgerStep:
-			st := stepAt(e.Step)
-			st.SimUS += e.Dur
-			s.TotalUS += e.Dur
-		case LedgerAnalysis:
-			stepAt(e.Step).Analyses[e.Name] += e.Dur
-		case LedgerOutput:
-			st := stepAt(e.Step)
-			st.Outputs[e.Name] += e.Dur
-			st.Bytes += e.Bytes
-		case LedgerSolve:
-			s.Solves = append(s.Solves, e)
-		case LedgerSolveProg:
-			progEvents = append(progEvents, e)
-		case LedgerPhase, LedgerRunEnd, LedgerPlan, LedgerAlert, LedgerReplan, LedgerReqLog:
-			// Understood but not part of the per-step timeline.
-		default:
-			if s.Unknown == nil {
-				s.Unknown = map[string]int{}
-			}
-			s.Unknown[e.Type]++
-		}
-	}
-	steps := make([]int, 0, len(byStep))
-	for n := range byStep {
-		steps = append(steps, n)
-	}
-	sort.Ints(steps)
-	for _, n := range steps {
-		s.Steps = append(s.Steps, *byStep[n])
-	}
-	s.SolveProg = GroupSolveProgEvents(progEvents)
-	return s
-}
-
-// Empty reports whether the summary was built from no events at all.
-func (s LedgerSummary) Empty() bool {
-	return s.Runs == 0 && len(s.Steps) == 0 && len(s.Solves) == 0 && len(s.SolveProg) == 0
-}
-
-// UnknownCount returns the total number of events skipped for carrying an
-// unknown type.
-func (s LedgerSummary) UnknownCount() int {
-	n := 0
-	for _, c := range s.Unknown {
-		n += c
-	}
-	return n
-}
-
-// writeUnknownWarning prints the counted skip warning, if any events of
-// unknown type were seen.
-func (s LedgerSummary) writeUnknownWarning(w io.Writer) error {
-	if len(s.Unknown) == 0 {
-		return nil
-	}
-	types := make([]string, 0, len(s.Unknown))
-	for t := range s.Unknown {
-		types = append(types, t)
-	}
-	sort.Strings(types)
-	var parts []string
-	for _, t := range types {
-		parts = append(parts, fmt.Sprintf("%s×%d", t, s.Unknown[t]))
-	}
-	_, err := fmt.Fprintf(w, "warning: skipped %d event(s) of unknown type: %s\n",
-		s.UnknownCount(), strings.Join(parts, ", "))
-	return err
-}
-
-// WriteTimeline renders a ledger summary as a per-step text table. An empty
-// summary renders a single "no events" line instead of a header-only table.
-func (s LedgerSummary) WriteTimeline(w io.Writer) error {
-	if err := s.writeUnknownWarning(w); err != nil {
-		return err
-	}
-	if s.Empty() {
-		_, err := fmt.Fprintln(w, "ledger: no events")
-		return err
-	}
-	if s.App != "" {
-		if _, err := fmt.Fprintf(w, "run: %s (%d run(s), %d step(s))\n", s.App, s.Runs, len(s.Steps)); err != nil {
-			return err
-		}
-	}
-	for _, e := range s.Solves {
-		if _, err := fmt.Fprintf(w, "solve %-20s nodes=%-6.0f pivots=%-8.0f objective=%g (%.0f us)\n",
-			e.Name, e.Args["nodes"], e.Args["pivots"], e.Args["objective"], e.Dur); err != nil {
-			return err
-		}
-	}
-	// Flight streams render their gap-closure timelines; ledgers without
-	// solveprog events (anything written before the flight recorder) skip
-	// this section entirely.
-	for _, run := range s.SolveProg {
-		if err := WriteGapTimeline(w, run.Name, run.Records); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%6s %12s  %s\n", "step", "sim_us", "kernel activity"); err != nil {
-		return err
-	}
-	for _, st := range s.Steps {
-		var parts []string
-		names := make([]string, 0, len(st.Analyses))
-		for n := range st.Analyses {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			parts = append(parts, fmt.Sprintf("%s/analyze %.0fus", n, st.Analyses[n]))
-		}
-		names = names[:0]
-		for n := range st.Outputs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			parts = append(parts, fmt.Sprintf("%s/output %.0fus", n, st.Outputs[n]))
-		}
-		if _, err := fmt.Fprintf(w, "%6d %12.0f  %s\n", st.Step, st.SimUS, strings.Join(parts, ", ")); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "total step time: %.0f us\n", s.TotalUS)
-	return err
 }

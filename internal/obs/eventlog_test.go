@@ -72,11 +72,11 @@ func TestEventLogDeterministicBytes(t *testing.T) {
 }
 
 func TestEventLogSchemaRejection(t *testing.T) {
-	// Future-schema lines are skipped with a count (forward compatibility),
-	// not an error; see TestReadLedgerSkipsNewerSchema.
-	events, stats, err := ReadLedgerStats(strings.NewReader(`{"v":99,"type":"step"}`))
-	if err != nil || len(events) != 0 || stats.SkippedNewer != 1 {
-		t.Fatalf("future schema: events=%v stats=%+v err=%v", events, stats, err)
+	// Future-schema lines are skipped (forward compatibility), not an
+	// error; see TestReadLedgerSkipsNewerSchema.
+	events, err := ReadLedger(strings.NewReader(`{"v":99,"type":"step"}`))
+	if err != nil || len(events) != 0 {
+		t.Fatalf("future schema: events=%v err=%v", events, err)
 	}
 	if _, err := ReadLedger(strings.NewReader("not json")); err == nil {
 		t.Fatal("malformed line accepted")
@@ -267,91 +267,19 @@ func TestEventLogConcurrent(t *testing.T) {
 	}
 }
 
-func TestSummarizeLedger(t *testing.T) {
-	events := []LedgerEvent{
-		{Type: LedgerRunStart, Name: "mdsim"},
-		{Type: LedgerSolve, Name: "plan", Dur: 99, Args: map[string]float64{"nodes": 5, "pivots": 40, "objective": 12}},
-		{Type: LedgerStep, Step: 1, Dur: 100},
-		{Type: LedgerAnalysis, Name: "rdf", Step: 1, Dur: 30},
-		{Type: LedgerStep, Step: 2, Dur: 110},
-		{Type: LedgerAnalysis, Name: "rdf", Step: 2, Dur: 31},
-		{Type: LedgerAnalysis, Name: "msd", Step: 2, Dur: 55},
-		{Type: LedgerOutput, Name: "rdf", Step: 2, Dur: 7, Bytes: 1024},
-		{Type: LedgerRunEnd},
-	}
-	s := SummarizeLedger(events)
-	if s.App != "mdsim" || s.Runs != 1 {
-		t.Fatalf("summary header = %+v", s)
-	}
-	if len(s.Steps) != 2 || s.Steps[0].Step != 1 || s.Steps[1].Step != 2 {
-		t.Fatalf("steps = %+v", s.Steps)
-	}
-	if s.Steps[1].Analyses["msd"] != 55 || s.Steps[1].Outputs["rdf"] != 7 || s.Steps[1].Bytes != 1024 {
-		t.Fatalf("step 2 = %+v", s.Steps[1])
-	}
-	if s.TotalUS != 210 {
-		t.Fatalf("total = %g", s.TotalUS)
-	}
-	if len(s.Solves) != 1 || s.Solves[0].Args["pivots"] != 40 {
-		t.Fatalf("solves = %+v", s.Solves)
-	}
-
-	var buf bytes.Buffer
-	if err := s.WriteTimeline(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"run: mdsim", "msd/analyze 55us", "rdf/output 7us", "total step time: 210 us"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("timeline missing %q:\n%s", want, out)
-		}
-	}
-	if err := s.WriteTimeline(failWriter{}); err == nil {
-		t.Fatal("timeline to failing writer succeeded")
-	}
-}
-
-func TestSummarizeLedgerEmpty(t *testing.T) {
-	s := SummarizeLedger(nil)
-	if !s.Empty() {
-		t.Fatalf("summary of no events = %+v, want empty", s)
-	}
-	var buf bytes.Buffer
-	if err := s.WriteTimeline(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "ledger: no events\n" {
-		t.Fatalf("empty timeline = %q", got)
-	}
-	// A summary with any content must not claim emptiness.
-	if SummarizeLedger([]LedgerEvent{{Type: LedgerStep, Step: 1}}).Empty() {
-		t.Fatal("one-step summary reported empty")
-	}
-	if SummarizeLedger([]LedgerEvent{{Type: LedgerSolve, Name: "plan"}}).Empty() {
-		t.Fatal("solve-only summary reported empty")
-	}
-}
-
 func TestReadLedgerSkipsNewerSchema(t *testing.T) {
 	input := `{"v":1,"type":"run_start","name":"app"}
 {"v":2,"type":"hologram","name":"future"}
 {"v":1,"type":"step","step":1,"ts_us":5,"dur_us":100}
 {"v":9,"type":"step","step":2,"ts_us":6,"dur_us":100}
 `
-	events, stats, err := ReadLedgerStats(strings.NewReader(input))
+	events, err := ReadLedger(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 {
-		t.Fatalf("kept %d events, want 2", len(events))
-	}
-	if stats.Lines != 4 || stats.SkippedNewer != 2 {
-		t.Fatalf("stats = %+v, want 4 lines / 2 skipped", stats)
-	}
-	// The plain reader is equally lenient.
-	plain, err := ReadLedger(strings.NewReader(input))
-	if err != nil || len(plain) != 2 {
-		t.Fatalf("ReadLedger = %d events, %v", len(plain), err)
+	// The two v1 lines survive, in order; both newer lines are skipped.
+	if len(events) != 2 || events[0].Type != LedgerRunStart || events[1].Step != 1 {
+		t.Fatalf("kept %+v, want run_start then step 1", events)
 	}
 }
 
@@ -361,48 +289,5 @@ func TestReadLedgerRejectsMissingSchema(t *testing.T) {
 	}
 	if _, err := ReadLedger(strings.NewReader(`{nope`)); err == nil {
 		t.Fatal("want error for malformed JSON")
-	}
-}
-
-func TestSummarizeLedgerCountsUnknownTypes(t *testing.T) {
-	events := []LedgerEvent{
-		{Schema: 1, Type: LedgerRunStart, Name: "app"},
-		{Schema: 1, Type: LedgerStep, Step: 1, Dur: 100},
-		{Schema: 1, Type: "quantum_flux", Step: 1, Dur: 5},
-		{Schema: 1, Type: "quantum_flux", Step: 2, Dur: 5},
-		{Schema: 1, Type: "telemetry_v2"},
-		{Schema: 1, Type: LedgerAlert, Name: "sim", Step: 1},
-		{Schema: 1, Type: LedgerPlan, Name: "sim"},
-	}
-	s := SummarizeLedger(events)
-	if s.Unknown["quantum_flux"] != 2 || s.Unknown["telemetry_v2"] != 1 {
-		t.Fatalf("unknown counts = %v", s.Unknown)
-	}
-	if s.UnknownCount() != 3 {
-		t.Fatalf("UnknownCount = %d, want 3", s.UnknownCount())
-	}
-	// alert and plan are known types: never counted as unknown.
-	if _, ok := s.Unknown[LedgerAlert]; ok {
-		t.Fatal("alert counted as unknown")
-	}
-	var buf bytes.Buffer
-	if err := s.WriteTimeline(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "warning: skipped 3 event(s) of unknown type: quantum_flux×2, telemetry_v2×1") {
-		t.Fatalf("timeline missing skip warning:\n%s", out)
-	}
-}
-
-func TestKnownLedgerType(t *testing.T) {
-	for _, typ := range []string{LedgerRunStart, LedgerRunEnd, LedgerStep, LedgerPhase,
-		LedgerAnalysis, LedgerOutput, LedgerSolve, LedgerPlan, LedgerAlert} {
-		if !KnownLedgerType(typ) {
-			t.Fatalf("%s should be known", typ)
-		}
-	}
-	if KnownLedgerType("quantum_flux") {
-		t.Fatal("quantum_flux should be unknown")
 	}
 }

@@ -28,7 +28,7 @@ const (
 
 // SolveProgress is one sample of the solver flight stream: the obs-side
 // record of a milp.ProgressEvent, decoupled from the solver packages so the
-// ledger, HTTP, and registry layers need no milp import. All counters are
+// ledger and HTTP layers need no milp import. All counters are
 // cumulative since solve start. TUS follows the solver's wall clock and is
 // the only field excluded from the per-width determinism contract.
 type SolveProgress struct {
@@ -231,18 +231,6 @@ func SolveProgFromEvent(e LedgerEvent) (SolveProgress, bool) {
 	return p, true
 }
 
-// SolveProgFromEvents decodes every solveprog event in a ledger, in order.
-// Old ledgers without solveprog events decode to nil — graceful no-op.
-func SolveProgFromEvents(events []LedgerEvent) []SolveProgress {
-	var out []SolveProgress
-	for _, e := range events {
-		if p, ok := SolveProgFromEvent(e); ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // DefaultFlightCapacity is the ring's size limit NewFlightRecorder uses for
 // capacity <= 0: large enough to hold every event of the paper instances
 // (hundreds of waves) with room for big what-if sweeps.
@@ -381,49 +369,12 @@ func (r *FlightRecorder) AppendLedger(l *EventLog, name string) {
 	}
 }
 
-// AppendTraceCounters drains the held records into t as Chrome-trace counter
-// events (incumbent, bound, gap, open nodes), timestamped at the record's
-// solver-clock offset so the counters line up with solver spans.
-func (r *FlightRecorder) AppendTraceCounters(t *Tracer) {
-	if r == nil || t == nil {
-		return
-	}
-	for _, p := range r.Snapshot() {
-		if p.HasInc {
-			t.Counter("solve/incumbent", p.Incumbent)
-		}
-		if p.HasBound {
-			t.Counter("solve/bound", p.Bound)
-		}
-		if gap, ok := p.Gap(); ok {
-			t.Counter("solve/gap", gap)
-		}
-		t.Counter("solve/open_nodes", float64(p.Open))
-	}
-}
-
 // flightJSON is the /solve.json document.
 type flightJSON struct {
-	Schema  int             `json:"solveprog_v"`
-	Name    string          `json:"name,omitempty"`
-	Total   int             `json:"total"`
-	Dropped int             `json:"dropped,omitempty"`
-	Events  []SolveProgress `json:"events"`
-}
-
-// WriteJSON emits the held stream as one indented JSON document (the
-// /solve.json payload).
-func (r *FlightRecorder) WriteJSON(w io.Writer) error {
-	doc := flightJSON{Schema: SolveProgSchemaVersion, Events: []SolveProgress{}}
-	if r != nil {
-		doc.Name = r.Name()
-		doc.Total = r.Total()
-		doc.Dropped = r.Dropped()
-		doc.Events = r.Snapshot()
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	Schema int             `json:"solveprog_v"`
+	Name   string          `json:"name,omitempty"`
+	Total  int             `json:"total"`
+	Events []SolveProgress `json:"events"`
 }
 
 // DeterministicBytes renders the full stream in a byte-stable text form with
@@ -488,16 +439,17 @@ func CanonicalBytes(recs []SolveProgress) []byte {
 	return b.Bytes()
 }
 
-// checkTol absorbs the solver's numeric guard (warm answers are clamped to
-// parent bound + 1e-6) when checking monotonicity.
-const checkTol = 1e-6
+// CheckTol absorbs the solver's numeric guard (warm answers are clamped to
+// parent bound + 1e-6) when checking monotonicity; runmon check also holds
+// every stream's final gap to it.
+const CheckTol = 1e-6
 
 // CheckSolveProg validates the invariants every well-formed flight stream
 // must satisfy: sequence numbers strictly increasing, node counts
 // non-decreasing, the incumbent non-decreasing (maximization), the bound
 // non-increasing, and the absolute gap non-increasing, all within the
 // solver's numeric tolerance. It returns the first violation, or nil. The
-// flightrec-smoke CI job runs it over a real solve via benchobs flightcheck.
+// flightrec-smoke CI job runs it over a real solve via runmon check.
 func CheckSolveProg(recs []SolveProgress) error {
 	if len(recs) == 0 {
 		return fmt.Errorf("obs: empty solveprog stream")
@@ -515,7 +467,7 @@ func CheckSolveProg(recs []SolveProgress) error {
 		}
 		lastNodes = p.Nodes
 		if p.HasInc {
-			if haveInc && p.Incumbent < lastInc-checkTol {
+			if haveInc && p.Incumbent < lastInc-CheckTol {
 				return fmt.Errorf("obs: solveprog[%d]: incumbent %g fell below %g", i, p.Incumbent, lastInc)
 			}
 			if p.Incumbent > lastInc {
@@ -524,7 +476,7 @@ func CheckSolveProg(recs []SolveProgress) error {
 			haveInc = true
 		}
 		if p.HasBound && p.Kind != SolveProgStart {
-			if p.Bound > lastBound+checkTol {
+			if p.Bound > lastBound+CheckTol {
 				return fmt.Errorf("obs: solveprog[%d]: bound %g rose above %g", i, p.Bound, lastBound)
 			}
 			if p.Bound < lastBound {
@@ -532,13 +484,13 @@ func CheckSolveProg(recs []SolveProgress) error {
 			}
 		}
 		if gap, ok := p.Gap(); ok {
-			if gap > lastGap+checkTol {
+			if gap > lastGap+CheckTol {
 				return fmt.Errorf("obs: solveprog[%d]: gap %g rose above %g", i, gap, lastGap)
 			}
 			if gap < lastGap {
 				lastGap = gap
 			}
-			if gap < -checkTol {
+			if gap < -CheckTol {
 				return fmt.Errorf("obs: solveprog[%d]: negative gap %g", i, gap)
 			}
 		}
@@ -562,8 +514,8 @@ func FinalGap(recs []SolveProgress) (gap float64, status string, ok bool) {
 // WriteGapTimeline renders the gap-closure timeline of one stream as text:
 // a header with the shape and outcome, then up to maxGapRows sampled curve
 // rows with a bar visualizing the remaining gap. Streams without any wave
-// data still render the header. It is the shared renderer behind benchobs
-// summarize, schedexplain, and the runmon report.
+// data still render the header. It is the shared renderer behind
+// schedexplain and runmon report.
 func WriteGapTimeline(w io.Writer, name string, recs []SolveProgress) error {
 	if len(recs) == 0 {
 		return nil

@@ -145,16 +145,8 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	r.SetName("x")
 	r.Reset()
 	r.AppendLedger(nil, "")
-	r.AppendTraceCounters(nil)
 	if r.Len() != 0 || r.Total() != 0 || r.Dropped() != 0 || r.Name() != "" || r.Snapshot() != nil {
 		t.Fatal("nil recorder must be a no-op")
-	}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON on nil recorder: %v", err)
-	}
-	if !strings.Contains(buf.String(), `"events": []`) {
-		t.Fatalf("nil recorder JSON = %s", buf.String())
 	}
 }
 
@@ -174,37 +166,12 @@ func TestFlightRecorderAppendLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := SolveProgFromEvents(events)
-	if len(recs) != len(progStream()) {
-		t.Fatalf("decoded %d records, want %d", len(recs), len(progStream()))
-	}
-	if err := CheckSolveProg(recs); err != nil {
-		t.Fatalf("round-tripped stream fails invariants: %v", err)
-	}
 	runs := GroupSolveProgEvents(events)
 	if len(runs) != 1 || runs[0].Name != "plan" || len(runs[0].Records) != len(progStream()) {
 		t.Fatalf("grouped runs = %+v", runs)
 	}
-}
-
-func TestFlightRecorderAppendTraceCounters(t *testing.T) {
-	r := NewFlightRecorder(0)
-	for _, p := range progStream() {
-		r.Record(p)
-	}
-	tr := NewTracer()
-	r.AppendTraceCounters(tr)
-	counts := map[string]int{}
-	for _, e := range tr.Events() {
-		if e.Phase != PhaseCounter {
-			t.Fatalf("non-counter event %q in flight counters", e.Name)
-		}
-		counts[e.Name]++
-	}
-	// 4 records carry incumbent+bound+gap; all 5 carry open_nodes.
-	if counts["solve/incumbent"] != 4 || counts["solve/bound"] != 4 ||
-		counts["solve/gap"] != 4 || counts["solve/open_nodes"] != 5 {
-		t.Fatalf("counter mix = %v", counts)
+	if err := CheckSolveProg(runs[0].Records); err != nil {
+		t.Fatalf("round-tripped stream fails invariants: %v", err)
 	}
 }
 
@@ -381,24 +348,5 @@ func TestFlightHandlers(t *testing.T) {
 	mux2.ServeHTTP(rec, httptest.NewRequest("GET", "/solve", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "no solveprog events") {
 		t.Fatalf("empty /solve page: %d %q", rec.Code, rec.Body.String())
-	}
-}
-
-func TestFlightWriteJSON(t *testing.T) {
-	r := NewFlightRecorder(0)
-	r.SetName("plan")
-	for _, p := range progStream() {
-		r.Record(p)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc flightJSON
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Schema != SolveProgSchemaVersion || doc.Name != "plan" || doc.Total != 5 || len(doc.Events) != 5 {
-		t.Fatalf("doc = %+v", doc)
 	}
 }

@@ -45,9 +45,9 @@ func HealthHandler() http.Handler {
 //	/debug/pprof/  the standard runtime profiles (heap, goroutine, profile, ...)
 //
 // The pprof routes mirror net/http/pprof's DefaultServeMux registrations but
-// on an explicit mux, so callers never have to expose DefaultServeMux. Every
-// daemon in the repo (benchobs serve, runmon serve, schedd) builds on this
-// mux, so they all report liveness uniformly.
+// on an explicit mux, so callers never have to expose DefaultServeMux. Both
+// daemons in the repo (runmon serve, schedd) build on this mux, so they
+// report liveness uniformly.
 func NewServeMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/healthz", HealthHandler())
@@ -64,8 +64,9 @@ func NewServeMux(reg *Registry) *http.ServeMux {
 // ServeUntil serves h on ln until ctx is canceled, then shuts the server
 // down gracefully (in-flight requests get up to five seconds to finish).
 // It returns nil on a clean shutdown; http.ErrServerClosed is never
-// surfaced. Both benchobs serve and runmon serve sit on this so SIGINT and
-// SIGTERM always flush cleanly instead of killing the process mid-request.
+// surfaced. schedd and runmon serve (through ServeLoop) sit on this so
+// SIGINT and SIGTERM always flush cleanly instead of killing the process
+// mid-request.
 func ServeUntil(ctx context.Context, ln net.Listener, h http.Handler) error {
 	srv := &http.Server{Handler: h}
 	errc := make(chan error, 1)
@@ -90,8 +91,7 @@ func ServeUntil(ctx context.Context, ln net.Listener, h http.Handler) error {
 }
 
 // ServeLoop is ServeUntil plus a managed background task: the shape every
-// daemon in the repo has (benchobs serve loops a workload, runmon serve
-// tails a ledger, schedd keeps none). It serves h on ln until ctx is
+// daemon in the repo has (runmon serve tails a ledger, schedd keeps none). It serves h on ln until ctx is
 // canceled, runs bg (when non-nil) on a context that is canceled as soon as
 // serving stops, and returns only after both have drained. The first error
 // wins: a serve failure is reported over a background failure, and a clean

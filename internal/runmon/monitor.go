@@ -128,6 +128,7 @@ type Monitor struct {
 	budgetHit   bool
 	alerts      []Alert
 	replans     []ReplanRecord
+	solves      []obs.LedgerEvent
 	flights     []obs.SolveProgRun
 
 	mProjected *obs.Gauge
@@ -177,10 +178,10 @@ func (m *Monitor) SetProfile(p *Profile) {
 
 // Observe scores one ledger-style event. It accepts exactly the events
 // coupling.Runner and campaign emit (run_start, step, analysis, output,
-// plan, run_end, plus solveprog flight samples, which it retains for the
-// Snapshot's gap-closure view); every other type is ignored, so a whole
-// ledger can be replayed through it unfiltered. Nil-safe: a nil monitor
-// drops events.
+// plan, run_end, plus solve events and solveprog flight samples, which it
+// retains for the Snapshot's solve rows and gap-closure view); every other
+// type is ignored, so a whole ledger can be replayed through it unfiltered.
+// Nil-safe: a nil monitor drops events.
 func (m *Monitor) Observe(e obs.LedgerEvent) {
 	if m == nil {
 		return
@@ -212,6 +213,11 @@ func (m *Monitor) Observe(e obs.LedgerEvent) {
 	case obs.LedgerReplan:
 		if r, ok := replanRecordFromEvent(e); ok {
 			m.replans = append(m.replans, r)
+		}
+	case obs.LedgerSolve:
+		m.solves = append(m.solves, e)
+		if len(m.solves) > maxFlightRuns {
+			m.solves = m.solves[len(m.solves)-maxFlightRuns:]
 		}
 	case obs.LedgerSolveProg:
 		m.observeSolveProg(e)
@@ -441,9 +447,10 @@ func (m *Monitor) Replans() []ReplanRecord {
 	return out
 }
 
-// Flight-stream retention bounds: a live monitor keeps the most recent
-// maxFlightRuns solves (older runs roll off) and caps each run's record
-// count, so a replanning run cannot grow the monitor without bound.
+// Solve retention bounds: a live monitor keeps the most recent
+// maxFlightRuns solve events and flight streams (older ones roll off) and
+// caps each stream's record count, so a replanning run cannot grow the
+// monitor without bound.
 const (
 	maxFlightRuns    = 8
 	maxFlightRecords = obs.DefaultFlightCapacity

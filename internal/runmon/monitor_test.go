@@ -465,12 +465,17 @@ func TestMonitorObservesSolveProg(t *testing.T) {
 func TestMonitorFlightRetentionBounds(t *testing.T) {
 	m := NewMonitor(nil, Config{})
 	for i := 0; i < maxFlightRuns+3; i++ {
+		m.Observe(obs.LedgerEvent{Type: obs.LedgerSolve, Name: "solve", Args: map[string]float64{"nodes": float64(i)}})
 		for _, e := range flightEvents("solve") {
 			m.Observe(e)
 		}
 	}
 	if got := len(m.Flights()); got != maxFlightRuns {
 		t.Fatalf("retained %d flight runs, want %d", got, maxFlightRuns)
+	}
+	solves := m.Snapshot().Solves
+	if len(solves) != maxFlightRuns || solves[len(solves)-1].Args["nodes"] != maxFlightRuns+2 {
+		t.Fatalf("retained %d solve events, want the newest %d", len(solves), maxFlightRuns)
 	}
 }
 

@@ -37,6 +37,9 @@ type Snapshot struct {
 	ProjectedSec float64          `json:"projected_sec,omitempty"` // budget-at-risk projection
 	ThresholdSec float64          `json:"threshold_sec,omitempty"`
 	BudgetAtRisk bool             `json:"budget_at_risk"`
+	// Solves holds the retained solve events (nodes, pivots, objective in
+	// their args); empty for ledgers written without a planning solve.
+	Solves []obs.LedgerEvent `json:"solves,omitempty"`
 	// Flights holds the retained solver flight streams (solveprog events seen
 	// by the monitor); empty for ledgers without flight recording.
 	Flights []obs.SolveProgRun `json:"flights,omitempty"`
@@ -85,6 +88,9 @@ func (m *Monitor) Snapshot() Snapshot {
 		s.Replans = make([]ReplanRecord, len(m.replans))
 		copy(s.Replans, m.replans)
 	}
+	if len(m.solves) > 0 {
+		s.Solves = append([]obs.LedgerEvent(nil), m.solves...)
+	}
 	s.Flights = copyFlights(m.flights)
 	return s
 }
@@ -114,8 +120,20 @@ func (s Snapshot) DriftCount() int {
 
 // WriteText renders the snapshot as the terminal drift report / dashboard
 // frame: a run header, the per-stream residual table, the budget
-// projection, and the alert list.
+// projection, the alert list, then the solve rows, the replan timeline and
+// every flight's gap timeline (each silent when the run has none).
 func (s Snapshot) WriteText(w io.Writer) error {
+	for _, section := range []func(io.Writer) error{s.writeStreams, s.writeSolves, s.writeReplans, s.writeFlights} {
+		if err := section(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeStreams renders the run header, the residual table, the budget
+// projection and the alerts.
+func (s Snapshot) writeStreams(w io.Writer) error {
 	app := s.App
 	if app == "" {
 		app = "(unnamed run)"
@@ -132,10 +150,8 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		return err
 	}
 	if len(s.Streams) == 0 {
-		if _, err := fmt.Fprintln(w, "no monitored events yet"); err != nil {
-			return err
-		}
-		return s.writeReplans(w)
+		_, err := fmt.Fprintln(w, "no monitored events yet")
+		return err
 	}
 	if _, err := fmt.Fprintf(w, "%-26s %6s %12s %12s %9s %8s %8s  %s\n",
 		"stream", "n", "pred_ms", "mean_ms", "ewma_err", "cusum+", "cusum-", "status"); err != nil {
@@ -166,10 +182,8 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	if len(s.Alerts) == 0 {
-		if _, err := fmt.Fprintln(w, "alerts: none"); err != nil {
-			return err
-		}
-		return s.writeReplans(w)
+		_, err := fmt.Fprintln(w, "alerts: none")
+		return err
 	}
 	if _, err := fmt.Fprintf(w, "alerts: %d\n", len(s.Alerts)); err != nil {
 		return err
@@ -187,14 +201,25 @@ func (s Snapshot) WriteText(w io.Writer) error {
 			return err
 		}
 	}
-	return s.writeReplans(w)
+	return nil
+}
+
+// writeSolves renders one row per retained solve event.
+func (s Snapshot) writeSolves(w io.Writer) error {
+	for _, e := range s.Solves {
+		if _, err := fmt.Fprintf(w, "solve %-20s nodes=%-6.0f pivots=%-8.0f objective=%g (%.0f us)\n",
+			e.Name, e.Args["nodes"], e.Args["pivots"], e.Args["objective"], e.Dur); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeReplans renders the replan timeline, one decision per line. Silent
 // when the run never replanned, so unmonitored/static reports are unchanged.
 func (s Snapshot) writeReplans(w io.Writer) error {
 	if len(s.Replans) == 0 {
-		return s.writeFlights(w)
+		return nil
 	}
 	if _, err := fmt.Fprintf(w, "replans: %d\n", len(s.Replans)); err != nil {
 		return err
@@ -213,7 +238,7 @@ func (s Snapshot) writeReplans(w io.Writer) error {
 			return err
 		}
 	}
-	return s.writeFlights(w)
+	return nil
 }
 
 // writeFlights renders the gap-closure timeline of every retained solver

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"insitu/internal/obs"
 )
 
 // driftedSnapshot replays a synthetic perturbed run and returns its report.
@@ -80,6 +82,36 @@ func TestWriteHTMLReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("HTML missing %q", want)
 		}
+	}
+}
+
+// TestAnalyzeCollectsSolves: solve events ride into the snapshot in ledger
+// order, and the text report prints one row per solve after the alerts.
+func TestAnalyzeCollectsSolves(t *testing.T) {
+	events := []obs.LedgerEvent{
+		{Type: obs.LedgerRunStart, Name: "mdsim"},
+		{Type: obs.LedgerSolve, Name: "plan", Dur: 99, Args: map[string]float64{"nodes": 5, "pivots": 40, "objective": 12}},
+		{Type: obs.LedgerStep, Step: 1, Dur: 100},
+		{Type: obs.LedgerAnalysis, Name: "rdf", Step: 1, Dur: 30},
+		{Type: obs.LedgerStep, Step: 2, Dur: 110},
+		{Type: obs.LedgerSolve, Name: "replan", Dur: 7, Args: map[string]float64{"nodes": 1, "pivots": 9, "objective": 11}},
+		{Type: obs.LedgerRunEnd},
+	}
+	s := Analyze(events, nil, Config{})
+	if s.App != "mdsim" || s.Runs != 1 || s.Step != 2 || !s.Ended {
+		t.Fatalf("snapshot header = %+v", s)
+	}
+	if len(s.Solves) != 2 || s.Solves[0].Name != "plan" || s.Solves[1].Args["pivots"] != 9 {
+		t.Fatalf("solves = %+v", s.Solves)
+	}
+	var buf bytes.Buffer
+	if err := s.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	alerts, plan, replan := strings.Index(out, "alerts: none"), strings.Index(out, "solve plan"), strings.Index(out, "solve replan")
+	if alerts < 0 || plan < alerts || replan < plan || !strings.Contains(out, "objective=12 (99 us)") {
+		t.Fatalf("solve rows missing or out of order:\n%s", out)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"insitu/internal/obs"
 )
 
-// RunInfo is one row of the /runs listing.
+// RunInfo is one row of the /runs listing and of runmon check.
 type RunInfo struct {
 	App     string  `json:"app,omitempty"`
 	Runs    int     `json:"runs"`
@@ -20,8 +20,28 @@ type RunInfo struct {
 	EWMAMax float64 `json:"ewma_rel_err_max"`
 }
 
-// NewServeMux builds the runmon HTTP surface over a live monitor,
-// generalizing the benchobs serve endpoint set:
+// RunInfo condenses the snapshot to its /runs row.
+func (s Snapshot) RunInfo() RunInfo {
+	info := RunInfo{
+		App:     s.App,
+		Runs:    s.Runs,
+		Step:    s.Step,
+		Steps:   s.Steps,
+		Ended:   s.Ended,
+		Streams: len(s.Streams),
+		Alerts:  len(s.Alerts),
+		AtRisk:  s.BudgetAtRisk,
+	}
+	for _, st := range s.Streams {
+		if e := abs(st.EWMARelErr); e > info.EWMAMax {
+			info.EWMAMax = e
+		}
+	}
+	return info
+}
+
+// NewServeMux builds the runmon HTTP surface over a live monitor, on top of
+// the obs.NewServeMux endpoint set:
 //
 //	/            the drift report as HTML (the live dashboard)
 //	/runs        JSON listing of the monitored run(s)
@@ -29,7 +49,7 @@ type RunInfo struct {
 //	/solve.json  the latest observed solver flight stream as JSON
 //	/solve       the live gap-closure curve page for that stream
 //	/metrics     Prometheus text exposition of reg (runmon gauges included)
-//	/metrics.json, /debug/pprof/...  as in benchobs serve
+//	/healthz, /metrics.json, /debug/pprof/...  as in obs.NewServeMux
 //
 // reg should be the same registry handed to the monitor's Config.Metrics so
 // the exported detector gauges are live.
@@ -44,23 +64,7 @@ func NewServeMux(m *Monitor, reg *obs.Registry) *http.ServeMux {
 		_ = m.Snapshot().WriteHTML(w)
 	})
 	mux.HandleFunc("/runs", func(w http.ResponseWriter, req *http.Request) {
-		s := m.Snapshot()
-		info := RunInfo{
-			App:     s.App,
-			Runs:    s.Runs,
-			Step:    s.Step,
-			Steps:   s.Steps,
-			Ended:   s.Ended,
-			Streams: len(s.Streams),
-			Alerts:  len(s.Alerts),
-			AtRisk:  s.BudgetAtRisk,
-		}
-		for _, st := range s.Streams {
-			if e := abs(st.EWMARelErr); e > info.EWMAMax {
-				info.EWMAMax = e
-			}
-		}
-		writeJSON(w, []RunInfo{info})
+		writeJSON(w, []RunInfo{m.Snapshot().RunInfo()})
 	})
 	mux.HandleFunc("/drift.json", func(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, m.Snapshot())

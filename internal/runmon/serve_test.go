@@ -72,6 +72,22 @@ func TestServeMuxEndpoints(t *testing.T) {
 	}
 }
 
+// TestSnapshotRunInfo: the /runs row condenses the snapshot header, its
+// stream and alert counts, and the worst residual.
+func TestSnapshotRunInfo(t *testing.T) {
+	s := driftedSnapshot(t)
+	info := s.RunInfo()
+	if info.App != "mdsim/unit" || info.Runs != 1 || info.Step != 60 || info.Steps != 60 || !info.Ended {
+		t.Fatalf("run info header = %+v", info)
+	}
+	if info.Streams != len(s.Streams) || info.Alerts != len(s.Alerts) || info.Alerts == 0 || info.EWMAMax <= 0 {
+		t.Fatalf("run info counts = %+v", info)
+	}
+	if (Snapshot{}).RunInfo() != (RunInfo{}) {
+		t.Fatal("empty snapshot has a non-empty row")
+	}
+}
+
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -20,7 +20,6 @@ type Follower struct {
 	path    string
 	offset  int64
 	partial []byte
-	skipped int // newer-schema lines skipped, counted like ReadLedgerStats
 }
 
 // NewFollower tails the ledger at path from the beginning.
@@ -28,13 +27,11 @@ func NewFollower(path string) *Follower {
 	return &Follower{path: path}
 }
 
-// SkippedNewer returns how many newer-schema lines were skipped so far.
-func (f *Follower) SkippedNewer() int { return f.skipped }
-
 // Poll returns the events appended since the previous call. A missing file
 // is not an error — the run may not have started yet — it simply yields no
-// events. Malformed JSON is an error; newer-schema lines are skipped with a
-// count, exactly like obs.ReadLedgerStats.
+// events. The complete lines are parsed by obs.ReadLedger, so malformed JSON
+// is an error and newer-schema lines are skipped, exactly as for a whole
+// file.
 func (f *Follower) Poll() ([]obs.LedgerEvent, error) {
 	file, err := os.Open(f.path)
 	if err != nil {
@@ -67,29 +64,12 @@ func (f *Follower) Poll() ([]obs.LedgerEvent, error) {
 	f.offset += int64(len(chunk))
 
 	buf := append(f.partial, chunk...)
-	var events []obs.LedgerEvent
-	for {
-		nl := bytes.IndexByte(buf, '\n')
-		if nl < 0 {
-			break
-		}
-		line := bytes.TrimSpace(buf[:nl])
-		buf = buf[nl+1:]
-		if len(line) == 0 {
-			continue
-		}
-		e, err := obs.ParseLedgerEvent(line)
-		if err != nil {
-			if errors.Is(err, obs.ErrSchemaTooNew) {
-				f.skipped++
-				continue
-			}
-			return events, err
-		}
-		events = append(events, e)
+	lines := bytes.LastIndexByte(buf, '\n') + 1 // complete lines end here
+	f.partial = append([]byte(nil), buf[lines:]...)
+	if lines == 0 {
+		return nil, nil
 	}
-	f.partial = append([]byte(nil), buf...)
-	return events, nil
+	return obs.ReadLedger(bytes.NewReader(buf[:lines]))
 }
 
 // Follow polls the ledger at path every interval and hands each appended

@@ -107,8 +107,8 @@ func TestFollowerSkipsNewerSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 || f.SkippedNewer() != 1 {
-		t.Fatalf("events=%d skipped=%d, want 1 and 1", len(events), f.SkippedNewer())
+	if len(events) != 1 || events[0].Type != obs.LedgerStep || events[0].Step != 1 {
+		t.Fatalf("events = %+v, want only the v1 step", events)
 	}
 }
 
