@@ -58,10 +58,43 @@ type Runner struct {
 	App string
 }
 
+// stopwatch is the one clock of a run. It reads the wall clock once, at the
+// origin; every later reading is the origin plus the monotonic time elapsed
+// since it — one monotonic clock read, where a fresh wall-clock reading makes
+// two. A reading keeps its monotonic component, so a difference of two
+// readings and a sink's offset of a reading from its own epoch (both Sub) are
+// computed from the monotonic clock exactly as for fresh readings; only the
+// wall component, which no sink reads, can differ. A stopwatch is a value,
+// safe to read from any goroutine.
+type stopwatch struct{ origin time.Time }
+
+func startStopwatch() stopwatch { return stopwatch{origin: time.Now()} }
+
+func (s stopwatch) now() time.Time { return s.origin.Add(time.Since(s.origin)) }
+
+// regionKind says what a measured region of a step ran.
+type regionKind uint8
+
+const (
+	regionAdvance regionKind = iota
+	regionAnalysis
+	regionOutput
+	regionCapture
+)
+
+// region is one timed part of a step. A step is measured first — its regions
+// run back to back, the reading that closes one opening the next — and
+// published after, so no span, counter or ledger event lands inside a region.
+type region struct {
+	kind       regionKind
+	k          int // index of the kernel or staged analysis in the active set
+	start, end time.Time
+	bytes      int64
+}
+
 // emit routes one event to the ledger (if any) and the Observe hook (if any).
-// at is the clock reading that closed the region the event reports — the
-// ledger stamps the event with it rather than reading the clock again — or
-// the zero time for an event that closes none.
+// at is the stopwatch reading the ledger stamps the event with: the one that
+// closed the region the event reports.
 func (r *Runner) emit(at time.Time, e obs.LedgerEvent) {
 	r.Ledger.AppendAt(at, e)
 	if r.Observe != nil {
@@ -85,11 +118,17 @@ func stepCursor(steps []int) core.StepCursor {
 
 // KernelReport summarizes one kernel's execution.
 type KernelReport struct {
-	Name       string
-	Analyses   int
-	Outputs    int
-	SetupTime  time.Duration
-	PreTime    time.Duration // total facilitation time across all steps
+	Name      string
+	Analyses  int
+	Outputs   int
+	SetupTime time.Duration
+	// PreTime is the total facilitation time across all steps: in each step,
+	// from the reading that closed the region before the kernel's (the
+	// advance, or the previous kernel's last) to the one taken when PreStep
+	// returns. Beyond PreStep it holds only loop bookkeeping — the kernel's
+	// schedule cursor checks and the previous region's record — and no
+	// telemetry.
+	PreTime    time.Duration
 	Analyze    time.Duration // total analysis compute time
 	OutputTime time.Duration
 	OutBytes   int64
@@ -139,6 +178,7 @@ func (r *Runner) Run() (*Report, error) {
 	if out == nil {
 		out = io.Discard
 	}
+	sw := startStopwatch()
 	r.Trace.SetTrackName(0, "sim+analysis")
 
 	type active struct {
@@ -188,14 +228,13 @@ func (r *Runner) Run() (*Report, error) {
 			kr := report(s.Name)
 			if !setup[s.Name] {
 				setup[s.Name] = true
-				t0 := time.Now()
-				sp := r.Trace.BeginAt(t0, 0, s.Name+"/setup", "kernel")
+				t0 := sw.now()
 				if _, err := k.Setup(); err != nil {
 					return nil, fmt.Errorf("coupling: setup %s: %w", s.Name, err)
 				}
-				t1 := time.Now()
+				t1 := sw.now()
 				kr.SetupTime = t1.Sub(t0)
-				sp.EndAt(t1)
+				r.Trace.BeginAt(t0, 0, s.Name+"/setup", "kernel").EndAt(t1)
 			}
 			labels := obs.Labels{"kernel": s.Name}
 			run = append(run, active{
@@ -217,78 +256,103 @@ func (r *Runner) Run() (*Report, error) {
 		return nil, err
 	}
 
-	// One clock reading per boundary: the reading that opens a timed region
-	// is also its span's start, the reading that closes it is the span's end
-	// and the ledger event's timestamp.
-	r.emit(time.Time{}, obs.LedgerEvent{Type: obs.LedgerRunStart, Name: r.App, Args: map[string]float64{
-		"steps": float64(r.Res.Steps), "kernels": float64(len(run)),
-	}})
-	for step := 1; step <= r.Res.Steps; step++ {
+	// regions holds one step's measurements until they are published: the
+	// advance, then at most an analysis and an output per kernel.
+	regions := make([]region, 0, 1+2*len(run))
+
+	// publish reports the measured step in the order it ran — the step span
+	// (opened at the advance's start), the advance, then each analysis and
+	// output — stamping every span and ledger event with the readings that
+	// bounded its region, and returns the step span, still open.
+	publish := func(step int) obs.Span {
 		stepArg := float64(step)
-		stepSpan := r.Trace.Begin("step", "sim").Arg("step", stepArg)
-		t0 := time.Now()
-		advSpan := r.Trace.BeginAt(t0, 0, "advance", "sim")
-		r.Step()
-		t1 := time.Now()
-		dt := t1.Sub(t0)
-		advSpan.EndAt(t1)
+		adv := regions[0]
+		stepSpan := r.Trace.BeginAt(adv.start, 0, "step", "sim").Arg("step", stepArg)
+		dt := adv.end.Sub(adv.start)
+		r.Trace.BeginAt(adv.start, 0, "advance", "sim").EndAt(adv.end)
 		rep.SimTime += dt
 		mSteps.Inc()
 		mStepDur.Observe(dt.Seconds())
-		r.emit(t1, obs.LedgerEvent{Type: obs.LedgerStep, Step: step, Dur: ledgerMicros(dt)})
+		r.emit(adv.end, obs.LedgerEvent{Type: obs.LedgerStep, Step: step, Dur: ledgerMicros(dt)})
+		for _, g := range regions[1:] {
+			a := &run[g.k]
+			d := g.end.Sub(g.start)
+			if g.kind == regionAnalysis {
+				a.report.Analyze += d
+				a.report.Analyses++
+				r.Trace.BeginAt(g.start, 0, a.analyzeSpan, "kernel").Arg("step", stepArg).EndAt(g.end)
+				a.mAnalyses.Inc()
+				r.emit(g.end, obs.LedgerEvent{Type: obs.LedgerAnalysis, Name: a.report.Name, Step: step, Dur: ledgerMicros(d)})
+				continue
+			}
+			a.report.OutputTime += d
+			a.report.OutBytes += g.bytes
+			a.report.Outputs++
+			r.Trace.BeginAt(g.start, 0, a.outputSpan, "output").Arg("step", stepArg).EndAt(g.end)
+			a.mOutputs.Inc()
+			a.mOutBytes.Add(float64(g.bytes))
+			r.emit(g.end, obs.LedgerEvent{
+				Type: obs.LedgerOutput, Name: a.report.Name, Step: step,
+				Dur: ledgerMicros(d), Bytes: g.bytes,
+			})
+		}
+		return stepSpan
+	}
 
+	r.emit(sw.now(), obs.LedgerEvent{Type: obs.LedgerRunStart, Name: r.App, Args: map[string]float64{
+		"steps": float64(r.Res.Steps), "kernels": float64(len(run)),
+	}})
+	for step := 1; step <= r.Res.Steps; step++ {
+		// One reading per boundary: at is the reading that closed the last
+		// region and opens the next.
+		start := sw.now()
+		r.Step()
+		at := sw.now()
+		regions = append(regions[:0], region{kind: regionAdvance, start: start, end: at})
+		var failed error
 		for i := range run {
 			a := &run[i] // the cursors advance in place
-			t1 := time.Now()
+			analyze, output := a.isA.At(step), a.isO.At(step)
 			if _, err := a.kernel.PreStep(step); err != nil {
-				return nil, fmt.Errorf("coupling: prestep %s at %d: %w", a.report.Name, step, err)
+				failed = fmt.Errorf("coupling: prestep %s at %d: %w", a.report.Name, step, err)
+				break
 			}
-			a.report.PreTime += time.Since(t1)
-
-			if a.isA.At(step) {
-				t2 := time.Now()
-				sp := r.Trace.BeginAt(t2, 0, a.analyzeSpan, "kernel").Arg("step", stepArg)
+			end := sw.now()
+			a.report.PreTime += end.Sub(at)
+			at = end
+			if analyze {
 				if _, err := a.kernel.Analyze(step); err != nil {
-					return nil, fmt.Errorf("coupling: analyze %s at %d: %w", a.report.Name, step, err)
+					failed = fmt.Errorf("coupling: analyze %s at %d: %w", a.report.Name, step, err)
+					break
 				}
-				t3 := time.Now()
-				da := t3.Sub(t2)
-				a.report.Analyze += da
-				a.report.Analyses++
-				sp.EndAt(t3)
-				a.mAnalyses.Inc()
-				r.emit(t3, obs.LedgerEvent{Type: obs.LedgerAnalysis, Name: a.report.Name, Step: step, Dur: ledgerMicros(da)})
+				end := sw.now()
+				regions = append(regions, region{kind: regionAnalysis, k: i, start: at, end: end})
+				at = end
 			}
-			if a.isO.At(step) {
-				t2 := time.Now()
-				sp := r.Trace.BeginAt(t2, 0, a.outputSpan, "output").Arg("step", stepArg)
+			if output {
 				n, err := a.kernel.Output(out)
 				if err != nil {
-					return nil, fmt.Errorf("coupling: output %s at %d: %w", a.report.Name, step, err)
+					failed = fmt.Errorf("coupling: output %s at %d: %w", a.report.Name, step, err)
+					break
 				}
-				t3 := time.Now()
-				do := t3.Sub(t2)
-				a.report.OutputTime += do
-				a.report.OutBytes += n
-				a.report.Outputs++
-				sp.EndAt(t3)
-				a.mOutputs.Inc()
-				a.mOutBytes.Add(float64(n))
-				r.emit(t3, obs.LedgerEvent{
-					Type: obs.LedgerOutput, Name: a.report.Name, Step: step,
-					Dur: ledgerMicros(do), Bytes: n,
-				})
+				end := sw.now()
+				regions = append(regions, region{kind: regionOutput, k: i, start: at, end: end, bytes: n})
+				at = end
 			}
 		}
-		if r.Replan != nil {
+		stepSpan := publish(step)
+		if failed == nil && r.Replan != nil {
 			if next := r.Replan(step); next != nil {
-				run, err = buildActive(next)
-				if err != nil {
-					return nil, err
+				run, failed = buildActive(next)
+				if need := 1 + 2*len(run); cap(regions) < need {
+					regions = make([]region, 0, need)
 				}
 			}
 		}
-		stepSpan.End()
+		stepSpan.EndAt(sw.now())
+		if failed != nil {
+			return nil, failed
+		}
 	}
 	for _, name := range reportOrder {
 		rep.Kernels = append(rep.Kernels, *reports[name])
@@ -296,7 +360,7 @@ func (r *Runner) Run() (*Report, error) {
 	for i := range rep.Kernels {
 		rep.AnalysisTime += rep.Kernels[i].Total()
 	}
-	r.emit(time.Time{}, obs.LedgerEvent{Type: obs.LedgerRunEnd, Args: map[string]float64{
+	r.emit(sw.now(), obs.LedgerEvent{Type: obs.LedgerRunEnd, Args: map[string]float64{
 		"sim_seconds":      rep.SimTime.Seconds(),
 		"analysis_seconds": rep.AnalysisTime.Seconds(),
 	}})

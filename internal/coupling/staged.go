@@ -50,7 +50,7 @@ type PlacementReport struct {
 	SimTime     time.Duration // simulation compute only
 	SimSiteTime time.Duration // in-situ analysis + capture time at the simulation site
 	StageTime   time.Duration // total compute on staging workers
-	StageWall   time.Duration // wall time from first dispatch to drain
+	StageWall   time.Duration // from the earliest staged job's start to the latest one's end
 	InSituRuns  map[string]int
 	StagedRuns  map[string]int
 	Transferred int64
@@ -68,6 +68,7 @@ func (r *PlacementRunner) Run() (*PlacementReport, error) {
 	if workers <= 0 {
 		workers = 2
 	}
+	sw := startStopwatch()
 
 	rep := &PlacementReport{
 		Steps:      r.Res.Steps,
@@ -99,11 +100,11 @@ func (r *PlacementRunner) Run() (*PlacementReport, error) {
 			if !ok {
 				return nil, fmt.Errorf("coupling: no in-situ kernel for %q", s.Name)
 			}
-			t0 := time.Now()
+			t0 := sw.now()
 			if _, err := k.Setup(); err != nil {
 				return nil, fmt.Errorf("coupling: setup %s: %w", s.Name, err)
 			}
-			rep.SimSiteTime += time.Since(t0)
+			rep.SimSiteTime += sw.now().Sub(t0)
 			inSitu = append(inSitu, inSituActive{
 				kernel:      k,
 				isA:         stepCursor(s.AnalysisSteps),
@@ -136,7 +137,7 @@ func (r *PlacementRunner) Run() (*PlacementReport, error) {
 	mStagedRuns := r.Metrics.Counter("placement_staged_runs_total", nil)
 	var wg sync.WaitGroup
 	var stageMu sync.Mutex
-	var stageStart, stageEnd time.Time
+	var firstStart, lastEnd time.Time // the staged jobs' extremes, under stageMu
 	r.Trace.SetTrackName(0, "simulation")
 	for w := 0; w < workers; w++ {
 		r.Trace.SetTrackName(1+w, fmt.Sprintf("staging-%d", w))
@@ -145,20 +146,20 @@ func (r *PlacementRunner) Run() (*PlacementReport, error) {
 			defer wg.Done()
 			for j := range jobs {
 				// As in Runner.Run, the readings that time the job are its
-				// span's start and end.
-				t0 := time.Now()
-				sp := r.Trace.BeginAt(t0, track, j.span, "staged")
+				// span's start and end, and the span is recorded after both.
+				t0 := sw.now()
 				err := j.fn()
-				t1 := time.Now()
-				dt := t1.Sub(t0)
-				sp.EndAt(t1)
+				t1 := sw.now()
+				r.Trace.BeginAt(t0, track, j.span, "staged").EndAt(t1)
 				mStagedRuns.Inc()
 				stageMu.Lock()
-				rep.StageTime += dt
-				if stageStart.IsZero() {
-					stageStart = t0
+				rep.StageTime += t1.Sub(t0)
+				if firstStart.IsZero() || t0.Before(firstStart) {
+					firstStart = t0
 				}
-				stageEnd = time.Now()
+				if t1.After(lastEnd) {
+					lastEnd = t1
+				}
 				rep.StagedRuns[j.name]++
 				stageMu.Unlock()
 				if err != nil {
@@ -180,56 +181,86 @@ func (r *PlacementRunner) Run() (*PlacementReport, error) {
 	mSteps := r.Metrics.Counter("placement_steps_total", nil)
 	mInSituRuns := r.Metrics.Counter("placement_insitu_runs_total", nil)
 	mTransfer := r.Metrics.Counter("placement_transfer_bytes_total", nil)
-	for step := 1; step <= r.Res.Steps; step++ {
-		stepSpan := r.Trace.Begin("step", "sim").Arg("step", float64(step))
-		t0 := time.Now()
-		r.Step()
-		rep.SimTime += time.Since(t0)
+	// As in Runner.Run, a step is measured first, its regions back to back,
+	// and published after: regions[0] is the advance, then each in-situ
+	// analysis and output and each capture.
+	regions := make([]region, 0, 1+2*len(inSitu)+len(staged))
+	publish := func(step int) obs.Span {
+		stepArg := float64(step)
+		adv := regions[0]
+		stepSpan := r.Trace.BeginAt(adv.start, 0, "step", "sim").Arg("step", stepArg)
+		rep.SimTime += adv.end.Sub(adv.start)
 		mSteps.Inc()
-
-		for i := range inSitu {
-			a := &inSitu[i] // the cursors advance in place
-			t1 := time.Now()
-			if _, err := a.kernel.PreStep(step); err != nil {
-				return fail(err)
-			}
-			if a.isA.At(step) {
-				sp := r.Trace.Begin(a.analyzeSpan, "kernel").Arg("step", float64(step))
-				if _, err := a.kernel.Analyze(step); err != nil {
-					return fail(err)
-				}
-				sp.End()
+		for _, g := range regions[1:] {
+			switch g.kind {
+			case regionAnalysis:
+				a := &inSitu[g.k]
+				r.Trace.BeginAt(g.start, 0, a.analyzeSpan, "kernel").Arg("step", stepArg).EndAt(g.end)
 				rep.InSituRuns[a.name]++
 				mInSituRuns.Inc()
+			case regionOutput:
+				r.Trace.BeginAt(g.start, 0, inSitu[g.k].outputSpan, "output").Arg("step", stepArg).EndAt(g.end)
+			case regionCapture:
+				r.Trace.BeginAt(g.start, 0, staged[g.k].captureSpan, "transfer").
+					Arg("step", stepArg).Arg("bytes", float64(g.bytes)).EndAt(g.end)
+				mTransfer.Add(float64(g.bytes))
 			}
-			if a.isO.At(step) {
-				sp := r.Trace.Begin(a.outputSpan, "output").Arg("step", float64(step))
-				if _, err := a.kernel.Output(io.Discard); err != nil {
-					return fail(err)
-				}
-				sp.End()
-			}
-			rep.SimSiteTime += time.Since(t1)
 		}
-		for i := range staged {
+		return stepSpan
+	}
+	for step := 1; step <= r.Res.Steps; step++ {
+		start := sw.now()
+		r.Step()
+		at := sw.now()
+		regions = append(regions[:0], region{kind: regionAdvance, start: start, end: at})
+		siteStart := at
+		var failed error
+		for i := range inSitu {
+			a := &inSitu[i] // the cursors advance in place
+			analyze, output := a.isA.At(step), a.isO.At(step)
+			if _, failed = a.kernel.PreStep(step); failed != nil {
+				break
+			}
+			at = sw.now()
+			if analyze {
+				if _, failed = a.kernel.Analyze(step); failed != nil {
+					break
+				}
+				end := sw.now()
+				regions = append(regions, region{kind: regionAnalysis, k: i, start: at, end: end})
+				at = end
+			}
+			if output {
+				if _, failed = a.kernel.Output(io.Discard); failed != nil {
+					break
+				}
+				end := sw.now()
+				regions = append(regions, region{kind: regionOutput, k: i, start: at, end: end})
+				at = end
+			}
+		}
+		rep.SimSiteTime += at.Sub(siteStart)
+		for i := 0; i < len(staged) && failed == nil; i++ {
 			s := &staged[i]
 			if !s.isA.At(step) {
 				continue
 			}
-			t1 := time.Now()
-			sp := r.Trace.BeginAt(t1, 0, s.captureSpan, "transfer").Arg("step", float64(step))
 			fn, bytes, err := s.sa.Capture(step)
 			if err != nil {
-				return fail(fmt.Errorf("coupling: capture %s at %d: %w", s.sa.Name, step, err))
+				failed = fmt.Errorf("coupling: capture %s at %d: %w", s.sa.Name, step, err)
+				break
 			}
-			t2 := time.Now()
-			rep.SimSiteTime += t2.Sub(t1) // only the transfer blocks the simulation
-			sp.Arg("bytes", float64(bytes)).EndAt(t2)
+			end := sw.now()
+			regions = append(regions, region{kind: regionCapture, k: i, start: at, end: end, bytes: bytes})
+			rep.SimSiteTime += end.Sub(at) // only the transfer blocks the simulation
 			rep.Transferred += bytes
-			mTransfer.Add(float64(bytes))
 			jobs <- job{name: s.sa.Name, span: s.stagedSpan, fn: fn}
+			at = sw.now() // waiting for room in the staging queue is not transfer time
 		}
-		stepSpan.End()
+		publish(step).EndAt(sw.now())
+		if failed != nil {
+			return fail(failed)
+		}
 		select {
 		case err := <-errCh:
 			return fail(err)
@@ -243,8 +274,8 @@ func (r *PlacementRunner) Run() (*PlacementReport, error) {
 		return nil, err
 	default:
 	}
-	if !stageStart.IsZero() {
-		rep.StageWall = stageEnd.Sub(stageStart)
+	if !firstStart.IsZero() {
+		rep.StageWall = lastEnd.Sub(firstStart)
 	}
 	return rep, nil
 }
