@@ -12,7 +12,7 @@
 //   - internal/sim/md, internal/sim/amr — LAMMPS- and FLASH-style mini-apps
 //   - internal/analysis/... — the ten analysis kernels of Tables 2-3 and §5.2
 //   - internal/comm, internal/machine, internal/perfmodel, internal/iosim,
-//     internal/trace — the MPI/BG-Q/HPM/GPFS substrate models
+//     internal/trajectory — the MPI/BG-Q/HPM/GPFS substrate models
 //   - internal/coupling — executes recommended schedules against live runs
 //   - internal/experiments — regenerates every table and figure of §5
 //

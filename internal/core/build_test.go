@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"insitu/internal/milp"
 )
@@ -163,29 +162,51 @@ func denseInstance(steps int) ([]AnalysisSpec, Resources) {
 	return []AnalysisSpec{{Name: "dense", CT: 1, OT: 1, FM: 1, CM: 1, OM: 1, MinInterval: 1}}, Resources{Steps: steps}
 }
 
+// cancelAfter is a context whose Err reports Canceled from its (after+1)-th
+// call on, and counts the calls. The mode enumeration checks once per count,
+// before it enumerates the count's modes, and reads the cause of the
+// cancellation into its error once more.
+type cancelAfter struct {
+	context.Context
+	after, calls int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls++; c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBuildHonoursContext: a build stops at the first cancel check that sees
+// the cancellation. Canceled from the start, it enumerates none of the
+// dense instance's 29 778 modes; canceled at its fourth check, only those of
+// counts 1 to 3 — where not stopping would make 800 checks.
 func TestBuildHonoursContext(t *testing.T) {
 	specs, res := denseInstance(800)
-	ctx, cancel := context.WithCancel(context.Background())
-	_, tab := buildUnnamed(t, specs, res, SolveOptions{Ctx: ctx})
+	_, tab := buildUnnamed(t, specs, res, SolveOptions{Ctx: context.Background()})
 	if len(tab.modes) != 29778 {
 		t.Fatalf("uncancelled build has %d columns, want 29778", len(tab.modes))
 	}
-	cancel()
-	for name, call := range map[string]func() error{
-		"Solve": func() error { _, err := Solve(specs, res, SolveOptions{Ctx: ctx}); return err },
-		"Explain": func() error {
+	for name, call := range map[string]func(ctx context.Context) error{
+		"Solve": func(ctx context.Context) error { _, err := Solve(specs, res, SolveOptions{Ctx: ctx}); return err },
+		"Explain": func(ctx context.Context) error {
 			_, err := Explain(specs, res, SolveOptions{Ctx: ctx})
 			return err
 		},
-		"CompactNames": func() error { _, err := CompactNames(specs, res, SolveOptions{Ctx: ctx}); return err },
+		"CompactNames": func(ctx context.Context) error {
+			_, err := CompactNames(specs, res, SolveOptions{Ctx: ctx})
+			return err
+		},
 	} {
-		start := time.Now()
-		err := call()
-		if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
-			t.Errorf("%s with a cancelled context took %v", name, elapsed)
-		}
-		if !errors.Is(err, milp.ErrCanceled) {
-			t.Errorf("%s with a cancelled context returned %v, want an error wrapping milp.ErrCanceled", name, err)
+		for _, after := range []int{0, 3} {
+			ctx := &cancelAfter{Context: context.Background(), after: after}
+			if err := call(ctx); !errors.Is(err, milp.ErrCanceled) {
+				t.Errorf("%s canceled after %d counts returned %v, want an error wrapping milp.ErrCanceled", name, after, err)
+			}
+			if ctx.calls != after+2 {
+				t.Errorf("%s canceled after %d counts called Err %d times, want %d", name, after, ctx.calls, after+2)
+			}
 		}
 	}
 }
@@ -220,15 +241,17 @@ func TestEstimateColumns(t *testing.T) {
 		}
 	}
 
-	// A billion steps at interval one: refused after counting ~3 000 counts,
-	// not after a billion.
-	start := time.Now()
+	// A billion steps at interval one: the count stops at the first count
+	// that takes the total past the limit, a few thousand counts into the
+	// first analysis, and never reaches the second.
 	huge := []AnalysisSpec{{Name: "huge", CT: 1, MinInterval: 1}, {Name: "huge2", CT: 1, MinInterval: 1}}
-	if got := EstimateColumns(huge, Resources{Steps: 1e9}, 200_000); got <= 200_000 || got > 201_000 {
-		t.Errorf("bounded estimate = %d, want just past 200000", got)
+	want, visited := 0, 0
+	for want <= 200_000 {
+		visited++
+		want += countModeBound(huge[0], visited)
 	}
-	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
-		t.Errorf("bounded estimate took %v", elapsed)
+	if got := EstimateColumns(huge, Resources{Steps: 1e9}, 200_000); got != want {
+		t.Errorf("bounded estimate = %d, want %d, the total of the first analysis' first %d counts", got, want, visited)
 	}
 	if got := EstimateColumns(huge, Resources{Steps: -4}, 10); got != 0 {
 		t.Errorf("estimate for negative steps = %d, want 0", got)

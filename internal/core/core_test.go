@@ -439,13 +439,15 @@ func TestPercentThreshold(t *testing.T) {
 }
 
 func TestSolverRuntimeWithinPaperRange(t *testing.T) {
-	// The paper reports 0.17-1.36 s with CPLEX; our compact model should be
-	// well under that for the Table-5 instance.
+	// The paper reports 0.17-1.36 s with CPLEX. The compact model's search on
+	// the Table-5 instance is held to the work behind the time instead: the
+	// crash basis is the root optimum, one pivot proves it, and it is
+	// integral, so one node ends the search.
 	specs := fourAnalyses()
 	res := Resources{Steps: 1000, TimeThreshold: 129.35, MemThreshold: 1 << 30}
 	rec := mustSolve(t, specs, res)
-	if rec.SolveTime.Seconds() > 1.36 {
-		t.Fatalf("solve took %v, paper's solver needed at most 1.36s", rec.SolveTime)
+	if rec.Stats.Nodes != 1 || rec.Stats.Pivots != 1 {
+		t.Fatalf("solve took %d nodes and %d pivots, want 1 and 1", rec.Stats.Nodes, rec.Stats.Pivots)
 	}
 }
 

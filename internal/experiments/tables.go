@@ -12,7 +12,7 @@ import (
 	"insitu/internal/core"
 	"insitu/internal/iosim"
 	"insitu/internal/sim/md"
-	"insitu/internal/trace"
+	"insitu/internal/trajectory"
 )
 
 // ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ func table4One(atoms int, cfg Table4Config) (Table4Row, error) {
 	}
 	path := filepath.Join(cfg.Dir, fmt.Sprintf("table4-%d.traj", atoms))
 	defer os.Remove(path)
-	w, err := trace.NewWriter(path, atoms, md.FrameFields)
+	w, err := trajectory.NewWriter(path, atoms, md.FrameFields)
 	if err != nil {
 		return row, err
 	}
@@ -100,7 +100,7 @@ func table4One(atoms int, cfg Table4Config) (Table4Row, error) {
 	// serially against the first frame (the paper's "serial custom
 	// post-processing tool").
 	t0 := time.Now()
-	r, err := trace.OpenReader(path)
+	r, err := trajectory.OpenReader(path)
 	if err != nil {
 		return row, err
 	}

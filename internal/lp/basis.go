@@ -28,6 +28,27 @@ func (rv *revised) snapshot() *Basis {
 	return b
 }
 
+// Columns names b in p's terms: each row's basic column, as variable j <
+// NumVars() or as NumVars()+r for row r's slack or artificial (±e_r either
+// way), and whether each variable rests at its upper bound when nonbasic.
+func (b *Basis) Columns(p *Problem) (basic []int, atUpper []bool) {
+	n, logical := p.NumVars(), []int(nil) // per solver column from n: the slacks, then the artificials
+	for r, c := range p.Constraints {
+		if c.Sense != EQ {
+			logical = append(logical, n+r)
+		}
+	}
+	for r := range p.Constraints {
+		logical = append(logical, n+r)
+	}
+	for _, c := range b.cols {
+		if basic = append(basic, int(c)); int(c) >= n {
+			basic[len(basic)-1] = logical[int(c)-n]
+		}
+	}
+	return basic, append([]bool(nil), b.atUpper[:n]...)
+}
+
 // install replaces the working basis with b and refactorizes. Artificial
 // columns are installed the way a finished phase 1 leaves them — clamped to
 // [0, 0], so a basic one keeps acting as its equality row's identity column

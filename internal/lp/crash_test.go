@@ -9,7 +9,7 @@ import (
 
 // Crash-basis tests. The noCrash hook starts the same state from the
 // all-slack basis, which is the reference every crash-started answer is held
-// to here; package solvercheck holds them to the dense tableau as well.
+// to here; package solvercheck certifies them exactly as well.
 
 // seatCrash resets rv for the bounds and runs the crash alone, reporting
 // whether it seated a basis.

@@ -145,6 +145,7 @@ func (rv *revised) dualSimplex() (ok, infeasible bool) {
 			}
 		}
 		if enter < 0 {
+			rv.farkasRow = r
 			return rv.certifyInfeasible(rho, worst, above)
 		}
 

@@ -16,17 +16,17 @@
 // standard equality form and solved with a bounded-variable revised simplex
 // over a compressed-sparse-column store, keeping the basis inverse in
 // product form (an eta file with periodic refactorization) so each pivot
-// costs O(nonzeros + factorization fill) instead of the dense tableau's
-// O(rows × columns). Upper bounds are handled implicitly in the ratio test
-// (nonbasic variables rest at either bound and may bound-flip), so the
-// binary-heavy scheduling MILPs built on top pay no extra rows for their
-// 0-1 variables. Pricing is Devex with a Bland's-rule fallback to guarantee
-// termination under degeneracy; a cold solve of a multiple-choice knapsack
-// (the scheduling models' shape) starts from the basis of Dantzig's greedy
-// instead of the slacks (crash.go); warm re-solves under changed bounds (the
-// Solver handle) restore feasibility with a bounded-variable dual simplex.
-// The dense tableau kernel this one replaced lives on in package solvercheck
-// as the differential-testing oracle.
+// costs O(nonzeros + factorization fill). Upper bounds are handled implicitly
+// in the ratio test (nonbasic variables rest at either bound and may
+// bound-flip), so the binary-heavy scheduling MILPs built on top pay no extra
+// rows for their 0-1 variables. Pricing is Devex with a Bland's-rule fallback
+// to guarantee termination under degeneracy; a cold solve of a
+// multiple-choice knapsack (the scheduling models' shape) starts from the
+// basis of Dantzig's greedy instead of the slacks (crash.go); warm re-solves
+// under changed bounds (the Solver handle) restore feasibility with a
+// bounded-variable dual simplex. Every verdict carries its evidence — an
+// optimal basis (Basis.Columns) or a Farkas ray (Solver.FarkasRay) — which
+// package solvercheck checks in exact arithmetic.
 package lp
 
 import (
@@ -260,9 +260,8 @@ type Solution struct {
 
 	// Duals holds the shadow price of each constraint (d objective /
 	// d RHS) at the optimum, recovered from the reduced costs of the
-	// slack/surplus columns. Entries for equality constraints are NaN:
-	// their artificial columns are destroyed during phase 1, so their
-	// multipliers are not recoverable from this tableau.
+	// slack/surplus columns. Entries for equality constraints are NaN: they
+	// have no slack column to read one from.
 	Duals []float64
 
 	// ReducedCosts holds, per original variable, c_j - z_j at the optimal

@@ -43,11 +43,9 @@ const numericFailure Status = -1
 //	[nOrig, n)      slack/surplus singletons
 //	[n, n+m)        phase-1 artificials, one per row, implicit ±1 singletons
 //
-// Unlike the dense tableau there is no bound shifting and no row sign
-// normalization: variables keep their original [lo, up] ranges and each
-// artificial column carries the sign of its row's initial residual, so a
-// warm re-solve only moves lo/up and recomputes the basic values with one
-// FTRAN.
+// Variables keep their own [lo, up] ranges and each artificial column carries
+// the sign of its row's initial residual, so a warm re-solve only moves lo/up
+// and recomputes the basic values with one FTRAN.
 type revised struct {
 	p  *Problem
 	cs *colStore
@@ -80,9 +78,10 @@ type revised struct {
 	// column the dual ratio test, refill and Bland's rule could act on. It is
 	// rebuilt by applyBounds and before each cold simplex phase, and kept
 	// current through every basis change; bound flips leave it alone.
-	mov   []int32
-	iters int
-	lean  bool // skip duals/reduced costs/activity in extracted solutions
+	mov       []int32
+	iters     int
+	lean      bool // skip duals/reduced costs/activity in extracted solutions
+	farkasRow int  // the dual simplex's unrepairable row; -1 after phase 1 (see FarkasRay)
 
 	// Per-solve scratch (length m unless noted).
 	wrk   []float64
@@ -247,8 +246,7 @@ func (rv *revised) reset(lower, upper []float64) {
 			}
 		}
 		// Slack infeasible (or EQ row): seat an artificial whose sign makes
-		// it start at |residual| >= 0, replacing the dense tableau's
-		// row-sign normalization.
+		// it start at |residual| >= 0.
 		if res[i] < 0 {
 			rv.artSign[i] = -1
 		}
@@ -496,15 +494,15 @@ func (rv *revised) runCold() *Solution {
 			return &Solution{Status: IterationLimit, Iters: rv.iters}
 		}
 		if obj < -feasTol {
+			rv.farkasRow = -1
 			return &Solution{Status: Infeasible, Iters: rv.iters}
 		}
 		rv.driveOutArtificials()
 		// Forbid artificials from re-entering or growing: clamp to zero. A
 		// still-basic artificial (value 0) keeps acting as its row's
 		// identity column, but the zero upper bound makes the phase-2 ratio
-		// test block any move that would lift it — the same clamp the dense
-		// tableau applies, without which phase 2 could silently relax an
-		// equality row.
+		// test block any move that would lift it; without the clamp phase 2
+		// could silently relax an equality row.
 		for i := 0; i < rv.m; i++ {
 			if rv.artUsed[i] {
 				rv.up[rv.n+i] = 0
@@ -563,8 +561,7 @@ func (rv *revised) driveOutArtificials() {
 			rv.inBasis[old] = false
 			rv.atUpper[old] = false
 			// The swap must not move the point: the entering column keeps
-			// the resting value it held as a nonbasic variable (which is not
-			// zero here, unlike the shift-normalized dense tableau).
+			// the resting value it held as a nonbasic variable.
 			rv.xB[i] = rv.lo[j]
 			break
 		}
@@ -1044,8 +1041,7 @@ func (rv *revised) extract(obj float64) *Solution {
 	}
 	// Simplex multipliers for duals and reduced costs: for a maximization
 	// the shadow price of a <= or >= row is y_r; equality rows report NaN
-	// (their artificial columns are destroyed during phase 1, matching the
-	// dense tableau's contract).
+	// (see Solution.Duals).
 	y := rv.multipliers(rv.c)
 	duals := make([]float64, rv.m)
 	for r := 0; r < rv.m; r++ {

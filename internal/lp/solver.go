@@ -32,8 +32,8 @@ type Solver struct {
 	cs *colStore // read-only; shared by the solvers of one NewSolvers call
 	rv *revised
 
-	hasBasis bool // rv sits on a dual-feasible basis the next Solve can continue from
-	optimal  bool // ... and the last solve ended Optimal on it
+	hasBasis bool   // rv sits on a dual-feasible basis the next Solve can continue from
+	last     Status // the last solve's verdict; numericFailure before any, and for conflicting bounds
 
 	// Lean skips the diagnostic solution fields (duals, reduced costs, row
 	// activity) that branch and bound never reads, and returns Solution.X in
@@ -117,7 +117,7 @@ func NewSolvers(p *Problem, k int) ([]*Solver, error) {
 	cs := buildColStore(p)
 	out := make([]*Solver, k)
 	for i := range out {
-		out[i] = &Solver{p: p, cs: cs}
+		out[i] = &Solver{p: p, cs: cs, last: numericFailure}
 	}
 	return out, nil
 }
@@ -137,7 +137,7 @@ func (s *Solver) Solve(lower, upper []float64) (*Solution, bool) {
 // nil when there is none to continue from (nothing solved yet, or the last
 // solve was not optimal).
 func (s *Solver) Basis() *Basis {
-	if !s.optimal {
+	if s.last != Optimal {
 		return nil
 	}
 	return s.rv.snapshot()
@@ -151,7 +151,7 @@ func (s *Solver) Basis() *Basis {
 // Lean mode. It reports false, writing nothing, when there is no optimal
 // basis to price (nothing solved yet, or the last solve was not optimal).
 func (s *Solver) ReducedCosts(d []float64, atUpper []bool) bool {
-	if !s.optimal {
+	if s.last != Optimal {
 		return false
 	}
 	rv := s.rv
@@ -161,6 +161,28 @@ func (s *Solver) ReducedCosts(d []float64, atUpper []bool) bool {
 		if !rv.inBasis[j] {
 			d[j], atUpper[j] = rv.c[j]-rv.cs.dot(j, y), rv.atUpper[j]
 		}
+	}
+	return true
+}
+
+// FarkasRay writes into y, per row, multipliers proving the last solve
+// Infeasible: y·(Ax ± s) > y·b for every x within its bounds and slacks s >= 0
+// (row r reads a_r·x + s under ≤, a_r·x − s under ≥). They are phase 1's, or ±
+// the basis-inverse row a warm dual simplex could not repair. It reports false
+// after any other verdict, conflicting bounds (their own proof) included.
+func (s *Solver) FarkasRay(y []float64) bool {
+	switch rv := s.rv; {
+	case s.last != Infeasible:
+		return false
+	case rv.farkasRow < 0:
+		copy(y, rv.multipliers(rv.cPh1))
+	default:
+		r := rv.farkasRow
+		clear(y)
+		if y[r] = 1; rv.xB[r] > rv.up[rv.basis[r]] {
+			y[r] = -1
+		}
+		rv.ef.btran(y)
 	}
 	return true
 }
@@ -175,6 +197,7 @@ func (s *Solver) ReducedCosts(d []float64, atUpper []bool) bool {
 func (s *Solver) SolveFrom(b *Basis, lower, upper []float64) (*Solution, bool) {
 	for j := range lower {
 		if lower[j] > upper[j] {
+			s.last = numericFailure
 			return &Solution{Status: Infeasible}, false
 		}
 	}
@@ -183,7 +206,7 @@ func (s *Solver) SolveFrom(b *Basis, lower, upper []float64) (*Solution, bool) {
 		if b == nil || rv.install(b) {
 			if sol, ok := rv.resolve(lower, upper); ok {
 				s.hasBasis = true
-				s.optimal = sol.Status == Optimal
+				s.last = sol.Status
 				s.Stats.Warm++
 				s.Stats.Pivots += sol.Iters
 				if sol.Status == Infeasible {
@@ -218,8 +241,8 @@ func (s *Solver) state() *revised {
 // carrying these bounds.
 func (s *Solver) SolveCold(lower, upper []float64) *Solution {
 	sol := s.state().solveCold(lower, upper)
-	s.optimal = sol.Status == Optimal
-	s.hasBasis = s.optimal
+	s.last = sol.Status
+	s.hasBasis = s.last == Optimal
 	s.Stats.Cold++
 	s.Stats.Pivots += sol.Iters
 	return sol

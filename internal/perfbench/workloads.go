@@ -148,7 +148,7 @@ func solverWorkloads() []Workload {
 		// sched_large_sparse is the revised-simplex showcase: a synthetic
 		// 220-analysis campaign whose compact model (mode cap 4) is a few
 		// thousand binaries over a few hundred sparse rows — far beyond the
-		// paper instances, and the shape where the dense tableau paid
+		// paper instances, and the shape where a dense tableau would pay
 		// O(rows x columns) per pivot.
 		schedSolveOpts("sched_large_sparse", largeSparse, largeSparseRes,
 			core.SolveOptions{Workers: BenchWorkers, MaxCount: 4}),

@@ -5,10 +5,10 @@
 // that substitution is only credible under systematic cross-checking. The
 // package provides deterministic, seeded random-instance generators (bounded
 // LPs, pure-binary MILPs, and full scheduling scenarios spanning degenerate
-// cases) plus oracle layers that cross-check every solver against an
-// independent ground truth: brute-force enumeration, the compact-vs-full
-// model pair, LP-export round trips, analytic optima, and metamorphic
-// properties (permutation invariance, threshold monotonicity).
+// cases) plus oracle layers: exact certificates for every LP verdict, and
+// cross-checks against brute-force enumeration, the compact-vs-full model
+// pair, LP-export round trips, analytic optima, and metamorphic properties
+// (permutation invariance, threshold monotonicity).
 //
 // The generators are pure functions of their *rand.Rand, so every failure is
 // reproducible from the seed reported in the test output. Coefficients are

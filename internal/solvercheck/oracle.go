@@ -21,29 +21,19 @@ func objClose(a, b float64) bool {
 	return math.Abs(a-b) <= objTol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
-// CheckLP runs the LP oracle suite on one instance: solution consistency
-// (feasibility of X, objective equals c·X), boundedness (finite-bound
-// instances must never report Unbounded), and metamorphic invariance of the
-// optimal value under variable permutation and positive row scaling. The rng
-// drives the metamorphic transforms; failures are reported as errors naming
-// the violated property.
+// CheckLP runs the LP oracle suite on one instance: the verdict's exact
+// certificate (finite-bound instances are never Unbounded), and metamorphic
+// invariance of the optimal value under variable permutation and positive row
+// scaling. The rng drives the metamorphic transforms; failures are reported
+// as errors naming the violated property.
 func CheckLP(rng *rand.Rand, p *lp.Problem) error {
-	sol, err := lp.Solve(p)
+	s, err := lp.NewSolver(p)
 	if err != nil {
-		return fmt.Errorf("lp.Solve: %v", err)
+		return fmt.Errorf("lp.NewSolver: %v", err)
 	}
-	switch sol.Status {
-	case lp.Optimal:
-		if viol := p.FirstViolation(sol.X, 1e-6); viol != "" {
-			return fmt.Errorf("optimal point infeasible: %s", viol)
-		}
-		if got := p.Eval(sol.X); !objClose(got, sol.Objective) {
-			return fmt.Errorf("objective %g disagrees with c·x = %g", sol.Objective, got)
-		}
-	case lp.Unbounded:
-		return fmt.Errorf("bounded-variable instance reported Unbounded")
-	case lp.IterationLimit:
-		return fmt.Errorf("iteration limit on a %d-var %d-row instance", p.NumVars(), len(p.Constraints))
+	sol := s.SolveCold(p.Lower, p.Upper)
+	if err := certify(s, p, p.Lower, p.Upper, sol, &revisedCoverage{}); err != nil {
+		return err
 	}
 
 	// Permutation invariance: relabeling variables must not move the optimum.

@@ -8,33 +8,28 @@ import (
 	"insitu/internal/lp"
 )
 
-// This file is the revised-simplex differential oracle: lp.Solve (the sparse
-// revised kernel with product-form factorization, Devex pricing, and dual
-// warm re-solves) against SolveReference (the retired dense tableau,
-// kept as the independent ground truth). Beyond the generic RandLP shapes it
-// carries pathological generators aimed at the revised kernel's weak spots —
-// long eta chains (factorization update pressure), near-singular bases (tiny
-// pivots, refactorization rescues) — and a wide one (RandWideLP) whose
-// columns outnumber its rows by enough that the primal simplex prices
-// selected working sets and has to refill them.
+// This file walks lp's revised kernel through cold, warm and transferred
+// solves, each verdict held to its certificate (cert.go), over generators
+// aimed at its weak spots: long eta chains, near-singular bases, and models
+// wide enough to price selected working sets.
 
-// CheckRevised cross-checks the revised simplex against the dense reference
-// on one instance: cold solve agreement (status, objective, feasibility of
-// both points), then a short branching-style walk of bound tightenings where
-// every warm re-solve through an lp.Solver must match a dense solve of the
-// same bounds. Along the walk the basis is snapshotted once and, three rounds
-// later, continued on a second Solver under the bounds of that round — the
-// way branch and bound re-solves a child from a parent another worker solved
-// — and finally snapshots that cannot be continued (wrong shape, singular
-// here) must be answered by a counted cold fallback. Failures name the
-// violated property.
+// CheckRevised certifies the cold solve of one instance, then every warm
+// re-solve along a short branching-style walk of bound tightenings. One
+// snapshot of the walk's basis is continued three rounds later on a second
+// Solver — as branch and bound re-solves a child from a parent another worker
+// solved — and snapshots that cannot be continued (wrong shape, singular here)
+// must be answered by a counted cold fallback. Failures name the violated
+// property.
 func CheckRevised(rng *rand.Rand, p *lp.Problem) error {
 	return checkRevised(rng, p, &revisedCoverage{})
 }
 
-// revisedCoverage counts how often checkRevised reached the snapshot paths,
-// so the corpus tests can pin that they are exercised at all.
+// revisedCoverage counts what certified each verdict and how often the
+// snapshot paths were reached, so corpus tests can pin that they are at all.
 type revisedCoverage struct {
+	optimal       int // optimal verdicts certified by their basis
+	rays          int // infeasible verdicts certified by a Farkas ray
+	dualRays      int // ... of which a warm re-solve's dual simplex found
 	warmTransfers int // snapshots a second solver continued warm
 	singular      int // snapshots rejected as singular
 	refilled      int // cold solves that spent and refilled a pricing working set at least twice
@@ -42,32 +37,18 @@ type revisedCoverage struct {
 }
 
 func checkRevised(rng *rand.Rand, p *lp.Problem, cov *revisedCoverage) error {
-	ref, err := SolveReference(p)
+	solvers, err := lp.NewSolvers(p, 2)
 	if err != nil {
-		return fmt.Errorf("SolveReference: %v", err)
+		return fmt.Errorf("lp.NewSolvers: %v", err)
 	}
-	rev, err := lp.Solve(p)
-	if err != nil {
-		return fmt.Errorf("lp.Solve: %v", err)
-	}
-	if err := compareRevised(ref, rev, p); err != nil {
+	sv, other := solvers[0], solvers[1]
+	// The second solver's cold solve is the instance's own verdict, and gives
+	// it a history, so the snapshot later lands on a used state.
+	cold := other.SolveCold(p.Lower, p.Upper)
+	if err := certify(other, p, p.Lower, p.Upper, cold, cov); err != nil {
 		return fmt.Errorf("cold: %v", err)
 	}
-
-	// Branching-style walk: tighten integer bounds a step at a time, warm
-	// re-solving through the Solver handle, and check every answer against a
-	// dense cold solve of the identical bounds.
-	sv, err := lp.NewSolver(p)
-	if err != nil {
-		return fmt.Errorf("lp.NewSolver: %v", err)
-	}
-	other, err := lp.NewSolver(p)
-	if err != nil {
-		return fmt.Errorf("lp.NewSolver: %v", err)
-	}
-	// The second solver has a history of its own, so the snapshot lands on a
-	// used state rather than a fresh one.
-	other.SolveCold(p.Lower, p.Upper)
+	coldBasis := other.Basis()
 	cov.crashed += other.Stats.CrashStarts
 	// After one cold solve Pivots is its iteration count. Fewer full pricing
 	// passes than that means some iterations priced a selected set alone, and
@@ -75,6 +56,9 @@ func checkRevised(rng *rand.Rand, p *lp.Problem, cov *revisedCoverage) error {
 	if st := other.Stats; st.FullPricingPasses < st.Pivots && st.FullPricingPasses >= 4 {
 		cov.refilled++
 	}
+
+	// Branching-style walk: tighten integer bounds a step at a time, warm
+	// re-solving through the Solver handle, and certify every answer.
 	var snap *lp.Basis
 	snapRound := rng.Intn(3)
 	lower := append([]float64(nil), p.Lower...)
@@ -94,14 +78,7 @@ func checkRevised(rng *rand.Rand, p *lp.Problem, cov *revisedCoverage) error {
 			lower[j], upper[j] = p.Lower[j], p.Upper[j] // relax back
 		}
 		wsol, _ := sv.Solve(lower, upper)
-		q := p.Clone()
-		q.Lower = append([]float64(nil), lower...)
-		q.Upper = append([]float64(nil), upper...)
-		dsol, err := SolveReference(q)
-		if err != nil {
-			return fmt.Errorf("round %d: SolveReference: %v", round, err)
-		}
-		if err := compareRevised(dsol, wsol, q); err != nil {
+		if err := certify(sv, p, lower, upper, wsol, cov); err != nil {
 			return fmt.Errorf("round %d (var %d in [%g,%g]): %v", round, j, lower[j], upper[j], err)
 		}
 		if round == snapRound {
@@ -110,7 +87,7 @@ func checkRevised(rng *rand.Rand, p *lp.Problem, cov *revisedCoverage) error {
 		}
 		if snap != nil && round == snapRound+3 {
 			osol, warm := other.SolveFrom(snap, lower, upper)
-			if err := compareRevised(dsol, osol, q); err != nil {
+			if err := certify(other, p, lower, upper, osol, cov); err != nil {
 				return fmt.Errorf("round %d: basis of round %d continued on a second solver: %v", round, snapRound, err)
 			}
 			if warm {
@@ -118,26 +95,20 @@ func checkRevised(rng *rand.Rand, p *lp.Problem, cov *revisedCoverage) error {
 			}
 		}
 	}
-	return checkBadSnapshots(p, rev, ref, cov)
+	cov.dualRays += sv.Stats.WarmInfeasible + other.Stats.WarmInfeasible // each certified above
+	return checkBadSnapshots(p, cold, coldBasis, cov)
 }
 
 // checkBadSnapshots hands SolveFrom snapshots it cannot continue from and
-// requires the cold fallback to answer, and to be counted: the optimal basis
-// of p on a problem with one more row (wrong shape), and on a copy of p in
-// which two of its basic columns are made identical (singular there). opt
-// and ref are p's revised and dense cold solutions.
-func checkBadSnapshots(p *lp.Problem, opt, ref *lp.Solution, cov *revisedCoverage) error {
+// requires the cold fallback to answer, be certified, and be counted: snap,
+// the optimal basis of p's cold solution opt, on a problem with one more row
+// (wrong shape), and on a copy of p in which two of its basic columns are made
+// identical (singular there).
+func checkBadSnapshots(p *lp.Problem, opt *lp.Solution, snap *lp.Basis, cov *revisedCoverage) error {
 	if opt.Status != lp.Optimal {
 		return nil
 	}
-	sv, err := lp.NewSolver(p)
-	if err != nil {
-		return fmt.Errorf("lp.NewSolver: %v", err)
-	}
-	sv.SolveCold(p.Lower, p.Upper)
-	snap := sv.Basis()
-
-	try := func(what string, q *lp.Problem, want *lp.Solution) error {
+	try := func(what string, q *lp.Problem) error {
 		qs, err := lp.NewSolver(q)
 		if err != nil {
 			return fmt.Errorf("%s: lp.NewSolver: %v", what, err)
@@ -147,16 +118,16 @@ func checkBadSnapshots(p *lp.Problem, opt, ref *lp.Solution, cov *revisedCoverag
 			return fmt.Errorf("%s: warm=%t with %d fallbacks and %d cold solves, want one counted cold fallback",
 				what, warm, qs.Stats.FallbackCold, qs.Stats.Cold)
 		}
-		if err := compareRevised(want, got, q); err != nil {
+		if err := certify(qs, q, q.Lower, q.Upper, got, cov); err != nil {
 			return fmt.Errorf("%s: %v", what, err)
 		}
 		return nil
 	}
 
-	// One more row, slack at the optimum: the answer is p's own.
+	// One more row, slack at the optimum.
 	taller := p.Clone()
 	taller.AddConstraint([]int{0}, []float64{1}, lp.LE, p.Upper[0]+1, "extra")
-	if err := try("snapshot with a row too few", taller, ref); err != nil {
+	if err := try("snapshot with a row too few", taller); err != nil {
 		return err
 	}
 
@@ -188,37 +159,8 @@ func checkBadSnapshots(p *lp.Problem, opt, ref *lp.Solution, cov *revisedCoverag
 		}
 		twin.AddConstraint(idx, coef, c.Sense, c.RHS, c.Name)
 	}
-	want, err := SolveReference(twin)
-	if err != nil {
-		return fmt.Errorf("SolveReference: %v", err)
-	}
 	cov.singular++
-	return try(fmt.Sprintf("snapshot singular after columns %d and %d coincide", a, b), twin, want)
-}
-
-// compareRevised checks one dense/revised solution pair over problem p:
-// statuses equal, and at optimality matching objectives with both points
-// feasible (the optimal vertices themselves may differ under degeneracy).
-func compareRevised(dense, revised *lp.Solution, p *lp.Problem) error {
-	if dense.Status != revised.Status {
-		return fmt.Errorf("dense status %v, revised %v", dense.Status, revised.Status)
-	}
-	if dense.Status != lp.Optimal {
-		return nil
-	}
-	if !objClose(dense.Objective, revised.Objective) {
-		return fmt.Errorf("dense objective %g, revised %g", dense.Objective, revised.Objective)
-	}
-	if viol := p.FirstViolation(revised.X, 1e-6); viol != "" {
-		return fmt.Errorf("revised point infeasible: %s", viol)
-	}
-	if viol := p.FirstViolation(dense.X, 1e-6); viol != "" {
-		return fmt.Errorf("dense point infeasible: %s", viol)
-	}
-	if got := p.Eval(revised.X); !objClose(got, revised.Objective) {
-		return fmt.Errorf("revised objective %g disagrees with c·x = %g", revised.Objective, got)
-	}
-	return nil
+	return try(fmt.Sprintf("snapshot singular after columns %d and %d coincide", a, b), twin)
 }
 
 // RandWideLP generates a multiple-choice knapsack relaxation shaped like the
