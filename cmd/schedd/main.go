@@ -210,9 +210,11 @@ func cmdOnce(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(resp); err != nil {
+	doc, err := schedd.AppendResponse(nil, resp)
+	if err == nil {
+		_, err = stdout.Write(doc)
+	}
+	if err != nil {
 		fmt.Fprintf(stderr, "schedd: %v\n", err)
 		return 1
 	}

@@ -50,6 +50,14 @@ func TestOnceSolvesAndWritesLedger(t *testing.T) {
 	if err := json.Unmarshal([]byte(out.String()), &resp); err != nil {
 		t.Fatalf("response not JSON: %v\n%s", err, out.String())
 	}
+	// The printed bytes are the daemon's renderer's: the indented
+	// encoding/json document, which the decoded value reproduces.
+	var want strings.Builder
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(&resp); err != nil || want.String() != out.String() {
+		t.Fatalf("once printed bytes the encoder does not reproduce (%v)\n--- once\n%s\n--- encoder\n%s", err, out.String(), want.String())
+	}
 	if resp.RequestID != "req-once" {
 		t.Fatalf("RequestID = %q, want req-once", resp.RequestID)
 	}

@@ -1,12 +1,12 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
 	"sort"
 	"strconv"
+	"unicode/utf8"
 )
 
 // ledgerEncoder encodes ledger events into buffers it keeps, so a log that
@@ -37,22 +37,22 @@ func (enc *ledgerEncoder) appendEvent(b []byte, e LedgerEvent) ([]byte, error) {
 	b = append(b, `{"v":`...)
 	b = strconv.AppendInt(b, int64(e.Schema), 10)
 	b = append(b, `,"type":`...)
-	b = appendJSONString(b, e.Type)
+	b = AppendJSONString(b, e.Type, false)
 	if e.Name != "" {
 		b = append(b, `,"name":`...)
-		b = appendJSONString(b, e.Name)
+		b = AppendJSONString(b, e.Name, false)
 	}
 	if e.Step != 0 {
 		b = append(b, `,"step":`...)
 		b = strconv.AppendInt(b, int64(e.Step), 10)
 	}
 	b = append(b, `,"ts_us":`...)
-	if b, err = appendJSONFloat(b, e.TS); err != nil {
+	if b, err = AppendJSONFloat(b, e.TS); err != nil {
 		return b, err
 	}
 	if e.Dur != 0 {
 		b = append(b, `,"dur_us":`...)
-		if b, err = appendJSONFloat(b, e.Dur); err != nil {
+		if b, err = AppendJSONFloat(b, e.Dur); err != nil {
 			return b, err
 		}
 	}
@@ -75,9 +75,9 @@ func (enc *ledgerEncoder) appendEvent(b []byte, e LedgerEvent) ([]byte, error) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONString(b, k)
+			b = AppendJSONString(b, k, false)
 			b = append(b, ':')
-			if b, err = appendJSONFloat(b, e.Args[k]); err != nil {
+			if b, err = AppendJSONFloat(b, e.Args[k]); err != nil {
 				return b, err
 			}
 		}
@@ -86,9 +86,10 @@ func (enc *ledgerEncoder) appendEvent(b []byte, e LedgerEvent) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// appendJSONFloat is encoding/json's float64 rule: shortest round-trip
+// AppendJSONFloat is encoding/json's float64 rule: shortest round-trip
 // digits, 'f' form except below 1e-6 and from 1e21, where the 'e' form has
-// its two-digit negative exponent trimmed (e-09 → e-9).
+// its two-digit negative exponent trimmed (e-09 → e-9). A NaN or infinity is
+// the *json.UnsupportedValueError encoding/json reports for it.
 //
 // Nearly every number a ledger carries is a whole number of thousandths —
 // ts_us and dur_us are nanoseconds over 1e3, counts are integers — and for
@@ -97,7 +98,7 @@ func (enc *ledgerEncoder) appendEvent(b []byte, e LedgerEvent) ([]byte, error) {
 // 1e15 it has at most 15 significant digits, and two different decimals that
 // short never share a float64, so no shorter decimal round-trips: n/1000
 // with its trailing zeros dropped is the shortest form strconv would find.
-func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
@@ -131,25 +132,55 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	return dst, nil
 }
 
-// appendJSONString quotes s. Printable ASCII without a quote or backslash —
-// every type, kernel and args name this repository writes — is copied as it
-// stands; anything else is encoding/json's to escape, so the two cannot
-// disagree.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
-			return appendEscapedJSONString(dst, s)
-		}
-	}
+// AppendJSONString quotes s as encoding/json does, with its HTML escaping
+// (<, > and & as \u003c, \u003e, \u0026) on or off: \" \\ \b \f \n \r \t for
+// those bytes, \u00XX for the other control bytes, \ufffd for each byte that
+// is not valid UTF-8, and U+2028 and U+2029 always escaped. Runs of anything
+// else — every type, kernel, args and analysis name this repository writes is
+// one — are copied as they stand.
+func AppendJSONString(dst []byte, s string, escapeHTML bool) []byte {
+	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
-	dst = append(dst, s...)
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && !(escapeHTML && (b == '<' || b == '>' || b == '&')) {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if size == 1 || c == '\u2028' || c == '\u2029' { // size 1: a byte that is not UTF-8
+			dst = append(dst, s[start:i]...)
+			if size == 1 {
+				dst = append(dst, `\ufffd`...)
+			} else {
+				dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xf])
+			}
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
 	return append(dst, '"')
-}
-
-func appendEscapedJSONString(dst []byte, s string) []byte {
-	var b bytes.Buffer
-	enc := json.NewEncoder(&b)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(s) // a string always encodes, and a bytes.Buffer takes every write
-	return append(dst, bytes.TrimSuffix(b.Bytes(), []byte("\n"))...)
 }

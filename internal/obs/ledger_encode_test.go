@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"insitu/internal/obs/jsontest"
 )
 
 // marshalLedgerEvent is the oracle the append-style encoder is held to:
@@ -67,43 +69,11 @@ func utf8Clean(e LedgerEvent) bool {
 	return ok
 }
 
-var (
-	encodeStrings = []string{
-		"", "step", "k1", "rdf/analyze", "sec_per_event", "plain printable ~ASCII",
-		`quo"ted`, `back\slash`, "tab\there", "nul\x00", "new\nline", "del\x7f",
-		"naïve", "日本語", "line\u2028sep", "para\u2029sep", "<&>", "bad\xffutf8", "\xc3",
-	}
-	encodeFloats = []float64{
-		0, math.Copysign(0, -1), 1, -1, 17, 4096, 1e6, 123456.789, 0.5, 1e-6, 9.99e-7, 1e-9, -3.25e-9,
-		0.001, 0.0009999999999999998, 0.0015, 0.01, -0.1, 0.125, 999999999999.999, 1e12, 1e12 - 0.001, 1e15, 4503599627370.497,
-		1e20, 1e21, 1e25, -7.5e25, 1.7976931348623157e308, 5e-324,
-		math.NaN(), math.Inf(1), math.Inf(-1),
-	}
-)
-
 // randLedgerEvent draws an event over the whole input space the encoder
 // special-cases; most draws are finite so most lines encode.
 func randLedgerEvent(rng *rand.Rand) LedgerEvent {
-	str := func() string { return encodeStrings[rng.Intn(len(encodeStrings))] }
-	num := func() float64 {
-		switch rng.Intn(8) {
-		case 0:
-			return encodeFloats[rng.Intn(len(encodeFloats))]
-		case 1:
-			return float64(rng.Intn(1 << 20))
-		case 4: // nanoseconds over 1e3, as ts_us and dur_us are, across every magnitude
-			return float64(rng.Int63n(1<<uint(1+rng.Intn(62)))) / 1e3
-		case 5: // just below, at, and just above a whole number of thousandths
-			x := float64(rng.Int63n(1e15)) / 1e3
-			return math.Nextafter(x, []float64{math.Inf(-1), x, math.Inf(1)}[rng.Intn(3)])
-		case 2:
-			return rng.NormFloat64() * 1e-9
-		case 3:
-			return rng.NormFloat64() * 1e25
-		default:
-			return rng.NormFloat64() * 1e3
-		}
-	}
+	str := func() string { return jsontest.String(rng) }
+	num := func() float64 { return jsontest.Float(rng) }
 	maybe := func(v float64) float64 {
 		if rng.Intn(3) == 0 {
 			return 0
@@ -147,10 +117,10 @@ func TestLedgerEncodeMatchesJSON(t *testing.T) {
 		t.Fatalf("generator is lopsided: %d events encoded, %d were rejected", encoded, rejected)
 	}
 	// Every listed string and float once on its own, in each position.
-	for _, s := range encodeStrings {
+	for _, s := range jsontest.Strings {
 		checkLedgerEncode(t, LedgerEvent{Schema: 1, Type: s, Name: s, Args: map[string]float64{s: 1, s + "2": 2}})
 	}
-	for _, f := range encodeFloats {
+	for _, f := range jsontest.Floats {
 		checkLedgerEncode(t, LedgerEvent{Schema: 1, Type: LedgerStep, TS: f})
 		checkLedgerEncode(t, LedgerEvent{Schema: 1, Type: LedgerStep, Dur: f})
 		checkLedgerEncode(t, LedgerEvent{Schema: 1, Type: LedgerStep, Args: map[string]float64{"x": f}})

@@ -22,8 +22,8 @@ type solved struct {
 	flight      *obs.FlightRecorder
 	at          time.Time // when the solve finished
 	// tail is the reply document from the comma before "objective" to its
-	// last byte, rendered once: every successful reply for this solve is its
-	// own request head followed by these bytes (see renderTail).
+	// last byte, rendered once (appendTail): every successful reply for this
+	// solve is its own request head followed by these bytes.
 	tail []byte
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
@@ -195,16 +196,29 @@ func TestResponseIdentityCoalesced(t *testing.T) {
 }
 
 // FuzzResponseSplice lets the fuzzer choose the strings that end up in a
-// reply — the request ID and two analysis names — and holds the miss and the
-// hit to the encoder.
+// reply — the request ID and two analysis names — and the explain bit, and
+// holds the miss and the hit to the encoder. The same strings make an error
+// document of a fuzzed kind, written by the handler's own path, and a fuzzed
+// float is put in the solved document's place for the objective and the
+// explain slack, where a non-finite one must fail as encoding/json fails.
 func FuzzResponseSplice(f *testing.F) {
-	f.Add("req-1", "descriptors", "msd")
-	f.Add(`",`+"\n"+`  "objective": 0`, "a<b>&c", `q"uo\te`)
-	f.Add("\xff\x00", "解析", "line\nbreak")
-	f.Fuzz(func(t *testing.T, id, name1, name2 string) {
+	f.Add("req-1", "descriptors", "msd", false, 1.5, uint8(0))
+	f.Add(`",`+"\n"+`  "objective": 0`, "a<b>&c", `q"uo\te`, true, math.Inf(1), uint8(3))
+	f.Add("\xff\x00", "解析", "line\nbreak", true, 1e21, uint8(4))
+	f.Add("r", "x\u2028", "\b\f", false, math.NaN(), uint8(2))
+	f.Fuzz(func(t *testing.T, id, name1, name2 string, explain bool, num float64, kind uint8) {
+		kinds := []string{ErrBadRequest, ErrUnprocessable, ErrSolver, ErrQueueTimeout, ErrCanceled}
+		ejson := &ErrorJSON{Kind: kinds[int(kind)%len(kinds)], Message: name1 + ": " + name2}
+		failed := answer{rec: &reqRecord{ID: id, Code: httpCode(ejson.Kind)}, ejson: ejson}
+		w := newMemWriter()
+		failed.write(w, nil)
+		if want, err := encodeResponse(failed.response()); err != nil || !bytes.Equal(w.buf.Bytes(), want) {
+			t.Fatalf("error document differs from the encoder's (%v)\n--- handler\n%s\n--- encoder\n%s", err, w.buf.Bytes(), want)
+		}
+
 		s := New(Config{})
 		h := s.Handler()
-		req := SolveRequest{Scenario: nastyScenario([]string{name1, name2})}
+		req := SolveRequest{Scenario: nastyScenario([]string{name1, name2}), Explain: explain}
 		body := marshalRequest(t, req)
 		// The server sees the names as JSON carried them (invalid UTF-8
 		// replaced), so the cache is asked about the decoded request.
@@ -225,6 +239,12 @@ func FuzzResponseSplice(f *testing.F) {
 		if head := checkSpliced(t, "hit", s, req, id, serve(h, id, body)); !head.CacheHit {
 			t.Fatal("repeat was not a hit")
 		}
+		doc := buildResponse(responseHead{RequestID: id}, s.entry(req).val)
+		doc.Objective = num
+		if doc.Explain != nil {
+			doc.Explain.MemSlackBytes = &num
+		}
+		checkEncode(t, doc)
 	})
 }
 
