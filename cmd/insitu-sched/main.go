@@ -159,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	solveSpan.End()
 	if flight != nil {
-		l, err := obs.OpenEventLog(*flightPath)
+		l, err := obs.OpenEventLog(*flightPath, 0)
 		if err != nil {
 			return fail(err)
 		}

@@ -173,7 +173,7 @@ func TestRunMonitorFlag(t *testing.T) {
 			{Name: "rdf", AnalyzeSec: 0.004, OutputSec: 0.001, Every: 2, OutputEvery: 4},
 		},
 	}
-	led, err := obs.OpenEventLog(ledgerPath)
+	led, err := obs.OpenEventLog(ledgerPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

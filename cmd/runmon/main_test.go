@@ -23,7 +23,7 @@ import (
 func writeSynthLedger(t *testing.T, srun runmon.SynthRun, seed int64) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	led, err := obs.OpenEventLog(path)
+	led, err := obs.OpenEventLog(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestCmdReportSolveRows(t *testing.T) {
 // writeLedger creates the ledger at path and fills it with fill.
 func writeLedger(t *testing.T, path string, fill func(*obs.EventLog)) {
 	t.Helper()
-	led, err := obs.OpenEventLog(path)
+	led, err := obs.OpenEventLog(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func (f *serviceFlags) open() (schedd.Config, *obs.EventLog, error) {
 	if *f.ledgerPath == "" {
 		return cfg, nil, nil
 	}
-	l, err := obs.OpenEventLogCapped(*f.ledgerPath, *f.ledgerMaxSize)
+	l, err := obs.OpenEventLog(*f.ledgerPath, *f.ledgerMaxSize)
 	if err != nil {
 		return cfg, nil, fmt.Errorf("opening ledger: %w", err)
 	}

@@ -94,7 +94,7 @@ func TestRunArtifacts(t *testing.T) {
 func TestRunLedgerAlignment(t *testing.T) {
 	dir := t.TempDir()
 	ledgerPath := filepath.Join(dir, "run.jsonl")
-	log, err := obs.OpenEventLog(ledgerPath)
+	log, err := obs.OpenEventLog(ledgerPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

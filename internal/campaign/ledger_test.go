@@ -14,7 +14,7 @@ import (
 // workflow.
 func TestCampaignLedgerRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	led, err := obs.OpenEventLog(path)
+	led, err := obs.OpenEventLog(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

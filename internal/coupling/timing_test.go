@@ -145,7 +145,7 @@ func TestStepFailurePublishesMeasuredRegions(t *testing.T) {
 				})
 			}
 			path := filepath.Join(t.TempDir(), "run.jsonl")
-			led, err := obs.OpenEventLog(path)
+			led, err := obs.OpenEventLog(path, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,9 +12,11 @@ import (
 	"time"
 )
 
-// LedgerSchemaVersion is the schema carried in every ledger line; readers
-// reject lines from a newer schema rather than misinterpreting them.
-const LedgerSchemaVersion = 1
+// LedgerSchemaVersion is the schema carried in every ledger line, and the
+// only one a reader reads: an older line is an error, a newer one is skipped.
+// It versions the typed payloads too (see RecordEvent), which carry no
+// version of their own.
+const LedgerSchemaVersion = 2
 
 // Ledger event types. The set is open — emitters may add their own, and
 // readers skip types they do not know — but these are the ones the coupling
@@ -23,15 +25,14 @@ const (
 	LedgerRunStart  = "run_start" // one per run: args carry steps, kernels
 	LedgerRunEnd    = "run_end"   // one per run: args carry totals
 	LedgerStep      = "step"      // one per simulation step
-	LedgerPhase     = "phase"     // a named phase inside a step or run (advance, plan, ...)
 	LedgerAnalysis  = "analysis"  // one kernel analysis invocation
 	LedgerOutput    = "output"    // one kernel output invocation
 	LedgerSolve     = "solve"     // one MILP solve: args carry nodes, pivots, objective
 	LedgerPlan      = "plan"      // predicted profile for one stream, written by monitored runs
-	LedgerAlert     = "alert"     // a runmon drift or budget alert: args carry the detector state
-	LedgerReplan    = "replan"    // a mid-run reschedule decision: args carry old/new plan value
-	LedgerSolveProg = "solveprog" // one solver flight-recorder sample: args carry the solveprog_v payload
-	LedgerReqLog    = "reqlog"    // one service request (schedd access ledger): args carry the reqlog_v payload
+	LedgerAlert     = "alert"     // a runmon drift or budget alert (runmon.Alert)
+	LedgerReplan    = "replan"    // a mid-run reschedule decision (runmon.ReplanRecord)
+	LedgerSolveProg = "solveprog" // one solver flight-recorder sample (SolveProgress)
+	LedgerReqLog    = "reqlog"    // one service request, the schedd access ledger
 )
 
 // LedgerEvent is one line of the JSONL run ledger. Times are offsets from
@@ -71,20 +72,12 @@ type EventLog struct {
 	count  int
 	enc    ledgerEncoder // reused under mu: an append allocates nothing
 
-	// Rotation state, set only for file-backed ledgers (OpenEventLog).
-	// maxBytes caps the active file: once an append pushes written past it,
-	// the file is renamed to path+rotateSuffix (replacing any previous
-	// generation) and a fresh file is started, so a long-lived daemon holds
-	// at most two generations on disk instead of an unbounded ledger.
-	path      string
-	maxBytes  int64
-	written   int64
-	rotations int
+	// Rotation state of a capped ledger (OpenEventLog): a long-lived daemon
+	// holds at most two generations on disk instead of an unbounded ledger.
+	path     string
+	maxBytes int64
+	written  int64
 }
-
-// rotateSuffix is appended to the ledger path for the single retained
-// previous generation.
-const rotateSuffix = ".1"
 
 // NewEventLog starts a ledger on w with the epoch at the current time.
 func NewEventLog(w io.Writer) *EventLog {
@@ -96,86 +89,22 @@ func NewEventLog(w io.Writer) *EventLog {
 	return l
 }
 
-// OpenEventLog creates (or truncates) a ledger file at path. File-backed
-// ledgers support size-capped rotation; see SetMaxBytes and Rotate.
-func OpenEventLog(path string) (*EventLog, error) {
+// OpenEventLog creates (or truncates) a ledger file at path. A maxBytes > 0
+// caps it: past the cap the file becomes path+".1", replacing the previous
+// generation, and a fresh file starts at path with the same epoch, so the two
+// generations concatenate into one timeline. 0 leaves it uncapped.
+func OpenEventLog(path string, maxBytes int64) (*EventLog, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
 	l := NewEventLog(f)
-	l.path = path
+	l.path, l.maxBytes = path, maxBytes
 	return l, nil
-}
-
-// OpenEventLogCapped is OpenEventLog with a size cap already applied: the
-// one-call form for long-lived daemons (schedd serve) whose ledgers must
-// not grow unboundedly.
-func OpenEventLogCapped(path string, maxBytes int64) (*EventLog, error) {
-	l, err := OpenEventLog(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.SetMaxBytes(maxBytes); err != nil {
-		l.Close()
-		return nil, err
-	}
-	return l, nil
-}
-
-// SetMaxBytes arms size-capped rotation: once an append pushes the active
-// file past maxBytes, the log rotates (see Rotate). A maxBytes <= 0
-// disarms the cap. Only file-backed ledgers (OpenEventLog) can rotate;
-// arming any other ledger is an error.
-func (l *EventLog) SetMaxBytes(maxBytes int64) error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.path == "" && maxBytes > 0 {
-		return fmt.Errorf("obs: ledger is not file-backed; size cap needs OpenEventLog")
-	}
-	l.maxBytes = maxBytes
-	return nil
-}
-
-// Rotate closes the active ledger file, renames it to
-// path+".1" (replacing the previous generation, so at most two files ever
-// exist), and starts a fresh file at path. The epoch is preserved: events
-// in the new generation keep timestamps relative to the original open, so
-// the two generations concatenate into one coherent timeline. Errors are
-// sticky exactly like append errors — a failed rotation wedges the log and
-// is reported by Err/Close. Rotating a non-file ledger is an error (not
-// sticky: the log itself is still healthy).
-func (l *EventLog) Rotate() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.path == "" {
-		return fmt.Errorf("obs: ledger is not file-backed; rotation needs OpenEventLog")
-	}
-	if l.err != nil {
-		return l.err
-	}
-	l.rotateLocked()
-	return l.err
-}
-
-// Rotations reports how many times the log has rotated.
-func (l *EventLog) Rotations() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rotations
 }
 
 // rotateLocked performs the rename-and-reopen under l.mu; any failure is
-// recorded as the sticky error.
+// recorded as the sticky error, exactly like an append error.
 func (l *EventLog) rotateLocked() {
 	if l.closer != nil {
 		if err := l.closer.Close(); err != nil {
@@ -184,7 +113,7 @@ func (l *EventLog) rotateLocked() {
 		}
 		l.closer = nil
 	}
-	if err := os.Rename(l.path, l.path+rotateSuffix); err != nil {
+	if err := os.Rename(l.path, l.path+".1"); err != nil {
 		l.err = err
 		return
 	}
@@ -196,7 +125,6 @@ func (l *EventLog) rotateLocked() {
 	l.w = f
 	l.closer = f
 	l.written = 0
-	l.rotations++
 }
 
 // SetClock replaces the log's clock and re-anchors the epoch, exactly like
@@ -306,7 +234,7 @@ var ErrSchemaTooNew = fmt.Errorf("obs: ledger line from a newer schema than v%d"
 
 // ParseLedgerEvent parses one JSONL ledger line. It returns ErrSchemaTooNew
 // (possibly wrapped) for lines stamped with a newer schema version, and a
-// plain error for malformed JSON or a non-positive schema.
+// plain error for malformed JSON, a missing schema or an older one.
 func ParseLedgerEvent(raw []byte) (LedgerEvent, error) {
 	var e LedgerEvent
 	if err := json.Unmarshal(raw, &e); err != nil {
@@ -314,6 +242,9 @@ func ParseLedgerEvent(raw []byte) (LedgerEvent, error) {
 	}
 	if e.Schema < 1 {
 		return LedgerEvent{}, fmt.Errorf("obs: ledger line missing schema version")
+	}
+	if e.Schema < LedgerSchemaVersion {
+		return LedgerEvent{}, fmt.Errorf("obs: ledger line is v%d; this reader reads v%d", e.Schema, LedgerSchemaVersion)
 	}
 	if e.Schema > LedgerSchemaVersion {
 		return LedgerEvent{}, fmt.Errorf("%w (line is v%d)", ErrSchemaTooNew, e.Schema)

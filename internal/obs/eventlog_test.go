@@ -65,7 +65,7 @@ func TestEventLogDeterministicBytes(t *testing.T) {
 		t.Fatalf("ledger not byte-stable:\n%s\n%s", a, b)
 	}
 	// Map keys are sorted by encoding/json, so the line is a fixed string.
-	want := `{"v":1,"type":"solve","name":"plan","ts_us":1000,"dur_us":10,"args":{"nodes":3,"objective":41,"pivots":17}}` + "\n"
+	want := `{"v":2,"type":"solve","name":"plan","ts_us":1000,"dur_us":10,"args":{"nodes":3,"objective":41,"pivots":17}}` + "\n"
 	if a != want {
 		t.Fatalf("ledger line:\n got %s\nwant %s", a, want)
 	}
@@ -82,9 +82,13 @@ func TestEventLogSchemaRejection(t *testing.T) {
 		t.Fatal("malformed line accepted")
 	}
 	// Blank lines are fine.
-	blank, err := ReadLedger(strings.NewReader("\n\n" + `{"v":1,"type":"step","step":1}` + "\n\n"))
+	blank, err := ReadLedger(strings.NewReader("\n\n" + `{"v":2,"type":"step","step":1}` + "\n\n"))
 	if err != nil || len(blank) != 1 {
 		t.Fatalf("events=%v err=%v", blank, err)
+	}
+	// An older line is refused by name: no v1 reader is kept.
+	if _, err := ReadLedger(strings.NewReader(`{"v":1,"type":"step","step":1}`)); err == nil || !strings.Contains(err.Error(), "v1") {
+		t.Fatalf("v1 line: err = %v, want one naming v1", err)
 	}
 }
 
@@ -221,7 +225,7 @@ func TestEventLogAppendAllocatesNothing(t *testing.T) {
 
 func TestEventLogFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	l, err := OpenEventLog(path)
+	l, err := OpenEventLog(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +237,7 @@ func TestEventLogFile(t *testing.T) {
 	if err != nil || len(events) != 1 {
 		t.Fatalf("events=%v err=%v", events, err)
 	}
-	if _, err := OpenEventLog(filepath.Join(t.TempDir(), "no", "such", "dir", "x.jsonl")); err == nil {
+	if _, err := OpenEventLog(filepath.Join(t.TempDir(), "no", "such", "dir", "x.jsonl"), 0); err == nil {
 		t.Fatal("unwritable ledger path accepted")
 	}
 	if _, err := ReadLedgerFile(filepath.Join(t.TempDir(), "absent.jsonl")); err == nil {
@@ -268,16 +272,16 @@ func TestEventLogConcurrent(t *testing.T) {
 }
 
 func TestReadLedgerSkipsNewerSchema(t *testing.T) {
-	input := `{"v":1,"type":"run_start","name":"app"}
-{"v":2,"type":"hologram","name":"future"}
-{"v":1,"type":"step","step":1,"ts_us":5,"dur_us":100}
+	input := `{"v":2,"type":"run_start","name":"app"}
+{"v":3,"type":"hologram","name":"future"}
+{"v":2,"type":"step","step":1,"ts_us":5,"dur_us":100}
 {"v":9,"type":"step","step":2,"ts_us":6,"dur_us":100}
 `
 	events, err := ReadLedger(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The two v1 lines survive, in order; both newer lines are skipped.
+	// The two v2 lines survive, in order; both newer lines are skipped.
 	if len(events) != 2 || events[0].Type != LedgerRunStart || events[1].Step != 1 {
 		t.Fatalf("kept %+v, want run_start then step 1", events)
 	}

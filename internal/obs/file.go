@@ -40,7 +40,7 @@ func (s *Sinks) Open() error {
 	}
 	if s.ledgerPath != "" {
 		var err error
-		s.Ledger, err = OpenEventLog(s.ledgerPath)
+		s.Ledger, err = OpenEventLog(s.ledgerPath, 0)
 		return err
 	}
 	return nil

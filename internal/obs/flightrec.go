@@ -7,15 +7,13 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"reflect"
-	"slices"
 	"strings"
 	"sync"
 )
 
-// SolveProgSchemaVersion is the version stamped into every solveprog ledger
-// event as the "solveprog_v" arg. Readers skip events stamped with a newer
-// version, mirroring alert_v and replan_v.
+// SolveProgSchemaVersion versions the /solve.json document ("solveprog_v")
+// and the DeterministicBytes and CanonicalBytes projections; the ledger's
+// solveprog events are versioned by the line's own "v".
 const SolveProgSchemaVersion = 1
 
 // Solve progress kinds, in the order a solve emits them: exactly one start,
@@ -33,17 +31,17 @@ const (
 // cumulative since solve start (on the end record they equal milp.Stats), so
 // a suffix of the stream still reads correct totals. TUS follows the
 // solver's wall clock and is the only field excluded from the per-width
-// determinism contract. Each field's JSON name is also its ledger arg key; a
-// field tagged solveprog:"<kind>" is carried on records of that kind only.
+// determinism contract. It is a ledger record (RecordEvent): its JSON tags
+// are the solveprog event's schema.
 type SolveProgress struct {
 	Seq  int     `json:"seq"`
-	Kind string  `json:"kind"`
+	Kind string  `json:"kind" ledger:"start|wave|incumbent|end"`
 	TUS  float64 `json:"t_us"`
 
 	// Wave counts consumed waves (the root is wave 1) and Open the nodes left
 	// in the queue; WaveSize/Workers is a wave's worker occupancy.
 	Wave     int `json:"wave"`
-	WaveSize int `json:"wave_size,omitempty" solveprog:"wave"`
+	WaveSize int `json:"wave_size,omitempty"`
 	Workers  int `json:"workers"`
 	Nodes    int `json:"nodes"`
 	Open     int `json:"open"`
@@ -65,17 +63,14 @@ type SolveProgress struct {
 
 	// Revised-simplex internals: warm re-solves pruned on a dual
 	// infeasibility certificate, the primal/dual pivot split, basis
-	// refactorizations, and the peak eta-file length. Zero on streams
-	// recorded before solveprog carried them (the schema version is
-	// unchanged: absent args decode to zero).
+	// refactorizations, and the peak eta-file length.
 	WarmInfeasibles  int `json:"warm_infeasible,omitempty"`
 	PrimalPivots     int `json:"primal_pivots,omitempty"`
 	DualPivots       int `json:"dual_pivots,omitempty"`
 	Refactorizations int `json:"refactorizations,omitempty"`
 	EtaPeak          int `json:"eta_peak,omitempty"`
 	// ReducedCostFixed is the number of integer columns the search has fixed
-	// at their root resting bound by reduced cost (zero on older streams,
-	// like the fields above).
+	// at their root resting bound by reduced cost.
 	ReducedCostFixed int `json:"rc_fixed,omitempty"`
 
 	// Prune-reason taxonomy over explored nodes:
@@ -87,13 +82,13 @@ type SolveProgress struct {
 	BranchedNodes    int `json:"branched"`
 	QueuePruned      int `json:"queue_pruned"`
 
-	Vars        int `json:"vars,omitempty" solveprog:"start"`
-	IntVars     int `json:"int_vars,omitempty" solveprog:"start"`
-	Constraints int `json:"constraints,omitempty" solveprog:"start"`
+	Vars        int `json:"vars,omitempty"`
+	IntVars     int `json:"int_vars,omitempty"`
+	Constraints int `json:"constraints,omitempty"`
 
 	// Status is set on end records only: "optimal", "infeasible",
 	// "unbounded", or "node-limit".
-	Status string `json:"status,omitempty"`
+	Status string `json:"status,omitempty" ledger:"optimal|infeasible|unbounded|node-limit"`
 }
 
 // Gap returns the absolute optimality gap Bound-Incumbent and whether it is
@@ -105,103 +100,18 @@ func (p SolveProgress) Gap() (float64, bool) {
 	return p.Bound - p.Incumbent, true
 }
 
-// The kind and status names by the numeric code the ledger args carry for
-// them (args are float64-only).
-var (
-	solveProgKinds    = []string{SolveProgStart, SolveProgWave, SolveProgIncumbent, SolveProgEnd}
-	solveProgStatuses = []string{"optimal", "infeasible", "unbounded", "node-limit"}
-)
-
-// solveProgCode is name's code in names; a name it does not list codes as 0.
-func solveProgCode(names []string, name string) float64 {
-	return float64(max(slices.Index(names, name), 0))
-}
-
-// solveProgName is the name code stands for in names, or "<unknown>-<code>".
-func solveProgName(names []string, code float64, unknown string) string {
-	if i := int(code); float64(i) == code && i >= 0 && i < len(names) {
-		return names[i]
-	}
-	return fmt.Sprintf("%s-%g", unknown, code)
-}
-
-// solveProgField is one integer field of SolveProgress: its struct index, its
-// arg key, and the one kind of record that carries it ("" for every kind).
-type solveProgField struct {
-	index     int
-	key, kind string
-}
-
-// solveProgFields is the solveprog codec's one field table, read off the
-// record's declaration: every integer field in declaration order, keyed by
-// its JSON name. Event, SolveProgFromEvent and DeterministicBytes all read
-// it, so a counter added to SolveProgress travels everywhere at once.
-var solveProgFields = func() (fs []solveProgField) {
-	t := reflect.TypeOf(SolveProgress{})
-	for i := 0; i < t.NumField(); i++ {
-		if f := t.Field(i); f.Type.Kind() == reflect.Int {
-			key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-			fs = append(fs, solveProgField{index: i, key: key, kind: f.Tag.Get("solveprog")})
-		}
-	}
-	return fs
-}()
-
-// Event encodes the record as one schema-versioned solveprog ledger event
-// under the given solve name, like runmon.ReplanRecord.Event. A field
-// confined to one kind is written on records of that kind only, the
-// incumbent and bound only under their has-flags, the status on end records.
+// Event is the record as a solveprog ledger event under the given solve name.
 func (p SolveProgress) Event(name string) LedgerEvent {
-	args := map[string]float64{
-		"solveprog_v": SolveProgSchemaVersion,
-		"kind":        solveProgCode(solveProgKinds, p.Kind),
-		"t_us":        p.TUS,
-	}
-	v := reflect.ValueOf(p)
-	for _, f := range solveProgFields {
-		if f.kind == "" || f.kind == p.Kind {
-			args[f.key] = float64(v.Field(f.index).Int())
-		}
-	}
-	if p.HasInc {
-		args["incumbent"] = p.Incumbent
-	}
-	if p.HasBound {
-		args["bound"] = p.Bound
-	}
-	if p.Kind == SolveProgEnd {
-		args["status"] = solveProgCode(solveProgStatuses, p.Status)
-	}
-	return LedgerEvent{Type: LedgerSolveProg, Name: name, Args: args}
+	e := RecordEvent(LedgerSolveProg, &p)
+	e.Name = name
+	return e
 }
 
-// SolveProgFromEvent decodes one solveprog ledger event. It returns false
-// for events of other types, events missing the version stamp, and events
-// from a newer solveprog schema (forward compatibility: skip, don't fail).
-// Absent args decode to zero.
-func SolveProgFromEvent(e LedgerEvent) (SolveProgress, bool) {
-	if e.Type != LedgerSolveProg {
-		return SolveProgress{}, false
-	}
-	v, ok := e.Args["solveprog_v"]
-	if !ok || v > SolveProgSchemaVersion {
-		return SolveProgress{}, false
-	}
-	p := SolveProgress{Kind: solveProgName(solveProgKinds, e.Args["kind"], "kind"), TUS: e.Args["t_us"]}
-	fields := reflect.ValueOf(&p).Elem()
-	for _, f := range solveProgFields {
-		fields.Field(f.index).SetInt(int64(e.Args[f.key]))
-	}
-	if inc, ok := e.Args["incumbent"]; ok {
-		p.HasInc, p.Incumbent = true, inc
-	}
-	if b, ok := e.Args["bound"]; ok {
-		p.HasBound, p.Bound = true, b
-	}
-	if p.Kind == SolveProgEnd {
-		p.Status = solveProgName(solveProgStatuses, e.Args["status"], "status")
-	}
-	return p, true
+// SolveProgFromEvent reads a solveprog ledger event back; it reports false for
+// events of other types.
+func SolveProgFromEvent(e LedgerEvent) (p SolveProgress, ok bool) {
+	ok = ReadRecord(e, LedgerSolveProg, &p)
+	return p, ok
 }
 
 // DefaultFlightCapacity is the ring's size limit NewFlightRecorder uses for
@@ -590,9 +500,8 @@ func gapBar(gap, initGap float64) string {
 	return "|" + strings.Repeat("#", n) + strings.Repeat(" ", width-n) + "|"
 }
 
-// GroupSolveProg splits a decoded ledger stream into per-solve runs: a new
-// run starts at every start event (ledgers may carry several solves, e.g. a
-// campaign sweep). Records before the first start form their own run.
+// SolveProgRun is one solve's flight stream, as GroupSolveProgEvents and
+// AppendSolveProg split a ledger into them.
 type SolveProgRun struct {
 	Name    string
 	Records []SolveProgress
@@ -611,11 +520,12 @@ func GroupSolveProgEvents(events []LedgerEvent) []SolveProgRun {
 }
 
 // AppendSolveProg is the one grouping rule: it adds p, decoded from a ledger
-// event named name, to the last run, opening a new run first at a start
-// record (or when there is none yet). An unnamed run takes the first name it
-// sees.
+// event named name, to the last run, opening a new run first when there is
+// none yet, at a start record, or when name differs from the last run's
+// non-empty name — a recorder whose ring wrapped drains without its start
+// record. An unnamed run takes the first name it sees.
 func AppendSolveProg(runs []SolveProgRun, name string, p SolveProgress) []SolveProgRun {
-	if len(runs) == 0 || p.Kind == SolveProgStart {
+	if n := len(runs); n == 0 || p.Kind == SolveProgStart || (runs[n-1].Name != "" && runs[n-1].Name != name) {
 		runs = append(runs, SolveProgRun{Name: name})
 	}
 	r := &runs[len(runs)-1]

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"insitu/internal/obs/jsontest"
 )
 
 // progStream builds a small well-formed flight stream: start, two waves with
@@ -49,9 +52,6 @@ func TestSolveProgLedgerRoundTrip(t *testing.T) {
 		if e.Type != LedgerSolveProg || e.Name != "plan" {
 			t.Fatalf("event type/name = %q/%q", e.Type, e.Name)
 		}
-		if e.Args["solveprog_v"] != SolveProgSchemaVersion {
-			t.Fatalf("missing schema stamp in %v", e.Args)
-		}
 		got, ok := SolveProgFromEvent(e)
 		if !ok {
 			t.Fatalf("decode failed for kind %s", p.Kind)
@@ -64,54 +64,30 @@ func TestSolveProgLedgerRoundTrip(t *testing.T) {
 	}
 }
 
-// everyFieldRecords gives every exported field of SolveProgress a distinct
-// non-zero value, one record per kind, so no field can drop out of a codec
-// unnoticed. want is what each record reads back as from the ledger, under
-// its per-kind rules: wave_size on wave records only, the problem shape on
-// start records only, the status on end records only.
-func everyFieldRecords(t *testing.T) (recs, want []SolveProgress) {
+// everyFieldRecords gives every field of SolveProgress a distinct non-zero
+// value, one record per kind, so no field can drop out of a codec unnoticed.
+func everyFieldRecords(t *testing.T) []SolveProgress {
 	t.Helper()
+	var recs []SolveProgress
 	for k, kind := range []string{SolveProgStart, SolveProgWave, SolveProgIncumbent, SolveProgEnd} {
 		var p SolveProgress
-		v := reflect.ValueOf(&p).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			n := 100*(k+1) + i + 1
-			switch f := v.Field(i); f.Kind() {
-			case reflect.Int:
-				f.SetInt(int64(n))
-			case reflect.Float64:
-				f.SetFloat(float64(n) + 0.25)
-			case reflect.Bool:
-				f.SetBool(true)
-			case reflect.String: // Kind and Status, set below
-			default:
-				t.Fatalf("SolveProgress.%s: no test value for a %s", v.Type().Field(i).Name, f.Kind())
-			}
+		if err := jsontest.FillRecord(&p, 100*(k+1)); err != nil {
+			t.Fatal(err)
 		}
-		p.Kind, p.Status = kind, "node-limit"
+		p.Kind = kind
 		recs = append(recs, p)
-		if kind != SolveProgWave {
-			p.WaveSize = 0
-		}
-		if kind != SolveProgStart {
-			p.Vars, p.IntVars, p.Constraints = 0, 0, 0
-		}
-		if kind != SolveProgEnd {
-			p.Status = ""
-		}
-		want = append(want, p)
 	}
-	return recs, want
+	return recs
 }
 
 // TestSolveProgEveryFieldRoundTrips: every field of every kind of record
-// survives the ledger codec up to the per-kind rules, and /solve.json whole.
+// survives a ledger line and /solve.json whole.
 func TestSolveProgEveryFieldRoundTrips(t *testing.T) {
-	recs, want := everyFieldRecords(t)
-	for i, p := range recs {
-		got, ok := SolveProgFromEvent(p.Event("plan"))
-		if !ok || got != want[i] {
-			t.Fatalf("%s record through the ledger:\n got %+v\nwant %+v", p.Kind, got, want[i])
+	recs := everyFieldRecords(t)
+	for _, p := range recs {
+		got, ok := SolveProgFromEvent(throughLedger(t, p.Event("plan")))
+		if !ok || got != p {
+			t.Fatalf("%s record through the ledger:\n got %+v\nwant %+v", p.Kind, got, p)
 		}
 	}
 	rec := httptest.NewRecorder()
@@ -130,7 +106,20 @@ func TestSolveProgEveryFieldRoundTrips(t *testing.T) {
 // records as the solver emits them, each field distinct, through
 // AppendLedger under a fixed clock.
 func TestSolveProgLedgerBytes(t *testing.T) {
-	_, recs := everyFieldRecords(t)
+	recs := everyFieldRecords(t)
+	for i := range recs {
+		// The solver sets a wave size on wave records, the shape on start
+		// records and a status on end records only.
+		if recs[i].Kind != SolveProgWave {
+			recs[i].WaveSize = 0
+		}
+		if recs[i].Kind != SolveProgStart {
+			recs[i].Vars, recs[i].IntVars, recs[i].Constraints = 0, 0, 0
+		}
+		if recs[i].Kind != SolveProgEnd {
+			recs[i].Status = ""
+		}
+	}
 	r := NewFlightRecorder(0)
 	for _, p := range recs {
 		r.Record(p)
@@ -147,22 +136,20 @@ func TestSolveProgLedgerBytes(t *testing.T) {
 	}
 }
 
-const solveProgLedgerPin = `{"v":1,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":112.25,"branched":127,"cold":116,"constraints":131,"dual_pivots":120,"eta_peak":122,"fallback_cold":117,"incumbent":110.25,"int_vars":130,"integral":126,"kind":0,"nodes":107,"open":108,"pivots":113,"primal_pivots":119,"prune_bound":124,"prune_infeasible":125,"queue_pruned":128,"rc_fixed":123,"refactorizations":121,"relaxations":114,"seq":101,"solveprog_v":1,"t_us":103.25,"vars":129,"warm":115,"warm_infeasible":118,"wave":104,"workers":106}}
-{"v":1,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":212.25,"branched":227,"cold":216,"dual_pivots":220,"eta_peak":222,"fallback_cold":217,"incumbent":210.25,"integral":226,"kind":1,"nodes":207,"open":208,"pivots":213,"primal_pivots":219,"prune_bound":224,"prune_infeasible":225,"queue_pruned":228,"rc_fixed":223,"refactorizations":221,"relaxations":214,"seq":201,"solveprog_v":1,"t_us":203.25,"warm":215,"warm_infeasible":218,"wave":204,"wave_size":205,"workers":206}}
-{"v":1,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":312.25,"branched":327,"cold":316,"dual_pivots":320,"eta_peak":322,"fallback_cold":317,"incumbent":310.25,"integral":326,"kind":2,"nodes":307,"open":308,"pivots":313,"primal_pivots":319,"prune_bound":324,"prune_infeasible":325,"queue_pruned":328,"rc_fixed":323,"refactorizations":321,"relaxations":314,"seq":301,"solveprog_v":1,"t_us":303.25,"warm":315,"warm_infeasible":318,"wave":304,"workers":306}}
-{"v":1,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":412.25,"branched":427,"cold":416,"dual_pivots":420,"eta_peak":422,"fallback_cold":417,"incumbent":410.25,"integral":426,"kind":3,"nodes":407,"open":408,"pivots":413,"primal_pivots":419,"prune_bound":424,"prune_infeasible":425,"queue_pruned":428,"rc_fixed":423,"refactorizations":421,"relaxations":414,"seq":401,"solveprog_v":1,"status":3,"t_us":403.25,"warm":415,"warm_infeasible":418,"wave":404,"workers":406}}
+const solveProgLedgerPin = `{"v":2,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":112.25,"branched":127,"cold":116,"constraints":131,"dual_pivots":120,"eta_peak":122,"fallback_cold":117,"has_bound":1,"has_inc":1,"incumbent":110.25,"int_vars":130,"integral":126,"kind":0,"nodes":107,"open":108,"pivots":113,"primal_pivots":119,"prune_bound":124,"prune_infeasible":125,"queue_pruned":128,"rc_fixed":123,"refactorizations":121,"relaxations":114,"seq":101,"t_us":103.25,"vars":129,"warm":115,"warm_infeasible":118,"wave":104,"workers":106}}
+{"v":2,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":212.25,"branched":227,"cold":216,"dual_pivots":220,"eta_peak":222,"fallback_cold":217,"has_bound":1,"has_inc":1,"incumbent":210.25,"integral":226,"kind":1,"nodes":207,"open":208,"pivots":213,"primal_pivots":219,"prune_bound":224,"prune_infeasible":225,"queue_pruned":228,"rc_fixed":223,"refactorizations":221,"relaxations":214,"seq":201,"t_us":203.25,"warm":215,"warm_infeasible":218,"wave":204,"wave_size":205,"workers":206}}
+{"v":2,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":312.25,"branched":327,"cold":316,"dual_pivots":320,"eta_peak":322,"fallback_cold":317,"has_bound":1,"has_inc":1,"incumbent":310.25,"integral":326,"kind":2,"nodes":307,"open":308,"pivots":313,"primal_pivots":319,"prune_bound":324,"prune_infeasible":325,"queue_pruned":328,"rc_fixed":323,"refactorizations":321,"relaxations":314,"seq":301,"t_us":303.25,"warm":315,"warm_infeasible":318,"wave":304,"workers":306}}
+{"v":2,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":412.25,"branched":427,"cold":416,"dual_pivots":420,"eta_peak":422,"fallback_cold":417,"has_bound":1,"has_inc":1,"incumbent":410.25,"integral":426,"kind":3,"nodes":407,"open":408,"pivots":413,"primal_pivots":419,"prune_bound":424,"prune_infeasible":425,"queue_pruned":428,"rc_fixed":423,"refactorizations":421,"relaxations":414,"seq":401,"status":3,"t_us":403.25,"warm":415,"warm_infeasible":418,"wave":404,"workers":406}}
 `
 
 func TestSolveProgFromEventSkips(t *testing.T) {
 	if _, ok := SolveProgFromEvent(LedgerEvent{Type: LedgerSolve}); ok {
 		t.Fatal("decoded a non-solveprog event")
 	}
-	if _, ok := SolveProgFromEvent(LedgerEvent{Type: LedgerSolveProg}); ok {
-		t.Fatal("decoded an event missing the version stamp")
-	}
-	newer := LedgerEvent{Type: LedgerSolveProg, Args: map[string]float64{"solveprog_v": SolveProgSchemaVersion + 1}}
-	if _, ok := SolveProgFromEvent(newer); ok {
-		t.Fatal("decoded an event from a newer schema")
+	for _, args := range []map[string]float64{{"kind": 4}, {"kind": 3, "status": 4}, {"kind": -1}} {
+		if p, ok := SolveProgFromEvent(LedgerEvent{Type: LedgerSolveProg, Args: args}); ok {
+			t.Fatalf("decoded %v as %+v", args, p)
+		}
 	}
 }
 
@@ -353,6 +340,34 @@ func TestGroupSolveProgEventsMultipleRuns(t *testing.T) {
 	}
 	if GroupSolveProgEvents([]LedgerEvent{{Type: LedgerStep}}) != nil {
 		t.Fatal("old ledger must group to nil")
+	}
+}
+
+// TestGroupSolveProgWrappedRing: a recorder whose ring wrapped drains without
+// its start record, and its stream is still a run of its own.
+func TestGroupSolveProgWrappedRing(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewEventLog(&buf)
+	a, b := NewFlightRecorder(0), NewFlightRecorder(4)
+	a.SetName("a")
+	b.SetName("b")
+	for _, p := range progStream() {
+		a.Record(p)
+		b.Record(p)
+		b.Record(p)
+	}
+	a.AppendLedger(l, "")
+	b.AppendLedger(l, "")
+	events, err := ReadLedger(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range GroupSolveProgEvents(events) {
+		got = append(got, fmt.Sprintf("%s:%d", r.Name, len(r.Records)))
+	}
+	if want := []string{"a:5", "b:4"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("runs (name:records) = %v, want %v", got, want)
 	}
 }
 

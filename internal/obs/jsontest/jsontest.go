@@ -1,12 +1,15 @@
-// Package jsontest holds the inputs this repository's append-style JSON
-// encoders are held to encoding/json with: strings and floats at every edge
-// obs.AppendJSONString and obs.AppendJSONFloat special-case, and seeded
-// draws over them. It is imported by tests only.
+// Package jsontest holds the inputs this repository's JSON encoders are
+// tested with: strings and floats at every edge obs.AppendJSONString and
+// obs.AppendJSONFloat special-case, seeded draws over them, and ledger
+// records with every field set. It is imported by tests only.
 package jsontest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 )
 
 var (
@@ -51,4 +54,35 @@ func Float(rng *rand.Rand) float64 {
 	default:
 		return rng.NormFloat64() * 1e3
 	}
+}
+
+// FillRecord gives every ledger-carried field of the record rec points to
+// (see obs.RecordEvent) a distinct non-zero value counted up from seed:
+// numbers count, bools are true, a string takes the last name its ledger tag
+// lists, or a made-up one when the tag puts it in the envelope's name. A
+// field of any other kind is an error.
+func FillRecord(rec any, seed int) error {
+	v := reflect.ValueOf(rec).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, sf := v.Field(i), v.Type().Field(i)
+		tag := sf.Tag.Get("ledger")
+		n := seed + i + 1
+		switch {
+		case !sf.IsExported() || tag == "-" || sf.Tag.Get("json") == "-":
+		case f.Kind() == reflect.Int:
+			f.SetInt(int64(n))
+		case f.Kind() == reflect.Float64:
+			f.SetFloat(float64(n) + 0.25)
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case tag == "name":
+			f.SetString(fmt.Sprintf("name-%d", n))
+		case f.Kind() == reflect.String:
+			names := strings.Split(tag, "|")
+			f.SetString(names[len(names)-1])
+		default:
+			return fmt.Errorf("jsontest: %s.%s: no value for a %s", v.Type(), sf.Name, f.Kind())
+		}
+	}
+	return nil
 }

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -16,7 +14,7 @@ import (
 func TestEventLogRotationCap(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.jsonl")
-	l, err := OpenEventLogCapped(path, 256)
+	l, err := OpenEventLog(path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +24,8 @@ func TestEventLogRotationCap(t *testing.T) {
 	if err := l.Err(); err != nil {
 		t.Fatalf("ledger error: %v", err)
 	}
-	if l.Rotations() == 0 {
-		t.Fatal("50 events through a 256-byte cap should have rotated")
+	if _, err := os.Stat(path + ".1"); err != nil {
+		t.Fatalf("50 events through a 256-byte cap should have rotated: %v", err)
 	}
 	// The 50th append may have landed exactly on a rotation boundary, leaving
 	// the fresh generation empty; one more event pins both files non-empty.
@@ -70,55 +68,24 @@ func TestEventLogRotationCap(t *testing.T) {
 	}
 }
 
-// TestEventLogExplicitRotate exercises the on-demand Rotate call.
-func TestEventLogExplicitRotate(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.jsonl")
-	l, err := OpenEventLog(path)
+// TestEventLogUncapped: a 0 cap never rotates.
+func TestEventLogUncapped(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	l, err := OpenEventLog(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append(LedgerEvent{Type: LedgerRunStart, Name: "app"})
-	if err := l.Rotate(); err != nil {
-		t.Fatalf("rotate: %v", err)
+	for i := 0; i < 50; i++ {
+		l.Append(LedgerEvent{Type: LedgerStep, Step: i + 1, Dur: 100})
 	}
-	l.Append(LedgerEvent{Type: LedgerRunEnd})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Rotations(); got != 1 {
-		t.Fatalf("rotations = %d, want 1", got)
+	if _, err := os.Stat(path + ".1"); !os.IsNotExist(err) {
+		t.Fatalf("an uncapped ledger rotated: %v", err)
 	}
-	prev, err := ReadLedgerFile(path + ".1")
-	if err != nil || len(prev) != 1 || prev[0].Type != LedgerRunStart {
-		t.Fatalf("previous generation = %v, %v", prev, err)
-	}
-	cur, err := ReadLedgerFile(path)
-	if err != nil || len(cur) != 1 || cur[0].Type != LedgerRunEnd {
-		t.Fatalf("current generation = %v, %v", cur, err)
-	}
-}
-
-// TestEventLogRotateNotFileBacked: rotation needs a path; in-memory ledgers
-// refuse without wedging the log.
-func TestEventLogRotateNotFileBacked(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewEventLog(&buf)
-	if err := l.Rotate(); err == nil {
-		t.Fatal("rotating an in-memory ledger should fail")
-	}
-	if err := l.SetMaxBytes(1024); err == nil {
-		t.Fatal("capping an in-memory ledger should fail")
-	}
-	l.Append(LedgerEvent{Type: LedgerStep, Step: 1})
-	if err := l.Err(); err != nil {
-		t.Fatalf("refused rotation must not be sticky, got %v", err)
-	}
-	if l.Len() != 1 {
-		t.Fatalf("log should still accept events, len = %d", l.Len())
-	}
-	if !strings.Contains(buf.String(), `"type":"step"`) {
-		t.Fatalf("event not written: %q", buf.String())
+	if events, err := ReadLedgerFile(path); err != nil || len(events) != 50 {
+		t.Fatalf("read %d events, %v; want 50", len(events), err)
 	}
 }
 
@@ -131,7 +98,7 @@ func TestEventLogRotationStickyError(t *testing.T) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenEventLogCapped(path, 32)
+	l, err := OpenEventLog(path, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,6 @@ import (
 	"insitu/internal/obs"
 )
 
-// AlertSchemaVersion is carried in every alert event's args ("alert_v") so
-// downstream consumers (the future replanner, dashboards) can gate on the
-// alert payload layout independently of the ledger line schema.
-const AlertSchemaVersion = 1
-
 // Alert kinds.
 const (
 	AlertDrift  = "drift"  // a stream's CUSUM crossed its threshold
@@ -38,9 +33,8 @@ type Config struct {
 	// projected total analysis time exceeds ThresholdSec×BudgetGuard
 	// (default 1.0).
 	BudgetGuard float64
-	// Ledger, when non-nil, receives every alert as a schema-versioned
-	// "alert" event, so alerts land in the same JSONL stream as the run
-	// they describe.
+	// Ledger, when non-nil, receives every alert as an "alert" event, so
+	// alerts land in the same JSONL stream as the run they describe.
 	Ledger *obs.EventLog
 	// Metrics, when non-nil, exports the live detector state: per-stream
 	// runmon_ewma_rel_err / runmon_cusum_pos / runmon_cusum_neg gauges, a
@@ -67,16 +61,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Alert is one emitted drift or budget alert.
+// Alert is one emitted drift or budget alert, the ledger record
+// (obs.RecordEvent) of an "alert" event.
 type Alert struct {
-	Kind      string  `json:"kind"`                // AlertDrift or AlertBudget
-	Stream    string  `json:"stream"`              // residual stream, or "budget"
-	Step      int     `json:"step"`                // simulation step at detection
-	Direction string  `json:"direction,omitempty"` // "slow" or "fast" (drift only)
-	RelErr    float64 `json:"rel_err"`             // EWMA of relative error at detection
-	CUSUM     float64 `json:"cusum"`               // alarming CUSUM statistic
-	Predicted float64 `json:"predicted_sec"`       // per-event prediction (drift) or budget (budget)
-	Observed  float64 `json:"observed_sec"`        // last observation (drift) or projection (budget)
+	Kind      string  `json:"kind" ledger:"drift|budget"`             // AlertDrift or AlertBudget
+	Stream    string  `json:"stream" ledger:"name"`                   // residual stream, or "budget"
+	Step      int     `json:"step" ledger:"step"`                     // simulation step at detection
+	Direction string  `json:"direction,omitempty" ledger:"fast|slow"` // "slow" or "fast" (drift only)
+	RelErr    float64 `json:"rel_err"`                                // EWMA of relative error at detection
+	CUSUM     float64 `json:"cusum"`                                  // alarming CUSUM statistic
+	Predicted float64 `json:"predicted_sec"`                          // per-event prediction (drift) or budget (budget)
+	Observed  float64 `json:"observed_sec"`                           // last observation (drift) or projection (budget)
 }
 
 // streamState is the per-stream detector stack.
@@ -200,18 +195,19 @@ func (m *Monitor) Observe(e obs.LedgerEvent) {
 		if m.profile == nil {
 			m.profile = &Profile{Streams: map[string]float64{}}
 		}
-		m.profile.absorbPlanEvent(e)
+		row := m.profile.absorbPlanEvent(e)
 		if m.profile.ThresholdSec > 0 {
 			m.mThreshold.Set(m.profile.ThresholdSec)
 		}
-		m.rebaseline(e.Name)
-		if e.Name == StreamSim && e.Args["threshold_sec"] > 0 {
+		m.rebaseline(row.Stream)
+		if row.Stream == StreamSim && row.ThresholdSec > 0 {
 			// A fresh budget (a replan's plan events carry one) re-arms the
 			// budget alert against the new threshold.
 			m.budgetHit = false
 		}
 	case obs.LedgerReplan:
-		if r, ok := replanRecordFromEvent(e); ok {
+		var r ReplanRecord
+		if obs.ReadRecord(e, obs.LedgerReplan, &r) {
 			m.replans = append(m.replans, r)
 		}
 	case obs.LedgerSolve:
@@ -388,39 +384,14 @@ func (m *Monitor) projectBudget(step int) {
 	}
 }
 
-// raise records an alert, appends it to the ledger as a schema-versioned
-// alert event, and bumps the alert counter. Callers hold m.mu.
+// raise records an alert, appends it to the ledger as an alert event, and
+// bumps the alert counter. Callers hold m.mu.
 func (m *Monitor) raise(a Alert) {
 	m.alerts = append(m.alerts, a)
 	m.cfg.Metrics.Counter("runmon_alerts_total", obs.Labels{"stream": a.Stream, "kind": a.Kind}).Inc()
-	m.cfg.Ledger.Append(obs.LedgerEvent{
-		Type: obs.LedgerAlert, Name: a.Stream, Step: a.Step,
-		Args: map[string]float64{
-			"alert_v":       AlertSchemaVersion,
-			"kind":          alertKindCode(a.Kind),
-			"rel_err":       a.RelErr,
-			"cusum":         a.CUSUM,
-			"predicted_sec": a.Predicted,
-			"observed_sec":  a.Observed,
-			"slow":          boolArg(a.Direction != "fast"),
-		},
-	})
-}
-
-// alertKindCode maps alert kinds onto the numeric args payload (ledger args
-// are float64-only by design).
-func alertKindCode(kind string) float64 {
-	if kind == AlertBudget {
-		return 1
+	if m.cfg.Ledger != nil {
+		m.cfg.Ledger.Append(obs.RecordEvent(obs.LedgerAlert, &a))
 	}
-	return 0
-}
-
-func boolArg(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Alerts returns a copy of every alert raised so far.
@@ -449,8 +420,8 @@ func (m *Monitor) Replans() []ReplanRecord {
 
 // Solve retention bounds: a live monitor keeps the most recent
 // maxFlightRuns solve events and flight streams (older ones roll off) and
-// caps each stream's record count, so a replanning run cannot grow the
-// monitor without bound.
+// the newest maxFlightRecords records of each stream, as a FlightRecorder's
+// ring does, so a replanning run cannot grow the monitor without bound.
 const (
 	maxFlightRuns    = 8
 	maxFlightRecords = obs.DefaultFlightCapacity
@@ -469,7 +440,7 @@ func (m *Monitor) observeSolveProg(e obs.LedgerEvent) {
 		m.flights = m.flights[n-maxFlightRuns:]
 	}
 	if r := &m.flights[len(m.flights)-1]; len(r.Records) > maxFlightRecords {
-		r.Records = r.Records[:maxFlightRecords]
+		r.Records = r.Records[len(r.Records)-maxFlightRecords:]
 	}
 }
 

@@ -194,11 +194,12 @@ func TestMonitorAlertsFlowToLedgerAndMetrics(t *testing.T) {
 	if alert == nil {
 		t.Fatal("no alert event written to the ledger")
 	}
-	if alert.Name != StreamSim || alert.Args["alert_v"] != AlertSchemaVersion {
-		t.Fatalf("alert event = %+v", alert)
+	var read Alert
+	if !obs.ReadRecord(*alert, obs.LedgerAlert, &read) || read != m.Alerts()[0] {
+		t.Fatalf("alert event %+v reads as %+v, want %+v", alert, read, m.Alerts()[0])
 	}
-	if alert.Args["predicted_sec"] != 0.010 {
-		t.Fatalf("alert predicted_sec = %g", alert.Args["predicted_sec"])
+	if alert.Name != StreamSim || alert.Args["predicted_sec"] != 0.010 || read.Direction != "slow" {
+		t.Fatalf("alert event = %+v", alert)
 	}
 
 	// Metrics registry carries the detector state and the alert counter.
@@ -407,12 +408,12 @@ func TestMonitorCollectsReplanEvents(t *testing.T) {
 		!strings.Contains(out, "[no_improvement]") {
 		t.Fatalf("report missing replan timeline:\n%s", out)
 	}
-	// Events from a future replan schema are skipped, not misread.
+	// Events with a reason this reader does not know are skipped, not misread.
 	e := rec.Event()
-	e.Args["replan_v"] = ReplanSchemaVersion + 1
+	e.Args["reason"] = 5
 	m.Observe(e)
 	if len(m.Replans()) != 2 {
-		t.Fatal("future-schema replan event was not skipped")
+		t.Fatal("unknown-reason replan event was not skipped")
 	}
 }
 
@@ -476,6 +477,25 @@ func TestMonitorFlightRetentionBounds(t *testing.T) {
 	solves := m.Snapshot().Solves
 	if len(solves) != maxFlightRuns || solves[len(solves)-1].Args["nodes"] != maxFlightRuns+2 {
 		t.Fatalf("retained %d solve events, want the newest %d", len(solves), maxFlightRuns)
+	}
+
+	// An over-long stream keeps its newest records, as a FlightRecorder's
+	// ring does: the end record with the status and final gap among them.
+	long := flightEvents("long")
+	wave := long[1]
+	m.Observe(long[0])
+	for i := 0; i < maxFlightRecords+4; i++ {
+		m.Observe(wave)
+	}
+	m.Observe(long[2])
+	flights := m.Flights()
+	recs := flights[len(flights)-1].Records
+	if len(recs) != maxFlightRecords || recs[len(recs)-1].Kind != obs.SolveProgEnd {
+		t.Fatalf("over-long stream kept %d records ending in a %s record, want %d ending in end",
+			len(recs), recs[len(recs)-1].Kind, maxFlightRecords)
+	}
+	if _, status, ok := obs.FinalGap(recs); !ok || status != "optimal" {
+		t.Fatalf("over-long stream lost its end record: %q, %t", status, ok)
 	}
 }
 

@@ -105,6 +105,17 @@ func FromPlan(specs []core.AnalysisSpec, rec *core.Recommendation, res core.Reso
 	return p
 }
 
+// planRow is the ledger record (obs.RecordEvent) of one "plan" event: a
+// stream's predicted seconds per event and, on the sim row, the run's length,
+// budget and planned analysis total.
+type planRow struct {
+	Stream       string  `json:"stream" ledger:"name"`
+	SecPerEvent  float64 `json:"sec_per_event"`
+	Steps        int     `json:"steps,omitempty"`
+	ThresholdSec float64 `json:"threshold_sec,omitempty"`
+	PlannedSec   float64 `json:"planned_sec,omitempty"`
+}
+
 // PlanEvents serializes the profile as ledger "plan" events, one per stream
 // plus one run-level event carrying the budget, so a ledger written by a
 // monitored run is self-describing: runmon tail/report/serve rebuild the
@@ -113,50 +124,43 @@ func (p *Profile) PlanEvents() []obs.LedgerEvent {
 	if p == nil {
 		return nil
 	}
-	events := []obs.LedgerEvent{{
-		Type: obs.LedgerPlan, Name: StreamSim,
-		Args: map[string]float64{
-			"sec_per_event": p.SimSec,
-			"steps":         float64(p.Steps),
-			"threshold_sec": p.ThresholdSec,
-			"planned_sec":   p.PlannedSec,
-		},
-	}}
+	events := []obs.LedgerEvent{obs.RecordEvent(obs.LedgerPlan, &planRow{
+		Stream: StreamSim, SecPerEvent: p.SimSec,
+		Steps: p.Steps, ThresholdSec: p.ThresholdSec, PlannedSec: p.PlannedSec,
+	})}
 	for _, name := range sortedStreamNames(p.Streams) {
-		if name == StreamSim {
-			continue
+		if name != StreamSim {
+			events = append(events, obs.RecordEvent(obs.LedgerPlan, &planRow{Stream: name, SecPerEvent: p.Streams[name]}))
 		}
-		events = append(events, obs.LedgerEvent{
-			Type: obs.LedgerPlan, Name: name,
-			Args: map[string]float64{"sec_per_event": p.Streams[name]},
-		})
 	}
 	return events
 }
 
-// absorbPlanEvent folds one ledger "plan" event into the profile; FromEvents
-// and the monitor both use it, so in-ledger plans and in-process plans are
-// interchangeable.
-func (p *Profile) absorbPlanEvent(e obs.LedgerEvent) {
+// absorbPlanEvent folds one ledger "plan" event into the profile and returns
+// its row; FromEvents and the monitor both use it, so in-ledger plans and
+// in-process plans are interchangeable.
+func (p *Profile) absorbPlanEvent(e obs.LedgerEvent) planRow {
+	var row planRow
+	obs.ReadRecord(e, obs.LedgerPlan, &row)
 	if p.Streams == nil {
 		p.Streams = map[string]float64{}
 	}
-	sec := e.Args["sec_per_event"]
-	if e.Name == StreamSim {
-		p.SimSec = sec
-		if v := e.Args["steps"]; v > 0 {
-			p.Steps = int(v)
+	if row.Stream == StreamSim {
+		p.SimSec = row.SecPerEvent
+		if row.Steps > 0 {
+			p.Steps = row.Steps
 		}
-		if v := e.Args["threshold_sec"]; v > 0 {
-			p.ThresholdSec = v
+		if row.ThresholdSec > 0 {
+			p.ThresholdSec = row.ThresholdSec
 		}
-		if v := e.Args["planned_sec"]; v > 0 {
-			p.PlannedSec = v
+		if row.PlannedSec > 0 {
+			p.PlannedSec = row.PlannedSec
 		}
 	}
-	if sec > 0 && !math.IsNaN(sec) && !math.IsInf(sec, 0) {
-		p.Streams[e.Name] = sec
+	if sec := row.SecPerEvent; sec > 0 && !math.IsNaN(sec) && !math.IsInf(sec, 0) {
+		p.Streams[row.Stream] = sec
 	}
+	return row
 }
 
 // FromEvents reconstructs a profile from a ledger's plan events. It returns

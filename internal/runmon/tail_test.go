@@ -35,8 +35,8 @@ func TestFollowerPicksUpAppends(t *testing.T) {
 	}
 
 	appendLines(t, path,
-		`{"v":1,"type":"run_start","name":"mdsim/water"}`+"\n",
-		`{"v":1,"type":"step","step":1,"dur_us":100}`+"\n",
+		`{"v":2,"type":"run_start","name":"mdsim/water"}`+"\n",
+		`{"v":2,"type":"step","step":1,"dur_us":100}`+"\n",
 	)
 	events, err := f.Poll()
 	if err != nil {
@@ -51,7 +51,7 @@ func TestFollowerPicksUpAppends(t *testing.T) {
 		t.Fatalf("idle poll: events=%v err=%v", events, err)
 	}
 
-	appendLines(t, path, `{"v":1,"type":"step","step":2,"dur_us":100}`+"\n")
+	appendLines(t, path, `{"v":2,"type":"step","step":2,"dur_us":100}`+"\n")
 	events, err = f.Poll()
 	if err != nil || len(events) != 1 || events[0].Step != 2 {
 		t.Fatalf("second poll: events=%+v err=%v", events, err)
@@ -60,7 +60,7 @@ func TestFollowerPicksUpAppends(t *testing.T) {
 
 func TestFollowerBuffersPartialLines(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	whole := `{"v":1,"type":"step","step":7,"dur_us":100}` + "\n"
+	whole := `{"v":2,"type":"step","step":7,"dur_us":100}` + "\n"
 	half := len(whole) / 2
 
 	appendLines(t, path, whole[:half])
@@ -78,8 +78,8 @@ func TestFollowerBuffersPartialLines(t *testing.T) {
 func TestFollowerResetsOnTruncation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	appendLines(t, path,
-		`{"v":1,"type":"step","step":1,"dur_us":100}`+"\n",
-		`{"v":1,"type":"step","step":2,"dur_us":100}`+"\n",
+		`{"v":2,"type":"step","step":1,"dur_us":100}`+"\n",
+		`{"v":2,"type":"step","step":2,"dur_us":100}`+"\n",
 	)
 	f := NewFollower(path)
 	if events, err := f.Poll(); err != nil || len(events) != 2 {
@@ -87,7 +87,7 @@ func TestFollowerResetsOnTruncation(t *testing.T) {
 	}
 
 	// Truncate-and-rewrite: the follower must start over, not mid-file.
-	if err := os.WriteFile(path, []byte(`{"v":1,"type":"step","step":9,"dur_us":100}`+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"v":2,"type":"step","step":9,"dur_us":100}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	events, err := f.Poll()
@@ -100,7 +100,7 @@ func TestFollowerSkipsNewerSchema(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	appendLines(t, path,
 		fmt.Sprintf(`{"v":%d,"type":"warp","step":1}`, obs.LedgerSchemaVersion+1)+"\n",
-		`{"v":1,"type":"step","step":1,"dur_us":100}`+"\n",
+		`{"v":2,"type":"step","step":1,"dur_us":100}`+"\n",
 	)
 	f := NewFollower(path)
 	events, err := f.Poll()
@@ -123,7 +123,7 @@ func TestFollowerReportsMalformedJSON(t *testing.T) {
 
 func TestFollowCancels(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	appendLines(t, path, `{"v":1,"type":"step","step":1,"dur_us":100}`+"\n")
+	appendLines(t, path, `{"v":2,"type":"step","step":1,"dur_us":100}`+"\n")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var got []obs.LedgerEvent

@@ -42,8 +42,7 @@ import (
 	"insitu/internal/scenario"
 )
 
-// SchemaVersion versions the request/response JSON ("schedd_v") and the
-// reqlog ledger events ("reqlog_v").
+// SchemaVersion versions the request/response JSON ("schedd_v").
 const SchemaVersion = 1
 
 // maxBodyBytes caps a request body; scenario documents are a few KiB. The
@@ -74,11 +73,6 @@ const (
 	ErrQueueTimeout  = "queue_timeout" // 503: no solver slot within QueueTimeout
 	ErrCanceled      = "canceled"      // 499: client went away mid-request
 )
-
-// numeric codes for the kinds above, for the reqlog Args payload.
-var errKindCodes = map[string]float64{
-	"": 0, ErrBadRequest: 1, ErrUnprocessable: 2, ErrSolver: 3, ErrQueueTimeout: 4, ErrCanceled: 5,
-}
 
 // Config tunes the daemon. The zero value serves with defaults.
 type Config struct {
@@ -232,15 +226,17 @@ type SolveResponse struct {
 	Error *ErrorJSON `json:"error,omitempty"`
 }
 
-// reqRecord is one entry of the recent-request registry.
+// reqRecord is one entry of the recent-request registry, and the ledger
+// record (obs.RecordEvent) of its reqlog event: GET /v1/requests and the
+// reqlog line name the same fields the same way.
 type reqRecord struct {
-	ID          string  `json:"request_id"`
-	Fingerprint string  `json:"fingerprint,omitempty"`
+	ID          string  `json:"request_id" ledger:"name"`
+	Fingerprint string  `json:"fingerprint,omitempty" ledger:"-"`
 	Code        int     `json:"code"`
-	ErrKind     string  `json:"error_kind,omitempty"`
+	ErrKind     string  `json:"error_kind,omitempty" ledger:"|bad_request|unprocessable|solver_error|queue_timeout|canceled"`
 	CacheHit    bool    `json:"cache_hit"`
 	Coalesced   bool    `json:"coalesced,omitempty"`
-	DurUs       float64 `json:"dur_us"`
+	DurUs       float64 `json:"dur_us" ledger:"dur"`
 	QueueUs     float64 `json:"queue_us,omitempty"`
 	SolveUs     float64 `json:"solve_us,omitempty"`
 	Nodes       int     `json:"nodes,omitempty"`
@@ -783,26 +779,7 @@ func (s *Server) finish(start time.Time, rec *reqRecord, val *solved, ejson *Err
 	// The request's root span: everything nested under it (solve span,
 	// solveprog flight events) shares the request ID in Name.
 	if s.ledger != nil {
-		args := map[string]float64{
-			"reqlog_v":  SchemaVersion,
-			"code":      float64(rec.Code),
-			"err":       errKindCodes[rec.ErrKind],
-			"cache_hit": b2f(rec.CacheHit),
-			"queue_us":  rec.QueueUs,
-			"solve_us":  rec.SolveUs,
-			"nodes":     float64(rec.Nodes),
-		}
-		if rec.Coalesced {
-			args["coalesced"] = 1
-		}
-		if ejson == nil {
-			args["objective"] = rec.Objective
-		}
-		s.ledger.Append(obs.LedgerEvent{
-			Type: obs.LedgerReqLog, Name: rec.ID,
-			Dur:  rec.DurUs,
-			Args: args,
-		})
+		s.ledger.Append(obs.RecordEvent(obs.LedgerReqLog, rec))
 	}
 
 	s.mu.Lock()
@@ -812,13 +789,6 @@ func (s *Server) finish(start time.Time, rec *reqRecord, val *solved, ejson *Err
 	}
 	s.mu.Unlock()
 	return answer{rec: rec, val: val, ejson: ejson}
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // handleRequests serves the recent-request registry, newest first.

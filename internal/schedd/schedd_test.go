@@ -173,12 +173,29 @@ func TestSolveCacheLedger(t *testing.T) {
 	if counts[obs.LedgerSolve+"|req-beta"] != 0 {
 		t.Fatal("cache hit must not ledger a solve span")
 	}
+	// Each reqlog line reads back as the request's GET /v1/requests entry,
+	// less the fingerprint the ledger does not carry.
+	listing, err := srv.Client().Get(srv.URL + "/v1/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer listing.Body.Close()
+	var recent []reqRecord // newest first
+	if err := json.NewDecoder(listing.Body).Decode(&recent); err != nil || len(recent) != 2 {
+		t.Fatalf("/v1/requests: %d entries, %v", len(recent), err)
+	}
+	var logged []reqRecord
 	for _, e := range events {
-		if e.Type == obs.LedgerReqLog && e.Name == "req-beta" {
-			if e.Args["cache_hit"] != 1 || e.Args["reqlog_v"] != 1 {
-				t.Fatalf("req-beta reqlog args: %v", e.Args)
-			}
+		var r reqRecord
+		if obs.ReadRecord(e, obs.LedgerReqLog, &r) {
+			logged = append([]reqRecord{r}, logged...)
 		}
+	}
+	for i := range recent {
+		recent[i].Fingerprint = ""
+	}
+	if !reflect.DeepEqual(logged, recent) || !logged[0].CacheHit {
+		t.Fatalf("reqlog lines read back as\n%+v\nwant the /v1/requests entries\n%+v", logged, recent)
 	}
 }
 
