@@ -1,5 +1,7 @@
 package lp
 
+import "math/bits"
+
 // Basis is an immutable snapshot of a Solver's optimal basis: which column
 // is basic in each row, and which nonbasic structural/slack columns rest at
 // their upper bound. It is all a dual-simplex warm start needs — the matrix,
@@ -7,23 +9,31 @@ package lp
 // branch-and-bound node can carry its parent's Basis instead of a live
 // solver, and any Solver of the same problem can continue from it.
 //
+// A snapshot is three allocations whatever the problem's size: the struct,
+// one int32 column per row, and the at-upper flags of the n structural and
+// slack columns packed into (n+63)/64 words, column j at bit j%64 of word
+// j/64.
+//
 // A basic artificial (a redundant equality row keeps one, clamped at zero) is
 // recorded like any other column, without its sign: a column fixed at
 // [0, 0] spans the same basis and the same feasible set as +e_i or -e_i, so
 // the installing solver is free to use +1.
 type Basis struct {
-	cols    []int32 // basic column per row
-	atUpper []bool  // per structural+slack column: nonbasic at upper bound
+	cols  []int32  // basic column per row
+	upper []uint64 // bit j: structural/slack column j rests at its upper bound when nonbasic
+	n     int      // structural+slack columns the flags cover
 }
 
 // snapshot copies the current basis out of the working state.
 func (rv *revised) snapshot() *Basis {
-	b := &Basis{
-		cols:    make([]int32, rv.m),
-		atUpper: append([]bool(nil), rv.atUpper[:rv.n]...),
-	}
+	b := &Basis{cols: make([]int32, rv.m), upper: make([]uint64, (rv.n+63)/64), n: rv.n}
 	for i, col := range rv.basis {
 		b.cols[i] = int32(col)
+	}
+	for j, up := range rv.atUpper[:rv.n] {
+		if up {
+			b.upper[j/64] |= 1 << (j % 64)
+		}
 	}
 	return b
 }
@@ -46,7 +56,11 @@ func (b *Basis) Columns(p *Problem) (basic []int, atUpper []bool) {
 			basic[len(basic)-1] = logical[int(c)-n]
 		}
 	}
-	return basic, append([]bool(nil), b.atUpper[:n]...)
+	atUpper = make([]bool, n)
+	for j := range atUpper {
+		atUpper[j] = b.upper[j/64]&(1<<(j%64)) != 0
+	}
+	return basic, atUpper
 }
 
 // install replaces the working basis with b and refactorizes. Artificial
@@ -57,14 +71,18 @@ func (b *Basis) Columns(p *Problem) (basic []int, atUpper []bool) {
 // numerically singular here; the working state is then unusable until the
 // next cold solve resets it.
 func (rv *revised) install(b *Basis) bool {
-	if len(b.cols) != rv.m || len(b.atUpper) != rv.n {
+	if len(b.cols) != rv.m || b.n != rv.n {
 		return false
 	}
 	for j := rv.n; j < rv.width; j++ {
 		rv.lo[j], rv.up[j] = 0, 0
-		rv.atUpper[j] = false
 	}
-	copy(rv.atUpper, b.atUpper)
+	clear(rv.atUpper)
+	for w, word := range b.upper {
+		for ; word != 0; word &= word - 1 {
+			rv.atUpper[w*64+bits.TrailingZeros64(word)] = true
+		}
+	}
 	for i := range rv.artSign {
 		rv.artSign[i] = 1
 	}

@@ -52,7 +52,7 @@ func (rv *revised) resolve(lower, upper []float64) (*Solution, bool) {
 		return nil, false
 	}
 	if infeasible {
-		return &Solution{Status: Infeasible, Iters: rv.iters}, true
+		return rv.answer(Solution{Status: Infeasible, Iters: rv.iters}), true
 	}
 	status, obj := rv.simplex(rv.c)
 	if status != Optimal {

@@ -90,6 +90,7 @@ type revised struct {
 	y     []float64
 	cPh1  []float64 // length width; phase-1 objective
 	xLean []float64 // length nOrig; the point lean solutions return
+	sol   Solution  // lean mode: what every solve returns (see answer)
 	// Refactorization scratch, allocated on first use.
 	factOrder []int
 	factBasis []int
@@ -460,7 +461,7 @@ func (rv *revised) solveCold(lower, upper []float64) *Solution {
 		rv.reset(lower, upper)
 		sol = rv.runCold()
 		if sol.Status == numericFailure {
-			sol = &Solution{Status: IterationLimit, Iters: rv.iters}
+			sol = rv.answer(Solution{Status: IterationLimit, Iters: rv.iters})
 		}
 	}
 	return sol
@@ -488,14 +489,14 @@ func (rv *revised) runCold() *Solution {
 		rv.rebuildMovable()
 		status, obj := rv.simplex(ph1)
 		if status == numericFailure {
-			return &Solution{Status: numericFailure}
+			return rv.answer(Solution{Status: numericFailure})
 		}
 		if status == IterationLimit {
-			return &Solution{Status: IterationLimit, Iters: rv.iters}
+			return rv.answer(Solution{Status: IterationLimit, Iters: rv.iters})
 		}
 		if obj < -feasTol {
 			rv.farkasRow = -1
-			return &Solution{Status: Infeasible, Iters: rv.iters}
+			return rv.answer(Solution{Status: Infeasible, Iters: rv.iters})
 		}
 		rv.driveOutArtificials()
 		// Forbid artificials from re-entering or growing: clamp to zero. A
@@ -514,10 +515,10 @@ func (rv *revised) runCold() *Solution {
 	rv.rebuildMovable()
 	status, obj := rv.simplex(rv.c)
 	if status == numericFailure {
-		return &Solution{Status: numericFailure}
+		return rv.answer(Solution{Status: numericFailure})
 	}
 	if status != Optimal {
-		return &Solution{Status: status, Iters: rv.iters}
+		return rv.answer(Solution{Status: status, Iters: rv.iters})
 	}
 	return rv.extract(obj)
 }
@@ -1004,6 +1005,19 @@ func (rv *revised) devexUpdate(enter, leave int, piv float64, rho []float64) {
 	}
 }
 
+// answer returns sol as the solve's result: written into the state's own
+// Solution in lean mode, which the next solve overwrites, and a fresh one
+// otherwise. The fresh one is a copy so that only that branch allocates; the
+// address of sol itself would move it to the heap on every call.
+func (rv *revised) answer(sol Solution) *Solution {
+	if !rv.lean {
+		fresh := sol
+		return &fresh
+	}
+	rv.sol = sol
+	return &rv.sol
+}
+
 // extract materializes the current optimal basis into a Solution, snapping
 // values near the current bounds onto them. In lean mode the diagnostic
 // fields (duals, reduced costs, row activity) are skipped — the
@@ -1037,7 +1051,7 @@ func (rv *revised) extract(obj float64) *Solution {
 		}
 	}
 	if rv.lean {
-		return &Solution{Status: Optimal, X: x, Objective: obj, Iters: rv.iters}
+		return rv.answer(Solution{Status: Optimal, X: x, Objective: obj, Iters: rv.iters})
 	}
 	// Simplex multipliers for duals and reduced costs: for a maximization
 	// the shadow price of a <= or >= row is y_r; equality rows report NaN

@@ -36,9 +36,10 @@ type Solver struct {
 	last     Status // the last solve's verdict; numericFailure before any, and for conflicting bounds
 
 	// Lean skips the diagnostic solution fields (duals, reduced costs, row
-	// activity) that branch and bound never reads, and returns Solution.X in
-	// a buffer the solver owns: it is overwritten by this solver's next
-	// solve, so a caller that keeps the point must copy it.
+	// activity) that branch and bound never reads, and returns the solver's
+	// own *Solution, its X a buffer the solver owns too: both belong to the
+	// solver and are overwritten by its next solve, so a caller that keeps a
+	// verdict or a point must copy it. A warm lean solve allocates nothing.
 	Lean bool
 	// NoWarm forces every Solve and SolveFrom through the cold path (branch
 	// and bound sets it to measure warm-start savings).
@@ -198,7 +199,7 @@ func (s *Solver) SolveFrom(b *Basis, lower, upper []float64) (*Solution, bool) {
 	for j := range lower {
 		if lower[j] > upper[j] {
 			s.last = numericFailure
-			return &Solution{Status: Infeasible}, false
+			return s.state().answer(Solution{Status: Infeasible}), false
 		}
 	}
 	if !s.NoWarm && (b != nil || s.hasBasis) {

@@ -719,7 +719,7 @@ func (sl *slot) basis() *lp.Basis {
 }
 
 // nodeResult is one node's solved relaxation plus the path that produced it.
-// sol.X is the slot solver's own buffer, valid until that slot solves its
+// sol, X included, is the slot solver's own, valid until that slot solves its
 // next node.
 type nodeResult struct {
 	sol  *lp.Solution

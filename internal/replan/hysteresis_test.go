@@ -218,3 +218,30 @@ func TestHysteresisMaxReplansEmitsSingleLimit(t *testing.T) {
 	}
 	h.mustRecords(runmon.ReplanAdopted, runmon.ReplanLimit)
 }
+
+// A decision step with no new alert reads nothing of the alert history: after
+// k alerts have been raised and the pending one decided, Decide allocates
+// nothing, whatever k is.
+func TestDecideIgnoresAlertHistory(t *testing.T) {
+	for _, k := range []int{1, 8, 64} {
+		h := newHarness(t, hSpecs(), hRes(100, 0.12), Config{})
+		replay := runmon.FromPlan(hSpecs(), h.rec, hRes(100, 0.12), hSimSec).PlanEvents()
+		for j := 1; j <= k; j++ {
+			for _, e := range replay {
+				h.mon.Observe(e) // rebaseline, so the next drift alerts again
+			}
+			h.step(j, 3*hSimSec)
+		}
+		if _, n := h.mon.AlertFrom(0); n != k {
+			t.Fatalf("k=%d: %d alerts raised", k, n)
+		}
+		if h.rp.Decide(100) != nil {
+			t.Fatalf("k=%d: a decision at the last step adopted a schedule", k)
+		}
+		h.mustRecords(runmon.ReplanHorizon)
+		if n := testing.AllocsPerRun(20, func() { h.rp.Decide(100) }); n != 0 {
+			t.Errorf("k=%d: a decision step with no new alert allocates %v objects, want 0", k, n)
+		}
+		h.mustRecords(runmon.ReplanHorizon)
+	}
+}

@@ -165,11 +165,10 @@ func (r *Replanner) Decide(step int) *core.Recommendation {
 
 	// Consume alerts raised since the last decision; the earliest new one
 	// becomes (or refreshes) the pending trigger.
-	alerts := r.mon.Alerts()
-	if len(alerts) > r.seenAlerts {
-		a := alerts[r.seenAlerts]
-		r.pending = &a
-		r.seenAlerts = len(alerts)
+	if a, n := r.mon.AlertFrom(r.seenAlerts); n > r.seenAlerts {
+		pending := a
+		r.pending = &pending
+		r.seenAlerts = n
 	}
 	if r.pending == nil {
 		return nil

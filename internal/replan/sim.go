@@ -114,11 +114,22 @@ func Simulate(sc Scenario, adaptive bool, workers int) (SimResult, error) {
 		return SimResult{}, fmt.Errorf("replan: up-front solve for %s: %w", sc.Name, err)
 	}
 
-	result := SimResult{Name: sc.Name, Adaptive: adaptive, Analyses: map[string]int{}}
-	push := func(e obs.LedgerEvent) { result.Events = append(result.Events, e) }
-
 	profile := runmon.FromPlan(sc.Specs, rec, res, sc.SimSec)
 	profile.App = "replan-sim/" + sc.Name
+	plan := profile.PlanEvents()
+	// The up-front plan sizes the event stream and the execution log once:
+	// only an adopted replan, which adds events and can move work, grows them.
+	planned := 0
+	for _, s := range rec.Schedules {
+		if s.Enabled {
+			planned += len(s.AnalysisSteps) + len(s.OutputSteps)
+		}
+	}
+	result := SimResult{
+		Name: sc.Name, Adaptive: adaptive, Analyses: map[string]int{},
+		Events: make([]obs.LedgerEvent, 0, 2+len(plan)+sc.Steps+planned), // run start and end, plan, steps, work
+	}
+	push := func(e obs.LedgerEvent) { result.Events = append(result.Events, e) }
 	mon := runmon.NewMonitor(profile, runmon.Config{})
 	var rp *Replanner
 	if adaptive {
@@ -135,7 +146,7 @@ func Simulate(sc Scenario, adaptive bool, workers int) (SimResult, error) {
 	start := obs.LedgerEvent{Type: obs.LedgerRunStart, Name: profile.App}
 	push(start)
 	mon.Observe(start)
-	for _, e := range profile.PlanEvents() {
+	for _, e := range plan {
 		push(e)
 		mon.Observe(e)
 	}
@@ -187,7 +198,7 @@ func Simulate(sc Scenario, adaptive bool, workers int) (SimResult, error) {
 	}
 	active := buildActive(rec)
 
-	var execs []exec
+	execs := make([]exec, 0, planned)
 	for j := 1; j <= sc.Steps; j++ {
 		simSec := noisy(sc.SimSec * inflate(runmon.PerturbSimTime, j))
 		result.SimSecTotal += simSec

@@ -394,16 +394,20 @@ func (m *Monitor) raise(a Alert) {
 	}
 }
 
-// Alerts returns a copy of every alert raised so far.
-func (m *Monitor) Alerts() []Alert {
+// AlertFrom returns the i-th alert raised (zero-based; the zero Alert when
+// there is none yet) and how many have been raised so far, so a consumer
+// that remembers the count reads each new alert once without copying the
+// history.
+func (m *Monitor) AlertFrom(i int) (Alert, int) {
 	if m == nil {
-		return nil
+		return Alert{}, 0
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Alert, len(m.alerts))
-	copy(out, m.alerts)
-	return out
+	if i < 0 || i >= len(m.alerts) {
+		return Alert{}, len(m.alerts)
+	}
+	return m.alerts[i], len(m.alerts)
 }
 
 // Replans returns a copy of every replan decision observed so far.

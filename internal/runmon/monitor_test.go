@@ -195,8 +195,12 @@ func TestMonitorAlertsFlowToLedgerAndMetrics(t *testing.T) {
 		t.Fatal("no alert event written to the ledger")
 	}
 	var read Alert
-	if !obs.ReadRecord(*alert, obs.LedgerAlert, &read) || read != m.Alerts()[0] {
-		t.Fatalf("alert event %+v reads as %+v, want %+v", alert, read, m.Alerts()[0])
+	first, raised := m.AlertFrom(0)
+	if !obs.ReadRecord(*alert, obs.LedgerAlert, &read) || read != first {
+		t.Fatalf("alert event %+v reads as %+v, want %+v", alert, read, first)
+	}
+	if past, n := m.AlertFrom(raised); n != raised || past != (Alert{}) {
+		t.Fatalf("AlertFrom(%d) = %+v of %d after %d alerts, want the zero Alert", raised, past, n, raised)
 	}
 	if alert.Name != StreamSim || alert.Args["predicted_sec"] != 0.010 || read.Direction != "slow" {
 		t.Fatalf("alert event = %+v", alert)
@@ -225,7 +229,9 @@ func TestMonitorIgnoresUnknownAndNil(t *testing.T) {
 	var m *Monitor
 	m.Observe(stepEvent(1, 1)) // nil-safe
 	_ = m.Snapshot()
-	_ = m.Alerts()
+	if a, n := m.AlertFrom(0); n != 0 || a != (Alert{}) {
+		t.Fatalf("nil monitor: AlertFrom(0) = %+v of %d", a, n)
+	}
 	m.SetProfile(nil)
 
 	real := NewMonitor(nil, Config{})
@@ -329,8 +335,8 @@ func TestPlanEventRebaselinesCalibratingStream(t *testing.T) {
 	for step := 4; step <= 20; step++ {
 		m.Observe(analysisEvent(step, "rdf", 0.020))
 	}
-	if alerts := m.Alerts(); len(alerts) != 0 {
-		t.Fatalf("faithful post-plan observations alerted: %+v", alerts)
+	if a, n := m.AlertFrom(0); n != 0 {
+		t.Fatalf("faithful post-plan observations alerted %d times, first %+v", n, a)
 	}
 }
 
