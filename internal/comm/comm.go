@@ -1,9 +1,9 @@
 // Package comm is a message-passing runtime that plays the role MPI plays in
 // the paper's applications. Ranks are goroutines inside one process; they
-// exchange tagged messages through mailboxes and implement the collectives
-// the analysis kernels need (Barrier, Reduce, Allreduce, Bcast, Gather,
-// Allgather) with binomial-tree algorithms, so communication volume and
-// depth behave like real MPI implementations.
+// exchange tagged messages through mailboxes and implement the one collective
+// the analysis kernels need, Allreduce, as a reduce to rank 0 and a broadcast
+// over binomial trees, so communication volume and depth behave like real
+// MPI implementations.
 //
 // The package also provides NetworkModel, an analytic latency/bandwidth/hops
 // cost model parameterized by torus diameter. The paper predicts collective
@@ -17,8 +17,6 @@ import (
 	"math"
 	"sync"
 	"time"
-
-	"insitu/internal/obs"
 )
 
 // message is a tagged payload in flight between two ranks.
@@ -81,11 +79,6 @@ const AnySource = -1
 type World struct {
 	size  int
 	boxes []*mailbox
-	// Telemetry handles resolved once by Instrument; all remain nil-safe
-	// no-ops when the world is uninstrumented, so Send stays branch-free.
-	mMsgs  *obs.Counter
-	mBytes *obs.Counter
-	mColl  map[string]*obs.Counter
 }
 
 // NewWorld creates a world with the given number of ranks.
@@ -103,30 +96,11 @@ func NewWorld(size int) (*World, error) {
 // Size returns the number of ranks in the world.
 func (w *World) Size() int { return w.size }
 
-// Instrument registers the world's traffic counters with reg:
-// comm_messages_total and comm_bytes_total (payload bytes, 8 per float64)
-// incremented on every Send, and comm_collectives_total{op=...} incremented
-// once per rank entering each collective. Call before Run — the handles are
-// cached without synchronization.
-func (w *World) Instrument(reg *obs.Registry) {
-	w.mMsgs = reg.Counter("comm_messages_total", nil)
-	w.mBytes = reg.Counter("comm_bytes_total", nil)
-	w.mColl = make(map[string]*obs.Counter)
-	for _, op := range []string{"barrier", "reduce", "bcast", "allreduce", "gather", "allgather"} {
-		w.mColl[op] = reg.Counter("comm_collectives_total", obs.Labels{"op": op})
-	}
-}
-
-// collective counts one rank's entry into the named collective.
-func (w *World) collective(op string) {
-	if w.mColl != nil {
-		w.mColl[op].Inc()
-	}
-}
-
 // Run executes fn concurrently on every rank and waits for all of them. The
 // first non-nil error is returned; if any rank fails, mailboxes are closed so
-// blocked ranks unwind instead of deadlocking.
+// blocked ranks unwind instead of deadlocking. A World whose Run returned an
+// error stays shut down: a later Recv on it fails unless its message is
+// already queued.
 func (w *World) Run(fn func(r *Rank) error) error {
 	errs := make([]error, w.size)
 	var wg sync.WaitGroup
@@ -151,7 +125,6 @@ func (w *World) Run(fn func(r *Rank) error) error {
 			return err
 		}
 	}
-	// Reset closed mailboxes for potential reuse after an error-free run.
 	return nil
 }
 
@@ -175,8 +148,6 @@ func (r *Rank) Send(to, tag int, data []float64) {
 		panic(fmt.Sprintf("comm: send to rank %d of %d", to, r.w.size))
 	}
 	cp := append([]float64(nil), data...)
-	r.w.mMsgs.Inc()
-	r.w.mBytes.Add(float64(8 * len(data)))
 	r.w.boxes[to].put(message{from: r.id, tag: tag, data: cp})
 }
 
@@ -188,27 +159,6 @@ func (r *Rank) Recv(from, tag int) ([]float64, int, error) {
 		return nil, -1, err
 	}
 	return m.data, m.from, nil
-}
-
-// Reserved internal tags; user tags must be >= 0 and are offset to avoid
-// collisions.
-const (
-	tagBarrier = -1000 - iota
-	tagReduce
-	tagBcast
-	tagGather
-	tagUser = 0
-)
-
-// Barrier blocks until every rank has entered it. Implemented as a reduce to
-// rank 0 followed by a broadcast over a binomial tree: 2*ceil(log2 P) rounds.
-func (r *Rank) Barrier() error {
-	r.w.collective("barrier")
-	if _, err := r.reduceTree(0, tagBarrier, nil, Sum); err != nil {
-		return err
-	}
-	_, err := r.bcastTree(0, tagBarrier, nil)
-	return err
 }
 
 // Op is a reduction operator over float64 vectors.
@@ -239,23 +189,35 @@ func Min(dst, src []float64) {
 	}
 }
 
-// reduceTree reduces vals onto root over a binomial tree rooted at root.
-// Returns the reduced vector at root (nil elsewhere).
-func (r *Rank) reduceTree(root, tag int, vals []float64, op Op) ([]float64, error) {
+// Tags of Allreduce's two phases. Callers' Send/Recv tags are non-negative,
+// so these reserved negative tags never match one.
+const (
+	tagReduce = -1000 - iota
+	tagBcast
+)
+
+// Allreduce combines vals across all ranks with op and returns the result on
+// every rank (reduce + broadcast).
+func (r *Rank) Allreduce(vals []float64, op Op) ([]float64, error) {
+	red, err := r.reduceTree(vals, op)
+	if err != nil {
+		return nil, err
+	}
+	return r.bcastTree(red)
+}
+
+// reduceTree reduces vals onto rank 0 over a binomial tree. Returns the
+// reduced vector at rank 0 (nil elsewhere).
+func (r *Rank) reduceTree(vals []float64, op Op) ([]float64, error) {
 	p := r.w.size
-	// Re-index ranks so the root is virtual rank 0.
-	vr := (r.id - root + p) % p
 	acc := append([]float64(nil), vals...)
 	for mask := 1; mask < p; mask <<= 1 {
-		if vr&mask != 0 {
-			dst := ((vr &^ mask) + root) % p
-			r.Send(dst, tag, acc)
+		if r.id&mask != 0 {
+			r.Send(r.id&^mask, tagReduce, acc)
 			return nil, nil
 		}
-		partner := vr | mask
-		if partner < p {
-			src := (partner + root) % p
-			data, _, err := r.Recv(src, tag)
+		if partner := r.id | mask; partner < p {
+			data, _, err := r.Recv(partner, tagReduce)
 			if err != nil {
 				return nil, err
 			}
@@ -269,18 +231,16 @@ func (r *Rank) reduceTree(root, tag int, vals []float64, op Op) ([]float64, erro
 	return acc, nil
 }
 
-// bcastTree broadcasts vals from root over a binomial tree and returns the
+// bcastTree broadcasts rank 0's vals over a binomial tree and returns the
 // received vector on every rank.
-func (r *Rank) bcastTree(root, tag int, vals []float64) ([]float64, error) {
+func (r *Rank) bcastTree(vals []float64) ([]float64, error) {
 	p := r.w.size
-	vr := (r.id - root + p) % p
-	data := append([]float64(nil), vals...)
+	data := vals
 	// Find the highest mask at which this rank receives.
 	mask := 1
 	for mask < p {
-		if vr&mask != 0 {
-			src := ((vr &^ mask) + root) % p
-			got, _, err := r.Recv(src, tag)
+		if r.id&mask != 0 {
+			got, _, err := r.Recv(r.id&^mask, tagBcast)
 			if err != nil {
 				return nil, err
 			}
@@ -290,98 +250,12 @@ func (r *Rank) bcastTree(root, tag int, vals []float64) ([]float64, error) {
 		mask <<= 1
 	}
 	// Forward to children below the receiving mask.
-	mask >>= 1
-	for ; mask > 0; mask >>= 1 {
-		child := vr | mask
-		if child < p && child != vr {
-			dst := (child + root) % p
-			r.Send(dst, tag, data)
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if child := r.id | mask; child < p {
+			r.Send(child, tagBcast, data)
 		}
 	}
 	return data, nil
-}
-
-// Reduce combines vals from all ranks onto root with op. The reduced vector
-// is returned at root; other ranks receive nil.
-func (r *Rank) Reduce(root int, vals []float64, op Op) ([]float64, error) {
-	r.w.collective("reduce")
-	return r.reduceTree(root, tagReduce, vals, op)
-}
-
-// Bcast distributes root's vals to every rank and returns them.
-func (r *Rank) Bcast(root int, vals []float64) ([]float64, error) {
-	r.w.collective("bcast")
-	return r.bcastTree(root, tagBcast, vals)
-}
-
-// Allreduce combines vals across all ranks with op and returns the result on
-// every rank (reduce + broadcast).
-func (r *Rank) Allreduce(vals []float64, op Op) ([]float64, error) {
-	r.w.collective("allreduce")
-	red, err := r.reduceTree(0, tagReduce, vals, op)
-	if err != nil {
-		return nil, err
-	}
-	return r.bcastTree(0, tagBcast, red)
-}
-
-// Gather collects each rank's vals at root. Root receives a slice indexed by
-// rank; other ranks receive nil. Contributions may have different lengths.
-func (r *Rank) Gather(root int, vals []float64) ([][]float64, error) {
-	r.w.collective("gather")
-	return r.gather(root, vals)
-}
-
-func (r *Rank) gather(root int, vals []float64) ([][]float64, error) {
-	if r.id != root {
-		r.Send(root, tagGather, vals)
-		return nil, nil
-	}
-	out := make([][]float64, r.w.size)
-	out[root] = append([]float64(nil), vals...)
-	for i := 0; i < r.w.size-1; i++ {
-		data, from, err := r.Recv(AnySource, tagGather)
-		if err != nil {
-			return nil, err
-		}
-		out[from] = data
-	}
-	return out, nil
-}
-
-// Allgather collects every rank's vals on every rank.
-func (r *Rank) Allgather(vals []float64) ([][]float64, error) {
-	r.w.collective("allgather")
-	parts, err := r.gather(0, vals)
-	if err != nil {
-		return nil, err
-	}
-	if r.id == 0 {
-		// Flatten with length prefixes for the broadcast.
-		flat := []float64{float64(len(parts))}
-		for _, p := range parts {
-			flat = append(flat, float64(len(p)))
-			flat = append(flat, p...)
-		}
-		if _, err := r.bcastTree(0, tagBcast, flat); err != nil {
-			return nil, err
-		}
-		return parts, nil
-	}
-	flat, err := r.bcastTree(0, tagBcast, nil)
-	if err != nil {
-		return nil, err
-	}
-	n := int(flat[0])
-	out := make([][]float64, n)
-	pos := 1
-	for i := 0; i < n; i++ {
-		l := int(flat[pos])
-		pos++
-		out[i] = append([]float64(nil), flat[pos:pos+l]...)
-		pos += l
-	}
-	return out, nil
 }
 
 // NetworkModel is an analytic cost model for the interconnect: per-message
@@ -405,15 +279,6 @@ func BGQNetwork() *NetworkModel {
 	}
 }
 
-// PointToPoint returns the modeled time to move `bytes` across `hops` links.
-func (nm *NetworkModel) PointToPoint(bytes int64, hops int) time.Duration {
-	if bytes < 0 {
-		bytes = 0
-	}
-	t := float64(nm.Alpha) + float64(hops)*float64(nm.PerHop) + float64(bytes)/nm.BytesPerSec*float64(time.Second)
-	return time.Duration(t)
-}
-
 // AllreduceTime returns the modeled time of an allreduce of `bytes` per rank
 // across `ranks` ranks on a torus with the given diameter: 2·log2(P) message
 // rounds, each crossing up to the diameter, moving 2·bytes total per link.
@@ -425,17 +290,5 @@ func (nm *NetworkModel) AllreduceTime(bytes int64, ranks, diameter int) time.Dur
 	t := rounds*float64(nm.Alpha) +
 		float64(diameter)*float64(nm.PerHop)*2 +
 		2*float64(bytes)/nm.BytesPerSec*float64(time.Second)
-	return time.Duration(t)
-}
-
-// GatherTime returns the modeled time of gathering `bytes` per rank to a
-// root: the root link is the bottleneck.
-func (nm *NetworkModel) GatherTime(bytes int64, ranks, diameter int) time.Duration {
-	if ranks <= 1 {
-		return 0
-	}
-	t := math.Ceil(math.Log2(float64(ranks)))*float64(nm.Alpha) +
-		float64(diameter)*float64(nm.PerHop) +
-		float64(bytes)*float64(ranks-1)/nm.BytesPerSec*float64(time.Second)
 	return time.Duration(t)
 }

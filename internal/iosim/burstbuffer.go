@@ -1,10 +1,6 @@
 package iosim
 
-import (
-	"time"
-
-	"insitu/internal/obs"
-)
+import "time"
 
 // BurstBuffer models the NVRAM tier the paper anticipates between compute
 // nodes and the file system (§1, §5.3.5): writes land in fast NVRAM and
@@ -22,12 +18,6 @@ type BurstBuffer struct {
 	CapacityBytes int64
 
 	backlog int64 // bytes still to drain
-
-	// Telemetry handles resolved by Instrument; nil-safe no-ops otherwise.
-	gBacklog *obs.Gauge
-	mWrites  *obs.Counter
-	mBytes   *obs.Counter
-	mStall   *obs.Counter
 }
 
 // NewBurstBuffer builds an NVRAM-over-GPFS buffer with the given capacity.
@@ -37,16 +27,6 @@ func NewBurstBuffer(capacity int64) *BurstBuffer {
 
 // Backlog returns the bytes currently waiting to drain.
 func (b *BurstBuffer) Backlog() int64 { return b.backlog }
-
-// Instrument registers the buffer's telemetry with reg: the
-// iosim_bb_backlog_bytes gauge tracks the undrained backlog after every
-// Write/Reset, and counters record writes, bytes written, and stall seconds.
-func (b *BurstBuffer) Instrument(reg *obs.Registry) {
-	b.gBacklog = reg.Gauge("iosim_bb_backlog_bytes", nil)
-	b.mWrites = reg.Counter("iosim_bb_writes_total", nil)
-	b.mBytes = reg.Counter("iosim_bb_write_bytes_total", nil)
-	b.mStall = reg.Counter("iosim_bb_stall_seconds_total", nil)
-}
 
 // Write models an output of `bytes` issued `sinceLast` after the previous
 // one and returns the time visible to the simulation. The elapsed interval
@@ -71,23 +51,18 @@ func (b *BurstBuffer) Write(bytes int64, sinceLast time.Duration, writers int) t
 		excess := b.backlog + bytes - b.CapacityBytes
 		stall := time.Duration(float64(excess) / b.Back.BytesPerSec * float64(time.Second))
 		visible += stall
-		b.mStall.Add(stall.Seconds())
 		b.backlog -= excess
 		if b.backlog < 0 {
 			b.backlog = 0
 		}
 	}
 	b.backlog += bytes
-	b.mWrites.Inc()
-	b.mBytes.Add(float64(bytes))
-	b.gBacklog.Set(float64(b.backlog))
 	return visible
 }
 
 // Reset clears the backlog.
 func (b *BurstBuffer) Reset() {
 	b.backlog = 0
-	b.gBacklog.Set(0)
 }
 
 // SustainedOutputTime models `count` periodic outputs of `bytes` each,

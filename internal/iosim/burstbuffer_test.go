@@ -3,8 +3,6 @@ package iosim
 import (
 	"testing"
 	"time"
-
-	"insitu/internal/obs"
 )
 
 func TestBurstBufferFastWhenDrainKeepsUp(t *testing.T) {
@@ -63,56 +61,5 @@ func TestBurstBufferZeroBytes(t *testing.T) {
 	bb := NewBurstBuffer(1 << 30)
 	if bb.Write(0, 0, 1) != 0 {
 		t.Fatal("zero write must be free")
-	}
-}
-
-func TestBurstBufferInstrumented(t *testing.T) {
-	reg := obs.NewRegistry()
-	bb := NewBurstBuffer(1 << 30)
-	bb.Instrument(reg)
-	bb.Write(100<<20, 0, 128)
-	bb.Write(200<<20, time.Millisecond, 128)
-
-	get := func(name string) float64 {
-		for _, m := range reg.Snapshot() {
-			if m.Name == name {
-				return m.Value
-			}
-		}
-		t.Fatalf("metric %s not found", name)
-		return 0
-	}
-	if v := get("iosim_bb_writes_total"); v != 2 {
-		t.Errorf("writes = %v, want 2", v)
-	}
-	if v := get("iosim_bb_write_bytes_total"); v != float64(300<<20) {
-		t.Errorf("write bytes = %v, want %v", v, float64(300<<20))
-	}
-	if v := get("iosim_bb_backlog_bytes"); v != float64(bb.Backlog()) {
-		t.Errorf("backlog gauge = %v, want %v", v, bb.Backlog())
-	}
-	if v := get("iosim_bb_backlog_bytes"); v <= 0 {
-		t.Errorf("backlog gauge = %v, want > 0 (drain slower than writes)", v)
-	}
-	bb.Reset()
-	if v := get("iosim_bb_backlog_bytes"); v != 0 {
-		t.Errorf("backlog gauge after Reset = %v, want 0", v)
-	}
-}
-
-func TestBurstBufferStallCounter(t *testing.T) {
-	reg := obs.NewRegistry()
-	bb := NewBurstBuffer(10 << 20) // tiny capacity forces a stall
-	bb.Instrument(reg)
-	bb.Write(8<<20, 0, 128)
-	bb.Write(8<<20, time.Microsecond, 128)
-	var stall float64
-	for _, m := range reg.Snapshot() {
-		if m.Name == "iosim_bb_stall_seconds_total" {
-			stall = m.Value
-		}
-	}
-	if stall <= 0 {
-		t.Errorf("stall seconds = %v, want > 0", stall)
 	}
 }

@@ -7,10 +7,7 @@
 // resource shrinks ot and buys more in-situ analyses.
 package iosim
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Target is a storage tier reachable from the simulation site.
 type Target struct {
@@ -36,15 +33,6 @@ func NVRAM() *Target {
 	return &Target{Name: "NVRAM", BytesPerSec: 1.2e12, Latency: 50 * time.Microsecond}
 }
 
-// Scaled returns a copy of the target with bandwidth multiplied by f,
-// used for sensitivity sweeps (e.g. halving effective bandwidth).
-func (t *Target) Scaled(f float64) *Target {
-	cp := *t
-	cp.Name = fmt.Sprintf("%s x%.3g", t.Name, f)
-	cp.BytesPerSec *= f
-	return &cp
-}
-
 // WriteTime returns the modeled time for `writers` concurrent ranks to write
 // `bytes` in aggregate.
 func (t *Target) WriteTime(bytes int64, writers int) time.Duration {
@@ -65,16 +53,6 @@ func (t *Target) WriteTime(bytes int64, writers int) time.Duration {
 // which is exactly the bottleneck Table 4 quantifies.
 func (t *Target) ReadTime(bytes int64, readers int) time.Duration {
 	return t.WriteTime(bytes, readers)
-}
-
-// EffectiveBandwidth reports the bandwidth (bytes/s) realized when moving
-// `bytes` with the per-operation latency included.
-func (t *Target) EffectiveBandwidth(bytes int64, writers int) float64 {
-	d := t.WriteTime(bytes, writers)
-	if d <= 0 {
-		return t.BytesPerSec
-	}
-	return float64(bytes) / d.Seconds()
 }
 
 // SustainedGPFS returns a GPFS target whose aggregate bandwidth is derated to

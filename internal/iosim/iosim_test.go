@@ -28,21 +28,6 @@ func TestNVRAMFasterThanGPFS(t *testing.T) {
 	}
 }
 
-func TestScaled(t *testing.T) {
-	g := SustainedGPFS()
-	half := g.Scaled(0.5)
-	bytes := int64(1 << 30)
-	tFull := g.WriteTime(bytes, 0) - g.Latency
-	tHalf := half.WriteTime(bytes, 0) - half.Latency
-	ratio := float64(tHalf) / float64(tFull)
-	if math.Abs(ratio-2) > 1e-6 {
-		t.Fatalf("halving bandwidth should double time, ratio = %g", ratio)
-	}
-	if half.Name == g.Name {
-		t.Fatal("scaled target should be renamed")
-	}
-}
-
 func TestSustainedGPFSMatchesPaper(t *testing.T) {
 	// The paper's 1B-atom rhodopsin run: 91 GB per output step, 10 steps in
 	// 200.6 s -> ~20.06 s per write.
@@ -63,20 +48,6 @@ func TestWriterScaling(t *testing.T) {
 	over := tgt.WriteTime(1e9, 1000) // beyond saturation: aggregate bandwidth
 	if over != many {
 		t.Fatalf("oversaturated writers should see aggregate bandwidth: %v vs %v", over, many)
-	}
-}
-
-func TestEffectiveBandwidth(t *testing.T) {
-	g := GPFS()
-	bw := g.EffectiveBandwidth(240e9, 0)
-	if bw >= g.BytesPerSec {
-		t.Fatal("effective bandwidth must be below peak due to latency")
-	}
-	if bw < g.BytesPerSec*0.9 {
-		t.Fatalf("large transfer should approach peak, got %g", bw)
-	}
-	if NVRAM().EffectiveBandwidth(0, 0) != NVRAM().BytesPerSec {
-		t.Fatal("zero-byte effective bandwidth should return peak")
 	}
 }
 

@@ -41,23 +41,6 @@ func Mira() *Machine {
 	}
 }
 
-// Generic builds a descriptor for an arbitrary cluster: nodes, cores (and
-// ranks) per node, per-node memory, aggregate I/O bandwidth, and torus
-// dimensionality (1 models a fat-tree-ish flat network adequately for the
-// diameter-based interpolation).
-func Generic(name string, nodes, coresPerNode int, memPerNode int64, ioBW float64, torusDims int) *Machine {
-	return &Machine{
-		Name:         name,
-		Nodes:        nodes,
-		CoresPerNode: coresPerNode,
-		RanksPerNode: coresPerNode,
-		MemPerNode:   memPerNode,
-		IOBandwidth:  ioBW,
-		TorusDims:    torusDims,
-		ClockGHz:     2.5,
-	}
-}
-
 // Laptop returns a small descriptor for running the mini-apps at test scale.
 func Laptop() *Machine {
 	return &Machine{
@@ -117,16 +100,6 @@ func (m *Machine) PartitionForRanks(ranks int) (*Partition, error) {
 // floor(d/2) over all dimensions, the maximum hop count between two nodes.
 func (p *Partition) Diameter() int {
 	return TorusDiameter(p.Shape)
-}
-
-// MemPerRank returns the memory available to each rank, in bytes.
-func (p *Partition) MemPerRank() int64 {
-	perNode := p.Machine.MemPerNode
-	rpn := p.Ranks / p.Nodes
-	if rpn <= 0 {
-		rpn = 1
-	}
-	return perNode / int64(rpn)
 }
 
 // TotalMemory returns the aggregate memory of the partition in bytes.

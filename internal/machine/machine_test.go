@@ -66,9 +66,6 @@ func TestPartitionForRanks(t *testing.T) {
 	if p.Nodes != 1024 {
 		t.Fatalf("16384 ranks -> %d nodes, want 1024", p.Nodes)
 	}
-	if p.MemPerRank() != (16<<30)/16 {
-		t.Fatalf("mem per rank = %d, want 1 GiB", p.MemPerRank())
-	}
 	if p.TotalMemory() != int64(1024)*(16<<30) {
 		t.Fatalf("total memory = %d", p.TotalMemory())
 	}
@@ -133,22 +130,5 @@ func TestLaptopSane(t *testing.T) {
 	}
 	if p.String() == "" {
 		t.Fatal("empty partition string")
-	}
-}
-
-func TestGenericMachine(t *testing.T) {
-	m := Generic("cluster", 256, 32, 64<<30, 50e9, 3)
-	if m.Nodes != 256 || m.RanksPerNode != 32 || m.TorusDims != 3 {
-		t.Fatalf("descriptor = %+v", m)
-	}
-	p, err := m.Partition(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Shape) != 3 {
-		t.Fatalf("shape = %v", p.Shape)
-	}
-	if p.MemPerRank() != (64<<30)/32 {
-		t.Fatalf("mem per rank = %d", p.MemPerRank())
 	}
 }

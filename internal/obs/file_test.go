@@ -131,9 +131,6 @@ func TestExportersSurfaceWriteFailures(t *testing.T) {
 	if err := tr.WriteChromeTrace(failWriter{}); err == nil {
 		t.Fatal("WriteChromeTrace ignored write failure")
 	}
-	if err := tr.WriteCSV(failWriter{}); err == nil {
-		t.Fatal("WriteCSV ignored write failure")
-	}
 	var nilTr *Tracer
 	if err := nilTr.WriteChromeTrace(failWriter{}); err == nil {
 		t.Fatal("nil-tracer WriteChromeTrace ignored write failure")

@@ -327,20 +327,16 @@ type Metric struct {
 	// Buckets holds cumulative counts per upper bound for histograms.
 	Buckets []BucketCount `json:"buckets,omitempty"`
 	// Quantiles holds estimated p50/p90/p99 for non-empty histograms,
-	// linearly interpolated within buckets (see Quantile).
+	// linearly interpolated within buckets (see bucketQuantile).
 	Quantiles map[string]float64 `json:"quantiles,omitempty"`
 }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) of a histogram metric by
-// linear interpolation within the bucket that holds the target rank, the
-// same estimator Prometheus' histogram_quantile uses: the first bucket
-// interpolates from zero, and ranks landing in the +Inf bucket clamp to the
-// highest finite upper bound. It returns NaN for empty or non-histogram
-// metrics.
-func (m Metric) Quantile(q float64) float64 {
-	return bucketQuantile(m.Buckets, q)
-}
-
+// bucketQuantile estimates the q-th quantile (0 < q <= 1) of a histogram's
+// cumulative buckets by linear interpolation within the bucket that holds the
+// target rank, the same estimator Prometheus' histogram_quantile uses: the
+// first bucket interpolates from zero, and ranks landing in the +Inf bucket
+// clamp to the highest finite upper bound. It returns NaN for an empty or
+// non-histogram metric and for q outside (0, 1].
 func bucketQuantile(buckets []BucketCount, q float64) float64 {
 	if len(buckets) == 0 || q <= 0 || q > 1 {
 		return math.NaN()

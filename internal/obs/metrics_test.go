@@ -206,15 +206,15 @@ func TestBucketQuantile(t *testing.T) {
 				h.Observe(v)
 			}
 			m := r.Snapshot()[0]
-			got := m.Quantile(tc.q)
+			got := bucketQuantile(m.Buckets, tc.q)
 			if math.Abs(got-tc.want) > 1e-9 {
 				t.Fatalf("q%.2f = %g, want %g (buckets %+v)", tc.q, got, tc.want, m.Buckets)
 			}
 			if m.Quantiles == nil {
 				t.Fatal("snapshot did not populate Quantiles")
 			}
-			if p50 := m.Quantiles["p50"]; math.Abs(p50-m.Quantile(0.5)) > 1e-12 {
-				t.Fatalf("Quantiles[p50]=%g, Quantile(0.5)=%g", p50, m.Quantile(0.5))
+			if p50 := m.Quantiles["p50"]; math.Abs(p50-bucketQuantile(m.Buckets, 0.5)) > 1e-12 {
+				t.Fatalf("Quantiles[p50]=%g, Quantile(0.5)=%g", p50, bucketQuantile(m.Buckets, 0.5))
 			}
 		})
 	}
@@ -246,13 +246,13 @@ func TestQuantileEdgeCases(t *testing.T) {
 	if m.Quantiles != nil {
 		t.Fatalf("empty histogram grew quantiles: %v", m.Quantiles)
 	}
-	if !math.IsNaN(m.Quantile(0.5)) {
+	if !math.IsNaN(bucketQuantile(m.Buckets, 0.5)) {
 		t.Fatal("empty histogram quantile should be NaN")
 	}
-	if !math.IsNaN(m.Quantile(0)) || !math.IsNaN(m.Quantile(1.5)) {
+	if !math.IsNaN(bucketQuantile(m.Buckets, 0)) || !math.IsNaN(bucketQuantile(m.Buckets, 1.5)) {
 		t.Fatal("out-of-range q should be NaN")
 	}
-	if !math.IsNaN((Metric{}).Quantile(0.5)) {
+	if !math.IsNaN(bucketQuantile(nil, 0.5)) {
 		t.Fatal("non-histogram metric quantile should be NaN")
 	}
 	// JSON snapshot of a populated histogram carries the quantiles.

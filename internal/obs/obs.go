@@ -7,7 +7,7 @@
 // the reproduction instead of only reporting aggregate totals.
 //
 // The tracer exports Chrome trace_event JSON (loadable in chrome://tracing
-// or https://ui.perfetto.dev) and a plain CSV timeline. The registry
+// or https://ui.perfetto.dev). The registry
 // exports Prometheus text format and a JSON snapshot. Both are dependency
 // free, safe for concurrent use (staging workers and goroutine ranks emit
 // from multiple goroutines), and deterministic under an injected clock so

@@ -144,8 +144,7 @@ func (t *Tracer) SetTrackName(track int, name string) {
 }
 
 // SetClock replaces the tracer's clock and re-anchors the epoch at the
-// clock's current reading; tests use it for determinism, exactly like
-// perfmodel.Profiler.SetClock.
+// clock's current reading; tests use it for determinism.
 func (t *Tracer) SetClock(now func() time.Time) {
 	if t == nil {
 		return
@@ -420,21 +419,4 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	b.WriteString("]}\n")
 	_, err = io.WriteString(w, b.String())
 	return err
-}
-
-// WriteCSV emits the timeline as a plain CSV with a header row:
-// track,phase,cat,name,start_us,dur_us. Args are omitted.
-func (t *Tracer) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "track,phase,cat,name,start_us,dur_us\n"); err != nil {
-		return err
-	}
-	for _, e := range t.Events() {
-		name := strings.ReplaceAll(e.Name, ",", ";")
-		cat := strings.ReplaceAll(e.Cat, ",", ";")
-		if _, err := fmt.Fprintf(w, "%d,%c,%s,%s,%s,%s\n",
-			e.Track, e.Phase, cat, name, micros(e.Start), micros(e.Dur)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -64,10 +64,6 @@ func TestTraceConcurrentWriters(t *testing.T) {
 					t.Errorf("WriteChromeTrace: %v", err)
 					return
 				}
-				if err := tr.WriteCSV(io.Discard); err != nil {
-					t.Errorf("WriteCSV: %v", err)
-					return
-				}
 			}
 		}()
 	}

@@ -115,26 +115,6 @@ func TestWriteChromeTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	tr := NewTracer()
-	tr.SetClock(newFakeClock(time.Millisecond).now)
-	tr.Begin("a,b", "cat").End()
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %q", lines)
-	}
-	if lines[0] != "track,phase,cat,name,start_us,dur_us" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "a;b") {
-		t.Fatalf("comma not escaped: %q", lines[1])
-	}
-}
-
 func TestTracerConcurrent(t *testing.T) {
 	tr := NewTracer()
 	var wg sync.WaitGroup
@@ -221,15 +201,11 @@ func TestNilTracerNoOps(t *testing.T) {
 	if !json.Valid(buf.Bytes()) {
 		t.Fatalf("nil tracer export invalid: %q", buf.String())
 	}
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestTracerTimelineGolden records one fixed event set under the fake clock —
 // nested and overlapping spans on two tracks with zero to three arguments,
-// an instant, a counter — and holds Events(), WriteChromeTrace and WriteCSV
-// to what the heap-span tracer (before spans became slots) produced for it.
+// an instant, a counter — and holds Events() and WriteChromeTrace to what the heap-span tracer (before spans became slots) produced for it.
 // The span left open at the end never appears.
 func TestTracerTimelineGolden(t *testing.T) {
 	tr := NewTracer()
@@ -282,24 +258,6 @@ func TestTracerTimelineGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("WriteChromeTrace:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
-
-	buf.Reset()
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	wantCSV := `track,phase,cat,name,start_us,dur_us
-0,X,sim,step,1000.000,13000.000
-0,X,sim,advance,2000.000,1000.000
-0,X,kernel,rdf/analyze,4000.000,1000.000
-0,X,transfer,msd/capture,6000.000,2000.000
-1,X,staged,msd/staged,7000.000,6000.000
-0,i,solver,incumbent,9000.000,0.000
-0,C,counter,backlog,10000.000,0.000
-0,X,solver,solve,11000.000,1000.000
-`
-	if buf.String() != wantCSV {
-		t.Fatalf("WriteCSV:\n%s\nwant:\n%s", buf.String(), wantCSV)
-	}
 }
 
 // TestOpenSpanInvisibleUntilEnd: a span occupies its slot from Begin on, but
@@ -310,9 +268,6 @@ func TestOpenSpanInvisibleUntilEnd(t *testing.T) {
 	export := func() string {
 		var b strings.Builder
 		if err := tr.WriteChromeTrace(&b); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.WriteCSV(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()

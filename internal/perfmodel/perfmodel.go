@@ -1,127 +1,15 @@
 // Package perfmodel provides the performance-modeling layer of the paper
-// (§4): an HPM-style region profiler for measuring execution time and memory
-// of simulation and analysis kernels, and a bilinear-interpolation predictor
-// that extends a few measured (problem size, scale) points to arbitrary
-// configurations. The paper reports <6% prediction error for computation
-// time (y = process count) and <8% for communication time (y = network
-// diameter); the Figure-2 experiment reproduces that measurement against the
-// mini-app substrate.
+// (§4): a bilinear-interpolation predictor that extends a few measured
+// (problem size, scale) points to arbitrary configurations. The paper
+// reports <6% prediction error for computation time (y = process count) and
+// <8% for communication time (y = network diameter); the Figure-2 experiment
+// reproduces that measurement against the mini-app substrate.
 package perfmodel
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 )
-
-// Region accumulates time and memory for one profiled code region, in the
-// style of IBM HPM's HPM_Start/HPM_Stop counters.
-type Region struct {
-	Name     string
-	Calls    int
-	Total    time.Duration
-	MaxBytes int64 // peak bytes attributed to the region
-	CurBytes int64 // currently attributed bytes
-}
-
-// Mean returns the mean time per call.
-func (r *Region) Mean() time.Duration {
-	if r.Calls == 0 {
-		return 0
-	}
-	return r.Total / time.Duration(r.Calls)
-}
-
-// Profiler measures named regions. It is safe for concurrent use by multiple
-// ranks; each Start returns a stop function bound to its own timestamp.
-type Profiler struct {
-	mu      sync.Mutex
-	regions map[string]*Region
-	now     func() time.Time // injectable clock for tests
-}
-
-// NewProfiler returns an empty profiler.
-func NewProfiler() *Profiler {
-	return &Profiler{regions: make(map[string]*Region), now: time.Now}
-}
-
-// SetClock replaces the profiler's clock; tests use it for determinism.
-func (p *Profiler) SetClock(now func() time.Time) { p.now = now }
-
-// Start begins timing a region and returns the function that stops it.
-// Usage mirrors HPM: stop := prof.Start("rdf"); ...; stop().
-func (p *Profiler) Start(name string) func() {
-	t0 := p.now()
-	return func() {
-		dt := p.now().Sub(t0)
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		r := p.region(name)
-		r.Calls++
-		r.Total += dt
-	}
-}
-
-// Add records an externally measured duration for a region. Used when the
-// time comes from a simulated clock rather than the wall clock.
-func (p *Profiler) Add(name string, d time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r := p.region(name)
-	r.Calls++
-	r.Total += d
-}
-
-// Alloc attributes bytes to a region (positive) or releases them (negative),
-// tracking the peak. This is the stand-in for IBM HPCT memory profiling.
-func (p *Profiler) Alloc(name string, bytes int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r := p.region(name)
-	r.CurBytes += bytes
-	if r.CurBytes > r.MaxBytes {
-		r.MaxBytes = r.CurBytes
-	}
-}
-
-func (p *Profiler) region(name string) *Region {
-	r, ok := p.regions[name]
-	if !ok {
-		r = &Region{Name: name}
-		p.regions[name] = r
-	}
-	return r
-}
-
-// Region returns a snapshot of the named region (zero value if absent).
-func (p *Profiler) Region(name string) Region {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if r, ok := p.regions[name]; ok {
-		return *r
-	}
-	return Region{Name: name}
-}
-
-// Regions returns snapshots of all regions sorted by name.
-func (p *Profiler) Regions() []Region {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]Region, 0, len(p.regions))
-	for _, r := range p.regions {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Reset clears all regions.
-func (p *Profiler) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.regions = make(map[string]*Region)
-}
 
 // Bilinear interpolates a function sampled on a rectilinear grid, exactly
 // the scheme in Figure 2: the x-variable is problem size and the y-variable

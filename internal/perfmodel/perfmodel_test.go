@@ -1,86 +1,10 @@
 package perfmodel
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
-
-func TestProfilerRegions(t *testing.T) {
-	p := NewProfiler()
-	// Deterministic fake clock advancing 10ms per call.
-	var ticks int64
-	p.SetClock(func() time.Time {
-		ticks++
-		return time.Unix(0, ticks*10_000_000)
-	})
-	stop := p.Start("rdf")
-	stop()
-	stop = p.Start("rdf")
-	stop()
-	r := p.Region("rdf")
-	if r.Calls != 2 {
-		t.Fatalf("calls = %d, want 2", r.Calls)
-	}
-	if r.Total != 20*time.Millisecond {
-		t.Fatalf("total = %v, want 20ms", r.Total)
-	}
-	if r.Mean() != 10*time.Millisecond {
-		t.Fatalf("mean = %v, want 10ms", r.Mean())
-	}
-}
-
-func TestProfilerAdd(t *testing.T) {
-	p := NewProfiler()
-	p.Add("msd", 3*time.Second)
-	p.Add("msd", 5*time.Second)
-	r := p.Region("msd")
-	if r.Calls != 2 || r.Total != 8*time.Second {
-		t.Fatalf("region = %+v", r)
-	}
-}
-
-func TestProfilerAllocPeak(t *testing.T) {
-	p := NewProfiler()
-	p.Alloc("msd", 100)
-	p.Alloc("msd", 200)
-	p.Alloc("msd", -250)
-	p.Alloc("msd", 50)
-	r := p.Region("msd")
-	if r.MaxBytes != 300 {
-		t.Fatalf("peak = %d, want 300", r.MaxBytes)
-	}
-	if r.CurBytes != 100 {
-		t.Fatalf("current = %d, want 100", r.CurBytes)
-	}
-}
-
-func TestProfilerRegionsSortedAndReset(t *testing.T) {
-	p := NewProfiler()
-	p.Add("b", time.Second)
-	p.Add("a", time.Second)
-	rs := p.Regions()
-	if len(rs) != 2 || rs[0].Name != "a" || rs[1].Name != "b" {
-		t.Fatalf("regions = %+v", rs)
-	}
-	p.Reset()
-	if len(p.Regions()) != 0 {
-		t.Fatal("reset did not clear regions")
-	}
-	if p.Region("missing").Calls != 0 {
-		t.Fatal("missing region should be zero")
-	}
-}
-
-func TestProfilerMeanZeroCalls(t *testing.T) {
-	var r Region
-	if r.Mean() != 0 {
-		t.Fatal("mean of empty region should be 0")
-	}
-}
 
 func TestBilinearExactAtNodes(t *testing.T) {
 	b, err := NewBilinear(
@@ -219,53 +143,5 @@ func TestRelError(t *testing.T) {
 	}
 	if got := RelError(94, 100); math.Abs(got-0.06) > 1e-12 {
 		t.Fatalf("RelError = %g (must be symmetric)", got)
-	}
-}
-
-// TestProfilerConcurrentUse drives Start/Add/Alloc/Regions from many
-// goroutines at once; run under -race this pins the profiler's mutex
-// discipline, and the final totals check that no increment was lost.
-func TestProfilerConcurrentUse(t *testing.T) {
-	p := NewProfiler()
-	const workers = 8
-	const iters = 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				stop := p.Start("shared")
-				stop()
-				p.Add("shared", time.Microsecond)
-				p.Alloc("shared", 16)
-				p.Add(fmt.Sprintf("own-%d", w), time.Millisecond)
-				if i%32 == 0 {
-					_ = p.Regions()
-					_ = p.Region("shared")
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	shared := p.Region("shared")
-	if shared.Calls != workers*iters*2 { // Start+Add each count a call
-		t.Errorf("shared calls = %d, want %d", shared.Calls, workers*iters*2)
-	}
-	if shared.CurBytes != workers*iters*16 || shared.MaxBytes != shared.CurBytes {
-		t.Errorf("shared bytes cur=%d max=%d, want both %d", shared.CurBytes, shared.MaxBytes, workers*iters*16)
-	}
-	if shared.Total < workers*iters*time.Microsecond {
-		t.Errorf("shared total = %v, want >= %v", shared.Total, workers*iters*time.Microsecond)
-	}
-	if got := len(p.Regions()); got != workers+1 {
-		t.Errorf("regions = %d, want %d", got, workers+1)
-	}
-	for w := 0; w < workers; w++ {
-		r := p.Region(fmt.Sprintf("own-%d", w))
-		if r.Calls != iters {
-			t.Errorf("own-%d calls = %d, want %d", w, r.Calls, iters)
-		}
 	}
 }

@@ -31,15 +31,6 @@ type ReplanRecord struct {
 	SpentSec   float64 `json:"spent_sec"`                                                       // analysis+output seconds already observed
 }
 
-// Delta returns the objective change the decision bought (new − old); zero
-// for decisions that kept the incumbent.
-func (r ReplanRecord) Delta() float64 {
-	if !r.Adopted {
-		return 0
-	}
-	return r.NewValue - r.OldValue
-}
-
 // Event is the record as a replan ledger event.
 func (r ReplanRecord) Event() obs.LedgerEvent { return obs.RecordEvent(obs.LedgerReplan, &r) }
 

@@ -6,11 +6,8 @@ package amr
 // NBCells returns the number of interior cells per block side.
 func (b *Block) NBCells() int { return b.nb }
 
-// Width returns the ghosted width (NBCells + 2).
-func (b *Block) Width() int { return b.w }
-
 // Idx returns the flat index of ghosted coordinates (i, j, k), each in
-// [0, Width). Interior cells occupy [1, Width-1).
+// [0, NBCells+2). Interior cells occupy [1, NBCells+1).
 func (b *Block) Idx(i, j, k int) int { return b.idx(i, j, k) }
 
 // Stride returns the flat-index stride along dimension dim (0=x, 1=y, 2=z).

@@ -180,34 +180,6 @@ func TestGhostExchangeContinuity(t *testing.T) {
 	}
 }
 
-func TestRefineMarksTrackShock(t *testing.T) {
-	g := sedov(t, 4, 8)
-	marks0 := g.RefineMarks(0.05)
-	count0 := countTrue(marks0)
-	if count0 == 0 {
-		t.Fatal("initial blast must mark central blocks")
-	}
-	// Central blocks marked initially, corners not.
-	if marks0[g.blockID(0, 0, 0)] {
-		t.Fatal("corner block marked before shock arrives")
-	}
-	g.Run(25)
-	marks1 := g.RefineMarks(0.05)
-	if countTrue(marks1) <= count0 {
-		t.Fatalf("expanding shock should mark more blocks: %d -> %d", count0, countTrue(marks1))
-	}
-}
-
-func countTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 func TestMaxWaveSpeedPositive(t *testing.T) {
 	g := sedov(t, 3, 8)
 	s := g.MaxWaveSpeed()

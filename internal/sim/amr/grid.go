@@ -9,9 +9,6 @@
 // Blocks carry ghost layers exchanged before every update, and the problem
 // size scales by the global number of blocks exactly as the paper describes
 // ("we can vary the problem size by adjusting the global number of blocks").
-// A gradient-based refinement marker reproduces the AMR selection logic of
-// PARAMESH for structural experiments; the hydro update itself runs on the
-// uniform grid.
 package amr
 
 import (

@@ -254,41 +254,3 @@ func (g *Grid) ShockRadius() float64 {
 	}
 	return rsum / wsum
 }
-
-// RefineMarks returns, per block, whether the relative jump of density or
-// pressure exceeds the threshold (0..1) anywhere in the block — the
-// refinement criterion a PARAMESH-style AMR driver would use to select
-// blocks for splitting.
-func (g *Grid) RefineMarks(threshold float64) []bool {
-	marks := make([]bool, len(g.Blocks))
-	g.FillGhosts()
-	relJump := func(a, b float64) float64 {
-		d := math.Abs(a - b)
-		s := math.Abs(a) + math.Abs(b) + 1e-30
-		return d / s
-	}
-	parallelBlocks(len(g.Blocks), func(id int) {
-		b := g.Blocks[id]
-	scan:
-		for i := 1; i <= b.nb; i++ {
-			for j := 1; j <= b.nb; j++ {
-				for k := 1; k <= b.nb; k++ {
-					n := b.idx(i, j, k)
-					for _, st := range []int{b.w * b.w, b.w, 1} {
-						if relJump(b.U[Dens][n+st], b.U[Dens][n-st]) > threshold {
-							marks[id] = true
-							break scan
-						}
-						_, _, _, _, pp := g.Primitive(b, n+st)
-						_, _, _, _, pm := g.Primitive(b, n-st)
-						if relJump(pp, pm) > threshold {
-							marks[id] = true
-							break scan
-						}
-					}
-				}
-			}
-		}
-	})
-	return marks
-}

@@ -340,32 +340,8 @@ func TestVirialCountsPairsOnce(t *testing.T) {
 	sr12 := sr6 * sr6
 	fmag := 24 * (2*sr12 - sr6) / (r * r)
 	want := fmag * r * r
-	if math.Abs(s.Virial()-want) > 1e-9*math.Abs(want) {
-		t.Fatalf("virial = %g, want %g", s.Virial(), want)
-	}
-}
-
-func TestDensityProfileMembranePeak(t *testing.T) {
-	s, err := NewRhodopsin(Config{NAtoms: 6000, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof := s.DensityProfile(Membrane, 2, 16)
-	if len(prof) != 16 {
-		t.Fatalf("bins = %d", len(prof))
-	}
-	// Membrane density peaks in the central z bins and vanishes at edges.
-	center := prof[7] + prof[8]
-	edge := prof[0] + prof[15]
-	if center <= edge {
-		t.Fatalf("membrane profile not peaked: center %g, edge %g", center, edge)
-	}
-	if edge != 0 {
-		t.Fatalf("membrane at slab edges: %g", edge)
-	}
-	// Degenerate arguments clamp instead of panicking.
-	if len(s.DensityProfile(Water, -1, 0)) != 1 {
-		t.Fatal("degenerate args must clamp")
+	if math.Abs(s.virial-want) > 1e-9*math.Abs(want) {
+		t.Fatalf("virial = %g, want %g", s.virial, want)
 	}
 }
 

@@ -5,10 +5,6 @@ package md
 // simplest class of in-situ analyses, and they double as physics checks on
 // the force field.
 
-// Virial returns the pair virial W = 1/2 Σ_i Σ_j f_ij · r_ij of the last
-// force evaluation, used by the pressure equation of state.
-func (s *System) Virial() float64 { return s.virial }
-
 // Pressure returns the instantaneous pressure from the virial theorem in
 // reduced units: P = rho·T + W / (3V).
 func (s *System) Pressure() float64 {
@@ -18,33 +14,4 @@ func (s *System) Pressure() float64 {
 	}
 	rho := float64(s.N) / v
 	return rho*s.Temperature() + s.virial/(3*v)
-}
-
-// DensityProfile returns the number-density histogram of the given species
-// along an axis (0=x, 1=y, 2=z) with the given number of bins, normalized
-// to particles per unit volume.
-func (s *System) DensityProfile(sp Species, axis, bins int) []float64 {
-	if bins < 1 {
-		bins = 1
-	}
-	if axis < 0 || axis > 2 {
-		axis = 2
-	}
-	hist := make([]float64, bins)
-	for i := 0; i < s.N; i++ {
-		if s.Type[i] != sp {
-			continue
-		}
-		b := int(s.Pos[i][axis] / s.Box[axis] * float64(bins))
-		if b >= bins {
-			b = bins - 1
-		}
-		hist[b]++
-	}
-	// Normalize by slab volume.
-	slab := s.Box[0] * s.Box[1] * s.Box[2] / float64(bins)
-	for b := range hist {
-		hist[b] /= slab
-	}
-	return hist
 }

@@ -112,7 +112,7 @@ type System struct {
 	StepCount int
 	PotEnergy float64
 
-	virial float64
+	virial float64 // pair virial W = 1/2 Σ_i Σ_j f_ij · r_ij of the last force evaluation
 
 	cells  *cellList
 	eps    [numSpecies][numSpecies]float64

@@ -168,40 +168,8 @@ func (r *Reader) ReadFrame() (step int64, data []float32, err error) {
 	return step, data, nil
 }
 
-// SkipFrames discards the next n frames without decoding them, which lets
-// post-processing tools seek to a region of interest cheaply.
-func (r *Reader) SkipFrames(n int) error {
-	frame := 8 + 4*int64(r.natoms)*int64(r.fields)
-	for i := 0; i < n; i++ {
-		if _, err := io.CopyN(io.Discard, r.r, frame); err != nil {
-			return fmt.Errorf("trajectory: skipping frame %d of %d: %w", i+1, n, err)
-		}
-	}
-	return nil
-}
-
 // Close closes the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
-
-// CountFrames returns the number of complete frames in a trajectory file
-// without reading frame payloads into memory.
-func CountFrames(path string) (int, error) {
-	r, err := OpenReader(path)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	fi, err := r.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	const header = int64(16) // magic + natoms + fields
-	frame := 8 + 4*int64(r.natoms)*int64(r.fields)
-	if fi.Size() < header {
-		return 0, fmt.Errorf("trajectory: %s shorter than its header", path)
-	}
-	return int((fi.Size() - header) / frame), nil
-}
 
 func floatBits(f float32) uint32 { return math.Float32bits(f) }
 

@@ -163,51 +163,3 @@ func TestOnDiskSizeMatchesModel(t *testing.T) {
 		t.Fatalf("file size = %d, want %d", fi.Size(), want)
 	}
 }
-
-func TestSkipFramesAndCount(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.traj")
-	w, err := NewWriter(path, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f := 0; f < 5; f++ {
-		data := make([]float32, 6)
-		data[0] = float32(f)
-		if err := w.WriteFrame(int64(f), data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	n, err := CountFrames(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("frames = %d, want 5", n)
-	}
-
-	r, err := OpenReader(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := r.SkipFrames(3); err != nil {
-		t.Fatal(err)
-	}
-	step, data, err := r.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step != 3 || data[0] != 3 {
-		t.Fatalf("after skip: step %d data %v", step, data[:1])
-	}
-	if err := r.SkipFrames(5); err == nil {
-		t.Fatal("expected EOF-ish error skipping past the end")
-	}
-	if _, err := CountFrames(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("expected open error")
-	}
-}
