@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -159,17 +160,21 @@ func instrumentedNullRun(steps int) (r *Runner, tr *obs.Tracer, led *obs.EventLo
 	}, tr, led, events + steps // one event per step, analysis and output
 }
 
-// TestInstrumentedRunAllocationBudget prices the telemetry spine in
-// allocations: with every sink attached a step may allocate at most three
-// times (it was nineteen when each ledger line went through encoding/json and
-// each span was a heap object with a map).
+// TestInstrumentedRunAllocationBudget prices the telemetry spine: with every
+// sink attached a step may allocate at most three times (it was nineteen when
+// each ledger line went through encoding/json and each span was a heap object
+// with a map) and at most 220 bytes (it was 382 when a span was a 112-byte
+// slot holding its strings).
 func TestInstrumentedRunAllocationBudget(t *testing.T) {
 	const steps = 2000
+	var before, after runtime.MemStats
 	perRun := testing.AllocsPerRun(3, func() {
 		r, _, led, events := instrumentedNullRun(steps)
+		runtime.ReadMemStats(&before)
 		if _, err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
+		runtime.ReadMemStats(&after)
 		if led.Len() != 2+events { // run_start and run_end
 			t.Fatalf("ledger holds %d events, want %d", led.Len(), 2+events)
 		}
@@ -178,6 +183,11 @@ func TestInstrumentedRunAllocationBudget(t *testing.T) {
 		t.Fatalf("an instrumented run allocates %.1f times per step (%.0f per run), want at most 3", perStep, perRun)
 	} else {
 		t.Logf("%.2f allocations per step (%.0f per run of %d steps)", perStep, perRun, steps)
+	}
+	if perStep := float64(after.TotalAlloc-before.TotalAlloc) / steps; perStep > 220 {
+		t.Fatalf("an instrumented run allocates %.0f bytes per step in Run, want at most 220", perStep)
+	} else {
+		t.Logf("%.0f bytes per step", perStep)
 	}
 }
 

@@ -36,26 +36,29 @@ type Event struct {
 // Tracer records spans and events against a monotonic epoch. The zero value
 // is not ready for use; call NewTracer. A nil *Tracer is a valid no-op sink.
 //
-// Every span, instant and counter is one slot of a chunked store: chunks are
-// fixed-size arrays that are never re-copied, so recording costs a slot
-// write, not a growing slice. A span owns its slot from Begin on and writes
-// its arguments there; the slot is sealed — and only then visible to Len,
-// Events and the exporters — by End.
+// Every span, instant and counter is one 56-byte slot of a chunked store of
+// 28 KiB arrays that are never re-copied. A slot holds no pointers, so the
+// collector never scans a chunk: names, categories and argument keys are
+// interned, and arguments past two go to a side table. A span owns its slot
+// from Begin on; End seals it, and only then do Len, Events and the
+// exporters see it. Readers get Args maps of their own.
 type Tracer struct {
 	mu         sync.Mutex
 	now        func() time.Time
 	epoch      time.Time
 	chunks     []*[slotsPerChunk]slot
-	opened     int // slots handed out, open spans included
-	sealed     int // slots readers can see
+	opened     int      // slots handed out, open spans included
+	sealed     int      // slots readers can see
+	names      interner // (name, cat) pairs
+	keys       interner // argument keys, paired with ""
+	extra      []extraArg
 	procName   string
 	trackNames map[int]string
 }
 
 const (
-	// slotsPerChunk slots, with the allocator's header, fill a 28 KiB size
-	// class; one more would take a 32 KiB one.
-	slotsPerChunk = 255
+	// slotsPerChunk slots of 56 bytes fill the 28 KiB size class exactly.
+	slotsPerChunk = 512
 	// inlineArgs arguments live in the slot itself; the runners' spans carry
 	// one (step) or two (step, bytes).
 	inlineArgs = 2
@@ -64,47 +67,99 @@ const (
 // slot is the stored form of an Event. Tracks are lane numbers and are kept
 // in 32 bits.
 type slot struct {
-	name, cat  string
 	start, dur time.Duration
+	vals       [inlineArgs]float64
+	name       uint32 // interned (name, cat) pair
 	track      int32
+	keys       [inlineArgs]uint32 // interned keys of the inline arguments
+	more       uint32             // head of the extraArg list
 	phase      Phase
 	sealed     bool
 	nargs      uint8 // inline arguments in use
-	keys       [inlineArgs]string
-	vals       [inlineArgs]float64
-	more       map[string]float64 // arguments beyond the inline ones
 }
 
-// set stores one argument, overwriting an earlier value of the same key.
-func (sl *slot) set(key string, v float64) {
+// extraArg is an argument past a slot's inline ones; next links its slot's
+// list (1 + an index in Tracer.extra; 0 ends it).
+type extraArg struct {
+	key, next uint32
+	val       float64
+}
+
+// interner numbers distinct string pairs in first-seen order. A repeated pair
+// (a call site's literal, a name built once per run) costs a string compare in
+// a small set-associative cache; the map is read only when the cache misses.
+type interner struct {
+	ids   map[[2]string]uint32
+	strs  [][2]string
+	cache [8][4]struct {
+		s  [2]string
+		id uint32 // 1 + the pair's ID; 0 marks an empty way
+	}
+}
+
+// id returns the ID of the pair (a, b), interning it on first sight. The cache
+// set is picked from the lengths and end bytes, which is cheap and tells apart
+// names such as "k0/analyze" and "k1/analyze".
+func (in *interner) id(a, b string) uint32 {
+	h := uint64(len(a)) | uint64(len(b))<<8
+	if n := len(a); n > 0 {
+		h |= uint64(a[0])<<16 | uint64(a[1%n])<<24 | uint64(a[n-1])<<32
+	}
+	set := &in.cache[h*0x9E3779B97F4A7C15>>61]
+	for w := range set {
+		if c := &set[w]; c.id != 0 && c.s[0] == a && c.s[1] == b {
+			return c.id - 1
+		}
+	}
+	k := [2]string{a, b}
+	id, ok := in.ids[k]
+	if !ok {
+		id = uint32(len(in.strs))
+		in.ids[k] = id
+		in.strs = append(in.strs, k)
+	}
+	copy(set[1:], set[:len(set)-1]) // the newest pair takes the first way
+	set[0].s, set[0].id = k, id+1
+	return id
+}
+
+// setArg stores one argument of a slot, overwriting an earlier value of the
+// same key. Callers hold t.mu.
+func (t *Tracer) setArg(sl *slot, key string, v float64) {
+	k := t.keys.id(key, "")
 	for i := 0; i < int(sl.nargs); i++ {
-		if sl.keys[i] == key {
+		if sl.keys[i] == k {
 			sl.vals[i] = v
 			return
 		}
 	}
-	if sl.nargs < inlineArgs { // a span's more fills only after its inline storage
-		sl.keys[sl.nargs], sl.vals[sl.nargs] = key, v
+	if sl.nargs < inlineArgs { // a slot's extra arguments start only after its inline storage is full
+		sl.keys[sl.nargs], sl.vals[sl.nargs] = k, v
 		sl.nargs++
 		return
 	}
-	if sl.more == nil {
-		sl.more = make(map[string]float64)
+	for j := sl.more; j != 0; j = t.extra[j-1].next {
+		if a := &t.extra[j-1]; a.key == k {
+			a.val = v
+			return
+		}
 	}
-	sl.more[key] = v
+	t.extra = append(t.extra, extraArg{key: k, next: sl.more, val: v})
+	sl.more = uint32(len(t.extra))
 }
 
-// event builds the reader's view of a sealed slot. A slot without inline
-// arguments hands out its map as it is (an Instant's is the caller's).
-func (sl *slot) event() Event {
-	e := Event{Name: sl.name, Cat: sl.cat, Phase: sl.phase, Track: int(sl.track), Start: sl.start, Dur: sl.dur, Args: sl.more}
+// event builds the reader's view of a sealed slot, with an Args map of its
+// own. Callers hold t.mu.
+func (t *Tracer) event(sl *slot) Event {
+	p := t.names.strs[sl.name]
+	e := Event{Name: p[0], Cat: p[1], Phase: sl.phase, Track: int(sl.track), Start: sl.start, Dur: sl.dur}
 	if sl.nargs > 0 {
-		e.Args = make(map[string]float64, int(sl.nargs)+len(sl.more))
-		for k, v := range sl.more {
-			e.Args[k] = v
-		}
+		e.Args = make(map[string]float64, int(sl.nargs))
 		for i := 0; i < int(sl.nargs); i++ {
-			e.Args[sl.keys[i]] = sl.vals[i]
+			e.Args[t.keys.strs[sl.keys[i]][0]] = sl.vals[i]
+		}
+		for j := sl.more; j != 0; j = t.extra[j-1].next {
+			e.Args[t.keys.strs[t.extra[j-1].key][0]] = t.extra[j-1].val
 		}
 	}
 	return e
@@ -113,6 +168,7 @@ func (sl *slot) event() Event {
 // NewTracer returns a tracer whose epoch is the current wall-clock time.
 func NewTracer() *Tracer {
 	t := &Tracer{now: time.Now}
+	t.names.ids, t.keys.ids = map[[2]string]uint32{}, map[[2]string]uint32{}
 	t.epoch = t.now()
 	return t
 }
@@ -165,7 +221,7 @@ func (t *Tracer) open(at time.Time, name, cat string, phase Phase) (*slot, int) 
 	}
 	t.opened++
 	sl := t.slot(i)
-	sl.name, sl.cat, sl.phase, sl.start = name, cat, phase, t.offset(at)
+	sl.name, sl.phase, sl.start = t.names.id(name, cat), phase, t.offset(at)
 	return sl, i
 }
 
@@ -229,7 +285,7 @@ func (s Span) Arg(key string, v float64) Span {
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
 	if sl := s.t.slot(s.i); !sl.sealed {
-		sl.set(key, v)
+		s.t.setArg(sl, key, v)
 	}
 	return s
 }
@@ -253,7 +309,8 @@ func (s Span) EndAt(at time.Time) {
 	s.t.seal(sl)
 }
 
-// Instant records a point event on track 0.
+// Instant records a point event on track 0. The arguments are copied: the
+// caller may reuse args once Instant returns.
 func (t *Tracer) Instant(name, cat string, args map[string]float64) {
 	if t == nil {
 		return
@@ -261,7 +318,9 @@ func (t *Tracer) Instant(name, cat string, args map[string]float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sl, _ := t.open(time.Time{}, name, cat, PhaseInstant)
-	sl.more = args
+	for k, v := range args {
+		t.setArg(sl, k, v)
+	}
 	t.seal(sl)
 }
 
@@ -274,7 +333,7 @@ func (t *Tracer) Counter(name string, value float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sl, _ := t.open(time.Time{}, name, "counter", PhaseCounter)
-	sl.set("value", value)
+	t.setArg(sl, "value", value)
 	t.seal(sl)
 }
 
@@ -312,7 +371,7 @@ func (t *Tracer) snapshot() []Event {
 	out := make([]Event, 0, t.sealed)
 	for i := 0; i < t.opened; i++ {
 		if sl := t.slot(i); sl.sealed {
-			out = append(out, sl.event())
+			out = append(out, t.event(sl))
 		}
 	}
 	return out

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // fakeClock advances a fixed amount per reading, like the perfmodel tests.
@@ -332,5 +333,65 @@ func TestSpanAllocatesNothingAmortised(t *testing.T) {
 	}
 	if tr.Len() != 4*slotsPerChunk+1 {
 		t.Fatalf("len = %d", tr.Len())
+	}
+}
+
+// TestSpanSlotLayout pins the stored form of a span: 56 bytes with no
+// pointers, so a chunk is one 28 KiB noscan allocation the collector never
+// scans.
+func TestSpanSlotLayout(t *testing.T) {
+	if size := unsafe.Sizeof(slot{}); size != 56 || slotsPerChunk*size != 28672 {
+		t.Fatalf("a slot is %d bytes and a chunk %d, want 56 and 28672", size, slotsPerChunk*size)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.String, reflect.Map, reflect.Slice, reflect.Pointer, reflect.UnsafePointer,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("slot field %s is a %s, which holds a pointer", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	walk("slot", reflect.TypeOf(slot{}))
+}
+
+// TestInstantOwnsItsArgs: an Instant copies its arguments when it is
+// recorded, and every reader gets maps of its own, so neither the caller
+// reusing its map nor a reader editing Events' Args changes the timeline.
+func TestInstantOwnsItsArgs(t *testing.T) {
+	tr := NewTracer()
+	tr.SetClock(newFakeClock(time.Millisecond).now)
+	args := map[string]float64{"objective": 42, "node": 7, "depth": 3}
+	tr.Instant("incumbent", "solver", args)
+	tr.Begin("solve", "solver").Arg("nodes", 5).Arg("pivots", 40).Arg("gap", 0.125).End()
+	export := func() string {
+		var b strings.Builder
+		if err := tr.WriteChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	wantEvents, wantTrace := fmt.Sprint(tr.Events()), export() // fmt prints map keys sorted
+
+	args["objective"], args["node"] = -1, -1 // the caller reuses its map
+	delete(args, "depth")
+	args["late"] = 1
+	for _, e := range tr.Events() { // a reader edits what it was handed
+		e.Args["nodes"], e.Args["objective"] = -2, -2
+		delete(e.Args, "node")
+	}
+	if got := fmt.Sprint(tr.Events()); got != wantEvents {
+		t.Fatalf("Events() changed:\n got %s\nwant %s", got, wantEvents)
+	}
+	if got := export(); got != wantTrace {
+		t.Fatalf("WriteChromeTrace changed:\n got %s\nwant %s", got, wantTrace)
+	}
+	if !strings.Contains(wantTrace, `"args":{"depth":3,"node":7,"objective":42}`) {
+		t.Fatalf("the instant's arguments are missing:\n%s", wantTrace)
 	}
 }
