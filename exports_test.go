@@ -2,25 +2,32 @@ package insitu
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// testOnlyAllowed names the exported functions and methods under internal/
-// that may stay although no non-test file names them, each with the reason it
-// stays. A key is "dir.Func" or "dir.Type.Method", with dir relative to the
-// module root; a key ending in ".*" covers a whole package.
+// testOnlyAllowed names the top-level declarations under internal/ that may
+// stay although no program reaches them, each with the reason it stays. A key
+// is "dir.Name" or "dir.Type.Method", with dir relative to the module root; a
+// key ending in ".*" covers a whole package.
 var testOnlyAllowed = map[string]string{
 	"internal/solvercheck.*":  "differential oracles and fuzz harness for lp, milp and core",
 	"internal/obs/jsontest.*": "encoder-equivalence harness for the hand-written JSON encoders",
 
-	"internal/core.GreedySolve":    "the paper's greedy baseline",
-	"internal/core.FixedFrequency": "the paper's fixed-frequency baseline",
+	"internal/core.GreedySolve":                      "the paper's greedy baseline",
+	"internal/core.FixedFrequency":                   "the paper's fixed-frequency baseline",
+	"internal/core.Explanation.Attribution":          "lookup the explain tests read",
+	"internal/core.PlacementRecommendation.Schedule": "lookup the placement tests read",
 
 	"internal/obs.CanonicalBytes":         "determinism corpus comparison form",
 	"internal/obs.DeterministicBytes":     "determinism corpus comparison form",
@@ -28,22 +35,32 @@ var testOnlyAllowed = map[string]string{
 	"internal/obs.Tracer.SetClock":        "fake-clock seam for byte-exact tests",
 	"internal/obs.Tracer.BeginOn":         "second-track span the timeline golden records",
 	"internal/obs.FlightRecorder.Dropped": "ring accessor the retention tests read",
+	"internal/obs.Tracer.Events":          "the reader of the timeline golden and the span tests",
+	"internal/obs.EventLog.Err":           "sticky-error accessor the sink-failure tests read",
+	"internal/obs.Histogram.Count":        "accessor the metrics tests read",
+	"internal/milp.TreeRecorder.Nodes":    "accessor the tree tests read",
+	"internal/replan.Replanner.Incumbent": "accessor the hysteresis tests read",
+	"internal/runmon.EWMA.N":              "accessor the detector tests read",
 	"internal/milp.ReadTree":              "decoder the tree round-trip tests read",
 	"internal/perfbench.Workloads":        "the counter corpus TestCountersBaseline walks",
 	"internal/iosim.BurstBuffer.Backlog":  "accessor the drain tests read",
 
 	"internal/perfmodel.NewInterp1D": "1-D predictor its example and tests exercise",
 
+	"internal/sim/amr.Grid.Run":                         "stepping loop the hydro tests drive",
+	"internal/sim/amr.Grid.MemoryBytes":                 "grid memory estimate the AMR and campaign tests read",
 	"internal/sim/amr.Grid.TotalMass":                   "conservation check the hydro tests read",
 	"internal/sim/amr.Grid.TotalEnergy":                 "conservation check the hydro tests read",
 	"internal/sim/amr.SedovReference.PostShockDensity":  "Sedov reference check the hydro tests read",
 	"internal/sim/amr.SedovReference.PostShockPressure": "Sedov reference check the hydro tests read",
+	"internal/sim/md.System.Run":                        "stepping loop the MD tests drive",
 	"internal/sim/md.System.TotalEnergy":                "conservation check the MD tests read",
 	"internal/sim/md.System.Momentum":                   "conservation check the MD tests read",
 	"internal/sim/md.System.Rescale":                    "thermostat step the MD tests drive",
 	"internal/sim/md.System.CountType":                  "composition check the MD tests read",
 
 	"internal/trajectory.Reader.NumAtoms":      "header accessor the reader tests read",
+	"internal/trajectory.Reader.Fields":        "header accessor the reader tests read",
 	"internal/trajectory.Writer.Frames":        "accessor the writer tests read",
 	"internal/trajectory.Writer.BytesPerFrame": "size model the on-disk test checks",
 
@@ -53,6 +70,7 @@ var testOnlyAllowed = map[string]string{
 	"internal/analysis/amrkernels.ShockTracker.Radii":         "kernel result accessor its tests read",
 	"internal/analysis/amrkernels.Vorticity.MaxSeries":        "kernel result accessor its tests read",
 	"internal/analysis/mdkernels.DensityHist.Samples":         "kernel result accessor its tests read",
+	"internal/analysis/mdkernels.DensityHist.Total":           "kernel result accessor its tests read",
 	"internal/analysis/mdkernels.Gyration.Series":             "kernel result accessor its tests read",
 	"internal/analysis/mdkernels.MSD.Series":                  "kernel result accessor its tests read",
 	"internal/analysis/mdkernels.MSD.WindowLen":               "kernel result accessor its tests read",
@@ -64,35 +82,155 @@ var testOnlyAllowed = map[string]string{
 }
 
 // implicitMethods are method names the standard library calls through an
-// interface (fmt.Stringer, error, json.Marshaler, http.Handler, sort and heap
-// interfaces), so no file in the module needs to name them.
+// interface it checks for at run time (fmt.Stringer, error, json.Marshaler,
+// http.Handler, sort and heap interfaces), so a value's type is all the
+// module shows of the call.
 var implicitMethods = map[string]bool{
 	"String": true, "Error": true, "Unwrap": true,
 	"MarshalJSON": true, "UnmarshalJSON": true, "ServeHTTP": true,
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 }
 
-// TestNoTestOnlyExports fails when an exported function or method declared
-// under internal/ is named by no non-test Go file in the module (cmd/,
-// benchmark/ and examples/ count as callers) and is not in testOnlyAllowed.
-// Code that only its own tests reach is code to delete, not to keep.
-//
-// The check is syntactic: it matches identifiers by name, not by type. Its
-// blind spot is that a dead function sharing its name with any live
-// identifier (another package's function, a method, a struct field) counts
-// as named and is not reported. It never flags live code: a function that a
-// non-test file calls is always named there.
+// TestNoTestOnlyExports fails when a top-level declaration under internal/ —
+// function, method, type, var or const, exported or not — is reached by no
+// program and is not in testOnlyAllowed. Code that only its own tests reach
+// is code to delete, not to keep. See unreachable for what "reached" means.
 func TestNoTestOnlyExports(t *testing.T) {
-	type decl struct{ dir, key, name string }
-	var decls []decl
-	named := map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	problems, err := unreachable(".", testOnlyAllowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// TestReachabilityFixture runs the same walk over testdata/deadcode, a small
+// module whose one dead method shares its name with a live one, and whose
+// other declarations are reached only through an interface, a generic
+// instance or an allowlisted root. Only the dead method may be reported.
+func TestReachabilityFixture(t *testing.T) {
+	problems, err := unreachable("testdata/deadcode", map[string]string{
+		"internal/lib.Spare": "kept to show an allowlisted root reaches its callees",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"internal/lib.Sim.Run: no program reaches it; delete it with its tests, or allow it in testOnlyAllowed with a reason"}
+	if !reflect.DeepEqual(problems, want) {
+		t.Errorf("problems = %q, want %q", problems, want)
+	}
+}
+
+// unreachable type-checks every non-test package of the module rooted at root
+// (directories named testdata or starting with "." are skipped) and walks
+// from the roots — every declaration of a package main, every init function,
+// every package-level var with an initializer — along the objects each
+// reached declaration uses. A method of a reached type is reached too when a
+// reached interface that the type implements declares it, or when its name
+// is in implicitMethods. It returns, sorted, one line per declaration under
+// internal/ left unreached once the allowed keys have been walked as further
+// roots, and one per allowed key that matches no declaration the programs
+// leave unreached.
+func unreachable(root string, allowed map[string]string) ([]string, error) {
+	m, err := loadModule(root)
+	if err != nil {
+		return nil, err
+	}
+	w := &walker{module: m, reached: map[types.Object]bool{}, ifaces: map[*types.Interface]bool{}}
+	for _, n := range m.roots {
+		w.visit(n)
+	}
+	for _, obj := range m.rootObjs {
+		w.mark(obj)
+	}
+	w.run()
+	byPrograms := make(map[types.Object]bool, len(w.reached))
+	for obj := range w.reached {
+		byPrograms[obj] = true
+	}
+	stale := map[string]bool{}
+	for k := range allowed {
+		stale[k] = true
+	}
+	for obj, d := range m.decls {
+		for _, k := range []string{d.key, d.dir + ".*"} {
+			if allowed[k] != "" {
+				w.mark(obj)
+				if !byPrograms[obj] {
+					stale[k] = false
+				}
+			}
+		}
+	}
+	w.run()
+	var problems []string
+	for obj, d := range m.decls {
+		if !w.reached[obj] && strings.HasPrefix(d.dir, "internal/") {
+			problems = append(problems, d.key+": no program reaches it; delete it with its tests, or allow it in testOnlyAllowed with a reason")
+		}
+	}
+	for k, s := range stale {
+		if s {
+			problems = append(problems, k+": allowed in testOnlyAllowed but a program reaches it, or nothing declares it; drop the entry")
+		}
+	}
+	sort.Strings(problems)
+	return problems, nil
+}
+
+// module is a type-checked Go module: its declarations by object, and the
+// syntax its roots start from.
+type module struct {
+	fset     *token.FileSet
+	info     *types.Info
+	std      types.Importer
+	pkgs     map[string]*modPkg // by import path
+	decls    map[types.Object]*decl
+	roots    []ast.Node     // root syntax that declares no object: init, blank vars
+	rootObjs []types.Object // root declarations
+}
+
+type modPkg struct {
+	dir   string // relative to the module root, slash-separated
+	files []*ast.File
+	pkg   *types.Package
+}
+
+// decl is one top-level declaration: its key in testOnlyAllowed's form and
+// the syntax to walk once it is reached.
+type decl struct {
+	dir, key string
+	nodes    []ast.Node
+	group    []types.Object // an enumeration's members, reached together
+}
+
+// loadModule parses and type-checks the module rooted at root, and indexes
+// its declarations.
+func loadModule(root string) (*module, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	var modPath string
+	for _, line := range strings.Split(string(mod), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			modPath = f[1]
+		}
+	}
+	m := &module{
+		fset:  token.NewFileSet(),
+		info:  &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		pkgs:  map[string]*modPkg{},
+		decls: map[types.Object]*decl{},
+	}
+	m.std = importer.ForCompiler(m.fset, "source", nil)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -100,59 +238,255 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(m.fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		declared := map[*ast.Ident]bool{}
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
-				continue
-			}
-			key := dir + "."
-			if fn.Recv != nil {
-				if implicitMethods[fn.Name.Name] {
-					continue
-				}
-				key += recvName(fn.Recv.List[0].Type) + "."
-			}
-			declared[fn.Name] = true
-			decls = append(decls, decl{dir, key + fn.Name.Name, fn.Name.Name})
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				named[id.Name] = true
-			}
-			return true
-		})
+		dir := filepath.ToSlash(rel)
+		ipath := modPath
+		if dir != "." {
+			ipath += "/" + dir
+		}
+		p := m.pkgs[ipath]
+		if p == nil {
+			p = &modPkg{dir: dir}
+			m.pkgs[ipath] = p
+		}
+		p.files = append(p.files, f)
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	var problems []string
-	allowed := map[string]bool{}
-	for _, d := range decls {
-		switch {
-		case named[d.name]:
-		case testOnlyAllowed[d.key] != "":
-			allowed[d.key] = true
-		case testOnlyAllowed[d.dir+".*"] != "":
-			allowed[d.dir+".*"] = true
-		default:
-			problems = append(problems, d.key+": no non-test file names it; delete it with its tests, or allow it in testOnlyAllowed with a reason")
+	for ipath, p := range m.pkgs {
+		if _, err := m.Import(ipath); err != nil {
+			return nil, err
+		}
+		for _, f := range p.files {
+			m.index(p, f)
 		}
 	}
-	for k := range testOnlyAllowed {
-		if !allowed[k] {
-			problems = append(problems, k+": allowed in testOnlyAllowed but no test-only export matches it; drop the entry")
+	return m, nil
+}
+
+// Import makes module a types.Importer: a module package is type-checked from
+// the files loadModule parsed, anything else from the standard library's
+// source.
+func (m *module) Import(path string) (*types.Package, error) {
+	p := m.pkgs[path]
+	if p == nil {
+		return m.std.Import(path)
+	}
+	if p.pkg == nil {
+		conf := types.Config{Importer: m}
+		pkg, err := conf.Check(path, m.fset, p.files, m.info)
+		if err != nil {
+			return nil, err
+		}
+		p.pkg = pkg
+	}
+	return p.pkg, nil
+}
+
+// index records the top-level declarations of one file, and its roots.
+func (m *module) index(p *modPkg, f *ast.File) {
+	main := f.Name.Name == "main"
+	add := func(id *ast.Ident, key string, root bool, nodes ...ast.Node) types.Object {
+		obj := m.info.Defs[id]
+		if obj == nil || id.Name == "_" {
+			if root || main {
+				m.roots = append(m.roots, nodes...)
+			}
+			return nil
+		}
+		m.decls[obj] = &decl{dir: p.dir, key: p.dir + "." + key, nodes: nodes}
+		if root || main {
+			m.rootObjs = append(m.rootObjs, obj)
+		}
+		return obj
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			key := d.Name.Name
+			if d.Recv != nil {
+				key = recvName(d.Recv.List[0].Type) + "." + key
+			}
+			add(d.Name, key, d.Recv == nil && key == "init", d)
+		case *ast.GenDecl:
+			// A const block whose specs repeat an earlier one is an
+			// enumeration: removing one member renumbers the rest, so its
+			// members are reached together.
+			var last ast.Node
+			var consts []types.Object
+			enumeration := false
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					add(s.Name, s.Name.Name, false, s)
+				case *ast.ValueSpec:
+					nodes := []ast.Node{s}
+					if len(s.Values) > 0 {
+						last = s
+					} else if d.Tok == token.CONST && last != nil {
+						nodes = append(nodes, last)
+						enumeration = true
+					}
+					for _, id := range s.Names {
+						obj := add(id, id.Name, d.Tok == token.VAR && len(s.Values) > 0, nodes...)
+						if obj != nil && d.Tok == token.CONST {
+							consts = append(consts, obj)
+						}
+					}
+				}
+			}
+			if enumeration {
+				for _, obj := range consts {
+					m.decls[obj].group = consts
+				}
+			}
 		}
 	}
-	sort.Strings(problems)
-	for _, p := range problems {
-		t.Error(p)
+}
+
+// walker holds the state of one reachability walk.
+type walker struct {
+	*module
+	reached map[types.Object]bool
+	queue   []ast.Node
+	types   []*types.TypeName // reached named types of the module
+	ifaces  map[*types.Interface]bool
+}
+
+// mark reaches one object; only the module's top-level declarations are
+// tracked.
+func (w *walker) mark(obj types.Object) {
+	switch o := obj.(type) {
+	case *types.Func:
+		obj = o.Origin()
+	case *types.Var:
+		obj = o.Origin()
+	}
+	d := w.decls[obj]
+	if d == nil || w.reached[obj] {
+		return
+	}
+	w.reached[obj] = true
+	w.queue = append(w.queue, d.nodes...)
+	for _, g := range d.group {
+		w.mark(g)
+	}
+	if tn, ok := obj.(*types.TypeName); ok {
+		w.types = append(w.types, tn)
+	}
+}
+
+// visit marks every object a node uses and notes every interface among the
+// types it mentions.
+func (w *walker) visit(n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if obj := w.info.Uses[n]; obj != nil {
+				w.mark(obj)
+				w.noteIfaces(obj.Type(), map[types.Type]bool{})
+			}
+		case ast.Expr:
+			if tv, ok := w.info.Types[n]; ok {
+				w.noteIfaces(tv.Type, map[types.Type]bool{})
+			}
+		}
+		return true
+	})
+}
+
+// noteIfaces records the interfaces with methods that t is or is built from
+// (through pointers, containers, signatures and struct fields), since a value
+// may be converted to any of them.
+func (w *walker) noteIfaces(t types.Type, seen map[types.Type]bool) {
+	if t == nil || seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.(type) {
+	case *types.Named:
+		w.noteIfaces(u.Underlying(), seen)
+	case *types.Interface:
+		if u.NumMethods() > 0 {
+			w.ifaces[u] = true
+		}
+	case *types.Pointer:
+		w.noteIfaces(u.Elem(), seen)
+	case *types.Slice:
+		w.noteIfaces(u.Elem(), seen)
+	case *types.Array:
+		w.noteIfaces(u.Elem(), seen)
+	case *types.Chan:
+		w.noteIfaces(u.Elem(), seen)
+	case *types.Map:
+		w.noteIfaces(u.Key(), seen)
+		w.noteIfaces(u.Elem(), seen)
+	case *types.Signature:
+		w.noteIfaces(u.Params(), seen)
+		w.noteIfaces(u.Results(), seen)
+	case *types.Tuple:
+		for i := 0; i < u.Len(); i++ {
+			w.noteIfaces(u.At(i).Type(), seen)
+		}
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			w.noteIfaces(u.Field(i).Type(), seen)
+		}
+	}
+}
+
+// run walks until no declaration, interface or implicit method adds another.
+func (w *walker) run() {
+	for {
+		for len(w.queue) > 0 {
+			n := w.queue[len(w.queue)-1]
+			w.queue = w.queue[:len(w.queue)-1]
+			w.visit(n)
+		}
+		for _, tn := range w.types {
+			w.markMethods(tn)
+		}
+		if len(w.queue) == 0 {
+			return
+		}
+	}
+}
+
+// markMethods reaches the methods of a reached named type that an interface
+// seen so far calls, or that the standard library calls implicitly.
+func (w *walker) markMethods(tn *types.TypeName) {
+	named, ok := tn.Type().(*types.Named)
+	if !ok || types.IsInterface(named) {
+		return
+	}
+	for i := 0; i < named.NumMethods(); i++ {
+		if m := named.Method(i); implicitMethods[m.Name()] {
+			w.mark(m)
+		}
+	}
+	ptr := types.NewPointer(named)
+	for iface := range w.ifaces {
+		if !types.Implements(ptr, iface) {
+			continue
+		}
+		for i := 0; i < iface.NumMethods(); i++ {
+			im := iface.Method(i)
+			if m, _, _ := types.LookupFieldOrMethod(ptr, false, im.Pkg(), im.Name()); m != nil {
+				w.mark(m)
+			}
+		}
 	}
 }
 

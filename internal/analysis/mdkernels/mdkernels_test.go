@@ -54,7 +54,7 @@ func TestHydroniumRDFLifecycle(t *testing.T) {
 	// Hydronium-water histogram must contain counts: a dense liquid has
 	// many neighbors within the cutoff.
 	total := 0.0
-	for _, v := range k.Histogram(0) {
+	for _, v := range k.hist[0] {
 		total += v
 	}
 	if total == 0 {
@@ -93,7 +93,7 @@ func TestRDFDeterministicAcrossRankCounts(t *testing.T) {
 		}
 		total := 0.0
 		for p := 0; p < 3; p++ {
-			for _, v := range k.Histogram(p) {
+			for _, v := range k.hist[p] {
 				total += v
 			}
 		}
@@ -122,7 +122,7 @@ func TestRDFPairSymmetryCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0.0
-	for _, v := range k.Histogram(1) {
+	for _, v := range k.hist[1] {
 		total += v
 	}
 	if math.Mod(total, 2) != 0 {

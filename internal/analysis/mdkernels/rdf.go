@@ -213,9 +213,6 @@ func (k *RDF) resetAccum() {
 	k.samples = 0
 }
 
-// Histogram exposes the raw accumulated counts for pair p (for tests).
-func (k *RDF) Histogram(p int) []float64 { return k.hist[p] }
-
 // Samples returns how many analysis steps have accumulated since the last
 // output.
 func (k *RDF) Samples() int { return k.samples }

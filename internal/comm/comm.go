@@ -93,9 +93,6 @@ func NewWorld(size int) (*World, error) {
 	return w, nil
 }
 
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
-
 // Run executes fn concurrently on every rank and waits for all of them. The
 // first non-nil error is returned; if any rank fails, mailboxes are closed so
 // blocked ranks unwind instead of deadlocking. A World whose Run returned an

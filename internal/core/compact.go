@@ -80,7 +80,6 @@ func solveModel(model string, prob *milp.Problem, opts SolveOptions) (sol *milp.
 type mode struct {
 	count   int
 	k       int // output after every k-th analysis step
-	outputs int
 	cost    float64
 	peakMem int64
 }
@@ -195,7 +194,7 @@ func appendCountModes(out []mode, a AnalysisSpec, res Resources, count int, prun
 	}
 	for k := kMin; k <= count; k++ {
 		outputs, peak := modeOutputsPeak(a, res.Steps, count, k)
-		m := mode{count: count, k: k, outputs: outputs, cost: modeCost(a, res, count, outputs), peakMem: peak}
+		m := mode{count: count, k: k, cost: modeCost(a, res, count, outputs), peakMem: peak}
 		if prune && res.TimeThreshold > 0 && m.cost > res.TimeThreshold {
 			continue
 		}
@@ -232,7 +231,7 @@ func appendCountModes(out []mode, a AnalysisSpec, res Resources, count int, prun
 // one ascending column list and the one run of ones, the time and memory rows
 // are that column list whole — safe because rows are read-only once built
 // (see lp.Constraint). Columns carry no names: solving reads none, and
-// nameColumns adds them for the callers that show them.
+// CompactModel adds them for the callers that show them.
 func buildCompactProblem(norm []AnalysisSpec, res Resources, opts SolveOptions, force int) (*milp.Problem, modeTable, error) {
 	capacity := 0
 	for _, a := range norm {
@@ -298,23 +297,9 @@ func buildCompactProblem(norm []AnalysisSpec, res Resources, opts SolveOptions, 
 	return prob, tab, nil
 }
 
-// nameColumns names every column of a built compact model after the mode it
-// selects. It is a step apart from the build because only CompactNames and
-// ExportLP show names to anyone.
-func nameColumns(prob *milp.Problem, norm []AnalysisSpec, tab modeTable) {
-	prob.LP.Names = make([]string, len(tab.modes))
-	for i, a := range norm {
-		for v := tab.start[i]; v < tab.start[i+1]; v++ {
-			prob.LP.Names[v] = fmt.Sprintf("x[%s,n=%d,k=%d]", a.Name, tab.modes[v].count, tab.modes[v].k)
-		}
-	}
-}
-
-// CompactNames returns the variable names of the compact model, in variable
-// order. A milp.TreeRecorder observing a Solve over the same inputs labels its
-// branch edges with these names (the model itself is built inside Solve, out
-// of the caller's reach).
-func CompactNames(specs []AnalysisSpec, res Resources, opts SolveOptions) ([]string, error) {
+// CompactModel returns the compact model Solve builds for the same inputs,
+// each column named after the mode it selects (Solve itself names none).
+func CompactModel(specs []AnalysisSpec, res Resources, opts SolveOptions) (*milp.Problem, error) {
 	norm, err := normalizeSpecs(specs)
 	if err != nil {
 		return nil, err
@@ -323,7 +308,24 @@ func CompactNames(specs []AnalysisSpec, res Resources, opts SolveOptions) ([]str
 	if err != nil {
 		return nil, err
 	}
-	nameColumns(prob, norm, tab)
+	prob.LP.Names = make([]string, len(tab.modes))
+	for i, a := range norm {
+		for v := tab.start[i]; v < tab.start[i+1]; v++ {
+			prob.LP.Names[v] = fmt.Sprintf("x[%s,n=%d,k=%d]", a.Name, tab.modes[v].count, tab.modes[v].k)
+		}
+	}
+	return prob, nil
+}
+
+// CompactNames returns the variable names of the compact model, in variable
+// order. A milp.TreeRecorder observing a Solve over the same inputs labels its
+// branch edges with these names (the model itself is built inside Solve, out
+// of the caller's reach).
+func CompactNames(specs []AnalysisSpec, res Resources, opts SolveOptions) ([]string, error) {
+	prob, err := CompactModel(specs, res, opts)
+	if err != nil {
+		return nil, err
+	}
 	return prob.LP.Names, nil
 }
 

@@ -16,15 +16,10 @@ func ExportLP(w io.Writer, specs []AnalysisSpec, res Resources, opts SolveOption
 	if err := res.Validate(); err != nil {
 		return err
 	}
-	norm, err := normalizeSpecs(specs)
+	prob, err := CompactModel(specs, res, opts)
 	if err != nil {
 		return err
 	}
-	prob, tab, err := buildCompactProblem(norm, res, opts, -1)
-	if err != nil {
-		return err
-	}
-	nameColumns(prob, norm, tab)
 	return milp.WriteLP(w, prob)
 }
 

@@ -111,10 +111,9 @@ func (r *PlacementRecommendation) Schedule(name string) *PlacementSchedule {
 // placementMode extends mode with a site choice and site-split costs.
 type placementMode struct {
 	mode
-	site     Site
-	simTime  float64
-	stage    float64
-	stageMem int64
+	site    Site
+	simTime float64
+	stage   float64
 }
 
 // SolvePlacement chooses, for every analysis, a site, a frequency, and an
@@ -178,11 +177,10 @@ func SolvePlacement(specs []PlacementSpec, res PlacementResources, opts SolveOpt
 				continue
 			}
 			m := placementMode{
-				mode:     mode{count: count, k: 1, outputs: count},
-				site:     CoAnalysis,
-				simTime:  simTime,
-				stage:    stage,
-				stageMem: a.StageMem,
+				mode:    mode{count: count, k: 1},
+				site:    CoAnalysis,
+				simTime: simTime,
+				stage:   stage,
 			}
 			obj := 1 + a.Weight*float64(count)
 			j := prob.AddBinVar(obj, fmt.Sprintf("x[%s,co,n=%d]", a.Name, count))

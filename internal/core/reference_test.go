@@ -39,7 +39,6 @@ func refEnumerateModesPruned(a AnalysisSpec, res Resources, maxCount int, prune 
 			m := mode{
 				count:   count,
 				k:       k,
-				outputs: len(os),
 				cost:    modeCost(a, res, count, len(os)),
 				peakMem: modePeakMemory(a, res.Steps, as, os),
 			}

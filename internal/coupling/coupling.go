@@ -79,7 +79,6 @@ const (
 	regionAdvance regionKind = iota
 	regionAnalysis
 	regionOutput
-	regionCapture
 )
 
 // region is one timed part of a step. A step is measured first — its regions
@@ -87,7 +86,7 @@ const (
 // published after, so no span, counter or ledger event lands inside a region.
 type region struct {
 	kind       regionKind
-	k          int // index of the kernel or staged analysis in the active set
+	k          int // index of the kernel in the active set
 	start, end time.Time
 	bytes      int64
 }

@@ -52,8 +52,8 @@ func inRun(steps []int, n int) []int {
 }
 
 // TestRunnersExecuteHandBuiltStepLists: a plan built by hand may list steps
-// out of order, twice, or outside the run; both runners execute exactly the
-// steps a set would have, and leave the plan's lists as they found them.
+// out of order, twice, or outside the run; the runner executes exactly the
+// steps a set would have, and leaves the plan's lists as it found them.
 func TestRunnersExecuteHandBuiltStepLists(t *testing.T) {
 	const steps = 30
 	lists := map[string][2][]int{
@@ -88,32 +88,6 @@ func TestRunnersExecuteHandBuiltStepLists(t *testing.T) {
 			t.Errorf("%s: report counts %d analyses, %d outputs", name, kr.Analyses, kr.Outputs)
 		}
 
-		// The placement runner: the same lists in situ and staged.
-		p := &stepLogKernel{name: "local"}
-		var captured []int
-		pr := &PlacementRunner{
-			Step:   func() {},
-			InSitu: map[string]analysis.Kernel{"local": p},
-			Staged: map[string]StagedAnalysis{"remote": {
-				Name: "remote",
-				Capture: func(step int) (func() error, int64, error) {
-					captured = append(captured, step)
-					return func() error { return nil }, 1, nil
-				},
-			}},
-			Rec: &core.PlacementRecommendation{Schedules: []core.PlacementSchedule{
-				{Site: core.InSitu, AnalysisSchedule: core.AnalysisSchedule{Name: "local", Enabled: true, AnalysisSteps: l[0], OutputSteps: l[1]}},
-				{Site: core.CoAnalysis, AnalysisSchedule: core.AnalysisSchedule{Name: "remote", Enabled: true, AnalysisSteps: l[0]}},
-			}},
-			Res: core.PlacementResources{Resources: core.Resources{Steps: steps}},
-		}
-		if _, err := pr.Run(); err != nil {
-			t.Fatalf("%s: placement: %v", name, err)
-		}
-		if !reflect.DeepEqual(p.analyzed, wantA) || !reflect.DeepEqual(p.flushed, wantO) || !reflect.DeepEqual(captured, wantA) {
-			t.Errorf("%s: placement runner analyzed %v, flushed %v, captured %v, want %v, %v, %v",
-				name, p.analyzed, p.flushed, captured, wantA, wantO, wantA)
-		}
 		if !reflect.DeepEqual(l[0], origA) || !reflect.DeepEqual(l[1], origO) {
 			t.Errorf("%s: the plan's step lists were reordered in place: %v %v", name, l[0], l[1])
 		}

@@ -3,7 +3,6 @@ package coupling
 import (
 	"testing"
 
-	"insitu/internal/analysis"
 	"insitu/internal/core"
 	"insitu/internal/obs"
 )
@@ -84,67 +83,6 @@ func TestRunnerTraceNesting(t *testing.T) {
 	}
 	if k1Analyses != 4 {
 		t.Errorf("coupling_analyses_total{kernel=k1} = %v, want 4", k1Analyses)
-	}
-}
-
-func TestPlacementRunnerTelemetry(t *testing.T) {
-	rec, res := placementRec()
-	tr := obs.NewTracer()
-	reg := obs.NewRegistry()
-	staged := StagedAnalysis{
-		Name: "remote",
-		Capture: func(step int) (func() error, int64, error) {
-			return func() error { return nil }, 1 << 20, nil
-		},
-	}
-	r := &PlacementRunner{
-		Step:    func() {},
-		InSitu:  map[string]analysis.Kernel{"local": &fakeKernel{name: "local"}},
-		Staged:  map[string]StagedAnalysis{"remote": staged},
-		Rec:     rec,
-		Res:     res,
-		Workers: 2,
-		Trace:   tr,
-		Metrics: reg,
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var captures, stagedSpans int
-	for _, e := range tr.Events() {
-		switch e.Cat {
-		case "transfer":
-			captures++
-			if e.Track != 0 {
-				t.Errorf("capture span on track %d, want 0", e.Track)
-			}
-		case "staged":
-			stagedSpans++
-			if e.Track < 1 || e.Track > 2 {
-				t.Errorf("staged span on track %d, want worker track 1 or 2", e.Track)
-			}
-		}
-	}
-	if captures != 4 || stagedSpans != 4 {
-		t.Fatalf("capture spans = %d, staged spans = %d, want 4 and 4", captures, stagedSpans)
-	}
-
-	var transfer, stagedRuns float64
-	for _, m := range reg.Snapshot() {
-		switch m.Name {
-		case "placement_transfer_bytes_total":
-			transfer = m.Value
-		case "placement_staged_runs_total":
-			stagedRuns = m.Value
-		}
-	}
-	if transfer != float64(rep.Transferred) {
-		t.Errorf("placement_transfer_bytes_total = %v, want %d", transfer, rep.Transferred)
-	}
-	if stagedRuns != 4 {
-		t.Errorf("placement_staged_runs_total = %v, want 4", stagedRuns)
 	}
 }
 

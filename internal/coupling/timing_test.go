@@ -184,56 +184,3 @@ func TestStepFailurePublishesMeasuredRegions(t *testing.T) {
 		})
 	}
 }
-
-// TestStageWallSpansEarliestStartToLatestEnd: two staging jobs finish out of
-// start order — the first to start waits until the second has finished — and
-// StageWall is still the latest staged span end minus the earliest staged
-// span start, to the nanosecond.
-func TestStageWallSpansEarliestStartToLatestEnd(t *testing.T) {
-	firstStarted, secondDone := make(chan struct{}), make(chan struct{})
-	advanced := 0
-	tr := obs.NewTracer()
-	r := &PlacementRunner{
-		Step: func() {
-			if advanced++; advanced == 2 {
-				<-firstStarted // the second job is captured once the first runs
-			}
-		},
-		Staged: map[string]StagedAnalysis{"remote": {
-			Name: "remote",
-			Capture: func(step int) (func() error, int64, error) {
-				if step == 1 {
-					return func() error { close(firstStarted); <-secondDone; return nil }, 0, nil
-				}
-				return func() error { close(secondDone); return nil }, 0, nil
-			},
-		}},
-		Rec: &core.PlacementRecommendation{Schedules: []core.PlacementSchedule{{
-			Site:             core.CoAnalysis,
-			AnalysisSchedule: core.AnalysisSchedule{Name: "remote", Enabled: true, AnalysisSteps: []int{1, 2}},
-		}}},
-		Res:     core.PlacementResources{Resources: core.Resources{Steps: 2}},
-		Workers: 2,
-		Trace:   tr,
-	}
-	rep, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var spans []obs.Event // by start
-	for _, e := range tr.Events() {
-		if e.Cat == "staged" {
-			spans = append(spans, e)
-		}
-	}
-	if len(spans) != 2 {
-		t.Fatalf("%d staged spans, want 2", len(spans))
-	}
-	end := func(e obs.Event) time.Duration { return e.Start + e.Dur }
-	if end(spans[0]) <= end(spans[1]) {
-		t.Fatalf("the jobs finished in start order: %+v then %+v", spans[0], spans[1])
-	}
-	if want := max(end(spans[0]), end(spans[1])) - spans[0].Start; rep.StageWall != want {
-		t.Fatalf("StageWall = %v, want the latest staged end minus the earliest start, %v", rep.StageWall, want)
-	}
-}

@@ -9,8 +9,8 @@
 // The tracer exports Chrome trace_event JSON (loadable in chrome://tracing
 // or https://ui.perfetto.dev). The registry
 // exports Prometheus text format and a JSON snapshot. Both are dependency
-// free, safe for concurrent use (staging workers and goroutine ranks emit
-// from multiple goroutines), and deterministic under an injected clock so
+// free, safe for concurrent use (goroutine ranks emit from multiple
+// goroutines), and deterministic under an injected clock so
 // exported artifacts can be byte-compared in tests.
 //
 // All handle types are nil-safe: calling methods on a nil *Tracer,

@@ -1,35 +1,7 @@
 package obs
 
-import "context"
-
 // RequestIDHeader is the HTTP header the schedd daemon (and any client that
 // wants its IDs echoed back) uses to propagate a request identity. The
 // server generates an ID when the header is absent, so every request has
 // one.
 const RequestIDHeader = "X-Request-Id"
-
-// reqIDKey is the context key request IDs travel under. An unexported
-// struct key cannot collide with keys from other packages.
-type reqIDKey struct{}
-
-// WithRequestID returns a context carrying the request identity. The
-// service tier stamps it at the HTTP boundary; everything below — campaign,
-// core, milp — reads it back with RequestID, so ledger events and solver
-// telemetry emitted deep inside a solve can be attributed to the request
-// that caused them.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, reqIDKey{}, id)
-}
-
-// RequestID returns the request identity carried by ctx, or "" when the
-// context is nil or carries none.
-func RequestID(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	id, _ := ctx.Value(reqIDKey{}).(string)
-	return id
-}

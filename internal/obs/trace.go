@@ -59,8 +59,8 @@ type Tracer struct {
 const (
 	// slotsPerChunk slots of 56 bytes fill the 28 KiB size class exactly.
 	slotsPerChunk = 512
-	// inlineArgs arguments live in the slot itself; the runners' spans carry
-	// one (step) or two (step, bytes).
+	// inlineArgs arguments live in the slot itself (the runner's spans carry
+	// one, step); further ones go to the side table.
 	inlineArgs = 2
 )
 

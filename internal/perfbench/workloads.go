@@ -100,7 +100,7 @@ func offPoolWorkload(name string, n int) Workload {
 			refactors += rec.Stats.Refactorizations
 			etaPeak = max(etaPeak, rec.Stats.EtaPeak)
 			objective += rec.Objective
-			mp, err := solvercheck.CompactModel(specs, res, opts)
+			mp, err := core.CompactModel(specs, res, opts)
 			if err != nil {
 				return nil, err
 			}

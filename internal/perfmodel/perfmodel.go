@@ -73,12 +73,6 @@ func (b *Bilinear) Predict(x, y float64) float64 {
 	return v00*(1-tx)*(1-ty) + v10*tx*(1-ty) + v01*(1-tx)*ty + v11*tx*ty
 }
 
-// Sample is one measured point used to build profile tables.
-type Sample struct {
-	X, Y  float64 // problem size, scale variable
-	Value float64
-}
-
 // Table accumulates samples for a named quantity and materializes a Bilinear
 // over the sampled grid. Samples must cover a full rectilinear grid (every
 // combination of the distinct X and Y values); Build reports gaps.

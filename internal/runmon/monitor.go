@@ -410,18 +410,6 @@ func (m *Monitor) AlertFrom(i int) (Alert, int) {
 	return m.alerts[i], len(m.alerts)
 }
 
-// Replans returns a copy of every replan decision observed so far.
-func (m *Monitor) Replans() []ReplanRecord {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]ReplanRecord, len(m.replans))
-	copy(out, m.replans)
-	return out
-}
-
 // Solve retention bounds: a live monitor keeps the most recent
 // maxFlightRuns solve events and flight streams (older ones roll off) and
 // the newest maxFlightRecords records of each stream, as a FlightRecorder's

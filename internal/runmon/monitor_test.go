@@ -392,7 +392,7 @@ func TestMonitorCollectsReplanEvents(t *testing.T) {
 		Step: 80, Trigger: AlertBudget, Stream: "budget",
 		Reason: ReplanNoImprovement, OldValue: 5, BudgetSec: 0.05,
 	}.Event())
-	got := m.Replans()
+	got := m.Snapshot().Replans
 	if len(got) != 2 {
 		t.Fatalf("replans = %d, want 2", len(got))
 	}
@@ -415,7 +415,7 @@ func TestMonitorCollectsReplanEvents(t *testing.T) {
 	e := rec.Event()
 	e.Args["reason"] = 5
 	m.Observe(e)
-	if len(m.Replans()) != 2 {
+	if len(m.Snapshot().Replans) != 2 {
 		t.Fatal("unknown-reason replan event was not skipped")
 	}
 }

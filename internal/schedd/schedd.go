@@ -455,7 +455,7 @@ func (s *Server) process(ctx context.Context, id string, req *SolveRequest, body
 		return s.finish(start, rec, nil, &ErrorJSON{Kind: ErrUnprocessable, Message: fmt.Sprintf(
 			"scenario: the model would have over %d columns (counted to %d); lower steps or raise min_interval", maxModelColumns, n)})
 	}
-	val, ejson := s.solveShared(obs.WithRequestID(ctx, id), rec, m)
+	val, ejson := s.solveShared(ctx, rec, m)
 	return s.finish(start, rec, val, ejson)
 }
 

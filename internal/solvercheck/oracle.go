@@ -388,9 +388,13 @@ func CheckScenario(rng *rand.Rand, specs []core.AnalysisSpec, res core.Resources
 
 	// LP-export round trip: the exported compact model, reparsed and
 	// re-solved, must reach the same optimum the recommendation reports.
-	q, err := CompactModel(specs, res, core.SolveOptions{})
+	var buf bytes.Buffer
+	if err := core.ExportLP(&buf, specs, res, core.SolveOptions{}); err != nil {
+		return fmt.Errorf("core.ExportLP: %v", err)
+	}
+	q, err := milp.ReadLP(&buf)
 	if err != nil {
-		return err
+		return fmt.Errorf("ReadLP(exported): %v", err)
 	}
 	rsol, err := milp.Solve(q, milp.Options{})
 	if err != nil {
@@ -405,19 +409,10 @@ func CheckScenario(rng *rand.Rand, specs []core.AnalysisSpec, res core.Resources
 	return nil
 }
 
-// CompactModel returns the compact model core.Solve builds for the scenario,
-// by the one route open outside package core: exported as an LP file and read
-// back.
+// CompactModel is core.CompactModel under the name the lp package's external
+// tests call.
 func CompactModel(specs []core.AnalysisSpec, res core.Resources, opts core.SolveOptions) (*milp.Problem, error) {
-	var buf bytes.Buffer
-	if err := core.ExportLP(&buf, specs, res, opts); err != nil {
-		return nil, fmt.Errorf("core.ExportLP: %v", err)
-	}
-	q, err := milp.ReadLP(&buf)
-	if err != nil {
-		return nil, fmt.Errorf("ReadLP(exported): %v", err)
-	}
-	return q, nil
+	return core.CompactModel(specs, res, opts)
 }
 
 // permuteLP relabels variables: column j of p becomes column perm[j].

@@ -152,7 +152,7 @@ func TestCrashStartOnCompactModels(t *testing.T) {
 	crashed := 0
 	check := func(name string, specs []core.AnalysisSpec, res core.Resources, opts core.SolveOptions) {
 		t.Helper()
-		mp, err := CompactModel(specs, res, opts)
+		mp, err := core.CompactModel(specs, res, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
