@@ -18,7 +18,7 @@ func checkEvaluator(t *testing.T, a AnalysisSpec, steps, count, k int) {
 	t.Helper()
 	as := expandSteps(steps, count)
 	os := expandOutputs(as, k)
-	outputs, peak := modeOutputsPeak(a, steps, count, k)
+	outputs, peak := modeOutputsPeak(&a, steps, count, k)
 	if want := modePeakMemory(a, steps, as, os); outputs != len(os) || peak != want {
 		t.Fatalf("steps=%d count=%d k=%d spec=%+v: evaluator (%d outputs, peak %d), step lists (%d, %d)",
 			steps, count, k, a, outputs, peak, len(os), want)
@@ -71,11 +71,11 @@ func buildUnnamed(t testing.TB, specs []AnalysisSpec, res Resources, opts SolveO
 	if err != nil {
 		t.Fatal(err)
 	}
-	prob, tab, err := buildCompactProblem(norm, res, opts, -1)
+	m, err := buildCompactProblem(norm, res, opts, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prob, tab
+	return &m.prob, m.tab
 }
 
 // TestBuildAllocationBudget pins that the build allocates its arrays, not its
@@ -90,7 +90,7 @@ func TestBuildAllocationBudget(t *testing.T) {
 	allocs := func(steps int) float64 {
 		res := Resources{Steps: steps, TimeThreshold: 60, MemThreshold: 1 << 30}
 		return testing.AllocsPerRun(20, func() {
-			if _, _, err := buildCompactProblem(norm, res, SolveOptions{}, -1); err != nil {
+			if _, err := buildCompactProblem(norm, res, SolveOptions{}, -1); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -278,8 +278,8 @@ func BenchmarkBuildCompact(b *testing.B) {
 		b.Run(in.name+"/unnamed", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				prob, _, err := buildCompactProblem(norm, in.res, in.opts, -1)
-				if err != nil || prob.LP.NumVars() == 0 {
+				m, err := buildCompactProblem(norm, in.res, in.opts, -1)
+				if err != nil || m.lp.NumVars() == 0 {
 					b.Fatal(err)
 				}
 			}

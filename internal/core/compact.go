@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"insitu/internal/lp"
@@ -121,7 +122,7 @@ func countBound(a AnalysisSpec, res Resources, maxCount int) int {
 }
 
 // modeBound bounds the modes appendModes can keep for a, so that the table is
-// allocated once. It is only a capacity — were it ever short, append would
+// sized once. It is only a capacity — were it ever short, append would
 // grow the table.
 func modeBound(a AnalysisSpec, res Resources, maxCount int) int {
 	total := 0
@@ -173,20 +174,22 @@ func EstimateColumns(specs []AnalysisSpec, res Resources, limit int) int {
 // O((Steps/itv)²), so a non-nil ctx is checked once per count and, once
 // cancelled, ends the enumeration with an error wrapping milp.ErrCanceled.
 func appendModes(ctx context.Context, out []mode, a AnalysisSpec, res Resources, maxCount int, prune bool) ([]mode, error) {
+	rt := a.runTime(res)
 	for count, bound := 1, countBound(a, res, maxCount); count <= bound; count++ {
 		if ctx != nil && ctx.Err() != nil {
 			return nil, fmt.Errorf("core: %w while enumerating modes of %q: %v", milp.ErrCanceled, a.Name, ctx.Err())
 		}
-		out = appendCountModes(out, a, res, count, prune)
+		out = appendCountModes(out, &a, &res, rt, count, prune)
 	}
 	return out, nil
 }
 
 // appendCountModes appends the modes with exactly count analysis steps
 // (count <= Steps/itv): k from 1 to count, and k = 0, never output, when
-// outputs are optional. Candidates are priced by arithmetic; step lists are
-// built once, by buildSchedule, for the mode the solver chose.
-func appendCountModes(out []mode, a AnalysisSpec, res Resources, count int, prune bool) []mode {
+// outputs are optional. Candidates are priced by arithmetic, from a's run
+// time rt; step lists are built once, by buildSchedule, for the mode the
+// solver chose. a and res are read, never copied, per candidate.
+func appendCountModes(out []mode, a *AnalysisSpec, res *Resources, rt runTime, count int, prune bool) []mode {
 	run := len(out) // where this count's modes start
 	kMin := 1
 	if a.OutputOptional {
@@ -194,7 +197,7 @@ func appendCountModes(out []mode, a AnalysisSpec, res Resources, count int, prun
 	}
 	for k := kMin; k <= count; k++ {
 		outputs, peak := modeOutputsPeak(a, res.Steps, count, k)
-		m := mode{count: count, k: k, cost: modeCost(a, res, count, outputs), peakMem: peak}
+		m := mode{count: count, k: k, cost: rt.cost(count, outputs), peakMem: peak}
 		if prune && res.TimeThreshold > 0 && m.cost > res.TimeThreshold {
 			continue
 		}
@@ -218,56 +221,82 @@ func appendCountModes(out []mode, a AnalysisSpec, res Resources, count int, prun
 	return out
 }
 
-// buildCompactProblem constructs the compact mode-based MILP over the
-// normalized specs: the one model Solve solves, CompactNames and ExportLP
-// name, and Explain probes. force is -1 except in Explain's counterfactual
-// probes, where it is the index of an analysis that gets a "force[name] >= 1"
+// compactModel is the compact model of one spec list: the normalized specs,
+// the mode table, the model built over it, and the arrays they all live in.
+// Models come from modelPool and are built over the arrays the pooled model
+// held; Solve gives its model back once the answer is validated, and the
+// callers that keep the model (CompactModel, Explain) never do.
+type compactModel struct {
+	norm []AnalysisSpec
+	tab  modeTable
+	prob milp.Problem
+	lp   lp.Problem
+	// Row storage: every column in order, and the coefficients of the
+	// one-mode, time and memory rows.
+	cols                    []int
+	ones, timeCoef, memCoef []float64
+}
+
+// modelPool holds compact models between solves.
+var modelPool = sync.Pool{New: func() any { return new(compactModel) }}
+
+// buildCompactProblem normalizes specs and constructs the compact mode-based
+// MILP over them: the one model Solve solves, CompactNames and ExportLP name,
+// and Explain probes. force is -1 except in Explain's counterfactual probes,
+// where it is the index of an analysis that gets a "force[name] >= 1"
 // membership row and whose modes are enumerated without threshold pruning, so
 // an impossible forced enablement shows up as an infeasibility between the
 // force row and the threshold rows instead of a silently empty mode set.
 //
-// The mode table is completed first, so every model array is allocated once
-// at its final size. Rows share storage: a membership row is a window of the
-// one ascending column list and the one run of ones, the time and memory rows
-// are that column list whole — safe because rows are read-only once built
-// (see lp.Constraint). Columns carry no names: solving reads none, and
+// The mode table is completed first, so every model array is sized once, at
+// its final size. Rows share storage: a membership row is a window of the one
+// ascending column list and the one run of ones, the time and memory rows are
+// that column list whole — safe because rows are read-only once built (see
+// lp.Constraint). Columns carry no names: solving reads none, and
 // CompactModel adds them for the callers that show them.
-func buildCompactProblem(norm []AnalysisSpec, res Resources, opts SolveOptions, force int) (*milp.Problem, modeTable, error) {
+func buildCompactProblem(specs []AnalysisSpec, res Resources, opts SolveOptions, force int) (*compactModel, error) {
+	m := modelPool.Get().(*compactModel)
+	norm, err := appendNormalized(m.norm[:0], specs)
+	if err != nil {
+		modelPool.Put(m)
+		return nil, err
+	}
 	capacity := 0
 	for _, a := range norm {
 		capacity += modeBound(a, res, opts.MaxCount)
 	}
-	tab := modeTable{modes: make([]mode, 0, capacity), start: make([]int, len(norm)+1)}
+	tab := modeTable{modes: lp.Resize(m.tab.modes, capacity)[:0], start: lp.Resize(m.tab.start, len(norm)+1)}
 	for i, a := range norm {
-		var err error
 		if tab.modes, err = appendModes(opts.Ctx, tab.modes, a, res, opts.MaxCount, i != force); err != nil {
-			return nil, tab, err
+			modelPool.Put(m)
+			return nil, err
 		}
 		tab.start[i+1] = len(tab.modes)
 	}
 
 	n := len(tab.modes)
-	p := &lp.Problem{
-		Objective:   make([]float64, n),
-		Lower:       make([]float64, n),
-		Upper:       make([]float64, n),
-		Constraints: make([]lp.Constraint, 0, len(norm)+3),
+	m.norm, m.tab = norm, tab
+	m.lp = lp.Problem{
+		Objective:   lp.Resize(m.lp.Objective, n),
+		Lower:       lp.Resize(m.lp.Lower, n),
+		Upper:       lp.Resize(m.lp.Upper, n),
+		Constraints: lp.Resize(m.lp.Constraints, len(norm)+3)[:0],
 	}
-	prob := &milp.Problem{LP: p, Integer: make([]bool, n)}
-	cols := make([]int, n) // every column, in order
-	ones := make([]float64, n)
-	timeCoef := make([]float64, n)
-	memCoef := make([]float64, n)
+	m.prob = milp.Problem{LP: &m.lp, Integer: lp.Resize(m.prob.Integer, n)}
+	p, prob := &m.lp, &m.prob
+	m.cols, m.ones = lp.Resize(m.cols, n), lp.Resize(m.ones, n)
+	m.timeCoef, m.memCoef = lp.Resize(m.timeCoef, n), lp.Resize(m.memCoef, n)
+	cols, ones, timeCoef, memCoef := m.cols, m.ones, m.timeCoef, m.memCoef
 	for i, a := range norm {
 		for v := tab.start[i]; v < tab.start[i+1]; v++ {
-			m := &tab.modes[v]
+			md := &tab.modes[v]
 			// Objective: enabling contributes 1 (membership in A) plus
 			// w_i per analysis step.
-			p.Objective[v] = 1 + a.Weight*float64(m.count)
+			p.Objective[v] = 1 + a.Weight*float64(md.count)
 			p.Upper[v] = 1
 			prob.Integer[v] = true
 			cols[v], ones[v] = v, 1
-			timeCoef[v], memCoef[v] = m.cost, float64(m.peakMem)
+			timeCoef[v], memCoef[v] = md.cost, float64(md.peakMem)
 		}
 	}
 
@@ -294,27 +323,23 @@ func buildCompactProblem(norm []AnalysisSpec, res Resources, opts SolveOptions, 
 		// itself is unsatisfiable.
 		p.Constraints = append(p.Constraints, membership(force, lp.GE, "force"))
 	}
-	return prob, tab, nil
+	return m, nil
 }
 
 // CompactModel returns the compact model Solve builds for the same inputs,
 // each column named after the mode it selects (Solve itself names none).
 func CompactModel(specs []AnalysisSpec, res Resources, opts SolveOptions) (*milp.Problem, error) {
-	norm, err := normalizeSpecs(specs)
+	m, err := buildCompactProblem(specs, res, opts, -1)
 	if err != nil {
 		return nil, err
 	}
-	prob, tab, err := buildCompactProblem(norm, res, opts, -1)
-	if err != nil {
-		return nil, err
-	}
-	prob.LP.Names = make([]string, len(tab.modes))
-	for i, a := range norm {
-		for v := tab.start[i]; v < tab.start[i+1]; v++ {
-			prob.LP.Names[v] = fmt.Sprintf("x[%s,n=%d,k=%d]", a.Name, tab.modes[v].count, tab.modes[v].k)
+	m.lp.Names = make([]string, len(m.tab.modes))
+	for i, a := range m.norm {
+		for v := m.tab.start[i]; v < m.tab.start[i+1]; v++ {
+			m.lp.Names[v] = fmt.Sprintf("x[%s,n=%d,k=%d]", a.Name, m.tab.modes[v].count, m.tab.modes[v].k)
 		}
 	}
-	return prob, nil
+	return &m.prob, nil
 }
 
 // CompactNames returns the variable names of the compact model, in variable
@@ -331,14 +356,18 @@ func CompactNames(specs []AnalysisSpec, res Resources, opts SolveOptions) ([]str
 
 // normalizeSpecs validates and defaults a spec list.
 func normalizeSpecs(specs []AnalysisSpec) ([]AnalysisSpec, error) {
-	norm := make([]AnalysisSpec, len(specs))
-	for i, a := range specs {
-		if err := a.Validate(); err != nil {
-			return nil, err
-		}
-		norm[i] = a.withDefaults()
+	return appendNormalized(make([]AnalysisSpec, 0, len(specs)), specs)
+}
+
+// appendNormalized appends the validated, defaulted specs to dst.
+func appendNormalized(dst, specs []AnalysisSpec) ([]AnalysisSpec, error) {
+	if err := ValidateSpecs(specs); err != nil {
+		return nil, err
 	}
-	return norm, nil
+	for _, a := range specs {
+		dst = append(dst, a.withDefaults())
+	}
+	return dst, nil
 }
 
 // Solve recommends the optimal in-situ schedule using the compact mode-based
@@ -350,22 +379,19 @@ func Solve(specs []AnalysisSpec, res Resources, opts SolveOptions) (*Recommendat
 	if err := res.Validate(); err != nil {
 		return nil, err
 	}
-	norm, err := normalizeSpecs(specs)
+	cm, err := buildCompactProblem(specs, res, opts, -1)
 	if err != nil {
 		return nil, err
 	}
-	prob, tab, err := buildCompactProblem(norm, res, opts, -1)
-	if err != nil {
-		return nil, err
-	}
-	sol, elapsed, err := solveModel("compact model", prob, opts)
+	defer modelPool.Put(cm) // after validated: nothing returned points into it
+	sol, elapsed, err := solveModel("compact model", &cm.prob, opts)
 	if err != nil {
 		return nil, err
 	}
 
-	rec := &Recommendation{SolveTime: elapsed, Nodes: sol.Nodes, Stats: sol.Stats, Schedules: make([]AnalysisSchedule, len(norm))}
-	for i, a := range norm {
-		m, ok := tab.chosen(i, sol.X)
+	rec := &Recommendation{SolveTime: elapsed, Nodes: sol.Nodes, Stats: sol.Stats, Schedules: make([]AnalysisSchedule, len(cm.norm))}
+	for i, a := range cm.norm {
+		m, ok := cm.tab.chosen(i, sol.X)
 		if !ok {
 			rec.Schedules[i] = AnalysisSchedule{Name: a.Name}
 			continue

@@ -767,3 +767,32 @@ func TestGanttString(t *testing.T) {
 		t.Fatalf("marks = %d, want %d", marks, rec.Schedules[0].Count)
 	}
 }
+
+// TestSolveRejectsDuplicateNames: two analyses with one name are refused up
+// front, by the check schedd runs before admission too. Solve used to accept
+// them and then validate every schedule against whichever spec its name
+// lookup kept last, so this feasible problem failed with "compact solution
+// failed validation: core: "a" violates min interval 50 between steps 0 and
+// 1".
+func TestSolveRejectsDuplicateNames(t *testing.T) {
+	specs := []AnalysisSpec{
+		{Name: "a", CT: 1, OM: 1, MinInterval: 1},
+		{Name: "a", CT: 100, OM: 1, MinInterval: 50},
+	}
+	res := Resources{Steps: 100, TimeThreshold: 60, MemThreshold: 1 << 30, Bandwidth: 1 << 30}
+	const want = `core: two analyses named "a"`
+	if err := ValidateSpecs(specs); err == nil || err.Error() != want {
+		t.Fatalf("ValidateSpecs: %v, want %s", err, want)
+	}
+	if _, err := Solve(specs, res, SolveOptions{}); err == nil || err.Error() != want {
+		t.Fatalf("Solve: %v, want %s", err, want)
+	}
+	specs[1].Name = "b"
+	rec, err := Solve(specs, res, SolveOptions{})
+	if err != nil {
+		t.Fatalf("with distinct names: %v", err)
+	}
+	if err := rec.Validate(specs, res); err != nil {
+		t.Fatal(err)
+	}
+}

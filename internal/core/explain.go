@@ -119,16 +119,13 @@ func Explain(specs []AnalysisSpec, res Resources, opts SolveOptions) (*Explanati
 	if err != nil {
 		return nil, err
 	}
-	norm, err := normalizeSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
 	probeOpts := opts
 	probeOpts.Observer = nil
-	prob, _, err := buildCompactProblem(norm, res, probeOpts, -1)
+	model, err := buildCompactProblem(specs, res, probeOpts, -1)
 	if err != nil {
 		return nil, err
 	}
+	prob, norm := &model.prob, model.norm
 
 	ex := &Explanation{Rec: rec, Res: res}
 
@@ -207,7 +204,7 @@ func explainEnabled(at *Attribution, a AnalysisSpec, s AnalysisSchedule, res Res
 	// schedule could move to.
 	curCost := s.PredictedTime
 	curPeak := s.PeakMemory
-	next := appendCountModes(nil, a, res, at.Count+1, false)
+	next := appendCountModes(nil, &a, &res, a.runTime(res), at.Count+1, false)
 	if len(next) == 0 {
 		// Unreachable for count+1 <= MaxCount, but stay defensive.
 		at.Binding = BindingMinInterval
@@ -247,10 +244,11 @@ func explainEnabled(at *Attribution, a AnalysisSpec, s AnalysisSchedule, res Res
 // re-solve with it forced on (modes unpruned) and report either the
 // objective price or the minimal infeasible constraint set.
 func explainDisabled(at *Attribution, norm []AnalysisSpec, i int, res Resources, opts SolveOptions, baseObjective float64) error {
-	prob, tab, err := buildCompactProblem(norm, res, opts, i)
+	model, err := buildCompactProblem(norm, res, opts, i)
 	if err != nil {
 		return err
 	}
+	prob, tab := &model.prob, model.tab
 	sol, _, err := solveModel("forced probe", prob, opts)
 	switch {
 	case sol == nil: // the solver itself failed
@@ -284,7 +282,7 @@ func standaloneViolation(a AnalysisSpec, res Resources) string {
 	}
 	minCost := math.Inf(1)
 	minPeak := int64(math.MaxInt64)
-	for _, m := range appendCountModes(nil, a, res, 1, false) {
+	for _, m := range appendCountModes(nil, &a, &res, a.runTime(res), 1, false) {
 		if m.cost < minCost {
 			minCost = m.cost
 		}

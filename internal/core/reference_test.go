@@ -140,10 +140,11 @@ func CheckCompactIdentity(specs []AnalysisSpec, res Resources, opts SolveOptions
 		return err
 	}
 	want, refs := refBuildCompactProblemForced(norm, res, opts, force)
-	got, tab, err := buildCompactProblem(norm, res, opts, force)
+	m, err := buildCompactProblem(norm, res, opts, force)
 	if err != nil {
 		return err
 	}
+	got, tab := &m.prob, m.tab
 	if len(got.LP.Names) != 0 {
 		return fmt.Errorf("solver-side model carries %d column names", len(got.LP.Names))
 	}

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+
+	"insitu/internal/lp"
 )
 
 // expandSteps returns the concrete 1-based simulation steps of an analysis
@@ -43,8 +46,21 @@ func expandOutputs(analysisSteps []int, k int) []int {
 // with `outputs` output steps: ft + it·Steps + ct·count + ot·outputs
 // (equations 2–3 summed over the run).
 func modeCost(a AnalysisSpec, res Resources, count, outputs int) float64 {
-	ot := a.outputTime(res.Bandwidth)
-	return a.FT + a.IT*float64(res.Steps) + a.CT*float64(count) + ot*float64(outputs)
+	return a.runTime(res).cost(count, outputs)
+}
+
+// runTime is what an analysis' time costs over a run whatever its mode —
+// fixed = ft + it·Steps — and per analysis and output step, so that mode
+// enumeration works it out once per analysis instead of once per candidate.
+type runTime struct{ fixed, ct, ot float64 }
+
+func (a *AnalysisSpec) runTime(res Resources) runTime {
+	return runTime{a.FT + a.IT*float64(res.Steps), a.CT, a.outputTime(res.Bandwidth)}
+}
+
+// cost is modeCost: the same sum, added left to right, bit for bit.
+func (t runTime) cost(count, outputs int) float64 {
+	return t.fixed + t.ct*float64(count) + t.ot*float64(outputs)
 }
 
 // stepEvents merges an analysis' ascending analysis-step and output-step
@@ -147,7 +163,7 @@ func modePeakMemory(a AnalysisSpec, steps int, analysisSteps, outputSteps []int)
 // + om at the end of the output-to-output segment where that is largest —
 // O(outputs) per candidate, which is what mode enumeration pays. With k = 0
 // nothing resets and the last step is the peak. Requires count <= steps.
-func modeOutputsPeak(a AnalysisSpec, steps, count, k int) (outputs int, peak int64) {
+func modeOutputsPeak(a *AnalysisSpec, steps, count, k int) (outputs int, peak int64) {
 	if k <= 0 {
 		return 0, a.FM + a.IM*int64(steps) + a.CM*int64(count)
 	}
@@ -265,6 +281,9 @@ func (r *Recommendation) validated(model string, specs []AnalysisSpec, res Resou
 	return r, nil
 }
 
+// stepMemPool holds check's per-step memory arrays between validations.
+var stepMemPool = sync.Pool{New: func() any { return new([]int64) }}
+
 // check is Validate, also returning max_j Σ_i mStart_{i,j} (equation 8's
 // left-hand side), which its per-step memory sweep computes anyway. A
 // threshold violation still reports the peak; a structural error, which ends
@@ -279,7 +298,12 @@ func (r *Recommendation) check(specs []AnalysisSpec, res Resources) (peak int64,
 	}
 
 	totalTime := 0.0
-	memPerStep := make([]int64, res.Steps+1)
+	buf := stepMemPool.Get().(*[]int64)
+	memPerStep := lp.Resize(*buf, res.Steps+1)
+	defer func() {
+		*buf = memPerStep
+		stepMemPool.Put(buf)
+	}()
 	for _, s := range r.Schedules {
 		if !s.Enabled {
 			if s.Count != 0 || len(s.AnalysisSteps) != 0 {
@@ -320,9 +344,7 @@ func (r *Recommendation) check(specs []AnalysisSpec, res Resources) (peak int64,
 		}
 
 		// Time recurrence (equations 2–4).
-		ot := a.outputTime(res.Bandwidth)
-		t := a.FT + a.IT*float64(res.Steps) + a.CT*float64(len(s.AnalysisSteps)) + ot*float64(len(s.OutputSteps))
-		totalTime += t
+		totalTime += a.runTime(res).cost(len(s.AnalysisSteps), len(s.OutputSteps))
 
 		// Memory recurrence (equations 5–7) accumulated per step.
 		addStepMemory(memPerStep, a, s.AnalysisSteps, outs)

@@ -90,6 +90,23 @@ func (a AnalysisSpec) Validate() error {
 	return nil
 }
 
+// ValidateSpecs validates every spec of an analysis list and rejects two
+// analyses with one name: a schedule names its analysis, so the validation of
+// an answer could not tell the two apart.
+func ValidateSpecs(specs []AnalysisSpec) error {
+	seen := make(map[string]struct{}, len(specs))
+	for _, a := range specs {
+		if err := a.Validate(); err != nil {
+			return err
+		}
+		if _, dup := seen[a.Name]; dup {
+			return fmt.Errorf("core: two analyses named %q", a.Name)
+		}
+		seen[a.Name] = struct{}{}
+	}
+	return nil
+}
+
 // outputTime returns ot, deriving it from om and the storage bandwidth when
 // unset (the ot = om/bw substitution of §3.2).
 func (a AnalysisSpec) outputTime(bandwidth float64) float64 {

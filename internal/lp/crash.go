@@ -10,49 +10,51 @@ const crashBisect = 6
 // "<=" with nonnegative coefficients and RHS, some of them one-mode rows
 // (unit coefficients, RHS 1) no two of which share a column, the rest
 // knapsack rows with positive RHS — and the integer scratch the crash needs
-// over it. It is detected once per state; gub is nil on any other shape.
+// over it. It is detected once per state; gub is empty on any other shape.
 type crashShape struct {
+	detected  bool
 	gub, knap []int
 	cur       []int // per row: the column its class has reached, -1 for none
 	next      []int // per row: the column its class's next hull step reaches
 	heap      []int // classes that have a next step, most efficient at the root
+	inClass   []bool
 }
 
-// detectShape classifies the rows in O(nonzeros).
-func detectShape(p *Problem) *crashShape {
-	sh := &crashShape{}
-	inClass := make([]bool, p.NumVars())
-	var gub []int
+// detect classifies the rows in O(nonzeros), over the arrays the shape held
+// for the state's last problem.
+func (sh *crashShape) detect(p *Problem) {
+	sh.detected = true
+	sh.knap, sh.inClass = sh.knap[:0], Resize(sh.inClass, p.NumVars())
+	gub := sh.gub[:0]
+	sh.gub = gub // empty until every row has been classified
 	for i, c := range p.Constraints {
 		unit := c.RHS == 1
 		for _, v := range c.Coef {
 			if v < 0 {
-				return sh
+				return
 			}
 			unit = unit && v == 1
 		}
 		if c.Sense != LE || !unit && c.RHS <= 0 {
-			return sh
+			return
 		}
 		if !unit {
 			sh.knap = append(sh.knap, i)
 			continue
 		}
 		for _, j := range c.Idx {
-			if inClass[j] {
-				return sh
+			if sh.inClass[j] {
+				return
 			}
-			inClass[j] = true
+			sh.inClass[j] = true
 		}
 		gub = append(gub, i)
 	}
 	if len(sh.knap) == 0 || len(gub) == 0 {
-		return sh
+		return
 	}
 	m := len(p.Constraints)
-	ints := make([]int, 2*m+len(gub))
-	sh.gub, sh.cur, sh.next, sh.heap = gub, ints[:m], ints[m:2*m], ints[2*m:2*m]
-	return sh
+	sh.gub, sh.cur, sh.next, sh.heap = gub, Resize(sh.cur, m), Resize(sh.next, m), sh.heap[:0]
 }
 
 // crash replaces the all-slack basis reset installed with the basis of
@@ -69,11 +71,11 @@ func (rv *revised) crash(lower, upper []float64) {
 	if rv.noCrash {
 		return
 	}
-	if rv.shape == nil {
-		rv.shape = detectShape(rv.p)
+	sh := &rv.shape
+	if !sh.detected {
+		sh.detect(rv.p)
 	}
-	sh := rv.shape
-	if sh.gub == nil {
+	if len(sh.gub) == 0 {
 		return
 	}
 	for _, l := range lower {
@@ -166,7 +168,7 @@ func (rv *revised) snapFeasible() bool {
 // that step (the one leaving least room for it) and the step's column, or
 // -1, -1 when every step fitted.
 func (rv *revised) crashGreedy(upper []float64, a int, wa float64, b int, wb float64) (int, int) {
-	sh, cs := rv.shape, rv.cs
+	sh, cs := &rv.shape, rv.cs
 	// Surrogate cost per column; -1 marks a column the crash may not use
 	// (no room to reach 1, or nothing to gain).
 	w := rv.cPh1[:cs.nOrig]
@@ -236,7 +238,7 @@ func (rv *revised) crashGreedy(upper []float64, a int, wa float64, b int, wb flo
 // collinear columns are stepped over), and records it with its slope. It
 // reports false at the end of the hull.
 func (rv *revised) hullStep(g int) bool {
-	sh, w, c := rv.shape, rv.cPh1, rv.c
+	sh, w, c := &rv.shape, rv.cPh1, rv.c
 	w0, c0 := 0.0, 0.0
 	if p := sh.cur[g]; p >= 0 {
 		w0, c0 = w[p], c[p]

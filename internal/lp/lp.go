@@ -297,8 +297,24 @@ func Solve(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	rv := newRevised(p, buildColStore(p))
-	return rv.solveCold(p.Lower, p.Upper), nil
+	cs := buildColStore(p)
+	rv := newRevised(p, cs)
+	sol := rv.solveCold(p.Lower, p.Upper) // not lean: nothing in it is rv's
+	statePool.Put(rv)
+	storePool.Put(cs)
+	return sol, nil
+}
+
+// Resize returns s with length n and every entry zero, reusing its array when
+// that is large enough: the one way the solver packages size a buffer they
+// take from a pool.
+func Resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Eval returns c·x for the problem's objective at the given point.

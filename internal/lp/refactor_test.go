@@ -165,7 +165,7 @@ func refactorOracle(rng *rand.Rand, p *Problem) (seated, singular, fill int, err
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	probe := newRevised(p, s.cs)
+	probe := newRevised(p, s.rv.cs)
 	lower := append([]float64(nil), p.Lower...)
 	upper := append([]float64(nil), p.Upper...)
 	for step := 0; step < 6; step++ {
@@ -243,7 +243,7 @@ func TestRefactorSingularBases(t *testing.T) {
 		if len(structural) < 2 {
 			t.Fatalf("trial %d: %d structural columns in the optimal basis", trial, len(structural))
 		}
-		probe := newRevised(p, s.cs)
+		probe := newRevised(p, s.rv.cs)
 		cases := []struct {
 			name string
 			edit func(basis []int)

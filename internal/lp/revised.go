@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 )
 
 const (
@@ -91,50 +92,48 @@ type revised struct {
 	cPh1  []float64 // length width; phase-1 objective
 	xLean []float64 // length nOrig; the point lean solutions return
 	sol   Solution  // lean mode: what every solve returns (see answer)
-	// Refactorization scratch, allocated on first use.
+	// Refactorization scratch.
 	factOrder []int
 	factBasis []int
 	factCount []int  // length m+2; counting-sort buckets by column nonzeros, then a column's pattern
 	inPattern []bool // per row: in the pattern; all false between columns
 
-	shape   *crashShape // see crash; detected by the first cold solve
-	noCrash bool        // tests: start every cold solve from the all-slack basis
-	onPivot func()      // tests: called after every basis change and rebuild of mov
+	shape   crashShape // see crash; detected by the first cold solve
+	noCrash bool       // tests: start every cold solve from the all-slack basis
+	onPivot func()     // tests: called after every basis change and rebuild of mov
 
-	stats *SolverStats // counter sink; never nil (lp.Solve uses a throwaway)
+	stats    *SolverStats // counter sink: the Solver's, or ownStats
+	ownStats SolverStats  // the sink of a state no Solver owns (lp.Solve, tests)
 }
+
+// statePool holds working states between solves; Release and Solve give
+// theirs back.
+var statePool = sync.Pool{New: func() any { return new(revised) }}
 
 // newRevised builds the solver state for a validated problem over its column
 // store, which the state only reads. Bounds and basis are installed by reset
-// before each cold solve.
+// before each cold solve. The state comes from statePool: every field is
+// rebuilt, and every array is resized over the one the state last held and
+// cleared, so the state is the freshly allocated one, bit for bit.
 func newRevised(p *Problem, cs *colStore) *revised {
 	m := cs.m
 	width := cs.n + m
-	rv := &revised{
-		p:       p,
-		cs:      cs,
-		m:       m,
-		n:       cs.n,
-		width:   width,
-		lo:      make([]float64, width),
-		up:      make([]float64, width),
-		c:       make([]float64, width),
-		b:       make([]float64, m),
-		artSign: make([]float64, m),
-		artUsed: make([]bool, m),
-		basis:   make([]int, m),
-		inBasis: make([]bool, width),
-		atUpper: make([]bool, width),
-		xB:      make([]float64, m),
-		dvx:     make([]float64, width),
-		mov:     make([]int32, 0, width),
-		wrk:     make([]float64, m),
-		col:     make([]float64, m),
-		rho:     make([]float64, m),
-		y:       make([]float64, m),
-		cPh1:    make([]float64, width),
-		stats:   &SolverStats{},
+	rv := statePool.Get().(*revised)
+	*rv = revised{
+		p: p, cs: cs, m: m, n: cs.n, width: width,
+		lo: Resize(rv.lo, width), up: Resize(rv.up, width), c: Resize(rv.c, width), b: Resize(rv.b, m),
+		artSign: Resize(rv.artSign, m), artUsed: Resize(rv.artUsed, m),
+		basis: Resize(rv.basis, m), inBasis: Resize(rv.inBasis, width), atUpper: Resize(rv.atUpper, width), xB: Resize(rv.xB, m),
+		ef: rv.ef, ws: rv.ws, dvx: Resize(rv.dvx, width), mov: Resize(rv.mov, width)[:0],
+		wrk: Resize(rv.wrk, m), col: Resize(rv.col, m), rho: Resize(rv.rho, m), y: Resize(rv.y, m),
+		cPh1: Resize(rv.cPh1, width), xLean: Resize(rv.xLean, cs.nOrig),
+		factOrder: Resize(rv.factOrder, m), factBasis: Resize(rv.factBasis, m),
+		factCount: Resize(rv.factCount, m+2), inPattern: Resize(rv.inPattern, m),
+		shape: rv.shape,
 	}
+	rv.stats = &rv.ownStats
+	rv.ef.reset()
+	rv.shape.detected = false // its arrays are reused, not its verdict
 	for i, cons := range p.Constraints {
 		rv.b[i] = cons.RHS
 	}
@@ -164,10 +163,10 @@ func workingSetCap(m int) int { return max(m, wsMinCap) }
 func (rv *revised) setWorkingSetCap(c int) {
 	rv.wsCap = c
 	if !rv.pricesAll() {
-		rv.ws = make([]int, 0, c)
+		rv.ws = Resize(rv.ws, c)[:0]
 		return
 	}
-	rv.ws = make([]int, rv.width)
+	rv.ws = Resize(rv.ws, rv.width)
 	for j := range rv.ws {
 		rv.ws[j] = j
 	}
@@ -305,12 +304,6 @@ func (rv *revised) reset(lower, upper []float64) {
 func (rv *revised) refactor() bool {
 	rv.stats.Refactorizations++
 	rv.ef.reset()
-	if rv.factOrder == nil {
-		rv.factOrder = make([]int, rv.m)
-		rv.factBasis = make([]int, rv.m)
-		rv.factCount = make([]int, rv.m+2)
-		rv.inPattern = make([]bool, rv.m)
-	}
 	// Stable counting sort of the basis positions by column nonzero count
 	// (at most m per column).
 	count := rv.factCount
@@ -1025,13 +1018,8 @@ func (rv *revised) answer(sol Solution) *Solution {
 // the state's own buffer instead of a fresh vector per solve.
 func (rv *revised) extract(obj float64) *Solution {
 	nOrig := rv.cs.nOrig
-	var x []float64
-	if rv.lean {
-		if rv.xLean == nil {
-			rv.xLean = make([]float64, nOrig)
-		}
-		x = rv.xLean
-	} else {
+	x := rv.xLean
+	if !rv.lean {
 		x = make([]float64, nOrig)
 	}
 	lo, up := rv.lo[:nOrig], rv.up[:nOrig]

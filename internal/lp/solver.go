@@ -23,14 +23,20 @@ package lp
 //     refactorization, so neither a warm nor a cold solve re-allocates or
 //     re-scans the matrix.
 //
+// A Solver's working state — its revised-simplex arrays, and the column
+// store it shares with the other solvers of its NewSolvers call — comes from
+// the package's pools, so a NewSolvers after a Release allocates only the
+// Solver handles. Release gives the state back; a Solver is dead afterwards,
+// and each of its methods panics. Branch and bound releases its solvers when
+// the search ends; a caller that does not is left with garbage-collected
+// state, as every caller was before the pools.
+//
 // A Solver is not safe for concurrent use; branch and bound gives each wave
 // worker its own, all built by one NewSolvers call over one read-only column
 // store. SolveCold is arithmetic-identical to Solve(p) with the same bounds
 // (only the allocations differ).
 type Solver struct {
-	p  *Problem
-	cs *colStore // read-only; shared by the solvers of one NewSolvers call
-	rv *revised
+	rv *revised // nil once released
 
 	hasBasis bool   // rv sits on a dual-feasible basis the next Solve can continue from
 	last     Status // the last solve's verdict; numericFailure before any, and for conflicting bounds
@@ -38,8 +44,9 @@ type Solver struct {
 	// Lean skips the diagnostic solution fields (duals, reduced costs, row
 	// activity) that branch and bound never reads, and returns the solver's
 	// own *Solution, its X a buffer the solver owns too: both belong to the
-	// solver and are overwritten by its next solve, so a caller that keeps a
-	// verdict or a point must copy it. A warm lean solve allocates nothing.
+	// solver and are overwritten by its next solve, and handed to another
+	// solve by Release, so a caller that keeps a verdict or a point must copy
+	// it. A warm lean solve allocates nothing.
 	Lean bool
 	// NoWarm forces every Solve and SolveFrom through the cold path (branch
 	// and bound sets it to measure warm-start savings).
@@ -110,17 +117,41 @@ func NewSolver(p *Problem) (*Solver, error) {
 // NewSolvers is NewSolver for k solvers of one problem at once: one
 // validation and one transpose of the matrix into the column store they all
 // read. Each solver keeps its own working state, so they may run
-// concurrently.
+// concurrently. The store and the states come from the package's pools; hand
+// the solvers to Release once done to give them back.
 func NewSolvers(p *Problem, k int) ([]*Solver, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	cs := buildColStore(p)
+	cs.solvers = k
 	out := make([]*Solver, k)
 	for i := range out {
-		out[i] = &Solver{p: p, cs: cs, last: numericFailure}
+		s := &Solver{rv: newRevised(p, cs), last: numericFailure}
+		s.rv.stats = &s.Stats
+		out[i] = s
 	}
 	return out, nil
+}
+
+// Release gives the working state of solvers — every Solver one NewSolvers
+// call returned — back to the package's pools, for the next NewSolvers or
+// Solve to reuse. Nothing that belongs to the solvers may be used afterwards:
+// a call to any of their methods panics, and a lean Solution one of them
+// returned, X included, will be overwritten by another solve.
+func Release(solvers []*Solver) {
+	if len(solvers) == 0 {
+		return
+	}
+	cs := solvers[0].state().cs
+	for _, s := range solvers {
+		if len(solvers) != cs.solvers || s.state().cs != cs {
+			panic("lp: Release takes every Solver one NewSolvers call returned")
+		}
+		statePool.Put(s.rv)
+		s.rv = nil
+	}
+	storePool.Put(cs)
 }
 
 // Solve solves the problem under the given bounds, warm-starting from the
@@ -138,10 +169,11 @@ func (s *Solver) Solve(lower, upper []float64) (*Solution, bool) {
 // nil when there is none to continue from (nothing solved yet, or the last
 // solve was not optimal).
 func (s *Solver) Basis() *Basis {
+	rv := s.state()
 	if s.last != Optimal {
 		return nil
 	}
-	return s.rv.snapshot()
+	return rv.snapshot()
 }
 
 // ReducedCosts writes, for the optimal basis the last solve ended on, the
@@ -152,10 +184,10 @@ func (s *Solver) Basis() *Basis {
 // Lean mode. It reports false, writing nothing, when there is no optimal
 // basis to price (nothing solved yet, or the last solve was not optimal).
 func (s *Solver) ReducedCosts(d []float64, atUpper []bool) bool {
+	rv := s.state()
 	if s.last != Optimal {
 		return false
 	}
-	rv := s.rv
 	y := rv.multipliers(rv.c)
 	for j := range d {
 		d[j], atUpper[j] = 0, false
@@ -172,7 +204,7 @@ func (s *Solver) ReducedCosts(d []float64, atUpper []bool) bool {
 // the basis-inverse row a warm dual simplex could not repair. It reports false
 // after any other verdict, conflicting bounds (their own proof) included.
 func (s *Solver) FarkasRay(y []float64) bool {
-	switch rv := s.rv; {
+	switch rv := s.state(); {
 	case s.last != Infeasible:
 		return false
 	case rv.farkasRow < 0:
@@ -224,12 +256,12 @@ func (s *Solver) SolveFrom(b *Basis, lower, upper []float64) (*Solution, bool) {
 	return s.SolveCold(lower, upper), false
 }
 
-// state returns the working state, built on first use, in the Lean mode
-// currently selected.
+// state returns the working state in the Lean mode currently selected. Every
+// method goes through it, so a released Solver panics on its next call instead
+// of computing on state another solve may hold.
 func (s *Solver) state() *revised {
 	if s.rv == nil {
-		s.rv = newRevised(s.p, s.cs)
-		s.rv.stats = &s.Stats
+		panic("lp: Solver used after Release")
 	}
 	s.rv.lean = s.Lean
 	return s.rv

@@ -1,5 +1,7 @@
 package lp
 
+import "sync"
+
 // colStore is a compressed-sparse-column (CSC) view of the constraint matrix
 // in equality form: the structural columns of the Problem followed by one
 // slack (+1) or surplus (-1) singleton column per inequality row. Scheduling
@@ -9,9 +11,11 @@ package lp
 //
 // The store is built once per Problem (NewSolvers / Solve) and read, never
 // written, by every cold and warm solve of every solver built with it: only
-// variable bounds change between branch-and-bound nodes, never the matrix. Phase-1 artificial columns are NOT stored here;
-// they are implicit ±1 singletons handled by the revised solver (colDot /
-// colScatter), so the store never has to be rebuilt when artificial signs
+// variable bounds change between branch-and-bound nodes, never the matrix.
+// Its arrays outlive it: Release and Solve give the store back to storePool,
+// and the next build reuses them. Phase-1 artificial columns are NOT stored
+// here; they are implicit ±1 singletons handled by the revised solver (colDot
+// / colScatter), so the store never has to be rebuilt when artificial signs
 // change between cold builds.
 type colStore struct {
 	m     int // constraint rows
@@ -24,10 +28,17 @@ type colStore struct {
 
 	slackCol []int   // per row: its slack/surplus column, -1 for EQ rows
 	sense    []Sense // per row: original constraint sense
+
+	solvers int // how many Solvers read the store (see Release)
 }
 
+// storePool holds column stores between solves; Release and Solve give
+// theirs back.
+var storePool = sync.Pool{New: func() any { return new(colStore) }}
+
 // buildColStore transposes the problem's sparse constraint rows into column
-// form (stored zeros dropped) and appends the slack/surplus singletons.
+// form (stored zeros dropped) and appends the slack/surplus singletons, in a
+// store taken from storePool whose arrays it reuses.
 func buildColStore(p *Problem) *colStore {
 	nOrig := p.NumVars()
 	m := len(p.Constraints)
@@ -38,23 +49,18 @@ func buildColStore(p *Problem) *colStore {
 		}
 	}
 	n := nOrig + nSlack
-	cs := &colStore{
-		m:        m,
-		nOrig:    nOrig,
-		n:        n,
-		ptr:      make([]int, n+1),
-		slackCol: make([]int, m),
-		sense:    make([]Sense, m),
-	}
+	cs := storePool.Get().(*colStore)
+	cs.m, cs.nOrig, cs.n = m, nOrig, n
+	cs.slackCol, cs.sense = Resize(cs.slackCol, m), Resize(cs.sense, m)
 
-	// Two-pass CSC build: count nonzeros per column, prefix-sum, fill.
-	counts := make([]int, n)
-	nnz := 0
+	// Two-pass CSC build: count nonzeros per column into ptr[j+1], prefix-sum,
+	// then fill with ptr[j] as column j's cursor, which leaves each offset one
+	// column to the left of where it belongs.
+	ptr := Resize(cs.ptr, n+1)
 	for _, c := range p.Constraints {
 		for k, j := range c.Idx {
 			if c.Coef[k] != 0 {
-				counts[j]++
-				nnz++
+				ptr[j+1]++
 			}
 		}
 	}
@@ -66,23 +72,20 @@ func buildColStore(p *Problem) *colStore {
 			continue
 		}
 		cs.slackCol[i] = slack
-		counts[slack]++
-		nnz++
+		ptr[slack+1]++
 		slack++
 	}
-	cs.idx = make([]int, nnz)
-	cs.val = make([]float64, nnz)
 	for j := 0; j < n; j++ {
-		cs.ptr[j+1] = cs.ptr[j] + counts[j]
-		counts[j] = cs.ptr[j] // reuse as fill cursor
+		ptr[j+1] += ptr[j]
 	}
+	cs.idx, cs.val = Resize(cs.idx, ptr[n]), Resize(cs.val, ptr[n])
 	for i, c := range p.Constraints {
 		for t, j := range c.Idx {
 			if v := c.Coef[t]; v != 0 {
-				k := counts[j]
+				k := ptr[j]
 				cs.idx[k] = i
 				cs.val[k] = v
-				counts[j] = k + 1
+				ptr[j] = k + 1
 			}
 		}
 	}
@@ -91,16 +94,19 @@ func buildColStore(p *Problem) *colStore {
 		if c.Sense == EQ {
 			continue
 		}
-		k := counts[slack]
+		k := ptr[slack]
 		cs.idx[k] = i
 		if c.Sense == LE {
 			cs.val[k] = 1
 		} else {
 			cs.val[k] = -1
 		}
-		counts[slack] = k + 1
+		ptr[slack] = k + 1
 		slack++
 	}
+	copy(ptr[1:], ptr[:n])
+	ptr[0] = 0
+	cs.ptr = ptr
 	return cs
 }
 

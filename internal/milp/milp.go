@@ -24,6 +24,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -348,25 +349,34 @@ func (q *nodeQueue) Pop() interface{} {
 	return it
 }
 
-// search carries the state of one branch-and-bound run.
+// search carries the state of one branch-and-bound run. Searches come from
+// searchPool, every buffer of one sized over the arrays the pooled search
+// held: Solve takes one and gives it back, with its solvers, when it returns.
 type search struct {
 	p           *Problem
 	opts        Options
 	started     time.Time
 	stats       Stats
 	integralObj bool
-	best        *Solution
-	queue       *nodeQueue
+	best        Solution // X is incumbent's array; finish copies it out
+	queue       nodeQueue
 	nodes       int
-	// The presolved root box every node's bounds are materialised from, and
-	// scratch for a relaxation's snapped point.
-	rootLower, rootUpper, snapped []float64
+	// The presolved root box every node's bounds are materialised from,
+	// scratch for a relaxation's snapped point, and the incumbent's point.
+	rootLower, rootUpper, snapped, incumbent []float64
 	// The root relaxation's objective, reduced costs and nonbasic resting
-	// sides, kept for reduced-cost fixing; rootRC is nil when there is none
+	// sides, kept for reduced-cost fixing; rootRC is empty when there is none
 	// to fix by (no root solved yet, or one integral as it stands).
 	rootObj     float64
 	rootRC      []float64
 	rootAtUpper []bool
+	// The wave: its slots, their bound scratch, the rounding heuristic, and
+	// the nodes popped and solved together.
+	slots      []slot
+	slotBounds []float64
+	heur       heurCtx
+	wave       []*node
+	results    []nodeResult
 	// roundCtx is the base context labeled solver_phase=incumbent.
 	roundCtx context.Context
 
@@ -378,9 +388,13 @@ type search struct {
 	solvers []*lp.Solver
 }
 
-// newSearch validates the problem and prepares the shared search state.
+// searchPool holds searches between solves, each with the buffers it last
+// grew.
+var searchPool = sync.Pool{New: func() any { return new(search) }}
+
+// newSearch validates the problem and prepares the shared search state, in a
+// search from searchPool.
 func newSearch(p *Problem, opts Options) (*search, error) {
-	s := &search{p: p, opts: opts, started: opts.Now()}
 	if len(p.Integer) != p.LP.NumVars() {
 		return nil, fmt.Errorf("milp: integrality vector has %d entries for %d variables", len(p.Integer), p.LP.NumVars())
 	}
@@ -390,6 +404,17 @@ func newSearch(p *Problem, opts Options) (*search, error) {
 		if isInt && math.IsInf(p.LP.Upper[j], 1) {
 			return nil, fmt.Errorf("milp: integer variable %d (%s) has infinite upper bound", j, name(p.LP, j))
 		}
+	}
+
+	s := searchPool.Get().(*search)
+	n := p.LP.NumVars()
+	*s = search{
+		p: p, opts: opts, started: opts.Now(),
+		best: Solution{Status: Infeasible, Objective: math.Inf(-1)}, queue: s.queue[:0],
+		rootLower: append(s.rootLower[:0], p.LP.Lower...), rootUpper: append(s.rootUpper[:0], p.LP.Upper...),
+		snapped: lp.Resize(s.snapped, n), incumbent: lp.Resize(s.incumbent, n),
+		rootRC: s.rootRC[:0], rootAtUpper: s.rootAtUpper[:0],
+		slots: s.slots, slotBounds: s.slotBounds, heur: s.heur, wave: s.wave, results: s.results,
 	}
 
 	// When every objective coefficient on integer variables is integral and
@@ -410,15 +435,24 @@ func newSearch(p *Problem, opts Options) (*search, error) {
 		}
 	}
 
-	s.best = &Solution{Status: Infeasible, Objective: math.Inf(-1)}
-	s.queue = &nodeQueue{}
-	heap.Init(s.queue)
 	return s, nil
 }
 
-// finish stamps the search statistics and the terminal bound onto sol, and
-// emits the end flight record, which carries these very Stats.
+// release gives the search's solvers back to lp and the search to
+// searchPool. What Solve returns holds nothing of either: finish copied the
+// incumbent out. The open nodes a node limit or a cancellation left are
+// dropped, so a pooled search does not keep their bases alive.
+func (s *search) release() {
+	lp.Release(s.solvers)
+	clear(s.queue)
+	searchPool.Put(s)
+}
+
+// finish stamps the search statistics and the terminal bound onto sol, gives
+// it its own copy of its point, and emits the end flight record, which
+// carries these very Stats.
 func (s *search) finish(sol *Solution, bound float64) *Solution {
+	sol.X = slices.Clone(sol.X)
 	st := s.counters()
 	st.Nodes = sol.Nodes
 	st.BestBound = bound
@@ -485,8 +519,8 @@ func (s *search) globalBound(extra float64) float64 {
 	if s.best.HasX {
 		b = s.best.Objective
 	}
-	if s.queue.Len() > 0 && (*s.queue)[0].bound > b {
-		b = (*s.queue)[0].bound
+	if s.queue.Len() > 0 && s.queue[0].bound > b {
+		b = s.queue[0].bound
 	}
 	if extra > b {
 		b = extra
@@ -530,8 +564,8 @@ func (s *search) expand(nd *node, x []float64, j int, basis *lp.Basis) {
 	down, up := child, child
 	down.branchBound = math.Floor(x[j] + tol)
 	up.up, up.branchBound = true, math.Ceil(x[j]-tol)
-	heap.Push(s.queue, &down)
-	heap.Push(s.queue, &up)
+	heap.Push(&s.queue, &down)
+	heap.Push(&s.queue, &up)
 }
 
 // account charges one node relaxation to the search statistics.
@@ -593,12 +627,12 @@ func (s *search) consume(nd *node, res nodeResult, sl *slot, heur *heurCtx, extr
 	s.expand(nd, relaxSol.X, frac, sl.basis())
 }
 
-// offer makes a copy of the integer-feasible point x the incumbent if it
-// improves on the current one; nodes and bound are what the trajectory
-// records with it.
+// offer makes a copy of the integer-feasible point x, in the incumbent's
+// array, the incumbent if it improves on the current one; nodes and bound are
+// what the trajectory records with it.
 func (s *search) offer(x []float64, nodes int, bound float64) {
 	if obj := s.p.LP.Eval(x); !s.best.HasX || obj > s.best.Objective {
-		s.best = &Solution{Status: Optimal, X: append([]float64(nil), x...), Objective: obj, HasX: true}
+		s.best = Solution{Status: Optimal, X: append(s.incumbent[:0], x...), Objective: obj, HasX: true}
 		s.recordIncumbent(nodes, obj, bound)
 		s.fixByReducedCost()
 	}
@@ -618,7 +652,7 @@ func (s *search) offer(x []float64, nodes int, bound float64) {
 // pricing. Continuous columns are never fixed, nor one resting on a
 // fractional bound (its nearest integer point is less than a unit away).
 func (s *search) fixByReducedCost() {
-	if s.rootRC == nil {
+	if len(s.rootRC) == 0 {
 		return
 	}
 	room := s.rootObj - (s.best.Objective + s.pruneTol())
@@ -668,7 +702,7 @@ func (s *search) openRoot(sl *slot, heur *heurCtx) (done *Solution, err error) {
 	frac := mostFractional(s.p, relax.X, intTol)
 	integral := frac < 0
 	if !integral {
-		rc, atUpper := make([]float64, len(relax.X)), make([]bool, len(relax.X))
+		rc, atUpper := lp.Resize(s.rootRC, len(relax.X)), lp.Resize(s.rootAtUpper, len(relax.X))
 		if sl.solver.ReducedCosts(rc, atUpper) {
 			s.rootObj, s.rootRC, s.rootAtUpper = relax.Objective, rc, atUpper
 		}
@@ -681,16 +715,17 @@ func (s *search) openRoot(sl *slot, heur *heurCtx) (done *Solution, err error) {
 
 	s.nodes = 1
 	if integral {
-		x := snap(make([]float64, len(relax.X)), s.p, relax.X)
+		x := snap(s.snapped, s.p, relax.X)
 		if s.p.LP.Feasible(x, nodeRowTol) {
 			obj := s.p.LP.Eval(x)
-			s.best = &Solution{Status: Optimal, X: x, Objective: obj, Nodes: s.nodes, HasX: true}
+			s.best = Solution{Status: Optimal, X: append(s.incumbent[:0], x...), Objective: obj, Nodes: s.nodes, HasX: true}
 			s.recordIncumbent(s.nodes, obj, root.bound)
 			s.stats.IntegralNodes++
 			s.observe(root, root.bound, "integral")
 			s.waveIdx++
 			s.emitWave(1, root.bound)
-			return s.finish(s.best, obj), nil
+			out := s.best
+			return s.finish(&out, obj), nil
 		}
 	}
 	s.stats.BranchedNodes++
@@ -830,15 +865,13 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.release()
 	s.emitStart()
 	w := opts.workersWidth()
 	pctx := opts.context()
 	s.roundCtx = pprof.WithLabels(pctx, pprof.Labels("solver_phase", "incumbent"))
 
 	n := p.LP.NumVars()
-	s.rootLower = append([]float64(nil), p.LP.Lower...)
-	s.rootUpper = append([]float64(nil), p.LP.Upper...)
-	s.snapped = make([]float64, n)
 	var infeasible bool
 	pprof.Do(pctx, pprof.Labels("solver_phase", "presolve"), func(context.Context) {
 		s.stats.PresolveTightened, infeasible = presolveBounds(p, s.rootLower, s.rootUpper)
@@ -859,8 +892,9 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 		return nil, err
 	}
 	s.solvers = solvers
-	slots := make([]slot, w)
-	scratch := make([]float64, 2*n*w)
+	slots := lp.Resize(s.slots, w)
+	s.slots, s.slotBounds = slots, lp.Resize(s.slotBounds, 2*n*w)
+	scratch := s.slotBounds
 	for g := range slots {
 		solver := solvers[g]
 		solver.Lean = true
@@ -872,13 +906,14 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	if k > w {
 		heurSolver = solvers[w]
 	}
-	heur := newHeurCtx(p, heurSolver)
+	heur := &s.heur
+	heur.init(p, heurSolver)
 	if done, err := s.openRoot(&slots[0], heur); done != nil || err != nil {
 		return done, err
 	}
 
-	wave := make([]*node, 0, w)
-	results := make([]nodeResult, w)
+	s.wave, s.results = lp.Resize(s.wave, w)[:0], lp.Resize(s.results, w)
+	wave, results := s.wave, s.results
 	for {
 		if err := pctx.Err(); err != nil {
 			return nil, fmt.Errorf("%w after %d nodes: %v", ErrCanceled, s.nodes, err)
@@ -888,7 +923,7 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 		// budget allows.
 		wave = wave[:0]
 		for len(wave) < w && s.queue.Len() > 0 && s.nodes+len(wave) < opts.MaxNodes {
-			nd := heap.Pop(s.queue).(*node)
+			nd := heap.Pop(&s.queue).(*node)
 			if s.best.HasX && nd.bound <= s.best.Objective+s.pruneTol() {
 				s.stats.QueuePruned++
 				continue // pruned by bound before solving; not an explored node
@@ -900,7 +935,7 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 				break
 			}
 			// Budget exhausted with open nodes left.
-			out := *s.best
+			out := s.best
 			out.Status = NodeLimit
 			out.Nodes = s.nodes
 			return s.finish(&out, s.globalBound(math.Inf(-1))), nil
@@ -922,7 +957,7 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 		s.emitWave(len(wave), s.globalBound(math.Inf(-1)))
 	}
 
-	out := *s.best
+	out := s.best
 	out.Nodes = s.nodes
 	// Queue exhausted: the search proved nothing above the incumbent
 	// remains, so the terminal bound collapses onto the objective.
@@ -991,7 +1026,8 @@ func hasContinuous(p *Problem) bool {
 // heurCtx is the rounding heuristic's reusable state: the candidate's
 // scratch, plus — when the model has continuous variables to re-optimise —
 // one cold solver (heuristic solves fix every integer variable, so a warm
-// basis rarely survives) and the upper bounds it solves under.
+// basis rarely survives) and the upper bounds it solves under. A search
+// keeps one, and its arrays, across solves.
 type heurCtx struct {
 	solver *lp.Solver // nil: candidates are checked directly, no LP
 	lower  []float64  // the candidate, or the lower bounds it is solved under
@@ -1002,15 +1038,16 @@ type heurCtx struct {
 	noInteger, integralBounds bool
 }
 
-// newHeurCtx prepares the heuristic for p over solver, which Solve passes
-// exactly when p has continuous variables and nil otherwise; it is switched
-// to lean, always-cold solves.
-func newHeurCtx(p *Problem, solver *lp.Solver) *heurCtx {
-	h := &heurCtx{solver: solver, lower: make([]float64, p.LP.NumVars()), integralBounds: true}
+// init prepares the heuristic for p over solver, which Solve passes exactly
+// when p has continuous variables and nil otherwise; it is switched to lean,
+// always-cold solves. The scratch is resized over the arrays h held.
+func (h *heurCtx) init(p *Problem, solver *lp.Solver) {
+	upper := h.upper
+	*h = heurCtx{solver: solver, lower: lp.Resize(h.lower, p.LP.NumVars()), integralBounds: true}
 	if solver != nil {
 		solver.Lean = true
 		solver.NoWarm = true
-		h.upper = make([]float64, p.LP.NumVars())
+		h.upper = lp.Resize(upper, p.LP.NumVars())
 	}
 	for j, isInt := range p.Integer {
 		if !isInt {
@@ -1020,7 +1057,6 @@ func newHeurCtx(p *Problem, solver *lp.Solver) *heurCtx {
 		h.noInteger = h.noInteger || lo > hi
 		h.integralBounds = h.integralBounds && lo == p.LP.Lower[j] && hi == p.LP.Upper[j]
 	}
-	return h
 }
 
 // round looks for a feasible point near the relaxation x: the snapped x

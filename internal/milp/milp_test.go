@@ -440,7 +440,9 @@ func TestRoundingNeedsNoLPOnPureIntegerModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, backed := newHeurCtx(p, nil), newHeurCtx(p, solver)
+		var direct, backed heurCtx
+		direct.init(p, nil)
+		backed.init(p, solver)
 		var st, stLP Stats
 		integral := mostFractional(p, relax.X, 1e-6) < 0
 		x, ok := direct.round(p, relax.X, 1e-6, integral, &st)

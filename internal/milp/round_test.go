@@ -150,11 +150,13 @@ func TestRoundMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h = newHeurCtx(p, solvers[0])
+			h = new(heurCtx)
+			h.init(p, solvers[0])
 			ref.solver = solvers[1]
 			ref.solver.Lean, ref.solver.NoWarm = true, true
 		} else {
-			h = newHeurCtx(p, nil)
+			h = new(heurCtx)
+			h.init(p, nil)
 			if h.upper != nil {
 				t.Fatalf("trial %d: a pure-integer model got an upper-bound buffer", trial)
 			}

@@ -460,24 +460,13 @@ func (s *Server) process(ctx context.Context, id string, req *SolveRequest, body
 }
 
 // validate refuses before admission what core.Solve would refuse inside a
-// solver slot (a step count or threshold out of range, a nameless analysis, a
-// negative cost), and analyses that share a name, which core accepts although
-// a reply keyed by name cannot tell them apart.
+// solver slot: a step count or threshold out of range, a nameless analysis, a
+// negative cost, two analyses with one name.
 func validate(specs []core.AnalysisSpec, res core.Resources) error {
 	if err := res.Validate(); err != nil {
 		return err
 	}
-	seen := make(map[string]struct{}, len(specs))
-	for _, a := range specs {
-		if err := a.Validate(); err != nil {
-			return err
-		}
-		if _, dup := seen[a.Name]; dup {
-			return fmt.Errorf("scenario: two analyses named %q", a.Name)
-		}
-		seen[a.Name] = struct{}{}
-	}
-	return nil
+	return core.ValidateSpecs(specs)
 }
 
 // finishHit closes out a request the cache answered, by key or by body.
