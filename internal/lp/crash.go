@@ -146,12 +146,12 @@ func (rv *revised) seat(row, col int) {
 	rv.basis[row], rv.inBasis[col] = col, true
 }
 
-// snapFeasible reports whether every basic value lies within feasTol of its
+// snapFeasible reports whether every basic value lies within FeasTol of its
 // bounds, moving the ones roundoff left just outside onto the bound.
 func (rv *revised) snapFeasible() bool {
 	for i, col := range rv.basis {
 		x := rv.xB[i]
-		if x < rv.lo[col]-feasTol || x > rv.up[col]+feasTol {
+		if x < rv.lo[col]-FeasTol || x > rv.up[col]+FeasTol {
 			return false
 		}
 		rv.xB[i] = math.Min(math.Max(x, rv.lo[col]), rv.up[col])

@@ -2,11 +2,6 @@ package lp
 
 import "math"
 
-// dualPivTol is the minimum pivot magnitude the dual simplex accepts;
-// smaller pivots are numerically risky, and bailing out just costs one cold
-// solve.
-const dualPivTol = 1e-7
-
 // applyBounds installs new original-space bounds into a previously solved
 // state. Basic columns just get the new bounds; a nonbasic column keeps its
 // resting side unless that side no longer exists (an upper bound relaxed to
@@ -79,7 +74,7 @@ func (rv *revised) dualSimplex() (ok, infeasible bool) {
 		// Leaving row: the most-violated basic variable.
 		r := -1
 		above := false
-		worst := feasTol
+		worst := FeasTol
 		for i := 0; i < rv.m; i++ {
 			b := rv.basis[i]
 			if v := rv.lo[b] - rv.xB[i]; v > worst {
@@ -243,7 +238,7 @@ func (rv *revised) certifyInfeasible(rho []float64, violation float64, above boo
 		}
 		capacity += math.Abs(alpha) * span
 	}
-	if capacity < violation-feasTol {
+	if capacity < violation-FeasTol {
 		return true, true
 	}
 	return false, false

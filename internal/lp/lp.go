@@ -259,36 +259,17 @@ type Solution struct {
 	Iters     int       // simplex iterations across both phases
 
 	// Duals holds the shadow price of each constraint (d objective /
-	// d RHS) at the optimum, recovered from the reduced costs of the
-	// slack/surplus columns. Entries for equality constraints are NaN: they
-	// have no slack column to read one from.
+	// d RHS) at the optimum, in the units the constraint was stated in,
+	// recovered from the reduced costs of the slack/surplus columns. Entries
+	// for equality constraints are NaN: they have no slack column to read
+	// one from. Solver.ReducedCosts prices the variables.
 	Duals []float64
-
-	// ReducedCosts holds, per original variable, c_j - z_j at the optimal
-	// basis: zero for basic variables, <= 0 for nonbasic variables resting
-	// at their lower bound and >= 0 for those at their upper bound (for
-	// this maximization form). It quantifies how much the objective
-	// coefficient of an unused variable would have to improve before the
-	// variable enters the optimal basis — the "how far from being chosen"
-	// number the explainability layer reports per schedule mode.
-	ReducedCosts []float64
-
-	// RowActivity holds a_r·x per constraint at the optimum, and Slacks the
-	// distance to the RHS on the feasible side: RHS - activity for <= rows,
-	// activity - RHS for >= rows, and |activity - RHS| (≈ 0) for equality
-	// rows. A slack within tolerance of zero marks the row as binding.
-	RowActivity []float64
-	Slacks      []float64
 }
 
 // ErrNotSolved indicates the solver terminated without an optimal basis.
 var ErrNotSolved = errors.New("lp: problem not solved to optimality")
 
-const (
-	eps       = 1e-9
-	feasTol   = 1e-7
-	blandTrip = 5000 // switch to Bland's rule after this many Dantzig pivots
-)
+const blandTrip = 5000 // switch to Bland's rule after this many Dantzig pivots
 
 // Solve solves the linear program and returns its solution. The returned
 // error is non-nil only for structurally invalid problems; infeasible and

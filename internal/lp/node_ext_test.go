@@ -17,7 +17,7 @@ import (
 // the solver's own arrays.
 func TestLeanNodeSolveAllocatesNothing(t *testing.T) {
 	specs, res := solvercheck.SparseCampaign(7, 40)
-	mp, err := solvercheck.CompactModel(specs, res, core.SolveOptions{})
+	mp, err := core.CompactModel(specs, res, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestRefactorMatchesDenseOnGenerators(t *testing.T) {
 		}},
 		{"sparse campaign", 6, func() (*lp.Problem, error) {
 			specs, res := solvercheck.SparseCampaign(rng.Int63n(1000), 20+rng.Intn(100))
-			mp, err := solvercheck.CompactModel(specs, res, core.SolveOptions{MaxCount: 4})
+			mp, err := core.CompactModel(specs, res, core.SolveOptions{MaxCount: 4})
 			if err != nil {
 				return nil, err
 			}

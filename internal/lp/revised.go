@@ -13,13 +13,6 @@ const (
 	// updates accumulate both fill (FTRAN/BTRAN cost) and roundoff, and a
 	// periodic rebuild resets both.
 	refactorEvery = 64
-	// singularTol is the minimum pivot magnitude refactorization accepts
-	// before declaring the basis numerically singular.
-	singularTol = 1e-10
-	// etaPivTol is the minimum pivot magnitude accepted for an eta update on
-	// a stale factorization; smaller pivots trigger an early refactorization
-	// so the update is re-derived from fresh numbers.
-	etaPivTol = 1e-8
 	// dvxReset caps the Devex reference weights; when any weight outgrows it
 	// the reference framework is reset to the current basis.
 	dvxReset = 1e7
@@ -81,7 +74,7 @@ type revised struct {
 	// current through every basis change; bound flips leave it alone.
 	mov       []int32
 	iters     int
-	lean      bool // skip duals/reduced costs/activity in extracted solutions
+	lean      bool // skip the duals in extracted solutions
 	farkasRow int  // the dual simplex's unrepairable row; -1 after phase 1 (see FarkasRay)
 
 	// Per-solve scratch (length m unless noted).
@@ -135,7 +128,7 @@ func newRevised(p *Problem, cs *colStore) *revised {
 	rv.ef.reset()
 	rv.shape.detected = false // its arrays are reused, not its verdict
 	for i, cons := range p.Constraints {
-		rv.b[i] = cons.RHS
+		rv.b[i] = cons.RHS / cs.scale[i]
 	}
 	for j := 0; j < cs.nOrig; j++ {
 		rv.c[j] = p.Objective[j]
@@ -487,7 +480,7 @@ func (rv *revised) runCold() *Solution {
 		if status == IterationLimit {
 			return rv.answer(Solution{Status: IterationLimit, Iters: rv.iters})
 		}
-		if obj < -feasTol {
+		if obj < -FeasTol {
 			rv.farkasRow = -1
 			return rv.answer(Solution{Status: Infeasible, Iters: rv.iters})
 		}
@@ -680,7 +673,7 @@ func (rv *revised) simplex(obj []float64) (Status, float64) {
 					continue
 				}
 				rv.xB[i] -= dir * w[i] * limit
-				if lb := rv.lo[rv.basis[i]]; rv.xB[i] < lb && rv.xB[i] > lb-feasTol {
+				if lb := rv.lo[rv.basis[i]]; rv.xB[i] < lb && rv.xB[i] > lb-FeasTol {
 					rv.xB[i] = lb
 				}
 			}
@@ -721,7 +714,7 @@ func (rv *revised) simplex(obj []float64) (Status, float64) {
 				continue
 			}
 			rv.xB[i] -= dir * w[i] * limit
-			if lb := rv.lo[rv.basis[i]]; rv.xB[i] < lb && rv.xB[i] > lb-feasTol {
+			if lb := rv.lo[rv.basis[i]]; rv.xB[i] < lb && rv.xB[i] > lb-FeasTol {
 				rv.xB[i] = lb
 			}
 		}
@@ -1012,10 +1005,9 @@ func (rv *revised) answer(sol Solution) *Solution {
 }
 
 // extract materializes the current optimal basis into a Solution, snapping
-// values near the current bounds onto them. In lean mode the diagnostic
-// fields (duals, reduced costs, row activity) are skipped — the
-// branch-and-bound hot path never reads them — and the point is written into
-// the state's own buffer instead of a fresh vector per solve.
+// values near the current bounds onto them. In lean mode the duals are
+// skipped — the branch-and-bound hot path never reads them — and the point is
+// written into the state's own buffer instead of a fresh vector per solve.
 func (rv *revised) extract(obj float64) *Solution {
 	nOrig := rv.cs.nOrig
 	x := rv.xLean
@@ -1041,9 +1033,9 @@ func (rv *revised) extract(obj float64) *Solution {
 	if rv.lean {
 		return rv.answer(Solution{Status: Optimal, X: x, Objective: obj, Iters: rv.iters})
 	}
-	// Simplex multipliers for duals and reduced costs: for a maximization
-	// the shadow price of a <= or >= row is y_r; equality rows report NaN
-	// (see Solution.Duals).
+	// The simplex multipliers give the duals: for a maximization the shadow
+	// price of a <= or >= row is y_r, in the row's own units once divided by
+	// its scale; equality rows report NaN (see Solution.Duals).
 	y := rv.multipliers(rv.c)
 	duals := make([]float64, rv.m)
 	for r := 0; r < rv.m; r++ {
@@ -1051,73 +1043,23 @@ func (rv *revised) extract(obj float64) *Solution {
 			duals[r] = math.NaN()
 			continue
 		}
-		z := y[r]
-		if math.Abs(z) < feasTol {
+		z := y[r] / rv.cs.scale[r]
+		if math.Abs(z) < FeasTol {
 			z = 0
 		}
 		duals[r] = z
 	}
-	rc := make([]float64, nOrig)
-	for j := 0; j < nOrig; j++ {
-		if rv.inBasis[j] {
-			continue
-		}
-		d := rv.c[j] - rv.cs.dot(j, y)
-		if math.Abs(d) < feasTol {
-			d = 0
-		}
-		rc[j] = d
-	}
-	activity, slacks := rowActivity(rv.p, x)
-	return &Solution{
-		Status:       Optimal,
-		X:            x,
-		Objective:    obj,
-		Iters:        rv.iters,
-		Duals:        duals,
-		ReducedCosts: rc,
-		RowActivity:  activity,
-		Slacks:       slacks,
-	}
+	return &Solution{Status: Optimal, X: x, Objective: obj, Iters: rv.iters, Duals: duals}
 }
 
-// snapToBounds returns v moved onto a bound it lies within feasTol of — lo
+// snapToBounds returns v moved onto a bound it lies within FeasTol of — lo
 // first, then a finite up.
 func snapToBounds(v, lo, up float64) float64 {
-	if math.Abs(v-lo) < feasTol {
+	if math.Abs(v-lo) < FeasTol {
 		v = lo
 	}
-	if !math.IsInf(up, 1) && math.Abs(v-up) < feasTol {
+	if !math.IsInf(up, 1) && math.Abs(v-up) < FeasTol {
 		v = up
 	}
 	return v
-}
-
-// rowActivity evaluates each constraint at x, returning the activities a_r·x
-// and the feasible-side slacks (RHS - activity for <=, activity - RHS for >=,
-// |activity - RHS| for equality rows).
-func rowActivity(p *Problem, x []float64) (activity, slacks []float64) {
-	activity = make([]float64, len(p.Constraints))
-	slacks = make([]float64, len(p.Constraints))
-	for r, c := range p.Constraints {
-		act := 0.0
-		for k, j := range c.Idx {
-			act += c.Coef[k] * x[j]
-		}
-		activity[r] = act
-		var s float64
-		switch c.Sense {
-		case LE:
-			s = c.RHS - act
-		case GE:
-			s = act - c.RHS
-		case EQ:
-			s = math.Abs(act - c.RHS)
-		}
-		if math.Abs(s) < feasTol {
-			s = 0
-		}
-		slacks[r] = s
-	}
-	return activity, slacks
 }

@@ -41,12 +41,11 @@ type Solver struct {
 	hasBasis bool   // rv sits on a dual-feasible basis the next Solve can continue from
 	last     Status // the last solve's verdict; numericFailure before any, and for conflicting bounds
 
-	// Lean skips the diagnostic solution fields (duals, reduced costs, row
-	// activity) that branch and bound never reads, and returns the solver's
-	// own *Solution, its X a buffer the solver owns too: both belong to the
-	// solver and are overwritten by its next solve, and handed to another
-	// solve by Release, so a caller that keeps a verdict or a point must copy
-	// it. A warm lean solve allocates nothing.
+	// Lean skips the duals, which branch and bound never reads, and returns
+	// the solver's own *Solution, its X a buffer the solver owns too: both
+	// belong to the solver and are overwritten by its next solve, and handed
+	// to another solve by Release, so a caller that keeps a verdict or a
+	// point must copy it. A warm lean solve allocates nothing.
 	Lean bool
 	// NoWarm forces every Solve and SolveFrom through the cold path (branch
 	// and bound sets it to measure warm-start savings).
@@ -106,6 +105,13 @@ type SolverStats struct {
 // NewSolver validates the problem once and returns a reusable solver for it.
 // The problem must not be mutated afterwards; pass per-solve bounds to Solve
 // instead.
+//
+// The solver works on p with every row divided by a power of two near its
+// RHS (near its largest coefficient when the RHS is zero; see rowScale), so
+// a row in bytes and a row in seconds meet the same absolute tolerances at
+// the same O(1) scale. Nothing a caller sees carries the scaling: X,
+// Objective, the reduced costs and Basis do not depend on it, and Duals and
+// FarkasRay are divided back into each row's own units, exactly.
 func NewSolver(p *Problem) (*Solver, error) {
 	s, err := NewSolvers(p, 1)
 	if err != nil {
@@ -115,8 +121,8 @@ func NewSolver(p *Problem) (*Solver, error) {
 }
 
 // NewSolvers is NewSolver for k solvers of one problem at once: one
-// validation and one transpose of the matrix into the column store they all
-// read. Each solver keeps its own working state, so they may run
+// validation and one transpose of the scaled matrix into the column store
+// they all read. Each solver keeps its own working state, so they may run
 // concurrently. The store and the states come from the package's pools; hand
 // the solvers to Release once done to give them back.
 func NewSolvers(p *Problem, k int) ([]*Solver, error) {
@@ -179,10 +185,10 @@ func (s *Solver) Basis() *Basis {
 // ReducedCosts writes, for the optimal basis the last solve ended on, the
 // reduced cost d[j] = c_j - a_j·y of every original variable (exactly zero
 // on a basic one) and whether a nonbasic variable rests at its upper bound;
-// both slices must hold one entry per variable. Unlike
-// Solution.ReducedCosts it is not rounded toward zero and is available in
-// Lean mode. It reports false, writing nothing, when there is no optimal
-// basis to price (nothing solved yet, or the last solve was not optimal).
+// both slices must hold one entry per variable. The row scaling cancels out
+// of d, so it is in the problem's own units, unrounded, in Lean mode too. It
+// reports false, writing nothing, when there is no optimal basis to price
+// (nothing solved yet, or the last solve was not optimal).
 func (s *Solver) ReducedCosts(d []float64, atUpper []bool) bool {
 	rv := s.state()
 	if s.last != Optimal {
@@ -201,10 +207,13 @@ func (s *Solver) ReducedCosts(d []float64, atUpper []bool) bool {
 // FarkasRay writes into y, per row, multipliers proving the last solve
 // Infeasible: y·(Ax ± s) > y·b for every x within its bounds and slacks s >= 0
 // (row r reads a_r·x + s under ≤, a_r·x − s under ≥). They are phase 1's, or ±
-// the basis-inverse row a warm dual simplex could not repair. It reports false
-// after any other verdict, conflicting bounds (their own proof) included.
+// the basis-inverse row a warm dual simplex could not repair, stated for p's
+// rows as given (the solver's scaled ray divided by each row's scale). It
+// reports false after any other verdict, conflicting bounds (their own proof)
+// included.
 func (s *Solver) FarkasRay(y []float64) bool {
-	switch rv := s.state(); {
+	rv := s.state()
+	switch {
 	case s.last != Infeasible:
 		return false
 	case rv.farkasRow < 0:
@@ -216,6 +225,16 @@ func (s *Solver) FarkasRay(y []float64) bool {
 			y[r] = -1
 		}
 		rv.ef.btran(y)
+	}
+	// A row whose slack is basic has multiplier exactly zero — the slack
+	// prices to its objective, 0 — unless the slack is the violated row's
+	// own basic column. Roundoff leaves ±1e-15 there instead, and on a slack
+	// free to grow without bound the wrong sign of that voids the proof.
+	for i, f := range rv.cs.scale {
+		if sc := rv.cs.slackCol[i]; sc >= 0 && rv.inBasis[sc] && (rv.farkasRow < 0 || rv.basis[rv.farkasRow] != sc) {
+			y[i] = 0
+		}
+		y[i] /= f
 	}
 	return true
 }

@@ -1,6 +1,9 @@
 package lp
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // colStore is a compressed-sparse-column (CSC) view of the constraint matrix
 // in equality form: the structural columns of the Problem followed by one
@@ -26,8 +29,9 @@ type colStore struct {
 	idx []int // row indices
 	val []float64
 
-	slackCol []int   // per row: its slack/surplus column, -1 for EQ rows
-	sense    []Sense // per row: original constraint sense
+	slackCol []int     // per row: its slack/surplus column, -1 for EQ rows
+	sense    []Sense   // per row: original constraint sense
+	scale    []float64 // per row: the power of two its coefficients and RHS are divided by (see rowScale)
 
 	solvers int // how many Solvers read the store (see Release)
 }
@@ -37,8 +41,9 @@ type colStore struct {
 var storePool = sync.Pool{New: func() any { return new(colStore) }}
 
 // buildColStore transposes the problem's sparse constraint rows into column
-// form (stored zeros dropped) and appends the slack/surplus singletons, in a
-// store taken from storePool whose arrays it reuses.
+// form (stored zeros dropped), each row divided by its rowScale, and appends
+// the slack/surplus singletons, in a store taken from storePool whose arrays
+// it reuses.
 func buildColStore(p *Problem) *colStore {
 	nOrig := p.NumVars()
 	m := len(p.Constraints)
@@ -51,7 +56,7 @@ func buildColStore(p *Problem) *colStore {
 	n := nOrig + nSlack
 	cs := storePool.Get().(*colStore)
 	cs.m, cs.nOrig, cs.n = m, nOrig, n
-	cs.slackCol, cs.sense = Resize(cs.slackCol, m), Resize(cs.sense, m)
+	cs.slackCol, cs.sense, cs.scale = Resize(cs.slackCol, m), Resize(cs.sense, m), Resize(cs.scale, m)
 
 	// Two-pass CSC build: count nonzeros per column into ptr[j+1], prefix-sum,
 	// then fill with ptr[j] as column j's cursor, which leaves each offset one
@@ -66,7 +71,7 @@ func buildColStore(p *Problem) *colStore {
 	}
 	slack := nOrig
 	for i, c := range p.Constraints {
-		cs.sense[i] = c.Sense
+		cs.sense[i], cs.scale[i] = c.Sense, rowScale(c)
 		if c.Sense == EQ {
 			cs.slackCol[i] = -1
 			continue
@@ -80,11 +85,12 @@ func buildColStore(p *Problem) *colStore {
 	}
 	cs.idx, cs.val = Resize(cs.idx, ptr[n]), Resize(cs.val, ptr[n])
 	for i, c := range p.Constraints {
+		inv := 1 / cs.scale[i] // a power of two too: v·inv is v/scale, bit for bit
 		for t, j := range c.Idx {
 			if v := c.Coef[t]; v != 0 {
 				k := ptr[j]
 				cs.idx[k] = i
-				cs.val[k] = v
+				cs.val[k] = v * inv
 				ptr[j] = k + 1
 			}
 		}
@@ -108,6 +114,40 @@ func buildColStore(p *Problem) *colStore {
 	ptr[0] = 0
 	cs.ptr = ptr
 	return cs
+}
+
+// rowScale returns the factor row c is divided by inside the solver: the
+// largest power of two at most |RHS|, or at most max |a| on a row whose RHS is
+// zero, and 1 for an empty row or one whose scaled coefficients (or the
+// factor's reciprocal) would not be finite. The compact scheduling model
+// states memory in bytes (RHS ~2^33) and time in seconds on neighbouring
+// rows; divided through, both read O(1), so the absolute pivot and
+// feasibility tolerances mean the same on each. Dividing by 2^k changes no
+// mantissa, so the scaled row is exact, and so is mapping a dual back to the
+// row's own units.
+func rowScale(c Constraint) float64 {
+	v := math.Abs(c.RHS)
+	if v == 0 {
+		v = maxAbs(c.Coef)
+	}
+	if v == 0 {
+		return 1
+	}
+	_, exp := math.Frexp(v) // v = frac·2^exp, frac in [0.5, 1)
+	f := math.Ldexp(1, exp-1)
+	if f < 1 && math.IsInf(max(1, maxAbs(c.Coef))/f, 0) {
+		return 1
+	}
+	return f
+}
+
+// maxAbs returns the largest magnitude in a, 0 for none.
+func maxAbs(a []float64) float64 {
+	m := 0.0
+	for _, v := range a {
+		m = max(m, math.Abs(v))
+	}
+	return m
 }
 
 // nnz returns the number of stored nonzeros in column j.

@@ -297,14 +297,6 @@ func (o Options) context() context.Context {
 	return context.Background()
 }
 
-// nodeRowTol is the row tolerance a snapped integral point must meet to count
-// as feasible: an integral relaxation, or a rounded candidate. intTol is the
-// integrality tolerance: a value within it of an integer counts as integral.
-const (
-	nodeRowTol = 1e-6
-	intTol     = 1e-6
-)
-
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 200000
@@ -425,7 +417,7 @@ func newSearch(p *Problem, opts Options) (*search, error) {
 	s.integralObj = true
 	for j, c := range p.LP.Objective {
 		if p.Integer[j] {
-			if math.Abs(c-math.Round(c)) > 1e-9 {
+			if math.Abs(c-math.Round(c)) > lp.ZeroTol {
 				s.integralObj = false
 				break
 			}
@@ -472,7 +464,7 @@ func (s *search) pruneTol() float64 {
 	t := boundTol(s.best.Objective, s.opts.Gap)
 	if s.integralObj && s.best.HasX {
 		// Bound must reach at least incumbent+1 to matter.
-		if need := 1 - 1e-6; need > t {
+		if need := 1 - lp.BoundTol; need > t {
 			return need
 		}
 	}
@@ -545,15 +537,15 @@ func (s *search) bounds(nd *node, lower, upper []float64) {
 }
 
 // expand branches nd on j, the most fractional variable of its relaxation x
-// under intTol, and queues both children, each carrying basis — nd's optimal
+// under lp.IntTol, and queues both children, each carrying basis — nd's optimal
 // basis — to warm start from.
 //
-// A relaxation that is integral within intTol (j < 0) reaches here only when
+// A relaxation that is integral within lp.IntTol (j < 0) reaches here only when
 // its snapped point failed the rows (see consume); it is branched on whatever
 // fractionality is left, with no tolerance on the new bounds — rounding
-// v ± intTol would hand a child the parent's box back.
+// v ± lp.IntTol would hand a child the parent's box back.
 func (s *search) expand(nd *node, x []float64, j int, basis *lp.Basis) {
-	tol := intTol
+	tol := lp.IntTol
 	if j < 0 {
 		tol = 0
 		if j = mostFractional(s.p, x, tol); j < 0 {
@@ -600,14 +592,14 @@ func (s *search) consume(nd *node, res nodeResult, sl *slot, heur *heurCtx, extr
 		s.observe(nd, relaxSol.Objective, "pruned")
 		return
 	}
-	// A relaxation integral within intTol counts as integral only if its
+	// A relaxation integral within lp.IntTol counts as integral only if its
 	// snapped point still satisfies the rows: a binary at 1-1e-6 on a ~1500 s
 	// cost overshoots the time row by ~1.5e-3 once rounded up. Such a node is
 	// branched instead (expand splits on the residual fractionality). The one
 	// fractionality scan answers the integral test, rounding's and branching.
-	frac := mostFractional(s.p, relaxSol.X, intTol)
+	frac := mostFractional(s.p, relaxSol.X, lp.IntTol)
 	if frac < 0 {
-		if x := snap(s.snapped, s.p, relaxSol.X); s.p.LP.Feasible(x, nodeRowTol) {
+		if x := snap(s.snapped, s.p, relaxSol.X); s.p.LP.Feasible(x, lp.RowTol) {
 			s.offer(x, s.nodes, math.Max(relaxSol.Objective, s.globalBound(extra)))
 			s.stats.IntegralNodes++
 			s.observe(nd, relaxSol.Objective, "integral")
@@ -617,7 +609,7 @@ func (s *search) consume(nd *node, res nodeResult, sl *slot, heur *heurCtx, extr
 	// Rounding runs at every branched node, so its pprof label is the
 	// context built once in Solve rather than a pprof.Do per node.
 	pprof.SetGoroutineLabels(s.roundCtx)
-	if x, ok := heur.round(s.p, relaxSol.X, intTol, frac < 0, &s.stats); ok {
+	if x, ok := heur.round(s.p, relaxSol.X, lp.IntTol, frac < 0, &s.stats); ok {
 		s.offer(x, s.nodes, math.Max(relaxSol.Objective, s.globalBound(extra)))
 	}
 	pprof.SetGoroutineLabels(s.opts.context())
@@ -699,7 +691,7 @@ func (s *search) openRoot(sl *slot, heur *heurCtx) (done *Solution, err error) {
 
 	// A root that will be branched keeps its duals for reduced-cost fixing,
 	// read before anything else is solved on the slot.
-	frac := mostFractional(s.p, relax.X, intTol)
+	frac := mostFractional(s.p, relax.X, lp.IntTol)
 	integral := frac < 0
 	if !integral {
 		rc, atUpper := lp.Resize(s.rootRC, len(relax.X)), lp.Resize(s.rootAtUpper, len(relax.X))
@@ -709,14 +701,14 @@ func (s *search) openRoot(sl *slot, heur *heurCtx) (done *Solution, err error) {
 	}
 
 	// Seed the incumbent by rounding the root relaxation.
-	if x, ok := heur.round(s.p, relax.X, intTol, integral, &s.stats); ok {
+	if x, ok := heur.round(s.p, relax.X, lp.IntTol, integral, &s.stats); ok {
 		s.offer(x, 0, root.bound)
 	}
 
 	s.nodes = 1
 	if integral {
 		x := snap(s.snapped, s.p, relax.X)
-		if s.p.LP.Feasible(x, nodeRowTol) {
+		if s.p.LP.Feasible(x, lp.RowTol) {
 			obj := s.p.LP.Eval(x)
 			s.best = Solution{Status: Optimal, X: append(s.incumbent[:0], x...), Objective: obj, Nodes: s.nodes, HasX: true}
 			s.recordIncumbent(s.nodes, obj, root.bound)
@@ -770,7 +762,7 @@ type nodeResult struct {
 func (s *search) solveNode(pctx context.Context, sl *slot, nd *node) nodeResult {
 	s.bounds(nd, sl.lower, sl.upper)
 	sol, warm := sl.solver.SolveFrom(nd.warm, sl.lower, sl.upper)
-	if warm && sol.Objective > nd.bound+1e-6 {
+	if warm && sol.Objective > nd.bound+lp.BoundTol {
 		pprof.Do(pctx, pprof.Labels("solver_phase", "warm-resolve"), func(context.Context) {
 			sol = sl.solver.SolveCold(sl.lower, sl.upper)
 		})
@@ -969,7 +961,7 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 }
 
 func boundTol(incumbent, gap float64) float64 {
-	t := 1e-6
+	t := lp.BoundTol
 	if gap > 0 {
 		t = math.Max(t, gap*math.Abs(incumbent))
 	}
@@ -1072,7 +1064,7 @@ func (h *heurCtx) init(p *Problem, solver *lp.Solver) {
 // caller copies on keeping.
 func (h *heurCtx) round(p *Problem, x []float64, tol float64, integral bool, st *Stats) ([]float64, bool) {
 	if integral {
-		if cand := snap(h.lower, p, x); p.LP.Feasible(cand, nodeRowTol) {
+		if cand := snap(h.lower, p, x); p.LP.Feasible(cand, lp.RowTol) {
 			return cand, true
 		}
 	}
@@ -1119,7 +1111,7 @@ func (h *heurCtx) round(p *Problem, x []float64, tol float64, integral bool, st 
 			}
 			cand = snap(h.upper, p, sol.X)
 		}
-		if p.LP.Feasible(cand, nodeRowTol) {
+		if p.LP.Feasible(cand, lp.RowTol) {
 			return cand, true
 		}
 	}
@@ -1167,8 +1159,8 @@ func BruteForce(p *Problem) (*Solution, error) {
 		if math.IsInf(p.LP.Upper[j], 1) {
 			return nil, fmt.Errorf("milp: integer variable %d (%s) has infinite upper bound", j, name(p.LP, j))
 		}
-		lo := math.Ceil(p.LP.Lower[j] - 1e-9)
-		hi := math.Floor(p.LP.Upper[j] + 1e-9)
+		lo := math.Ceil(p.LP.Lower[j] - lp.ZeroTol)
+		hi := math.Floor(p.LP.Upper[j] + lp.ZeroTol)
 		if span := hi - lo + 1; span > 1 {
 			assignments *= span
 		}
@@ -1191,8 +1183,8 @@ func BruteForce(p *Problem) (*Solution, error) {
 			return nil
 		}
 		j := ints[k]
-		lo := int(math.Ceil(p.LP.Lower[j] - 1e-9))
-		hi := int(math.Floor(p.LP.Upper[j] + 1e-9))
+		lo := int(math.Ceil(p.LP.Lower[j] - lp.ZeroTol))
+		hi := int(math.Floor(p.LP.Upper[j] + lp.ZeroTol))
 		for v := lo; v <= hi; v++ {
 			work.Lower[j], work.Upper[j] = float64(v), float64(v)
 			if err := rec(k + 1); err != nil {

@@ -59,12 +59,9 @@ func presolveBounds(p *Problem, lower, upper []float64) (tightened int, infeasib
 // this package (lp.Validate rejects -Inf), so the only infinite contribution
 // to the row's minimum activity comes from a negative coefficient on a
 // variable with an infinite upper bound; one such column can still be
-// bounded by the rest of the row, two make the row uninformative.
+// bounded by the rest of the row, two make the row uninformative. The row may
+// overshoot by lp.FeasTol, and a bound moves only by more than lp.ZeroTol.
 func tightenLERow(p *Problem, idx []int, coef []float64, rhs float64, lower, upper []float64) (changed int, infeasible bool) {
-	const (
-		feas    = 1e-7 // infeasibility margin, matches the LP feasibility tolerance
-		improve = 1e-9 // minimum improvement worth recording
-	)
 	minAct := 0.0
 	infIdx := -1
 	for k, j := range idx {
@@ -82,7 +79,7 @@ func tightenLERow(p *Problem, idx []int, coef []float64, rhs float64, lower, upp
 			minAct += a * upper[j]
 		}
 	}
-	if infIdx < 0 && minAct > rhs+feas {
+	if infIdx < 0 && minAct > rhs+lp.FeasTol {
 		return 0, true // row unsatisfiable even at its minimum activity
 	}
 	for k, j := range idx {
@@ -109,23 +106,23 @@ func tightenLERow(p *Problem, idx []int, coef []float64, rhs float64, lower, upp
 		if a > 0 {
 			nu := resid / a
 			if p.Integer[j] {
-				nu = math.Floor(nu + feas)
+				nu = math.Floor(nu + lp.FeasTol)
 			}
-			if nu < upper[j]-improve {
+			if nu < upper[j]-lp.ZeroTol {
 				upper[j] = nu
 				changed++
 			}
 		} else {
 			nl := resid / a // dividing by a negative flips the inequality
 			if p.Integer[j] {
-				nl = math.Ceil(nl - feas)
+				nl = math.Ceil(nl - lp.FeasTol)
 			}
-			if nl > lower[j]+improve {
+			if nl > lower[j]+lp.ZeroTol {
 				lower[j] = nl
 				changed++
 			}
 		}
-		if lower[j] > upper[j]+improve {
+		if lower[j] > upper[j]+lp.ZeroTol {
 			return changed, true
 		}
 	}

@@ -412,6 +412,7 @@ func pipelineWorkloads() []Workload {
 				"replans":        float64(adaptive.Replans),
 				"decisions":      float64(len(adaptive.Records)),
 				"ledger_events":  float64(len(adaptive.Events)),
+				"fallback_colds": float64(rec.Stats.FallbackColds),
 			}, rec.Stats.Nodes, rec.Stats.Pivots), nil
 		}},
 	}

@@ -2,6 +2,7 @@ package solvercheck
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -37,10 +38,7 @@ func TestFlightStreamDeterminism(t *testing.T) {
 
 		serial, serialRec := flightSolve(t, specs, res, 1)
 		wide, wideRec := flightSolve(t, specs, res, 8)
-		if !objClose(serialRec.Objective, wideRec.Objective) {
-			t.Fatalf("seed %d: objective drifts across widths: %g vs %g",
-				seed, serialRec.Objective, wideRec.Objective)
-		}
+		approxRel(t, wideRec.Objective, serialRec.Objective, objTol, fmt.Sprintf("seed %d: workers=8 objective", seed))
 
 		for width, recs := range map[int][]obs.SolveProgress{1: serial, 8: wide} {
 			if err := obs.CheckSolveProg(recs); err != nil {

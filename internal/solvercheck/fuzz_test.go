@@ -93,14 +93,23 @@ func FuzzRevisedSimplex(f *testing.F) {
 	})
 }
 
+// FuzzScenarioSolve runs the scheduling oracle suite, brute force included,
+// on RandScenario instances, or on ScaledScenario's badly scaled ones.
 func FuzzScenarioSolve(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(8))
-	f.Add(int64(17), uint8(1), uint8(4))
-	f.Add(int64(-11), uint8(2), uint8(10))
-	f.Fuzz(func(t *testing.T, seed int64, analyses, steps uint8) {
+	f.Add(int64(1), uint8(2), uint8(8), false)
+	f.Add(int64(17), uint8(1), uint8(4), false)
+	f.Add(int64(-11), uint8(2), uint8(10), false)
+	f.Add(int64(3), uint8(1), uint8(8), true)
+	f.Add(int64(29), uint8(2), uint8(5), true)
+	f.Add(int64(-7), uint8(1), uint8(10), true)
+	f.Fuzz(func(t *testing.T, seed int64, analyses, steps uint8, scaled bool) {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := ScenarioConfig{MaxAnalyses: 1 + int(analyses%2), MaxSteps: 2 + int(steps%9)}
-		specs, res := RandScenario(rng, cfg)
+		gen := RandScenario
+		if scaled {
+			gen = ScaledScenario
+		}
+		specs, res := gen(rng, cfg)
 		if err := CheckScenario(rng, specs, res, ScenarioChecks{BruteForce: true}); err != nil {
 			t.Fatalf("seed %d cfg %+v specs %+v res %+v: %v", seed, cfg, specs, res, err)
 		}

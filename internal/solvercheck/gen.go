@@ -353,6 +353,47 @@ func RandScenario(rng *rand.Rand, cfg ScenarioConfig) ([]core.AnalysisSpec, core
 	return specs, res
 }
 
+// ScaledScenario generates the badly scaled scheduling family: memory at GiB
+// scale against compute and output times of microseconds, so the compact
+// model's memory row reads ~2^31–2^34 beside a time row of ~10^-3. The
+// analyses are near-equal — a shared footprint of one or two GiB plus a few
+// MiB each, integer weights — under a memory threshold that fits about half of
+// them: the tight knapsack of arXiv:2202.08704. Every memory figure is a
+// whole number of MiB, so an instance can be restated in MiB exactly, and
+// times are whole multiples of 2^-20 s, so the certificate's exact arithmetic
+// meets the ties the data states (with decimal microseconds it can find a
+// reduced cost of 1e-15 that no float simplex sees).
+func ScaledScenario(rng *rand.Rand, cfg ScenarioConfig) ([]core.AnalysisSpec, core.Resources) {
+	cfg = cfg.withDefaults()
+	steps := 2 + rng.Intn(cfg.MaxSteps-1)
+	n := 1 + rng.Intn(cfg.MaxAnalyses)
+	const mib, us = int64(1) << 20, 1.0 / (1 << 20) // a "microsecond" of 2^-20 s
+	base := int64(1+rng.Intn(2)) << 30
+	specs := make([]core.AnalysisSpec, n)
+	var footprint int64
+	busy := 0.0 // every analysis at its densest, in seconds
+	for i := range specs {
+		a := core.AnalysisSpec{
+			Name:        fmt.Sprintf("s%d", i),
+			CT:          float64(1+rng.Intn(64)) * us,
+			OT:          float64(rng.Intn(16)) * us,
+			FM:          base + int64(rng.Intn(8))*mib,
+			CM:          int64(rng.Intn(4)) * mib,
+			OM:          int64(rng.Intn(4)) * mib,
+			Weight:      float64(1 + rng.Intn(2)),
+			MinInterval: 1 + rng.Intn(3),
+		}
+		specs[i] = a
+		footprint += a.FM + a.CM + a.OM
+		busy += (a.CT + a.OT) * float64(steps/a.MinInterval)
+	}
+	res := core.Resources{Steps: steps, MemThreshold: footprint / 2 / mib * mib}
+	if rng.Intn(2) == 0 {
+		res.TimeThreshold = busy / 2
+	}
+	return specs, res
+}
+
 // SparseCampaign is the synthetic campaign family behind the sparse benchmark
 // pools and perfbench's large-sparse and off-pool workloads: n analyses with
 // coarse minimum intervals whose compact model under a mode cap of 4 is a

@@ -409,12 +409,6 @@ func CheckScenario(rng *rand.Rand, specs []core.AnalysisSpec, res core.Resources
 	return nil
 }
 
-// CompactModel is core.CompactModel under the name the lp package's external
-// tests call.
-func CompactModel(specs []core.AnalysisSpec, res core.Resources, opts core.SolveOptions) (*milp.Problem, error) {
-	return core.CompactModel(specs, res, opts)
-}
-
 // permuteLP relabels variables: column j of p becomes column perm[j].
 func permuteLP(p *lp.Problem, perm []int) *lp.Problem {
 	n := p.NumVars()

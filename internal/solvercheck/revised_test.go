@@ -258,8 +258,9 @@ func TestPathologicalGeneratorsAreValid(t *testing.T) {
 
 // sameRows checks that p, whose rows reached AddConstraint unsorted and with
 // repeated indices, is the model dense states one entry per variable: the
-// stored rows scatter to dense's bit for bit, and Feasible, FirstViolation,
-// RowActivity agree, and p's verdict is certified on the accumulated rows.
+// stored rows scatter to dense's bit for bit, Feasible and FirstViolation
+// agree, p's verdict is certified on the accumulated rows, and both solve to
+// the same point bit for bit.
 func sameRows(rng *rand.Rand, p, dense *lp.Problem) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -296,13 +297,13 @@ func sameRows(rng *rand.Rand, p, dense *lp.Problem) error {
 	if got.Status != lp.Optimal {
 		return nil
 	}
-	act, err := lp.Solve(dense)
+	want, err := lp.Solve(dense)
 	if err != nil {
 		return err
 	}
-	for r := range got.RowActivity {
-		if got.RowActivity[r] != act.RowActivity[r] {
-			return fmt.Errorf("row %d: activity %g, accumulated rows give %g", r, got.RowActivity[r], act.RowActivity[r])
+	for j := range got.X {
+		if got.X[j] != want.X[j] {
+			return fmt.Errorf("x[%d] = %g, the accumulated rows give %g", j, got.X[j], want.X[j])
 		}
 	}
 	return nil
