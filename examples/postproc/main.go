@@ -35,5 +35,5 @@ func main() {
 	gpfs := iosim.SustainedGPFS()
 	nvram := iosim.NVRAM()
 	fmt.Printf("\nmodeled read of one 1B-atom frame: GPFS %.1fs, NVRAM %.3fs\n",
-		gpfs.ReadTime(frame, 1).Seconds(), nvram.ReadTime(frame, 1).Seconds())
+		gpfs.ReadTime(frame).Seconds(), nvram.ReadTime(frame).Seconds())
 }

@@ -17,9 +17,10 @@ import (
 )
 
 // testOnlyAllowed names the top-level declarations under internal/ that may
-// stay although no program reaches them, each with the reason it stays. A key
-// is "dir.Name" or "dir.Type.Method", with dir relative to the module root; a
-// key ending in ".*" covers a whole package.
+// stay although no program reaches them, and the struct fields that may stay
+// although no program sets or reads them, each with the reason it stays. A
+// key is "dir.Name", "dir.Type.Method" or "dir.Type.Field", with dir relative
+// to the module root; a key ending in ".*" covers a whole package.
 var testOnlyAllowed = map[string]string{
 	"internal/solvercheck.*":  "differential oracles and fuzz harness for lp, milp and core",
 	"internal/obs/jsontest.*": "encoder-equivalence harness for the hand-written JSON encoders",
@@ -46,6 +47,11 @@ var testOnlyAllowed = map[string]string{
 	"internal/iosim.BurstBuffer.Backlog":  "accessor the drain tests read",
 
 	"internal/perfmodel.NewInterp1D": "1-D predictor its example and tests exercise",
+
+	"internal/lp.revised.noCrash":           "test seam: the crash-versus-slack-basis tests clear the crash",
+	"internal/lp.revised.onPivot":           "test seam: the movable-set checks run after every pivot",
+	"internal/replan.Scenario.ThresholdSec": "zero-valued key the replan_runs golden pins; goes at the next golden regeneration",
+	"internal/replan.Scenario.MinImprove":   "zero-valued key the replan_runs golden pins; goes at the next golden regeneration",
 
 	"internal/sim/amr.Grid.Run":                         "stepping loop the hydro tests drive",
 	"internal/sim/amr.Grid.MemoryBytes":                 "grid memory estimate the AMR and campaign tests read",
@@ -108,7 +114,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 // TestReachabilityFixture runs the same walk over testdata/deadcode, a small
 // module whose one dead method shares its name with a live one, and whose
 // other declarations are reached only through an interface, a generic
-// instance or an allowlisted root. Only the dead method may be reported.
+// instance or an allowlisted root. Of its fields, one is never set, one is
+// never set although its pointer methods are called, and one is only
+// written; the others are set only through nested index expressions, a
+// zero-value mutex's Lock, elided composite literals or a range, or read
+// only by reflection through an interface. Only the dead method and the
+// three dead fields may be reported.
 func TestReachabilityFixture(t *testing.T) {
 	problems, err := unreachable("testdata/deadcode", map[string]string{
 		"internal/lib.Spare": "kept to show an allowlisted root reaches its callees",
@@ -116,7 +127,13 @@ func TestReachabilityFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"internal/lib.Sim.Run: no program reaches it; delete it with its tests, or allow it in testOnlyAllowed with a reason"}
+	const fix = "; delete it with what it guards, or allow it in testOnlyAllowed with a reason"
+	want := []string{
+		"internal/lib.Config.Log: no program sets it" + fix,
+		"internal/lib.Config.Note: no program reads it" + fix,
+		"internal/lib.Config.Unset: no program sets it" + fix,
+		"internal/lib.Sim.Run: no program reaches it; delete it with its tests, or allow it in testOnlyAllowed with a reason",
+	}
 	if !reflect.DeepEqual(problems, want) {
 		t.Errorf("problems = %q, want %q", problems, want)
 	}
@@ -137,7 +154,10 @@ func unreachable(root string, allowed map[string]string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &walker{module: m, reached: map[types.Object]bool{}, ifaces: map[*types.Interface]bool{}}
+	w := &walker{
+		module: m, reached: map[types.Object]bool{}, ifaces: map[*types.Interface]bool{},
+		set: map[*types.Var]bool{}, read: map[*types.Var]bool{}, target: map[*ast.SelectorExpr]bool{},
+	}
 	for _, n := range m.roots {
 		w.visit(n)
 	}
@@ -170,9 +190,30 @@ func unreachable(root string, allowed map[string]string) ([]string, error) {
 			problems = append(problems, d.key+": no program reaches it; delete it with its tests, or allow it in testOnlyAllowed with a reason")
 		}
 	}
+	for f, d := range m.fields {
+		if !byPrograms[d.owner] || !strings.HasPrefix(d.dir, "internal/") {
+			continue
+		}
+		why := "no program sets it"
+		if w.set[f] {
+			if w.read[f] {
+				continue
+			}
+			why = "no program reads it"
+		}
+		allow := false
+		for _, k := range []string{d.key, d.dir + ".*"} {
+			if allowed[k] != "" {
+				allow, stale[k] = true, false
+			}
+		}
+		if !allow {
+			problems = append(problems, d.key+": "+why+"; delete it with what it guards, or allow it in testOnlyAllowed with a reason")
+		}
+	}
 	for k, s := range stale {
 		if s {
-			problems = append(problems, k+": allowed in testOnlyAllowed but a program reaches it, or nothing declares it; drop the entry")
+			problems = append(problems, k+": allowed in testOnlyAllowed but a program reaches it (a field: sets and reads it), or nothing declares it; drop the entry")
 		}
 	}
 	sort.Strings(problems)
@@ -187,6 +228,7 @@ type module struct {
 	std      types.Importer
 	pkgs     map[string]*modPkg // by import path
 	decls    map[types.Object]*decl
+	fields   map[*types.Var]*field
 	roots    []ast.Node     // root syntax that declares no object: init, blank vars
 	rootObjs []types.Object // root declarations
 }
@@ -205,6 +247,12 @@ type decl struct {
 	group    []types.Object // an enumeration's members, reached together
 }
 
+// field is one field of a top-level struct type, keyed "dir.Type.Field".
+type field struct {
+	dir, key string
+	owner    types.Object // the struct type
+}
+
 // loadModule parses and type-checks the module rooted at root, and indexes
 // its declarations.
 func loadModule(root string) (*module, error) {
@@ -219,10 +267,14 @@ func loadModule(root string) (*module, error) {
 		}
 	}
 	m := &module{
-		fset:  token.NewFileSet(),
-		info:  &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
-		pkgs:  map[string]*modPkg{},
-		decls: map[types.Object]*decl{},
+		fset: token.NewFileSet(),
+		info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+		pkgs:   map[string]*modPkg{},
+		decls:  map[types.Object]*decl{},
+		fields: map[*types.Var]*field{},
 	}
 	m.std = importer.ForCompiler(m.fset, "source", nil)
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -330,7 +382,17 @@ func (m *module) index(p *modPkg, f *ast.File) {
 			for _, s := range d.Specs {
 				switch s := s.(type) {
 				case *ast.TypeSpec:
-					add(s.Name, s.Name.Name, false, s)
+					obj := add(s.Name, s.Name.Name, false, s)
+					if obj == nil {
+						continue
+					}
+					if st, ok := obj.Type().Underlying().(*types.Struct); ok {
+						for i := 0; i < st.NumFields(); i++ {
+							if f := st.Field(i); f.Name() != "_" {
+								m.fields[f] = &field{dir: p.dir, key: p.dir + "." + s.Name.Name + "." + f.Name(), owner: obj}
+							}
+						}
+					}
 				case *ast.ValueSpec:
 					nodes := []ast.Node{s}
 					if len(s.Values) > 0 {
@@ -363,6 +425,9 @@ type walker struct {
 	queue   []ast.Node
 	types   []*types.TypeName // reached named types of the module
 	ifaces  map[*types.Interface]bool
+
+	set, read map[*types.Var]bool        // fields reached syntax sets, reads
+	target    map[*ast.SelectorExpr]bool // selectors only assigned to
 }
 
 // mark reaches one object; only the module's top-level declarations are
@@ -388,23 +453,271 @@ func (w *walker) mark(obj types.Object) {
 	}
 }
 
-// visit marks every object a node uses and notes every interface among the
-// types it mentions.
+// visit marks every object a node uses, notes every interface among the
+// types it mentions, and records the fields it sets and reads.
+//
+// A field is set by an assignment, op-assignment, ++/-- or range whose
+// target reaches it through selectors, index expressions and *; by &x.f; by
+// a pointer-method call on it when it is not a pointer itself; by a
+// composite literal that lists it or lists every field unkeyed; and by an
+// Unmarshal or Decode call given a value it is part of. A field is read by
+// every selector but the target of a plain assignment or range (an
+// op-assignment reads what it updates), by a selection whose embedded path
+// passes through it, and whenever a value it is part of flows into an
+// interface (a call argument, a result or a composite-literal element), where
+// encoding/json, html/template and fmt read it by reflection.
 func (w *walker) visit(n ast.Node) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Body != nil {
+				w.returns(n.Body, w.info.Defs[n.Name].Type())
+			}
+		case *ast.FuncLit:
+			w.returns(n.Body, w.typeOf(n))
 		case *ast.Ident:
 			if obj := w.info.Uses[n]; obj != nil {
 				w.mark(obj)
 				w.noteIfaces(obj.Type(), map[types.Type]bool{})
 			}
-		case ast.Expr:
-			if tv, ok := w.info.Types[n]; ok {
+			return true
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				w.setTarget(l, n.Tok == token.ASSIGN)
+			}
+		case *ast.IncDecStmt:
+			w.setTarget(n.X, false)
+		case *ast.RangeStmt:
+			for _, e := range []ast.Expr{n.Key, n.Value} {
+				if e != nil {
+					w.setTarget(e, true)
+				}
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				w.setTarget(n.X, false)
+			}
+		case *ast.CallExpr:
+			w.call(n)
+		case *ast.CompositeLit:
+			w.compositeLit(n)
+		case *ast.SelectorExpr:
+			w.selector(n)
+		}
+		if e, ok := n.(ast.Expr); ok {
+			if tv, ok := w.info.Types[e]; ok {
 				w.noteIfaces(tv.Type, map[types.Type]bool{})
 			}
 		}
 		return true
 	})
+}
+
+// typeOf returns the type of an expression, or nil.
+func (w *walker) typeOf(e ast.Expr) types.Type {
+	return w.info.Types[e].Type
+}
+
+// returns records the values a function body returns into interface
+// results; a nested function literal returns its own.
+func (w *walker) returns(body *ast.BlockStmt, sig types.Type) {
+	results := sig.(*types.Signature).Results()
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			if len(n.Results) == results.Len() {
+				for i, e := range n.Results {
+					w.flow(results.At(i).Type(), e)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// under is t's underlying type, through one pointer.
+func under(t types.Type) types.Type {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.Underlying()
+}
+
+// setTarget records the fields an assignment to e sets: the selected field
+// and every field on the way to it, through index expressions and *. Only
+// the target of an assignment (not of &) is left unread.
+func (w *walker) setTarget(e ast.Expr, assigned bool) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			sel := w.info.Selections[x]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			for _, f := range path(sel) {
+				w.set[f.Origin()] = true
+			}
+			if assigned {
+				w.target[x] = true
+			}
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// selector records the fields a selector expression reads, and the field a
+// pointer method called on a non-pointer field sets.
+func (w *walker) selector(x *ast.SelectorExpr) {
+	sel := w.info.Selections[x]
+	if sel == nil {
+		return
+	}
+	fields := path(sel)
+	if !w.target[x] {
+		for _, f := range fields {
+			w.read[f.Origin()] = true
+		}
+	}
+	if sel.Kind() != types.MethodVal {
+		return
+	}
+	if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); !ptr {
+		return
+	}
+	base := w.typeOf(x.X)
+	if len(fields) > 0 {
+		base = fields[len(fields)-1].Type()
+	}
+	if _, ptr := base.Underlying().(*types.Pointer); !ptr {
+		for _, f := range fields {
+			w.set[f.Origin()] = true
+		}
+		w.setTarget(x.X, false)
+	}
+}
+
+// path returns the fields a selection passes through, the selected field
+// last when it is one.
+func path(sel *types.Selection) []*types.Var {
+	var fields []*types.Var
+	t, index := sel.Recv(), sel.Index()
+	if sel.Kind() != types.FieldVal {
+		index = index[:len(index)-1]
+	}
+	for _, i := range index {
+		st, ok := under(t).(*types.Struct)
+		if !ok {
+			break
+		}
+		f := st.Field(i)
+		fields = append(fields, f)
+		t = f.Type()
+	}
+	return fields
+}
+
+// call records the fields a call's arguments carry into interface
+// parameters, and the fields an Unmarshal or Decode call sets.
+func (w *walker) call(c *ast.CallExpr) {
+	var name string
+	switch f := ast.Unparen(c.Fun).(type) {
+	case *ast.Ident:
+		name = f.Name
+	case *ast.SelectorExpr:
+		name = f.Sel.Name
+	}
+	if name == "Unmarshal" || name == "Decode" {
+		for _, a := range c.Args {
+			fieldsOf(w.typeOf(a), w.set, map[types.Type]bool{})
+		}
+	}
+	sig, ok := w.typeOf(c.Fun).(*types.Signature)
+	if !ok {
+		return
+	}
+	params := sig.Params()
+	for i, a := range c.Args {
+		var p types.Type
+		switch {
+		case sig.Variadic() && i >= params.Len()-1:
+			p = params.At(params.Len() - 1).Type()
+			if !c.Ellipsis.IsValid() {
+				p = p.(*types.Slice).Elem()
+			}
+		case i < params.Len():
+			p = params.At(i).Type()
+		}
+		w.flow(p, a)
+	}
+}
+
+// compositeLit records the fields a struct literal sets, and the elements a
+// literal carries into interface-typed slots.
+func (w *walker) compositeLit(lit *ast.CompositeLit) {
+	switch t := under(w.typeOf(lit)).(type) {
+	case *types.Struct:
+		for i, e := range lit.Elts {
+			f := t.Field(i)
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				f, e = w.info.Uses[kv.Key.(*ast.Ident)].(*types.Var), kv.Value
+			}
+			w.set[f.Origin()] = true
+			w.flow(f.Type(), e)
+		}
+	case interface{ Elem() types.Type }: // slice, array, map
+		for _, e := range lit.Elts {
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				e = kv.Value
+			}
+			w.flow(t.Elem(), e)
+		}
+	}
+}
+
+// flow records that the value of e goes into a slot of type to: when to is
+// an interface and the value is not, reflection may read every field the
+// value carries.
+func (w *walker) flow(to types.Type, e ast.Expr) {
+	if to == nil || !types.IsInterface(to) {
+		return
+	}
+	if from := w.typeOf(e); from != nil && !types.IsInterface(from) {
+		fieldsOf(from, w.read, map[types.Type]bool{})
+	}
+}
+
+// fieldsOf marks every field of t's structs, through pointers, containers
+// and nested structs; done holds the types already walked.
+func fieldsOf(t types.Type, mark map[*types.Var]bool, done map[types.Type]bool) {
+	if t == nil || done[t] {
+		return
+	}
+	done[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			mark[u.Field(i).Origin()] = true
+			fieldsOf(u.Field(i).Type(), mark, done)
+		}
+	case *types.Map:
+		fieldsOf(u.Key(), mark, done)
+		fieldsOf(u.Elem(), mark, done)
+	case interface{ Elem() types.Type }: // pointer, slice, array, channel
+		fieldsOf(u.Elem(), mark, done)
+	}
 }
 
 // noteIfaces records the interfaces with methods that t is or is built from

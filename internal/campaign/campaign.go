@@ -10,7 +10,6 @@
 package campaign
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -67,10 +66,8 @@ type Config struct {
 	MinInterval int
 
 	// ThresholdPercent sets the analysis budget as a percentage of the
-	// simulation time (§5.3.2); TotalThreshold sets it in absolute seconds
-	// (§5.3.4). Exactly one must be positive.
+	// simulation time (§5.3.2); it must be positive.
 	ThresholdPercent float64
-	TotalThreshold   float64
 
 	// MemBudget is the memory available for analyses; 0 derives it from the
 	// machine's per-node memory minus the simulation footprint.
@@ -82,12 +79,6 @@ type Config struct {
 
 	// Weights prioritizes analyses by kernel name (others default to 1).
 	Weights map[string]float64
-	// Lexicographic treats the weights as strict priority classes.
-	Lexicographic bool
-
-	// SolveWorkers is the wave width Plan hands to the branch-and-bound
-	// search (see core.SolveOptions.Workers); 0 and 1 both mean a wave of one.
-	SolveWorkers int
 
 	// ProbeSteps is how many simulation steps the profiling pass advances
 	// per kernel (default 4).
@@ -106,30 +97,19 @@ type Config struct {
 	// solve time) followed by the executed run's events from the coupling
 	// runner. runmon report replays the file.
 	Ledger *obs.EventLog
-	// Flight, when non-nil, captures the Plan solve's progress stream (see
-	// obs.FlightRecorder): Plan resets and attaches it to the
-	// branch-and-bound solve, then drains it into the Ledger as solveprog
-	// events.
-	Flight *obs.FlightRecorder
 	// Monitor, when non-nil, watches the executed run live: Execute installs
 	// the solved plan as the monitor's predicted profile, writes the profile
 	// into the ledger as plan events (so post-hoc runmon report sees the
 	// same predictions), and feeds every run event through the monitor's
 	// drift detectors as it happens.
 	Monitor *runmon.Monitor
-	// Ctx, when non-nil, scopes the campaign's solve to a caller's lifetime:
-	// Plan hands it to the branch-and-bound search, which aborts
-	// with an error wrapping milp.ErrCanceled once it is canceled, and any
-	// request-scoped pprof labels on it survive into solver CPU profiles. The
-	// service tier (schedd) sets it per request.
-	Ctx context.Context
 	// Replan, when non-nil, closes the loop on the executed run: Execute
 	// builds a replan.Replanner over the live monitor (creating one when
 	// Monitor is nil) and installs it as the coupling runner's replan hook,
 	// so drift and budget alerts trigger rolling-horizon reschedules
 	// mid-run. Zero-valued fields inherit the campaign's settings:
-	// BudgetPercent from ThresholdPercent, Workers from SolveWorkers, and
-	// Ledger/Metrics from the campaign's own.
+	// BudgetPercent from ThresholdPercent, and Ledger/Metrics from the
+	// campaign's own.
 	Replan *replan.Config
 }
 
@@ -143,8 +123,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Steps <= 0 {
 		return c, fmt.Errorf("campaign: needs Steps > 0")
 	}
-	if (c.ThresholdPercent > 0) == (c.TotalThreshold > 0) {
-		return c, fmt.Errorf("campaign: set exactly one of ThresholdPercent and TotalThreshold")
+	if c.ThresholdPercent <= 0 {
+		return c, fmt.Errorf("campaign: needs ThresholdPercent > 0")
 	}
 	if c.Machine == nil {
 		c.Machine = machine.Laptop()
@@ -233,10 +213,6 @@ func (c *Campaign) profile() (specs []core.AnalysisSpec, simPerStep float64, err
 // probed simulation speed.
 func (c *Campaign) envelope(simPerStep float64) core.Resources {
 	cfg := c.cfg
-	threshold := cfg.TotalThreshold
-	if cfg.ThresholdPercent > 0 {
-		threshold = core.PercentThreshold(simPerStep, cfg.Steps, cfg.ThresholdPercent)
-	}
 	mem := cfg.MemBudget
 	if mem <= 0 {
 		mem = cfg.Machine.MemPerNode - cfg.Sim.MemoryBytes()
@@ -246,33 +222,25 @@ func (c *Campaign) envelope(simPerStep float64) core.Resources {
 	}
 	return core.Resources{
 		Steps:         cfg.Steps,
-		TimeThreshold: threshold,
+		TimeThreshold: core.PercentThreshold(simPerStep, cfg.Steps, cfg.ThresholdPercent),
 		MemThreshold:  mem,
 		Bandwidth:     cfg.Storage.BytesPerSec,
 	}
 }
 
 // Plan profiles every kernel against the live simulation, derives the
-// resource envelope, and solves for the optimal schedule (weighted, or
-// lexicographic when configured) with SolveWorkers branch-and-bound workers.
+// resource envelope, and solves for the optimal weighted schedule.
 func (c *Campaign) Plan() (*Plan, error) {
 	specs, simPerStep, err := c.profile()
 	if err != nil {
 		return nil, err
 	}
 	res := c.envelope(simPerStep)
-	c.cfg.Flight.Reset()
-	c.cfg.Flight.SetName("plan")
-	solve := core.Solve
-	if c.cfg.Lexicographic {
-		solve = core.SolveLexicographic
-	}
-	rec, err := solve(specs, res, core.SolveOptions{Workers: c.cfg.SolveWorkers, Flight: c.cfg.Flight, Ctx: c.cfg.Ctx})
+	rec, err := core.Solve(specs, res, core.SolveOptions{})
 	if err != nil {
 		return nil, err
 	}
 	c.cfg.Ledger.Append(rec.SolveEvent("plan", res.TimeThreshold))
-	c.cfg.Flight.AppendLedger(c.cfg.Ledger, "plan")
 	return &Plan{Specs: specs, Resources: res, Rec: rec, SimSecPerStep: simPerStep}, nil
 }
 
@@ -317,9 +285,6 @@ func (c *Campaign) Execute(p *Plan) (*Outcome, error) {
 		rcfg := *c.cfg.Replan
 		if rcfg.BudgetPercent <= 0 {
 			rcfg.BudgetPercent = c.cfg.ThresholdPercent
-		}
-		if rcfg.Workers == 0 {
-			rcfg.Workers = c.cfg.SolveWorkers
 		}
 		if rcfg.Ledger == nil {
 			rcfg.Ledger = c.cfg.Ledger

@@ -14,7 +14,7 @@ import (
 	"insitu/internal/sim/md"
 )
 
-func mdCampaign(t *testing.T, pct, total float64, mutate ...func(*Config)) *Campaign {
+func mdCampaign(t *testing.T, pct float64, mutate ...func(*Config)) *Campaign {
 	t.Helper()
 	sys, err := md.NewWaterIons(md.Config{NAtoms: 1500, Seed: 21})
 	if err != nil {
@@ -38,7 +38,6 @@ func mdCampaign(t *testing.T, pct, total float64, mutate ...func(*Config)) *Camp
 		Steps:            40,
 		MinInterval:      5,
 		ThresholdPercent: pct,
-		TotalThreshold:   total,
 	}
 	for _, m := range mutate {
 		m(&cfg)
@@ -51,7 +50,7 @@ func mdCampaign(t *testing.T, pct, total float64, mutate ...func(*Config)) *Camp
 }
 
 func TestCampaignEndToEndMD(t *testing.T) {
-	c := mdCampaign(t, 20, 0)
+	c := mdCampaign(t, 20)
 	out, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +76,7 @@ func TestCampaignEndToEndMD(t *testing.T) {
 	}
 }
 
-func TestCampaignTotalThresholdAMR(t *testing.T) {
+func TestCampaignEndToEndAMR(t *testing.T) {
 	grid, err := amr.NewSedov(amr.Config{BlocksX: 2, NB: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -93,11 +92,12 @@ func TestCampaignTotalThresholdAMR(t *testing.T) {
 			StepFn:   func() { grid.StepCFL() },
 			MemBytes: grid.MemoryBytes(),
 		},
-		Kernels:        []analysis.Kernel{f3},
-		Steps:          20,
-		MinInterval:    4,
-		TotalThreshold: 5,
-		Output:         &buf,
+		Kernels:     []analysis.Kernel{f3},
+		Steps:       20,
+		MinInterval: 4,
+		// A budget of 100x the simulation time: every allowed analysis fits.
+		ThresholdPercent: 1e4,
+		Output:           &buf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,14 +114,13 @@ func TestCampaignTotalThresholdAMR(t *testing.T) {
 		t.Fatal("analysis output not captured")
 	}
 	if !out.WithinThreshold {
-		t.Fatalf("cheap kernel blew a 5s budget: %v", out.Report.AnalysisTime)
+		t.Fatalf("cheap kernel blew a budget of 100x the simulation time: %v", out.Report.AnalysisTime)
 	}
 }
 
 func TestCampaignWeights(t *testing.T) {
-	c := mdCampaign(t, 20, 0)
+	c := mdCampaign(t, 20)
 	c.cfg.Weights = map[string]float64{"A4 msd": 3}
-	c.cfg.Lexicographic = true
 	p, err := c.Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -148,10 +147,6 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := New(Config{Sim: sim, Kernels: []analysis.Kernel{k}, Steps: 10}); err == nil {
 		t.Fatal("expected threshold error")
 	}
-	if _, err := New(Config{Sim: sim, Kernels: []analysis.Kernel{k}, Steps: 10,
-		ThresholdPercent: 5, TotalThreshold: 5}); err == nil {
-		t.Fatal("expected double-threshold error")
-	}
 }
 
 type dummyKernel struct{}
@@ -164,7 +159,7 @@ func (dummyKernel) Output(io.Writer) (int64, error) { return 0, nil }
 func (dummyKernel) Free()                           {}
 
 func TestCampaignInstrumented(t *testing.T) {
-	c := mdCampaign(t, 20, 0)
+	c := mdCampaign(t, 20)
 	c.cfg.Trace = obs.NewTracer()
 	c.cfg.Metrics = obs.NewRegistry()
 	out, err := c.Run()
@@ -189,56 +184,5 @@ func TestCampaignInstrumented(t *testing.T) {
 	sum := out.Summary()
 	if !strings.Contains(sum, "metrics:") || !strings.Contains(sum, "coupling_steps_total 40") {
 		t.Errorf("summary missing metrics section:\n%s", sum)
-	}
-}
-
-func TestCampaignFlightRecorder(t *testing.T) {
-	var ledger bytes.Buffer
-	fr := obs.NewFlightRecorder(0)
-	c := mdCampaign(t, 20, 0, func(cfg *Config) {
-		cfg.Flight = fr
-		cfg.Ledger = obs.NewEventLog(&ledger)
-	})
-	p, err := c.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.Name() != "plan" || fr.Len() == 0 {
-		t.Fatalf("flight recorder: name=%q len=%d", fr.Name(), fr.Len())
-	}
-	recs := fr.Snapshot()
-	if err := obs.CheckSolveProg(recs); err != nil {
-		t.Fatalf("plan flight stream: %v", err)
-	}
-	gap, status, ok := obs.FinalGap(recs)
-	if !ok || status != "optimal" || gap > 1e-6 {
-		t.Fatalf("plan flight end: gap=%g status=%q ok=%t", gap, status, ok)
-	}
-	if p.Rec.Stats.Nodes != recs[len(recs)-1].Nodes {
-		t.Fatalf("flight nodes %d != solver nodes %d", recs[len(recs)-1].Nodes, p.Rec.Stats.Nodes)
-	}
-	if err := c.cfg.Ledger.Close(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := obs.ReadLedger(&ledger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs := obs.GroupSolveProgEvents(events)
-	if len(runs) != 1 || runs[0].Name != "plan" || len(runs[0].Records) != len(recs) {
-		t.Fatalf("ledger flight runs = %+v", runs)
-	}
-}
-
-// TestPlanWithWorkers runs the single-plan path through the parallel
-// branch-and-bound search.
-func TestPlanWithWorkers(t *testing.T) {
-	c := mdCampaign(t, 20, 0, func(cfg *Config) { cfg.SolveWorkers = 2 })
-	p, err := c.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Rec.Stats.Workers != 2 {
-		t.Fatalf("plan solve ran with %d workers, want 2", p.Rec.Stats.Workers)
 	}
 }

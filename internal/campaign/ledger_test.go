@@ -18,7 +18,7 @@ func TestCampaignLedgerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := mdCampaign(t, 20, 0, func(cfg *Config) { cfg.Ledger = led })
+	c := mdCampaign(t, 20, func(cfg *Config) { cfg.Ledger = led })
 	out, err := c.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ func TestCampaignMonitorWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon := runmon.NewMonitor(nil, runmon.Config{})
-	c := mdCampaign(t, 20, 0, func(cfg *Config) {
+	c := mdCampaign(t, 20, func(cfg *Config) {
 		cfg.Ledger = led
 		cfg.Monitor = mon
 	})

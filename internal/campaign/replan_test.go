@@ -31,15 +31,13 @@ func TestCampaignReplanWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var slow bool
+	var drag time.Duration
 	cfg := Config{
 		Sim: SimFunc{
 			AppName: "water+ions",
 			StepFn: func() {
 				sys.Step(0.002)
-				if slow {
-					time.Sleep(2 * time.Millisecond)
-				}
+				time.Sleep(drag)
 			},
 			MemBytes: sys.MemoryBytes(),
 		},
@@ -57,7 +55,10 @@ func TestCampaignReplanWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow = true // the truth the profile missed: every production step drags
+	// The truth the profile missed: every production step drags by twice
+	// the profiled step time, whatever that is on this machine or under the
+	// race detector.
+	drag = time.Duration(2 * p.SimSecPerStep * float64(time.Second))
 	out, err := c.Execute(p)
 	if err != nil {
 		t.Fatal(err)

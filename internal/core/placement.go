@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"insitu/internal/lp"
 	"insitu/internal/milp"
@@ -93,7 +92,6 @@ type PlacementRecommendation struct {
 	Objective   float64
 	SimSiteTime float64
 	StageTime   float64
-	SolveTime   time.Duration
 	// Stats instruments the branch-and-bound search (see milp.Stats).
 	Stats milp.Stats
 }
@@ -218,12 +216,12 @@ func SolvePlacement(specs []PlacementSpec, res PlacementResources, opts SolveOpt
 		prob.LP.AddConstraint(stageMemIdx, stageMemCoef, lp.LE, float64(res.StageMemTotal), "stage-mem")
 	}
 
-	sol, elapsed, err := solveModel("placement", prob, opts)
+	sol, _, err := solveModel("placement", prob, opts)
 	if err != nil {
 		return nil, err
 	}
 
-	rec := &PlacementRecommendation{SolveTime: elapsed, Stats: sol.Stats}
+	rec := &PlacementRecommendation{Stats: sol.Stats}
 	chosen := make(map[int]placementMode)
 	for v, ref := range refs {
 		if sol.HasX && sol.X[v] > 0.5 {

@@ -329,7 +329,7 @@ func Table7() ([]Table7Row, error) {
 // the analysis threshold, and the solver packs in more analyses.
 func Table7NVRAM() (Table7Row, error) {
 	bb := iosim.NewBurstBuffer(1 << 41) // 2 TiB aggregate NVRAM
-	outTime := bb.SustainedOutputTime(RhodopsinOutputBytes, 10, 500*time.Second, 32768).Seconds()
+	outTime := bb.SustainedOutputTime(RhodopsinOutputBytes, 10, 500*time.Second).Seconds()
 	th := RhodopsinOutputSeconds + 50 - outTime
 	res := core.Resources{Steps: 1000, TimeThreshold: th, MemThreshold: 12 << 30}
 	rec, err := core.Solve(RhodopsinSpecs(), res, core.SolveOptions{})

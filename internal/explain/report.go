@@ -29,9 +29,8 @@ type Options struct {
 
 // Report is one built explainability report, ready to render.
 type Report struct {
-	Specs []core.AnalysisSpec
-	Res   core.Resources
-	Ex    *core.Explanation
+	Res core.Resources
+	Ex  *core.Explanation
 
 	// Recorder holds the branch-and-bound tree of the base solve; Tree() and
 	// WriteDOT/WriteJSON on it export the search.
@@ -62,7 +61,6 @@ func Build(specs []core.AnalysisSpec, res core.Resources, opts Options) (*Report
 		width = 100
 	}
 	return &Report{
-		Specs:      specs,
 		Res:        res,
 		Ex:         ex,
 		Recorder:   rec,

@@ -33,7 +33,7 @@ func (b *BurstBuffer) Backlog() int64 { return b.backlog }
 // drains the backlog at the backing store's bandwidth first; if the new
 // write does not fit in the remaining capacity, the writer stalls for the
 // additional drain time.
-func (b *BurstBuffer) Write(bytes int64, sinceLast time.Duration, writers int) time.Duration {
+func (b *BurstBuffer) Write(bytes int64, sinceLast time.Duration) time.Duration {
 	if bytes <= 0 {
 		return 0
 	}
@@ -45,7 +45,7 @@ func (b *BurstBuffer) Write(bytes int64, sinceLast time.Duration, writers int) t
 		b.backlog -= drained
 	}
 
-	visible := b.Front.WriteTime(bytes, writers)
+	visible := b.Front.WriteTime(bytes)
 	// Stall if the write does not fit until enough backlog drains.
 	if b.CapacityBytes > 0 && b.backlog+bytes > b.CapacityBytes {
 		excess := b.backlog + bytes - b.CapacityBytes
@@ -69,7 +69,7 @@ func (b *BurstBuffer) Reset() {
 // spaced `interval` apart, and returns the total visible write time — the
 // quantity a Table-7 style planner would subtract from the run's output
 // budget when moving output from GPFS to NVRAM.
-func (b *BurstBuffer) SustainedOutputTime(bytes int64, count int, interval time.Duration, writers int) time.Duration {
+func (b *BurstBuffer) SustainedOutputTime(bytes int64, count int, interval time.Duration) time.Duration {
 	b.Reset()
 	var total time.Duration
 	for i := 0; i < count; i++ {
@@ -77,7 +77,7 @@ func (b *BurstBuffer) SustainedOutputTime(bytes int64, count int, interval time.
 		if i == 0 {
 			since = 0
 		}
-		total += b.Write(bytes, since, writers)
+		total += b.Write(bytes, since)
 	}
 	return total
 }

@@ -9,13 +9,13 @@ func TestBurstBufferFastWhenDrainKeepsUp(t *testing.T) {
 	bb := NewBurstBuffer(1 << 40)
 	bytes := int64(91) << 30
 	// Outputs every 500 s: GPFS (240 GB/s peak here) drains 91 GB easily.
-	total := bb.SustainedOutputTime(bytes, 10, 500*time.Second, 32768)
-	direct := GPFS().WriteTime(bytes, 32768) * 10
+	total := bb.SustainedOutputTime(bytes, 10, 500*time.Second)
+	direct := GPFS().WriteTime(bytes) * 10
 	if total >= direct {
 		t.Fatalf("burst buffer (%v) should beat direct GPFS (%v)", total, direct)
 	}
 	perWrite := total / 10
-	nvram := NVRAM().WriteTime(bytes, 32768)
+	nvram := NVRAM().WriteTime(bytes)
 	if perWrite > 2*nvram {
 		t.Fatalf("per-write %v should be near NVRAM speed %v", perWrite, nvram)
 	}
@@ -23,12 +23,12 @@ func TestBurstBufferFastWhenDrainKeepsUp(t *testing.T) {
 
 func TestBurstBufferBackpressure(t *testing.T) {
 	bb := NewBurstBuffer(60 << 30)
-	bb.Back = &Target{Name: "slow", BytesPerSec: 1e9} // 1 GB/s drain
+	bb.Back = &Target{BytesPerSec: 1e9} // 1 GB/s drain
 	bytes := int64(50) << 30
 	// Back-to-back writes: the second cannot fit until the first drains.
-	first := bb.Write(bytes, 0, 1)
-	second := bb.Write(bytes, time.Second, 1)
-	third := bb.Write(bytes, time.Second, 1)
+	first := bb.Write(bytes, 0)
+	second := bb.Write(bytes, time.Second)
+	third := bb.Write(bytes, time.Second)
 	if second <= first {
 		t.Fatalf("backpressure missing: first %v, second %v", first, second)
 	}
@@ -42,12 +42,12 @@ func TestBurstBufferBackpressure(t *testing.T) {
 
 func TestBurstBufferDrainsOverTime(t *testing.T) {
 	bb := NewBurstBuffer(1 << 40)
-	bb.Write(10<<30, 0, 1)
+	bb.Write(10<<30, 0)
 	if bb.Backlog() != 10<<30 {
 		t.Fatalf("backlog = %d", bb.Backlog())
 	}
 	// A long quiet interval drains everything.
-	bb.Write(1<<20, time.Hour, 1)
+	bb.Write(1<<20, time.Hour)
 	if bb.Backlog() != 1<<20 {
 		t.Fatalf("backlog after drain = %d, want just the new write", bb.Backlog())
 	}
@@ -59,7 +59,7 @@ func TestBurstBufferDrainsOverTime(t *testing.T) {
 
 func TestBurstBufferZeroBytes(t *testing.T) {
 	bb := NewBurstBuffer(1 << 30)
-	if bb.Write(0, 0, 1) != 0 {
+	if bb.Write(0, 0) != 0 {
 		t.Fatal("zero write must be free")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // paper's 200.6 s total.
 func ExampleTarget_WriteTime() {
 	gpfs := iosim.SustainedGPFS()
-	fmt.Printf("%.1f s\n", gpfs.WriteTime(91e9, 32768).Seconds())
+	fmt.Printf("%.1f s\n", gpfs.WriteTime(91e9).Seconds())
 	// Output:
 	// 20.1 s
 }
@@ -21,7 +21,7 @@ func ExampleTarget_WriteTime() {
 // free as long as the drain keeps up — Table 7's what-if.
 func ExampleBurstBuffer_SustainedOutputTime() {
 	bb := iosim.NewBurstBuffer(2 << 40)
-	total := bb.SustainedOutputTime(91<<30, 10, 500*time.Second, 32768)
+	total := bb.SustainedOutputTime(91<<30, 10, 500*time.Second)
 	fmt.Printf("under a second per output: %v\n", total/10 < time.Second)
 	// Output:
 	// under a second per output: true

@@ -11,12 +11,8 @@ import "time"
 
 // Target is a storage tier reachable from the simulation site.
 type Target struct {
-	Name        string
 	BytesPerSec float64       // aggregate sequential bandwidth
 	Latency     time.Duration // per-operation latency (metadata, seek)
-	// MaxWriters caps how many concurrent writers can share the aggregate
-	// bandwidth before it saturates (0 = unlimited, bandwidth is aggregate).
-	MaxWriters int
 }
 
 // GPFS returns a Mira-like GPFS file system: 240 GB/s peak aggregate
@@ -24,35 +20,29 @@ type Target struct {
 // peak (the paper's rhodopsin runs sustain ~0.45 GB/s per 91 GB output at
 // 200.6 s, i.e. far below peak because of contention and small I/O).
 func GPFS() *Target {
-	return &Target{Name: "GPFS", BytesPerSec: 240e9, Latency: 10 * time.Millisecond}
+	return &Target{BytesPerSec: 240e9, Latency: 10 * time.Millisecond}
 }
 
 // NVRAM returns a node-local burst-buffer tier with much higher effective
 // bandwidth and lower latency than the parallel file system.
 func NVRAM() *Target {
-	return &Target{Name: "NVRAM", BytesPerSec: 1.2e12, Latency: 50 * time.Microsecond}
+	return &Target{BytesPerSec: 1.2e12, Latency: 50 * time.Microsecond}
 }
 
-// WriteTime returns the modeled time for `writers` concurrent ranks to write
-// `bytes` in aggregate.
-func (t *Target) WriteTime(bytes int64, writers int) time.Duration {
+// WriteTime returns the modeled time to write `bytes` in aggregate.
+func (t *Target) WriteTime(bytes int64) time.Duration {
 	if bytes <= 0 {
 		return 0
 	}
-	bw := t.BytesPerSec
-	if t.MaxWriters > 0 && writers > 0 && writers < t.MaxWriters {
-		// Below saturation each writer gets a proportional share.
-		bw = bw * float64(writers) / float64(t.MaxWriters)
-	}
-	sec := float64(bytes) / bw
+	sec := float64(bytes) / t.BytesPerSec
 	return t.Latency + time.Duration(sec*float64(time.Second))
 }
 
 // ReadTime returns the modeled time to read `bytes` back (post-processing).
 // Reads of simulation trajectories are typically serial or low-parallelism,
 // which is exactly the bottleneck Table 4 quantifies.
-func (t *Target) ReadTime(bytes int64, readers int) time.Duration {
-	return t.WriteTime(bytes, readers)
+func (t *Target) ReadTime(bytes int64) time.Duration {
+	return t.WriteTime(bytes)
 }
 
 // SustainedGPFS returns a GPFS target whose aggregate bandwidth is derated to
@@ -60,5 +50,5 @@ func (t *Target) ReadTime(bytes int64, readers int) time.Duration {
 // writes 91 GB per output step in about 20 s of wall time per step at the
 // default frequency (200.6 s for 10 steps), i.e. ~4.5 GB/s sustained.
 func SustainedGPFS() *Target {
-	return &Target{Name: "GPFS (sustained)", BytesPerSec: 91e9 / 20.06, Latency: 10 * time.Millisecond}
+	return &Target{BytesPerSec: 91e9 / 20.06, Latency: 10 * time.Millisecond}
 }

@@ -1,9 +1,8 @@
 // Package machine describes the computing resource on which a simulation and
-// its in-situ analyses run: node counts, memory per node, ranks per node,
-// torus network geometry, and storage bandwidth. The paper's evaluation
-// system is Mira, a 48-rack IBM Blue Gene/Q at Argonne (16 GB RAM per node,
-// 240 GB/s peak I/O to GPFS, 5D torus interconnect); Mira() reproduces that
-// descriptor. The network diameter exposed here is the y-variable the paper
+// its in-situ analyses run: node counts, memory per node, ranks per node and
+// torus network geometry. The paper's evaluation system is Mira, a 48-rack
+// IBM Blue Gene/Q at Argonne (16 GB RAM per node, 5D torus interconnect);
+// Mira() reproduces that descriptor, and iosim.GPFS() its storage. The network diameter exposed here is the y-variable the paper
 // uses for bilinear interpolation of collective-communication time (§4).
 package machine
 
@@ -14,44 +13,31 @@ import (
 
 // Machine describes a parallel computer.
 type Machine struct {
-	Name         string
-	Nodes        int     // total compute nodes
-	CoresPerNode int     // cores per node
-	RanksPerNode int     // MPI-like ranks per node used by jobs
-	MemPerNode   int64   // bytes of RAM per node
-	IOBandwidth  float64 // peak bytes/s from compute to storage
-	TorusDims    int     // dimensionality of the torus interconnect
-	ClockGHz     float64 // per-core clock, for rough compute scaling
+	Nodes        int   // total compute nodes
+	RanksPerNode int   // MPI-like ranks per node used by jobs
+	MemPerNode   int64 // bytes of RAM per node
+	TorusDims    int   // dimensionality of the torus interconnect
 }
 
 // Mira returns a descriptor of the IBM Blue Gene/Q system used in the paper:
-// 48 racks x 2 midplanes x 512 nodes, PowerPC A2 at 1.6 GHz, 16 cores per
-// node (16 ranks per node in the paper's runs), 16 GB per node, 240 GB/s
-// peak I/O bandwidth to GPFS, 5D torus.
+// 48 racks x 2 midplanes x 512 nodes, 16 ranks per node in the paper's runs,
+// 16 GB per node, 5D torus.
 func Mira() *Machine {
 	return &Machine{
-		Name:         "Mira (IBM Blue Gene/Q)",
 		Nodes:        48 * 2 * 512,
-		CoresPerNode: 16,
 		RanksPerNode: 16,
 		MemPerNode:   16 << 30,
-		IOBandwidth:  240e9,
 		TorusDims:    5,
-		ClockGHz:     1.6,
 	}
 }
 
 // Laptop returns a small descriptor for running the mini-apps at test scale.
 func Laptop() *Machine {
 	return &Machine{
-		Name:         "laptop",
 		Nodes:        1,
-		CoresPerNode: 8,
 		RanksPerNode: 8,
 		MemPerNode:   16 << 30,
-		IOBandwidth:  2e9,
 		TorusDims:    1,
-		ClockGHz:     3.0,
 	}
 }
 

@@ -13,9 +13,6 @@ func TestMiraDescriptor(t *testing.T) {
 	if m.MemPerNode != 16<<30 {
 		t.Fatalf("Mira memory per node = %d, want 16 GiB", m.MemPerNode)
 	}
-	if m.IOBandwidth != 240e9 {
-		t.Fatalf("Mira I/O bandwidth = %g, want 240 GB/s", m.IOBandwidth)
-	}
 	if m.RanksPerNode != 16 {
 		t.Fatalf("Mira ranks per node = %d, want 16", m.RanksPerNode)
 	}

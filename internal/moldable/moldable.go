@@ -78,7 +78,6 @@ type Config struct {
 	Steps        int
 	ThresholdPct float64 // in-situ budget as % of simulation time
 	MemThreshold int64
-	Solve        core.SolveOptions
 }
 
 // Advise evaluates every candidate and returns them ranked under the
@@ -101,7 +100,7 @@ func Advise(m *machine.Machine, cands []Candidate, cfg Config, obj Objective) (*
 			TimeThreshold: core.PercentThreshold(c.SimSecPerStep, cfg.Steps, cfg.ThresholdPct),
 			MemThreshold:  cfg.MemThreshold,
 		}
-		rec, err := core.Solve(c.Specs, res, cfg.Solve)
+		rec, err := core.Solve(c.Specs, res, core.SolveOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("moldable: ranks=%d: %w", c.Ranks, err)
 		}

@@ -184,17 +184,6 @@ func (r *FlightRecorder) Record(p SolveProgress) {
 	r.dropped++
 }
 
-// Reset clears the ring (capacity and name are kept).
-func (r *FlightRecorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf = r.buf[:0]
-	r.next, r.total, r.dropped = 0, 0, 0
-}
-
 // Len returns the number of records currently held.
 func (r *FlightRecorder) Len() int {
 	if r == nil {

@@ -166,10 +166,6 @@ func TestFlightRecorderRing(t *testing.T) {
 	if len(snap) != 3 || snap[0].Seq != 2 || snap[2].Seq != 4 {
 		t.Fatalf("snapshot = %+v; want seqs 2..4 oldest-first", snap)
 	}
-	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 || r.Dropped() != 0 || r.Name() != "demo" {
-		t.Fatalf("reset kept state: len=%d total=%d dropped=%d name=%q", r.Len(), r.Total(), r.Dropped(), r.Name())
-	}
 }
 
 // TestFlightRecorderGrowsOnDemand: the capacity is a limit, not a
@@ -203,17 +199,14 @@ func TestFlightRecorderGrowsOnDemand(t *testing.T) {
 		}
 	}
 
-	// The limit still holds, and a Reset ring wraps again at the same place.
+	// The limit still holds.
 	r := NewFlightRecorder(0)
-	for round := 0; round < 2; round++ {
-		for i := 0; i < DefaultFlightCapacity+5; i++ {
-			r.Record(SolveProgress{Seq: i})
-		}
-		snap := r.Snapshot()
-		if r.Len() != DefaultFlightCapacity || r.Dropped() != 5 || snap[0].Seq != 5 || snap[len(snap)-1].Seq != DefaultFlightCapacity+4 {
-			t.Fatalf("round %d: len %d, dropped %d, snapshot %d..%d", round, r.Len(), r.Dropped(), snap[0].Seq, snap[len(snap)-1].Seq)
-		}
-		r.Reset()
+	for i := 0; i < DefaultFlightCapacity+5; i++ {
+		r.Record(SolveProgress{Seq: i})
+	}
+	snap := r.Snapshot()
+	if r.Len() != DefaultFlightCapacity || r.Dropped() != 5 || snap[0].Seq != 5 || snap[len(snap)-1].Seq != DefaultFlightCapacity+4 {
+		t.Fatalf("len %d, dropped %d, snapshot %d..%d", r.Len(), r.Dropped(), snap[0].Seq, snap[len(snap)-1].Seq)
 	}
 }
 
@@ -221,7 +214,6 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	var r *FlightRecorder
 	r.Record(SolveProgress{})
 	r.SetName("x")
-	r.Reset()
 	r.AppendLedger(nil, "")
 	if r.Len() != 0 || r.Total() != 0 || r.Dropped() != 0 || r.Name() != "" || r.Snapshot() != nil {
 		t.Fatal("nil recorder must be a no-op")

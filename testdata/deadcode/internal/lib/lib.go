@@ -1,5 +1,7 @@
 // Package lib is the reachability walk's fixture: cmd/app reaches all of it
-// but Sim.Run, and Spare only as an allowlisted root.
+// but Sim.Run, and Spare only as an allowlisted root. Of the fields (see
+// fields.go), Config's Unset, Log and Note are dead; the rest are live only
+// through the shapes the field rules must see.
 package lib
 
 type Runner struct{}
@@ -25,9 +27,9 @@ func Drive(s Stepper) int { return s.Advance() }
 // Sum is called only as an instance, Box.Get only on an instantiated type.
 func Sum[T int | float64](a, b T) T { return a + b }
 
-type Box[T any] struct{ v T }
+type Box[T any] struct{ V T }
 
-func (b Box[T]) Get() T { return b.v }
+func (b Box[T]) Get() T { return b.V }
 
 func Spare() int { return helper() }
 
