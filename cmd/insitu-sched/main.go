@@ -199,9 +199,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprint(stdout, rec.String())
 	fmt.Fprintf(stdout, "threshold utilization: %.1f%%\n", rec.Utilization(res)*100)
 	if *sensitivity {
-		out, err := core.AnalyzeThresholdSensitivity(specs, res,
-			core.SolveOptions{Workers: opts.Workers},
-			core.SensitivityOptions{Workers: opts.Workers})
+		out, err := core.AnalyzeThresholdSensitivity(specs, res, core.SolveOptions{Workers: opts.Workers})
 		if err != nil {
 			return fail(err)
 		}

@@ -80,8 +80,8 @@ func buildSystem(system string, atoms, ranks int) (*md.System, []analysis.Kernel
 			return nil, nil, err
 		}
 		add(mdkernels.NewGyration(sys, ranks))
-		add(mdkernels.NewMembraneHist(sys, mdkernels.HistConfig{Ranks: ranks}))
-		add(mdkernels.NewProteinHist(sys, mdkernels.HistConfig{Ranks: ranks}))
+		add(mdkernels.NewMembraneHist(sys, ranks))
+		add(mdkernels.NewProteinHist(sys, ranks))
 	default:
 		return nil, nil, fmt.Errorf("unknown system %q", system)
 	}

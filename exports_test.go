@@ -33,6 +33,8 @@ var testOnlyAllowed = map[string]string{
 	"internal/obs.CanonicalBytes":         "determinism corpus comparison form",
 	"internal/obs.DeterministicBytes":     "determinism corpus comparison form",
 	"internal/obs.EventLog.SetClock":      "fake-clock seam for byte-exact tests",
+	"internal/milp.Options.Now":           "fake-clock seam for byte-exact tests",
+	"internal/schedd.Config.Now":          "fake-clock seam for byte-exact tests",
 	"internal/obs.Tracer.SetClock":        "fake-clock seam for byte-exact tests",
 	"internal/obs.Tracer.BeginOn":         "second-track span the timeline golden records",
 	"internal/obs.FlightRecorder.Dropped": "ring accessor the retention tests read",
@@ -115,11 +117,13 @@ func TestNoTestOnlyExports(t *testing.T) {
 // module whose one dead method shares its name with a live one, and whose
 // other declarations are reached only through an interface, a generic
 // instance or an allowlisted root. Of its fields, one is never set, one is
-// never set although its pointer methods are called, and one is only
-// written; the others are set only through nested index expressions, a
+// never set although its pointer methods are called, one is set only by its
+// type's withDefaults, one is only written and one is only added to; the
+// others are set by a program as well as by withDefaults, set only by
+// another type's withDefaults, set only through nested index expressions, a
 // zero-value mutex's Lock, elided composite literals or a range, or read
-// only by reflection through an interface. Only the dead method and the
-// three dead fields may be reported.
+// only by reflection through an interface. Only the dead method and the five
+// dead fields may be reported.
 func TestReachabilityFixture(t *testing.T) {
 	problems, err := unreachable("testdata/deadcode", map[string]string{
 		"internal/lib.Spare": "kept to show an allowlisted root reaches its callees",
@@ -131,7 +135,9 @@ func TestReachabilityFixture(t *testing.T) {
 	want := []string{
 		"internal/lib.Config.Log: no program sets it" + fix,
 		"internal/lib.Config.Note: no program reads it" + fix,
+		"internal/lib.Config.Retries: no program sets it" + fix,
 		"internal/lib.Config.Unset: no program sets it" + fix,
+		"internal/lib.Counter.total: no program reads it" + fix,
 		"internal/lib.Sim.Run: no program reaches it; delete it with its tests, or allow it in testOnlyAllowed with a reason",
 	}
 	if !reflect.DeepEqual(problems, want) {
@@ -428,6 +434,7 @@ type walker struct {
 
 	set, read map[*types.Var]bool        // fields reached syntax sets, reads
 	target    map[*ast.SelectorExpr]bool // selectors only assigned to
+	defaults  types.Object               // the type whose withDefaults is being visited
 }
 
 // mark reaches one object; only the module's top-level declarations are
@@ -460,13 +467,25 @@ func (w *walker) mark(obj types.Object) {
 // target reaches it through selectors, index expressions and *; by &x.f; by
 // a pointer-method call on it when it is not a pointer itself; by a
 // composite literal that lists it or lists every field unkeyed; and by an
-// Unmarshal or Decode call given a value it is part of. A field is read by
-// every selector but the target of a plain assignment or range (an
-// op-assignment reads what it updates), by a selection whose embedded path
+// Unmarshal or Decode call given a value it is part of. Inside its own
+// type's withDefaults method none of these sets it: a default is the value
+// the program gets when it sets nothing. A field is read by every selector
+// but the target of an assignment, op-assignment, ++/-- or range (a counter
+// that is only updated is never read), by a selection whose embedded path
 // passes through it, and whenever a value it is part of flows into an
 // interface (a call argument, a result or a composite-literal element), where
 // encoding/json, html/template and fmt read it by reflection.
 func (w *walker) visit(n ast.Node) {
+	w.defaults = nil
+	if fd, ok := n.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "withDefaults" {
+		recv := w.info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		if named, ok := recv.(*types.Named); ok {
+			w.defaults = named.Origin().Obj()
+		}
+	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
@@ -483,10 +502,10 @@ func (w *walker) visit(n ast.Node) {
 			return true
 		case *ast.AssignStmt:
 			for _, l := range n.Lhs {
-				w.setTarget(l, n.Tok == token.ASSIGN)
+				w.setTarget(l, true)
 			}
 		case *ast.IncDecStmt:
-			w.setTarget(n.X, false)
+			w.setTarget(n.X, true)
 		case *ast.RangeStmt:
 			for _, e := range []ast.Expr{n.Key, n.Value} {
 				if e != nil {
@@ -550,7 +569,8 @@ func under(t types.Type) types.Type {
 
 // setTarget records the fields an assignment to e sets: the selected field
 // and every field on the way to it, through index expressions and *. Only
-// the target of an assignment (not of &) is left unread.
+// the target of an assignment, op-assignment, ++/-- or range (not of &) is
+// left unread.
 func (w *walker) setTarget(e ast.Expr, assigned bool) {
 	for {
 		switch x := e.(type) {
@@ -566,7 +586,7 @@ func (w *walker) setTarget(e ast.Expr, assigned bool) {
 				return
 			}
 			for _, f := range path(sel) {
-				w.set[f.Origin()] = true
+				w.setField(f)
 			}
 			if assigned {
 				w.target[x] = true
@@ -575,6 +595,15 @@ func (w *walker) setTarget(e ast.Expr, assigned bool) {
 		default:
 			return
 		}
+	}
+}
+
+// setField records that reached syntax sets f, unless that syntax is the
+// withDefaults method of f's own struct type.
+func (w *walker) setField(f *types.Var) {
+	f = f.Origin()
+	if d := w.fields[f]; d == nil || d.owner != w.defaults {
+		w.set[f] = true
 	}
 }
 
@@ -603,7 +632,7 @@ func (w *walker) selector(x *ast.SelectorExpr) {
 	}
 	if _, ptr := base.Underlying().(*types.Pointer); !ptr {
 		for _, f := range fields {
-			w.set[f.Origin()] = true
+			w.setField(f)
 		}
 		w.setTarget(x.X, false)
 	}
@@ -674,7 +703,7 @@ func (w *walker) compositeLit(lit *ast.CompositeLit) {
 			if kv, ok := e.(*ast.KeyValueExpr); ok {
 				f, e = w.info.Uses[kv.Key.(*ast.Ident)].(*types.Var), kv.Value
 			}
-			w.set[f.Origin()] = true
+			w.setField(f)
 			w.flow(f.Type(), e)
 		}
 	case interface{ Elem() types.Type }: // slice, array, map

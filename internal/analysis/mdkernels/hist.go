@@ -17,58 +17,40 @@ type DensityHist struct {
 	name  string
 	sys   *md.System
 	sp    []md.Species
-	nx    int
-	nz    int
 	ranks int
 	world *comm.World
 
-	grid    []float64 // fixed allocation nx*nz
+	grid    []float64 // fixed allocation histSide*histSide
 	samples int
 }
 
-// HistConfig tunes a density histogram kernel.
-type HistConfig struct {
-	NX, NZ int // grid resolution (default 256x256)
-	Ranks  int // reduction ranks (default 4)
-}
+// histSide is the histogram's resolution along x and along z.
+const histSide = 256
 
-func (c HistConfig) withDefaults() HistConfig {
-	if c.NX == 0 {
-		c.NX = 256
+// NewDensityHist builds a histogram kernel for the given species set,
+// reducing over ranks workers (default 4).
+func NewDensityHist(name string, sys *md.System, sp []md.Species, ranks int) (*DensityHist, error) {
+	if ranks == 0 {
+		ranks = 4
 	}
-	if c.NZ == 0 {
-		c.NZ = 256
-	}
-	if c.Ranks == 0 {
-		c.Ranks = 4
-	}
-	return c
-}
-
-// NewDensityHist builds a histogram kernel for the given species set.
-func NewDensityHist(name string, sys *md.System, sp []md.Species, cfg HistConfig) (*DensityHist, error) {
-	cfg = cfg.withDefaults()
 	if len(sp) == 0 {
 		return nil, fmt.Errorf("mdkernels: density histogram %q needs a species", name)
 	}
-	w, err := comm.NewWorld(cfg.Ranks)
+	w, err := comm.NewWorld(ranks)
 	if err != nil {
 		return nil, err
 	}
-	return &DensityHist{
-		name: name, sys: sys, sp: sp,
-		nx: cfg.NX, nz: cfg.NZ, ranks: cfg.Ranks, world: w,
-	}, nil
+	return &DensityHist{name: name, sys: sys, sp: sp, ranks: ranks, world: w}, nil
 }
 
 // NewMembraneHist builds analysis R2.
-func NewMembraneHist(sys *md.System, cfg HistConfig) (*DensityHist, error) {
-	return NewDensityHist("R2 membrane histogram", sys, []md.Species{md.Membrane}, cfg)
+func NewMembraneHist(sys *md.System, ranks int) (*DensityHist, error) {
+	return NewDensityHist("R2 membrane histogram", sys, []md.Species{md.Membrane}, ranks)
 }
 
 // NewProteinHist builds analysis R3.
-func NewProteinHist(sys *md.System, cfg HistConfig) (*DensityHist, error) {
-	return NewDensityHist("R3 protein histogram", sys, []md.Species{md.Protein}, cfg)
+func NewProteinHist(sys *md.System, ranks int) (*DensityHist, error) {
+	return NewDensityHist("R3 protein histogram", sys, []md.Species{md.Protein}, ranks)
 }
 
 // Name implements analysis.Kernel.
@@ -76,9 +58,9 @@ func (k *DensityHist) Name() string { return k.name }
 
 // Setup allocates the fixed grid.
 func (k *DensityHist) Setup() (int64, error) {
-	k.grid = make([]float64, k.nx*k.nz)
+	k.grid = make([]float64, histSide*histSide)
 	k.samples = 0
-	return int64(k.nx*k.nz) * 8, nil
+	return int64(histSide*histSide) * 8, nil
 }
 
 // PreStep is a no-op.
@@ -89,20 +71,20 @@ func (k *DensityHist) Analyze(step int) (int64, error) {
 	inSp := speciesSet(k.sp)
 	var reduced []float64
 	err := k.world.Run(func(r *comm.Rank) error {
-		mine := make([]float64, k.nx*k.nz)
+		mine := make([]float64, histSide*histSide)
 		for i := r.ID(); i < k.sys.N; i += r.Size() {
 			if !inSp[k.sys.Type[i]] {
 				continue
 			}
-			bx := int(k.sys.Pos[i][0] / k.sys.Box[0] * float64(k.nx))
-			bz := int(k.sys.Pos[i][2] / k.sys.Box[2] * float64(k.nz))
-			if bx >= k.nx {
-				bx = k.nx - 1
+			bx := int(k.sys.Pos[i][0] / k.sys.Box[0] * float64(histSide))
+			bz := int(k.sys.Pos[i][2] / k.sys.Box[2] * float64(histSide))
+			if bx >= histSide {
+				bx = histSide - 1
 			}
-			if bz >= k.nz {
-				bz = k.nz - 1
+			if bz >= histSide {
+				bz = histSide - 1
 			}
-			mine[bx*k.nz+bz]++
+			mine[bx*histSide+bz]++
 		}
 		out, err := r.Allreduce(mine, comm.Sum)
 		if err != nil {
@@ -120,26 +102,26 @@ func (k *DensityHist) Analyze(step int) (int64, error) {
 		k.grid[c] += reduced[c]
 	}
 	k.samples++
-	return int64(k.ranks) * int64(k.nx*k.nz) * 8, nil
+	return int64(k.ranks) * int64(histSide*histSide) * 8, nil
 }
 
 // Output writes the averaged grid in a compact binary-ish text form and
 // resets the accumulation.
 func (k *DensityHist) Output(dst io.Writer) (int64, error) {
 	var written int64
-	n, err := fmt.Fprintf(dst, "# %s %dx%d samples=%d\n", k.name, k.nx, k.nz, k.samples)
+	n, err := fmt.Fprintf(dst, "# %s %dx%d samples=%d\n", k.name, histSide, histSide, k.samples)
 	if err != nil {
 		return written, err
 	}
 	written += int64(n)
-	for x := 0; x < k.nx; x++ {
-		for z := 0; z < k.nz; z++ {
+	for x := 0; x < histSide; x++ {
+		for z := 0; z < histSide; z++ {
 			v := 0.0
 			if k.samples > 0 {
-				v = k.grid[x*k.nz+z] / float64(k.samples)
+				v = k.grid[x*histSide+z] / float64(k.samples)
 			}
 			var m int
-			if z == k.nz-1 {
+			if z == histSide-1 {
 				m, err = fmt.Fprintf(dst, "%.3f\n", v)
 			} else {
 				m, err = fmt.Fprintf(dst, "%.3f ", v)

@@ -342,7 +342,7 @@ func TestGyrationRequiresProtein(t *testing.T) {
 
 func TestDensityHistCountsAllSpeciesParticles(t *testing.T) {
 	sys := rhodoSys(t, 4000)
-	k, err := NewMembraneHist(sys, HistConfig{NX: 32, NZ: 32, Ranks: 3})
+	k, err := NewMembraneHist(sys, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestDensityHistCountsAllSpeciesParticles(t *testing.T) {
 
 func TestProteinHistConcentratedAtCenter(t *testing.T) {
 	sys := rhodoSys(t, 4000)
-	k, err := NewProteinHist(sys, HistConfig{NX: 8, NZ: 8, Ranks: 2})
+	k, err := NewProteinHist(sys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,11 +382,11 @@ func TestProteinHistConcentratedAtCenter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Central cells must hold everything: the protein sphere has radius
-	// 0.12 L, inside the central 2x2 of an 8x8 grid.
+	// 0.12 L, inside the central quarter [3/8, 5/8) of each axis.
 	central := 0.0
-	for x := 3; x <= 4; x++ {
-		for z := 3; z <= 4; z++ {
-			central += k.grid[x*8+z]
+	for x := 3 * histSide / 8; x < 5*histSide/8; x++ {
+		for z := 3 * histSide / 8; z < 5*histSide/8; z++ {
+			central += k.grid[x*histSide+z]
 		}
 	}
 	if central != k.Total() {
@@ -396,7 +396,7 @@ func TestProteinHistConcentratedAtCenter(t *testing.T) {
 
 func TestHistValidation(t *testing.T) {
 	sys := rhodoSys(t, 2000)
-	if _, err := NewDensityHist("x", sys, nil, HistConfig{}); err == nil {
+	if _, err := NewDensityHist("x", sys, nil, 0); err == nil {
 		t.Fatal("expected species error")
 	}
 }

@@ -43,19 +43,16 @@ type RDF struct {
 	groups  [][]int // A-group indices per pair
 }
 
-// RDFConfig tunes an RDF kernel.
+// RDFConfig tunes an RDF kernel. g(r) is histogrammed out to the system's
+// interaction cutoff.
 type RDFConfig struct {
-	Bins  int     // histogram bins (default 128)
-	RMax  float64 // maximum radius (default: system cutoff)
-	Ranks int     // reduction ranks (default 4)
+	Bins  int // histogram bins (default 128)
+	Ranks int // reduction ranks (default 4)
 }
 
-func (c RDFConfig) withDefaults(sys *md.System) RDFConfig {
+func (c RDFConfig) withDefaults() RDFConfig {
 	if c.Bins == 0 {
 		c.Bins = 128
-	}
-	if c.RMax == 0 {
-		c.RMax = sys.Cutoff
 	}
 	if c.Ranks == 0 {
 		c.Ranks = 4
@@ -65,7 +62,7 @@ func (c RDFConfig) withDefaults(sys *md.System) RDFConfig {
 
 // NewRDF builds an RDF kernel over explicit pairs.
 func NewRDF(name string, sys *md.System, pairs []PairSpec, cfg RDFConfig) (*RDF, error) {
-	cfg = cfg.withDefaults(sys)
+	cfg = cfg.withDefaults()
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("mdkernels: RDF %q needs at least one pair", name)
 	}
@@ -75,7 +72,7 @@ func NewRDF(name string, sys *md.System, pairs []PairSpec, cfg RDFConfig) (*RDF,
 	}
 	return &RDF{
 		name: name, sys: sys, pairs: pairs,
-		bins: cfg.Bins, rmax: cfg.RMax, ranks: cfg.Ranks, world: w,
+		bins: cfg.Bins, rmax: sys.Cutoff, ranks: cfg.Ranks, world: w,
 	}, nil
 }
 

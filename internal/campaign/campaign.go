@@ -56,7 +56,6 @@ func (s SimFunc) MemoryBytes() int64 { return s.MemBytes }
 
 // Config describes a campaign.
 type Config struct {
-	Machine *machine.Machine // defaults to machine.Laptop()
 	Sim     Simulation
 	Kernels []analysis.Kernel
 
@@ -69,20 +68,13 @@ type Config struct {
 	// simulation time (§5.3.2); it must be positive.
 	ThresholdPercent float64
 
-	// MemBudget is the memory available for analyses; 0 derives it from the
-	// machine's per-node memory minus the simulation footprint.
+	// MemBudget is the memory available for analyses; 0 derives it from
+	// machine.Laptop()'s per-node memory minus the simulation footprint.
 	MemBudget int64
-
-	// Storage supplies ot = om/bw for kernels that only report output
-	// volume; defaults to iosim.SustainedGPFS().
-	Storage *iosim.Target
 
 	// Weights prioritizes analyses by kernel name (others default to 1).
 	Weights map[string]float64
 
-	// ProbeSteps is how many simulation steps the profiling pass advances
-	// per kernel (default 4).
-	ProbeSteps int
 	// Output receives analysis output during execution (default discard).
 	Output io.Writer
 
@@ -126,17 +118,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ThresholdPercent <= 0 {
 		return c, fmt.Errorf("campaign: needs ThresholdPercent > 0")
 	}
-	if c.Machine == nil {
-		c.Machine = machine.Laptop()
-	}
-	if c.Storage == nil {
-		c.Storage = iosim.SustainedGPFS()
-	}
 	if c.MinInterval <= 0 {
 		c.MinInterval = 1
-	}
-	if c.ProbeSteps <= 0 {
-		c.ProbeSteps = 4
 	}
 	return c, nil
 }
@@ -190,13 +173,10 @@ func (c *Campaign) profile() (specs []core.AnalysisSpec, simPerStep float64, err
 	}
 	simPerStep = time.Since(t0).Seconds() / float64(probe)
 
-	// Profile kernels.
+	// Profile kernels: each advances the simulation 4 steps and analyzes
+	// every second one.
 	for _, k := range cfg.Kernels {
-		interval := cfg.ProbeSteps / 2
-		if interval < 1 {
-			interval = 1
-		}
-		costs, err := analysis.Measure(k, cfg.Sim.Step, cfg.ProbeSteps, interval)
+		costs, err := analysis.Measure(k, cfg.Sim.Step, 4, 2)
 		if err != nil {
 			return nil, 0, fmt.Errorf("campaign: profiling %s: %w", k.Name(), err)
 		}
@@ -215,16 +195,18 @@ func (c *Campaign) envelope(simPerStep float64) core.Resources {
 	cfg := c.cfg
 	mem := cfg.MemBudget
 	if mem <= 0 {
-		mem = cfg.Machine.MemPerNode - cfg.Sim.MemoryBytes()
+		mem = machine.Laptop().MemPerNode - cfg.Sim.MemoryBytes()
 		if mem < 1<<20 {
 			mem = 1 << 20
 		}
 	}
+	// The storage bandwidth supplies ot = om/bw for kernels that report only
+	// their output volume.
 	return core.Resources{
 		Steps:         cfg.Steps,
 		TimeThreshold: core.PercentThreshold(simPerStep, cfg.Steps, cfg.ThresholdPercent),
 		MemThreshold:  mem,
-		Bandwidth:     cfg.Storage.BytesPerSec,
+		Bandwidth:     iosim.SustainedGPFS().BytesPerSec,
 	}
 }
 

@@ -32,40 +32,23 @@ type ThresholdSensitivity struct {
 	Name string
 	// CurrentCount is |C_i| at the given threshold.
 	CurrentCount int
-	// NextThreshold is the smallest threshold (within tol) at which the
-	// optimum schedules more than CurrentCount steps of this analysis;
-	// +Inf if even an unconstrained budget does not (e.g. the interval
-	// bound is already tight).
+	// NextThreshold is the smallest threshold (within threshold/1e4) at
+	// which the optimum schedules more than CurrentCount steps of this
+	// analysis; +Inf if even 64 x the threshold does not (e.g. the
+	// interval bound is already tight).
 	NextThreshold float64
 }
 
-// SensitivityOptions tune the bisection.
-type SensitivityOptions struct {
-	// MaxFactor bounds the search to MaxFactor x the current threshold
-	// (default 64).
-	MaxFactor float64
-	// Tol is the absolute threshold tolerance of the bisection (default:
-	// threshold/1e4).
-	Tol float64
-	// Workers bounds how many analyses are probed concurrently (default 1:
-	// serial). Each analysis's bisection is inherently sequential, so the
-	// fan-out is across analyses; results are ordered and valued
-	// identically at any width.
-	Workers int
-}
-
 // AnalyzeThresholdSensitivity computes the per-analysis next-threshold
-// frontier for the given instance.
-func AnalyzeThresholdSensitivity(specs []AnalysisSpec, res Resources, opts SolveOptions, sopts SensitivityOptions) ([]ThresholdSensitivity, error) {
+// frontier for the given instance. It probes up to opts.Workers analyses
+// concurrently (serial at 0 or 1): each analysis's bisection is inherently
+// sequential, so the fan-out is across analyses, and results are ordered
+// and valued identically at any width.
+func AnalyzeThresholdSensitivity(specs []AnalysisSpec, res Resources, opts SolveOptions) ([]ThresholdSensitivity, error) {
 	if res.TimeThreshold <= 0 {
 		return nil, fmt.Errorf("core: sensitivity needs a positive time threshold")
 	}
-	if sopts.MaxFactor == 0 {
-		sopts.MaxFactor = 64
-	}
-	if sopts.Tol == 0 {
-		sopts.Tol = res.TimeThreshold / 1e4
-	}
+	tol := res.TimeThreshold / 1e4
 	base, err := Solve(specs, res, opts)
 	if err != nil {
 		return nil, err
@@ -90,7 +73,7 @@ func AnalyzeThresholdSensitivity(specs []AnalysisSpec, res Resources, opts Solve
 	analyze := func(s AnalysisSchedule) (ThresholdSensitivity, error) {
 		cur := s.Count
 		ts := ThresholdSensitivity{Name: s.Name, CurrentCount: cur}
-		hi := res.TimeThreshold * sopts.MaxFactor
+		hi := res.TimeThreshold * 64
 		cHi, err := countAt(hi, s.Name)
 		if err != nil {
 			return ts, err
@@ -100,7 +83,7 @@ func AnalyzeThresholdSensitivity(specs []AnalysisSpec, res Resources, opts Solve
 			return ts, nil
 		}
 		lo := res.TimeThreshold
-		for hi-lo > sopts.Tol {
+		for hi-lo > tol {
 			mid := (lo + hi) / 2
 			c, err := countAt(mid, s.Name)
 			if err != nil {
@@ -117,10 +100,7 @@ func AnalyzeThresholdSensitivity(specs []AnalysisSpec, res Resources, opts Solve
 	}
 
 	out := make([]ThresholdSensitivity, len(base.Schedules))
-	w := sopts.Workers
-	if w > len(base.Schedules) {
-		w = len(base.Schedules)
-	}
+	w := min(opts.Workers, len(base.Schedules))
 	if w <= 1 {
 		for i, s := range base.Schedules {
 			if out[i], err = analyze(s); err != nil {

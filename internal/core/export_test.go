@@ -48,7 +48,7 @@ func TestThresholdSensitivityA4(t *testing.T) {
 		{Name: "A4", CT: 25.85, OT: 0.05, MinInterval: 100},
 	}
 	res := Resources{Steps: 1000, TimeThreshold: 64.69}
-	out, err := AnalyzeThresholdSensitivity(specs, res, SolveOptions{}, SensitivityOptions{})
+	out, err := AnalyzeThresholdSensitivity(specs, res, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestThresholdSensitivitySaturated(t *testing.T) {
 	// step: the sensitivity must be +Inf.
 	specs := []AnalysisSpec{{Name: "cheap", CT: 0.001, MinInterval: 100}}
 	res := Resources{Steps: 1000, TimeThreshold: 1}
-	out, err := AnalyzeThresholdSensitivity(specs, res, SolveOptions{}, SensitivityOptions{})
+	out, err := AnalyzeThresholdSensitivity(specs, res, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,13 @@ func TestThresholdSensitivityWorkers(t *testing.T) {
 		{Name: "A3", CT: 0.5, OT: 0.5, MinInterval: 3},
 	}
 	res := Resources{Steps: 36, TimeThreshold: 12}
-	serial, err := AnalyzeThresholdSensitivity(specs, res, SolveOptions{}, SensitivityOptions{})
+	serial, err := AnalyzeThresholdSensitivity(specs, res, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	events := 0
-	opts := SolveOptions{Observer: func(milp.NodeEvent) { events++ }}
-	par, err := AnalyzeThresholdSensitivity(specs, res, opts, SensitivityOptions{Workers: 4})
+	opts := SolveOptions{Workers: 4, Observer: func(milp.NodeEvent) { events++ }}
+	par, err := AnalyzeThresholdSensitivity(specs, res, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestThresholdSensitivityWorkers(t *testing.T) {
 		t.Fatal("base solve never reached the observer")
 	}
 	baseOnly := 0
-	if _, err := Solve(specs, res, SolveOptions{Observer: func(milp.NodeEvent) { baseOnly++ }}); err != nil {
+	if _, err := Solve(specs, res, SolveOptions{Workers: 4, Observer: func(milp.NodeEvent) { baseOnly++ }}); err != nil {
 		t.Fatal(err)
 	}
 	if events != baseOnly {
@@ -125,7 +125,7 @@ func TestThresholdSensitivityWorkers(t *testing.T) {
 }
 
 func TestThresholdSensitivityValidation(t *testing.T) {
-	if _, err := AnalyzeThresholdSensitivity(nil, Resources{Steps: 10}, SolveOptions{}, SensitivityOptions{}); err == nil {
+	if _, err := AnalyzeThresholdSensitivity(nil, Resources{Steps: 10}, SolveOptions{}); err == nil {
 		t.Fatal("expected threshold error")
 	}
 }

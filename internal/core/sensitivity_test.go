@@ -15,7 +15,6 @@ func TestThresholdSensitivityEdgeCases(t *testing.T) {
 		name  string
 		specs []AnalysisSpec
 		res   Resources
-		sopts SensitivityOptions
 		// wantCount and wantNext are indexed like the returned entries
 		// (one per analysis, in spec order).
 		wantCount []int
@@ -23,9 +22,9 @@ func TestThresholdSensitivityEdgeCases(t *testing.T) {
 		tol       float64
 	}{
 		{
-			// Even MaxFactor x threshold cannot afford a single step: the
+			// Even 64 x threshold cannot afford a single step: the
 			// bisection must not run at all and report +Inf from the probe.
-			name:      "never affordable within MaxFactor",
+			name:      "never affordable within 64x",
 			specs:     []AnalysisSpec{{Name: "huge", CT: 1000, MinInterval: 500}},
 			res:       Resources{Steps: 1000, TimeThreshold: 1},
 			wantCount: []int{0},
@@ -71,13 +70,19 @@ func TestThresholdSensitivityEdgeCases(t *testing.T) {
 			tol:       0.01,
 		},
 		{
-			// A custom MaxFactor narrows the window below the crossing: the
-			// same instance that crosses at 10 reports +Inf when the search
-			// stops at 5 x threshold.
-			name:      "custom MaxFactor bounds the search",
-			specs:     []AnalysisSpec{{Name: "big", CT: 10, MinInterval: 1000}},
+			// The search window ends at 64 x threshold: a first step costing
+			// 63 is found, one costing 65 reports +Inf.
+			name:      "crossing inside the 64x window",
+			specs:     []AnalysisSpec{{Name: "big", CT: 63, MinInterval: 1000}},
 			res:       Resources{Steps: 1000, TimeThreshold: 1},
-			sopts:     SensitivityOptions{MaxFactor: 5},
+			wantCount: []int{0},
+			wantNext:  []float64{63},
+			tol:       0.01,
+		},
+		{
+			name:      "crossing beyond the 64x window",
+			specs:     []AnalysisSpec{{Name: "big", CT: 65, MinInterval: 1000}},
+			res:       Resources{Steps: 1000, TimeThreshold: 1},
 			wantCount: []int{0},
 			wantNext:  []float64{inf},
 		},
@@ -97,7 +102,7 @@ func TestThresholdSensitivityEdgeCases(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := AnalyzeThresholdSensitivity(tc.specs, tc.res, SolveOptions{}, tc.sopts)
+			out, err := AnalyzeThresholdSensitivity(tc.specs, tc.res, SolveOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +137,7 @@ func TestThresholdSensitivityRejectsNonPositiveThreshold(t *testing.T) {
 	specs := []AnalysisSpec{{Name: "a", CT: 1, MinInterval: 10}}
 	for _, th := range []float64{0, -1} {
 		res := Resources{Steps: 100, TimeThreshold: th}
-		if _, err := AnalyzeThresholdSensitivity(specs, res, SolveOptions{}, SensitivityOptions{}); err == nil {
+		if _, err := AnalyzeThresholdSensitivity(specs, res, SolveOptions{}); err == nil {
 			t.Errorf("threshold %g: expected an error", th)
 		}
 	}

@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"insitu/internal/core"
+	"insitu/internal/sim/md"
+	"insitu/internal/trajectory"
 )
 
 func TestWaterIonsSimTimes(t *testing.T) {
@@ -284,9 +287,18 @@ func TestTable4InSituBeatsPostProcessing(t *testing.T) {
 	}
 	// The read-back volume grows with system size (paper: 23.89 s -> 2413 s
 	// of read time). Two measured wall-clock reads a few ms apart do not
-	// order reliably on a loaded machine, so compare the bytes behind them.
-	if rows[0].readBytes <= 0 || rows[1].readBytes <= rows[0].readBytes {
-		t.Fatalf("bytes read back should grow with atoms: %d vs %d", rows[0].readBytes, rows[1].readBytes)
+	// order reliably on a loaded machine, so compare the bytes behind them:
+	// the frames of a trajectory of each row's atoms, as Table4 writes it.
+	frameBytes := func(atoms int) int64 {
+		w, err := trajectory.NewWriter(filepath.Join(t.TempDir(), "size.traj"), atoms, md.FrameFields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		return w.BytesPerFrame()
+	}
+	if b0, b1 := frameBytes(rows[0].Atoms), frameBytes(rows[1].Atoms); b0 <= 0 || b1 <= b0 {
+		t.Fatalf("bytes read back should grow with atoms: %d vs %d per frame", b0, b1)
 	}
 	if FormatTable4(rows) == "" {
 		t.Fatal("empty formatting")

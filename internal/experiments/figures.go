@@ -244,11 +244,11 @@ func Figure4Kernels(atoms int) ([]Figure4Entry, error) {
 	if err := add(r1, err, rhodoStep); err != nil {
 		return nil, err
 	}
-	r2, err := mdkernels.NewMembraneHist(rhodo, mdkernels.HistConfig{Ranks: 2})
+	r2, err := mdkernels.NewMembraneHist(rhodo, 2)
 	if err := add(r2, err, rhodoStep); err != nil {
 		return nil, err
 	}
-	r3, err := mdkernels.NewProteinHist(rhodo, mdkernels.HistConfig{Ranks: 2})
+	r3, err := mdkernels.NewProteinHist(rhodo, 2)
 	if err := add(r3, err, rhodoStep); err != nil {
 		return nil, err
 	}

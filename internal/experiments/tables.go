@@ -24,7 +24,6 @@ import (
 type Table4Row struct {
 	Atoms       int
 	ReadTime    time.Duration // time to read the trajectory back from disk
-	readBytes   int64         // frame payload read back; grows with Atoms where wall-clock may not
 	PostProcess time.Duration // serial MSD over the frames read back
 	InSitu      time.Duration // in-situ MSD during the simulation
 }
@@ -115,7 +114,6 @@ func table4One(atoms int, cfg Table4Config) (Table4Row, error) {
 			return row, err
 		}
 		frames = append(frames, data)
-		row.readBytes += int64(len(data)) * 4 // float32 payload
 	}
 	r.Close()
 	row.ReadTime = time.Since(t0)

@@ -64,6 +64,18 @@ func (h *harness) output(j int, name string, sec float64) {
 	h.mon.Observe(obs.LedgerEvent{Type: obs.LedgerOutput, Name: name, Step: j, Dur: sec * 1e6})
 }
 
+// predicted returns a stream's current per-event prediction.
+func (h *harness) predicted(stream string) float64 {
+	h.t.Helper()
+	for _, st := range h.mon.Snapshot().Streams {
+		if st.Stream == stream {
+			return st.PredictedSec
+		}
+	}
+	h.t.Fatalf("no stream %q", stream)
+	return 0
+}
+
 // mustRecords asserts the decision reasons recorded so far, in order.
 func (h *harness) mustRecords(reasons ...string) {
 	h.t.Helper()
@@ -189,34 +201,52 @@ func TestHysteresisExhaustedBudgetIsInfeasible(t *testing.T) {
 	}
 }
 
-// Once MaxReplans adoptions have happened, the next trigger produces exactly
+// Once maxReplans adoptions have happened, the next trigger produces exactly
 // one "limit" record and later triggers are dropped silently: the cap is a
 // hard stop, not a recurring warning.
 func TestHysteresisMaxReplansEmitsSingleLimit(t *testing.T) {
-	h := newHarness(t, hSpecs(), hRes(60, 0.12), Config{Cooldown: 5, MaxReplans: 1})
+	h := newHarness(t, hSpecs(), hRes(300, 0.12), Config{Cooldown: 5})
 	for j := 1; j <= 4; j++ {
 		h.step(j, hSimSec)
 	}
 	// A 10x output-bandwidth collapse (clamped to the 4x factor cap) makes
 	// the incumbent's remaining outputs unaffordable, so the first decision
-	// must adopt a re-fit schedule regardless of the improvement gate.
+	// must adopt a re-fit schedule regardless of the improvement gate. The
+	// adoption rebaselines k1's output stream; from then on it alternates
+	// between a 10x recovery, which frees budget the re-solve spends, and
+	// another 10x collapse, and every decision adopts again.
 	h.output(5, "k1", 10*float64(2<<20)/float64(1<<30))
+	want := []string{runmon.ReplanAdopted}
 	if h.rp.Decide(5) == nil {
 		t.Fatalf("first decision did not adopt: %+v", h.rp.Records())
 	}
-	h.mustRecords(runmon.ReplanAdopted)
-
-	h.analysis(20, "k1", 3*0.002) // trigger 2, outside cooldown, over the cap
-	if got := h.rp.Decide(20); got != nil {
-		t.Fatalf("Decide adopted past MaxReplans: %+v", got)
+	for n, step := 1, 15; n < maxReplans; n, step = n+1, step+10 {
+		out := h.predicted(runmon.OutputStream("k1"))
+		if n%2 == 1 { // a speedup alarms on its second observation
+			h.output(step, "k1", out/10)
+			h.output(step+1, "k1", out/10)
+		} else {
+			h.output(step+1, "k1", 10*out)
+		}
+		if h.rp.Decide(step+1) == nil {
+			t.Fatalf("decision %d did not adopt: %+v", n+1, h.rp.Records())
+		}
+		want = append(want, runmon.ReplanAdopted)
 	}
-	h.mustRecords(runmon.ReplanAdopted, runmon.ReplanLimit)
+	h.mustRecords(want...)
 
-	h.analysis(35, "k2", 3*0.001) // trigger 3: dropped without a record
-	if got := h.rp.Decide(35); got != nil {
-		t.Fatalf("Decide adopted past MaxReplans: %+v", got)
+	h.analysis(100, "k1", 3*0.002) // the next trigger, outside cooldown, over the cap
+	if got := h.rp.Decide(100); got != nil {
+		t.Fatalf("Decide adopted past maxReplans: %+v", got)
 	}
-	h.mustRecords(runmon.ReplanAdopted, runmon.ReplanLimit)
+	want = append(want, runmon.ReplanLimit)
+	h.mustRecords(want...)
+
+	h.analysis(115, "k2", 3*0.001) // and the one after: dropped without a record
+	if got := h.rp.Decide(115); got != nil {
+		t.Fatalf("Decide adopted past maxReplans: %+v", got)
+	}
+	h.mustRecords(want...)
 }
 
 // A decision step with no new alert reads nothing of the alert history: after

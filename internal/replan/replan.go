@@ -26,6 +26,14 @@ import (
 	"insitu/internal/runmon"
 )
 
+const (
+	// maxReplans caps adopted replans per run.
+	maxReplans = 8
+	// minFactor and maxFactor clamp the per-stream rescale factors: a
+	// single wild residual cannot push the cost model into nonsense.
+	minFactor, maxFactor = 0.25, 4
+)
+
 // Config tunes a Replanner. The zero value is usable: every field defaults
 // to the value documented on it.
 type Config struct {
@@ -48,13 +56,6 @@ type Config struct {
 	// (default 0.95), absorbing observation noise so adapted schedules do
 	// not land exactly on the threshold.
 	Headroom float64
-	// MaxReplans caps adopted replans per run (default 8).
-	MaxReplans int
-	// MinFactor and MaxFactor clamp the per-stream rescale factors
-	// (defaults 0.25 and 4): a single wild residual cannot push the cost
-	// model into nonsense.
-	MinFactor float64
-	MaxFactor float64
 	// Workers is the branch-and-bound pool width for re-solves (see
 	// core.SolveOptions.Workers). Decisions are identical at any width.
 	Workers int
@@ -79,15 +80,6 @@ func (c Config) withDefaults() Config {
 	if c.Headroom <= 0 || c.Headroom > 1 {
 		c.Headroom = 0.95
 	}
-	if c.MaxReplans <= 0 {
-		c.MaxReplans = 8
-	}
-	if c.MinFactor <= 0 {
-		c.MinFactor = 0.25
-	}
-	if c.MaxFactor <= c.MinFactor {
-		c.MaxFactor = 4
-	}
 	return c
 }
 
@@ -106,7 +98,7 @@ type Replanner struct {
 	pending    *runmon.Alert
 	lastStep   int // step of the last decision (any reason), for cooldown
 	adopted    int
-	limited    bool // the MaxReplans record has been emitted
+	limited    bool // the limit record has been emitted
 	records    []runmon.ReplanRecord
 }
 
@@ -173,7 +165,7 @@ func (r *Replanner) Decide(step int) *core.Recommendation {
 	if r.pending == nil {
 		return nil
 	}
-	if r.adopted >= r.cfg.MaxReplans {
+	if r.adopted >= maxReplans {
 		if !r.limited {
 			r.limited = true
 			r.record(runmon.ReplanRecord{
@@ -314,7 +306,7 @@ func (r *Replanner) emit(e obs.LedgerEvent) {
 }
 
 // factors maps each residual stream to its observed inflation, clamped to
-// [MinFactor, MaxFactor]. The estimate is max(1+EWMA, last/predicted): the
+// [minFactor, maxFactor]. The estimate is max(1+EWMA, last/predicted): the
 // EWMA lags a step change badly right at detection (alpha 0.3 sees only
 // ~50% of a shift after two observations, so a 3x bandwidth collapse would
 // be priced at ~2x and the adopted plan would immediately overrun the
@@ -335,12 +327,7 @@ func (r *Replanner) factors(snap runmon.Snapshot) map[string]float64 {
 				v = last
 			}
 		}
-		if v < r.cfg.MinFactor {
-			v = r.cfg.MinFactor
-		}
-		if v > r.cfg.MaxFactor {
-			v = r.cfg.MaxFactor
-		}
+		v = min(max(v, minFactor), maxFactor)
 		f[st.Stream] = v
 	}
 	return f

@@ -12,27 +12,26 @@ const (
 	AlertBudget = "budget" // projected total analysis time exceeds the budget
 )
 
-// Config tunes a Monitor. The zero value is usable: every field defaults to
-// the values documented on it.
+// Detector settings, the same for every stream.
+const (
+	// ewmaAlpha is the EWMA smoothing weight.
+	ewmaAlpha = 0.3
+	// cusumSlack is the CUSUM per-observation allowance k in relative-error
+	// units: residuals within ±25% of the prediction never accumulate
+	// toward an alarm.
+	cusumSlack = 0.25
+	// cusumThreshold is the CUSUM alarm level h: a sustained 1.5× step-time
+	// inflation (relative error 0.5) alarms after ceil(1.0/0.25) = 4
+	// observations.
+	cusumThreshold = 1.0
+	// calibration is how many observations seed the baseline of a stream
+	// the profile does not predict. During calibration no residuals are
+	// scored for that stream.
+	calibration = 5
+)
+
+// Config wires a Monitor to its sinks. The zero value is usable.
 type Config struct {
-	// Alpha is the EWMA smoothing weight (default 0.3).
-	Alpha float64
-	// Slack is the CUSUM per-observation allowance k in relative-error
-	// units (default 0.25): residuals within ±25% of the prediction never
-	// accumulate toward an alarm.
-	Slack float64
-	// Threshold is the CUSUM alarm level h (default 1.0). With the default
-	// slack, a sustained 1.5× step-time inflation (relative error 0.5)
-	// alarms after ceil(1.0/0.25) = 4 observations.
-	Threshold float64
-	// Calibration is how many observations seed the baseline of a stream
-	// the profile does not predict (default 5). During calibration no
-	// residuals are scored for that stream.
-	Calibration int
-	// BudgetGuard scales the budget alert level: the alert fires when the
-	// projected total analysis time exceeds ThresholdSec×BudgetGuard
-	// (default 1.0).
-	BudgetGuard float64
 	// Ledger, when non-nil, receives every alert as an "alert" event, so
 	// alerts land in the same JSONL stream as the run they describe.
 	Ledger *obs.EventLog
@@ -40,25 +39,6 @@ type Config struct {
 	// runmon_ewma_rel_err / runmon_cusum_pos / runmon_cusum_neg gauges, a
 	// runmon_alerts_total counter, and the budget projection gauges.
 	Metrics *obs.Registry
-}
-
-func (c Config) withDefaults() Config {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.Slack <= 0 {
-		c.Slack = 0.25
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 1.0
-	}
-	if c.Calibration <= 0 {
-		c.Calibration = 5
-	}
-	if c.BudgetGuard <= 0 {
-		c.BudgetGuard = 1.0
-	}
-	return c
 }
 
 // Alert is one emitted drift or budget alert, the ledger record
@@ -131,11 +111,11 @@ type Monitor struct {
 }
 
 // NewMonitor builds a monitor. profile may be nil: every stream then
-// self-calibrates from its first Config.Calibration observations, which is
+// self-calibrates from its first calibration observations, which is
 // how runmon scores ledgers from runs that never wrote plan events.
 func NewMonitor(profile *Profile, cfg Config) *Monitor {
 	m := &Monitor{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		streams: map[string]*streamState{},
 		kernels: map[string]*kernelStreams{},
 	}
@@ -271,7 +251,7 @@ func (m *Monitor) rebaseline(name string) {
 	st.predicted = pred
 	st.calSum, st.calN = 0, 0
 	st.scoredObs, st.scoredPred = 0, 0
-	st.ewma = EWMA{Alpha: m.cfg.Alpha}
+	st.ewma = EWMA{Alpha: ewmaAlpha}
 	st.cusum.Reset()
 	st.alerted = false
 	st.mEWMA.Set(0)
@@ -285,8 +265,8 @@ func (m *Monitor) stream(name string) *streamState {
 	if !ok {
 		st = &streamState{
 			name:  name,
-			ewma:  EWMA{Alpha: m.cfg.Alpha},
-			cusum: CUSUM{Slack: m.cfg.Slack, Threshold: m.cfg.Threshold},
+			ewma:  EWMA{Alpha: ewmaAlpha},
+			cusum: CUSUM{Slack: cusumSlack, Threshold: cusumThreshold},
 		}
 		if m.profile != nil {
 			st.predicted = m.profile.Streams[name]
@@ -311,11 +291,11 @@ func (m *Monitor) observe(st *streamState, step int, sec float64) {
 	st.lastSec = sec
 
 	if st.predicted <= 0 {
-		// Self-calibration: the first Calibration observations set the
+		// Self-calibration: the first calibration observations set the
 		// baseline; no residuals are scored until it is in place.
 		st.calSum += sec
 		st.calN++
-		if st.calN >= m.cfg.Calibration {
+		if st.calN >= calibration {
 			st.predicted = st.calSum / float64(st.calN)
 		}
 		return
@@ -374,7 +354,7 @@ func (m *Monitor) projectBudget(step int) {
 	m.projected = m.analysisSec + remaining*inflation
 	m.mProjected.Set(m.projected)
 
-	if !m.budgetHit && m.projected > p.ThresholdSec*m.cfg.BudgetGuard {
+	if !m.budgetHit && m.projected > p.ThresholdSec {
 		m.budgetHit = true
 		m.raise(Alert{
 			Kind: AlertBudget, Stream: "budget", Step: step,

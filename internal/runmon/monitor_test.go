@@ -151,9 +151,9 @@ func TestProjectionSumsInStreamOrder(t *testing.T) {
 }
 
 func TestMonitorSelfCalibration(t *testing.T) {
-	// No profile at all: the first Calibration observations seed the
+	// No profile at all: the first calibration observations seed the
 	// baseline, then drift past it is detected.
-	m := NewMonitor(nil, Config{Calibration: 5})
+	m := NewMonitor(nil, Config{})
 	for step := 1; step <= 30; step++ {
 		sec := 0.010
 		if step >= 20 {
@@ -310,7 +310,7 @@ func TestProfileFromPlanAndEventsRoundTrip(t *testing.T) {
 // pre-plan observations in the calibration sum, so the eventual baseline
 // double-counted them and the plan prediction was never adopted.
 func TestPlanEventRebaselinesCalibratingStream(t *testing.T) {
-	m := NewMonitor(nil, Config{Calibration: 5})
+	m := NewMonitor(nil, Config{})
 	// Three slow observations land before the plan (calibration still open).
 	for step := 1; step <= 3; step++ {
 		m.Observe(analysisEvent(step, "rdf", 0.050))

@@ -63,6 +63,9 @@ const maxRememberedBody = 16 << 10
 // the cost grows as (Steps/MinInterval)^1.5 from there.
 const maxModelColumns = 200_000
 
+// recentRequests caps the in-memory request registry behind /v1/requests.
+const recentRequests = 64
+
 // Error taxonomy: every failed request is classified with one of these
 // kinds, reported in the response error object and counted on
 // schedd_errors_total{kind=...}.
@@ -88,9 +91,6 @@ type Config struct {
 	QueueTimeout time.Duration
 	// CacheEntries caps the LRU solution cache (default 128 scenarios).
 	CacheEntries int
-	// RecentRequests caps the in-memory request registry behind
-	// /v1/requests (default 64).
-	RecentRequests int
 	// Registry receives the RED and cache metrics (default: a fresh one).
 	Registry *obs.Registry
 	// Ledger, when non-nil, receives the reqlog access ledger: per request
@@ -110,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 128
-	}
-	if c.RecentRequests <= 0 {
-		c.RecentRequests = 64
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -773,7 +770,7 @@ func (s *Server) finish(start time.Time, rec *reqRecord, val *solved, ejson *Err
 
 	s.mu.Lock()
 	s.recent = append(s.recent, rec)
-	if over := len(s.recent) - s.cfg.RecentRequests; over > 0 {
+	if over := len(s.recent) - recentRequests; over > 0 {
 		s.recent = append(s.recent[:0], s.recent[over:]...)
 	}
 	s.mu.Unlock()

@@ -50,36 +50,20 @@ type Grid struct {
 	Blocks        []*Block
 }
 
-// Config controls grid construction.
+// Config controls grid construction. The domain is the unit cube, the gas
+// is ideal with a ratio of specific heats of 1.4, and the Courant number
+// is 0.4.
 type Config struct {
-	BlocksX, BlocksY, BlocksZ int     // block lattice (default 4x4x4)
-	NB                        int     // cells per block side (default 8; FLASH uses 16)
-	Gamma                     float64 // ratio of specific heats (default 1.4)
-	CFL                       float64 // Courant number (default 0.4)
-	BoxSize                   float64 // physical domain edge (default 1.0)
+	BlocksX int // block lattice BlocksX³ (default 4)
+	NB      int // cells per block side (default 8; FLASH uses 16)
 }
 
 func (c Config) withDefaults() Config {
 	if c.BlocksX == 0 {
 		c.BlocksX = 4
 	}
-	if c.BlocksY == 0 {
-		c.BlocksY = c.BlocksX
-	}
-	if c.BlocksZ == 0 {
-		c.BlocksZ = c.BlocksX
-	}
 	if c.NB == 0 {
 		c.NB = 8
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 1.4
-	}
-	if c.CFL == 0 {
-		c.CFL = 0.4
-	}
-	if c.BoxSize == 0 {
-		c.BoxSize = 1.0
 	}
 	return c
 }
@@ -90,15 +74,15 @@ func NewGrid(cfg Config) (*Grid, error) {
 	if cfg.NB < 4 {
 		return nil, fmt.Errorf("amr: blocks need at least 4 cells per side, got %d", cfg.NB)
 	}
-	if cfg.BlocksX < 1 || cfg.BlocksY < 1 || cfg.BlocksZ < 1 {
-		return nil, fmt.Errorf("amr: invalid block lattice %dx%dx%d", cfg.BlocksX, cfg.BlocksY, cfg.BlocksZ)
+	if cfg.BlocksX < 1 {
+		return nil, fmt.Errorf("amr: invalid block lattice %d³", cfg.BlocksX)
 	}
 	g := &Grid{
-		NBX: cfg.BlocksX, NBY: cfg.BlocksY, NBZ: cfg.BlocksZ,
+		NBX: cfg.BlocksX, NBY: cfg.BlocksX, NBZ: cfg.BlocksX,
 		NB:    cfg.NB,
-		Dx:    cfg.BoxSize / float64(cfg.BlocksX*cfg.NB),
-		Gamma: cfg.Gamma,
-		CFL:   cfg.CFL,
+		Dx:    1.0 / float64(cfg.BlocksX*cfg.NB),
+		Gamma: 1.4,
+		CFL:   0.4,
 	}
 	n := g.NBX * g.NBY * g.NBZ
 	g.Blocks = make([]*Block, n)

@@ -2,6 +2,7 @@ package md
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -146,7 +147,7 @@ func TestForceDeterminism(t *testing.T) {
 
 func TestTwoParticleForceAnalytic(t *testing.T) {
 	// Two water particles at distance r: F = 24 eps (2 (s/r)^12 - (s/r)^6)/r.
-	s := newSystem(Config{NAtoms: 2, Density: 0.001, Temp: 1, Cutoff: 2.5}.withDefaults())
+	s := newSystem(2, 0.001)
 	s.Type[0], s.Type[1] = Water, Water
 	r := 1.2
 	s.Pos[0] = Vec3{5, 5, 5}
@@ -169,7 +170,7 @@ func TestTwoParticleForceAnalytic(t *testing.T) {
 }
 
 func TestCutoffRespected(t *testing.T) {
-	s := newSystem(Config{NAtoms: 2, Density: 0.0001, Temp: 1, Cutoff: 2.5}.withDefaults())
+	s := newSystem(2, 0.0001)
 	s.Type[0], s.Type[1] = Water, Water
 	s.Pos[0] = Vec3{1, 1, 1}
 	s.Pos[1] = Vec3{1 + 2.6, 1, 1} // beyond cutoff
@@ -183,7 +184,7 @@ func TestCutoffRespected(t *testing.T) {
 }
 
 func TestMinImage(t *testing.T) {
-	s := newSystem(Config{NAtoms: 1, Density: 0.7, Temp: 1, Cutoff: 2.5}.withDefaults())
+	s := newSystem(1, density)
 	l := s.Box[0]
 	d := s.MinImage(Vec3{0.1, 0, 0}, Vec3{l - 0.1, 0, 0})
 	if math.Abs(d[0]-0.2) > 1e-12 {
@@ -192,7 +193,7 @@ func TestMinImage(t *testing.T) {
 }
 
 func TestUnwrappedTracksCrossings(t *testing.T) {
-	s := newSystem(Config{NAtoms: 1, Density: 0.7, Temp: 1, Cutoff: 2.5}.withDefaults())
+	s := newSystem(1, density)
 	s.Type[0] = Water
 	s.Pos[0] = Vec3{s.Box[0] - 0.05, 0.5, 0.5}
 	start := s.Unwrapped(0)
@@ -315,11 +316,13 @@ func TestRenderSliceFigure3Layout(t *testing.T) {
 }
 
 func TestPressureIdealGasLimit(t *testing.T) {
-	// At very low density the LJ gas approaches ideal: P ~ rho*T.
-	s, err := NewWaterIons(Config{NAtoms: 512, Density: 0.01, Temp: 1.2, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// At very low density the LJ gas approaches ideal: P ~ rho*T. A water
+	// box at density 0.01 and temperature 1.2.
+	s := newSystem(512, 0.01)
+	rng := rand.New(rand.NewSource(2))
+	s.latticePositions(rng)
+	s.maxwellVelocities(rng, 1.2)
+	s.ComputeForces()
 	p := s.Pressure()
 	rho := float64(s.N) / (s.Box[0] * s.Box[1] * s.Box[2])
 	ideal := rho * s.Temperature()
@@ -330,7 +333,7 @@ func TestPressureIdealGasLimit(t *testing.T) {
 
 func TestVirialCountsPairsOnce(t *testing.T) {
 	// Two particles: W = f*r exactly.
-	s := newSystem(Config{NAtoms: 2, Density: 0.001, Temp: 1, Cutoff: 2.5}.withDefaults())
+	s := newSystem(2, 0.001)
 	s.Type[0], s.Type[1] = Water, Water
 	r := 1.3
 	s.Pos[0] = Vec3{5, 5, 5}

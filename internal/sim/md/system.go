@@ -119,33 +119,24 @@ type System struct {
 	sigma2 [numSpecies][numSpecies]float64
 }
 
-// Config controls system construction.
+// Config controls system construction. Every system starts at reduced
+// number density 0.7 and reduced temperature 1.0, with an interaction
+// cutoff of 2.5.
 type Config struct {
-	NAtoms  int
-	Density float64 // reduced number density; default 0.7
-	Temp    float64 // initial reduced temperature; default 1.0
-	Cutoff  float64 // default 2.5
-	Seed    int64
+	NAtoms int
+	Seed   int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Density == 0 {
-		c.Density = 0.7
-	}
-	if c.Temp == 0 {
-		c.Temp = 1.0
-	}
-	if c.Cutoff == 0 {
-		c.Cutoff = 2.5
-	}
-	return c
-}
+// Reduced number density and initial reduced temperature of a new system.
+const (
+	density  = 0.7
+	initTemp = 1.0
+)
 
-// newSystem allocates a system of n atoms in a cubic box at the configured
-// density, positions unset.
-func newSystem(cfg Config) *System {
-	n := cfg.NAtoms
-	l := math.Cbrt(float64(n) / cfg.Density)
+// newSystem allocates a system of n atoms in a cubic box at reduced number
+// density rho, positions unset.
+func newSystem(n int, rho float64) *System {
+	l := math.Cbrt(float64(n) / rho)
 	s := &System{
 		Box:    Vec3{l, l, l},
 		N:      n,
@@ -155,7 +146,7 @@ func newSystem(cfg Config) *System {
 		Type:   make([]Species, n),
 		Image:  make([][3]int32, n),
 		Params: defaultParams,
-		Cutoff: cfg.Cutoff,
+		Cutoff: 2.5,
 	}
 	s.buildMixingTables()
 	return s
@@ -176,11 +167,10 @@ func (s *System) buildMixingTables() {
 // solvating hydronium and two ion species. Roughly 1% of particles are
 // hydronium and 0.5% each cations and anions, the rest water.
 func NewWaterIons(cfg Config) (*System, error) {
-	cfg = cfg.withDefaults()
 	if cfg.NAtoms < 64 {
 		return nil, fmt.Errorf("md: water+ions needs at least 64 atoms, got %d", cfg.NAtoms)
 	}
-	s := newSystem(cfg)
+	s := newSystem(cfg.NAtoms, density)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nHyd := max(1, cfg.NAtoms/100)
 	nCat := max(1, cfg.NAtoms/200)
@@ -202,7 +192,7 @@ func NewWaterIons(cfg Config) (*System, error) {
 	assign(Anion, nAni)
 
 	s.latticePositions(rng)
-	s.maxwellVelocities(rng, cfg.Temp)
+	s.maxwellVelocities(rng, initTemp)
 	s.ComputeForces()
 	return s, nil
 }
@@ -211,11 +201,10 @@ func NewWaterIons(cfg Config) (*System, error) {
 // Figure-3 snapshot: a compact protein sphere at the box center, a membrane
 // slab spanning the mid-plane, water above and below, and scattered ions.
 func NewRhodopsin(cfg Config) (*System, error) {
-	cfg = cfg.withDefaults()
 	if cfg.NAtoms < 256 {
 		return nil, fmt.Errorf("md: rhodopsin needs at least 256 atoms, got %d", cfg.NAtoms)
 	}
-	s := newSystem(cfg)
+	s := newSystem(cfg.NAtoms, density)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s.latticePositions(rng)
 
@@ -247,7 +236,7 @@ func NewRhodopsin(cfg Config) (*System, error) {
 			}
 		}
 	}
-	s.maxwellVelocities(rng, cfg.Temp)
+	s.maxwellVelocities(rng, initTemp)
 	s.ComputeForces()
 	return s, nil
 }

@@ -14,5 +14,5 @@ func main() {
 	l.Set(0, 1, 2)
 	var c lib.Counter
 	out, _ := json.Marshal(lib.Snapshot())
-	fmt.Println(lib.Plan(lib.Config{Steps: 3}), l.At(0, 1), c.Inc(), lib.Stages()["a"][0].Name, string(out), lib.Scan([]int{1, 2}))
+	fmt.Println(lib.Plan(lib.Config{Steps: 3, Width: 2, Shape: lib.Shape{}}), l.At(0, 1), c.Inc(), lib.Stages()["a"][0].Name, string(out), lib.Scan([]int{1, 2}))
 }

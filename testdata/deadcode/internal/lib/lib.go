@@ -1,7 +1,7 @@
 // Package lib is the reachability walk's fixture: cmd/app reaches all of it
 // but Sim.Run, and Spare only as an allowlisted root. Of the fields (see
-// fields.go), Config's Unset, Log and Note are dead; the rest are live only
-// through the shapes the field rules must see.
+// fields.go), Config's Unset, Log, Note and Retries and Counter's total are
+// dead; the rest are live only through the shapes the field rules must see.
 package lib
 
 type Runner struct{}
