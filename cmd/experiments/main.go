@@ -194,7 +194,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return err
 		}
 		fmt.Fprintln(stdout, experiments.FormatMemorySweep(rows))
-		v, err := experiments.ValidateCoupling(0, 0, 0)
+		v, err := experiments.ValidateCoupling()
 		if err != nil {
 			return fmt.Errorf("coupling validation: %w", err)
 		}

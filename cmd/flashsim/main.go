@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	add(amrkernels.NewL1Norm(grid, *ranks))
 	add(amrkernels.NewL2Norm(grid, *ranks))
 	add(amrkernels.NewShockTracker(grid, *ranks))
-	add(amrkernels.NewRadialProfile(grid, 32, *ranks))
+	add(amrkernels.NewRadialProfile(grid, *ranks))
 	if err != nil {
 		return fail(err)
 	}
@@ -164,11 +164,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := sinks.Close(stdout); err != nil {
 		return fail(err)
 	}
-	ref := amr.NewSedovReference(grid.Gamma)
 	fmt.Fprintf(stdout, "shock radius after %d steps: %.4f (Sedov-Taylor %.4f at t=%.4f)\n",
-		grid.StepCount, grid.ShockRadius(), ref.ShockRadius(grid.Time), grid.Time)
+		grid.StepCount, grid.ShockRadius(), amr.SedovShockRadius(grid.Time), grid.Time)
 	if *render {
-		fmt.Fprintln(stdout, grid.RenderSlice(64, 28))
+		fmt.Fprintln(stdout, grid.RenderSlice())
 	}
 	return 0
 }

@@ -177,7 +177,7 @@ func TestRunMonitorFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range srun.Events(7) {
+	for _, e := range srun.Events() {
 		led.Append(e)
 	}
 	if err := led.Close(); err != nil {

@@ -74,7 +74,7 @@ func buildSystem(system string, atoms, ranks int) (*md.System, []analysis.Kernel
 		add(mdkernels.NewVACF(sys, ranks))
 		add(mdkernels.NewMSD(sys, ranks))
 		add(mdkernels.NewStats(sys, ranks))
-		add(mdkernels.NewSpeedHistogram(sys, 64, 4, ranks))
+		add(mdkernels.NewSpeedHistogram(sys, ranks))
 	case "rhodopsin":
 		if sys, err = md.NewRhodopsin(cfg); err != nil {
 			return nil, nil, err
@@ -139,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if *render {
-		fmt.Fprint(stdout, sys.RenderSlice(72, 28, sys.Box[1]/4))
+		fmt.Fprint(stdout, sys.RenderSlice(sys.Box[1]/4))
 	}
 	if err := sinks.Open(); err != nil {
 		return fail(err)

@@ -20,14 +20,14 @@ import (
 
 // writeSynthLedger writes a deterministic perturbed run's ledger to a temp
 // file and returns its path.
-func writeSynthLedger(t *testing.T, srun runmon.SynthRun, seed int64) string {
+func writeSynthLedger(t *testing.T, srun runmon.SynthRun) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	led, err := obs.OpenEventLog(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range srun.Events(seed) {
+	for _, e := range srun.Events() {
 		led.Append(e)
 	}
 	if err := led.Close(); err != nil {
@@ -48,7 +48,7 @@ func driftRun() runmon.SynthRun {
 }
 
 func TestCmdReport(t *testing.T) {
-	path := writeSynthLedger(t, driftRun(), 11)
+	path := writeSynthLedger(t, driftRun())
 	var stdout, stderr bytes.Buffer
 	htmlPath := filepath.Join(t.TempDir(), "drift.html")
 	code := run(context.Background(), []string{"report", "-ledger", path, "-html", htmlPath}, &stdout, &stderr)
@@ -71,7 +71,7 @@ func TestCmdReport(t *testing.T) {
 }
 
 func TestCmdReportJSON(t *testing.T) {
-	path := writeSynthLedger(t, driftRun(), 11)
+	path := writeSynthLedger(t, driftRun())
 	var stdout, stderr bytes.Buffer
 	if code := run(context.Background(), []string{"report", "-json", "-ledger", path}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
@@ -88,7 +88,7 @@ func TestCmdReportJSON(t *testing.T) {
 func TestCmdTailOnComplete(t *testing.T) {
 	// Tailing an already-complete ledger drains it in one poll and exits 0
 	// when it sees run_end.
-	path := writeSynthLedger(t, driftRun(), 11)
+	path := writeSynthLedger(t, driftRun())
 	var stdout, stderr bytes.Buffer
 	if code := run(context.Background(), []string{"tail", "-ledger", path}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
@@ -314,7 +314,7 @@ func TestCmdCheckEveryReplan(t *testing.T) {
 // the context and requires a clean exit — the serve-side satellite of the
 // graceful-shutdown requirement.
 func TestServeLedgerLiveAndGracefulShutdown(t *testing.T) {
-	path := writeSynthLedger(t, driftRun(), 11)
+	path := writeSynthLedger(t, driftRun())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -150,7 +150,7 @@ func serve(ctx context.Context, ln net.Listener, cfg schedd.Config, stdout, stde
 	s := schedd.New(cfg)
 	go func() {
 		<-ctx.Done()
-		s.SetReady(false)
+		s.Drain()
 	}()
 	fmt.Fprintf(stdout, "schedd: serving http://%s/v1/solve (also /v1/requests, /metrics, /healthz, /readyz)\n", ln.Addr())
 	if err := obs.ServeUntil(ctx, ln, s.Handler()); err != nil {
@@ -210,7 +210,7 @@ func cmdOnce(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	doc, err := schedd.AppendResponse(nil, resp)
+	doc, err := schedd.EncodeResponse(resp)
 	if err == nil {
 		_, err = stdout.Write(doc)
 	}

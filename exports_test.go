@@ -3,6 +3,7 @@ package insitu
 import (
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -17,10 +18,13 @@ import (
 )
 
 // testOnlyAllowed names the top-level declarations under internal/ that may
-// stay although no program reaches them, and the struct fields that may stay
-// although no program sets or reads them, each with the reason it stays. A
-// key is "dir.Name", "dir.Type.Method" or "dir.Type.Field", with dir relative
-// to the module root; a key ending in ".*" covers a whole package.
+// stay although no program reaches them, the struct fields that may stay
+// although no program sets or reads them or every program write is one
+// constant, and the parameters that may stay although every call passes one
+// constant, each with the reason it stays. A key is "dir.Name",
+// "dir.Type.Method", "dir.Type.Field", "dir.Func(param)" or
+// "dir.Type.Method(param)", with dir relative to the module root; a key
+// ending in ".*" covers a whole package.
 var testOnlyAllowed = map[string]string{
 	"internal/solvercheck.*":  "differential oracles and fuzz harness for lp, milp and core",
 	"internal/obs/jsontest.*": "encoder-equivalence harness for the hand-written JSON encoders",
@@ -55,17 +59,17 @@ var testOnlyAllowed = map[string]string{
 	"internal/replan.Scenario.ThresholdSec": "zero-valued key the replan_runs golden pins; goes at the next golden regeneration",
 	"internal/replan.Scenario.MinImprove":   "zero-valued key the replan_runs golden pins; goes at the next golden regeneration",
 
-	"internal/sim/amr.Grid.Run":                         "stepping loop the hydro tests drive",
-	"internal/sim/amr.Grid.MemoryBytes":                 "grid memory estimate the AMR and campaign tests read",
-	"internal/sim/amr.Grid.TotalMass":                   "conservation check the hydro tests read",
-	"internal/sim/amr.Grid.TotalEnergy":                 "conservation check the hydro tests read",
-	"internal/sim/amr.SedovReference.PostShockDensity":  "Sedov reference check the hydro tests read",
-	"internal/sim/amr.SedovReference.PostShockPressure": "Sedov reference check the hydro tests read",
-	"internal/sim/md.System.Run":                        "stepping loop the MD tests drive",
-	"internal/sim/md.System.TotalEnergy":                "conservation check the MD tests read",
-	"internal/sim/md.System.Momentum":                   "conservation check the MD tests read",
-	"internal/sim/md.System.Rescale":                    "thermostat step the MD tests drive",
-	"internal/sim/md.System.CountType":                  "composition check the MD tests read",
+	"internal/sim/amr.Grid.Run":               "stepping loop the hydro tests drive",
+	"internal/sim/amr.Grid.MemoryBytes":       "grid memory estimate the AMR and campaign tests read",
+	"internal/sim/amr.Grid.TotalMass":         "conservation check the hydro tests read",
+	"internal/sim/amr.Grid.TotalEnergy":       "conservation check the hydro tests read",
+	"internal/sim/amr.SedovPostShockDensity":  "Sedov reference check the hydro tests read",
+	"internal/sim/amr.SedovPostShockPressure": "Sedov reference check the hydro tests read",
+	"internal/sim/md.System.Run":              "stepping loop the MD tests drive",
+	"internal/sim/md.System.TotalEnergy":      "conservation check the MD tests read",
+	"internal/sim/md.System.Momentum":         "conservation check the MD tests read",
+	"internal/sim/md.System.Rescale":          "thermostat step the MD tests drive",
+	"internal/sim/md.System.CountType":        "composition check the MD tests read",
 
 	"internal/trajectory.Reader.NumAtoms":      "header accessor the reader tests read",
 	"internal/trajectory.Reader.Fields":        "header accessor the reader tests read",
@@ -87,6 +91,29 @@ var testOnlyAllowed = map[string]string{
 	"internal/analysis/mdkernels.SpeedHistogram.Distribution": "kernel result accessor its tests read",
 	"internal/analysis/mdkernels.Stats.Series":                "kernel result accessor its tests read",
 	"internal/analysis/mdkernels.VACF.Series":                 "kernel result accessor its tests read",
+
+	"internal/obs.NewFlightRecorder(capacity)": "benchmark/ calls it, and the harness changes only with its baselines",
+	"internal/obs.EventLog.Event(typ)":         "benchmark/ calls it, and the harness changes only with its baselines",
+	"internal/obs.EventLog.Event(name)":        "benchmark/ calls it, and the harness changes only with its baselines",
+	"internal/obs.EventLog.Event(dur)":         "benchmark/ calls it, and the harness changes only with its baselines",
+	"internal/obs.Span.Arg(key)":               "trace vocabulary the caller owns",
+	"internal/obs.Tracer.Instant(cat)":         "trace vocabulary the caller owns",
+	"internal/obs.Tracer.SetProcessName(name)": "trace vocabulary the caller owns",
+	"internal/obs.Tracer.SetTrackName(track)":  "trace vocabulary the caller owns",
+	"internal/obs.flightJSON.Schema":           "wire key of the flight document",
+
+	"internal/iosim.BurstBuffer.SustainedOutputTime(bytes)":    "Table 7's output cadence, which experiments owns",
+	"internal/iosim.BurstBuffer.SustainedOutputTime(count)":    "Table 7's output cadence, which experiments owns",
+	"internal/iosim.BurstBuffer.SustainedOutputTime(interval)": "Table 7's output cadence, which experiments owns",
+	"internal/core.EstimateColumns(limit)":                     "schedd's admission limit",
+	"internal/lp.Problem.FirstViolation(tol)":                  "diagnostic tolerance the solver tests tighten to 1e-7 and 1e-9; programs check at RowTol",
+
+	"internal/core.PlacementResources.NetBandwidth":  "problem input a caller describes",
+	"internal/core.PlacementResources.StageMemTotal": "problem input a caller describes",
+	"internal/machine.Machine.MemPerNode":            "problem input a caller describes",
+	"internal/moldable.Config.MemThreshold":          "problem input a caller describes",
+	"internal/moldable.Config.Steps":                 "problem input a caller describes",
+	"internal/moldable.Config.ThresholdPct":          "problem input a caller describes",
 }
 
 // implicitMethods are method names the standard library calls through an
@@ -101,8 +128,12 @@ var implicitMethods = map[string]bool{
 
 // TestNoTestOnlyExports fails when a top-level declaration under internal/ —
 // function, method, type, var or const, exported or not — is reached by no
-// program and is not in testOnlyAllowed. Code that only its own tests reach
-// is code to delete, not to keep. See unreachable for what "reached" means.
+// program, when a field of a reached struct is never set or never read, when
+// every program write of a field stores one constant, or when every call of a
+// function passes one parameter the same constant, unless testOnlyAllowed
+// names it. Code that only its own tests reach is code to delete, and a value
+// that only tests vary is a constant. See unreachable for what "reached"
+// means, and visit for what sets, reads and writes a field.
 func TestNoTestOnlyExports(t *testing.T) {
 	problems, err := unreachable(".", testOnlyAllowed)
 	if err != nil {
@@ -115,15 +146,22 @@ func TestNoTestOnlyExports(t *testing.T) {
 
 // TestReachabilityFixture runs the same walk over testdata/deadcode, a small
 // module whose one dead method shares its name with a live one, and whose
-// other declarations are reached only through an interface, a generic
-// instance or an allowlisted root. Of its fields, one is never set, one is
-// never set although its pointer methods are called, one is set only by its
+// other declarations are reached, from two programs, only through an
+// interface, a generic instance or an allowlisted root. Of its fields, one is
+// never set, one is never set although its pointer methods are called, one
+// is set only by its
 // type's withDefaults, one is only written and one is only added to; the
 // others are set by a program as well as by withDefaults, set only by
 // another type's withDefaults, set only through nested index expressions, a
 // zero-value mutex's Lock, elided composite literals or a range, or read
-// only by reflection through an interface. Only the dead method and the five
-// dead fields may be reported.
+// only by reflection through an interface. Of its values, one parameter gets
+// the same constant at its one call and one field the same constant from
+// every literal of two programs; a parameter the two programs pass different
+// constants, a field of a type cmd/tool declares zero, a field of a type
+// new([4]Slot) makes zero, a method an interface reaches too and a function
+// called as a value each hold one constant at every place the rules look
+// but are not. Only the dead method, the five dead fields, the one parameter
+// and the one field may be reported.
 func TestReachabilityFixture(t *testing.T) {
 	problems, err := unreachable("testdata/deadcode", map[string]string{
 		"internal/lib.Spare": "kept to show an allowlisted root reaches its callees",
@@ -138,6 +176,8 @@ func TestReachabilityFixture(t *testing.T) {
 		"internal/lib.Config.Retries: no program sets it" + fix,
 		"internal/lib.Config.Unset: no program sets it" + fix,
 		"internal/lib.Counter.total: no program reads it" + fix,
+		"internal/lib.Grid.Side: every program write is int 4; fold it into a constant at its use, or allow it in testOnlyAllowed with a reason",
+		"internal/lib.Scale(factor): every call passes int 10; fold it into a constant at its use, or allow it in testOnlyAllowed with a reason",
 		"internal/lib.Sim.Run: no program reaches it; delete it with its tests, or allow it in testOnlyAllowed with a reason",
 	}
 	if !reflect.DeepEqual(problems, want) {
@@ -155,6 +195,15 @@ func TestReachabilityFixture(t *testing.T) {
 // internal/ left unreached once the allowed keys have been walked as further
 // roots, and one per allowed key that matches no declaration the programs
 // leave unreached.
+//
+// It also returns one line per field of a reached struct under internal/
+// that programs never set or never read, or whose every write stores one
+// constant (see oneWrite), and one per parameter of a reached function or
+// method under internal/ that every static call from reached syntax passes
+// the same constant (go/types' exact value; nil counts). A variadic
+// parameter is not checked, nor a function reached other than by a static
+// call (a function value, a method value or expression), nor a method that
+// callers the module does not show may reach (see viaInterface).
 func unreachable(root string, allowed map[string]string) ([]string, error) {
 	m, err := loadModule(root)
 	if err != nil {
@@ -163,6 +212,8 @@ func unreachable(root string, allowed map[string]string) ([]string, error) {
 	w := &walker{
 		module: m, reached: map[types.Object]bool{}, ifaces: map[*types.Interface]bool{},
 		set: map[*types.Var]bool{}, read: map[*types.Var]bool{}, target: map[*ast.SelectorExpr]bool{},
+		args: map[*types.Var]map[value]bool{}, called: map[*ast.Ident]bool{}, valued: map[*types.Func]bool{},
+		writes: map[*types.Var]map[value]bool{}, defaults: map[*types.Var]map[value]bool{},
 	}
 	for _, n := range m.roots {
 		w.visit(n)
@@ -196,30 +247,61 @@ func unreachable(root string, allowed map[string]string) ([]string, error) {
 			problems = append(problems, d.key+": no program reaches it; delete it with its tests, or allow it in testOnlyAllowed with a reason")
 		}
 	}
-	for f, d := range m.fields {
-		if !byPrograms[d.owner] || !strings.HasPrefix(d.dir, "internal/") {
-			continue
-		}
-		why := "no program sets it"
-		if w.set[f] {
-			if w.read[f] {
-				continue
-			}
-			why = "no program reads it"
-		}
+	// report adds a problem unless key or its package is allowed.
+	report := func(dir, key, why, fix string) {
 		allow := false
-		for _, k := range []string{d.key, d.dir + ".*"} {
+		for _, k := range []string{key, dir + ".*"} {
 			if allowed[k] != "" {
 				allow, stale[k] = true, false
 			}
 		}
 		if !allow {
-			problems = append(problems, d.key+": "+why+"; delete it with what it guards, or allow it in testOnlyAllowed with a reason")
+			problems = append(problems, key+": "+why+"; "+fix+", or allow it in testOnlyAllowed with a reason")
+		}
+	}
+	const fold = "fold it into a constant at its use"
+	for f, d := range m.fields {
+		if !w.reached[d.owner] || !strings.HasPrefix(d.dir, "internal/") {
+			continue
+		}
+		switch {
+		case !byPrograms[d.owner]:
+			if v, ok := w.oneWrite(f); ok && w.read[f] {
+				report(d.dir, d.key, "every program write is "+v.String(), fold)
+			}
+		case !w.set[f]:
+			report(d.dir, d.key, "no program sets it", "delete it with what it guards")
+		case !w.read[f]:
+			report(d.dir, d.key, "no program reads it", "delete it with what it guards")
+		default:
+			if v, ok := w.oneWrite(f); ok {
+				report(d.dir, d.key, "every program write is "+v.String(), fold)
+			}
+		}
+	}
+	for obj, d := range m.decls {
+		fn, ok := obj.(*types.Func)
+		if !ok || !w.reached[obj] || !strings.HasPrefix(d.dir, "internal/") || w.valued[fn] || w.viaInterface(fn) {
+			continue
+		}
+		sig := fn.Type().(*types.Signature)
+		for i := 0; i < sig.Params().Len(); i++ {
+			p := sig.Params().At(i)
+			if sig.Variadic() && i == sig.Params().Len()-1 {
+				break
+			}
+			if vals := w.args[p]; len(vals) == 1 {
+				for v := range vals {
+					if v.key != "" {
+						report(d.dir, d.key+"("+p.Name()+")", "every call passes "+v.String(), fold)
+					}
+				}
+			}
 		}
 	}
 	for k, s := range stale {
 		if s {
-			problems = append(problems, k+": allowed in testOnlyAllowed but a program reaches it (a field: sets and reads it), or nothing declares it; drop the entry")
+			problems = append(problems, k+": allowed in testOnlyAllowed but a program reaches it (a field: sets, reads and varies it; a parameter: varies it), or nothing declares it; drop the entry")
 		}
 	}
 	sort.Strings(problems)
@@ -277,6 +359,7 @@ func loadModule(root string) (*module, error) {
 		info: &types.Info{
 			Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{},
 			Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Instances: map[*ast.Ident]types.Instance{},
 		},
 		pkgs:   map[string]*modPkg{},
 		decls:  map[types.Object]*decl{},
@@ -434,7 +517,112 @@ type walker struct {
 
 	set, read map[*types.Var]bool        // fields reached syntax sets, reads
 	target    map[*ast.SelectorExpr]bool // selectors only assigned to
-	defaults  types.Object               // the type whose withDefaults is being visited
+	owner     types.Object               // the type whose withDefaults is being visited
+	guarded   map[*ast.AssignStmt]bool   // its assignments that replace a zero
+	replacing bool                       // whether the assignment being visited is one
+
+	args   map[*types.Var]map[value]bool // the values static calls pass each parameter
+	called map[*ast.Ident]bool           // function names in a call's Fun position
+	valued map[*types.Func]bool          // functions used other than by a static call
+
+	writes   map[*types.Var]map[value]bool // the values reached syntax writes to each field
+	defaults map[*types.Var]map[value]bool // the values its owner's withDefaults writes
+}
+
+// value is a constant a call passes or a write stores: its type and exact
+// value, or "nil" for the predeclared nil. The empty key is any value that is
+// not a constant. zero marks the zero value of the type.
+type value struct {
+	key  string
+	zero bool
+}
+
+func (v value) String() string { return v.key }
+
+// constant returns the value of e.
+func (w *walker) constant(e ast.Expr) value {
+	tv := w.info.Types[e]
+	switch {
+	case tv.IsNil():
+		return value{key: "nil", zero: true}
+	case tv.Value != nil:
+		v := value{key: types.TypeString(tv.Type, nil) + " " + tv.Value.ExactString()}
+		v.zero = v == zeroValue(tv.Type)
+		return v
+	}
+	return value{}
+}
+
+// zeroValue returns the zero value of t as a constant, or the empty value
+// when it is not one (a struct, an array, a complex number).
+func zeroValue(t types.Type) value {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		var c constant.Value
+		switch {
+		case u.Info()&types.IsBoolean != 0:
+			c = constant.MakeBool(false)
+		case u.Info()&types.IsString != 0:
+			c = constant.MakeString("")
+		case u.Info()&(types.IsInteger|types.IsFloat) != 0:
+			c = constant.MakeInt64(0)
+		case u.Kind() == types.UnsafePointer:
+			return value{key: "nil", zero: true}
+		default:
+			return value{}
+		}
+		return value{key: types.TypeString(t, nil) + " " + c.ExactString(), zero: true}
+	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature, *types.Interface:
+		return value{key: "nil", zero: true}
+	}
+	return value{}
+}
+
+// oneWrite returns the one constant every write to f stores, if there is
+// one. A zero value that f's owner's withDefaults replaces counts as the
+// value it writes instead.
+func (w *walker) oneWrite(f *types.Var) (value, bool) {
+	vals := map[value]bool{}
+	for v := range w.writes[f] {
+		if v.zero && w.defaults[f] != nil {
+			v = value{}
+			if len(w.defaults[f]) == 1 {
+				for d := range w.defaults[f] {
+					v = d
+				}
+			}
+		}
+		vals[v] = true
+	}
+	for v := range vals {
+		return v, len(vals) == 1 && v.key != ""
+	}
+	return value{}, false
+}
+
+// viaInterface reports whether callers the module does not show may reach
+// fn: the standard library through an implicit method, or any code through
+// a noted interface that fn's receiver implements.
+func (w *walker) viaInterface(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	if implicitMethods[fn.Name()] {
+		return true
+	}
+	t := recv.Type()
+	if _, ok := t.(*types.Pointer); !ok {
+		t = types.NewPointer(t)
+	}
+	for iface := range w.ifaces {
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == fn.Name() && types.Implements(t, iface) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // mark reaches one object; only the module's top-level declarations are
@@ -461,7 +649,8 @@ func (w *walker) mark(obj types.Object) {
 }
 
 // visit marks every object a node uses, notes every interface among the
-// types it mentions, and records the fields it sets and reads.
+// types it mentions, records the fields it sets and reads and the values it
+// writes to them, and records the values its static calls pass.
 //
 // A field is set by an assignment, op-assignment, ++/-- or range whose
 // target reaches it through selectors, index expressions and *; by &x.f; by
@@ -475,15 +664,29 @@ func (w *walker) mark(obj types.Object) {
 // passes through it, and whenever a value it is part of flows into an
 // interface (a call argument, a result or a composite-literal element), where
 // encoding/json, html/template and fmt read it by reflection.
+//
+// A field's written values are the constant each = assignment or literal
+// stores in it, and an unknown value for any other set (op-assignment,
+// ++/--, range, &x.f, a pointer-method call, a field on the way to the one
+// assigned), for a conversion from another struct type, and for every field
+// a pointer reaches when a value flows into an empty interface, where a
+// decoder may write it by reflection. Any zero value of its struct a program
+// can make writes the zero value: a literal that omits the field, var x T,
+// a named result, new, make of a slice or channel, clear of a slice, a map
+// lookup, a receive, a type assertion, a generic instantiation, an array
+// literal with gaps, and a struct or array that holds T by value made zero
+// the same ways. Inside the owner's withDefaults a write is the field's
+// default instead (see oneWrite).
 func (w *walker) visit(n ast.Node) {
-	w.defaults = nil
+	w.owner = nil
 	if fd, ok := n.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "withDefaults" {
 		recv := w.info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()
 		if p, ok := recv.(*types.Pointer); ok {
 			recv = p.Elem()
 		}
 		if named, ok := recv.(*types.Named); ok {
-			w.defaults = named.Origin().Obj()
+			w.owner = named.Origin().Obj()
+			w.guarded = w.zeroGuarded(fd.Body)
 		}
 	}
 	ast.Inspect(n, func(n ast.Node) bool {
@@ -491,30 +694,67 @@ func (w *walker) visit(n ast.Node) {
 		case *ast.FuncDecl:
 			if n.Body != nil {
 				w.returns(n.Body, w.info.Defs[n.Name].Type())
+				w.namedResults(n.Type)
 			}
 		case *ast.FuncLit:
 			w.returns(n.Body, w.typeOf(n))
+			w.namedResults(n.Type)
 		case *ast.Ident:
 			if obj := w.info.Uses[n]; obj != nil {
 				w.mark(obj)
 				w.noteIfaces(obj.Type(), map[types.Type]bool{})
+				if fn, ok := obj.(*types.Func); ok && !w.called[n] {
+					w.valued[fn.Origin()] = true
+				}
+			}
+			if inst, ok := w.info.Instances[n]; ok {
+				for i := 0; i < inst.TypeArgs.Len(); i++ {
+					w.zeroOf(inst.TypeArgs.At(i), map[types.Type]bool{})
+				}
 			}
 			return true
+		case *ast.ValueSpec:
+			if len(n.Values) == 0 {
+				for _, id := range n.Names {
+					if obj := w.info.Defs[id]; obj != nil {
+						w.zeroOf(obj.Type(), map[types.Type]bool{})
+					}
+				}
+			}
 		case *ast.AssignStmt:
-			for _, l := range n.Lhs {
-				w.setTarget(l, true)
+			for i, l := range n.Lhs {
+				var v value
+				if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+					v = w.constant(n.Rhs[i])
+				}
+				w.replacing = w.owner != nil && w.guarded[n]
+				w.setTarget(l, true, v)
+				w.replacing = false
 			}
 		case *ast.IncDecStmt:
-			w.setTarget(n.X, true)
+			w.setTarget(n.X, true, value{})
 		case *ast.RangeStmt:
 			for _, e := range []ast.Expr{n.Key, n.Value} {
 				if e != nil {
-					w.setTarget(e, true)
+					w.setTarget(e, true, value{})
 				}
 			}
 		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				w.setTarget(n.X, false)
+			switch n.Op {
+			case token.AND:
+				w.setTarget(n.X, false, value{})
+			case token.ARROW: // a closed channel yields zero values
+				if ch, ok := under(w.typeOf(n.X)).(*types.Chan); ok {
+					w.zeroOf(ch.Elem(), map[types.Type]bool{})
+				}
+			}
+		case *ast.IndexExpr: // a missing map key yields a zero value
+			if m, ok := under(w.typeOf(n.X)).(*types.Map); ok {
+				w.zeroOf(m.Elem(), map[types.Type]bool{})
+			}
+		case *ast.TypeAssertExpr: // a failed comma-ok assertion yields a zero value
+			if n.Type != nil {
+				w.zeroOf(w.typeOf(n.Type), map[types.Type]bool{})
 			}
 		case *ast.CallExpr:
 			w.call(n)
@@ -548,7 +788,7 @@ func (w *walker) returns(body *ast.BlockStmt, sig types.Type) {
 		case *ast.ReturnStmt:
 			if len(n.Results) == results.Len() {
 				for i, e := range n.Results {
-					w.flow(results.At(i).Type(), e)
+					w.flow(results.At(i).Type(), e, true)
 				}
 			}
 		}
@@ -571,11 +811,12 @@ func under(t types.Type) types.Type {
 // and every field on the way to it, through index expressions and *. Only
 // the target of an assignment, op-assignment, ++/-- or range (not of &) is
 // left unread.
-func (w *walker) setTarget(e ast.Expr, assigned bool) {
+//
+// v is the value an assignment stores in the selected field; every other
+// field on the way changes in place, which is a write of another value.
+func (w *walker) setTarget(e ast.Expr, assigned bool, v value) {
 	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
+		switch x := ast.Unparen(e).(type) {
 		case *ast.IndexExpr:
 			e = x.X
 		case *ast.StarExpr:
@@ -585,8 +826,13 @@ func (w *walker) setTarget(e ast.Expr, assigned bool) {
 			if sel == nil || sel.Kind() != types.FieldVal {
 				return
 			}
-			for _, f := range path(sel) {
-				w.setField(f)
+			fields := path(sel)
+			for i, f := range fields {
+				if i < len(fields)-1 {
+					w.setField(f, value{})
+				} else {
+					w.setField(f, v)
+				}
 			}
 			if assigned {
 				w.target[x] = true
@@ -595,15 +841,118 @@ func (w *walker) setTarget(e ast.Expr, assigned bool) {
 		default:
 			return
 		}
+		v = value{}
 	}
 }
 
-// setField records that reached syntax sets f, unless that syntax is the
-// withDefaults method of f's own struct type.
-func (w *walker) setField(f *types.Var) {
+// setField records that reached syntax writes v to f, unless that syntax is
+// the withDefaults method of f's own struct type: there v is the default f
+// gets in place of its zero value when the write replaces only that, and an
+// unknown default otherwise.
+func (w *walker) setField(f *types.Var, v value) {
 	f = f.Origin()
-	if d := w.fields[f]; d == nil || d.owner != w.defaults {
-		w.set[f] = true
+	if d := w.fields[f]; d != nil && d.owner == w.owner {
+		if !w.replacing {
+			v = value{}
+		}
+		addValue(w.defaults, f, v)
+		return
+	}
+	w.set[f] = true
+	addValue(w.writes, f, v)
+}
+
+// zeroGuarded returns the assignments of a withDefaults body that replace a
+// zero value: the first statement of an if whose condition is x.f == zero or
+// x.f <= zero, assigning x.f.
+func (w *walker) zeroGuarded(body *ast.BlockStmt) map[*ast.AssignStmt]bool {
+	guarded := map[*ast.AssignStmt]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		is, ok := n.(*ast.IfStmt)
+		if !ok || len(is.Body.List) == 0 {
+			return true
+		}
+		cond, ok := is.Cond.(*ast.BinaryExpr)
+		if !ok || (cond.Op != token.EQL && cond.Op != token.LEQ) || !w.constant(cond.Y).zero {
+			return true
+		}
+		as, ok := is.Body.List[0].(*ast.AssignStmt)
+		if ok && len(as.Lhs) == 1 && types.ExprString(as.Lhs[0]) == types.ExprString(cond.X) {
+			guarded[as] = true
+		}
+		return true
+	})
+	return guarded
+}
+
+// addValue adds v to the values of x.
+func addValue[K comparable](m map[K]map[value]bool, x K, v value) {
+	if m[x] == nil {
+		m[x] = map[value]bool{}
+	}
+	m[x][v] = true
+}
+
+// zeroOf records the zero values a program gets when it creates a zero t:
+// every field t holds by value, through nested structs and arrays; done holds
+// the types already walked.
+func (w *walker) zeroOf(t types.Type, done map[types.Type]bool) {
+	if t == nil || done[t] {
+		return
+	}
+	done[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			w.setZero(u.Field(i))
+			w.zeroOf(u.Field(i).Type(), done)
+		}
+	case *types.Array:
+		w.zeroOf(u.Elem(), done)
+	}
+}
+
+// setZero records a zero value of f. Unlike setField it is not a set: a
+// field that only ever holds its zero value is one no program sets.
+func (w *walker) setZero(f *types.Var) {
+	addValue(w.writes, f.Origin(), zeroValue(f.Type()))
+}
+
+// namedResults records the zero values a function's named results start at.
+func (w *walker) namedResults(ft *ast.FuncType) {
+	if ft.Results == nil {
+		return
+	}
+	for _, r := range ft.Results.List {
+		if len(r.Names) > 0 {
+			w.zeroOf(w.typeOf(r.Type), map[types.Type]bool{})
+		}
+	}
+}
+
+// writable records a write of an unknown value to every field of t's structs
+// that code holding a value of t can reach through a pointer, slice, map or
+// channel, as reflection can; ref says whether t itself was reached so.
+func (w *walker) writable(t types.Type, ref bool, done map[types.Type]bool) {
+	if t == nil || done[t] {
+		return
+	}
+	done[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if ref {
+				addValue(w.writes, u.Field(i).Origin(), value{})
+			}
+			w.writable(u.Field(i).Type(), ref, done)
+		}
+	case *types.Array:
+		w.writable(u.Elem(), ref, done)
+	case *types.Map:
+		w.writable(u.Key(), true, done)
+		w.writable(u.Elem(), true, done)
+	case interface{ Elem() types.Type }: // pointer, slice, channel
+		w.writable(u.Elem(), true, done)
 	}
 }
 
@@ -632,9 +981,9 @@ func (w *walker) selector(x *ast.SelectorExpr) {
 	}
 	if _, ptr := base.Underlying().(*types.Pointer); !ptr {
 		for _, f := range fields {
-			w.setField(f)
+			w.setField(f, value{})
 		}
-		w.setTarget(x.X, false)
+		w.setTarget(x.X, false, value{})
 	}
 }
 
@@ -659,7 +1008,9 @@ func path(sel *types.Selection) []*types.Var {
 }
 
 // call records the fields a call's arguments carry into interface
-// parameters, and the fields an Unmarshal or Decode call sets.
+// parameters, the fields an Unmarshal or Decode call sets, the values a
+// static call passes its callee's parameters, the zero values new, make and
+// clear create, and the values a struct conversion copies.
 func (w *walker) call(c *ast.CallExpr) {
 	var name string
 	switch f := ast.Unparen(c.Fun).(type) {
@@ -671,6 +1022,59 @@ func (w *walker) call(c *ast.CallExpr) {
 	if name == "Unmarshal" || name == "Decode" {
 		for _, a := range c.Args {
 			fieldsOf(w.typeOf(a), w.set, map[types.Type]bool{})
+		}
+	}
+	if tv := w.info.Types[c.Fun]; tv.IsType() {
+		if len(c.Args) == 1 && !types.Identical(tv.Type, w.typeOf(c.Args[0])) {
+			copied := map[*types.Var]bool{}
+			fieldsOf(tv.Type, copied, map[types.Type]bool{})
+			for f := range copied {
+				addValue(w.writes, f, value{})
+			}
+		}
+		return
+	}
+	fun := ast.Unparen(c.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	var id *ast.Ident
+	switch x := fun.(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		if sel := w.info.Selections[x]; sel == nil || sel.Kind() == types.MethodVal {
+			id = x.Sel
+		}
+	}
+	// errors.As stores an error in its target, not into the fields of the
+	// error's type as a decoder would.
+	stores := true
+	switch obj := w.info.Uses[id].(type) {
+	case *types.Func:
+		w.called[id] = true
+		w.passes(obj.Origin(), c)
+		stores = obj.FullName() != "errors.As"
+	case *types.Builtin:
+		if len(c.Args) == 0 {
+			break
+		}
+		t := w.typeOf(c.Args[0])
+		switch u := under(t).(type) {
+		case *types.Slice:
+			if obj.Name() == "make" || obj.Name() == "clear" {
+				w.zeroOf(u.Elem(), map[types.Type]bool{})
+			}
+		case *types.Chan:
+			if obj.Name() == "make" {
+				w.zeroOf(u.Elem(), map[types.Type]bool{})
+			}
+		}
+		if obj.Name() == "new" {
+			w.zeroOf(t, map[types.Type]bool{})
 		}
 	}
 	sig, ok := w.typeOf(c.Fun).(*types.Signature)
@@ -689,42 +1093,79 @@ func (w *walker) call(c *ast.CallExpr) {
 		case i < params.Len():
 			p = params.At(i).Type()
 		}
-		w.flow(p, a)
+		w.flow(p, a, stores)
 	}
 }
 
-// compositeLit records the fields a struct literal sets, and the elements a
+// passes records the value each argument of a static call of fn passes its
+// parameter; a variadic parameter is not tracked.
+func (w *walker) passes(fn *types.Func, c *ast.CallExpr) {
+	params := fn.Type().(*types.Signature).Params()
+	n := params.Len()
+	if fn.Type().(*types.Signature).Variadic() {
+		n--
+	}
+	for i := 0; i < n; i++ {
+		var v value
+		if len(c.Args) >= n { // not f(g()) with a multi-value g
+			v = w.constant(c.Args[i])
+		}
+		addValue(w.args, params.At(i), v)
+	}
+}
+
+// compositeLit records the fields a struct literal sets, the zero values a
+// literal leaves in the fields and elements it omits, and the elements a
 // literal carries into interface-typed slots.
 func (w *walker) compositeLit(lit *ast.CompositeLit) {
 	switch t := under(w.typeOf(lit)).(type) {
 	case *types.Struct:
+		listed := map[*types.Var]bool{}
 		for i, e := range lit.Elts {
 			f := t.Field(i)
 			if kv, ok := e.(*ast.KeyValueExpr); ok {
 				f, e = w.info.Uses[kv.Key.(*ast.Ident)].(*types.Var), kv.Value
 			}
-			w.setField(f)
-			w.flow(f.Type(), e)
+			listed[f.Origin()] = true
+			w.setField(f, w.constant(e))
+			w.flow(f.Type(), e, true)
+		}
+		for i := 0; i < t.NumFields(); i++ {
+			if f := t.Field(i); !listed[f.Origin()] {
+				w.setZero(f)
+				w.zeroOf(f.Type(), map[types.Type]bool{})
+			}
 		}
 	case interface{ Elem() types.Type }: // slice, array, map
+		gaps := false
 		for _, e := range lit.Elts {
 			if kv, ok := e.(*ast.KeyValueExpr); ok {
-				e = kv.Value
+				e, gaps = kv.Value, true
 			}
-			w.flow(t.Elem(), e)
+			w.flow(t.Elem(), e, true)
+		}
+		if a, ok := t.(*types.Array); ok && int64(len(lit.Elts)) < a.Len() {
+			gaps = true
+		}
+		if _, ok := t.(*types.Map); gaps && !ok {
+			w.zeroOf(t.Elem(), map[types.Type]bool{})
 		}
 	}
 }
 
 // flow records that the value of e goes into a slot of type to: when to is
 // an interface and the value is not, reflection may read every field the
-// value carries.
-func (w *walker) flow(to types.Type, e ast.Expr) {
+// value carries, and when to is the empty interface that a decoder takes and
+// stores says it may be one, write every field the value points to.
+func (w *walker) flow(to types.Type, e ast.Expr, stores bool) {
 	if to == nil || !types.IsInterface(to) {
 		return
 	}
 	if from := w.typeOf(e); from != nil && !types.IsInterface(from) {
 		fieldsOf(from, w.read, map[types.Type]bool{})
+		if stores && to.Underlying().(*types.Interface).Empty() {
+			w.writable(from, false, map[types.Type]bool{})
+		}
 	}
 }
 

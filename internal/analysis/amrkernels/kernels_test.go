@@ -154,15 +154,15 @@ func TestF3MuchCheaperThanF1(t *testing.T) {
 	k1, _ := NewVorticity(g, 2)
 	k2, _ := NewL1Norm(g, 2)
 	k3, _ := NewL2Norm(g, 2)
-	c1, err := analysis.Measure(k1, step, 2, 1)
+	c1, err := analysis.Measure(k1, step)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := analysis.Measure(k2, step, 2, 1)
+	c2, err := analysis.Measure(k2, step)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c3, err := analysis.Measure(k3, step, 2, 1)
+	c3, err := analysis.Measure(k3, step)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestShockTrackerExponentNaNCases(t *testing.T) {
 func TestRadialProfileShowsShockStructure(t *testing.T) {
 	g := sedov(t)
 	g.Run(12)
-	k, err := NewRadialProfile(g, 16, 3)
+	k, err := NewRadialProfile(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

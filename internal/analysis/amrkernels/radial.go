@@ -14,7 +14,6 @@ import (
 // profile). Per-rank partial histograms combine with Allreduce.
 type RadialProfile struct {
 	grid  *amr.Grid
-	bins  int
 	ranks int
 	world *comm.World
 
@@ -23,11 +22,11 @@ type RadialProfile struct {
 	pres  []float64 // accumulated pressure per shell
 }
 
-// NewRadialProfile builds the kernel (bins 0 defaults to 32).
-func NewRadialProfile(grid *amr.Grid, bins, ranks int) (*RadialProfile, error) {
-	if bins <= 0 {
-		bins = 32
-	}
+// radialBins is the number of radial shells a profile bins cells into.
+const radialBins = 32
+
+// NewRadialProfile builds the kernel.
+func NewRadialProfile(grid *amr.Grid, ranks int) (*RadialProfile, error) {
 	if ranks == 0 {
 		ranks = 4
 	}
@@ -35,7 +34,7 @@ func NewRadialProfile(grid *amr.Grid, bins, ranks int) (*RadialProfile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RadialProfile{grid: grid, bins: bins, ranks: ranks, world: w}, nil
+	return &RadialProfile{grid: grid, ranks: ranks, world: w}, nil
 }
 
 // Name implements analysis.Kernel.
@@ -43,10 +42,10 @@ func (k *RadialProfile) Name() string { return "radial profile" }
 
 // Setup allocates the fixed shells.
 func (k *RadialProfile) Setup() (int64, error) {
-	k.count = make([]float64, k.bins)
-	k.dens = make([]float64, k.bins)
-	k.pres = make([]float64, k.bins)
-	return int64(3*k.bins) * 8, nil
+	k.count = make([]float64, radialBins)
+	k.dens = make([]float64, radialBins)
+	k.pres = make([]float64, radialBins)
+	return int64(3*radialBins) * 8, nil
 }
 
 // PreStep is a no-op.
@@ -59,7 +58,7 @@ func (k *RadialProfile) Analyze(step int) (int64, error) {
 	rmax := center * math.Sqrt(3) // domain corner distance
 	var reduced []float64
 	err := k.world.Run(func(r *comm.Rank) error {
-		mine := make([]float64, 3*k.bins)
+		mine := make([]float64, 3*radialBins)
 		for id := r.ID(); id < len(g.Blocks); id += r.Size() {
 			b := g.Blocks[id]
 			nb := b.NBCells()
@@ -70,13 +69,13 @@ func (k *RadialProfile) Analyze(step int) (int64, error) {
 						rho, _, _, _, p := g.Primitive(b, n)
 						x, y, z := g.CellCenter(b, i-1, j-1, k3-1)
 						rr := math.Sqrt((x-center)*(x-center) + (y-center)*(y-center) + (z-center)*(z-center))
-						bin := int(rr / rmax * float64(k.bins))
-						if bin >= k.bins {
-							bin = k.bins - 1
+						bin := int(rr / rmax * float64(radialBins))
+						if bin >= radialBins {
+							bin = radialBins - 1
 						}
 						mine[bin]++
-						mine[k.bins+bin] += rho
-						mine[2*k.bins+bin] += p
+						mine[radialBins+bin] += rho
+						mine[2*radialBins+bin] += p
 					}
 				}
 			}
@@ -93,17 +92,17 @@ func (k *RadialProfile) Analyze(step int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for b := 0; b < k.bins; b++ {
+	for b := 0; b < radialBins; b++ {
 		k.count[b] += reduced[b]
-		k.dens[b] += reduced[k.bins+b]
-		k.pres[b] += reduced[2*k.bins+b]
+		k.dens[b] += reduced[radialBins+b]
+		k.pres[b] += reduced[2*radialBins+b]
 	}
-	return int64(k.ranks*3*k.bins) * 8, nil
+	return int64(k.ranks*3*radialBins) * 8, nil
 }
 
 // MeanDensity returns the shell-averaged density profile (for tests).
 func (k *RadialProfile) MeanDensity() []float64 {
-	out := make([]float64, k.bins)
+	out := make([]float64, radialBins)
 	for b := range out {
 		if k.count[b] > 0 {
 			out[b] = k.dens[b] / k.count[b]
@@ -123,8 +122,8 @@ func (k *RadialProfile) Output(dst io.Writer) (int64, error) {
 		return written, err
 	}
 	written += int64(n)
-	for b := 0; b < k.bins; b++ {
-		r := (float64(b) + 0.5) / float64(k.bins) * rmax
+	for b := 0; b < radialBins; b++ {
+		r := (float64(b) + 0.5) / float64(radialBins) * rmax
 		var rho, p float64
 		if k.count[b] > 0 {
 			rho = k.dens[b] / k.count[b]

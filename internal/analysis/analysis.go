@@ -65,10 +65,11 @@ func (c Costs) String() string {
 }
 
 // Measure profiles a kernel against a running simulation: it sets the kernel
-// up, advances the simulation `steps` steps via stepFn, analyzes every
-// `interval` steps, and outputs once at the end. Wall-clock times are
-// averaged per phase. The returned kernel state is freed.
-func Measure(k Kernel, stepFn func(), steps, interval int) (Costs, error) {
+// up, advances the simulation 4 steps via stepFn, analyzes every 2nd step,
+// and outputs once at the end. Wall-clock times are averaged per phase. The
+// returned kernel state is freed.
+func Measure(k Kernel, stepFn func()) (Costs, error) {
+	const steps, interval = 4, 2
 	var c Costs
 	c.Kernel = k.Name()
 
@@ -82,7 +83,6 @@ func Measure(k Kernel, stepFn func(), steps, interval int) (Costs, error) {
 
 	var itTotal, ctTotal time.Duration
 	var imMax, cmMax int64
-	analyses := 0
 	for s := 1; s <= steps; s++ {
 		stepFn()
 		t := time.Now()
@@ -94,7 +94,7 @@ func Measure(k Kernel, stepFn func(), steps, interval int) (Costs, error) {
 		if im > imMax {
 			imMax = im
 		}
-		if interval > 0 && s%interval == 0 {
+		if s%interval == 0 {
 			t = time.Now()
 			cm, err := k.Analyze(s)
 			if err != nil {
@@ -104,15 +104,10 @@ func Measure(k Kernel, stepFn func(), steps, interval int) (Costs, error) {
 			if cm > cmMax {
 				cmMax = cm
 			}
-			analyses++
 		}
 	}
-	if steps > 0 {
-		c.IT = itTotal / time.Duration(steps)
-	}
-	if analyses > 0 {
-		c.CT = ctTotal / time.Duration(analyses)
-	}
+	c.IT = itTotal / steps
+	c.CT = ctTotal / (steps / interval)
 	c.IM = imMax
 	c.CM = cmMax
 

@@ -72,11 +72,11 @@ func TestMeasureMapsPhasesToCosts(t *testing.T) {
 		outBytes:   32,
 	}
 	steps := 0
-	costs, err := Measure(k, func() { steps++ }, 6, 2)
+	costs, err := Measure(k, func() { steps++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steps != 6 {
+	if steps != 4 {
 		t.Fatalf("stepped %d times", steps)
 	}
 	if costs.Kernel != "fake" {
@@ -91,8 +91,8 @@ func TestMeasureMapsPhasesToCosts(t *testing.T) {
 	if costs.CM != 64 || costs.OM != 32 {
 		t.Fatalf("cm/om = %d/%d", costs.CM, costs.OM)
 	}
-	if k.analyzeCnt != 3 {
-		t.Fatalf("analyses = %d, want every 2nd of 6 steps", k.analyzeCnt)
+	if k.analyzeCnt != 2 {
+		t.Fatalf("analyses = %d, want every 2nd of 4 steps", k.analyzeCnt)
 	}
 	if costs.CT < time.Millisecond {
 		t.Fatalf("ct = %v, want >= the 1ms analyze sleep", costs.CT)
@@ -105,24 +105,10 @@ func TestMeasureMapsPhasesToCosts(t *testing.T) {
 	}
 }
 
-func TestMeasureZeroInterval(t *testing.T) {
-	k := &scriptKernel{name: "noanalyze"}
-	costs, err := Measure(k, func() {}, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.analyzeCnt != 0 {
-		t.Fatal("interval 0 must skip analyses")
-	}
-	if costs.CT != 0 {
-		t.Fatalf("ct = %v", costs.CT)
-	}
-}
-
 func TestMeasureErrorPaths(t *testing.T) {
 	for _, phase := range []string{"setup", "prestep", "analyze", "output"} {
 		k := &scriptKernel{name: phase, failAt: phase}
-		_, err := Measure(k, func() {}, 2, 1)
+		_, err := Measure(k, func() {})
 		if err == nil {
 			t.Fatalf("expected %s error", phase)
 		}

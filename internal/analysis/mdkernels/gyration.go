@@ -14,7 +14,6 @@ import (
 // cost is negligible — the paper measures 0.003 s per step — which is why
 // the scheduler always runs R1 at the maximum frequency in Table 6.
 type Gyration struct {
-	name  string
 	sys   *md.System
 	ranks int
 	world *comm.World
@@ -32,11 +31,11 @@ func NewGyration(sys *md.System, ranks int) (*Gyration, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Gyration{name: "R1 radius of gyration", sys: sys, ranks: ranks, world: w}, nil
+	return &Gyration{sys: sys, ranks: ranks, world: w}, nil
 }
 
 // Name implements analysis.Kernel.
-func (k *Gyration) Name() string { return k.name }
+func (k *Gyration) Name() string { return "R1 radius of gyration" }
 
 // Setup resolves the protein group.
 func (k *Gyration) Setup() (int64, error) {
@@ -100,7 +99,7 @@ func (k *Gyration) Analyze(step int) (int64, error) {
 // Output writes the Rg series and clears it.
 func (k *Gyration) Output(dst io.Writer) (int64, error) {
 	var written int64
-	n, err := fmt.Fprintf(dst, "# %s n=%d\n", k.name, len(k.group))
+	n, err := fmt.Fprintf(dst, "# %s n=%d\n", k.Name(), len(k.group))
 	if err != nil {
 		return written, err
 	}

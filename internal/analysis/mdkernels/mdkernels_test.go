@@ -409,7 +409,7 @@ func TestMeasureIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs, err := analysis.Measure(k, func() { sys.Step(0.002) }, 6, 3)
+	costs, err := analysis.Measure(k, func() { sys.Step(0.002) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,14 +519,14 @@ func TestStatsRankInvariant(t *testing.T) {
 
 func TestSpeedHistogramMaxwellBoltzmann(t *testing.T) {
 	// Equilibrate a liquid, then compare the measured speed distribution to
-	// the MB reference at the measured temperature. Coarse bins + several
-	// samples keep the statistics stable.
+	// the MB reference at the measured temperature. Several samples keep the
+	// statistics stable.
 	sys := waterSys(t, 4000)
 	for i := 0; i < 30; i++ {
 		sys.Step(0.002)
 		sys.Rescale(1.0)
 	}
-	k, err := NewSpeedHistogram(sys, 16, 4, 3)
+	k, err := NewSpeedHistogram(sys, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +547,7 @@ func TestSpeedHistogramMaxwellBoltzmann(t *testing.T) {
 	dv := vs[1] - vs[0]
 	for b := range f {
 		// Masses differ per species; use the dominant water mass 1.0.
-		dev += math.Abs(f[b]-MaxwellBoltzmann(vs[b], 1, temp)) * dv
+		dev += math.Abs(f[b]-MaxwellBoltzmann(vs[b], temp)) * dv
 	}
 	if dev > 0.25 {
 		t.Fatalf("speed distribution deviates from Maxwell-Boltzmann by %.2f (TV)", dev)
@@ -570,12 +570,12 @@ func TestMaxwellBoltzmannNormalization(t *testing.T) {
 	sum := 0.0
 	dv := 0.01
 	for v := dv / 2; v < 12; v += dv {
-		sum += MaxwellBoltzmann(v, 1, 1.3) * dv
+		sum += MaxwellBoltzmann(v, 1.3) * dv
 	}
 	if math.Abs(sum-1) > 1e-3 {
 		t.Fatalf("MB normalization = %g", sum)
 	}
-	if MaxwellBoltzmann(1, 1, 0) != 0 {
+	if MaxwellBoltzmann(1, 0) != 0 {
 		t.Fatal("zero temperature must give 0")
 	}
 }

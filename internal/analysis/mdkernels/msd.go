@@ -16,7 +16,6 @@ import (
 // grows each step and is released at output, which is exactly the
 // accumulate-then-reset memory pattern of equations 5-6.
 type MSD struct {
-	name  string
 	sys   *md.System
 	ranks int
 	world *comm.World
@@ -36,11 +35,11 @@ func NewMSD(sys *md.System, ranks int) (*MSD, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MSD{name: "A4 msd", sys: sys, ranks: ranks, world: w}, nil
+	return &MSD{sys: sys, ranks: ranks, world: w}, nil
 }
 
 // Name implements analysis.Kernel.
-func (k *MSD) Name() string { return k.name }
+func (k *MSD) Name() string { return "A4 msd" }
 
 // Setup records the reference positions of the group; this is the large
 // fixed pre-allocation the paper attributes to LAMMPS MSD-style analyses.
@@ -116,7 +115,7 @@ func (k *MSD) Analyze(step int) (int64, error) {
 // Output writes the MSD series and releases the window buffer.
 func (k *MSD) Output(dst io.Writer) (int64, error) {
 	var written int64
-	n, err := fmt.Fprintf(dst, "# %s group=%d window=%d\n", k.name, len(k.group), len(k.window))
+	n, err := fmt.Fprintf(dst, "# %s group=%d window=%d\n", k.Name(), len(k.group), len(k.window))
 	if err != nil {
 		return written, err
 	}

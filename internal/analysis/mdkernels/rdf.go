@@ -34,7 +34,6 @@ type RDF struct {
 	sys   *md.System
 	pairs []PairSpec
 	bins  int
-	rmax  float64
 	ranks int
 
 	hist    [][]float64 // fixed allocation: pairs x bins
@@ -72,7 +71,7 @@ func NewRDF(name string, sys *md.System, pairs []PairSpec, cfg RDFConfig) (*RDF,
 	}
 	return &RDF{
 		name: name, sys: sys, pairs: pairs,
-		bins: cfg.Bins, rmax: sys.Cutoff, ranks: cfg.Ranks, world: w,
+		bins: cfg.Bins, ranks: cfg.Ranks, world: w,
 	}, nil
 }
 
@@ -118,7 +117,7 @@ func (k *RDF) Setup() (int64, error) {
 // PreStep is a no-op: RDFs need no per-step facilitation.
 func (k *RDF) PreStep(step int) (int64, error) { return 0, nil }
 
-// Analyze bins all A-B distances within rmax into the histograms. Each rank
+// Analyze bins all A-B distances within md.Cutoff into the histograms. Each rank
 // processes a stripe of the A group and contributes via Allreduce.
 func (k *RDF) Analyze(step int) (int64, error) {
 	k.sys.PrepareNeighbors()
@@ -133,11 +132,11 @@ func (k *RDF) Analyze(step int) (int64, error) {
 			mine := make([]float64, k.bins)
 			for gi := r.ID(); gi < len(group); gi += r.Size() {
 				i := group[gi]
-				k.sys.ForEachNeighbor(i, k.rmax, func(j int, r2 float64) {
+				k.sys.ForEachNeighbor(i, func(j int, r2 float64) {
 					if !inB[k.sys.Type[j]] {
 						return
 					}
-					b := int(math.Sqrt(r2) / k.rmax * float64(k.bins))
+					b := int(math.Sqrt(r2) / md.Cutoff * float64(k.bins))
 					if b >= k.bins {
 						b = k.bins - 1
 					}
@@ -171,7 +170,7 @@ func (k *RDF) Analyze(step int) (int64, error) {
 // Output writes normalized g(r) curves and resets the accumulators.
 func (k *RDF) Output(dst io.Writer) (int64, error) {
 	var written int64
-	dr := k.rmax / float64(k.bins)
+	dr := md.Cutoff / float64(k.bins)
 	rho := float64(k.sys.N) / (k.sys.Box[0] * k.sys.Box[1] * k.sys.Box[2])
 	for p, spec := range k.pairs {
 		nA := len(k.groups[p])

@@ -19,8 +19,6 @@ import (
 // Allreduce.
 type SpeedHistogram struct {
 	sys   *md.System
-	bins  int
-	vmax  float64
 	ranks int
 	world *comm.World
 
@@ -28,15 +26,15 @@ type SpeedHistogram struct {
 	samples int
 }
 
-// NewSpeedHistogram builds the kernel; vmax 0 defaults to 4 (about 4 sigma
-// of a T*=1 distribution for unit mass).
-func NewSpeedHistogram(sys *md.System, bins int, vmax float64, ranks int) (*SpeedHistogram, error) {
-	if bins <= 0 {
-		bins = 64
-	}
-	if vmax <= 0 {
-		vmax = 4
-	}
+// The histogram has speedBins bins up to speedVmax, about 4 sigma of a T*=1
+// distribution for unit mass.
+const (
+	speedBins         = 64
+	speedVmax float64 = 4
+)
+
+// NewSpeedHistogram builds the kernel.
+func NewSpeedHistogram(sys *md.System, ranks int) (*SpeedHistogram, error) {
 	if ranks == 0 {
 		ranks = 4
 	}
@@ -44,7 +42,7 @@ func NewSpeedHistogram(sys *md.System, bins int, vmax float64, ranks int) (*Spee
 	if err != nil {
 		return nil, err
 	}
-	return &SpeedHistogram{sys: sys, bins: bins, vmax: vmax, ranks: ranks, world: w}, nil
+	return &SpeedHistogram{sys: sys, ranks: ranks, world: w}, nil
 }
 
 // Name implements analysis.Kernel.
@@ -52,9 +50,9 @@ func (k *SpeedHistogram) Name() string { return "speed histogram" }
 
 // Setup allocates the fixed histogram.
 func (k *SpeedHistogram) Setup() (int64, error) {
-	k.hist = make([]float64, k.bins)
+	k.hist = make([]float64, speedBins)
 	k.samples = 0
-	return int64(k.bins) * 8, nil
+	return int64(speedBins) * 8, nil
 }
 
 // PreStep is a no-op.
@@ -64,12 +62,12 @@ func (k *SpeedHistogram) PreStep(step int) (int64, error) { return 0, nil }
 func (k *SpeedHistogram) Analyze(step int) (int64, error) {
 	var reduced []float64
 	err := k.world.Run(func(r *comm.Rank) error {
-		mine := make([]float64, k.bins)
+		mine := make([]float64, speedBins)
 		for i := r.ID(); i < k.sys.N; i += r.Size() {
 			v := math.Sqrt(k.sys.Vel[i].Norm2())
-			b := int(v / k.vmax * float64(k.bins))
-			if b >= k.bins {
-				b = k.bins - 1
+			b := int(v / speedVmax * float64(speedBins))
+			if b >= speedBins {
+				b = speedBins - 1
 			}
 			mine[b]++
 		}
@@ -89,7 +87,7 @@ func (k *SpeedHistogram) Analyze(step int) (int64, error) {
 		k.hist[b] += reduced[b]
 	}
 	k.samples++
-	return int64(k.ranks*k.bins) * 8, nil
+	return int64(k.ranks*speedBins) * 8, nil
 }
 
 // Output writes the normalized distribution with the Maxwell-Boltzmann
@@ -107,14 +105,14 @@ func (k *SpeedHistogram) Output(dst io.Writer) (int64, error) {
 	for _, c := range k.hist {
 		total += c
 	}
-	dv := k.vmax / float64(k.bins)
-	for b := 0; b < k.bins; b++ {
+	dv := speedVmax / float64(speedBins)
+	for b := 0; b < speedBins; b++ {
 		v := (float64(b) + 0.5) * dv
 		f := 0.0
 		if total > 0 {
 			f = k.hist[b] / total / dv
 		}
-		n, err := fmt.Fprintf(dst, "%.4f %.6f %.6f\n", v, f, MaxwellBoltzmann(v, 1, temp))
+		n, err := fmt.Fprintf(dst, "%.4f %.6f %.6f\n", v, f, MaxwellBoltzmann(v, temp))
 		if err != nil {
 			return written, err
 		}
@@ -138,8 +136,8 @@ func (k *SpeedHistogram) Distribution() []float64 {
 	for _, c := range k.hist {
 		total += c
 	}
-	dv := k.vmax / float64(k.bins)
-	out := make([]float64, k.bins)
+	dv := speedVmax / float64(speedBins)
+	out := make([]float64, speedBins)
 	if total == 0 {
 		return out
 	}
@@ -151,21 +149,21 @@ func (k *SpeedHistogram) Distribution() []float64 {
 
 // BinCenters returns the speed at each bin center.
 func (k *SpeedHistogram) BinCenters() []float64 {
-	dv := k.vmax / float64(k.bins)
-	out := make([]float64, k.bins)
+	dv := speedVmax / float64(speedBins)
+	out := make([]float64, speedBins)
 	for b := range out {
 		out[b] = (float64(b) + 0.5) * dv
 	}
 	return out
 }
 
-// MaxwellBoltzmann returns the equilibrium speed density f(v) for mass m at
-// reduced temperature T.
-func MaxwellBoltzmann(v, m, temp float64) float64 {
+// MaxwellBoltzmann returns the equilibrium speed density f(v) for unit mass
+// at reduced temperature T.
+func MaxwellBoltzmann(v, temp float64) float64 {
 	if temp <= 0 {
 		return 0
 	}
-	a := m / (2 * temp)
-	norm := 4 * math.Pi * math.Pow(m/(2*math.Pi*temp), 1.5)
+	a := 1 / (2 * temp)
+	norm := 4 * math.Pi * math.Pow(1/(2*math.Pi*temp), 1.5)
 	return norm * v * v * math.Exp(-a*v*v)
 }

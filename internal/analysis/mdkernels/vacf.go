@@ -13,15 +13,11 @@ import (
 // C(t) = <v(0)·v(t)> / <v(0)·v(0)> per group against reference velocities
 // captured at setup, reducing partial dot products across ranks. Water is
 // strided so the kernel cost stays moderate relative to A4, matching the
-// Figure-4 profile.
+// Figure-4 profile: it samples every 16th water particle.
 type VACF struct {
-	name  string
 	sys   *md.System
 	ranks int
 	world *comm.World
-
-	// WaterStride samples every n-th water particle (default 16).
-	WaterStride int
 
 	groups [][]int
 	labels []string
@@ -39,17 +35,17 @@ func NewVACF(sys *md.System, ranks int) (*VACF, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VACF{name: "A3 vacf", sys: sys, ranks: ranks, world: w, WaterStride: 16}, nil
+	return &VACF{sys: sys, ranks: ranks, world: w}, nil
 }
 
 // Name implements analysis.Kernel.
-func (k *VACF) Name() string { return k.name }
+func (k *VACF) Name() string { return "A3 vacf" }
 
 // Setup captures reference velocities per group.
 func (k *VACF) Setup() (int64, error) {
 	water := k.sys.IndicesOf(md.Water)
 	strided := water[:0:0]
-	for i := 0; i < len(water); i += k.WaterStride {
+	for i := 0; i < len(water); i += 16 {
 		strided = append(strided, water[i])
 	}
 	ions := append(k.sys.IndicesOf(md.Cation), k.sys.IndicesOf(md.Anion)...)
@@ -114,7 +110,7 @@ func (k *VACF) Analyze(step int) (int64, error) {
 func (k *VACF) Output(dst io.Writer) (int64, error) {
 	var written int64
 	for g, label := range k.labels {
-		n, err := fmt.Fprintf(dst, "# %s group %s n=%d\n", k.name, label, len(k.groups[g]))
+		n, err := fmt.Fprintf(dst, "# %s group %s n=%d\n", k.Name(), label, len(k.groups[g]))
 		if err != nil {
 			return written, err
 		}

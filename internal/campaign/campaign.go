@@ -176,7 +176,7 @@ func (c *Campaign) profile() (specs []core.AnalysisSpec, simPerStep float64, err
 	// Profile kernels: each advances the simulation 4 steps and analyzes
 	// every second one.
 	for _, k := range cfg.Kernels {
-		costs, err := analysis.Measure(k, cfg.Sim.Step, 4, 2)
+		costs, err := analysis.Measure(k, cfg.Sim.Step)
 		if err != nil {
 			return nil, 0, fmt.Errorf("campaign: profiling %s: %w", k.Name(), err)
 		}

@@ -5,10 +5,10 @@
 // over binomial trees, so communication volume and depth behave like real
 // MPI implementations.
 //
-// The package also provides NetworkModel, an analytic latency/bandwidth/hops
+// The package also provides AllreduceTime, an analytic latency/bandwidth/hops
 // cost model parameterized by torus diameter. The paper predicts collective
 // time via bilinear interpolation with network diameter as the y-variable
-// (§4, Figure 2); NetworkModel is the ground truth that experiment
+// (§4, Figure 2); AllreduceTime is the ground truth that experiment
 // reproduces.
 package comm
 
@@ -255,37 +255,27 @@ func (r *Rank) bcastTree(vals []float64) ([]float64, error) {
 	return data, nil
 }
 
-// NetworkModel is an analytic cost model for the interconnect: per-message
-// latency, per-hop latency, and link bandwidth. Collective times follow the
-// standard log-tree alpha-beta model plus a diameter term, which is the
-// dependence the paper exploits when it interpolates communication time over
-// network diameter.
-type NetworkModel struct {
-	Alpha       time.Duration // per-message software latency
-	PerHop      time.Duration // per-hop wire latency
-	BytesPerSec float64       // link bandwidth
-}
-
-// BGQNetwork returns a Blue Gene/Q-like 5D torus model (about 2 GB/s links,
-// ~40 ns per hop, microsecond-scale message latency).
-func BGQNetwork() *NetworkModel {
-	return &NetworkModel{
-		Alpha:       1200 * time.Nanosecond,
-		PerHop:      40 * time.Nanosecond,
-		BytesPerSec: 1.8e9,
-	}
-}
+// The interconnect cost model is a Blue Gene/Q-like 5D torus: per-message
+// software latency, per-hop wire latency, and link bandwidth.
+const (
+	netAlpha       = 1200 * time.Nanosecond
+	netPerHop      = 40 * time.Nanosecond
+	netBytesPerSec = 1.8e9
+)
 
 // AllreduceTime returns the modeled time of an allreduce of `bytes` per rank
 // across `ranks` ranks on a torus with the given diameter: 2·log2(P) message
 // rounds, each crossing up to the diameter, moving 2·bytes total per link.
-func (nm *NetworkModel) AllreduceTime(bytes int64, ranks, diameter int) time.Duration {
+// Collective times follow the standard log-tree alpha-beta model plus a
+// diameter term, which is the dependence the paper exploits when it
+// interpolates communication time over network diameter.
+func AllreduceTime(bytes int64, ranks, diameter int) time.Duration {
 	if ranks <= 1 {
 		return 0
 	}
 	rounds := 2 * math.Ceil(math.Log2(float64(ranks)))
-	t := rounds*float64(nm.Alpha) +
-		float64(diameter)*float64(nm.PerHop)*2 +
-		2*float64(bytes)/nm.BytesPerSec*float64(time.Second)
+	t := rounds*float64(netAlpha) +
+		float64(diameter)*float64(netPerHop)*2 +
+		2*float64(bytes)/netBytesPerSec*float64(time.Second)
 	return time.Duration(t)
 }

@@ -185,30 +185,28 @@ func TestWorldSizeValidation(t *testing.T) {
 }
 
 func TestNetworkModelMonotone(t *testing.T) {
-	nm := BGQNetwork()
-	if nm.AllreduceTime(8, 1, 0) != 0 {
+	if AllreduceTime(8, 1, 0) != 0 {
 		t.Fatal("single-rank allreduce must be free")
 	}
-	t16 := nm.AllreduceTime(1024, 16, 4)
-	t1k := nm.AllreduceTime(1024, 1024, 12)
+	t16 := AllreduceTime(1024, 16, 4)
+	t1k := AllreduceTime(1024, 1024, 12)
 	if t1k <= t16 {
 		t.Fatalf("allreduce time must grow with scale: %v vs %v", t16, t1k)
 	}
-	big := nm.AllreduceTime(1<<20, 1024, 12)
+	big := AllreduceTime(1<<20, 1024, 12)
 	if big <= t1k {
 		t.Fatalf("allreduce time must grow with bytes: %v vs %v", t1k, big)
 	}
 }
 
 func TestNetworkModelDiameterDependence(t *testing.T) {
-	nm := BGQNetwork()
-	small := nm.AllreduceTime(8, 512, 9)
-	large := nm.AllreduceTime(8, 512, 20)
+	small := AllreduceTime(8, 512, 9)
+	large := AllreduceTime(8, 512, 20)
 	if large <= small {
 		t.Fatalf("allreduce time must grow with diameter: %v vs %v", small, large)
 	}
 	// The diameter contribution for tiny payloads should dominate bandwidth.
-	if large-small != time.Duration(2*11*int64(nm.PerHop)) {
+	if large-small != time.Duration(2*11*int64(netPerHop)) {
 		t.Fatalf("diameter delta = %v", large-small)
 	}
 }

@@ -201,7 +201,7 @@ func TestExplainFeasibleCounterfactual(t *testing.T) {
 
 func TestExplainObserverStreamsBaseSolve(t *testing.T) {
 	specs, res := explainSpecs()
-	rec := milp.NewTreeRecorder(nil)
+	rec := milp.NewTreeRecorder()
 	ex, err := Explain(specs, res, SolveOptions{Observer: rec.Observe})
 	if err != nil {
 		t.Fatal(err)

@@ -104,8 +104,8 @@ func buildFullProblem(norm []AnalysisSpec, res Resources) (*milp.Problem, [][]in
 		for j := 1; j <= S; j++ {
 			aVar[i][j] = prob.AddBinVar(a.Weight, fmt.Sprintf("a[%s,%d]", a.Name, j))
 			oVar[i][j] = prob.AddBinVar(0, fmt.Sprintf("o[%s,%d]", a.Name, j))
-			mStart[i][j] = prob.AddContVar(0, 0, bigM+1, fmt.Sprintf("mS[%s,%d]", a.Name, j))
-			mEnd[i][j] = prob.AddContVar(0, 0, bigM+1, fmt.Sprintf("mE[%s,%d]", a.Name, j))
+			mStart[i][j] = prob.AddContVar(0, bigM+1, fmt.Sprintf("mS[%s,%d]", a.Name, j))
+			mEnd[i][j] = prob.AddContVar(0, bigM+1, fmt.Sprintf("mE[%s,%d]", a.Name, j))
 		}
 	}
 

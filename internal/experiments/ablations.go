@@ -71,18 +71,10 @@ type CouplingValidation struct {
 	Scheduled   int     // total scheduled analysis steps
 }
 
-// ValidateCoupling runs the full pipeline at laptop scale.
-func ValidateCoupling(atoms, steps int, thresholdPct float64) (*CouplingValidation, error) {
-	if atoms == 0 {
-		atoms = 3000
-	}
-	if steps == 0 {
-		steps = 60
-	}
-	if thresholdPct == 0 {
-		thresholdPct = 10
-	}
-	sys, err := md.NewWaterIons(md.Config{NAtoms: atoms, Seed: 31})
+// ValidateCoupling runs the full pipeline at laptop scale: 3000 atoms for 60
+// steps under a 10% threshold.
+func ValidateCoupling() (*CouplingValidation, error) {
+	sys, err := md.NewWaterIons(md.Config{NAtoms: 3000, Seed: 31})
 	if err != nil {
 		return nil, err
 	}
@@ -101,9 +93,9 @@ func ValidateCoupling(atoms, steps int, thresholdPct float64) (*CouplingValidati
 	c, err := campaign.New(campaign.Config{
 		Sim:              campaign.SimFunc{AppName: "water+ions", StepFn: func() { sys.Step(0.002) }},
 		Kernels:          []analysis.Kernel{a1, a3, a4},
-		Steps:            steps,
-		MinInterval:      steps / 10,
-		ThresholdPercent: thresholdPct,
+		Steps:            60,
+		MinInterval:      6,
+		ThresholdPercent: 10,
 		MemBudget:        1 << 32,
 	})
 	if err != nil {

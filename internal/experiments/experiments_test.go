@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"insitu/internal/core"
-	"insitu/internal/sim/md"
 	"insitu/internal/trajectory"
 )
 
@@ -290,7 +289,7 @@ func TestTable4InSituBeatsPostProcessing(t *testing.T) {
 	// order reliably on a loaded machine, so compare the bytes behind them:
 	// the frames of a trajectory of each row's atoms, as Table4 writes it.
 	frameBytes := func(atoms int) int64 {
-		w, err := trajectory.NewWriter(filepath.Join(t.TempDir(), "size.traj"), atoms, md.FrameFields)
+		w, err := trajectory.NewWriter(filepath.Join(t.TempDir(), "size.traj"), atoms)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +447,7 @@ func TestValidateCouplingEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline too heavy for -short")
 	}
-	v, err := ValidateCoupling(2000, 40, 15)
+	v, err := ValidateCoupling()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,6 @@ func Figure2(cfg Figure2Config) (*Figure2Result, error) {
 	// prescribes. The model couples rank count to diameter through the
 	// partition shape, so the surface is not affine and interpolation has
 	// real error.
-	nm := comm.BGQNetwork()
 	mira := machine.Mira()
 	part := func(nodes int) (ranks, diam int, err error) {
 		p, err := mira.Partition(nodes)
@@ -139,7 +138,7 @@ func Figure2(cfg Figure2Config) (*Figure2Result, error) {
 			return nil, err
 		}
 		for _, by := range bytesGrid {
-			ctab.Add(float64(by), float64(diam), nm.AllreduceTime(by, ranks, diam).Seconds())
+			ctab.Add(float64(by), float64(diam), comm.AllreduceTime(by, ranks, diam).Seconds())
 		}
 	}
 	cpred, err := ctab.Build()
@@ -152,7 +151,7 @@ func Figure2(cfg Figure2Config) (*Figure2Result, error) {
 			return nil, err
 		}
 		for _, by := range []int64{1 << 13, 1 << 18} {
-			actual := nm.AllreduceTime(by, ranks, diam).Seconds()
+			actual := comm.AllreduceTime(by, ranks, diam).Seconds()
 			e := perfmodel.RelError(cpred.Predict(float64(by), float64(diam)), actual)
 			if e > out.CommMaxErr {
 				out.CommMaxErr = e
@@ -278,7 +277,7 @@ func Figure4(atoms int) ([]Figure4Row, error) {
 	var maxT time.Duration
 	var maxM int64
 	for _, e := range entries {
-		costs, err := analysis.Measure(e.Kernel, e.Step, 4, 2)
+		costs, err := analysis.Measure(e.Kernel, e.Step)
 		if err != nil {
 			return nil, err
 		}

@@ -179,7 +179,7 @@ func perturbedRunsSnapshot() any {
 	}
 	var out []entry
 	for _, r := range PerturbedRuns() {
-		s := runmon.Analyze(r.Events(PerturbedRunSeed), nil, runmon.Config{})
+		s := runmon.Analyze(r.Events(), nil, runmon.Config{})
 		out = append(out, entry{Run: r, Summary: s.Summary(), Alerts: s.Alerts})
 	}
 	return out

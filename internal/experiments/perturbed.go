@@ -2,10 +2,9 @@ package experiments
 
 import "insitu/internal/runmon"
 
-// PerturbedRunSeed is the fixed seed every consumer of the perturbed corpus
-// uses, so the golden snapshot, the runmon detection tests, and any ad-hoc
-// replay all synthesize byte-identical ledgers.
-const PerturbedRunSeed int64 = 2026
+// PerturbedRunSeed is the seed of the perturbed corpora: the synthetic runs
+// draw their noise from it, and the replan scenarios share it.
+const PerturbedRunSeed = runmon.SynthSeed
 
 // PerturbedRuns is the perturbed-profile scenario family of the golden
 // corpus: one control run whose profiles hold for the whole run, plus

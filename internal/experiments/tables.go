@@ -79,7 +79,7 @@ func table4One(atoms int, cfg Table4Config) (Table4Row, error) {
 	}
 	path := filepath.Join(cfg.Dir, fmt.Sprintf("table4-%d.traj", atoms))
 	defer os.Remove(path)
-	w, err := trajectory.NewWriter(path, atoms, md.FrameFields)
+	w, err := trajectory.NewWriter(path, atoms)
 	if err != nil {
 		return row, err
 	}
@@ -326,7 +326,7 @@ func Table7() ([]Table7Row, error) {
 // 91 GB outputs go to a burst buffer instead of GPFS, the saved time raises
 // the analysis threshold, and the solver packs in more analyses.
 func Table7NVRAM() (Table7Row, error) {
-	bb := iosim.NewBurstBuffer(1 << 41) // 2 TiB aggregate NVRAM
+	bb := iosim.NewBurstBuffer()
 	outTime := bb.SustainedOutputTime(RhodopsinOutputBytes, 10, 500*time.Second).Seconds()
 	th := RhodopsinOutputSeconds + 50 - outTime
 	res := core.Resources{Steps: 1000, TimeThreshold: th, MemThreshold: 12 << 30}

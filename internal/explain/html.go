@@ -13,7 +13,6 @@ import (
 // htmlReport is the template's view model: everything pre-formatted so the
 // template stays free of logic beyond ranging and conditionals.
 type htmlReport struct {
-	Title       string
 	Objective   string
 	TotalTime   string
 	PeakMemory  string
@@ -67,13 +66,13 @@ var reportTemplate = template.Must(template.New("report").Parse(`<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
-<title>{{.Title}}</title>
+<title>In-situ schedule explanation</title>
 <style>
 ` + PageStyle + `
 </style>
 </head>
 <body>
-<h1>{{.Title}}</h1>
+<h1>In-situ schedule explanation</h1>
 <p class="summary">
 <span>objective <strong>{{.Objective}}</strong></span>
 <span>total time <strong>{{.TotalTime}}</strong></span>
@@ -133,7 +132,6 @@ var reportTemplate = template.Must(template.New("report").Parse(`<!DOCTYPE html>
 func (r *Report) WriteHTML(w io.Writer) error {
 	rec := r.Ex.Rec
 	view := htmlReport{
-		Title:      "In-situ schedule explanation",
 		Objective:  fmt.Sprintf("%.3f", rec.Objective),
 		TotalTime:  fmt.Sprintf("%.3f s", rec.TotalTime),
 		PeakMemory: humanBytes(float64(rec.PeakMemory)),

@@ -46,7 +46,7 @@ type Report struct {
 // Build solves and attributes the scenario, recording the search tree of the
 // base solve.
 func Build(specs []core.AnalysisSpec, res core.Resources, opts Options) (*Report, error) {
-	rec := milp.NewTreeRecorder(nil)
+	rec := milp.NewTreeRecorder()
 	if names, err := core.CompactNames(specs, res, opts.Solve); err == nil {
 		rec.SetNames(names)
 	}

@@ -13,16 +13,17 @@ import "time"
 type BurstBuffer struct {
 	Front *Target // fast tier (NVRAM)
 	Back  *Target // backing store (GPFS)
-	// CapacityBytes is the NVRAM capacity; a write that does not fit after
-	// draining stalls until space frees up.
-	CapacityBytes int64
 
 	backlog int64 // bytes still to drain
 }
 
-// NewBurstBuffer builds an NVRAM-over-GPFS buffer with the given capacity.
-func NewBurstBuffer(capacity int64) *BurstBuffer {
-	return &BurstBuffer{Front: NVRAM(), Back: GPFS(), CapacityBytes: capacity}
+// nvramCapacity is the buffer's aggregate NVRAM, 2 TiB; a write that does not
+// fit after draining stalls until space frees up.
+const nvramCapacity int64 = 1 << 41
+
+// NewBurstBuffer builds an NVRAM-over-GPFS buffer.
+func NewBurstBuffer() *BurstBuffer {
+	return &BurstBuffer{Front: NVRAM(), Back: GPFS()}
 }
 
 // Backlog returns the bytes currently waiting to drain.
@@ -47,8 +48,8 @@ func (b *BurstBuffer) Write(bytes int64, sinceLast time.Duration) time.Duration 
 
 	visible := b.Front.WriteTime(bytes)
 	// Stall if the write does not fit until enough backlog drains.
-	if b.CapacityBytes > 0 && b.backlog+bytes > b.CapacityBytes {
-		excess := b.backlog + bytes - b.CapacityBytes
+	if b.backlog+bytes > nvramCapacity {
+		excess := b.backlog + bytes - nvramCapacity
 		stall := time.Duration(float64(excess) / b.Back.BytesPerSec * float64(time.Second))
 		visible += stall
 		b.backlog -= excess

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBurstBufferFastWhenDrainKeepsUp(t *testing.T) {
-	bb := NewBurstBuffer(1 << 40)
+	bb := NewBurstBuffer()
 	bytes := int64(91) << 30
 	// Outputs every 500 s: GPFS (240 GB/s peak here) drains 91 GB easily.
 	total := bb.SustainedOutputTime(bytes, 10, 500*time.Second)
@@ -22,9 +22,9 @@ func TestBurstBufferFastWhenDrainKeepsUp(t *testing.T) {
 }
 
 func TestBurstBufferBackpressure(t *testing.T) {
-	bb := NewBurstBuffer(60 << 30)
+	bb := NewBurstBuffer()
 	bb.Back = &Target{BytesPerSec: 1e9} // 1 GB/s drain
-	bytes := int64(50) << 30
+	bytes := nvramCapacity * 3 / 4
 	// Back-to-back writes: the second cannot fit until the first drains.
 	first := bb.Write(bytes, 0)
 	second := bb.Write(bytes, time.Second)
@@ -41,7 +41,7 @@ func TestBurstBufferBackpressure(t *testing.T) {
 }
 
 func TestBurstBufferDrainsOverTime(t *testing.T) {
-	bb := NewBurstBuffer(1 << 40)
+	bb := NewBurstBuffer()
 	bb.Write(10<<30, 0)
 	if bb.Backlog() != 10<<30 {
 		t.Fatalf("backlog = %d", bb.Backlog())
@@ -58,7 +58,7 @@ func TestBurstBufferDrainsOverTime(t *testing.T) {
 }
 
 func TestBurstBufferZeroBytes(t *testing.T) {
-	bb := NewBurstBuffer(1 << 30)
+	bb := NewBurstBuffer()
 	if bb.Write(0, 0) != 0 {
 		t.Fatal("zero write must be free")
 	}

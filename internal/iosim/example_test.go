@@ -20,7 +20,7 @@ func ExampleTarget_WriteTime() {
 // Redirecting the same outputs to an NVRAM burst buffer makes them almost
 // free as long as the drain keeps up — Table 7's what-if.
 func ExampleBurstBuffer_SustainedOutputTime() {
-	bb := iosim.NewBurstBuffer(2 << 40)
+	bb := iosim.NewBurstBuffer()
 	total := bb.SustainedOutputTime(91<<30, 10, 500*time.Second)
 	fmt.Printf("under a second per output: %v\n", total/10 < time.Second)
 	// Output:

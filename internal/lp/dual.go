@@ -149,7 +149,7 @@ func (rv *revised) dualSimplex() (ok, infeasible bool) {
 		for i := range w {
 			w[i] = 0
 		}
-		rv.colScatterAdd(enter, 1, w)
+		rv.colScatterAdd(enter, w)
 		rv.ef.ftran(w)
 		piv := w[r]
 		if math.Abs(piv) < dualPivTol {

@@ -308,9 +308,9 @@ func (p *Problem) Eval(x []float64) float64 {
 }
 
 // Feasible reports whether x satisfies all constraints and bounds of the
-// problem within tol.
-func (p *Problem) Feasible(x []float64, tol float64) bool {
-	return p.FirstViolation(x, tol) == ""
+// problem within RowTol.
+func (p *Problem) Feasible(x []float64) bool {
+	return p.FirstViolation(x, RowTol) == ""
 }
 
 // FirstViolation returns a human-readable description of the first violated

@@ -299,13 +299,13 @@ func TestEvalAndFeasible(t *testing.T) {
 	if got := p.Eval([]float64{1, 2}); got != 8 {
 		t.Fatalf("Eval = %g, want 8", got)
 	}
-	if !p.Feasible([]float64{2, 3}, 1e-9) {
+	if !p.Feasible([]float64{2, 3}) {
 		t.Fatal("point should be feasible")
 	}
-	if p.Feasible([]float64{4, 3}, 1e-9) {
+	if p.Feasible([]float64{4, 3}) {
 		t.Fatal("point should violate the sum constraint")
 	}
-	if p.Feasible([]float64{-1, 0}, 1e-9) {
+	if p.Feasible([]float64{-1, 0}) {
 		t.Fatal("point should violate the lower bound")
 	}
 }
@@ -336,7 +336,7 @@ func TestRandomBoundedLPs(t *testing.T) {
 		if err != nil || sol.Status != Optimal {
 			return false
 		}
-		if !p.Feasible(sol.X, 1e-6) {
+		if !p.Feasible(sol.X) {
 			return false
 		}
 		// Random feasible candidate: scale down a random point until feasible.
@@ -344,12 +344,12 @@ func TestRandomBoundedLPs(t *testing.T) {
 		for j := range cand {
 			cand[j] = rng.Float64() * p.Upper[j]
 		}
-		for s := 0; s < 30 && !p.Feasible(cand, 1e-9); s++ {
+		for s := 0; s < 30 && p.FirstViolation(cand, 1e-9) != ""; s++ {
 			for j := range cand {
 				cand[j] *= 0.5
 			}
 		}
-		if !p.Feasible(cand, 1e-9) {
+		if p.FirstViolation(cand, 1e-9) != "" {
 			return true // could not build a candidate; nothing to compare
 		}
 		return sol.Objective >= p.Eval(cand)-1e-6

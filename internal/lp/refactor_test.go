@@ -51,7 +51,7 @@ func refactorDense(rv *revised) bool {
 		for i := range w {
 			w[i] = 0
 		}
-		rv.colScatterAdd(j, 1, w)
+		rv.colScatterAdd(j, w)
 		rv.ef.ftran(w)
 		r := -1
 		best := singularTol

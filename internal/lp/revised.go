@@ -174,13 +174,13 @@ func (rv *revised) colDot(j int, y []float64) float64 {
 	return rv.artSign[j-rv.n] * y[j-rv.n]
 }
 
-// colScatterAdd adds scale * a_j into out.
-func (rv *revised) colScatterAdd(j int, scale float64, out []float64) {
+// colScatterAdd adds a_j into out.
+func (rv *revised) colScatterAdd(j int, out []float64) {
 	if j < rv.n {
-		rv.cs.scatterAdd(j, scale, out)
+		rv.cs.scatterAdd(j, 1, out)
 		return
 	}
-	out[j-rv.n] += rv.artSign[j-rv.n] * scale
+	out[j-rv.n] += rv.artSign[j-rv.n]
 }
 
 // colNNZ returns the stored nonzero count of column j.
@@ -623,7 +623,7 @@ func (rv *revised) simplex(obj []float64) (Status, float64) {
 		for i := range w {
 			w[i] = 0
 		}
-		rv.colScatterAdd(enter, 1, w)
+		rv.colScatterAdd(enter, w)
 		rv.ef.ftran(w)
 
 		// Direction: +1 when increasing from lower, -1 when decreasing from
@@ -874,7 +874,7 @@ func (rv *revised) refill(obj, y []float64) int {
 		} else if score > rv.dvx[rv.ws[0]] {
 			rv.dvx[j] = score
 			rv.ws[0] = j
-			rv.wsSiftDown(0)
+			rv.wsSiftDown()
 		}
 	}
 	sort.Ints(rv.ws)
@@ -889,7 +889,7 @@ func (rv *revised) wsWorse(a, b int) bool {
 }
 
 // wsSiftUp and wsSiftDown restore the refill heap (worst candidate at the
-// root) after an append at i, or a replacement there.
+// root) after an append at i, or a replacement of the root.
 func (rv *revised) wsSiftUp(i int) {
 	ws := rv.ws
 	for i > 0 {
@@ -902,8 +902,8 @@ func (rv *revised) wsSiftUp(i int) {
 	}
 }
 
-func (rv *revised) wsSiftDown(i int) {
-	ws := rv.ws
+func (rv *revised) wsSiftDown() {
+	ws, i := rv.ws, 0
 	for {
 		c := 2*i + 1
 		if c >= len(ws) {

@@ -46,7 +46,7 @@ func TestReducedCostFixingLeavesContinuousColumns(t *testing.T) {
 	for _, v := range []float64{2, 2, 2, 4} {
 		p.AddBinVar(v, "")
 	}
-	c := p.AddContVar(-6, 0, 1, "c")
+	c := p.AddContVar(-6, 1, "c")
 	p.LP.AddConstraint([]int{0, 1, 2, 3, c}, []float64{5, 1, 4, 5, -4}, lp.LE, 9, "cap")
 	for _, w := range widths {
 		sol, err := Solve(p, Options{Workers: w})
@@ -65,8 +65,8 @@ func TestReducedCostFixingLeavesContinuousColumns(t *testing.T) {
 // 0.5 loses the optimum (3, 2).
 func TestReducedCostFixingLeavesFractionalBounds(t *testing.T) {
 	p := NewProblem(&lp.Problem{})
-	x := p.AddIntVar(5, 0.5, 3.5, "x")
-	y := p.AddIntVar(2, 0.5, 2.5, "y")
+	x := addIntVar(p, 5, 0.5, 3.5, "x")
+	y := addIntVar(p, 2, 0.5, 2.5, "y")
 	p.LP.AddConstraint([]int{x, y}, []float64{3, 3}, lp.LE, 15, "cap")
 	for _, w := range widths {
 		sol, err := Solve(p, Options{Workers: w})

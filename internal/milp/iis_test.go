@@ -75,7 +75,7 @@ func TestDiagnoseInfeasibleBoundsOnly(t *testing.T) {
 	// 0.3 <= x <= 0.7 with x integer: no row is removable, the integrality
 	// gap itself is the conflict.
 	p := NewProblem(&lp.Problem{})
-	p.AddIntVar(1, 0.3, 0.7, "x")
+	addIntVar(p, 1, 0.3, 0.7, "x")
 	p.LP.AddConstraint([]int{0}, []float64{1}, lp.LE, 5, "loose")
 	conflict, err := DiagnoseInfeasible(p, Options{})
 	if err != nil {

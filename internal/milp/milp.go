@@ -51,21 +51,17 @@ func NewProblem(base *lp.Problem) *Problem {
 	return &Problem{LP: base, Integer: make([]bool, base.NumVars())}
 }
 
-// AddIntVar appends an integer variable to the underlying LP.
-func (p *Problem) AddIntVar(obj, lower, upper float64, name string) int {
-	j := p.LP.AddVar(obj, lower, upper, name)
+// AddBinVar appends a 0-1 variable to the underlying LP.
+func (p *Problem) AddBinVar(obj float64, name string) int {
+	j := p.LP.AddVar(obj, 0, 1, name)
 	p.Integer = append(p.Integer, true)
 	return j
 }
 
-// AddBinVar appends a 0-1 variable to the underlying LP.
-func (p *Problem) AddBinVar(obj float64, name string) int {
-	return p.AddIntVar(obj, 0, 1, name)
-}
-
-// AddContVar appends a continuous variable to the underlying LP.
-func (p *Problem) AddContVar(obj, lower, upper float64, name string) int {
-	j := p.LP.AddVar(obj, lower, upper, name)
+// AddContVar appends a continuous variable with lower bound 0 to the
+// underlying LP.
+func (p *Problem) AddContVar(obj, upper float64, name string) int {
+	j := p.LP.AddVar(obj, 0, upper, name)
 	p.Integer = append(p.Integer, false)
 	return j
 }
@@ -248,9 +244,6 @@ type NodeEvent struct {
 type Options struct {
 	// MaxNodes caps the number of explored nodes (default 200000).
 	MaxNodes int
-	// Gap is the relative optimality gap at which search stops (default 0:
-	// prove optimality).
-	Gap float64
 	// Observer, when non-nil, is called once per explored node with the
 	// node's outcome. It runs synchronously inside the search loop (node
 	// events are serialized in deterministic order at any worker count), so
@@ -461,14 +454,11 @@ func (s *search) finish(sol *Solution, bound float64) *Solution {
 // pruneTol is the margin a node bound must clear above the incumbent to
 // stay interesting.
 func (s *search) pruneTol() float64 {
-	t := boundTol(s.best.Objective, s.opts.Gap)
 	if s.integralObj && s.best.HasX {
 		// Bound must reach at least incumbent+1 to matter.
-		if need := 1 - lp.BoundTol; need > t {
-			return need
-		}
+		return 1 - lp.BoundTol
 	}
-	return t
+	return lp.BoundTol
 }
 
 // recordIncumbent extends the improvement trajectory; bound is the
@@ -599,7 +589,7 @@ func (s *search) consume(nd *node, res nodeResult, sl *slot, heur *heurCtx, extr
 	// fractionality scan answers the integral test, rounding's and branching.
 	frac := mostFractional(s.p, relaxSol.X, lp.IntTol)
 	if frac < 0 {
-		if x := snap(s.snapped, s.p, relaxSol.X); s.p.LP.Feasible(x, lp.RowTol) {
+		if x := snap(s.snapped, s.p, relaxSol.X); s.p.LP.Feasible(x) {
 			s.offer(x, s.nodes, math.Max(relaxSol.Objective, s.globalBound(extra)))
 			s.stats.IntegralNodes++
 			s.observe(nd, relaxSol.Objective, "integral")
@@ -609,7 +599,7 @@ func (s *search) consume(nd *node, res nodeResult, sl *slot, heur *heurCtx, extr
 	// Rounding runs at every branched node, so its pprof label is the
 	// context built once in Solve rather than a pprof.Do per node.
 	pprof.SetGoroutineLabels(s.roundCtx)
-	if x, ok := heur.round(s.p, relaxSol.X, lp.IntTol, frac < 0, &s.stats); ok {
+	if x, ok := heur.round(s.p, relaxSol.X, frac < 0, &s.stats); ok {
 		s.offer(x, s.nodes, math.Max(relaxSol.Objective, s.globalBound(extra)))
 	}
 	pprof.SetGoroutineLabels(s.opts.context())
@@ -638,8 +628,8 @@ func (s *search) offer(x []float64, nodes int, bound float64) {
 // moves it — by a whole unit at least — is one the search would prune, and
 // the column is fixed where it rests. That is the node-pruning cut-off
 // applied to a column instead of a node: what it discards, pruning would
-// have discarded, and Gap, the integral-objective margin and node-limit
-// bounds mean what they meant. Every node materialised afterwards inherits
+// have discarded, and the integral-objective margin and node-limit bounds
+// mean what they meant. Every node materialised afterwards inherits
 // the fix, and the LP layer skips fixed columns in the dual ratio test and in
 // pricing. Continuous columns are never fixed, nor one resting on a
 // fractional bound (its nearest integer point is less than a unit away).
@@ -701,14 +691,14 @@ func (s *search) openRoot(sl *slot, heur *heurCtx) (done *Solution, err error) {
 	}
 
 	// Seed the incumbent by rounding the root relaxation.
-	if x, ok := heur.round(s.p, relax.X, lp.IntTol, integral, &s.stats); ok {
+	if x, ok := heur.round(s.p, relax.X, integral, &s.stats); ok {
 		s.offer(x, 0, root.bound)
 	}
 
 	s.nodes = 1
 	if integral {
 		x := snap(s.snapped, s.p, relax.X)
-		if s.p.LP.Feasible(x, lp.RowTol) {
+		if s.p.LP.Feasible(x) {
 			obj := s.p.LP.Eval(x)
 			s.best = Solution{Status: Optimal, X: append(s.incumbent[:0], x...), Objective: obj, Nodes: s.nodes, HasX: true}
 			s.recordIncumbent(s.nodes, obj, root.bound)
@@ -960,14 +950,6 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	return s.finish(&out, bound), nil
 }
 
-func boundTol(incumbent, gap float64) float64 {
-	t := lp.BoundTol
-	if gap > 0 {
-		t = math.Max(t, gap*math.Abs(incumbent))
-	}
-	return t
-}
-
 func name(p *lp.Problem, j int) string {
 	if j < len(p.Names) && p.Names[j] != "" {
 		return p.Names[j]
@@ -1053,7 +1035,7 @@ func (h *heurCtx) init(p *Problem, solver *lp.Solver) {
 
 // round looks for a feasible point near the relaxation x: the snapped x
 // itself if it is integral (integral is the caller's mostFractional verdict
-// on x under tol), then floor-all and round-all of the integer variables,
+// on x under lp.IntTol), then floor-all and round-all of the integer variables,
 // each clamped to the integers inside the variable's bounds (a model with an
 // integer box holding none has no such point). With a solver
 // the continuous remainder is re-solved with the integers fixed, and that LP
@@ -1062,9 +1044,9 @@ func (h *heurCtx) init(p *Problem, solver *lp.Solver) {
 // checked. The returned point lives in the heuristic's scratch until the next
 // call — most nodes round to some feasible point, few to a better one, so the
 // caller copies on keeping.
-func (h *heurCtx) round(p *Problem, x []float64, tol float64, integral bool, st *Stats) ([]float64, bool) {
+func (h *heurCtx) round(p *Problem, x []float64, integral bool, st *Stats) ([]float64, bool) {
 	if integral {
-		if cand := snap(h.lower, p, x); p.LP.Feasible(cand, lp.RowTol) {
+		if cand := snap(h.lower, p, x); p.LP.Feasible(cand) {
 			return cand, true
 		}
 	}
@@ -1089,7 +1071,7 @@ func (h *heurCtx) round(p *Problem, x []float64, tol float64, integral bool, st 
 			if !integralBounds {
 				lo, hi = math.Ceil(lo), math.Floor(hi)
 			}
-			v := x[j] + tol
+			v := x[j] + lp.IntTol
 			if floor {
 				v = math.Floor(v)
 			} else {
@@ -1111,7 +1093,7 @@ func (h *heurCtx) round(p *Problem, x []float64, tol float64, integral bool, st 
 			}
 			cand = snap(h.upper, p, sol.X)
 		}
-		if p.LP.Feasible(cand, lp.RowTol) {
+		if p.LP.Feasible(cand) {
 			return cand, true
 		}
 	}
@@ -1126,19 +1108,17 @@ func (h *heurCtx) round(p *Problem, x []float64, tol float64, integral bool, st 
 const BruteForceMaxAssignments = 1 << 20
 
 // TooLargeError reports that BruteForce refused an instance because its
-// integer assignment space exceeds the enumeration limit. Callers that use
+// integer assignment space exceeds BruteForceMaxAssignments. Callers that use
 // BruteForce as a differential oracle size-gate on it with errors.As.
 type TooLargeError struct {
 	// Assignments is the size of the integer assignment space (the product
 	// of the integer variables' bound ranges). It is a float64 because the
 	// product can overflow int64 long before the limit check matters.
 	Assignments float64
-	// Limit is the enumeration cap that was exceeded.
-	Limit int
 }
 
 func (e *TooLargeError) Error() string {
-	return fmt.Sprintf("milp: brute force would enumerate %g integer assignments (limit %d)", e.Assignments, e.Limit)
+	return fmt.Sprintf("milp: brute force would enumerate %g integer assignments (limit %d)", e.Assignments, BruteForceMaxAssignments)
 }
 
 // BruteForce exhaustively enumerates all integer assignments (continuous
@@ -1165,7 +1145,7 @@ func BruteForce(p *Problem) (*Solution, error) {
 			assignments *= span
 		}
 		if assignments > BruteForceMaxAssignments {
-			return nil, &TooLargeError{Assignments: assignments, Limit: BruteForceMaxAssignments}
+			return nil, &TooLargeError{Assignments: assignments}
 		}
 	}
 	best := &Solution{Status: Infeasible, Objective: math.Inf(-1)}

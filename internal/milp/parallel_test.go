@@ -206,7 +206,7 @@ func TestParallelWarmStarts(t *testing.T) {
 // satisfies every row) must not be taken for a solution at any width.
 func TestFractionalIntegerBoundsNeverYieldIncumbent(t *testing.T) {
 	p := NewProblem(&lp.Problem{})
-	x := p.AddIntVar(1, 0.3, 0.7, "x")
+	x := addIntVar(p, 1, 0.3, 0.7, "x")
 	idx, coef := []int{x}, []float64{1}
 	for j := 0; j < 6; j++ {
 		// Free binaries around x, so the search branches (and rounds) at

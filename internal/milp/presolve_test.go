@@ -13,8 +13,8 @@ import (
 // activity reasoning caps x at 1 and y at 1.
 func TestPresolveTightensKnapsack(t *testing.T) {
 	p := NewProblem(&lp.Problem{})
-	p.AddIntVar(1, 0, 5, "x")
-	p.AddIntVar(1, 0, 5, "y")
+	addIntVar(p, 1, 0, 5, "x")
+	addIntVar(p, 1, 0, 5, "y")
 	p.LP.AddConstraint([]int{0, 1}, []float64{3, 4}, lp.LE, 5, "cap")
 	lower := append([]float64(nil), p.LP.Lower...)
 	upper := append([]float64(nil), p.LP.Upper...)
@@ -33,8 +33,8 @@ func TestPresolveTightensKnapsack(t *testing.T) {
 // TestPresolveGERaisesLower: x + y >= 7 with y <= 3 forces x >= 4.
 func TestPresolveGERaisesLower(t *testing.T) {
 	p := NewProblem(&lp.Problem{})
-	p.AddIntVar(1, 0, 9, "x")
-	p.AddIntVar(1, 0, 3, "y")
+	addIntVar(p, 1, 0, 9, "x")
+	addIntVar(p, 1, 0, 3, "y")
 	p.LP.AddConstraint([]int{0, 1}, []float64{1, 1}, lp.GE, 7, "demand")
 	lower := append([]float64(nil), p.LP.Lower...)
 	upper := append([]float64(nil), p.LP.Upper...)
@@ -49,8 +49,8 @@ func TestPresolveGERaisesLower(t *testing.T) {
 // TestPresolveDetectsInfeasible: a row unsatisfiable at minimum activity.
 func TestPresolveDetectsInfeasible(t *testing.T) {
 	p := NewProblem(&lp.Problem{})
-	p.AddIntVar(1, 0, 1, "x")
-	p.AddIntVar(1, 0, 1, "y")
+	addIntVar(p, 1, 0, 1, "x")
+	addIntVar(p, 1, 0, 1, "y")
 	p.LP.AddConstraint([]int{0, 1}, []float64{1, 1}, lp.GE, 3, "impossible")
 	lower := append([]float64(nil), p.LP.Lower...)
 	upper := append([]float64(nil), p.LP.Upper...)
@@ -86,8 +86,8 @@ func TestPresolveDetectsInfeasible(t *testing.T) {
 // the unbounded column itself can still pick up a bound from the rest.
 func TestPresolveSkipsUnboundedColumns(t *testing.T) {
 	p := NewProblem(&lp.Problem{})
-	p.AddIntVar(1, 0, 9, "x")
-	p.AddContVar(1, 0, math.Inf(1), "s")
+	addIntVar(p, 1, 0, 9, "x")
+	p.AddContVar(1, math.Inf(1), "s")
 	// x - s <= 2: with s free upward, x is NOT bounded by this row; s gains
 	// s >= x_lo - 2 which is below 0, so no tightening at all.
 	p.LP.AddConstraint([]int{0, 1}, []float64{1, -1}, lp.LE, 2, "slacky")

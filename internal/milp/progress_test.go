@@ -19,17 +19,17 @@ func TestEndRecordEqualsStats(t *testing.T) {
 	for _, v := range []float64{2, 2, 2, 4} {
 		continuous.AddBinVar(v, "")
 	}
-	c := continuous.AddContVar(-6, 0, 1, "c")
+	c := continuous.AddContVar(-6, 1, "c")
 	continuous.LP.AddConstraint([]int{0, 1, 2, 3, c}, []float64{5, 1, 4, 5, -4}, lp.LE, 9, "cap")
 
 	knapsack := NewProblem(&lp.Problem{})
-	knapsack.AddIntVar(1, 0, 5, "x")
-	knapsack.AddIntVar(1, 0, 5, "y")
+	addIntVar(knapsack, 1, 0, 5, "x")
+	addIntVar(knapsack, 1, 0, 5, "y")
 	knapsack.LP.AddConstraint([]int{0, 1}, []float64{3, 4}, lp.LE, 5, "cap")
 
 	infeasible := NewProblem(&lp.Problem{})
-	infeasible.AddIntVar(1, 0, 1, "x")
-	infeasible.AddIntVar(1, 0, 1, "y")
+	addIntVar(infeasible, 1, 0, 1, "x")
+	addIntVar(infeasible, 1, 0, 1, "y")
 	infeasible.LP.AddConstraint([]int{0, 1}, []float64{1, 1}, lp.GE, 3, "impossible")
 
 	instances := map[string]*Problem{

@@ -101,7 +101,7 @@ func (p *parser) varIndex(name string) int {
 	if j, ok := p.vars[name]; ok {
 		return j
 	}
-	j := p.prob.AddContVar(0, 0, lp.Inf, name)
+	j := p.prob.AddContVar(0, lp.Inf, name)
 	p.vars[name] = j
 	return j
 }

@@ -15,8 +15,8 @@ func roundTripProblem() *Problem {
 	p := NewProblem(&lp.Problem{})
 	x := p.AddBinVar(5, "x[a,n=1]")
 	y := p.AddBinVar(4, "y")
-	z := p.AddIntVar(3, 0, 3, "z")
-	c := p.AddContVar(0.5, 0, 10, "c")
+	z := addIntVar(p, 3, 0, 3, "z")
+	c := p.AddContVar(0.5, 10, "c")
 	p.LP.AddConstraint([]int{x, y, z}, []float64{2, 3, 1}, lp.LE, 5, "cap")
 	p.LP.AddConstraint([]int{z, c}, []float64{1, -1}, lp.GE, -2, "link")
 	p.LP.AddConstraint([]int{x, c}, []float64{1, 1}, lp.EQ, 3, "tie")

@@ -34,7 +34,7 @@ func intFeasibleRef(p *Problem, x []float64, tol float64) bool {
 
 func (h *heurCtxRef) round(p *Problem, x []float64, tol float64, st *Stats) ([]float64, bool) {
 	if intFeasibleRef(p, x, tol) {
-		if cand := snap(h.upper, p, x); p.LP.Feasible(cand, 1e-6) {
+		if cand := snap(h.upper, p, x); p.LP.Feasible(cand) {
 			return cand, true
 		}
 	}
@@ -62,7 +62,7 @@ func (h *heurCtxRef) round(p *Problem, x []float64, tol float64, st *Stats) ([]f
 			}
 			cand = snap(h.upper, p, sol.X)
 		}
-		if p.LP.Feasible(cand, 1e-6) {
+		if p.LP.Feasible(cand) {
 			return cand, true
 		}
 	}
@@ -161,41 +161,40 @@ func TestRoundMatchesReference(t *testing.T) {
 				t.Fatalf("trial %d: a pure-integer model got an upper-bound buffer", trial)
 			}
 		}
-		for _, tol := range []float64{1e-6, 0} {
-			for k := 0; k < 8; k++ {
-				x := randRelaxPoint(rng, p, tol)
-				integral := mostFractional(p, x, tol) < 0
-				if integral != intFeasibleRef(p, x, tol) {
-					t.Fatalf("trial %d: mostFractional < 0 is %t on %v, intFeasible %t", trial, integral, x, !integral)
+		const tol = lp.IntTol // the tolerance every search rounds under
+		for k := 0; k < 16; k++ {
+			x := randRelaxPoint(rng, p, tol)
+			integral := mostFractional(p, x, tol) < 0
+			if integral != intFeasibleRef(p, x, tol) {
+				t.Fatalf("trial %d: mostFractional < 0 is %t on %v, intFeasible %t", trial, integral, x, !integral)
+			}
+			var st, stRef Stats
+			got, ok := h.round(p, x, integral, &st)
+			want, okRef := ref.round(p, x, tol, &stRef)
+			if ok != okRef || len(got) != len(want) {
+				t.Fatalf("trial %d, x %v, tol %g: round %v (%t), reference %v (%t)", trial, x, tol, got, ok, want, okRef)
+			}
+			for j := range got {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("trial %d, x %v, tol %g: candidate[%d] = %v, reference %v", trial, x, tol, j, got[j], want[j])
 				}
-				var st, stRef Stats
-				got, ok := h.round(p, x, tol, integral, &st)
-				want, okRef := ref.round(p, x, tol, &stRef)
-				if ok != okRef || len(got) != len(want) {
-					t.Fatalf("trial %d, x %v, tol %g: round %v (%t), reference %v (%t)", trial, x, tol, got, ok, want, okRef)
+			}
+			if st.Relaxations != stRef.Relaxations || st.Pivots != stRef.Pivots {
+				t.Fatalf("trial %d: charged %d relaxations, %d pivots; reference %d, %d", trial, st.Relaxations, st.Pivots, stRef.Relaxations, stRef.Pivots)
+			}
+			switch {
+			case ok && integral:
+				fast++
+			case ok:
+				found++
+				if mixed {
+					mixedFound++
 				}
-				for j := range got {
-					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-						t.Fatalf("trial %d, x %v, tol %g: candidate[%d] = %v, reference %v", trial, x, tol, j, got[j], want[j])
-					}
+				if h.integralBounds {
+					integralFound++
 				}
-				if st.Relaxations != stRef.Relaxations || st.Pivots != stRef.Pivots {
-					t.Fatalf("trial %d: charged %d relaxations, %d pivots; reference %d, %d", trial, st.Relaxations, st.Pivots, stRef.Relaxations, stRef.Pivots)
-				}
-				switch {
-				case ok && integral:
-					fast++
-				case ok:
-					found++
-					if mixed {
-						mixedFound++
-					}
-					if h.integralBounds {
-						integralFound++
-					}
-				case h.noInteger && !integral:
-					empty++
-				}
+			case h.noInteger && !integral:
+				empty++
 			}
 		}
 	}

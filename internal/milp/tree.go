@@ -26,19 +26,11 @@ type TreeRecorder struct {
 	nodes []NodeEvent
 }
 
-// NewTreeRecorder returns a recorder. When p is non-nil its variable names
-// are captured so DOT branch edges read "x[A1,n=3,k=1]=0" instead of "x17=0".
-func NewTreeRecorder(p *Problem) *TreeRecorder {
-	r := &TreeRecorder{}
-	if p != nil {
-		r.names = append([]string(nil), p.LP.Names...)
-	}
-	return r
-}
+// NewTreeRecorder returns a recorder.
+func NewTreeRecorder() *TreeRecorder { return &TreeRecorder{} }
 
-// SetNames replaces the variable names used for branch labels; callers that
-// could not pass the Problem to NewTreeRecorder (because a higher layer builds
-// it) inject the names here.
+// SetNames sets the variable names used for branch labels, so DOT branch
+// edges read "x[A1,n=3,k=1]=0" instead of "x17=0".
 func (r *TreeRecorder) SetNames(names []string) {
 	r.names = append([]string(nil), names...)
 }

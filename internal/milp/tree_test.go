@@ -13,7 +13,8 @@ import (
 // recordTree solves p with a TreeRecorder installed and returns the recorder.
 func recordTree(t *testing.T, p *Problem) *TreeRecorder {
 	t.Helper()
-	rec := NewTreeRecorder(p)
+	rec := NewTreeRecorder()
+	rec.SetNames(p.LP.Names)
 	sol, err := Solve(p, Options{Observer: rec.Observe})
 	if err != nil {
 		t.Fatal(err)

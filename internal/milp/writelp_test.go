@@ -12,7 +12,7 @@ func TestWriteLPKnapsack(t *testing.T) {
 	p := NewProblem(&lp.Problem{})
 	a := p.AddBinVar(60, "take[a]")
 	b := p.AddBinVar(100, "take b") // space must be sanitized
-	c := p.AddContVar(1, 0, lp.Inf, "slack")
+	c := p.AddContVar(1, lp.Inf, "slack")
 	p.LP.AddConstraint([]int{a, b, c}, []float64{10, 20, -1}, lp.LE, 50, "cap")
 	p.LP.AddConstraint([]int{a, b}, []float64{1, 1}, lp.GE, 1, "")
 	p.LP.AddConstraint([]int{c}, []float64{1}, lp.EQ, 0, "fix")

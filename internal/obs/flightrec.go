@@ -410,7 +410,7 @@ func WriteGapTimeline(w io.Writer, name string, recs []SolveProgress) error {
 	if len(rows) > 0 {
 		initGap, _ = rows[0].Gap()
 	}
-	for _, p := range sampleRows(rows, maxGapRows) {
+	for _, p := range sampleRows(rows) {
 		gap, _ := p.Gap()
 		bar := gapBar(gap, initGap)
 		if _, err := fmt.Fprintf(w, "  node %6d  incumbent %-12.6g bound %-12.6g gap %-10.4g %s\n",
@@ -464,14 +464,15 @@ func gapRows(recs []SolveProgress) []SolveProgress {
 	return out
 }
 
-// sampleRows keeps at most n rows, always including the first and last.
-func sampleRows(rows []SolveProgress, n int) []SolveProgress {
-	if len(rows) <= n || n < 2 {
+// sampleRows keeps at most maxGapRows rows, always including the first and
+// last.
+func sampleRows(rows []SolveProgress) []SolveProgress {
+	if len(rows) <= maxGapRows {
 		return rows
 	}
-	out := make([]SolveProgress, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, rows[i*(len(rows)-1)/(n-1)])
+	out := make([]SolveProgress, 0, maxGapRows)
+	for i := 0; i < maxGapRows; i++ {
+		out = append(out, rows[i*(len(rows)-1)/(maxGapRows-1)])
 	}
 	return out
 }

@@ -390,7 +390,7 @@ func TestSampleRowsKeepsEnds(t *testing.T) {
 	for i := range rows {
 		rows[i].Nodes = i
 	}
-	got := sampleRows(rows, maxGapRows)
+	got := sampleRows(rows)
 	if len(got) != maxGapRows || got[0].Nodes != 0 || got[len(got)-1].Nodes != 99 {
 		t.Fatalf("sampleRows = %d rows, first %d, last %d", len(got), got[0].Nodes, got[len(got)-1].Nodes)
 	}

@@ -74,18 +74,18 @@ const (
 	offPoolMaxNodes = 50000
 )
 
-// offPoolWorkload solves the off-pool corpus at n analyses and the default
+// offPoolWorkload solves the off-pool corpus at 100 analyses and the default
 // search width and reports deterministic effort counters only: nodes and
 // simplex iterations over the corpus, the worst instance's nodes, the
 // iterations of the root relaxations alone (lp.Solve on the compact model, as
 // benchmark/'s lp.root_pivots probe takes them), the summed objective, and
 // the searches' refactorizations (summed) and eta peak (the worst instance's).
-func offPoolWorkload(name string, n int) Workload {
-	return Workload{Name: name, Run: func() (Counters, error) {
+func offPoolWorkload() Workload {
+	return Workload{Name: "offpool_sparse_n100", Run: func() (Counters, error) {
 		var nodes, nodesMax, pivots, rootPivots, refactors, etaPeak int
 		objective := 0.0
 		for sub := int64(offPoolFirst); sub < offPoolFirst+offPoolCount; sub++ {
-			specs, res := solvercheck.SparseCampaign(sub, n)
+			specs, res := solvercheck.SparseCampaign(sub, 100)
 			opts := core.SolveOptions{MaxCount: 4, MaxNodes: offPoolMaxNodes}
 			rec, err := core.Solve(specs, res, opts)
 			if err != nil {
@@ -152,7 +152,7 @@ func solverWorkloads() []Workload {
 		// O(rows x columns) per pivot.
 		schedSolveOpts("sched_large_sparse", largeSparse, largeSparseRes,
 			core.SolveOptions{Workers: BenchWorkers, MaxCount: 4}),
-		offPoolWorkload("offpool_sparse_n100", 100),
+		offPoolWorkload(),
 	}
 
 	ws = append(ws, Workload{Name: "sched_flash_f1f3_lexicographic", Run: func() (Counters, error) {
@@ -280,7 +280,6 @@ func solvePaperBatch(opts core.SolveOptions) (nodes, pivots int, objective float
 // pipeline workloads self-contained and noise-free.
 type benchKernel struct {
 	name    string
-	work    int
 	payload []byte
 	acc     float64
 }
@@ -291,7 +290,7 @@ func (k *benchKernel) PreStep(step int) (int64, error) { k.acc += float64(step);
 func (k *benchKernel) Free()                           {}
 func (k *benchKernel) Analyze(step int) (int64, error) {
 	s := k.acc
-	for i := 0; i < k.work; i++ {
+	for i := 0; i < 2000; i++ {
 		s += float64(i%7) * 1.0000001
 	}
 	k.acc = s
@@ -302,13 +301,17 @@ func (k *benchKernel) Output(dst io.Writer) (int64, error) {
 	return int64(n), err
 }
 
+// The pipeline workloads run pipelineSteps steps, and every kernel analyzes
+// every pipelineItv.
+const pipelineSteps, pipelineItv = 240, 4
+
 // benchRecommendation builds a fixed schedule: every kernel analyzes every
-// `itv` steps and outputs every other analysis.
-func benchRecommendation(names []string, steps, itv int) *core.Recommendation {
+// pipelineItv steps and outputs every other analysis.
+func benchRecommendation(names []string) *core.Recommendation {
 	rec := &core.Recommendation{}
 	for _, name := range names {
 		var as, os []int
-		for s := itv; s <= steps; s += itv {
+		for s := pipelineItv; s <= pipelineSteps; s += pipelineItv {
 			as = append(as, s)
 			if len(as)%2 == 0 {
 				os = append(os, s)
@@ -326,11 +329,10 @@ func benchRecommendation(names []string, steps, itv int) *core.Recommendation {
 // synthetic kernels on a fixed 240-step schedule — wired to the given
 // observability sinks (each may be nil).
 func instrumentedPipeline(tr *obs.Tracer, reg *obs.Registry, led *obs.EventLog) *coupling.Runner {
-	const steps, itv = 240, 4
 	names := []string{"k1", "k2"}
 	kernels := map[string]analysis.Kernel{}
 	for _, n := range names {
-		kernels[n] = &benchKernel{name: n, work: 2000, payload: make([]byte, 4096)}
+		kernels[n] = &benchKernel{name: n, payload: make([]byte, 4096)}
 	}
 	sink := 0.0
 	return &coupling.Runner{
@@ -340,8 +342,8 @@ func instrumentedPipeline(tr *obs.Tracer, reg *obs.Registry, led *obs.EventLog) 
 			}
 		},
 		Kernels: kernels,
-		Rec:     benchRecommendation(names, steps, itv),
-		Res:     core.Resources{Steps: steps, TimeThreshold: 1000},
+		Rec:     benchRecommendation(names),
+		Res:     core.Resources{Steps: pipelineSteps, TimeThreshold: 1000},
 		Trace:   tr,
 		Metrics: reg,
 		Ledger:  led,

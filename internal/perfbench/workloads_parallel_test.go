@@ -118,7 +118,7 @@ func TestOffPoolCorpusAgreesAcrossWidths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves the off-pool corpus at two widths")
 	}
-	s, err := offPoolWorkload("offpool", 100).Run()
+	s, err := offPoolWorkload().Run()
 	if err != nil {
 		t.Fatal(err)
 	}

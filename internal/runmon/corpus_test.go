@@ -36,7 +36,7 @@ func TestPerturbedCorpusDetection(t *testing.T) {
 	for _, r := range runs {
 		r := r
 		t.Run(r.Name, func(t *testing.T) {
-			s := runmon.Analyze(r.Events(experiments.PerturbedRunSeed), nil, runmon.Config{})
+			s := runmon.Analyze(r.Events(), nil, runmon.Config{})
 			if !s.Ended || s.Step != r.Steps {
 				t.Fatalf("snapshot = step %d ended %v, want full %d-step run", s.Step, s.Ended, r.Steps)
 			}
@@ -71,8 +71,8 @@ func TestPerturbedCorpusDetection(t *testing.T) {
 // premise: the same run and seed synthesize byte-identical event streams.
 func TestPerturbedCorpusEventsDeterministic(t *testing.T) {
 	r := experiments.PerturbedRuns()[1]
-	a := r.Events(experiments.PerturbedRunSeed)
-	b := r.Events(experiments.PerturbedRunSeed)
+	a := r.Events()
+	b := r.Events()
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}

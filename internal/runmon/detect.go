@@ -4,11 +4,10 @@ package runmon
 // the smoothed "how far off is the model right now" signal. The first
 // observation seeds the mean directly so early values are not dragged
 // toward zero.
+// Its smoothing weight is ewmaAlpha.
 type EWMA struct {
-	// Alpha is the smoothing weight in (0, 1]; larger reacts faster.
-	Alpha float64
-	mean  float64
-	n     int
+	mean float64
+	n    int
 }
 
 // Observe folds x into the average and returns the updated value.
@@ -18,7 +17,7 @@ func (e *EWMA) Observe(x float64) float64 {
 		e.mean = x
 		return e.mean
 	}
-	e.mean += e.Alpha * (x - e.mean)
+	e.mean += ewmaAlpha * (x - e.mean)
 	return e.mean
 }
 
@@ -38,23 +37,20 @@ func (e *EWMA) N() int { return e.n }
 // residuals within ±k never accumulate — and an alarm fires when either
 // statistic crosses the threshold h. Unlike a plain EWMA cut-off, CUSUM
 // detects both abrupt jumps and slow creep: any sustained shift past k
-// grows one statistic linearly until it crosses h.
+// grows one statistic linearly until it crosses h. k is cusumSlack and h is
+// cusumThreshold.
 type CUSUM struct {
-	// Slack is k, the per-observation allowance (in relative-error units).
-	Slack float64
-	// Threshold is h, the alarm level.
-	Threshold float64
-	pos, neg  float64
+	pos, neg float64
 }
 
 // Observe folds residual x in and reports whether an alarm level is crossed
 // after the update.
 func (c *CUSUM) Observe(x float64) bool {
-	c.pos += x - c.Slack
+	c.pos += x - cusumSlack
 	if c.pos < 0 {
 		c.pos = 0
 	}
-	c.neg += -x - c.Slack
+	c.neg += -x - cusumSlack
 	if c.neg < 0 {
 		c.neg = 0
 	}
@@ -63,7 +59,7 @@ func (c *CUSUM) Observe(x float64) bool {
 
 // Alarm reports whether either statistic currently exceeds the threshold.
 func (c *CUSUM) Alarm() bool {
-	return c.pos > c.Threshold || c.neg > c.Threshold
+	return c.pos > cusumThreshold || c.neg > cusumThreshold
 }
 
 // Stat returns the positive (slow) and negative (fast) statistics.

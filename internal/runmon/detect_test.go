@@ -6,15 +6,17 @@ import (
 )
 
 func TestEWMASeedsAndSmooths(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
+	var e EWMA
 	if got := e.Observe(1.0); got != 1.0 {
 		t.Fatalf("first observation should seed the mean, got %g", got)
 	}
-	if got := e.Observe(0); got != 0.5 {
-		t.Fatalf("after 1, 0 with alpha .5 want 0.5, got %g", got)
+	x := 0.0
+	want := 1 + ewmaAlpha*(x-1)
+	if got := e.Observe(x); got != want || math.Abs(want-0.7) > 1e-12 {
+		t.Fatalf("after 1, 0 with alpha %g want %g (0.7), got %g", ewmaAlpha, want, got)
 	}
-	if got := e.Observe(0.5); got != 0.5 {
-		t.Fatalf("mean should stay at 0.5, got %g", got)
+	if got := e.Observe(want); got != want {
+		t.Fatalf("mean should stay at %g, got %g", want, got)
 	}
 	if e.N() != 3 {
 		t.Fatalf("N = %d", e.N())
@@ -22,7 +24,7 @@ func TestEWMASeedsAndSmooths(t *testing.T) {
 }
 
 func TestCUSUMDetectsSustainedShift(t *testing.T) {
-	c := CUSUM{Slack: 0.25, Threshold: 1.0}
+	var c CUSUM
 	// Noise within the slack never accumulates.
 	for i := 0; i < 100; i++ {
 		x := 0.2
@@ -58,7 +60,7 @@ func TestCUSUMDetectsSustainedShift(t *testing.T) {
 }
 
 func TestCUSUMDetectsSpeedup(t *testing.T) {
-	c := CUSUM{Slack: 0.25, Threshold: 1.0}
+	var c CUSUM
 	fired := false
 	for i := 0; i < 10 && !fired; i++ {
 		fired = c.Observe(-0.75) // run twice as fast as predicted
@@ -74,7 +76,7 @@ func TestCUSUMDetectsSpeedup(t *testing.T) {
 func TestCUSUMImmediateJump(t *testing.T) {
 	// A single catastrophic observation (3x degradation: x = 2) crosses
 	// h = 1.0 immediately: 2 - 0.25 > 1.
-	c := CUSUM{Slack: 0.25, Threshold: 1.0}
+	var c CUSUM
 	if !c.Observe(2.0) {
 		t.Fatal("3x degradation should alarm on first observation")
 	}

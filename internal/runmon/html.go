@@ -11,7 +11,6 @@ import (
 // htmlView pre-formats the snapshot so the template stays logic-free, the
 // same pattern (and stylesheet) as the schedexplain HTML report.
 type htmlView struct {
-	Title   string
 	App     string
 	Step    string
 	State   string
@@ -44,13 +43,13 @@ var driftTemplate = template.Must(template.New("drift").Parse(`<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
-<title>{{.Title}}</title>
+<title>Run drift report</title>
 <style>
 ` + style.Page + `
 </style>
 </head>
 <body>
-<h1>{{.Title}}</h1>
+<h1>Run drift report</h1>
 <p class="summary">
 <span>run <strong>{{.App}}</strong></span>
 <span>step <strong>{{.Step}}</strong></span>
@@ -100,7 +99,6 @@ func (s Snapshot) WriteHTML(w io.Writer) error {
 		step = fmt.Sprintf("%d / %d", s.Step, s.Steps)
 	}
 	view := htmlView{
-		Title:  "Run drift report",
 		App:    app,
 		Step:   step,
 		State:  state,

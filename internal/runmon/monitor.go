@@ -251,7 +251,7 @@ func (m *Monitor) rebaseline(name string) {
 	st.predicted = pred
 	st.calSum, st.calN = 0, 0
 	st.scoredObs, st.scoredPred = 0, 0
-	st.ewma = EWMA{Alpha: ewmaAlpha}
+	st.ewma = EWMA{}
 	st.cusum.Reset()
 	st.alerted = false
 	st.mEWMA.Set(0)
@@ -264,9 +264,7 @@ func (m *Monitor) stream(name string) *streamState {
 	st, ok := m.streams[name]
 	if !ok {
 		st = &streamState{
-			name:  name,
-			ewma:  EWMA{Alpha: ewmaAlpha},
-			cusum: CUSUM{Slack: cusumSlack, Threshold: cusumThreshold},
+			name: name,
 		}
 		if m.profile != nil {
 			st.predicted = m.profile.Streams[name]

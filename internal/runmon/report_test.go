@@ -19,7 +19,7 @@ func driftedSnapshot(t *testing.T) Snapshot {
 			{Name: "rdf", AnalyzeSec: 0.004, OutputSec: 0.001, Every: 2, OutputEvery: 4, Bytes: 1 << 20},
 		},
 	}
-	return Analyze(run.Events(42), nil, Config{})
+	return Analyze(run.Events(), nil, Config{})
 }
 
 func TestAnalyzeReplaysSynthRun(t *testing.T) {
@@ -124,10 +124,7 @@ func TestSynthRunControlIsQuiet(t *testing.T) {
 			{Name: "rdf", AnalyzeSec: 0.004, OutputSec: 0.001, Every: 2, OutputEvery: 4},
 		},
 	}
-	for seed := int64(1); seed <= 5; seed++ {
-		s := Analyze(run.Events(seed), nil, Config{})
-		if len(s.Alerts) != 0 {
-			t.Fatalf("seed %d: control run raised %+v", seed, s.Alerts)
-		}
+	if s := Analyze(run.Events(), nil, Config{}); len(s.Alerts) != 0 {
+		t.Fatalf("control run raised %+v", s.Alerts)
 	}
 }

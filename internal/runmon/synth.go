@@ -81,13 +81,18 @@ func (r SynthRun) Profile() *Profile {
 	return p
 }
 
-// Events synthesizes the run's ledger deterministically from the seed: plan
+// SynthSeed is the fixed seed of every synthetic run's noise, so the golden
+// snapshot, the detection tests and any replay synthesize byte-identical
+// ledgers.
+const SynthSeed int64 = 2026
+
+// Events synthesizes the run's ledger deterministically from SynthSeed: plan
 // events first (the ledger self-describes its predictions), then run_start,
 // the per-step step/analysis/output events with seeded multiplicative noise
 // and the injected perturbation, then run_end. Durations are microseconds,
 // as in real ledgers.
-func (r SynthRun) Events(seed int64) []obs.LedgerEvent {
-	rng := rand.New(rand.NewSource(seed))
+func (r SynthRun) Events() []obs.LedgerEvent {
+	rng := rand.New(rand.NewSource(SynthSeed))
 	noise := func() float64 {
 		if r.NoiseFrac <= 0 {
 			return 1

@@ -12,9 +12,9 @@ import (
 // on, invalid UTF-8 replaced, and the first non-finite float in field order
 // the error encoding/json reports.
 
-// AppendResponse appends the document r to dst as the daemon writes it.
-func AppendResponse(dst []byte, r *SolveResponse) ([]byte, error) {
-	w := replyWriter{b: dst}
+// EncodeResponse returns the document r as the daemon writes it.
+func EncodeResponse(r *SolveResponse) ([]byte, error) {
+	var w replyWriter
 	w.appendHead(&r.responseHead)
 	w.appendTail(r)
 	return w.b, w.err

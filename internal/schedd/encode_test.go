@@ -24,12 +24,12 @@ func encodeResponse(r *SolveResponse) ([]byte, error) {
 	return b.Bytes(), err
 }
 
-// checkEncode holds AppendResponse to the oracle byte for byte and error for
+// checkEncode holds EncodeResponse to the oracle byte for byte and error for
 // error. It reports whether the document encoded.
 func checkEncode(t testing.TB, r *SolveResponse) bool {
 	t.Helper()
 	want, wantErr := encodeResponse(r)
-	got, gotErr := AppendResponse(nil, r)
+	got, gotErr := EncodeResponse(r)
 	if wantErr != nil || gotErr != nil {
 		var wantUV, gotUV *json.UnsupportedValueError
 		if !errors.As(wantErr, &wantUV) || !errors.As(gotErr, &gotUV) || wantErr.Error() != gotErr.Error() {

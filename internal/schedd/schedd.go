@@ -252,7 +252,7 @@ type flightCall struct {
 }
 
 // Server is the schedd daemon core: construct with New, mount Handler on a
-// listener (obs.ServeUntil in cmd/schedd), flip SetReady(false) to drain.
+// listener (obs.ServeUntil in cmd/schedd), call Drain to drain.
 type Server struct {
 	cfg    Config
 	reg    *obs.Registry
@@ -317,12 +317,12 @@ func New(cfg Config) *Server {
 // Registry exposes the server's metrics registry (for embedding callers).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// SetReady flips the /readyz answer; cmd/schedd sets false on the first
-// shutdown signal so load balancers drain the instance while in-flight
-// requests finish.
-func (s *Server) SetReady(ready bool) {
+// Drain turns the /readyz answer to not ready for good; cmd/schedd calls it
+// on the first shutdown signal so load balancers drain the instance while
+// in-flight requests finish.
+func (s *Server) Drain() {
 	s.mu.Lock()
-	s.notReady = !ready
+	s.notReady = true
 	s.mu.Unlock()
 }
 
@@ -708,7 +708,7 @@ func (a answer) response() *SolveResponse {
 
 // write renders the answer over HTTP, in scratch if it has room: the
 // request's head, then the tail its solve rendered once (a failure renders its
-// own), the bytes AppendResponse writes for response().
+// own), the bytes EncodeResponse writes for response().
 func (a answer) write(w http.ResponseWriter, scratch []byte) {
 	w.Header().Set(obs.RequestIDHeader, a.rec.ID)
 	w.Header().Set("Content-Type", "application/json")

@@ -370,12 +370,6 @@ func TestReadyzAndRequestRoutes(t *testing.T) {
 	if code, body := get("/readyz"); code != http.StatusOK || body != "ready\n" {
 		t.Fatalf("/readyz = %d %q", code, body)
 	}
-	s.SetReady(false)
-	if code, _ := get("/readyz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz while draining = %d", code)
-	}
-	s.SetReady(true)
-
 	_, out := postSolve(t, srv, SolveRequest{Scenario: testScenario()}, "req-x")
 	if out.Error != nil {
 		t.Fatalf("solve failed: %+v", out.Error)
@@ -413,5 +407,10 @@ func TestReadyzAndRequestRoutes(t *testing.T) {
 	}
 	if code, _ := get("/v1/requests/req-y/solve.json"); code != http.StatusOK {
 		t.Fatalf("cache-hit flight route = %d", code)
+	}
+
+	s.Drain()
+	if code, _ := get("/readyz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz while draining = %d", code)
 	}
 }

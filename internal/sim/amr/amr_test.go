@@ -187,7 +187,7 @@ func TestMaxWaveSpeedPositive(t *testing.T) {
 		t.Fatalf("wave speed = %g", s)
 	}
 	dt := g.StepCFL()
-	if dt <= 0 || dt > g.CFL*g.Dx/s*1.0001 {
+	if dt <= 0 || dt > cfl*g.Dx/s*1.0001 {
 		t.Fatalf("dt = %g violates CFL (s=%g)", dt, s)
 	}
 	if g.StepCount != 1 || g.Time != dt {
@@ -220,9 +220,9 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 func TestRenderSliceShowsShell(t *testing.T) {
 	g := sedov(t, 3, 8)
 	g.Run(12)
-	out := g.RenderSlice(40, 20)
+	out := g.RenderSlice()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 20 {
+	if len(lines) != 28 {
 		t.Fatalf("lines = %d", len(lines))
 	}
 	// The over-dense shell must produce dark ramp characters somewhere, and
@@ -233,8 +233,5 @@ func TestRenderSliceShowsShell(t *testing.T) {
 	corner := lines[0][:3]
 	if strings.ContainsAny(corner, "#%@") {
 		t.Fatalf("corner should be ambient, got %q", corner)
-	}
-	if g.RenderSlice(0, 0) == "" {
-		t.Fatal("default render empty")
 	}
 }

@@ -40,19 +40,23 @@ func (b *Block) idx(i, j, k int) int { return (i*b.w+j)*b.w + k }
 
 // Grid is the global block-structured domain.
 type Grid struct {
-	NBX, NBY, NBZ int // block lattice dimensions
-	NB            int // interior cells per block side
-	Dx            float64
-	Gamma         float64
-	CFL           float64
-	Time          float64
-	StepCount     int
-	Blocks        []*Block
+	NBX       int // blocks per lattice side: the lattice is NBX³ blocks
+	NB        int // interior cells per block side
+	Dx        float64
+	Time      float64
+	StepCount int
+	Blocks    []*Block
 }
 
-// Config controls grid construction. The domain is the unit cube, the gas
-// is ideal with a ratio of specific heats of 1.4, and the Courant number
-// is 0.4.
+// The gas is ideal with a ratio of specific heats of gamma, and every step
+// runs at Courant number cfl. Both are typed so that a constant expression
+// of them rounds as the same expression of float64 variables does.
+const (
+	gamma float64 = 1.4
+	cfl   float64 = 0.4
+)
+
+// Config controls grid construction. The domain is the unit cube.
 type Config struct {
 	BlocksX int // block lattice BlocksX³ (default 4)
 	NB      int // cells per block side (default 8; FLASH uses 16)
@@ -78,18 +82,16 @@ func NewGrid(cfg Config) (*Grid, error) {
 		return nil, fmt.Errorf("amr: invalid block lattice %d³", cfg.BlocksX)
 	}
 	g := &Grid{
-		NBX: cfg.BlocksX, NBY: cfg.BlocksX, NBZ: cfg.BlocksX,
-		NB:    cfg.NB,
-		Dx:    1.0 / float64(cfg.BlocksX*cfg.NB),
-		Gamma: 1.4,
-		CFL:   0.4,
+		NBX: cfg.BlocksX,
+		NB:  cfg.NB,
+		Dx:  1.0 / float64(cfg.BlocksX*cfg.NB),
 	}
-	n := g.NBX * g.NBY * g.NBZ
+	n := g.NBX * g.NBX * g.NBX
 	g.Blocks = make([]*Block, n)
 	w := g.NB + 2
 	for bi := 0; bi < g.NBX; bi++ {
-		for bj := 0; bj < g.NBY; bj++ {
-			for bk := 0; bk < g.NBZ; bk++ {
+		for bj := 0; bj < g.NBX; bj++ {
+			for bk := 0; bk < g.NBX; bk++ {
 				b := &Block{Index: [3]int{bi, bj, bk}, nb: g.NB, w: w}
 				for v := 0; v < NumVars; v++ {
 					b.U[v] = make([]float64, w*w*w)
@@ -101,11 +103,11 @@ func NewGrid(cfg Config) (*Grid, error) {
 	return g, nil
 }
 
-func (g *Grid) blockID(bi, bj, bk int) int { return (bi*g.NBY+bj)*g.NBZ + bk }
+func (g *Grid) blockID(bi, bj, bk int) int { return (bi*g.NBX+bj)*g.NBX + bk }
 
 // NumCells returns the number of interior cells in the whole domain.
 func (g *Grid) NumCells() int {
-	return g.NBX * g.NBY * g.NBZ * g.NB * g.NB * g.NB
+	return g.NBX * g.NBX * g.NBX * g.NB * g.NB * g.NB
 }
 
 // MemoryBytes estimates the resident bytes of the grid state, counting the
@@ -135,7 +137,7 @@ func (g *Grid) Primitive(b *Block, n int) (rho, u, v, w, p float64) {
 	v = b.U[MomY][n] / rho
 	w = b.U[MomZ][n] / rho
 	kin := 0.5 * rho * (u*u + v*v + w*w)
-	p = (g.Gamma - 1) * (b.U[Ener][n] - kin)
+	p = (gamma - 1) * (b.U[Ener][n] - kin)
 	return
 }
 
@@ -173,7 +175,7 @@ func NewSedov(cfg Config) (*Grid, error) {
 		return nil, fmt.Errorf("amr: initial blast sphere contains no cell centers (grid too coarse)")
 	}
 	cellVol := g.Dx * g.Dx * g.Dx
-	pBlast := (g.Gamma - 1) * eBlast / (float64(inside) * cellVol)
+	pBlast := (gamma - 1) * eBlast / (float64(inside) * cellVol)
 
 	for _, b := range g.Blocks {
 		for i := 0; i < g.NB; i++ {
@@ -187,7 +189,7 @@ func NewSedov(cfg Config) (*Grid, error) {
 					}
 					n := b.idx(i+1, j+1, k+1)
 					b.U[Dens][n] = rhoAmb
-					b.U[Ener][n] = p / (g.Gamma - 1)
+					b.U[Ener][n] = p / (gamma - 1)
 				}
 			}
 		}
@@ -213,7 +215,7 @@ func (g *Grid) FillGhosts() {
 
 func (g *Grid) neighbor(b *Block, di, dj, dk int) *Block {
 	ni, nj, nk := b.Index[0]+di, b.Index[1]+dj, b.Index[2]+dk
-	if ni < 0 || ni >= g.NBX || nj < 0 || nj >= g.NBY || nk < 0 || nk >= g.NBZ {
+	if ni < 0 || ni >= g.NBX || nj < 0 || nj >= g.NBX || nk < 0 || nk >= g.NBX {
 		return nil
 	}
 	return g.Blocks[g.blockID(ni, nj, nk)]

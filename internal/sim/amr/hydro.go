@@ -21,7 +21,7 @@ func (g *Grid) MaxWaveSpeed() float64 {
 					if rho <= 0 || p < 0 {
 						continue
 					}
-					c := math.Sqrt(g.Gamma * p / rho)
+					c := math.Sqrt(gamma * p / rho)
 					s := math.Max(math.Abs(u), math.Max(math.Abs(v), math.Abs(w))) + c
 					if s > m {
 						m = s
@@ -62,7 +62,7 @@ func (g *Grid) StepCFL() float64 {
 	if s <= 0 {
 		s = 1
 	}
-	dt := g.CFL * g.Dx / s
+	dt := cfl * g.Dx / s
 	g.Step(dt)
 	return dt
 }
@@ -149,8 +149,8 @@ func (g *Grid) hll(dim int, uL, uR, out *[NumVars]float64) {
 	mom := MomX + dim
 	rhoL, pL, vnL := g.faceState(uL, mom)
 	rhoR, pR, vnR := g.faceState(uR, mom)
-	cL := math.Sqrt(g.Gamma * math.Max(pL, 0) / rhoL)
-	cR := math.Sqrt(g.Gamma * math.Max(pR, 0) / rhoR)
+	cL := math.Sqrt(gamma * math.Max(pL, 0) / rhoL)
+	cR := math.Sqrt(gamma * math.Max(pR, 0) / rhoR)
 	sL := math.Min(vnL-cL, vnR-cR)
 	sR := math.Max(vnL+cL, vnR+cR)
 
@@ -177,7 +177,7 @@ func (g *Grid) faceState(u *[NumVars]float64, mom int) (rho, p, vn float64) {
 	rho = math.Max(u[Dens], 1e-12)
 	vn = u[mom] / rho
 	kin := 0.5 * (u[MomX]*u[MomX] + u[MomY]*u[MomY] + u[MomZ]*u[MomZ]) / rho
-	p = (g.Gamma - 1) * (u[Ener] - kin)
+	p = (gamma - 1) * (u[Ener] - kin)
 	if p < 0 {
 		p = 0
 	}

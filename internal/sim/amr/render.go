@@ -8,18 +8,14 @@ import (
 // RenderSlice draws an ASCII density map of the z-midplane — the quick-look
 // visualization a scientist steering a Sedov run would inspect (§3.2 notes
 // in-situ output lets researchers "check behavior of a running simulation").
-// Density maps to a character ramp from vacuum to the strong-shock limit.
-func (g *Grid) RenderSlice(width, height int) string {
-	if width < 1 {
-		width = 48
-	}
-	if height < 1 {
-		height = 24
-	}
+// Density maps to a character ramp from vacuum to the strong-shock limit, on
+// a grid of 64 by 28 characters.
+func (g *Grid) RenderSlice() string {
+	const width, height = 64, 28
 	ramp := []byte(" .:-=+*#%@")
 	nx := g.NBX * g.NB
-	ny := g.NBY * g.NB
-	kMid := g.NBZ * g.NB / 2
+	ny := nx
+	kMid := nx / 2
 
 	// Sample the physical grid onto the character grid.
 	cell := func(i, j int) float64 {

@@ -2,72 +2,42 @@ package amr
 
 import "math"
 
-// SedovReference is the analytic Sedov-Taylor point-blast reference the
-// FLASH error norms compare against: the self-similar shock radius
+// The analytic Sedov-Taylor point-blast reference the FLASH error norms
+// compare against, for the bundled setup: blast energy E = 1 into ambient
+// density rho = 1 at gamma. It is the self-similar shock radius
 //
 //	R(t) = xi0 * (E t^2 / rho)^(1/5)
 //
 // and the strong-shock Rankine-Hugoniot jump conditions immediately behind
-// the front. xi0 depends on gamma through the similarity integral; the
-// standard gamma=1.4 value is 1.1527 (Sedov 1959), and nearby gammas use the
-// energy-integral approximation.
-type SedovReference struct {
-	Energy float64 // blast energy E
-	Rho    float64 // ambient density
-	Gamma  float64
-	Xi0    float64
-}
+// the front. sedovXi0 is the similarity constant for gamma = 1.4 (Sedov
+// 1959).
+const sedovXi0 float64 = 1.1527
 
-// NewSedovReference builds the reference for the bundled Sedov setup
-// (E = 1, rho = 1) at the given gamma.
-func NewSedovReference(gamma float64) *SedovReference {
-	return &SedovReference{Energy: 1, Rho: 1, Gamma: gamma, Xi0: xi0(gamma)}
-}
-
-// xi0 returns the similarity constant. Tabulated values bracket the common
-// range; interpolation covers the rest (error well under 1%).
-func xi0(gamma float64) float64 {
-	// (gamma, xi0) pairs from the standard Sedov tables.
-	pts := [][2]float64{
-		{1.2, 0.9756}, {1.3, 1.0746}, {1.4, 1.1527}, {5.0 / 3.0, 1.1517}, {2.0, 1.1283},
-	}
-	if gamma <= pts[0][0] {
-		return pts[0][1]
-	}
-	for i := 1; i < len(pts); i++ {
-		if gamma <= pts[i][0] {
-			f := (gamma - pts[i-1][0]) / (pts[i][0] - pts[i-1][0])
-			return pts[i-1][1] + f*(pts[i][1]-pts[i-1][1])
-		}
-	}
-	return pts[len(pts)-1][1]
-}
-
-// ShockRadius returns R(t).
-func (s *SedovReference) ShockRadius(t float64) float64 {
+// SedovShockRadius returns R(t).
+func SedovShockRadius(t float64) float64 {
 	if t <= 0 {
 		return 0
 	}
-	return s.Xi0 * math.Pow(s.Energy*t*t/s.Rho, 0.2)
+	return sedovXi0 * math.Pow(t*t, 0.2)
 }
 
-// ShockSpeed returns dR/dt = (2/5) R(t)/t.
-func (s *SedovReference) ShockSpeed(t float64) float64 {
+// SedovShockSpeed returns dR/dt = (2/5) R(t)/t.
+func SedovShockSpeed(t float64) float64 {
 	if t <= 0 {
 		return math.Inf(1)
 	}
-	return 0.4 * s.ShockRadius(t) / t
+	return 0.4 * SedovShockRadius(t) / t
 }
 
-// PostShockDensity returns the strong-shock density immediately behind the
-// front: rho1 (gamma+1)/(gamma-1) — 6x ambient for gamma = 1.4.
-func (s *SedovReference) PostShockDensity() float64 {
-	return s.Rho * (s.Gamma + 1) / (s.Gamma - 1)
+// SedovPostShockDensity returns the strong-shock density immediately behind
+// the front: rho (gamma+1)/(gamma-1) — 6x ambient for gamma = 1.4.
+func SedovPostShockDensity() float64 {
+	return (gamma + 1) / (gamma - 1)
 }
 
-// PostShockPressure returns the strong-shock pressure behind the front at
-// time t: 2 rho1 us^2 / (gamma+1).
-func (s *SedovReference) PostShockPressure(t float64) float64 {
-	us := s.ShockSpeed(t)
-	return 2 * s.Rho * us * us / (s.Gamma + 1)
+// SedovPostShockPressure returns the strong-shock pressure behind the front
+// at time t: 2 rho us^2 / (gamma+1).
+func SedovPostShockPressure(t float64) float64 {
+	us := SedovShockSpeed(t)
+	return 2 * us * us / (gamma + 1)
 }

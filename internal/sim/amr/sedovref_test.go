@@ -9,11 +9,10 @@ func TestSedovReferenceAgainstSimulation(t *testing.T) {
 	// The simulated shock radius should track xi0 (E t^2/rho)^(1/5) within
 	// the smearing of a first-order scheme on a coarse grid.
 	g := sedov(t, 4, 10)
-	ref := NewSedovReference(g.Gamma)
 	for g.Time < 0.04 {
 		g.StepCFL()
 	}
-	want := ref.ShockRadius(g.Time)
+	want := SedovShockRadius(g.Time)
 	got := g.ShockRadius()
 	if math.Abs(got-want) > 0.35*want {
 		t.Fatalf("shock radius %g vs Sedov-Taylor %g at t=%g", got, want, g.Time)
@@ -32,7 +31,7 @@ func TestSedovReferenceAgainstSimulation(t *testing.T) {
 			}
 		}
 	}
-	limit := ref.PostShockDensity()
+	limit := SedovPostShockDensity()
 	if peak > limit*1.05 {
 		t.Fatalf("peak density %g exceeds the strong-shock limit %g", peak, limit)
 	}
@@ -42,37 +41,22 @@ func TestSedovReferenceAgainstSimulation(t *testing.T) {
 }
 
 func TestSedovReferenceProperties(t *testing.T) {
-	ref := NewSedovReference(1.4)
-	if math.Abs(ref.Xi0-1.1527) > 1e-12 {
-		t.Fatalf("xi0(1.4) = %g", ref.Xi0)
-	}
-	if ref.ShockRadius(0) != 0 {
+	if SedovShockRadius(0) != 0 {
 		t.Fatal("R(0) must be 0")
 	}
 	// R ~ t^(2/5) exactly.
-	r1, r2 := ref.ShockRadius(0.01), ref.ShockRadius(0.02)
+	r1, r2 := SedovShockRadius(0.01), SedovShockRadius(0.02)
 	if math.Abs(r2/r1-math.Pow(2, 0.4)) > 1e-12 {
 		t.Fatalf("similarity scaling broken: %g", r2/r1)
 	}
 	// Shock decelerates; post-shock pressure decays.
-	if ref.ShockSpeed(0.02) >= ref.ShockSpeed(0.01) {
+	if SedovShockSpeed(0.02) >= SedovShockSpeed(0.01) {
 		t.Fatal("shock must decelerate")
 	}
-	if ref.PostShockPressure(0.02) >= ref.PostShockPressure(0.01) {
+	if SedovPostShockPressure(0.02) >= SedovPostShockPressure(0.01) {
 		t.Fatal("post-shock pressure must decay")
 	}
-	if math.Abs(ref.PostShockDensity()-6) > 1e-12 {
-		t.Fatalf("gamma=1.4 compression = %g, want 6", ref.PostShockDensity())
-	}
-	// xi0 interpolation: monotone pieces, clamped ends.
-	if xi0(1.0) != xi0(1.2) {
-		t.Fatal("low-gamma clamp broken")
-	}
-	if xi0(3.0) != xi0(2.0) {
-		t.Fatal("high-gamma clamp broken")
-	}
-	mid := xi0(1.35)
-	if mid <= xi0(1.3) || mid >= xi0(1.4) {
-		t.Fatalf("interpolated xi0(1.35) = %g outside bracket", mid)
+	if math.Abs(SedovPostShockDensity()-6) > 1e-12 {
+		t.Fatalf("gamma=1.4 compression = %g, want 6", SedovPostShockDensity())
 	}
 }

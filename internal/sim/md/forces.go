@@ -18,7 +18,7 @@ func (s *System) buildCells() {
 	cl := s.cells
 	var dims [3]int
 	for d := 0; d < 3; d++ {
-		dims[d] = int(s.Box[d] / s.Cutoff)
+		dims[d] = int(s.Box[d] / Cutoff)
 		if dims[d] < 1 {
 			dims[d] = 1
 		}
@@ -64,7 +64,7 @@ func (cl *cellList) cellOf(p Vec3) int {
 func (s *System) ComputeForces() {
 	s.buildCells()
 	cl := s.cells
-	cut2 := s.Cutoff * s.Cutoff
+	cut2 := Cutoff * Cutoff
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers > s.N/64+1 {
@@ -171,19 +171,15 @@ func (s *System) forceOn(i int, cl *cellList, cut2 float64) (pot, vir float64) {
 // analysis step before issuing neighbor queries.
 func (s *System) PrepareNeighbors() { s.buildCells() }
 
-// ForEachNeighbor calls fn for every particle j != i within rmax of particle
-// i, passing the squared distance. rmax must not exceed Cutoff (the cell
-// list granularity); larger values silently miss pairs, so they are clamped.
+// ForEachNeighbor calls fn for every particle j != i within Cutoff (the cell
+// list granularity) of particle i, passing the squared distance.
 // PrepareNeighbors must have been called after the last position update.
-func (s *System) ForEachNeighbor(i int, rmax float64, fn func(j int, r2 float64)) {
+func (s *System) ForEachNeighbor(i int, fn func(j int, r2 float64)) {
 	if s.cells == nil {
 		s.buildCells()
 	}
-	if rmax > s.Cutoff {
-		rmax = s.Cutoff
-	}
 	cl := s.cells
-	r2max := rmax * rmax
+	const r2max = Cutoff * Cutoff
 	pi := s.Pos[i]
 	cx := int(pi[0] * cl.invSide[0])
 	cy := int(pi[1] * cl.invSide[1])

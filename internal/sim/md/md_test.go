@@ -145,9 +145,18 @@ func TestForceDeterminism(t *testing.T) {
 	}
 }
 
+// dilute returns a system of n atoms, positions unset, in the box of reduced
+// number density rho, roomy enough to place a few atoms by hand.
+func dilute(n int, rho float64) *System {
+	s := newSystem(n)
+	l := math.Cbrt(float64(n) / rho)
+	s.Box = Vec3{l, l, l}
+	return s
+}
+
 func TestTwoParticleForceAnalytic(t *testing.T) {
 	// Two water particles at distance r: F = 24 eps (2 (s/r)^12 - (s/r)^6)/r.
-	s := newSystem(2, 0.001)
+	s := dilute(2, 0.001)
 	s.Type[0], s.Type[1] = Water, Water
 	r := 1.2
 	s.Pos[0] = Vec3{5, 5, 5}
@@ -170,7 +179,7 @@ func TestTwoParticleForceAnalytic(t *testing.T) {
 }
 
 func TestCutoffRespected(t *testing.T) {
-	s := newSystem(2, 0.0001)
+	s := dilute(2, 0.0001)
 	s.Type[0], s.Type[1] = Water, Water
 	s.Pos[0] = Vec3{1, 1, 1}
 	s.Pos[1] = Vec3{1 + 2.6, 1, 1} // beyond cutoff
@@ -184,7 +193,7 @@ func TestCutoffRespected(t *testing.T) {
 }
 
 func TestMinImage(t *testing.T) {
-	s := newSystem(1, density)
+	s := newSystem(1)
 	l := s.Box[0]
 	d := s.MinImage(Vec3{0.1, 0, 0}, Vec3{l - 0.1, 0, 0})
 	if math.Abs(d[0]-0.2) > 1e-12 {
@@ -193,7 +202,7 @@ func TestMinImage(t *testing.T) {
 }
 
 func TestUnwrappedTracksCrossings(t *testing.T) {
-	s := newSystem(1, density)
+	s := newSystem(1)
 	s.Type[0] = Water
 	s.Pos[0] = Vec3{s.Box[0] - 0.05, 0.5, 0.5}
 	start := s.Unwrapped(0)
@@ -289,39 +298,39 @@ func TestRenderSliceFigure3Layout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := s.RenderSlice(60, 24, s.Box[1]/4)
+	out := s.RenderSlice(s.Box[1] / 4)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 24 {
+	if len(lines) != 28 {
 		t.Fatalf("rendered %d lines", len(lines))
 	}
 	// Protein glyphs concentrated in the middle rows, membrane in a band,
 	// water everywhere else.
-	mid := strings.Join(lines[9:15], "")
+	mid := strings.Join(lines[11:17], "")
 	if !strings.Contains(mid, "#") {
 		t.Fatal("no protein in the central band")
 	}
 	if !strings.Contains(mid, "=") {
 		t.Fatal("no membrane in the central band")
 	}
-	if strings.Contains(lines[0], "#") || strings.Contains(lines[23], "#") {
+	if strings.Contains(lines[0], "#") || strings.Contains(lines[27], "#") {
 		t.Fatal("protein leaked to the slab edges")
 	}
-	if !strings.Contains(lines[0], ".") || !strings.Contains(lines[23], ".") {
+	if !strings.Contains(lines[0], ".") || !strings.Contains(lines[27], ".") {
 		t.Fatal("no water at the top/bottom")
 	}
-	// Defaults must not panic and must produce something.
-	if s.RenderSlice(0, 0, 0) == "" {
+	// The default slab must not panic and must produce something.
+	if s.RenderSlice(0) == "" {
 		t.Fatal("default render empty")
 	}
 }
 
 func TestPressureIdealGasLimit(t *testing.T) {
 	// At very low density the LJ gas approaches ideal: P ~ rho*T. A water
-	// box at density 0.01 and temperature 1.2.
-	s := newSystem(512, 0.01)
+	// box at density 0.01 and the initial temperature.
+	s := dilute(512, 0.01)
 	rng := rand.New(rand.NewSource(2))
 	s.latticePositions(rng)
-	s.maxwellVelocities(rng, 1.2)
+	s.maxwellVelocities(rng)
 	s.ComputeForces()
 	p := s.Pressure()
 	rho := float64(s.N) / (s.Box[0] * s.Box[1] * s.Box[2])
@@ -333,7 +342,7 @@ func TestPressureIdealGasLimit(t *testing.T) {
 
 func TestVirialCountsPairsOnce(t *testing.T) {
 	// Two particles: W = f*r exactly.
-	s := newSystem(2, 0.001)
+	s := dilute(2, 0.001)
 	s.Type[0], s.Type[1] = Water, Water
 	r := 1.3
 	s.Pos[0] = Vec3{5, 5, 5}

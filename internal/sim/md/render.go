@@ -7,16 +7,11 @@ import "strings"
 // protein at the center, membrane slab across the middle, water above and
 // below, scattered ions). The slab is centered on the plane y = Box[1]/2
 // with thickness `thick`; particles project onto an (x, z) character grid
-// of the given size. When several species land in one cell the rarest wins
+// of 72 by 28. When several species land in one cell the rarest wins
 // (protein > ion > hydronium > membrane > water), so minority structure
 // stays visible.
-func (s *System) RenderSlice(width, height int, thick float64) string {
-	if width < 1 {
-		width = 60
-	}
-	if height < 1 {
-		height = 24
-	}
+func (s *System) RenderSlice(thick float64) string {
+	const width, height = 72, 28
 	if thick <= 0 {
 		thick = s.Box[1] / 8
 	}

@@ -100,9 +100,6 @@ type System struct {
 	Type   []Species
 	Params [numSpecies]SpeciesParams
 
-	// Cutoff is the interaction cutoff radius.
-	Cutoff float64
-
 	// Image counts track periodic wrap crossings so analyses can unwrap
 	// trajectories (required by MSD).
 	Image []([3]int32)
@@ -121,7 +118,7 @@ type System struct {
 
 // Config controls system construction. Every system starts at reduced
 // number density 0.7 and reduced temperature 1.0, with an interaction
-// cutoff of 2.5.
+// cutoff of Cutoff.
 type Config struct {
 	NAtoms int
 	Seed   int64
@@ -133,10 +130,14 @@ const (
 	initTemp = 1.0
 )
 
-// newSystem allocates a system of n atoms in a cubic box at reduced number
-// density rho, positions unset.
-func newSystem(n int, rho float64) *System {
-	l := math.Cbrt(float64(n) / rho)
+// Cutoff is the interaction cutoff radius. It is typed so that a constant
+// expression of it rounds as the same expression of a float64 variable does.
+const Cutoff float64 = 2.5
+
+// newSystem allocates a system of n atoms in a cubic box at the reduced
+// number density, positions unset.
+func newSystem(n int) *System {
+	l := math.Cbrt(float64(n) / density)
 	s := &System{
 		Box:    Vec3{l, l, l},
 		N:      n,
@@ -146,7 +147,6 @@ func newSystem(n int, rho float64) *System {
 		Type:   make([]Species, n),
 		Image:  make([][3]int32, n),
 		Params: defaultParams,
-		Cutoff: 2.5,
 	}
 	s.buildMixingTables()
 	return s
@@ -170,7 +170,7 @@ func NewWaterIons(cfg Config) (*System, error) {
 	if cfg.NAtoms < 64 {
 		return nil, fmt.Errorf("md: water+ions needs at least 64 atoms, got %d", cfg.NAtoms)
 	}
-	s := newSystem(cfg.NAtoms, density)
+	s := newSystem(cfg.NAtoms)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nHyd := max(1, cfg.NAtoms/100)
 	nCat := max(1, cfg.NAtoms/200)
@@ -192,7 +192,7 @@ func NewWaterIons(cfg Config) (*System, error) {
 	assign(Anion, nAni)
 
 	s.latticePositions(rng)
-	s.maxwellVelocities(rng, initTemp)
+	s.maxwellVelocities(rng)
 	s.ComputeForces()
 	return s, nil
 }
@@ -204,7 +204,7 @@ func NewRhodopsin(cfg Config) (*System, error) {
 	if cfg.NAtoms < 256 {
 		return nil, fmt.Errorf("md: rhodopsin needs at least 256 atoms, got %d", cfg.NAtoms)
 	}
-	s := newSystem(cfg.NAtoms, density)
+	s := newSystem(cfg.NAtoms)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s.latticePositions(rng)
 
@@ -236,7 +236,7 @@ func NewRhodopsin(cfg Config) (*System, error) {
 			}
 		}
 	}
-	s.maxwellVelocities(rng, initTemp)
+	s.maxwellVelocities(rng)
 	s.ComputeForces()
 	return s, nil
 }
@@ -262,14 +262,14 @@ func (s *System) latticePositions(rng *rand.Rand) {
 	}
 }
 
-// maxwellVelocities draws Maxwell-Boltzmann velocities at temperature T and
-// removes the center-of-mass drift.
-func (s *System) maxwellVelocities(rng *rand.Rand, temp float64) {
+// maxwellVelocities draws Maxwell-Boltzmann velocities at the initial
+// temperature and removes the center-of-mass drift.
+func (s *System) maxwellVelocities(rng *rand.Rand) {
 	var com Vec3
 	var mass float64
 	for i := 0; i < s.N; i++ {
 		m := s.Params[s.Type[i]].Mass
-		sd := math.Sqrt(temp / m)
+		sd := math.Sqrt(initTemp / m)
 		s.Vel[i] = Vec3{rng.NormFloat64() * sd, rng.NormFloat64() * sd, rng.NormFloat64() * sd}
 		com = com.Add(s.Vel[i].Scale(m))
 		mass += m

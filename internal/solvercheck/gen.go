@@ -213,7 +213,7 @@ func RandMixedMILP(rng *rand.Rand, cfg MILPConfig) *milp.Problem {
 		}
 	}
 	for k, n := 0, 1+rng.Intn(3); k < n; k++ {
-		j := p.AddContVar(quarter(rng, 13)-1, 0, float64(1+rng.Intn(4)), fmt.Sprintf("c%d", k))
+		j := p.AddContVar(quarter(rng, 13)-1, float64(1+rng.Intn(4)), fmt.Sprintf("c%d", k))
 		for r := range p.LP.Constraints {
 			if c := &p.LP.Constraints[r]; rng.Intn(2) == 0 {
 				// The newest column has the highest index, so the row stays ascending.

@@ -282,7 +282,7 @@ func sameRows(rng *rand.Rand, p, dense *lp.Problem) error {
 		for j := range x {
 			x[j] = p.Lower[j] + quarter(rng, 4*int(p.Upper[j]-p.Lower[j])+1)
 		}
-		if got, want := p.FirstViolation(x, 1e-9), dense.FirstViolation(x, 1e-9); got != want || p.Feasible(x, 1e-9) != (want == "") {
+		if got, want := p.FirstViolation(x, 1e-9), dense.FirstViolation(x, 1e-9); got != want || p.Feasible(x) != (p.FirstViolation(x, lp.RowTol) == "") {
 			return fmt.Errorf("at %v: FirstViolation %q, accumulated rows say %q", x, got, want)
 		}
 	}

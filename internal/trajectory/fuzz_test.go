@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"insitu/internal/sim/md"
 )
 
 // FuzzReader feeds arbitrary bytes to the trajectory reader: it must reject
@@ -14,12 +16,12 @@ func FuzzReader(f *testing.F) {
 	// Seed with a valid two-frame file.
 	dir := f.TempDir()
 	path := filepath.Join(dir, "seed.traj")
-	w, err := NewWriter(path, 2, 3)
+	w, err := NewWriter(path, 2)
 	if err != nil {
 		f.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := w.WriteFrame(int64(i), make([]float32, 6)); err != nil {
+		if err := w.WriteFrame(int64(i), make([]float32, 2*md.FrameFields)); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -20,6 +20,8 @@ import (
 	"io"
 	"math"
 	"os"
+
+	"insitu/internal/sim/md"
 )
 
 var magic = [8]byte{'I', 'S', 'T', 'R', 'A', 'J', '1', '\n'}
@@ -29,29 +31,28 @@ type Writer struct {
 	f      *os.File
 	w      *bufio.Writer
 	natoms int
-	fields int
 	frames int
 	closed bool
 }
 
-// NewWriter creates a trajectory file for natoms atoms with `fields` values
-// per atom per frame (e.g. 6 for xyz + velocities).
-func NewWriter(path string, natoms, fields int) (*Writer, error) {
-	if natoms <= 0 || fields <= 0 {
-		return nil, fmt.Errorf("trajectory: invalid geometry natoms=%d fields=%d", natoms, fields)
+// NewWriter creates a trajectory file for natoms atoms with md.FrameFields
+// values per atom per frame, as md.System.Frame lays them out.
+func NewWriter(path string, natoms int) (*Writer, error) {
+	if natoms <= 0 {
+		return nil, fmt.Errorf("trajectory: invalid geometry natoms=%d", natoms)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{f: f, w: bufio.NewWriterSize(f, 1<<20), natoms: natoms, fields: fields}
+	w := &Writer{f: f, w: bufio.NewWriterSize(f, 1<<20), natoms: natoms}
 	if _, err := w.w.Write(magic[:]); err != nil {
 		f.Close()
 		return nil, err
 	}
 	hdr := make([]byte, 8)
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(natoms))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(fields))
+	binary.LittleEndian.PutUint32(hdr[4:], md.FrameFields)
 	if _, err := w.w.Write(hdr); err != nil {
 		f.Close()
 		return nil, err
@@ -59,13 +60,13 @@ func NewWriter(path string, natoms, fields int) (*Writer, error) {
 	return w, nil
 }
 
-// WriteFrame appends one frame. len(data) must equal natoms*fields.
+// WriteFrame appends one frame. len(data) must equal natoms*md.FrameFields.
 func (w *Writer) WriteFrame(step int64, data []float32) error {
 	if w.closed {
 		return fmt.Errorf("trajectory: write to closed writer")
 	}
-	if len(data) != w.natoms*w.fields {
-		return fmt.Errorf("trajectory: frame has %d values, want %d", len(data), w.natoms*w.fields)
+	if len(data) != w.natoms*md.FrameFields {
+		return fmt.Errorf("trajectory: frame has %d values, want %d", len(data), w.natoms*md.FrameFields)
 	}
 	var stepBuf [8]byte
 	binary.LittleEndian.PutUint64(stepBuf[:], uint64(step))
@@ -87,7 +88,7 @@ func (w *Writer) WriteFrame(step int64, data []float32) error {
 func (w *Writer) Frames() int { return w.frames }
 
 // BytesPerFrame returns the on-disk size of one frame.
-func (w *Writer) BytesPerFrame() int64 { return 8 + 4*int64(w.natoms)*int64(w.fields) }
+func (w *Writer) BytesPerFrame() int64 { return 8 + 4*int64(w.natoms)*md.FrameFields }
 
 // Close flushes and closes the file.
 func (w *Writer) Close() error {

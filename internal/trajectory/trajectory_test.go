@@ -6,18 +6,20 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"insitu/internal/sim/md"
 )
 
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.traj")
-	w, err := NewWriter(path, 5, 3)
+	w, err := NewWriter(path, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	frames := [][]float32{}
 	for f := 0; f < 4; f++ {
-		data := make([]float32, 15)
+		data := make([]float32, 5*md.FrameFields)
 		for i := range data {
 			data[i] = rng.Float32()
 		}
@@ -38,7 +40,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.NumAtoms() != 5 || r.Fields() != 3 {
+	if r.NumAtoms() != 5 || r.Fields() != md.FrameFields {
 		t.Fatalf("header = %d/%d", r.NumAtoms(), r.Fields())
 	}
 	for f := 0; f < 4; f++ {
@@ -61,11 +63,11 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestWriterValidation(t *testing.T) {
-	if _, err := NewWriter(filepath.Join(t.TempDir(), "x"), 0, 3); err == nil {
+	if _, err := NewWriter(filepath.Join(t.TempDir(), "x"), 0); err == nil {
 		t.Fatal("expected geometry error")
 	}
 	path := filepath.Join(t.TempDir(), "t.traj")
-	w, err := NewWriter(path, 2, 2)
+	w, err := NewWriter(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +100,11 @@ func TestReaderRejectsGarbage(t *testing.T) {
 
 func TestTruncatedFrame(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.traj")
-	w, err := NewWriter(path, 4, 3)
+	w, err := NewWriter(path, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteFrame(1, make([]float32, 12)); err != nil {
+	if err := w.WriteFrame(1, make([]float32, 4*md.FrameFields)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -128,7 +130,7 @@ func TestTruncatedFrame(t *testing.T) {
 
 func TestBytesPerFrame(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.traj")
-	w, err := NewWriter(path, 10, 6)
+	w, err := NewWriter(path, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +142,13 @@ func TestBytesPerFrame(t *testing.T) {
 
 func TestOnDiskSizeMatchesModel(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.traj")
-	natoms, fields, frames := 100, 6, 7
-	w, err := NewWriter(path, natoms, fields)
+	natoms, frames := 100, 7
+	w, err := NewWriter(path, natoms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for f := 0; f < frames; f++ {
-		if err := w.WriteFrame(int64(f), make([]float32, natoms*fields)); err != nil {
+		if err := w.WriteFrame(int64(f), make([]float32, natoms*md.FrameFields)); err != nil {
 			t.Fatal(err)
 		}
 	}

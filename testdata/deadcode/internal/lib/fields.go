@@ -45,6 +45,7 @@ func Plan(c Config) int {
 	c = c.withDefaults()
 	c.Log.Add("plan")
 	c.Note = "planned"
+	c.Log.Add("planned")
 	return c.Steps + c.Unset + c.Retries*c.Width*c.Shape.Side
 }
 
@@ -74,7 +75,7 @@ func (c *Counter) Inc() int {
 // Stage's Name is set only inside elided composite literals.
 type Stage struct{ Name string }
 
-func Stages() map[string][]Stage { return map[string][]Stage{"a": {{Name: "x"}}} }
+func Stages() map[string][]Stage { return map[string][]Stage{"a": {{Name: "x"}, {Name: "y"}}} }
 
 // Row's fields are read only by encoding/json, through Snapshot's any result.
 type Row struct {
@@ -82,7 +83,7 @@ type Row struct {
 	Value int
 }
 
-func Snapshot() any { return []Row{{Label: "r", Value: 1}} }
+func Snapshot() any { return []Row{{Label: "r", Value: 1}, {Label: "s", Value: 2}} }
 
 // Cursor's Last is set only as a range target, and read only by fmt,
 // through an interface-typed element.

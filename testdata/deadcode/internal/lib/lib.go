@@ -1,7 +1,9 @@
-// Package lib is the reachability walk's fixture: cmd/app reaches all of it
-// but Sim.Run, and Spare only as an allowlisted root. Of the fields (see
-// fields.go), Config's Unset, Log, Note and Retries and Counter's total are
-// dead; the rest are live only through the shapes the field rules must see.
+// Package lib is the reachability walk's fixture: cmd/app and cmd/tool reach
+// all of it but Sim.Run, and Spare only as an allowlisted root. Of the fields
+// (see fields.go), Config's Unset, Log, Note and Retries and Counter's total
+// are dead; the rest are live only through the shapes the field rules must
+// see. Of the values (see values.go), Scale's factor and Grid's Side are one
+// constant; the rest only look like one.
 package lib
 
 type Runner struct{}
