@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-only table5] [-quick] [-verify] [-golden dir]
-//	            [-trace trace.json] [-metrics metrics.txt] [-workers n]
+//	            [-trace trace.json] [-metrics metrics.txt]
 //
 // -only selects a single experiment (table4..table8, figure2, figure4,
 // figure5, ablations, moldable, solver); the default runs everything.
@@ -28,7 +28,6 @@ import (
 	"insitu/internal/core"
 	"insitu/internal/experiments"
 	"insitu/internal/machine"
-	"insitu/internal/milp"
 	"insitu/internal/moldable"
 	"insitu/internal/obs"
 )
@@ -47,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verify := fs.Bool("verify", false, "check the scheduling experiments against the paper's published values and exit")
 	golden := fs.String("golden", "", "write the golden snapshot files to this directory and exit")
 	sinks := obs.SinkFlags(fs, false)
-	workers := fs.Int("workers", 1, "branch-and-bound wave width for the solver section (0 = all CPUs)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -223,7 +221,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return nil
 	})
 	section("solver", func() error {
-		min, max, err := experiments.SolverRuntime(milp.AutoWorkers(*workers))
+		min, max, err := experiments.SolverRuntime()
 		if err != nil {
 			return err
 		}

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestRunSolverSection runs the solver section through the CLI at a parallel
-// width and checks the runtime summary lands on stdout.
+// TestRunSolverSection runs the solver section through the CLI and checks the
+// runtime summary lands on stdout.
 func TestRunSolverSection(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-only", "solver", "-workers", "2"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-only", "solver"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "Solver runtime across Tables 5-6 instances") {

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	insitu-sched [-full] [-coupling] [-json] [-workers n] problem.json
+//	insitu-sched [-full] [-coupling] [-json] problem.json
 //
 // The input file holds the Table-1 parameters of each analysis plus the
 // resource envelope:
@@ -35,9 +35,6 @@
 // bound, gap, and prune-taxonomy samples as schema-versioned solveprog
 // events — to a JSONL ledger file; runmon check validates it and runmon
 // report renders the gap-closure timeline.
-//
-// -workers sets the branch-and-bound wave width (0 = all CPUs, default 1);
-// any width returns the same objective and bound.
 //
 // -monitor scores an executed run ledger (JSONL) against the solved schedule
 // and prints the drift report. Adding -replan replays the same ledger through
@@ -79,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sensitivity := fs.Bool("sensitivity", false, "report the threshold at which each analysis gains one more step")
 	explainFlag := fs.Bool("explain", false, "print the schedule-explainability report (attribution, duals, search stats; uses the compact model)")
 	sinks := obs.SinkFlags(fs, false)
-	workers := fs.Int("workers", 1, "branch-and-bound wave width (0 = all CPUs)")
 	flightPath := fs.String("flight", "", "record the solver's progress stream (solveprog events) to this JSONL ledger file")
 	monitorPath := fs.String("monitor", "", "score an executed run ledger (JSONL) against the solved schedule and print the drift report")
 	replanFlag := fs.Bool("replan", false, "with -monitor: replay the ledger through a rolling-horizon replanner and print the reschedules it would have made (advisory; nothing is re-executed)")
@@ -87,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: insitu-sched [-full] [-coupling] [-json] [-explain] [-export-lp model.lp] [-sensitivity] [-trace trace.json] [-metrics metrics.txt] [-flight flight.jsonl] [-workers n] [-monitor run.jsonl] [-replan] problem.json")
+		fmt.Fprintln(stderr, "usage: insitu-sched [-full] [-coupling] [-json] [-explain] [-export-lp model.lp] [-sensitivity] [-trace trace.json] [-metrics metrics.txt] [-flight flight.jsonl] [-monitor run.jsonl] [-replan] problem.json")
 		return 2
 	}
 	if *replanFlag && *monitorPath == "" {
@@ -133,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	tracer := sinks.Trace
-	opts := core.SolveOptions{Workers: milp.AutoWorkers(*workers)}
+	var opts core.SolveOptions
 	var flight *obs.FlightRecorder
 	if *flightPath != "" {
 		flight = obs.NewFlightRecorder(0)
@@ -199,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprint(stdout, rec.String())
 	fmt.Fprintf(stdout, "threshold utilization: %.1f%%\n", rec.Utilization(res)*100)
 	if *sensitivity {
-		out, err := core.AnalyzeThresholdSensitivity(specs, res, core.SolveOptions{Workers: opts.Workers})
+		out, err := core.AnalyzeThresholdSensitivity(specs, res)
 		if err != nil {
 			return fail(err)
 		}
@@ -236,7 +232,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if *replanFlag {
 			fmt.Fprintln(stdout)
-			if err := writeReplanAdvisory(stdout, *monitorPath, specs, res, rec, *workers); err != nil {
+			if err := writeReplanAdvisory(stdout, *monitorPath, specs, res, rec); err != nil {
 				return fail(err)
 			}
 		}
@@ -250,7 +246,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // what-if for runs that executed statically. Replan events already present in
 // the ledger are dropped from the replay, so the advisory timeline belongs to
 // the advisory replanner alone.
-func writeReplanAdvisory(w io.Writer, path string, specs []core.AnalysisSpec, res core.Resources, rec *core.Recommendation, workers int) error {
+func writeReplanAdvisory(w io.Writer, path string, specs []core.AnalysisSpec, res core.Resources, rec *core.Recommendation) error {
 	events, err := obs.ReadLedgerFile(path)
 	if err != nil {
 		return err
@@ -260,7 +256,7 @@ func writeReplanAdvisory(w io.Writer, path string, specs []core.AnalysisSpec, re
 		profile = ledgerProfile
 	}
 	mon := runmon.NewMonitor(profile, runmon.Config{})
-	rp := replan.New(mon, specs, res, rec, profile.SimSec, replan.Config{Workers: workers})
+	rp := replan.New(mon, specs, res, rec, profile.SimSec, replan.Config{})
 	for _, e := range events {
 		if e.Type == obs.LedgerReplan {
 			continue

@@ -2,10 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -95,47 +93,6 @@ func TestLoadProblemErrors(t *testing.T) {
 	path := writeProblem(t, `{not json`)
 	if _, _, err := loadProblem(path); err == nil {
 		t.Fatal("expected parse error")
-	}
-}
-
-// TestRunWorkersFlag runs the CLI end to end at widths 1 and 8: both must
-// succeed and emit the identical JSON recommendation (modulo measured solve
-// times, which are stripped before comparing).
-func TestRunWorkersFlag(t *testing.T) {
-	path := writeProblem(t, `{
-	  "resources": {"steps": 1000, "time_threshold_sec": 64.69,
-	    "mem_threshold_bytes": 12884901888},
-	  "analyses": [
-	    {"name": "A1", "ct_sec": 0.065, "ot_sec": 0.005, "min_interval": 100},
-	    {"name": "A4", "ct_sec": 25.85, "ot_sec": 0.05, "min_interval": 100}
-	  ]
-	}`)
-	decode := func(args ...string) map[string]any {
-		t.Helper()
-		var stdout, stderr bytes.Buffer
-		if code := run(append(args, path), &stdout, &stderr); code != 0 {
-			t.Fatalf("run(%v) exit %d, stderr: %s", args, code, stderr.String())
-		}
-		var m map[string]any
-		if err := json.Unmarshal(stdout.Bytes(), &m); err != nil {
-			t.Fatalf("run(%v) emitted invalid JSON: %v", args, err)
-		}
-		// Wall-clock and search-effort fields move with the pool width; the
-		// schedule, objective, and bound must not.
-		delete(m, "SolveTime")
-		delete(m, "Nodes")
-		if st, ok := m["Stats"].(map[string]any); ok {
-			for _, k := range []string{"SolveTime", "Workers", "WarmSolves", "ColdSolves",
-				"PresolveTightened", "Nodes", "Relaxations", "Pivots", "Incumbents"} {
-				delete(st, k)
-			}
-		}
-		return m
-	}
-	serial := decode("-json", "-workers", "1")
-	par := decode("-json", "-workers", "8")
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("-workers 1 and 8 disagree:\nserial: %v\nparallel: %v", serial, par)
 	}
 }
 

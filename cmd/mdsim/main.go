@@ -139,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if *render {
-		fmt.Fprint(stdout, sys.RenderSlice(sys.Box[1]/4))
+		fmt.Fprint(stdout, sys.RenderSlice())
 	}
 	if err := sinks.Open(); err != nil {
 		return fail(err)

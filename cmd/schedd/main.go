@@ -5,10 +5,10 @@
 //
 // Usage:
 //
-//	schedd serve  [-addr host:port] [-workers n] [-max-inflight n]
+//	schedd serve  [-addr host:port] [-max-inflight n]
 //	              [-queue-timeout d] [-cache-entries n]
 //	              [-ledger req.jsonl] [-ledger-max-bytes n]
-//	schedd once   -scenario problem.json [-explain] [-workers n] [-id rid]
+//	schedd once   -scenario problem.json [-explain] [-id rid]
 //	schedd client -scenario problem.json [-addr host:port] [-explain] [-id rid]
 //
 // serve runs the daemon: POST /v1/solve, GET /v1/requests,
@@ -80,7 +80,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 // serviceFlags are the schedd.Config knobs shared by serve and once.
 type serviceFlags struct {
-	workers       *int
 	maxInFlight   *int
 	queueTimeout  *time.Duration
 	cacheEntries  *int
@@ -90,7 +89,6 @@ type serviceFlags struct {
 
 func addServiceFlags(fs *flag.FlagSet) *serviceFlags {
 	return &serviceFlags{
-		workers:       fs.Int("workers", 0, "branch-and-bound wave width per solve (0 and 1: one node per wave)"),
 		maxInFlight:   fs.Int("max-inflight", 0, "concurrent solver slots (0 = default 4)"),
 		queueTimeout:  fs.Duration("queue-timeout", 0, "max wait for a solver slot (0 = default 5s)"),
 		cacheEntries:  fs.Int("cache-entries", 0, "solution cache capacity (0 = default 128)"),
@@ -103,7 +101,6 @@ func addServiceFlags(fs *flag.FlagSet) *serviceFlags {
 // The returned closer is non-nil exactly when a ledger was opened.
 func (f *serviceFlags) open() (schedd.Config, *obs.EventLog, error) {
 	cfg := schedd.Config{
-		Workers:      *f.workers,
 		MaxInFlight:  *f.maxInFlight,
 		QueueTimeout: *f.queueTimeout,
 		CacheEntries: *f.cacheEntries,

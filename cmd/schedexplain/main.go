@@ -9,7 +9,7 @@
 // Usage:
 //
 //	schedexplain [-html report.html] [-tree tree.json] [-dot tree.dot]
-//	             [-ledger run.jsonl] [-width n] [-max-nodes n] [-workers n]
+//	             [-ledger run.jsonl] [-width n] [-max-nodes n]
 //	             problem.json
 //
 // The terminal report always goes to stdout. -html additionally writes a
@@ -27,7 +27,6 @@ import (
 
 	"insitu/internal/core"
 	"insitu/internal/explain"
-	"insitu/internal/milp"
 	"insitu/internal/obs"
 	"insitu/internal/scenario"
 )
@@ -47,12 +46,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ledgerPath := fs.String("ledger", "", "align this JSONL run ledger against the plan")
 	width := fs.Int("width", 100, "timeline width in characters")
 	maxNodes := fs.Int("max-nodes", 0, "cap branch-and-bound nodes (0 = solver default)")
-	workers := fs.Int("workers", 1, "branch-and-bound wave width (0 = all CPUs)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: schedexplain [-html report.html] [-tree tree.json] [-dot tree.dot] [-ledger run.jsonl] [-width n] [-max-nodes n] [-workers n] problem.json")
+		fmt.Fprintln(stderr, "usage: schedexplain [-html report.html] [-tree tree.json] [-dot tree.dot] [-ledger run.jsonl] [-width n] [-max-nodes n] problem.json")
 		return 2
 	}
 
@@ -62,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	r, err := explain.Build(specs, res, explain.Options{
-		Solve:      core.SolveOptions{MaxNodes: *maxNodes, Workers: milp.AutoWorkers(*workers)},
+		Solve:      core.SolveOptions{MaxNodes: *maxNodes},
 		GanttWidth: *width,
 	})
 	if err != nil {

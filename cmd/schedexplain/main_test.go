@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -140,33 +139,5 @@ func TestRunErrors(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "no events") {
 		t.Fatalf("stderr = %q", stderr.String())
-	}
-}
-
-// TestRunWorkersFlag pins the -workers contract: the parallel report reaches
-// the same schedule and the same final incumbent as the serial one.
-func TestRunWorkersFlag(t *testing.T) {
-	path := writeScenario(t)
-	var serial, par, stderr bytes.Buffer
-	if code := run([]string{"-workers", "1", path}, &serial, &stderr); code != 0 {
-		t.Fatalf("serial exit %d, stderr: %s", code, stderr.String())
-	}
-	if code := run([]string{"-workers", "8", path}, &par, &stderr); code != 0 {
-		t.Fatalf("workers=8 exit %d, stderr: %s", code, stderr.String())
-	}
-	// The schedule and attribution sections are solver-width independent;
-	// only the search statistics (node/pivot counts) and the measured solve
-	// wall time may differ.
-	solveRE := regexp.MustCompile(`solve=\S+`)
-	sectionBefore := func(s string) string {
-		i := strings.Index(s, "== search ==")
-		if i < 0 {
-			t.Fatalf("report missing search section:\n%s", s)
-		}
-		return solveRE.ReplaceAllString(s[:i], "solve=X")
-	}
-	if sectionBefore(serial.String()) != sectionBefore(par.String()) {
-		t.Errorf("schedule sections differ between -workers 1 and 8:\nserial:\n%s\nparallel:\n%s",
-			serial.String(), par.String())
 	}
 }

@@ -45,7 +45,6 @@ var testOnlyAllowed = map[string]string{
 	"internal/obs.Tracer.Events":          "the reader of the timeline golden and the span tests",
 	"internal/obs.EventLog.Err":           "sticky-error accessor the sink-failure tests read",
 	"internal/obs.Histogram.Count":        "accessor the metrics tests read",
-	"internal/milp.TreeRecorder.Nodes":    "accessor the tree tests read",
 	"internal/replan.Replanner.Incumbent": "accessor the hysteresis tests read",
 	"internal/runmon.EWMA.N":              "accessor the detector tests read",
 	"internal/milp.ReadTree":              "decoder the tree round-trip tests read",
@@ -96,6 +95,7 @@ var testOnlyAllowed = map[string]string{
 	"internal/obs.EventLog.Event(typ)":         "benchmark/ calls it, and the harness changes only with its baselines",
 	"internal/obs.EventLog.Event(name)":        "benchmark/ calls it, and the harness changes only with its baselines",
 	"internal/obs.EventLog.Event(dur)":         "benchmark/ calls it, and the harness changes only with its baselines",
+	"internal/replan.Simulate(workers)":        "benchmark/loops.go passes it",
 	"internal/obs.Span.Arg(key)":               "trace vocabulary the caller owns",
 	"internal/obs.Tracer.Instant(cat)":         "trace vocabulary the caller owns",
 	"internal/obs.Tracer.SetProcessName(name)": "trace vocabulary the caller owns",

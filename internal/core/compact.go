@@ -30,7 +30,9 @@ type SolveOptions struct {
 	Flight *obs.FlightRecorder
 	// Workers is the branch-and-bound wave width (see milp.Options.Workers;
 	// 0 and 1 both mean a wave of one). The objective and bound are
-	// identical at any width.
+	// identical at any width. Programs leave it at the default; only the
+	// benchmark harness, perfbench, solvercheck and the determinism tests
+	// set it.
 	Workers int
 	// NoWarmStart solves every node relaxation cold instead of from its
 	// parent's basis (see milp.Options.NoWarmStart); by default nodes are

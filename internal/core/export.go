@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sync"
 
 	"insitu/internal/milp"
@@ -40,30 +41,24 @@ type ThresholdSensitivity struct {
 }
 
 // AnalyzeThresholdSensitivity computes the per-analysis next-threshold
-// frontier for the given instance. It probes up to opts.Workers analyses
-// concurrently (serial at 0 or 1): each analysis's bisection is inherently
-// sequential, so the fan-out is across analyses, and results are ordered
-// and valued identically at any width.
-func AnalyzeThresholdSensitivity(specs []AnalysisSpec, res Resources, opts SolveOptions) ([]ThresholdSensitivity, error) {
+// frontier for the given instance. Each analysis's bisection is inherently
+// sequential, so the probes fan out across analyses, over at most
+// GOMAXPROCS goroutines; every solve runs at the default options, and
+// results are ordered and valued identically however many cores run them.
+func AnalyzeThresholdSensitivity(specs []AnalysisSpec, res Resources) ([]ThresholdSensitivity, error) {
 	if res.TimeThreshold <= 0 {
 		return nil, fmt.Errorf("core: sensitivity needs a positive time threshold")
 	}
 	tol := res.TimeThreshold / 1e4
-	base, err := Solve(specs, res, opts)
+	base, err := Solve(specs, res, SolveOptions{})
 	if err != nil {
 		return nil, err
 	}
 
-	// Probe re-solves are throwaway what-if evaluations: they never see the
-	// caller's observer, which keeps the trace clean and the fan-out below
-	// race-free.
-	probeOpts := opts
-	probeOpts.Observer = nil
-
 	countAt := func(threshold float64, name string) (int, error) {
 		r := res
 		r.TimeThreshold = threshold
-		rec, err := Solve(specs, r, probeOpts)
+		rec, err := Solve(specs, r, SolveOptions{})
 		if err != nil {
 			return 0, err
 		}
@@ -100,19 +95,10 @@ func AnalyzeThresholdSensitivity(specs []AnalysisSpec, res Resources, opts Solve
 	}
 
 	out := make([]ThresholdSensitivity, len(base.Schedules))
-	w := min(opts.Workers, len(base.Schedules))
-	if w <= 1 {
-		for i, s := range base.Schedules {
-			if out[i], err = analyze(s); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
 	errs := make([]error, len(base.Schedules))
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for g := 0; g < w; g++ {
+	for range min(runtime.GOMAXPROCS(0), len(base.Schedules)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -102,7 +102,7 @@ func TestThresholdSensitivityEdgeCases(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := AnalyzeThresholdSensitivity(tc.specs, tc.res, SolveOptions{})
+			out, err := AnalyzeThresholdSensitivity(tc.specs, tc.res)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestThresholdSensitivityRejectsNonPositiveThreshold(t *testing.T) {
 	specs := []AnalysisSpec{{Name: "a", CT: 1, MinInterval: 10}}
 	for _, th := range []float64{0, -1} {
 		res := Resources{Steps: 100, TimeThreshold: th}
-		if _, err := AnalyzeThresholdSensitivity(specs, res, SolveOptions{}); err == nil {
+		if _, err := AnalyzeThresholdSensitivity(specs, res); err == nil {
 			t.Errorf("threshold %g: expected an error", th)
 		}
 	}

@@ -377,17 +377,15 @@ func TestFigure4Profiles(t *testing.T) {
 }
 
 func TestSolverRuntimeWithinPaperEnvelope(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		min, max, err := SolverRuntime(workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if min <= 0 {
-			t.Fatalf("workers=%d: min solve time = %v", workers, min)
-		}
-		if max > 1360*time.Millisecond {
-			t.Fatalf("workers=%d: max solve time %v exceeds the paper's 1.36 s", workers, max)
-		}
+	min, max, err := SolverRuntime()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if min <= 0 {
+		t.Fatalf("min solve time = %v", min)
+	}
+	if max > 1360*time.Millisecond {
+		t.Fatalf("max solve time %v exceeds the paper's 1.36 s", max)
 	}
 }
 

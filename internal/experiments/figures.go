@@ -384,11 +384,9 @@ func FormatFigure5(rows []Figure5Row) string {
 // Solver-runtime summary (§5.3: CPLEX took 0.17-1.36 s per instance).
 // ---------------------------------------------------------------------------
 
-// SolverRuntime solves every scheduling instance of Tables 5-6 with the
-// given branch-and-bound wave width and returns
-// the min and max solve times. The schedules themselves are identical at
-// any width; only the wall time moves.
-func SolverRuntime(workers int) (min, max time.Duration, err error) {
+// SolverRuntime solves every scheduling instance of Tables 5-6 and returns
+// the min and max solve times.
+func SolverRuntime() (min, max time.Duration, err error) {
 	min = time.Duration(1 << 62)
 	record := func(d time.Duration) {
 		if d < min {
@@ -398,15 +396,14 @@ func SolverRuntime(workers int) (min, max time.Duration, err error) {
 			max = d
 		}
 	}
-	opts := core.SolveOptions{Workers: workers}
-	t5, err := table5(opts)
+	t5, err := Table5()
 	if err != nil {
 		return 0, 0, err
 	}
 	for _, r := range t5 {
 		record(r.SolveTime)
 	}
-	t6, err := table6(opts)
+	t6, err := Table6()
 	if err != nil {
 		return 0, 0, err
 	}

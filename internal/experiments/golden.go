@@ -200,11 +200,11 @@ func replanRunsSnapshot() (any, error) {
 	}
 	var out []entry
 	for _, sc := range ReplanScenarios() {
-		static, err := replan.Simulate(sc, false, 1)
+		static, err := replan.Simulate(sc, false, 0)
 		if err != nil {
 			return nil, err
 		}
-		adaptive, err := replan.Simulate(sc, true, 1)
+		adaptive, err := replan.Simulate(sc, true, 0)
 		if err != nil {
 			return nil, err
 		}

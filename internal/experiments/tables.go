@@ -191,11 +191,7 @@ type Table5Row struct {
 // time on 16384 ranks, solving the scheduling MILP for each. The §5.3.2 run
 // took 646.78 s for 1000 steps, so the thresholds are 129.35, 64.69, 32.34,
 // and 6.46 s.
-func Table5() ([]Table5Row, error) { return table5(core.SolveOptions{}) }
-
-// table5 is Table5 with explicit solver options (SolverRuntime widens the
-// search pool through it; the schedule is identical at any width).
-func table5(opts core.SolveOptions) ([]Table5Row, error) {
+func Table5() ([]Table5Row, error) {
 	const ranks = 16384
 	const simPerStep = 646.78 / 1000
 	specs := WaterIonsSpecs(ranks)
@@ -206,7 +202,7 @@ func table5(opts core.SolveOptions) ([]Table5Row, error) {
 			TimeThreshold: core.PercentThreshold(simPerStep, 1000, pct),
 			MemThreshold:  12 << 30,
 		}
-		rec, err := core.Solve(specs, res, opts)
+		rec, err := core.Solve(specs, res, core.SolveOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("table5 pct=%g: %w", pct, err)
 		}
@@ -250,15 +246,12 @@ type Table6Row struct {
 
 // Table6 sweeps the user-specified total threshold for the 1B-atom
 // rhodopsin problem on 32768 ranks.
-func Table6() ([]Table6Row, error) { return table6(core.SolveOptions{}) }
-
-// table6 is Table6 with explicit solver options; see table5.
-func table6(opts core.SolveOptions) ([]Table6Row, error) {
+func Table6() ([]Table6Row, error) {
 	specs := RhodopsinSpecs()
 	var rows []Table6Row
 	for _, th := range []float64{200, 100, 60, 20, 10} {
 		res := core.Resources{Steps: 1000, TimeThreshold: th, MemThreshold: 12 << 30}
-		rec, err := core.Solve(specs, res, opts)
+		rec, err := core.Solve(specs, res, core.SolveOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("table6 th=%g: %w", th, err)
 		}

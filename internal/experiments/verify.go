@@ -100,7 +100,7 @@ func VerifyAll() ([]Check, error) {
 		fmt.Sprintf("A4 %d %d %d %d %d", f5[0].CountA4, f5[1].CountA4, f5[2].CountA4, f5[3].CountA4, f5[4].CountA4))
 
 	// Solver runtime envelope.
-	minT, maxT, err := SolverRuntime(1)
+	minT, maxT, err := SolverRuntime()
 	if err != nil {
 		return nil, err
 	}

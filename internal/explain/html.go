@@ -136,7 +136,7 @@ func (r *Report) WriteHTML(w io.Writer) error {
 		TotalTime:  fmt.Sprintf("%.3f s", rec.TotalTime),
 		PeakMemory: humanBytes(float64(rec.PeakMemory)),
 		Gantt:      rec.GanttString(r.Res, r.ganttWidth),
-		Stats:      r.Stats.String(),
+		Stats:      r.searchLine(),
 	}
 	if r.Res.TimeThreshold > 0 {
 		view.Utilization = fmt.Sprintf("%.1f%%", rec.Utilization(r.Res)*100)

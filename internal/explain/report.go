@@ -35,7 +35,6 @@ type Report struct {
 	// Recorder holds the branch-and-bound tree of the base solve; Tree() and
 	// WriteDOT/WriteJSON on it export the search.
 	Recorder *milp.TreeRecorder
-	Stats    milp.TreeStats
 
 	// Ledger is non-nil after AlignLedger: planned vs executed timings.
 	Ledger *Alignment
@@ -64,7 +63,6 @@ func Build(specs []core.AnalysisSpec, res core.Resources, opts Options) (*Report
 		Res:        res,
 		Ex:         ex,
 		Recorder:   rec,
-		Stats:      rec.Stats(),
 		ganttWidth: width,
 	}, nil
 }
@@ -111,7 +109,7 @@ func (r *Report) WriteText(w io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(&b, "\n== search ==\n  %s\n", r.Stats)
+	fmt.Fprintf(&b, "\n== search ==\n  %s\n", r.searchLine())
 
 	if r.Ledger != nil {
 		b.WriteString("\n== planned vs executed (run ledger) ==\n")
@@ -120,6 +118,18 @@ func (r *Report) WriteText(w io.Writer) error {
 
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// searchLine summarizes the base solve's search on one line: milp's prune
+// taxonomy, and the deepest node the recorder saw.
+func (r *Report) searchLine() string {
+	st := r.Ex.Rec.Stats
+	depth := 0
+	for _, n := range r.Recorder.Nodes() {
+		depth = max(depth, n.Depth)
+	}
+	return fmt.Sprintf("explored=%d branched=%d pruned=%d infeasible=%d integral=%d max_depth=%d",
+		st.Nodes, st.BranchedNodes, st.PrunedBound, st.PrunedInfeasible, st.IntegralNodes, depth)
 }
 
 // bindingDetail formats the slack behind a binding label.

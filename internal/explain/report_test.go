@@ -138,8 +138,9 @@ func TestBuildRecordsTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Stats.Explored == 0 || r.Stats.Explored != len(r.Recorder.Nodes()) {
-		t.Fatalf("stats = %+v over %d nodes", r.Stats, len(r.Recorder.Nodes()))
+	st := r.Ex.Rec.Stats
+	if st.Nodes == 0 || st.Nodes != len(r.Recorder.Nodes()) {
+		t.Fatalf("stats = %+v over %d nodes", st, len(r.Recorder.Nodes()))
 	}
 	var dot bytes.Buffer
 	if err := r.Recorder.WriteDOT(&dot); err != nil {
@@ -150,7 +151,7 @@ func TestBuildRecordsTree(t *testing.T) {
 	}
 	// Variable names from CompactNames must reach the branch labels whenever
 	// the search actually branched.
-	if r.Stats.Branched > 1 && !strings.Contains(dot.String(), "x[A") {
+	if st.BranchedNodes > 1 && !strings.Contains(dot.String(), "x[A") {
 		t.Errorf("dot lacks named branch labels:\n%s", dot.String())
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/pprof"
 	"slices"
 	"sort"
@@ -266,8 +265,9 @@ type Options struct {
 	// Workers is the wave width: how many best-bound nodes are popped and
 	// solved concurrently per iteration (0 and 1 both mean a wave of one).
 	// The explored tree is deterministic for a fixed width, and the returned
-	// objective and terminal bound are identical at any width. Use
-	// AutoWorkers to map a CLI-style 0 to the machine width.
+	// objective and terminal bound are identical at any width. Programs
+	// leave it at the default; only the benchmark harness, perfbench,
+	// solvercheck and the determinism tests set it.
 	Workers int
 	// NoWarmStart solves every node relaxation cold instead of from its
 	// parent's basis — the only way to ask for cold nodes, at any width. The
@@ -784,15 +784,6 @@ func (s *search) solveWave(pctx context.Context, slots []slot, wave []*node, res
 		}()
 	}
 	wg.Wait()
-}
-
-// AutoWorkers resolves a CLI-style -workers value: n > 0 is taken as-is,
-// anything else means "use every core".
-func AutoWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.NumCPU()
 }
 
 // Solve runs branch and bound and returns the best integer-feasible

@@ -162,9 +162,6 @@ func TestParallelObserverStream(t *testing.T) {
 	if got := len(rec.Nodes()); got != rsol.Stats.Nodes {
 		t.Fatalf("TreeRecorder captured %d nodes out of %d", got, rsol.Stats.Nodes)
 	}
-	if st := rec.Stats(); st.Explored != rsol.Stats.Nodes {
-		t.Fatalf("TreeRecorder stats count %d explored nodes, want %d", st.Explored, rsol.Stats.Nodes)
-	}
 }
 
 // TestParallelWarmStarts checks that every width re-solves children from
@@ -248,14 +245,5 @@ func TestParallelNodeLimit(t *testing.T) {
 		if sol.HasX && sol.Bound < sol.Objective-1e-9 {
 			t.Fatalf("workers=%d: terminal bound %g below incumbent %g", w, sol.Bound, sol.Objective)
 		}
-	}
-}
-
-func TestAutoWorkers(t *testing.T) {
-	if got := AutoWorkers(3); got != 3 {
-		t.Fatalf("AutoWorkers(3) = %d", got)
-	}
-	if got := AutoWorkers(0); got < 1 {
-		t.Fatalf("AutoWorkers(0) = %d", got)
 	}
 }

@@ -46,44 +46,6 @@ func (r *TreeRecorder) Tree() Tree {
 	return Tree{Schema: TreeSchemaVersion, Names: r.names, Nodes: r.nodes}
 }
 
-// TreeStats summarizes a recorded search for the explainability report.
-type TreeStats struct {
-	Explored   int // nodes that reached the observer
-	Branched   int
-	Pruned     int
-	Infeasible int
-	Integral   int
-	MaxDepth   int
-}
-
-// Stats tallies the recorded nodes by action.
-func (r *TreeRecorder) Stats() TreeStats {
-	var s TreeStats
-	for _, n := range r.nodes {
-		s.Explored++
-		switch n.Action {
-		case "branched":
-			s.Branched++
-		case "pruned":
-			s.Pruned++
-		case "infeasible":
-			s.Infeasible++
-		case "integral":
-			s.Integral++
-		}
-		if n.Depth > s.MaxDepth {
-			s.MaxDepth = n.Depth
-		}
-	}
-	return s
-}
-
-// String renders the tally on one line.
-func (s TreeStats) String() string {
-	return fmt.Sprintf("explored=%d branched=%d pruned=%d infeasible=%d integral=%d max_depth=%d",
-		s.Explored, s.Branched, s.Pruned, s.Infeasible, s.Integral, s.MaxDepth)
-}
-
 // WriteJSON exports the recorded tree as an indented JSON document that
 // ReadTree round-trips exactly.
 func (r *TreeRecorder) WriteJSON(w io.Writer) error {

@@ -58,15 +58,19 @@ func TestTreeRecorderCapturesSearch(t *testing.T) {
 		}
 		seen[n.Node] = n
 	}
-	st := rec.Stats()
-	if st.Explored != len(nodes) || st.Branched == 0 {
-		t.Fatalf("stats = %+v for %d nodes", st, len(nodes))
+	// The recorded actions are milp's prune taxonomy, node for node.
+	sol, err := Solve(p, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Branched+st.Pruned+st.Infeasible+st.Integral != st.Explored {
-		t.Fatalf("stats actions do not partition: %+v", st)
+	actions := map[string]int{}
+	for _, n := range nodes {
+		actions[n.Action]++
 	}
-	if !strings.Contains(st.String(), fmt.Sprintf("explored=%d", len(nodes))) {
-		t.Fatalf("stats string = %q", st.String())
+	st := sol.Stats
+	if len(nodes) != st.Nodes || st.BranchedNodes == 0 || actions["branched"] != st.BranchedNodes ||
+		actions["pruned"] != st.PrunedBound || actions["infeasible"] != st.PrunedInfeasible || actions["integral"] != st.IntegralNodes {
+		t.Fatalf("recorded actions %v over %d nodes, search stats %+v", actions, len(nodes), st)
 	}
 }
 

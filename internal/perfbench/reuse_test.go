@@ -77,7 +77,7 @@ func reuseCorpus() []reuseCase {
 	corpus := []reuseCase{big}
 	corpus = append(corpus, paperInstances(0.5, 1, 2)...)
 	return append(corpus,
-		reuseCase{"replan", func() (any, error) { return replan.Simulate(sc, true, 1) }},
+		reuseCase{"replan", func() (any, error) { return replan.Simulate(sc, true, 0) }},
 		solveCase("sparse30", smallSpecs, smallRes, core.SolveOptions{MaxCount: 4, Workers: 2}),
 		big,
 	)

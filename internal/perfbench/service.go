@@ -52,7 +52,7 @@ func snapshotValue(snap []obs.Metric, name string) float64 {
 func serviceSequentialCache() Workload {
 	return Workload{Name: "service_sequential_cache", Run: func() (Counters, error) {
 		reg := obs.NewRegistry()
-		s := schedd.New(schedd.Config{Workers: BenchWorkers, Registry: reg})
+		s := schedd.New(schedd.Config{Registry: reg})
 		problems := serviceScenarios()
 		for i := 0; i < serviceRequests; i++ {
 			req := schedd.SolveRequest{Scenario: problems[i%len(problems)]}

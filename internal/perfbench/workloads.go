@@ -384,10 +384,10 @@ func pipelineWorkloads() []Workload {
 		}},
 		// sched_replan drives the closed loop end to end: the hardest corpus
 		// scenario (bandwidth degrades 3x mid-run) simulated static and
-		// adaptive at BenchWorkers width. The canonical-serial re-solve inside
-		// replan makes every counter byte-stable across hosts and pool widths;
-		// any drift in values or replan counts is a behaviour change in the
-		// solver, the monitor, or the rescheduler.
+		// adaptive, whose solves run at the default width, plus one solve at
+		// BenchWorkers width for the effort counters. Any drift in values or
+		// replan counts is a behaviour change in the solver, the monitor, or
+		// the rescheduler.
 		{Name: "sched_replan", Run: func() (Counters, error) {
 			var sc replan.Scenario
 			for _, c := range experiments.ReplanScenarios() {
@@ -399,11 +399,11 @@ func pipelineWorkloads() []Workload {
 			if err != nil {
 				return nil, err
 			}
-			static, err := replan.Simulate(sc, false, BenchWorkers)
+			static, err := replan.Simulate(sc, false, 0)
 			if err != nil {
 				return nil, err
 			}
-			adaptive, err := replan.Simulate(sc, true, BenchWorkers)
+			adaptive, err := replan.Simulate(sc, true, 0)
 			if err != nil {
 				return nil, err
 			}

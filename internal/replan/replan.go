@@ -56,9 +56,6 @@ type Config struct {
 	// (default 0.95), absorbing observation noise so adapted schedules do
 	// not land exactly on the threshold.
 	Headroom float64
-	// Workers is the branch-and-bound pool width for re-solves (see
-	// core.SolveOptions.Workers). Decisions are identical at any width.
-	Workers int
 	// Ledger, when non-nil, receives every replan event and, on adoption,
 	// the adapted profile's plan events.
 	Ledger *obs.EventLog
@@ -228,7 +225,7 @@ func (r *Replanner) Decide(step int) *core.Recommendation {
 		MemThreshold:  r.res.MemThreshold,
 		Bandwidth:     r.res.Bandwidth,
 	}
-	sol, err := solveCanonical(rescaled, horizon, r.cfg.Workers)
+	sol, err := core.Solve(rescaled, horizon, core.SolveOptions{})
 	if err != nil {
 		base.Reason = runmon.ReplanInfeasible
 		r.record(base)
@@ -408,26 +405,6 @@ func (r *Replanner) incumbentRemaining(rescaled []core.AnalysisSpec, step, remai
 		cost += spec.IT*float64(remaining) + spec.CT*float64(remA) + spec.OT*float64(remO)
 	}
 	return value, cost
-}
-
-// solveCanonical solves a scheduling instance at the requested wave width and
-// returns the canonical argmax. The milp determinism contract pins the
-// objective and terminal bound at any width, but not which of several tied
-// optimal schedules the search lands on — different widths can return
-// different ties. Everything the replanner derives from a solution (adopted
-// schedules, re-emitted plan events, recorded remaining costs) ends up in the
-// ledger, which must be byte-identical however wide the machine was. So the
-// width-W solve acts as the probe and its solution is replaced by the width-1
-// search's before any number is recorded; the objectives are guaranteed
-// equal. Remaining-horizon instances are small — a few kernels over the
-// steps left — so the extra solve is cheap, and it is skipped entirely at
-// width 1. Dropping it needs a canonical tie-break in the search itself.
-func solveCanonical(specs []core.AnalysisSpec, res core.Resources, workers int) (*core.Recommendation, error) {
-	sol, err := core.Solve(specs, res, core.SolveOptions{Workers: workers})
-	if err != nil || workers <= 1 {
-		return sol, err
-	}
-	return core.Solve(specs, res, core.SolveOptions{Workers: 1})
 }
 
 func countAfter(steps []int, after int) int {

@@ -104,12 +104,12 @@ type exec struct {
 // believed profiles, then execute the run against the perturbed truth,
 // feeding every event through a runmon monitor — and, when adaptive, a
 // Replanner whose adopted schedules immediately redirect the remaining run.
-// Everything is driven by the scenario seed: the same scenario and workers
-// produce a byte-identical event stream, and solver determinism (PR 5) makes
-// the stream identical across worker counts too.
+// Everything is driven by the scenario seed: the same scenario produces a
+// byte-identical event stream. Every solve runs at the default search width;
+// workers is ignored, and goes once the benchmark harness stops passing it.
 func Simulate(sc Scenario, adaptive bool, workers int) (SimResult, error) {
 	res := sc.Resources()
-	rec, err := solveCanonical(sc.Specs, res, workers)
+	rec, err := core.Solve(sc.Specs, res, core.SolveOptions{})
 	if err != nil {
 		return SimResult{}, fmt.Errorf("replan: up-front solve for %s: %w", sc.Name, err)
 	}
@@ -138,7 +138,6 @@ func Simulate(sc Scenario, adaptive bool, workers int) (SimResult, error) {
 			MinImprove:    sc.MinImprove,
 			Headroom:      sc.Headroom,
 			BudgetPercent: sc.BudgetPercent,
-			Workers:       workers,
 			Emit:          push,
 		})
 	}

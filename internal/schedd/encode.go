@@ -60,7 +60,6 @@ func (w *replyWriter) appendTail(r *SolveResponse) {
 	w.int("nodes", int64(v.Nodes), always)
 	w.int("relaxations", int64(v.Relaxations), always)
 	w.int("pivots", int64(v.Pivots), always)
-	w.int("workers", int64(v.Workers), always)
 	w.float("solve_time_sec", v.SolveTimeSec, always)
 	w.float("bound", v.Bound, always)
 	w.int("warm_solves", int64(v.WarmSolves), always)

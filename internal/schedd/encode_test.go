@@ -105,7 +105,7 @@ func randResponse(rng *rand.Rand) *SolveResponse {
 		}
 	}
 	r.Solver = SolverInfo{
-		Nodes: n(), Relaxations: n(), Pivots: n(), Workers: n(), SolveTimeSec: maybe(num()), Bound: maybe(num()),
+		Nodes: n(), Relaxations: n(), Pivots: n(), SolveTimeSec: maybe(num()), Bound: maybe(num()),
 		WarmSolves: n(), ColdSolves: n(), FallbackColds: n(), WarmInfeasibles: n(),
 		PrimalPivots: n(), DualPivots: n(), Refactorizations: n(), EtaPeak: n(),
 	}
@@ -300,5 +300,29 @@ func TestExplainOmitsSlacks(t *testing.T) {
 				t.Fatalf("want %s omitted and %s kept:\n%s", c.key, c.kept, doc)
 			}
 		})
+	}
+}
+
+// TestReplyHasNoWorkersKey pins the reply's solver object: its always-present
+// keys, and no "workers" key, since every solve runs at the default search
+// width.
+func TestReplyHasNoWorkersKey(t *testing.T) {
+	w := serve(New(Config{}).Handler(), "keys", marshalRequest(t, SolveRequest{Scenario: testScenario()}))
+	if w.code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.code, w.buf.Bytes())
+	}
+	var doc struct {
+		Solver map[string]json.RawMessage `json:"solver"`
+	}
+	if err := json.Unmarshal(w.buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := doc.Solver["workers"]; ok {
+		t.Fatalf("solver object carries a workers key: %s", w.buf.Bytes())
+	}
+	for _, k := range []string{"nodes", "relaxations", "pivots", "solve_time_sec", "bound", "warm_solves", "cold_solves"} {
+		if _, ok := doc.Solver[k]; !ok {
+			t.Fatalf("solver object lacks %q: %s", k, w.buf.Bytes())
+		}
 	}
 }

@@ -79,9 +79,6 @@ const (
 
 // Config tunes the daemon. The zero value serves with defaults.
 type Config struct {
-	// Workers is the branch-and-bound wave width per solve (see
-	// core.SolveOptions.Workers; 0 and 1 both mean a wave of one).
-	Workers int
 	// MaxInFlight is the solver-pool width: how many solves may run
 	// concurrently (default 4). Distinct concurrent requests share this
 	// pool; requests past the limit queue.
@@ -150,7 +147,6 @@ type SolverInfo struct {
 	Nodes        int     `json:"nodes"`
 	Relaxations  int     `json:"relaxations"`
 	Pivots       int     `json:"pivots"`
-	Workers      int     `json:"workers"`
 	SolveTimeSec float64 `json:"solve_time_sec"`
 	Bound        float64 `json:"bound"`
 
@@ -574,7 +570,7 @@ func (s *Server) solve(ctx context.Context, rec *reqRecord, m miss) (val *solved
 	id := rec.ID
 	fr := obs.NewFlightRecorder(0)
 	fr.SetName(id)
-	opts := core.SolveOptions{Workers: s.cfg.Workers, Flight: fr}
+	opts := core.SolveOptions{Flight: fr}
 	defer func() {
 		if p := recover(); p != nil {
 			rec.flight = fr
@@ -628,7 +624,6 @@ func buildResponse(head responseHead, val *solved) *SolveResponse {
 			Nodes:        rc.Stats.Nodes,
 			Relaxations:  rc.Stats.Relaxations,
 			Pivots:       rc.Stats.Pivots,
-			Workers:      rc.Stats.Workers,
 			SolveTimeSec: rc.SolveTime.Seconds(),
 			Bound:        rc.Stats.BestBound,
 

@@ -83,7 +83,7 @@ func metricValue(t *testing.T, reg *obs.Registry, name string, labels map[string
 func TestSolveCacheLedger(t *testing.T) {
 	var buf bytes.Buffer
 	ledger := obs.NewEventLog(&buf)
-	s := New(Config{Ledger: ledger, Workers: 2})
+	s := New(Config{Ledger: ledger})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

@@ -6,15 +6,13 @@ import "strings"
 // text-mode counterpart of the paper's Figure 3 (the rhodopsin snapshot:
 // protein at the center, membrane slab across the middle, water above and
 // below, scattered ions). The slab is centered on the plane y = Box[1]/2
-// with thickness `thick`; particles project onto an (x, z) character grid
+// with thickness Box[1]/4; particles project onto an (x, z) character grid
 // of 72 by 28. When several species land in one cell the rarest wins
 // (protein > ion > hydronium > membrane > water), so minority structure
 // stays visible.
-func (s *System) RenderSlice(thick float64) string {
+func (s *System) RenderSlice() string {
 	const width, height = 72, 28
-	if thick <= 0 {
-		thick = s.Box[1] / 8
-	}
+	thick := s.Box[1] / 4
 	glyph := map[Species]byte{
 		Water:     '.',
 		Membrane:  '=',
