@@ -313,6 +313,9 @@ func buildCompactProblem(specs []AnalysisSpec, res Resources, opts SolveOptions,
 			p.Constraints = append(p.Constraints, membership(i, lp.LE, "one-mode"))
 		}
 	}
+	if force < 0 {
+		p.Classes = len(p.Constraints) // the one-mode rows (see lp.Problem)
+	}
 	if res.TimeThreshold > 0 && n > 0 {
 		p.Constraints = append(p.Constraints, lp.Constraint{Idx: cols, Coef: timeCoef, Sense: lp.LE, RHS: res.TimeThreshold, Name: "time-threshold"})
 	}

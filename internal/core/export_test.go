@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"insitu/internal/milp"
 )
 
 func TestExportLPContainsModel(t *testing.T) {
@@ -26,6 +28,24 @@ func TestExportLPContainsModel(t *testing.T) {
 	}
 	if strings.Count(out, "\n") < 50 {
 		t.Fatalf("exported model suspiciously small:\n%s", out)
+	}
+}
+
+// TestExportLPRoundTripKeepsClasses: the one-mode rows the compact model
+// declares come back from the LP file as the same declaration.
+func TestExportLPRoundTripKeepsClasses(t *testing.T) {
+	specs := fourAnalyses()
+	res := Resources{Steps: 1000, TimeThreshold: 64.69, MemThreshold: 12 << 30}
+	var buf bytes.Buffer
+	if err := ExportLP(&buf, specs, res, SolveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	q, err := milp.ReadLP(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.LP.Classes != len(specs) || len(q.LP.Constraints) != len(specs)+2 {
+		t.Fatalf("reread %d classes over %d rows, want %d over %d", q.LP.Classes, len(q.LP.Constraints), len(specs), len(specs)+2)
 	}
 }
 

@@ -114,6 +114,12 @@ type placementMode struct {
 	stage   float64
 }
 
+// placementRef records which analysis and mode a placement column selects.
+type placementRef struct {
+	analysis int
+	m        placementMode
+}
+
 // SolvePlacement chooses, for every analysis, a site, a frequency, and an
 // output stride, maximizing the same objective as Solve. In-situ modes pay
 // their full cost against the simulation-site threshold and their peak
@@ -121,101 +127,10 @@ type placementMode struct {
 // the per-analysis transfer time at the simulation site, moving compute
 // time and memory to the staging resource.
 func SolvePlacement(specs []PlacementSpec, res PlacementResources, opts SolveOptions) (*PlacementRecommendation, error) {
-	if err := res.Validate(); err != nil {
+	norm, prob, refs, err := buildPlacementProblem(specs, res, opts)
+	if err != nil {
 		return nil, err
 	}
-	norm := make([]PlacementSpec, len(specs))
-	for i, a := range specs {
-		if err := a.AnalysisSpec.Validate(); err != nil {
-			return nil, err
-		}
-		norm[i] = a
-		norm[i].AnalysisSpec = a.AnalysisSpec.withDefaults()
-		if norm[i].StageMem == 0 {
-			norm[i].StageMem = norm[i].FM + norm[i].CM
-		}
-	}
-
-	prob := milp.NewProblem(&lp.Problem{})
-	type varRef struct {
-		analysis int
-		m        placementMode
-	}
-	var refs []varRef
-	var simTimeIdx, memIdx, stageTimeIdx, stageMemIdx []int
-	var simTimeCoef, memCoef, stageTimeCoef, stageMemCoef []float64
-	perAnalysis := make([][]int, len(norm))
-
-	for i, a := range norm {
-		for _, m := range enumerateModes(a.AnalysisSpec, res.Resources, opts.MaxCount) {
-			// In-situ variant: identical to Solve.
-			obj := 1 + a.Weight*float64(m.count)
-			j := prob.AddBinVar(obj, fmt.Sprintf("x[%s,insitu,n=%d,k=%d]", a.Name, m.count, m.k))
-			refs = append(refs, varRef{i, placementMode{mode: m, site: InSitu, simTime: m.cost}})
-			perAnalysis[i] = append(perAnalysis[i], j)
-			simTimeIdx = append(simTimeIdx, j)
-			simTimeCoef = append(simTimeCoef, m.cost)
-			memIdx = append(memIdx, j)
-			memCoef = append(memCoef, float64(m.peakMem))
-		}
-		// Co-analysis variants: the simulation site pays ft (coupling
-		// setup), it per step, and the transfer per analysis step; compute
-		// and output run on the staging side.
-		transfer := float64(a.TransferBytes) / res.NetBandwidth
-		for count, bound := 1, countBound(a.AnalysisSpec, res.Resources, opts.MaxCount); count <= bound; count++ {
-			simTime := a.FT + a.IT*float64(res.Steps) + transfer*float64(count)
-			stage := (a.CT + a.outputTime(res.Bandwidth)) * float64(count)
-			if res.TimeThreshold > 0 && simTime > res.TimeThreshold {
-				continue
-			}
-			if res.StageTimeTotal > 0 && stage > res.StageTimeTotal {
-				continue
-			}
-			if res.StageMemTotal > 0 && a.StageMem > res.StageMemTotal {
-				continue
-			}
-			m := placementMode{
-				mode:    mode{count: count, k: 1},
-				site:    CoAnalysis,
-				simTime: simTime,
-				stage:   stage,
-			}
-			obj := 1 + a.Weight*float64(count)
-			j := prob.AddBinVar(obj, fmt.Sprintf("x[%s,co,n=%d]", a.Name, count))
-			refs = append(refs, varRef{i, m})
-			perAnalysis[i] = append(perAnalysis[i], j)
-			simTimeIdx = append(simTimeIdx, j)
-			simTimeCoef = append(simTimeCoef, simTime)
-			stageTimeIdx = append(stageTimeIdx, j)
-			stageTimeCoef = append(stageTimeCoef, stage)
-			stageMemIdx = append(stageMemIdx, j)
-			stageMemCoef = append(stageMemCoef, float64(a.StageMem))
-		}
-	}
-
-	for i, vars := range perAnalysis {
-		if len(vars) == 0 {
-			continue
-		}
-		ones := make([]float64, len(vars))
-		for k := range ones {
-			ones[k] = 1
-		}
-		prob.LP.AddConstraint(vars, ones, lp.LE, 1, fmt.Sprintf("one-mode[%s]", norm[i].Name))
-	}
-	if res.TimeThreshold > 0 && len(simTimeIdx) > 0 {
-		prob.LP.AddConstraint(simTimeIdx, simTimeCoef, lp.LE, res.TimeThreshold, "sim-time")
-	}
-	if res.MemThreshold > 0 && len(memIdx) > 0 {
-		prob.LP.AddConstraint(memIdx, memCoef, lp.LE, float64(res.MemThreshold), "sim-mem")
-	}
-	if res.StageTimeTotal > 0 && len(stageTimeIdx) > 0 {
-		prob.LP.AddConstraint(stageTimeIdx, stageTimeCoef, lp.LE, res.StageTimeTotal, "stage-time")
-	}
-	if res.StageMemTotal > 0 && len(stageMemIdx) > 0 {
-		prob.LP.AddConstraint(stageMemIdx, stageMemCoef, lp.LE, float64(res.StageMemTotal), "stage-mem")
-	}
-
 	sol, _, err := solveModel("placement", prob, opts)
 	if err != nil {
 		return nil, err
@@ -257,4 +172,102 @@ func SolvePlacement(specs []PlacementSpec, res PlacementResources, opts SolveOpt
 			rec.SimSiteTime, res.TimeThreshold)
 	}
 	return rec, nil
+}
+
+// buildPlacementProblem validates and normalizes specs and constructs the
+// placement MILP over them, with the column references SolvePlacement reads
+// its answer through.
+func buildPlacementProblem(specs []PlacementSpec, res PlacementResources, opts SolveOptions) ([]PlacementSpec, *milp.Problem, []placementRef, error) {
+	if err := res.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
+	norm := make([]PlacementSpec, len(specs))
+	for i, a := range specs {
+		if err := a.AnalysisSpec.Validate(); err != nil {
+			return nil, nil, nil, err
+		}
+		norm[i] = a
+		norm[i].AnalysisSpec = a.AnalysisSpec.withDefaults()
+		if norm[i].StageMem == 0 {
+			norm[i].StageMem = norm[i].FM + norm[i].CM
+		}
+	}
+
+	prob := milp.NewProblem(&lp.Problem{})
+	var refs []placementRef
+	var simTimeIdx, memIdx, stageTimeIdx, stageMemIdx []int
+	var simTimeCoef, memCoef, stageTimeCoef, stageMemCoef []float64
+	perAnalysis := make([][]int, len(norm))
+
+	for i, a := range norm {
+		for _, m := range enumerateModes(a.AnalysisSpec, res.Resources, opts.MaxCount) {
+			// In-situ variant: identical to Solve.
+			obj := 1 + a.Weight*float64(m.count)
+			j := prob.AddBinVar(obj, fmt.Sprintf("x[%s,insitu,n=%d,k=%d]", a.Name, m.count, m.k))
+			refs = append(refs, placementRef{i, placementMode{mode: m, site: InSitu, simTime: m.cost}})
+			perAnalysis[i] = append(perAnalysis[i], j)
+			simTimeIdx = append(simTimeIdx, j)
+			simTimeCoef = append(simTimeCoef, m.cost)
+			memIdx = append(memIdx, j)
+			memCoef = append(memCoef, float64(m.peakMem))
+		}
+		// Co-analysis variants: the simulation site pays ft (coupling
+		// setup), it per step, and the transfer per analysis step; compute
+		// and output run on the staging side.
+		transfer := float64(a.TransferBytes) / res.NetBandwidth
+		for count, bound := 1, countBound(a.AnalysisSpec, res.Resources, opts.MaxCount); count <= bound; count++ {
+			simTime := a.FT + a.IT*float64(res.Steps) + transfer*float64(count)
+			stage := (a.CT + a.outputTime(res.Bandwidth)) * float64(count)
+			if res.TimeThreshold > 0 && simTime > res.TimeThreshold {
+				continue
+			}
+			if res.StageTimeTotal > 0 && stage > res.StageTimeTotal {
+				continue
+			}
+			if res.StageMemTotal > 0 && a.StageMem > res.StageMemTotal {
+				continue
+			}
+			m := placementMode{
+				mode:    mode{count: count, k: 1},
+				site:    CoAnalysis,
+				simTime: simTime,
+				stage:   stage,
+			}
+			obj := 1 + a.Weight*float64(count)
+			j := prob.AddBinVar(obj, fmt.Sprintf("x[%s,co,n=%d]", a.Name, count))
+			refs = append(refs, placementRef{i, m})
+			perAnalysis[i] = append(perAnalysis[i], j)
+			simTimeIdx = append(simTimeIdx, j)
+			simTimeCoef = append(simTimeCoef, simTime)
+			stageTimeIdx = append(stageTimeIdx, j)
+			stageTimeCoef = append(stageTimeCoef, stage)
+			stageMemIdx = append(stageMemIdx, j)
+			stageMemCoef = append(stageMemCoef, float64(a.StageMem))
+		}
+	}
+
+	for i, vars := range perAnalysis {
+		if len(vars) == 0 {
+			continue
+		}
+		ones := make([]float64, len(vars))
+		for k := range ones {
+			ones[k] = 1
+		}
+		prob.LP.AddConstraint(vars, ones, lp.LE, 1, fmt.Sprintf("one-mode[%s]", norm[i].Name))
+	}
+	prob.LP.Classes = len(prob.LP.Constraints) // the one-mode rows (see lp.Problem)
+	if res.TimeThreshold > 0 && len(simTimeIdx) > 0 {
+		prob.LP.AddConstraint(simTimeIdx, simTimeCoef, lp.LE, res.TimeThreshold, "sim-time")
+	}
+	if res.MemThreshold > 0 && len(memIdx) > 0 {
+		prob.LP.AddConstraint(memIdx, memCoef, lp.LE, float64(res.MemThreshold), "sim-mem")
+	}
+	if res.StageTimeTotal > 0 && len(stageTimeIdx) > 0 {
+		prob.LP.AddConstraint(stageTimeIdx, stageTimeCoef, lp.LE, res.StageTimeTotal, "stage-time")
+	}
+	if res.StageMemTotal > 0 && len(stageMemIdx) > 0 {
+		prob.LP.AddConstraint(stageMemIdx, stageMemCoef, lp.LE, float64(res.StageMemTotal), "stage-mem")
+	}
+	return norm, prob, refs, nil
 }

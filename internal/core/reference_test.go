@@ -92,6 +92,9 @@ func refBuildCompactProblemForced(norm []AnalysisSpec, res Resources, opts Solve
 		}
 		prob.LP.AddConstraint(vars, ones[:len(vars)], lp.LE, 1, fmt.Sprintf("one-mode[%s]", norm[i].Name))
 	}
+	if force < 0 {
+		prob.LP.Classes = len(prob.LP.Constraints)
+	}
 	if res.TimeThreshold > 0 && len(cols) > 0 {
 		prob.LP.AddConstraint(cols, timeCoef, lp.LE, res.TimeThreshold, "time-threshold")
 	}
@@ -129,8 +132,8 @@ func LargeSparseSpecs(n int) []AnalysisSpec {
 // CheckCompactIdentity builds the compact model of one instance with the
 // reference above and with the production builder and reports the first
 // difference: column-to-mode references, objective, bounds, integrality, every
-// row's Idx/Coef/Sense/RHS/Name, the column names CompactNames produces, and
-// (unforced) the ExportLP bytes. It also checks that the model handed to the
+// row's Idx/Coef/Sense/RHS/Name, the declared classes, the column names
+// CompactNames produces, and (unforced) the ExportLP bytes. It also checks that the model handed to the
 // solver carries no column names. force is -1 for the model Solve builds, or
 // an analysis index for Explain's forced probe. Exported for identity_test.go,
 // whose instance generators import this package.
@@ -189,8 +192,9 @@ func CheckCompactIdentity(specs []AnalysisSpec, res Resources, opts SolveOptions
 			return fmt.Errorf("integrality of column %d differs", j)
 		}
 	}
-	if len(got.LP.Constraints) != len(want.LP.Constraints) {
-		return fmt.Errorf("%d rows, reference %d", len(got.LP.Constraints), len(want.LP.Constraints))
+	if len(got.LP.Constraints) != len(want.LP.Constraints) || got.LP.Classes != want.LP.Classes {
+		return fmt.Errorf("%d rows and %d classes, reference %d and %d",
+			len(got.LP.Constraints), got.LP.Classes, len(want.LP.Constraints), want.LP.Classes)
 	}
 	for r, g := range got.LP.Constraints {
 		w := want.LP.Constraints[r]

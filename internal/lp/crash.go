@@ -6,76 +6,29 @@ import "math"
 // knapsack rows each block the other's greedy (see crash).
 const crashBisect = 6
 
-// crashShape is the packing-with-GUB structure of a problem — every row a
-// "<=" with nonnegative coefficients and RHS, some of them one-mode rows
-// (unit coefficients, RHS 1) no two of which share a column, the rest
-// knapsack rows with positive RHS — and the integer scratch the crash needs
-// over it. It is detected once per state; gub is empty on any other shape.
+// crashShape is the integer scratch the crash needs over the classes the
+// problem declares (Problem.Classes), sized by newRevised over the arrays the
+// state held for its last problem.
 type crashShape struct {
-	detected  bool
-	gub, knap []int
-	cur       []int // per row: the column its class has reached, -1 for none
-	next      []int // per row: the column its class's next hull step reaches
-	heap      []int // classes that have a next step, most efficient at the root
-	inClass   []bool
-}
-
-// detect classifies the rows in O(nonzeros), over the arrays the shape held
-// for the state's last problem.
-func (sh *crashShape) detect(p *Problem) {
-	sh.detected = true
-	sh.knap, sh.inClass = sh.knap[:0], Resize(sh.inClass, p.NumVars())
-	gub := sh.gub[:0]
-	sh.gub = gub // empty until every row has been classified
-	for i, c := range p.Constraints {
-		unit := c.RHS == 1
-		for _, v := range c.Coef {
-			if v < 0 {
-				return
-			}
-			unit = unit && v == 1
-		}
-		if c.Sense != LE || !unit && c.RHS <= 0 {
-			return
-		}
-		if !unit {
-			sh.knap = append(sh.knap, i)
-			continue
-		}
-		for _, j := range c.Idx {
-			if sh.inClass[j] {
-				return
-			}
-			sh.inClass[j] = true
-		}
-		gub = append(gub, i)
-	}
-	if len(sh.knap) == 0 || len(gub) == 0 {
-		return
-	}
-	m := len(p.Constraints)
-	sh.gub, sh.cur, sh.next, sh.heap = gub, Resize(sh.cur, m), Resize(sh.next, m), sh.heap[:0]
+	cur  []int // per class: the column it has reached, -1 for none
+	next []int // per class: the column its next hull step reaches
+	heap []int // classes that have a next step, most efficient at the root
 }
 
 // crash replaces the all-slack basis reset installed with the basis of
-// Dantzig's greedy for the multiple-choice knapsack LP, when the problem has
-// that shape and every variable starts at zero (DESIGN.md §12, "Cold start"):
-// the columns the greedy reaches are basic in their one-mode rows, the column
-// of its one fractional step in the knapsack row that blocked it, every other
-// row keeps its slack — primal feasible, and triangular up to the fractional
+// Dantzig's greedy for the multiple-choice knapsack LP, when the problem
+// declares that shape (Problem.Classes: class rows first, knapsack rows
+// after) and every variable starts at zero (DESIGN.md §12, "Cold start"): the
+// columns the greedy reaches are basic in their class rows, the column of its
+// one fractional step in the knapsack row that blocked it, every other row
+// keeps its slack — primal feasible, and triangular up to the fractional
 // class's 2x2 block, whose determinant is the blocking row's positive
 // coefficient difference — so phase 2 starts from it directly. Whatever the
-// shape, the bounds or the numbers decline leaves, or restores, the all-slack
-// start.
+// declaration, the bounds or the numbers decline leaves, or restores, the
+// all-slack start; a basis seated over rows that lack the declared shape is
+// kept only if it refactorizes and is feasible, so it is a valid start.
 func (rv *revised) crash(lower, upper []float64) {
-	if rv.noCrash {
-		return
-	}
-	sh := &rv.shape
-	if !sh.detected {
-		sh.detect(rv.p)
-	}
-	if len(sh.gub) == 0 {
+	if k := rv.p.Classes; rv.noCrash || k == 0 || k == rv.m {
 		return
 	}
 	for _, l := range lower {
@@ -90,9 +43,9 @@ func (rv *revised) crash(lower, upper []float64) {
 	if seated {
 		rv.seat(blocked, fracCol)
 	}
-	for _, g := range sh.gub {
-		if sh.cur[g] >= 0 {
-			rv.seat(g, sh.cur[g])
+	for g, col := range rv.shape.cur {
+		if col >= 0 {
+			rv.seat(g, col)
 			seated = true
 		}
 	}
@@ -113,9 +66,8 @@ func (rv *revised) crash(lower, upper []float64) {
 // the weight at which the blocking row flips. It returns the last pass's
 // outcome (see crashGreedy).
 func (rv *revised) crashPoint(upper []float64) (blocked, fracCol int) {
-	knap := rv.shape.knap
-	a, b := knap[0], -1
-	for _, k := range knap {
+	a, b := rv.p.Classes, -1
+	for k := a; k < rv.m; k++ {
 		blocked, fracCol = rv.crashGreedy(upper, k, 1, -1, 0)
 		if blocked < 0 || blocked == k {
 			return blocked, fracCol
@@ -185,12 +137,11 @@ func (rv *revised) crashGreedy(upper []float64, a int, wa float64, b int, wb flo
 			}
 		}
 	}
+	knap := rv.p.Classes   // the first knapsack row
 	use, d := rv.y, rv.rho // per knapsack row: room taken so far, and by this step
-	for _, k := range sh.knap {
-		use[k] = 0
-	}
+	clear(use[knap:])
 	sh.heap = sh.heap[:0]
-	for _, g := range sh.gub {
+	for g := range sh.cur {
 		sh.cur[g] = -1
 		if rv.hullStep(g) {
 			sh.heap = append(sh.heap, g)
@@ -201,15 +152,13 @@ func (rv *revised) crashGreedy(upper []float64, a int, wa float64, b int, wb flo
 	}
 	for len(sh.heap) > 0 {
 		g := sh.heap[0]
-		for _, k := range sh.knap {
-			d[k] = 0
-		}
+		clear(d[knap:])
 		cs.scatterAdd(sh.next[g], 1, d)
 		if sh.cur[g] >= 0 {
 			cs.scatterAdd(sh.cur[g], -1, d)
 		}
 		blocked, theta := -1, math.Inf(1)
-		for _, k := range sh.knap {
+		for k := knap; k < rv.m; k++ {
 			if d[k] > 0 && use[k]+d[k] > rv.b[k] {
 				if t := (rv.b[k] - use[k]) / d[k]; t < theta {
 					blocked, theta = k, t
@@ -219,7 +168,7 @@ func (rv *revised) crashGreedy(upper []float64, a int, wa float64, b int, wb flo
 		if blocked >= 0 {
 			return blocked, sh.next[g]
 		}
-		for _, k := range sh.knap {
+		for k := knap; k < rv.m; k++ {
 			use[k] += d[k]
 		}
 		sh.cur[g] = sh.next[g]

@@ -20,17 +20,21 @@ func seatCrash(rv *revised, lower, upper []float64) bool {
 	return rv.stats.CrashStarts > before
 }
 
-// checkSeated verifies what crash promises about the basis it leaves: no
-// artificial in use (phase 1 is skipped), one distinct basic column per row,
-// every basic value inside its bounds, every nonbasic column at zero, and the
-// point satisfying the rows at the requested bounds.
+// checkSeated verifies what crash promises about the basis it leaves: one
+// distinct basic column per row, every basic value inside its bounds, every
+// nonbasic column at zero, and the point satisfying the rows at the requested
+// bounds. On a model with the declared shape no artificial is in use, so
+// phase 1 is skipped; over rows that lack it, a row may keep its own
+// artificial basic, and that row is left to phase 1.
 func checkSeated(t *testing.T, name string, rv *revised, upper []float64) {
 	t.Helper()
 	seen := map[int]bool{}
 	x := make([]float64, rv.cs.nOrig)
+	phase1 := make([]bool, rv.m)
 	for i, col := range rv.basis {
-		if rv.artUsed[i] || col >= rv.n || seen[col] || !rv.inBasis[col] {
-			t.Fatalf("%s: row %d holds column %d (artificial in use: %t, repeated: %t)", name, i, col, rv.artUsed[i], seen[col])
+		phase1[i] = col == rv.n+i && rv.artUsed[i]
+		if col >= rv.n && !phase1[i] || seen[col] || !rv.inBasis[col] {
+			t.Fatalf("%s: row %d holds column %d (repeated: %t)", name, i, col, seen[col])
 		}
 		seen[col] = true
 		if rv.xB[i] < rv.lo[col] || rv.xB[i] > rv.up[col] {
@@ -45,27 +49,32 @@ func checkSeated(t *testing.T, name string, rv *revised, upper []float64) {
 			t.Fatalf("%s: nonbasic column %d rests at its upper bound", name, j)
 		}
 	}
-	if v := violation(rv.p, x, upper); v != "" {
+	if v := violation(rv.p, x, upper, phase1); v != "" {
 		t.Fatalf("%s: crash point infeasible: %s", name, v)
 	}
 }
 
-// violation is FirstViolation at the given upper bounds with a tolerance
-// relative to each row's right-hand side: the campaign models carry a memory
-// row in bytes, where one ulp of the right-hand side is near 1e-7.
-func violation(p *Problem, x, upper []float64) string {
+// violation is FirstViolation at the given upper bounds, over the rows skip
+// does not mark, with a tolerance relative to each row's right-hand side: the
+// campaign models carry a memory row in bytes, where one ulp of the
+// right-hand side is near 1e-7.
+func violation(p *Problem, x, upper []float64, skip []bool) string {
 	for j := range x {
 		if x[j] < -1e-9 || x[j] > upper[j]+1e-9 {
 			return fmt.Sprintf("x[%d] = %g outside [0, %g]", j, x[j], upper[j])
 		}
 	}
 	for r, c := range p.Constraints {
+		if skip != nil && skip[r] {
+			continue
+		}
 		lhs := 0.0
 		for k, j := range c.Idx {
 			lhs += c.Coef[k] * x[j]
 		}
-		if lhs > c.RHS+1e-9*(1+math.Abs(c.RHS)) {
-			return fmt.Sprintf("row %d: %.17g > %.17g", r, lhs, c.RHS)
+		tol := 1e-9 * (1 + math.Abs(c.RHS))
+		if c.Sense != GE && lhs > c.RHS+tol || c.Sense != LE && lhs < c.RHS-tol {
+			return fmt.Sprintf("row %d: %.17g %v %.17g violated", r, lhs, c.Sense, c.RHS)
 		}
 	}
 	return ""
@@ -95,6 +104,7 @@ func campaignLP(rng *rand.Rand, analyses int, memTight bool) *Problem {
 		}
 		p.AddConstraint(idx, one, LE, 1, "")
 	}
+	p.Classes = analyses
 	p.AddConstraint(all, cost, LE, 2.7*float64(analyses), "")
 	room := float64(int64(12) << 30)
 	if memTight {
@@ -130,7 +140,7 @@ func TestCrashStartMatchesAllSlack(t *testing.T) {
 			if math.Abs(got.Objective-want.Objective) > 1e-9*(1+math.Abs(want.Objective)) {
 				t.Fatalf("%s round %d: crash start reached %.12g, all-slack start %.12g", name, round, got.Objective, want.Objective)
 			}
-			if v := violation(p, got.X, upper); got.Status == Optimal && v != "" {
+			if v := violation(p, got.X, upper, nil); got.Status == Optimal && v != "" {
 				t.Fatalf("%s round %d: %s", name, round, v)
 			}
 			if crash.stats.CrashStarts == 1 && got.Iters < want.Iters {
@@ -168,39 +178,36 @@ func TestCrashLandsOnTheOptimumOfOneBindingRow(t *testing.T) {
 	}
 }
 
-// TestCrashDeclines: every shape outside the detector's, and every start the
-// greedy has nothing to offer for, is solved exactly as the all-slack start
-// solves it — same status, iterations, objective and point, bit for bit.
-func TestCrashDeclines(t *testing.T) {
-	// base is a crashable model: two classes over two knapsack rows.
-	base := func() *Problem {
-		p := &Problem{}
-		for j := 0; j < 6; j++ {
-			p.AddVar(float64(1+j%3), 0, 1, "")
-		}
-		p.AddConstraint([]int{0, 1, 2}, []float64{1, 1, 1}, LE, 1, "")
-		p.AddConstraint([]int{3, 4, 5}, []float64{1, 1, 1}, LE, 1, "")
-		p.AddConstraint([]int{0, 1, 2, 3, 4, 5}, []float64{2, 3, 5, 1, 4, 6}, LE, 7, "")
-		p.AddConstraint([]int{0, 1, 2, 3, 4, 5}, []float64{3, 1, 2, 5, 2, 1}, LE, 4, "")
-		return p
+// crashBase is a crashable model: two declared classes over two knapsack
+// rows.
+func crashBase() *Problem {
+	p := &Problem{Classes: 2}
+	for j := 0; j < 6; j++ {
+		p.AddVar(float64(1+j%3), 0, 1, "")
 	}
-	if p := base(); !seatCrash(newRevised(p, buildColStore(p)), p.Lower, p.Upper) {
+	p.AddConstraint([]int{0, 1, 2}, []float64{1, 1, 1}, LE, 1, "")
+	p.AddConstraint([]int{3, 4, 5}, []float64{1, 1, 1}, LE, 1, "")
+	p.AddConstraint([]int{0, 1, 2, 3, 4, 5}, []float64{2, 3, 5, 1, 4, 6}, LE, 7, "")
+	p.AddConstraint([]int{0, 1, 2, 3, 4, 5}, []float64{3, 1, 2, 5, 2, 1}, LE, 4, "")
+	return p
+}
+
+// TestCrashDeclines: a model that declares no classes, or no knapsack row,
+// and every start the greedy has nothing to offer for, is solved exactly as
+// the all-slack start solves it — same status, iterations, objective and
+// point, bit for bit.
+func TestCrashDeclines(t *testing.T) {
+	if p := crashBase(); !seatCrash(newRevised(p, buildColStore(p)), p.Lower, p.Upper) {
 		t.Fatal("the base model itself is declined; the table below would prove nothing")
 	}
 	cases := []struct {
 		name string
 		edit func(p *Problem)
 	}{
-		{"equality row", func(p *Problem) { p.Constraints[0].Sense = EQ }},
-		{"greater-equal row", func(p *Problem) { p.AddConstraint([]int{0, 3}, []float64{1, 1}, GE, 1, "") }},
-		{"negative coefficient", func(p *Problem) { p.Constraints[2].Coef[1] = -3 }},
-		{"column in two unit rows", func(p *Problem) { p.AddConstraint([]int{2, 3}, []float64{1, 1}, LE, 1, "") }},
-		{"nonzero lower bound", func(p *Problem) { p.Lower[4] = 1 }},
-		{"negative right-hand side", func(p *Problem) { p.Constraints[3].RHS = -1 }},
-		{"zero right-hand side on a knapsack row", func(p *Problem) { p.Constraints[3].RHS = 0 }},
+		{"undeclared", func(p *Problem) { p.Classes = 0 }},
 		{"no knapsack row", func(p *Problem) { p.Constraints = p.Constraints[:2] }},
-		{"no one-mode row", func(p *Problem) { p.Constraints = p.Constraints[2:] }},
-		{"no rows", func(p *Problem) { p.Constraints = nil }},
+		{"no rows", func(p *Problem) { p.Constraints, p.Classes = nil, 0 }},
+		{"nonzero lower bound", func(p *Problem) { p.Lower[4] = 1 }},
 		{"every column closed", func(p *Problem) {
 			for j := range p.Upper {
 				p.Upper[j] = 0
@@ -213,7 +220,7 @@ func TestCrashDeclines(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		p := base()
+		p := crashBase()
 		tc.edit(p)
 		cs := buildColStore(p)
 		crash, slack := newRevised(p, cs), newRevised(p, cs)
@@ -237,7 +244,7 @@ func TestCrashDeclines(t *testing.T) {
 
 	// One class closed by presolve is no reason to decline: the others crash,
 	// and the closed class keeps its slack.
-	p := base()
+	p := crashBase()
 	p.Upper[0], p.Upper[1], p.Upper[2] = 0, 0, 0
 	rv := newRevised(p, buildColStore(p))
 	if !seatCrash(rv, p.Lower, p.Upper) {
@@ -246,6 +253,44 @@ func TestCrashDeclines(t *testing.T) {
 	checkSeated(t, "one closed class", rv, p.Upper)
 	if col := rv.basis[0]; col != rv.cs.slackCol[0] {
 		t.Fatalf("the closed class's row holds column %d, want its slack %d", col, rv.cs.slackCol[0])
+	}
+}
+
+// TestCrashFalseDeclaration: a model whose rows lack the shape its Classes
+// declares still solves to the status and objective of the all-slack start,
+// and any basis the crash seats over it is a sound one.
+func TestCrashFalseDeclaration(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(p *Problem)
+	}{
+		{"equality row", func(p *Problem) { p.Constraints[0].Sense = EQ }},
+		{"greater-equal row", func(p *Problem) { p.AddConstraint([]int{0, 3}, []float64{1, 1}, GE, 1, "") }},
+		{"negative coefficient", func(p *Problem) { p.Constraints[2].Coef[1] = -3 }},
+		{"column in two classes", func(p *Problem) {
+			p.Constraints[1].Idx, p.Constraints[1].Coef = []int{2, 3, 4, 5}, []float64{1, 1, 1, 1}
+		}},
+		{"negative right-hand side", func(p *Problem) { p.Constraints[3].RHS = -1 }},
+		{"zero right-hand side on a knapsack row", func(p *Problem) { p.Constraints[3].RHS = 0 }},
+	}
+	seated := 0
+	for _, tc := range cases {
+		p := crashBase()
+		tc.edit(p)
+		cs := buildColStore(p)
+		if probe := newRevised(p, cs); seatCrash(probe, p.Lower, p.Upper) {
+			checkSeated(t, tc.name, probe, p.Upper)
+			seated++
+		}
+		crash, slack := newRevised(p, cs), newRevised(p, cs)
+		slack.noCrash = true
+		got, want := crash.solveCold(p.Lower, p.Upper), slack.solveCold(p.Lower, p.Upper)
+		if got.Status != want.Status || math.Abs(got.Objective-want.Objective) > 1e-9*(1+math.Abs(want.Objective)) {
+			t.Errorf("%s: %v/%v, all-slack start %v/%v", tc.name, got.Status, got.Objective, want.Status, want.Objective)
+		}
+	}
+	if seated < 5 {
+		t.Fatalf("the crash seated a basis on %d false declarations; the table no longer reaches it", seated)
 	}
 }
 

@@ -20,9 +20,10 @@
 // in the ratio test (nonbasic variables rest at either bound and may
 // bound-flip), so the binary-heavy scheduling MILPs built on top pay no extra
 // rows for their 0-1 variables. Pricing is Devex with a Bland's-rule fallback
-// to guarantee termination under degeneracy; a cold solve of a
-// multiple-choice knapsack (the scheduling models' shape) starts from the
-// basis of Dantzig's greedy instead of the slacks (crash.go); warm re-solves
+// to guarantee termination under degeneracy; a cold solve of a problem that
+// declares the multiple-choice knapsack shape (Problem.Classes, the scheduling
+// models' shape) starts from the basis of Dantzig's greedy instead of the
+// slacks (crash.go); warm re-solves
 // under changed bounds (the Solver handle) restore feasibility with a
 // bounded-variable dual simplex. Every verdict carries its evidence — an
 // optimal basis (Basis.Columns) or a Farkas ray (Solver.FarkasRay) — which
@@ -96,6 +97,14 @@ type Problem struct {
 	Constraints []Constraint
 	// Names are optional variable names used in diagnostics.
 	Names []string
+	// Classes declares the multiple-choice knapsack shape a cold solve
+	// crashes from (crash.go): the first Classes rows are "<= 1" rows with
+	// unit coefficients over disjoint columns, and every later row is a
+	// "<=" row with nonnegative coefficients and a positive RHS. 0 declares
+	// nothing. A problem that lacks the shape it declares still solves
+	// correctly, from a different start: the crash only seats a basis that
+	// refactorizes and whose basic values lie within FeasTol of their bounds.
+	Classes int
 }
 
 // NumVars returns the number of variables in the problem.
@@ -175,6 +184,7 @@ func (p *Problem) Clone() *Problem {
 		Upper:       append([]float64(nil), p.Upper...),
 		Names:       append([]string(nil), p.Names...),
 		Constraints: make([]Constraint, len(p.Constraints)),
+		Classes:     p.Classes,
 	}
 	for i, c := range p.Constraints {
 		c.Idx = append([]int(nil), c.Idx...)
@@ -186,11 +196,15 @@ func (p *Problem) Clone() *Problem {
 
 // Validate checks structural consistency: bound ordering, each row's index
 // and coefficient lists of equal length with indices in range and strictly
-// ascending, and no NaN or infinite coefficient.
+// ascending, no NaN or infinite coefficient, and a class count within the
+// rows.
 func (p *Problem) Validate() error {
 	n := p.NumVars()
 	if len(p.Lower) != n || len(p.Upper) != n {
 		return fmt.Errorf("lp: bounds length %d/%d does not match %d variables", len(p.Lower), len(p.Upper), n)
+	}
+	if p.Classes < 0 || p.Classes > len(p.Constraints) {
+		return fmt.Errorf("lp: %d classes declared over %d rows", p.Classes, len(p.Constraints))
 	}
 	for j := 0; j < n; j++ {
 		if math.IsNaN(p.Objective[j]) {

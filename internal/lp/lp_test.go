@@ -195,7 +195,8 @@ func TestValidateErrors(t *testing.T) {
 }
 
 // TestValidateRejectsMalformedRows: a Constraint built by hand, past
-// AddConstraint, must be caught before a solver walks its index list.
+// AddConstraint, must be caught before a solver walks its index list, and so
+// must a class count the rows cannot hold.
 func TestValidateRejectsMalformedRows(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -225,6 +226,14 @@ func TestValidateRejectsMalformedRows(t *testing.T) {
 		}
 		if _, err := Solve(p); (err == nil) != tc.ok {
 			t.Errorf("%s: Solve error = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	for classes, ok := range map[int]bool{-1: false, 0: true, 1: true, 2: false} {
+		p := &Problem{Classes: classes}
+		p.AddVar(1, 0, 1, "")
+		p.AddConstraint([]int{0}, []float64{1}, LE, 1, "")
+		if err := p.Validate(); (err == nil) != ok {
+			t.Errorf("%d classes over one row: Validate = %v, want ok=%v", classes, err, ok)
 		}
 	}
 }
@@ -283,7 +292,11 @@ func TestCloneIndependence(t *testing.T) {
 	p := &Problem{}
 	x := p.AddVar(1, 0, 5, "x")
 	p.AddConstraint([]int{x}, []float64{1}, LE, 3, "")
+	p.Classes = 1
 	q := p.Clone()
+	if q.Classes != 1 {
+		t.Fatalf("clone declares %d classes, want 1", q.Classes)
+	}
 	q.Upper[0] = 1
 	q.Constraints[0].RHS = 0.5
 	q.Constraints[0].Coef[0] = 100

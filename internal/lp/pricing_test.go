@@ -33,6 +33,7 @@ func randChoiceKnapsack(rng *rand.Rand, groups, perGroup int) *Problem {
 		}
 		p.AddConstraint(idx, one, LE, 1, "")
 	}
+	p.Classes = groups
 	p.AddConstraint(all, wa, LE, float64(2*groups), "")
 	p.AddConstraint(all, wb, LE, float64(groups), "")
 	return p

@@ -91,7 +91,7 @@ type revised struct {
 	factCount []int  // length m+2; counting-sort buckets by column nonzeros, then a column's pattern
 	inPattern []bool // per row: in the pattern; all false between columns
 
-	shape   crashShape // see crash; detected by the first cold solve
+	shape   crashShape // see crash
 	noCrash bool       // tests: start every cold solve from the all-slack basis
 	onPivot func()     // tests: called after every basis change and rebuild of mov
 
@@ -122,11 +122,10 @@ func newRevised(p *Problem, cs *colStore) *revised {
 		cPh1: Resize(rv.cPh1, width), xLean: Resize(rv.xLean, cs.nOrig),
 		factOrder: Resize(rv.factOrder, m), factBasis: Resize(rv.factBasis, m),
 		factCount: Resize(rv.factCount, m+2), inPattern: Resize(rv.inPattern, m),
-		shape: rv.shape,
+		shape: crashShape{cur: Resize(rv.shape.cur, p.Classes), next: Resize(rv.shape.next, p.Classes), heap: rv.shape.heap[:0]},
 	}
 	rv.stats = &rv.ownStats
 	rv.ef.reset()
-	rv.shape.detected = false // its arrays are reused, not its verdict
 	for i, cons := range p.Constraints {
 		rv.b[i] = cons.RHS / cs.scale[i]
 	}

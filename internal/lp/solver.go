@@ -287,7 +287,7 @@ func (s *Solver) state() *revised {
 }
 
 // SolveCold restarts from scratch for the given bounds — the crash basis
-// where the problem's shape offers one, the all-slack basis otherwise —
+// where the problem declares its shape, the all-slack basis otherwise —
 // reusing the column store and factorization buffers, and solves with the
 // two-phase primal simplex: the same arithmetic as Solve(p) on a problem
 // carrying these bounds.

@@ -4,12 +4,16 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 	"strconv"
 	"strings"
 
 	"insitu/internal/lp"
 )
+
+// lpSections are the section headers WriteLP writes, in the order it writes
+// them.
+var lpSections = []string{"maximize", "subject to", "bounds", "generals", "sos", "end"}
 
 // ReadLP parses the CPLEX LP subset emitted by WriteLP back into a Problem.
 // Together with WriteLP it closes the export loop: a model serialized for an
@@ -19,10 +23,24 @@ import (
 // reparsed problem may order columns differently from the original; objective
 // values, not variable indices, are the comparable quantity.
 //
-// The supported grammar is exactly what WriteLP produces: one "Maximize"
-// section with a single objective row, "Subject To" rows, a "Bounds" section
-// with "lo <= x <= hi" or "x >= lo" lines, an optional "Generals" section
-// naming the integer variables, and "End". Comment lines start with "\".
+// The grammar is exactly what WriteLP produces, its sections in this order
+// (headers in any letter case; the two marked optional may be left out):
+//
+//	Maximize
+//	 obj: + 2 x - 3 y          one row of terms: a sign, a number, a name
+//	Subject To
+//	 cap: + 1 x + 4 y <= 5     a row of terms, then <=, >= or =, then the RHS
+//	Bounds
+//	 0 <= x <= 1               or "x >= 0" for no upper bound
+//	Generals                   optional: the integer variables, one a line
+//	 x
+//	SOS                        optional: one S1 set per declared class
+//	 s0: S1:: x:1 y:2          the columns of rows 0, 1, ... in turn
+//	End
+//
+// Each set declares the next row a class (lp.Problem.Classes) and must list
+// exactly the columns that row has nonzero coefficients on. Comment lines
+// start with "\".
 func ReadLP(r io.Reader) (*Problem, error) {
 	p := &parser{
 		prob: NewProblem(&lp.Problem{}),
@@ -30,7 +48,7 @@ func ReadLP(r io.Reader) (*Problem, error) {
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
-	section := ""
+	section, rank := "", -1
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -38,39 +56,27 @@ func ReadLP(r io.Reader) (*Problem, error) {
 		if line == "" || strings.HasPrefix(line, `\`) {
 			continue
 		}
-		switch strings.ToLower(line) {
-		case "maximize", "minimize":
-			if strings.ToLower(line) == "minimize" {
-				return nil, fmt.Errorf("milp: line %d: minimize objectives are not supported (WriteLP always maximizes)", lineNo)
+		if k := slices.Index(lpSections, strings.ToLower(line)); k >= 0 {
+			if k <= rank {
+				return nil, fmt.Errorf("milp: line %d: section %q after %q", lineNo, line, section)
 			}
-			section = "objective"
-			continue
-		case "subject to", "st", "s.t.":
-			section = "constraints"
-			continue
-		case "bounds":
-			section = "bounds"
-			continue
-		case "generals", "general", "integers":
-			section = "generals"
-			continue
-		case "binary", "binaries":
-			section = "binaries"
-			continue
-		case "end":
-			section = "end"
+			section, rank = lpSections[k], k
 			continue
 		}
 		var err error
 		switch section {
-		case "objective":
+		case "maximize":
 			err = p.parseObjective(line)
-		case "constraints":
+		case "subject to":
 			err = p.parseConstraint(line)
 		case "bounds":
 			err = p.parseBound(line)
-		case "generals", "binaries":
-			err = p.parseIntegral(line, section == "binaries")
+		case "generals":
+			for _, name := range strings.Fields(line) {
+				p.prob.Integer[p.varIndex(name)] = true
+			}
+		case "sos":
+			err = p.parseSet(line)
 		case "end":
 			err = fmt.Errorf("content after End")
 		default:
@@ -114,43 +120,32 @@ func splitLabel(line string) (label, rest string) {
 	return "", line
 }
 
-// parseLinear reads a "+ 2 x - 3.5 y"-style expression into (index, coef)
-// pairs. Coefficients are optional ("+ x" means +1) to be permissive with
-// hand-edited files, though WriteLP always emits them.
+// parseLinear reads a "+ 2 x - 3.5 y" expression into (index, coef) pairs.
+// Every term is a sign, a number and a name WriteLP could have written.
 func (p *parser) parseLinear(expr string) ([]int, []float64, error) {
 	fields := strings.Fields(expr)
-	var idx []int
-	var coef []float64
-	sign := 1.0
-	pending := math.NaN() // parsed coefficient waiting for its variable
-	for _, f := range fields {
-		switch f {
-		case "+":
-			sign = 1
-			continue
-		case "-":
-			sign = -1
-			continue
-		}
-		if v, err := strconv.ParseFloat(f, 64); err == nil {
-			if !math.IsNaN(pending) {
-				return nil, nil, fmt.Errorf("two consecutive numbers %q in expression", f)
-			}
-			pending = sign * v
-			sign = 1
-			continue
-		}
-		c := sign
-		if !math.IsNaN(pending) {
-			c = pending
-		}
-		idx = append(idx, p.varIndex(f))
-		coef = append(coef, c)
-		pending = math.NaN()
-		sign = 1
+	if len(fields)%3 != 0 {
+		return nil, nil, fmt.Errorf("expression %q is not a list of sign, number, name terms", expr)
 	}
-	if !math.IsNaN(pending) {
-		return nil, nil, fmt.Errorf("dangling coefficient at end of expression")
+	idx := make([]int, 0, len(fields)/3)
+	coef := make([]float64, 0, len(fields)/3)
+	for k := 0; k < len(fields); k += 3 {
+		sign, num, name := fields[k], fields[k+1], fields[k+2]
+		if sign != "+" && sign != "-" {
+			return nil, nil, fmt.Errorf("term %q %q %q has no sign", sign, num, name)
+		}
+		v, err := strconv.ParseFloat(num, 64)
+		if err != nil {
+			return nil, nil, fmt.Errorf("term coefficient %q: %w", num, err)
+		}
+		if sanitize(name) != name {
+			return nil, nil, fmt.Errorf("term variable %q is not a name", name)
+		}
+		if sign == "-" {
+			v = -v
+		}
+		idx = append(idx, p.varIndex(name))
+		coef = append(coef, v)
 	}
 	return idx, coef, nil
 }
@@ -169,73 +164,85 @@ func (p *parser) parseObjective(line string) error {
 
 func (p *parser) parseConstraint(line string) error {
 	label, rest := splitLabel(line)
-	var sense lp.Sense
-	var op string
-	switch {
-	case strings.Contains(rest, "<="):
-		sense, op = lp.LE, "<="
-	case strings.Contains(rest, ">="):
-		sense, op = lp.GE, ">="
-	case strings.Contains(rest, "="):
-		sense, op = lp.EQ, "="
-	default:
-		return fmt.Errorf("constraint %q has no relational operator", line)
+	for _, op := range []struct {
+		text  string
+		sense lp.Sense
+	}{{"<=", lp.LE}, {">=", lp.GE}, {"=", lp.EQ}} {
+		expr, rhsText, ok := strings.Cut(rest, op.text)
+		if !ok {
+			continue
+		}
+		rhs, err := strconv.ParseFloat(strings.TrimSpace(rhsText), 64)
+		if err != nil {
+			return fmt.Errorf("constraint RHS %q: %w", strings.TrimSpace(rhsText), err)
+		}
+		idx, coef, err := p.parseLinear(expr)
+		if err != nil {
+			return err
+		}
+		p.prob.LP.AddConstraint(idx, coef, op.sense, rhs, label)
+		return nil
 	}
-	parts := strings.SplitN(rest, op, 2)
-	rhs, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
+	return fmt.Errorf("constraint %q has no relational operator", line)
+}
+
+// parseBound reads "lo <= x <= hi", or "x >= lo" for no upper bound.
+func (p *parser) parseBound(line string) error {
+	var name, lo, hi string
+	if parts := strings.Split(line, "<="); len(parts) == 3 {
+		lo, name, hi = parts[0], parts[1], parts[2]
+	} else if parts := strings.Split(line, ">="); len(parts) == 2 {
+		name, lo, hi = parts[0], parts[1], "inf"
+	} else {
+		return fmt.Errorf("bound %q: want lo <= x <= hi or x >= lo", line)
+	}
+	l, err := strconv.ParseFloat(strings.TrimSpace(lo), 64)
 	if err != nil {
-		return fmt.Errorf("constraint RHS %q: %w", strings.TrimSpace(parts[1]), err)
+		return fmt.Errorf("bound lower %q: %w", lo, err)
 	}
-	idx, coef, err := p.parseLinear(parts[0])
+	u, err := strconv.ParseFloat(strings.TrimSpace(hi), 64)
 	if err != nil {
-		return err
+		return fmt.Errorf("bound upper %q: %w", hi, err)
 	}
-	p.prob.LP.AddConstraint(idx, coef, sense, rhs, label)
+	j := p.varIndex(strings.TrimSpace(name))
+	p.prob.LP.Lower[j], p.prob.LP.Upper[j] = l, u
 	return nil
 }
 
-func (p *parser) parseBound(line string) error {
-	// Two shapes: "lo <= x <= hi" and "x >= lo" (infinite upper bound).
-	if strings.Contains(line, "<=") {
-		parts := strings.Split(line, "<=")
-		if len(parts) != 3 {
-			return fmt.Errorf("bound %q: want lo <= x <= hi", line)
-		}
-		lo, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		if err != nil {
-			return fmt.Errorf("bound lower %q: %w", parts[0], err)
-		}
-		hi, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-		if err != nil {
-			return fmt.Errorf("bound upper %q: %w", parts[2], err)
-		}
-		j := p.varIndex(strings.TrimSpace(parts[1]))
-		p.prob.LP.Lower[j], p.prob.LP.Upper[j] = lo, hi
-		return nil
+// parseSet reads one "s0: S1:: x:1 y:2" set as the declaration that the next
+// row is a class: its members must be the columns that row has nonzero
+// coefficients on, the ones WriteLP wrote it with.
+func (p *parser) parseSet(line string) error {
+	head, members, ok := strings.Cut(line, "::")
+	if _, kind := splitLabel(head); !ok || kind != "S1" {
+		return fmt.Errorf("set %q is not an S1 set", line)
 	}
-	if strings.Contains(line, ">=") {
-		parts := strings.Split(line, ">=")
-		if len(parts) != 2 {
-			return fmt.Errorf("bound %q: want x >= lo", line)
-		}
-		lo, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil {
-			return fmt.Errorf("bound lower %q: %w", parts[1], err)
-		}
-		j := p.varIndex(strings.TrimSpace(parts[0]))
-		p.prob.LP.Lower[j] = lo
-		return nil
+	q := p.prob.LP
+	if q.Classes == len(q.Constraints) {
+		return fmt.Errorf("set %q past the last row", line)
 	}
-	return fmt.Errorf("unrecognized bound line %q", line)
-}
-
-func (p *parser) parseIntegral(line string, binary bool) error {
-	for _, name := range strings.Fields(line) {
-		j := p.varIndex(name)
-		p.prob.Integer[j] = true
-		if binary {
-			p.prob.LP.Lower[j], p.prob.LP.Upper[j] = 0, 1
+	var got, want []int
+	for _, m := range strings.Fields(members) {
+		name, weight, _ := strings.Cut(m, ":")
+		if _, err := strconv.ParseFloat(weight, 64); err != nil {
+			return fmt.Errorf("set member %q weight: %w", m, err)
+		}
+		j, ok := p.vars[name]
+		if !ok {
+			return fmt.Errorf("set member %q names no variable", name)
+		}
+		got = append(got, j)
+	}
+	c := q.Constraints[q.Classes]
+	for k, j := range c.Idx {
+		if c.Coef[k] != 0 {
+			want = append(want, j)
 		}
 	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("set %q does not list the columns of row %d", line, q.Classes)
+	}
+	q.Classes++
 	return nil
 }

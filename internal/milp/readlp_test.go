@@ -85,42 +85,68 @@ func TestReadLPSecondRoundTripIsByteIdentical(t *testing.T) {
 	}
 }
 
+// setFile is an LP file up to its SOS header: two one-of rows, over x and y
+// and over z, and a knapsack row.
+const setFile = "Maximize\n obj: + 1 x + 2 y + 3 z\nSubject To\n" +
+	" c0: + 1 x + 1 y <= 1\n c1: + 1 z <= 1\n c2: + 2 x + 3 y + 4 z <= 5\nBounds\n" +
+	" 0 <= x <= 1\n 0 <= y <= 1\n 0 <= z <= 1\nSOS\n"
+
+// TestReadLPReadsSets: each set declares the next row a class, and the
+// declaration survives a second write and read.
+func TestReadLPReadsSets(t *testing.T) {
+	p, err := ReadLP(strings.NewReader(setFile + " s0: S1:: x:1 y:2\n s1: S1:: z:1\nEnd\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.LP.Classes != 2 {
+		t.Fatalf("read %d classes, want 2", p.LP.Classes)
+	}
+	var buf bytes.Buffer
+	if err := WriteLP(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "SOS\n s0: S1:: x:1 y:2\n s1: S1:: z:1\nEnd\n") {
+		t.Fatalf("written sets differ:\n%s", buf.String())
+	}
+	q, err := ReadLP(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.LP.Classes != 2 {
+		t.Fatalf("reread %d classes, want 2", q.LP.Classes)
+	}
+}
+
 func TestReadLPRejectsMalformed(t *testing.T) {
 	cases := []struct {
 		name string
 		in   string
+		why  string // in the error, where the input could fail for another reason
 	}{
-		{"empty", ""},
-		{"no end", "Maximize\n obj: + 1 x\nSubject To\nBounds\n 0 <= x <= 1\n"},
-		{"minimize", "Minimize\n obj: + 1 x\nEnd\n"},
-		{"no operator", "Maximize\n obj: + 1 x\nSubject To\n c0: + 1 x 5\nEnd\n"},
-		{"bad rhs", "Maximize\n obj: + 1 x\nSubject To\n c0: + 1 x <= five\nEnd\n"},
-		{"bad bound", "Maximize\n obj: + 1 x\nBounds\n zero <= x <= 1\nEnd\n"},
-		{"content before section", "+ 1 x\nEnd\n"},
-		{"consecutive numbers", "Maximize\n obj: + 1 2 x\nEnd\n"},
+		{"empty", "", ""},
+		{"no end", "Maximize\n obj: + 1 x\nSubject To\nBounds\n 0 <= x <= 1\n", ""},
+		{"minimize", "Minimize\n obj: + 1 x\nEnd\n", ""},
+		{"no operator", "Maximize\n obj: + 1 x\nSubject To\n c0: + 1 x 5\nEnd\n", ""},
+		{"bad rhs", "Maximize\n obj: + 1 x\nSubject To\n c0: + 1 x <= five\nEnd\n", ""},
+		{"bad bound", "Maximize\n obj: + 1 x\nBounds\n zero <= x <= 1\nEnd\n", ""},
+		{"content before section", "+ 1 x\nEnd\n", ""},
+		{"consecutive numbers", "Maximize\n obj: + 1 2 x\nEnd\n", ""},
+		{"bare variable term", "Maximize\n obj: + x\nEnd\n", ""},
+		{"set over other columns", setFile + " s0: S1:: x:1 y:2\n s1: S1:: x:1\nEnd\n", "columns of row 1"},
+		{"set past the last row", setFile + " s0: S1:: x:1 y:2\n s1: S1:: z:1\n s2: S1:: x:1 y:2 z:3\n s3: S1:: x:1\nEnd\n", "past the last row"},
+		{"SOS before Subject To", "Maximize\n obj: + 1 x\nSOS\n s0: S1:: x:1\nSubject To\n c0: + 1 x <= 1\nEnd\n", ""},
+		{"non-S1 set", setFile + " s0: S2:: x:1 y:2\nEnd\n", "not an S1 set"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadLP(strings.NewReader(tc.in)); err == nil {
+			_, err := ReadLP(strings.NewReader(tc.in))
+			if err == nil {
 				t.Fatalf("ReadLP accepted malformed input %q", tc.in)
 			}
+			if !strings.Contains(err.Error(), tc.why) {
+				t.Fatalf("ReadLP rejected %q with %v, want %q", tc.in, err, tc.why)
+			}
 		})
-	}
-}
-
-func TestReadLPBareVariableTerms(t *testing.T) {
-	// Coefficient-free terms ("+ x") are accepted for hand-written files.
-	in := "Maximize\n obj: + x + 2 y\nSubject To\n c0: + x + y <= 1.5\nBounds\n 0 <= x <= 1\n 0 <= y <= 1\nGenerals\n x\n y\nEnd\n"
-	p, err := ReadLP(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := Solve(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal || math.Abs(sol.Objective-2) > 1e-9 {
-		t.Fatalf("got %v objective %g, want optimal 2 (y only)", sol.Status, sol.Objective)
 	}
 }
 
@@ -134,6 +160,7 @@ func FuzzReadLP(f *testing.F) {
 	f.Add(seed.String())
 	f.Add("Maximize\n obj: + 1 x\nSubject To\n c0: + 1 x <= 5\nBounds\n 0 <= x <= 10\nGenerals\n x\nEnd\n")
 	f.Add("End\n")
+	f.Add(setFile + " s0: S1:: x:1 y:2\nEnd\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		p, err := ReadLP(strings.NewReader(in))
 		if err != nil {

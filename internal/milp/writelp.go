@@ -11,10 +11,23 @@ import (
 // WriteLP serializes the problem in CPLEX LP file format, the lingua franca
 // of MILP solvers. A model exported this way can be fed to CPLEX, Gurobi,
 // SCIP, or glpsol to cross-check this package's solutions — the moral
-// equivalent of the paper's GAMS model file.
+// equivalent of the paper's GAMS model file. The classes the problem declares
+// (lp.Problem.Classes) follow as an SOS section of one S1 set per class row,
+// listing the row's columns: an outside solver reads them as a restatement of
+// the rows, and ReadLP reads them back as the declaration. The grammar is
+// the one ReadLP documents.
 func WriteLP(w io.Writer, p *Problem) error {
 	if len(p.Integer) != p.LP.NumVars() {
 		return fmt.Errorf("milp: integrality vector has %d entries for %d variables", len(p.Integer), p.LP.NumVars())
+	}
+	if k := p.LP.Classes; k < 0 || k > len(p.LP.Constraints) {
+		return fmt.Errorf("milp: %d classes declared over %d rows", k, len(p.LP.Constraints))
+	}
+	var err error
+	printf := func(format string, args ...any) {
+		if err == nil {
+			_, err = fmt.Fprintf(w, format, args...)
+		}
 	}
 	name := func(j int) string {
 		if j < len(p.LP.Names) && p.LP.Names[j] != "" {
@@ -23,26 +36,16 @@ func WriteLP(w io.Writer, p *Problem) error {
 		return fmt.Sprintf("x%d", j)
 	}
 
-	if _, err := fmt.Fprintf(w, "\\ exported by insitu/internal/milp\nMaximize\n obj:"); err != nil {
-		return err
-	}
-	if err := writeLinear(w, nil, p.LP.Objective, name); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "\nSubject To\n"); err != nil {
-		return err
-	}
+	printf("\\ exported by insitu/internal/milp\nMaximize\n obj:")
+	writeLinear(printf, nil, p.LP.Objective, name)
+	printf("\nSubject To\n")
 	for r, c := range p.LP.Constraints {
 		label := c.Name
 		if label == "" {
 			label = fmt.Sprintf("c%d", r)
 		}
-		if _, err := fmt.Fprintf(w, " %s:", sanitize(label)); err != nil {
-			return err
-		}
-		if err := writeLinear(w, c.Idx, c.Coef, name); err != nil {
-			return err
-		}
+		printf(" %s:", sanitize(label))
+		writeLinear(printf, c.Idx, c.Coef, name)
 		op := "<="
 		switch c.Sense {
 		case lp.GE:
@@ -50,50 +53,47 @@ func WriteLP(w io.Writer, p *Problem) error {
 		case lp.EQ:
 			op = "="
 		}
-		if _, err := fmt.Fprintf(w, " %s %g\n", op, c.RHS); err != nil {
-			return err
-		}
+		printf(" %s %g\n", op, c.RHS)
 	}
 
-	if _, err := fmt.Fprintf(w, "Bounds\n"); err != nil {
-		return err
-	}
+	printf("Bounds\n")
 	for j := 0; j < p.LP.NumVars(); j++ {
 		lo, up := p.LP.Lower[j], p.LP.Upper[j]
-		switch {
-		case math.IsInf(up, 1):
-			if _, err := fmt.Fprintf(w, " %s >= %g\n", name(j), lo); err != nil {
-				return err
-			}
-		default:
-			if _, err := fmt.Fprintf(w, " %g <= %s <= %g\n", lo, name(j), up); err != nil {
-				return err
-			}
+		if math.IsInf(up, 1) {
+			printf(" %s >= %g\n", name(j), lo)
+		} else {
+			printf(" %g <= %s <= %g\n", lo, name(j), up)
 		}
 	}
 
-	wroteHeader := false
+	header := "Generals\n"
 	for j, isInt := range p.Integer {
-		if !isInt {
-			continue
-		}
-		if !wroteHeader {
-			if _, err := fmt.Fprintf(w, "Generals\n"); err != nil {
-				return err
-			}
-			wroteHeader = true
-		}
-		if _, err := fmt.Fprintf(w, " %s\n", name(j)); err != nil {
-			return err
+		if isInt {
+			printf("%s %s\n", header, name(j))
+			header = ""
 		}
 	}
-	_, err := fmt.Fprintf(w, "End\n")
+	header = "SOS\n"
+	for r, c := range p.LP.Constraints[:p.LP.Classes] {
+		printf("%s s%d: S1::", header, r)
+		header = ""
+		weight := 0
+		for k, j := range c.Idx {
+			if c.Coef[k] != 0 { // a row as written lists only its nonzeros
+				weight++
+				printf(" %s:%d", name(j), weight)
+			}
+		}
+		printf("\n")
+	}
+	printf("End\n")
 	return err
 }
 
 // writeLinear emits "+ c x" terms for the nonzero coefficients: coef[k] on
-// variable idx[k], or on variable k when idx is nil (the dense objective).
-func writeLinear(w io.Writer, idx []int, coef []float64, name func(int) string) error {
+// variable idx[k], or on variable k when idx is nil (the dense objective). An
+// expression with none is the one term "+ 0 x0".
+func writeLinear(printf func(string, ...any), idx []int, coef []float64, name func(int) string) {
 	wrote := false
 	for j, c := range coef {
 		if c == 0 {
@@ -107,17 +107,12 @@ func writeLinear(w io.Writer, idx []int, coef []float64, name func(int) string) 
 			sign = "-"
 			c = -c
 		}
-		if _, err := fmt.Fprintf(w, " %s %g %s", sign, c, name(j)); err != nil {
-			return err
-		}
+		printf(" %s %g %s", sign, c, name(j))
 		wrote = true
 	}
 	if !wrote {
-		if _, err := fmt.Fprintf(w, " 0 %s", name(0)); err != nil {
-			return err
-		}
+		printf(" + 0 %s", name(0))
 	}
-	return nil
 }
 
 // sanitize maps arbitrary variable names onto the LP-format charset.

@@ -221,6 +221,9 @@ func checkMILPRoundTrip(p *milp.Problem, sol *milp.Solution) error {
 	if err != nil {
 		return fmt.Errorf("ReadLP: %v", err)
 	}
+	if q.LP.Classes != p.LP.Classes {
+		return fmt.Errorf("LP round trip changed the classes %d -> %d", p.LP.Classes, q.LP.Classes)
+	}
 	rsol, err := milp.Solve(q, milp.Options{})
 	if err != nil {
 		return fmt.Errorf("milp.Solve(reparsed): %v", err)
@@ -400,6 +403,7 @@ func permuteLP(p *lp.Problem, perm []int) *lp.Problem {
 		Lower:     make([]float64, n),
 		Upper:     make([]float64, n),
 		Names:     make([]string, n),
+		Classes:   p.Classes,
 	}
 	for j := 0; j < n; j++ {
 		q.Objective[perm[j]] = p.Objective[j]

@@ -171,7 +171,8 @@ func checkBadSnapshots(p *lp.Problem, opt *lp.Solution, snap *lp.Basis, cov *rev
 // integers, so ties are everywhere, and some are zero or negative: columns
 // that never improve. Most columns are 0-1, a few reach 3. All-zero is
 // feasible unless an exactly-one row says otherwise, and then its first
-// member at one is.
+// member at one is. Without an exactly-one row it declares the pick rows as
+// its classes.
 func RandWideLP(rng *rand.Rand) *lp.Problem {
 	n := 200 + rng.Intn(1801)
 	knapsacks := 1 + rng.Intn(2)
@@ -191,6 +192,7 @@ func RandWideLP(rng *rand.Rand) *lp.Problem {
 	for j := range all {
 		all[j] = j
 	}
+	classes := groups // none if a pick row is an exactly-one row
 	for g := 0; g < groups; g++ {
 		lo, hi := g*n/groups, (g+1)*n/groups
 		ones := make([]float64, hi-lo)
@@ -199,10 +201,11 @@ func RandWideLP(rng *rand.Rand) *lp.Problem {
 		}
 		sense := lp.LE
 		if rng.Intn(4) == 0 {
-			sense = lp.EQ
+			sense, classes = lp.EQ, 0
 		}
 		p.AddConstraint(all[lo:hi], ones, sense, 1, fmt.Sprintf("pick%d", g))
 	}
+	p.Classes = classes
 	for r := 0; r < knapsacks; r++ {
 		w := make([]float64, n)
 		for j := range w {

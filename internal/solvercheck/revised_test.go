@@ -111,6 +111,7 @@ func RandChoiceLP(rng *rand.Rand, groups, perGroup int) *lp.Problem {
 		}
 		p.AddConstraint(idx, ones, lp.LE, 1, fmt.Sprintf("pick%d", g))
 	}
+	p.Classes = groups
 	for r := 0; r < 1+rng.Intn(3); r++ {
 		w := make([]float64, len(all))
 		for j := range w {
