@@ -31,10 +31,10 @@
 // solver counters (nodes, relaxations, simplex pivots, incumbents) in
 // Prometheus text format, or JSON when the path ends in .json.
 //
-// -flight records the solver's flight-recorder stream — per-wave incumbent,
-// bound, gap, and prune-taxonomy samples as schema-versioned solveprog
-// events — to a JSONL ledger file; runmon check validates it and runmon
-// report renders the gap-closure timeline.
+// -flight records the solver's flight-recorder stream — per-node tree
+// position, incumbent, bound, gap, and prune-taxonomy samples as
+// schema-versioned solveprog events — to a JSONL ledger file; runmon check
+// validates it and runmon report renders the gap-closure timeline.
 //
 // -monitor scores an executed run ledger (JSONL) against the solved schedule
 // and prints the drift report. Adding -replan replays the same ledger through
@@ -53,7 +53,6 @@ import (
 
 	"insitu/internal/core"
 	"insitu/internal/explain"
-	"insitu/internal/milp"
 	"insitu/internal/obs"
 	"insitu/internal/replan"
 	"insitu/internal/runmon"
@@ -136,17 +135,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		flight.SetName("solve")
 		opts.Flight = flight
 	}
-	var solveSpan obs.Span
-	if tracer != nil {
-		solveSpan = tracer.Begin("solve", "solver")
-		opts.Observer = func(ev milp.NodeEvent) {
-			args := map[string]float64{"node": float64(ev.Node), "depth": float64(ev.Depth), "bound": ev.Bound}
-			if ev.HasInc {
-				args["incumbent"] = ev.Incumbent
-				tracer.Counter("incumbent", ev.Incumbent)
+	solveSpan := tracer.Begin("solve", "solver")
+	var incumbents int
+	if tracer != nil || sinks.Metrics != nil {
+		opts.Progress = func(p obs.SolveProgress) {
+			switch {
+			case p.Kind == obs.SolveProgIncumbent:
+				incumbents++
+			case p.Kind == obs.SolveProgNode && tracer != nil:
+				args := map[string]float64{"node": float64(p.Nodes), "depth": float64(p.Depth), "bound": p.NodeBound}
+				if p.HasInc {
+					args["incumbent"] = p.Incumbent
+					tracer.Counter("incumbent", p.Incumbent)
+				}
+				tracer.Instant("node/"+p.Action, "solver", args)
+				tracer.Counter("bound", p.NodeBound)
 			}
-			tracer.Instant("node/"+ev.Action, "solver", args)
-			tracer.Counter("bound", ev.Bound)
 		}
 	}
 	rec, err := solve(specs, res, opts)
@@ -175,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reg.Counter("solver_nodes_total", nil).Add(float64(st.Nodes))
 		reg.Counter("solver_relaxations_total", nil).Add(float64(st.Relaxations))
 		reg.Counter("solver_pivots_total", nil).Add(float64(st.Pivots))
-		reg.Counter("solver_incumbents_total", nil).Add(float64(len(st.Incumbents)))
+		reg.Counter("solver_incumbents_total", nil).Add(float64(incumbents))
 		reg.Gauge("solver_best_bound", nil).Set(st.BestBound)
 		reg.Gauge("solver_objective", nil).Set(rec.Objective)
 		reg.Counter("solver_solve_seconds_total", nil).Add(st.SolveTime.Seconds())

@@ -187,14 +187,14 @@ func writeLedger(t *testing.T, path string, fill func(*obs.EventLog)) {
 	}
 }
 
-// appendFlight appends one solver flight stream (start/wave/end) ending with
+// appendFlight appends one solver flight stream (start/node/end) ending with
 // the given status and final incumbent/bound.
 func appendFlight(led *obs.EventLog, name, status string, inc, bound float64) {
 	fr := obs.NewFlightRecorder(0)
 	fr.Record(obs.SolveProgress{Seq: 0, Kind: obs.SolveProgStart, Workers: 2, Vars: 4, IntVars: 2, Constraints: 5})
-	fr.Record(obs.SolveProgress{Seq: 1, Kind: obs.SolveProgWave, Wave: 1, Workers: 2, Nodes: 1,
+	fr.Record(obs.SolveProgress{Seq: 1, Kind: obs.SolveProgNode, Workers: 2, Nodes: 1,
 		HasInc: true, Incumbent: inc - 2, HasBound: true, Bound: bound + 3, Pivots: 6})
-	fr.Record(obs.SolveProgress{Seq: 2, Kind: obs.SolveProgEnd, Wave: 2, Workers: 2, Nodes: 3,
+	fr.Record(obs.SolveProgress{Seq: 2, Kind: obs.SolveProgEnd, Workers: 2, Nodes: 3,
 		HasInc: true, Incumbent: inc, HasBound: true, Bound: bound, Pivots: 11, Status: status})
 	fr.AppendLedger(led, name)
 }

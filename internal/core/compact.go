@@ -19,14 +19,14 @@ type SolveOptions struct {
 	// MaxCount caps the modes enumerated per analysis; 0 uses the natural
 	// bound Steps/MinInterval.
 	MaxCount int
-	// Observer, when non-nil, streams one event per explored
-	// branch-and-bound node; the telemetry layer uses it to trace the
-	// search. Events stay serialized in deterministic order at any worker
-	// count.
-	Observer func(milp.NodeEvent)
-	// Flight, when non-nil, captures the solver flight stream (start /
-	// per-wave / incumbent / end progress samples) into the recorder's ring
-	// buffer; drain it to a ledger, trace, or the /solve pages afterwards.
+	// Progress, when non-nil, receives the solver flight stream (see
+	// milp.Options.Progress): a milp.TreeRecorder or a tracer reads the
+	// search from its node records. Records stay serialized in
+	// deterministic order at any worker count.
+	Progress func(obs.SolveProgress)
+	// Flight, when non-nil, captures the same stream into the recorder's
+	// ring buffer; drain it to a ledger, trace, or the /solve pages
+	// afterwards.
 	Flight *obs.FlightRecorder
 	// Workers is the branch-and-bound wave width (see milp.Options.Workers;
 	// 0 and 1 both mean a wave of one). The objective and bound are
@@ -45,19 +45,24 @@ type SolveOptions struct {
 	Ctx context.Context
 }
 
-// milpOptions translates the core options into solver options. The progress
-// hook is wired only to a non-nil Flight, so an unrecorded solve builds no
-// flight records at all.
+// milpOptions translates the core options into solver options. milp gets
+// one progress hook: Flight.Record, Progress, or both in that order. With
+// neither set, an unrecorded solve builds no flight records at all.
 func (o SolveOptions) milpOptions() milp.Options {
 	opts := milp.Options{
 		MaxNodes:    o.MaxNodes,
-		Observer:    o.Observer,
+		Progress:    o.Progress,
 		Workers:     o.Workers,
 		NoWarmStart: o.NoWarmStart,
 		Ctx:         o.Ctx,
 	}
-	if o.Flight != nil {
-		opts.Progress = o.Flight.Record
+	if fr, progress := o.Flight, o.Progress; fr != nil && progress != nil {
+		opts.Progress = func(p obs.SolveProgress) {
+			fr.Record(p)
+			progress(p)
+		}
+	} else if fr != nil {
+		opts.Progress = fr.Record
 	}
 	return opts
 }
@@ -394,7 +399,7 @@ func Solve(specs []AnalysisSpec, res Resources, opts SolveOptions) (*Recommendat
 		return nil, err
 	}
 
-	rec := &Recommendation{SolveTime: elapsed, Nodes: sol.Nodes, Stats: sol.Stats, Schedules: make([]AnalysisSchedule, len(cm.norm))}
+	rec := &Recommendation{SolveTime: elapsed, Stats: sol.Stats, Schedules: make([]AnalysisSchedule, len(cm.norm))}
 	for i, a := range cm.norm {
 		m, ok := cm.tab.chosen(i, sol.X)
 		if !ok {

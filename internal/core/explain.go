@@ -112,15 +112,15 @@ const slackTol = 1e-6
 // the root relaxation's duals) and what enabling each disabled analysis would
 // cost (via forced re-solves, with milp.DiagnoseInfeasible naming the minimal
 // conflict when forcing is impossible). opts is used verbatim for the base
-// solve — including its Observer, which a milp.TreeRecorder can use to
-// capture the search tree — and with the Observer stripped for the probes.
+// solve — including its Progress hook, which a milp.TreeRecorder can use to
+// capture the search tree — and with Progress stripped for the probes.
 func Explain(specs []AnalysisSpec, res Resources, opts SolveOptions) (*Explanation, error) {
 	rec, err := Solve(specs, res, opts)
 	if err != nil {
 		return nil, err
 	}
 	probeOpts := opts
-	probeOpts.Observer = nil
+	probeOpts.Progress = nil
 	model, err := buildCompactProblem(specs, res, probeOpts, -1)
 	if err != nil {
 		return nil, err

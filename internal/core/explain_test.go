@@ -202,7 +202,7 @@ func TestExplainFeasibleCounterfactual(t *testing.T) {
 func TestExplainObserverStreamsBaseSolve(t *testing.T) {
 	specs, res := explainSpecs()
 	rec := milp.NewTreeRecorder()
-	ex, err := Explain(specs, res, SolveOptions{Observer: rec.Observe})
+	ex, err := Explain(specs, res, SolveOptions{Progress: rec.Observe})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,6 +49,29 @@ func TestExportLPRoundTripKeepsClasses(t *testing.T) {
 	}
 }
 
+// TestExportLPRoundTripNoModes: when Steps is below every MinInterval no
+// analysis has a mode, the model has no columns and no rows, and the LP file
+// reads back as just that.
+func TestExportLPRoundTripNoModes(t *testing.T) {
+	specs := []AnalysisSpec{
+		{Name: "A1", CT: 1, MinInterval: 20},
+		{Name: "A2", CT: 2, MinInterval: 30},
+	}
+	res := Resources{Steps: 10, TimeThreshold: 5}
+	var buf bytes.Buffer
+	if err := ExportLP(&buf, specs, res, SolveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	q, err := milp.ReadLP(&buf)
+	if err != nil {
+		t.Fatalf("ReadLP: %v\n%s", err, text)
+	}
+	if n, m := q.LP.NumVars(), len(q.LP.Constraints); n != 0 || m != 0 {
+		t.Fatalf("reread %d columns and %d rows, want none:\n%s", n, m, text)
+	}
+}
+
 func TestExportLPValidation(t *testing.T) {
 	var buf bytes.Buffer
 	if err := ExportLP(&buf, nil, Resources{}, SolveOptions{}); err == nil {

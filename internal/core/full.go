@@ -31,7 +31,7 @@ func SolveFull(specs []AnalysisSpec, res Resources, opts SolveOptions) (*Recomme
 	}
 
 	S := res.Steps
-	rec := &Recommendation{SolveTime: elapsed, Nodes: sol.Nodes, Stats: sol.Stats}
+	rec := &Recommendation{SolveTime: elapsed, Stats: sol.Stats}
 	for i, a := range norm {
 		var as, os []int
 		for j := 1; j <= S; j++ {

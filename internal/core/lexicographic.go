@@ -85,7 +85,6 @@ func SolveLexicographic(specs []AnalysisSpec, res Resources, opts SolveOptions) 
 			}
 		}
 		out.SolveTime += rec.SolveTime
-		out.Nodes += rec.Nodes
 		out.Stats.Add(&rec.Stats)
 	}
 	return out.validated("lexicographic", specs, res)

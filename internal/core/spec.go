@@ -194,11 +194,8 @@ type Recommendation struct {
 	PeakMemory int64
 	// SolveTime is the wall-clock time the MILP solver took.
 	SolveTime time.Duration
-	// Nodes is the number of branch-and-bound nodes explored.
-	Nodes int
 	// Stats instruments the branch-and-bound search that produced this
-	// recommendation (nodes, relaxations, simplex pivots, incumbent
-	// trajectory, terminal bound).
+	// recommendation (nodes, relaxations, simplex pivots, terminal bound).
 	Stats milp.Stats
 }
 

@@ -19,7 +19,7 @@ import (
 
 // Options tune report construction.
 type Options struct {
-	// Solve is passed to core.Explain; its Observer is replaced by the
+	// Solve is passed to core.Explain; its Progress hook is replaced by the
 	// report's tree recorder.
 	Solve core.SolveOptions
 	// GanttWidth is the character width of the timeline rendering
@@ -50,7 +50,7 @@ func Build(specs []core.AnalysisSpec, res core.Resources, opts Options) (*Report
 		rec.SetNames(names)
 	}
 	solveOpts := opts.Solve
-	solveOpts.Observer = rec.Observe
+	solveOpts.Progress = rec.Observe
 	ex, err := core.Explain(specs, res, solveOpts)
 	if err != nil {
 		return nil, err

@@ -2,12 +2,15 @@ package explain
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"insitu/internal/core"
 	"insitu/internal/experiments"
+	"insitu/internal/milp"
 	"insitu/internal/obs"
+	"insitu/internal/scenario"
 )
 
 // waterIons returns the paper's LAMMPS A1-A4 scenario (100M-atom water+ions,
@@ -210,9 +213,9 @@ func TestAlignLedgerFlights(t *testing.T) {
 	}
 	recs := []obs.SolveProgress{
 		{Seq: 0, Kind: obs.SolveProgStart, Workers: 1, Vars: 8, IntVars: 4, Constraints: 10},
-		{Seq: 1, Kind: obs.SolveProgWave, Wave: 1, Workers: 1, Nodes: 1, Open: 1,
+		{Seq: 1, Kind: obs.SolveProgNode, Workers: 1, Nodes: 1, Open: 1,
 			HasInc: true, Incumbent: 5, HasBound: true, Bound: 9},
-		{Seq: 2, Kind: obs.SolveProgEnd, Wave: 2, Workers: 1, Nodes: 2,
+		{Seq: 2, Kind: obs.SolveProgEnd, Workers: 1, Nodes: 2,
 			HasInc: true, Incumbent: 7, HasBound: true, Bound: 7, Status: "optimal"},
 	}
 	events := []obs.LedgerEvent{{Schema: 1, Type: obs.LedgerRunStart, Name: "lammps-mini"}}
@@ -246,5 +249,56 @@ func TestAlignLedgerFlights(t *testing.T) {
 	}
 	if strings.Contains(buf2.String(), "solve progress") {
 		t.Error("old ledger grew a flight section")
+	}
+}
+
+// TestLedgerRebuildsGoldenTrees: on every golden scenario, the flight stream
+// a report's solve drains to a ledger rebuilds the -tree document the report
+// recorded live, byte for byte. The probes record into the same flight
+// recorder after the base solve, so the base solve is the ledger's first run.
+func TestLedgerRebuildsGoldenTrees(t *testing.T) {
+	files, err := filepath.Glob("../experiments/testdata/golden/scenario_*.json")
+	if err != nil || len(files) != 4 {
+		t.Fatalf("golden scenarios: %v, %v", files, err)
+	}
+	for _, f := range files {
+		specs, res, err := scenario.LoadSpecs(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr := obs.NewFlightRecorder(0)
+		r, err := Build(specs, res, Options{Solve: core.SolveOptions{Flight: fr}})
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		var ledger bytes.Buffer
+		l := obs.NewEventLog(&ledger)
+		fr.AppendLedger(l, "explain")
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		events, err := obs.ReadLedger(&ledger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := obs.GroupSolveProgEvents(events)
+		if len(runs) == 0 {
+			t.Fatalf("%s: ledger holds no solve", f)
+		}
+		rebuilt := milp.NewTreeRecorder()
+		rebuilt.SetNames(r.Recorder.Tree().Names)
+		for _, p := range runs[0].Records {
+			rebuilt.Observe(p)
+		}
+		var want, got bytes.Buffer
+		if err := r.Recorder.WriteJSON(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := rebuilt.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Recorder.Nodes()) == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: tree rebuilt from the ledger differs from the live one:\n%s\nwant\n%s", f, got.String(), want.String())
+		}
 	}
 }

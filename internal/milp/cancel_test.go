@@ -53,7 +53,7 @@ func TestSolveUncanceledContextIdentical(t *testing.T) {
 				t.Fatalf("trial %d workers=%d with ctx: %v", trial, w, err)
 			}
 			if base.Status != withCtx.Status || base.Objective != withCtx.Objective ||
-				base.Bound != withCtx.Bound || base.Nodes != withCtx.Nodes {
+				base.Stats.BestBound != withCtx.Stats.BestBound || base.Stats.Nodes != withCtx.Stats.Nodes {
 				t.Fatalf("trial %d workers=%d: context changed the search: %+v vs %+v",
 					trial, w, base, withCtx)
 			}

@@ -41,18 +41,13 @@ func (c *Conflict) String() string {
 // final conflict) made the model feasible.
 //
 // The input must actually be infeasible; a feasible or unbounded model is
-// reported as an error. Each probe is one MILP solve, so the filter costs
-// O(rows) solves; opts applies to every probe with the Observer stripped (a
-// diagnosis should not spam the caller's node stream). A probe that hits the
-// node limit without proving either way conservatively keeps its row, which
-// preserves irreducibility of the proven drops but may leave the conflict
-// larger than minimal; at the scheduling models' scale every probe solves to
-// proof.
+// reported as an error. Each probe is one MILP solve under opts, so the
+// filter costs O(rows) solves. A probe that hits the node limit without
+// proving either way conservatively keeps its row, which preserves
+// irreducibility of the proven drops but may leave the conflict larger than
+// minimal; at the scheduling models' scale every probe solves to proof.
 func DiagnoseInfeasible(p *Problem, opts Options) (*Conflict, error) {
-	probeOpts := opts
-	probeOpts.Observer = nil
-
-	status, err := probeStatus(p, p.LP.Constraints, probeOpts)
+	status, err := probeStatus(p, p.LP.Constraints, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +70,7 @@ func DiagnoseInfeasible(p *Problem, opts Options) (*Conflict, error) {
 	}
 	for i := range p.LP.Constraints {
 		keep[i] = false
-		st, err := probeStatus(p, subset(), probeOpts)
+		st, err := probeStatus(p, subset(), opts)
 		if err != nil {
 			return nil, err
 		}

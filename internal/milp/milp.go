@@ -96,14 +96,7 @@ type Solution struct {
 	Status    Status
 	X         []float64
 	Objective float64
-	Nodes     int  // branch-and-bound nodes explored (mirrors Stats.Nodes)
 	HasX      bool // whether X holds an incumbent (false for Infeasible)
-	// Bound is the best remaining upper bound on the objective at
-	// termination. At proven optimality it equals the incumbent objective
-	// (so Bound >= Objective always holds up to tolerance); under a node
-	// limit it is the tightest bound the open nodes still allow, making
-	// Bound-Objective the residual optimality gap CPLEX would report.
-	Bound float64
 	// Stats describes the search that produced this solution.
 	Stats Stats
 }
@@ -121,9 +114,13 @@ type Stats struct {
 	// the node solves.
 	Relaxations int
 	Pivots      int
-	Incumbents  []Incumbent   // improvement trajectory, in discovery order
-	BestBound   float64       // best remaining bound at termination (== Solution.Bound)
-	SolveTime   time.Duration // wall time of the search
+	// BestBound is the best remaining upper bound on the objective at
+	// termination. At proven optimality it equals the incumbent objective
+	// (so BestBound >= Objective always holds up to tolerance); under a node
+	// limit it is the tightest bound the open nodes still allow, making
+	// BestBound-Objective the residual optimality gap CPLEX would report.
+	BestBound float64
+	SolveTime time.Duration // wall time of the search
 	// Workers is the wave width the search ran with (at least 1).
 	// WarmSolves/ColdSolves split the node relaxations by path: warm from
 	// the parent's basis, or cold (the root, warm attempts that fell back or
@@ -175,8 +172,8 @@ type Stats struct {
 // Add accumulates the effort of another search into s, for callers that
 // answer one request with several solves: every counter and SolveTime sum
 // (so Nodes still equals the prune-reason taxonomy), EtaPeak takes the
-// maximum, and Workers follows o. Incumbents and BestBound describe a single
-// search and are left alone.
+// maximum, and Workers follows o. BestBound describes a single search and is
+// left alone.
 func (s *Stats) Add(o *Stats) {
 	s.Nodes += o.Nodes
 	s.Relaxations += o.Relaxations
@@ -204,23 +201,17 @@ func (s *Stats) Add(o *Stats) {
 	s.QueuePruned += o.QueuePruned
 }
 
-// Incumbent is one point of the incumbent-improvement trajectory.
-type Incumbent struct {
-	Node      int     // node count when the incumbent was found (0 = root heuristic)
-	Objective float64 // incumbent objective
-	Bound     float64 // global upper bound at that moment
-}
-
-// NodeEvent is streamed to Options.Observer once per explored node; it is
-// also the node record of a serialized Tree. Node ids are the 1-based
-// exploration order, so a recorded tree is also a replay of the search.
+// NodeEvent is the node record of a serialized Tree, converted from the
+// node flight record of the same node (see obs.SolveProgress). Node ids are
+// the 1-based exploration order, so a recorded tree is also a replay of the
+// search.
 type NodeEvent struct {
 	Node int `json:"id"` // 1-based node count, root is 1
 	// Parent is the Node id of the explored node whose branching created
 	// this one (0 for the root). Children whose parents were pruned before
-	// their relaxation solved never reach the observer, so parent links
-	// always refer to previously streamed nodes — which is what lets
-	// TreeRecorder rebuild the search tree from the event stream alone.
+	// their relaxation solved are never recorded, so parent links always
+	// refer to previously streamed nodes — which is what lets TreeRecorder
+	// rebuild the search tree from the flight stream alone.
 	Parent    int     `json:"parent"`
 	Depth     int     `json:"depth"`         // branching depth (root is 0)
 	Bound     float64 `json:"bound"`         // the node's LP relaxation bound
@@ -243,21 +234,17 @@ type NodeEvent struct {
 type Options struct {
 	// MaxNodes caps the number of explored nodes (default 200000).
 	MaxNodes int
-	// Observer, when non-nil, is called once per explored node with the
-	// node's outcome. It runs synchronously inside the search loop (node
-	// events are serialized in deterministic order at any worker count), so
-	// it must be cheap; it is the hook the telemetry layer uses to stream
-	// the search into a trace.
-	Observer func(NodeEvent)
 	// Progress, when non-nil, streams the solver flight recording as
-	// obs.SolveProgress records: one start record (problem shape), one per
-	// consumed wave, one per incumbent improvement, and one end record
-	// (status; its counters equal Solution.Stats). Counters are cumulative
-	// since the start of the solve, so a suffix of the stream still reads
-	// correct totals. Like Observer it runs synchronously on the sequential
-	// in-order consume path, so the stream is deterministic for a fixed
-	// Workers width at any actual parallelism, every field but the
-	// wall-clock TUS; it must be cheap. A nil Progress costs nothing.
+	// obs.SolveProgress records: one start record (problem shape), one node
+	// record per explored node (its outcome and place in the tree), one per
+	// incumbent improvement, and one end record (status; its counters equal
+	// Solution.Stats). Counters are cumulative since the start of the solve,
+	// so a suffix of the stream still reads correct totals. It runs
+	// synchronously on the sequential in-order consume path, so the stream
+	// is deterministic for a fixed Workers width at any actual parallelism,
+	// every field but the wall-clock TUS; it must be cheap. It is the one
+	// hook the telemetry layer uses: flight recorders, tree recorders and
+	// tracers all read this stream. A nil Progress costs nothing.
 	Progress func(obs.SolveProgress)
 	// Now is the clock used for Stats.SolveTime (default time.Now);
 	// injectable so tests are deterministic.
@@ -365,11 +352,10 @@ type search struct {
 	// roundCtx is the base context labeled solver_phase=incumbent.
 	roundCtx context.Context
 
-	// Flight-recording state: the progress-event sequence number, the
-	// consumed-wave counter, and the node solver contexts (for warm-fallback
-	// totals). All are touched only on the sequential consume path.
+	// Flight-recording state: the progress-event sequence number and the
+	// node solver contexts (for warm-fallback totals). Both are touched only
+	// on the sequential consume path.
 	progSeq int
-	waveIdx int
 	solvers []*lp.Solver
 }
 
@@ -439,10 +425,8 @@ func (s *search) release() {
 func (s *search) finish(sol *Solution, bound float64) *Solution {
 	sol.X = slices.Clone(sol.X)
 	st := s.counters()
-	st.Nodes = sol.Nodes
 	st.BestBound = bound
 	st.SolveTime = s.opts.Now().Sub(s.started)
-	sol.Bound = bound
 	sol.Stats = st
 	if s.opts.Progress != nil {
 		end := obs.SolveProgress{Kind: obs.SolveProgEnd, HasInc: sol.HasX, Incumbent: sol.Objective, Status: sol.Status.String()}
@@ -459,37 +443,6 @@ func (s *search) pruneTol() float64 {
 		return 1 - lp.BoundTol
 	}
 	return lp.BoundTol
-}
-
-// recordIncumbent extends the improvement trajectory; bound is the
-// tightest global bound known at that moment.
-func (s *search) recordIncumbent(nodes int, obj, bound float64) {
-	s.stats.Incumbents = append(s.stats.Incumbents, Incumbent{Node: nodes, Objective: obj, Bound: bound})
-	s.emitIncumbent(obj, bound)
-}
-
-func (s *search) observe(nd *node, bound float64, action string) {
-	if s.opts.Observer == nil {
-		return
-	}
-	ev := NodeEvent{
-		Node:        s.nodes,
-		Depth:       nd.depth,
-		Bound:       bound,
-		Incumbent:   s.best.Objective,
-		HasInc:      s.best.HasX,
-		Action:      action,
-		BranchVar:   nd.branchVar,
-		BranchBound: nd.branchBound,
-	}
-	if nd.parent != nil {
-		ev.Parent = nd.parent.id
-		ev.BranchDir = "down"
-		if nd.up {
-			ev.BranchDir = "up"
-		}
-	}
-	s.opts.Observer(ev)
 }
 
 // globalBound is the best remaining upper bound: the maximum of the open
@@ -574,12 +527,12 @@ func (s *search) consume(nd *node, res nodeResult, sl *slot, heur *heurCtx, extr
 	s.account(relaxSol, res.warm)
 	if relaxSol.Status != lp.Optimal {
 		s.stats.PrunedInfeasible++
-		s.observe(nd, nd.bound, "infeasible")
+		s.emitNode(nd, nd.bound, "infeasible", extra)
 		return // infeasible subtree (unbounded cannot appear below a bounded root)
 	}
 	if s.best.HasX && relaxSol.Objective <= s.best.Objective+s.pruneTol() {
 		s.stats.PrunedBound++
-		s.observe(nd, relaxSol.Objective, "pruned")
+		s.emitNode(nd, relaxSol.Objective, "pruned", extra)
 		return
 	}
 	// A relaxation integral within lp.IntTol counts as integral only if its
@@ -590,9 +543,9 @@ func (s *search) consume(nd *node, res nodeResult, sl *slot, heur *heurCtx, extr
 	frac := mostFractional(s.p, relaxSol.X, lp.IntTol)
 	if frac < 0 {
 		if x := snap(s.snapped, s.p, relaxSol.X); s.p.LP.Feasible(x) {
-			s.offer(x, s.nodes, math.Max(relaxSol.Objective, s.globalBound(extra)))
+			s.offer(x, math.Max(relaxSol.Objective, s.globalBound(extra)))
 			s.stats.IntegralNodes++
-			s.observe(nd, relaxSol.Objective, "integral")
+			s.emitNode(nd, relaxSol.Objective, "integral", extra)
 			return
 		}
 	}
@@ -600,22 +553,22 @@ func (s *search) consume(nd *node, res nodeResult, sl *slot, heur *heurCtx, extr
 	// context built once in Solve rather than a pprof.Do per node.
 	pprof.SetGoroutineLabels(s.roundCtx)
 	if x, ok := heur.round(s.p, relaxSol.X, frac < 0, &s.stats); ok {
-		s.offer(x, s.nodes, math.Max(relaxSol.Objective, s.globalBound(extra)))
+		s.offer(x, math.Max(relaxSol.Objective, s.globalBound(extra)))
 	}
 	pprof.SetGoroutineLabels(s.opts.context())
 	s.stats.BranchedNodes++
-	s.observe(nd, relaxSol.Objective, "branched")
 	nd.bound = relaxSol.Objective
 	s.expand(nd, relaxSol.X, frac, sl.basis())
+	s.emitNode(nd, relaxSol.Objective, "branched", extra)
 }
 
 // offer makes a copy of the integer-feasible point x, in the incumbent's
-// array, the incumbent if it improves on the current one; nodes and bound are
-// what the trajectory records with it.
-func (s *search) offer(x []float64, nodes int, bound float64) {
+// array, the incumbent if it improves on the current one; bound is the global
+// bound its incumbent record carries.
+func (s *search) offer(x []float64, bound float64) {
 	if obj := s.p.LP.Eval(x); !s.best.HasX || obj > s.best.Objective {
 		s.best = Solution{Status: Optimal, X: append(s.incumbent[:0], x...), Objective: obj, HasX: true}
-		s.recordIncumbent(nodes, obj, bound)
+		s.emitIncumbent(obj, bound)
 		s.fixByReducedCost()
 	}
 }
@@ -692,7 +645,7 @@ func (s *search) openRoot(sl *slot, heur *heurCtx) (done *Solution, err error) {
 
 	// Seed the incumbent by rounding the root relaxation.
 	if x, ok := heur.round(s.p, relax.X, integral, &s.stats); ok {
-		s.offer(x, 0, root.bound)
+		s.offer(x, root.bound)
 	}
 
 	s.nodes = 1
@@ -700,21 +653,18 @@ func (s *search) openRoot(sl *slot, heur *heurCtx) (done *Solution, err error) {
 		x := snap(s.snapped, s.p, relax.X)
 		if s.p.LP.Feasible(x) {
 			obj := s.p.LP.Eval(x)
-			s.best = Solution{Status: Optimal, X: append(s.incumbent[:0], x...), Objective: obj, Nodes: s.nodes, HasX: true}
-			s.recordIncumbent(s.nodes, obj, root.bound)
+			s.best = Solution{Status: Optimal, X: append(s.incumbent[:0], x...), Objective: obj, HasX: true}
+			s.emitIncumbent(obj, root.bound)
 			s.stats.IntegralNodes++
-			s.observe(root, root.bound, "integral")
-			s.waveIdx++
-			s.emitWave(1, root.bound)
+			// Nothing else is open: the root's bound is the global one.
+			s.emitNode(root, root.bound, "integral", root.bound)
 			out := s.best
 			return s.finish(&out, obj), nil
 		}
 	}
 	s.stats.BranchedNodes++
-	s.observe(root, root.bound, "branched")
 	s.expand(root, relax.X, frac, sl.basis())
-	s.waveIdx++
-	s.emitWave(1, s.globalBound(math.Inf(-1)))
+	s.emitNode(root, root.bound, "branched", math.Inf(-1))
 	return nil, nil
 }
 
@@ -792,46 +742,13 @@ func (s *search) solveWave(pctx context.Context, slots []slot, wave []*node, res
 // relaxations concurrently — node i on slot i, each warm-started from its
 // parent's optimal basis, so what a solve starts from depends on the tree
 // and the slot, never on scheduling — and then consumes the results
-// sequentially in pop order. Because pruning, incumbent updates, observer
-// events, and branching all happen in that sequential consume step, the
+// sequentially in pop order. Because pruning, incumbent updates, progress
+// records, and branching all happen in that sequential consume step, the
 // search explores a deterministic tree for a fixed Workers value and streams
-// observer events in a deterministic order; and since best-first search with
-// the same pruning rule visits the same optimum, the returned objective and
-// terminal bound are identical at any width (only the explored tree may
+// its progress records in a deterministic order; and since best-first search
+// with the same pruning rule visits the same optimum, the returned objective
+// and terminal bound are identical at any width (only the explored tree may
 // differ between widths).
-//
-// Why a node is (parent, one bound change, parent's basis) and why it is
-// rounded every time: each piece is there for a workload of benchmark/
-// (seed 2015, ops_per_s unless noted). Against the commit before it — width-1
-// nodes cold, wider waves warm from whatever the worker solved last, rounding
-// at nodes < 16 and every 32nd by two LP solves, two bound vectors per node —
-// this design moves sparse_default 16.2 -> 123, sparse_wide 14.0 -> 19.3 and
-// replan_loop 198 -> 217 with alloc_kb_per_op 1365 -> 509 (medians of ten
-// alternating 10 s pairs, the design ahead in all ten on each). Taking one
-// piece back out of it (median of three 10 s runs each, which spread under
-// 3 %; the whole design read 125 / 19.6 / 219 in that session):
-//
-//   - warm from the slot's last basis instead of the parent's: replan_loop
-//     219 -> 97 (pivots 3368 -> 8272, fallback colds 40 -> 64), sparse_wide
-//     19.6 -> 15.5 (pivots 8065 -> 14644) — best-first order makes the last
-//     basis an unrelated one; sparse_default does not tell the two apart;
-//   - every node cold: sparse_default 125 -> 24.6, sparse_wide 19.6 -> 1.57;
-//     replan_loop's three-analysis models re-solve in four pivots either
-//     way (219 -> 212);
-//   - rounding throttled as before: sparse_default 125 -> 91 (168 -> 508
-//     nodes), replan_loop 219 -> 208. sparse_wide reads the other way, 19.6
-//     -> 21.0: 678 -> 1280 nodes, but a rounding pass over a model's ~1700
-//     columns costs about what a warm re-solve does (845 -> 408 us per node), so
-//     on that workload the throttle comes out 7 % ahead;
-//   - rounding every node but by two LP solves where the model is pure
-//     integer: sparse_default 125 -> 117, sparse_wide 19.6 -> 18.5,
-//     replan_loop 219 -> 199 with alloc_kb_per_op 509 -> 574;
-//   - a fresh X per solve: alloc_kb_per_op 509 -> 754 on replan_loop, 5398
-//     -> 6149 on sparse_wide, timings inside the spread.
-//
-// Off the pools (24 unseen sub-seeds of benchmark/'s generator each, one run,
-// every objective equal): n=100 at the default width 111.7 s -> 4.2 s (33212
-// -> 26471 nodes), n=220 at Workers 2 40.9 s -> 18.8 s (73130 -> 28726 nodes).
 func Solve(p *Problem, opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
 	s, err := newSearch(p, opts)
@@ -910,7 +827,6 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 			// Budget exhausted with open nodes left.
 			out := s.best
 			out.Status = NodeLimit
-			out.Nodes = s.nodes
 			return s.finish(&out, s.globalBound(math.Inf(-1))), nil
 		}
 
@@ -926,12 +842,9 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 			}
 			s.consume(nd, results[i], &slots[i], heur, extra)
 		}
-		s.waveIdx++
-		s.emitWave(len(wave), s.globalBound(math.Inf(-1)))
 	}
 
 	out := s.best
-	out.Nodes = s.nodes
 	// Queue exhausted: the search proved nothing above the incumbent
 	// remains, so the terminal bound collapses onto the objective.
 	bound := math.Inf(-1)

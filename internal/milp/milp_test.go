@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"insitu/internal/lp"
+	"insitu/internal/obs"
 )
 
 func solveOK(t *testing.T, p *Problem) *Solution {
@@ -39,11 +40,8 @@ func solveOK(t *testing.T, p *Problem) *Solution {
 func checkBound(t *testing.T, sol *Solution) {
 	t.Helper()
 	const tol = 1e-6
-	if sol.HasX && sol.Bound < sol.Objective-tol {
-		t.Fatalf("Bound = %g below Objective = %g", sol.Bound, sol.Objective)
-	}
-	if sol.Bound != sol.Stats.BestBound {
-		t.Fatalf("Bound = %g disagrees with Stats.BestBound = %g", sol.Bound, sol.Stats.BestBound)
+	if sol.HasX && sol.Stats.BestBound < sol.Objective-tol {
+		t.Fatalf("BestBound = %g below Objective = %g", sol.Stats.BestBound, sol.Objective)
 	}
 }
 
@@ -347,6 +345,23 @@ func hardInstance(seed int64, n int) *Problem {
 	return p
 }
 
+// incumbentRecords solves p and returns the incumbent records of its flight
+// stream: the search's improvement trajectory, in discovery order.
+func incumbentRecords(t *testing.T, p *Problem, opts Options) (*Solution, []obs.SolveProgress) {
+	t.Helper()
+	var incs []obs.SolveProgress
+	opts.Progress = func(rec obs.SolveProgress) {
+		if rec.Kind == obs.SolveProgIncumbent {
+			incs = append(incs, rec)
+		}
+	}
+	sol, err := Solve(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sol, incs
+}
+
 func TestSolveStats(t *testing.T) {
 	p := hardInstance(5, 14)
 	sol := solveOK(t, p)
@@ -354,31 +369,29 @@ func TestSolveStats(t *testing.T) {
 	if st.Nodes == 0 || st.Relaxations == 0 || st.Pivots == 0 {
 		t.Fatalf("empty stats: %+v", st)
 	}
-	if st.Nodes != sol.Nodes {
-		t.Fatalf("Stats.Nodes = %d, Solution.Nodes = %d", st.Nodes, sol.Nodes)
-	}
 	// The heuristic re-solves are charged too, so relaxations can exceed
 	// nodes but never undercut them.
 	if st.Relaxations < st.Nodes {
 		t.Fatalf("relaxations %d < nodes %d", st.Relaxations, st.Nodes)
 	}
-	if len(st.Incumbents) == 0 {
+	_, incs := incumbentRecords(t, p, Options{})
+	if len(incs) == 0 {
 		t.Fatal("no incumbent trajectory recorded")
 	}
 	// Trajectory must strictly improve and end at the returned objective,
 	// with each bound at or above its incumbent.
 	prev := math.Inf(-1)
-	for i, inc := range st.Incumbents {
-		if inc.Objective <= prev {
-			t.Fatalf("incumbent %d objective %g does not improve on %g", i, inc.Objective, prev)
+	for i, inc := range incs {
+		if inc.Incumbent <= prev {
+			t.Fatalf("incumbent %d objective %g does not improve on %g", i, inc.Incumbent, prev)
 		}
-		if inc.Bound < inc.Objective-1e-6 {
-			t.Fatalf("incumbent %d bound %g below objective %g", i, inc.Bound, inc.Objective)
+		if !inc.HasBound || inc.Bound < inc.Incumbent-1e-6 {
+			t.Fatalf("incumbent %d bound %g (has %t) below objective %g", i, inc.Bound, inc.HasBound, inc.Incumbent)
 		}
-		prev = inc.Objective
+		prev = inc.Incumbent
 	}
-	if last := st.Incumbents[len(st.Incumbents)-1]; math.Abs(last.Objective-sol.Objective) > 1e-9 {
-		t.Fatalf("trajectory ends at %g, solution objective %g", last.Objective, sol.Objective)
+	if last := incs[len(incs)-1]; math.Abs(last.Incumbent-sol.Objective) > 1e-9 {
+		t.Fatalf("trajectory ends at %g, solution objective %g", last.Incumbent, sol.Objective)
 	}
 }
 
@@ -455,9 +468,10 @@ func TestSolveTimeInjectedClock(t *testing.T) {
 }
 
 func TestObserverStreamsNodes(t *testing.T) {
-	var events []NodeEvent
+	rec := NewTreeRecorder()
 	p := hardInstance(5, 14)
-	sol, err := Solve(p, Options{Observer: func(e NodeEvent) { events = append(events, e) }})
+	sol, err := Solve(p, Options{Progress: rec.Observe})
+	events := rec.Nodes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,20 +497,20 @@ func TestObserverStreamsNodes(t *testing.T) {
 			t.Fatalf("event %d branched below final objective: bound %g < %g", i, e.Bound, sol.Objective)
 		}
 	}
-	// Infeasible root: observer stays silent but Bound is still stamped.
+	// Infeasible root: no node record, but the bound is still stamped.
 	bad := NewProblem(&lp.Problem{})
 	x := bad.AddBinVar(1, "x")
 	bad.LP.AddConstraint([]int{x}, []float64{1}, lp.GE, 2, "")
-	events = nil
-	sol, err = Solve(bad, Options{Observer: func(e NodeEvent) { events = append(events, e) }})
+	rec = NewTreeRecorder()
+	sol, err = Solve(bad, Options{Progress: rec.Observe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Status != Infeasible || len(events) != 0 {
-		t.Fatalf("infeasible root: status %v, %d events", sol.Status, len(events))
+	if sol.Status != Infeasible || len(rec.Nodes()) != 0 {
+		t.Fatalf("infeasible root: status %v, %d events", sol.Status, len(rec.Nodes()))
 	}
-	if !math.IsInf(sol.Bound, -1) {
-		t.Fatalf("infeasible bound = %g", sol.Bound)
+	if !math.IsInf(sol.Stats.BestBound, -1) {
+		t.Fatalf("infeasible bound = %g", sol.Stats.BestBound)
 	}
 }
 

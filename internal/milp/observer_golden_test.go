@@ -24,7 +24,7 @@ func goldenInstance() *Problem {
 	return p
 }
 
-// formatEvent renders one observer event the way the golden stream pins it.
+// formatEvent renders one node the way the golden stream pins it.
 func formatEvent(e NodeEvent) string {
 	branch := "root"
 	if e.BranchVar >= 0 {
@@ -38,17 +38,20 @@ func formatEvent(e NodeEvent) string {
 }
 
 // TestObserverGoldenStream pins the exact node order, parent links, branch
-// decisions, and prune reasons of the search on a fixed instance. Tree
-// exports (JSON/DOT) are derived from this stream, so any drift here is a
-// compatibility break for recorded search trees; update the literal only for
-// deliberate solver changes.
+// decisions, and prune reasons of the search on a fixed instance, read from
+// the node records of its flight stream. Tree exports (JSON/DOT) are derived
+// from these records, so any drift here is a compatibility break for
+// recorded search trees; update the literal only for deliberate solver
+// changes.
 func TestObserverGoldenStream(t *testing.T) {
-	var got []string
-	sol, err := Solve(goldenInstance(), Options{Observer: func(e NodeEvent) {
-		got = append(got, formatEvent(e))
-	}})
+	rec := NewTreeRecorder()
+	sol, err := Solve(goldenInstance(), Options{Progress: rec.Observe})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range rec.Nodes() {
+		got = append(got, formatEvent(e))
 	}
 	if sol.Status != Optimal {
 		t.Fatalf("status = %v", sol.Status)

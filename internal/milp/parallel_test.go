@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"insitu/internal/lp"
+	"insitu/internal/obs"
 )
 
 // widths are the wave widths every width-sensitive test runs at: the two
@@ -72,8 +73,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 				if math.Abs(par.Objective-serial.Objective) > 1e-9*(1+math.Abs(serial.Objective)) {
 					t.Fatalf("trial %d workers=%d: objective %g, serial %g", trial, w, par.Objective, serial.Objective)
 				}
-				if math.Abs(par.Bound-serial.Bound) > 1e-9*(1+math.Abs(serial.Bound)) {
-					t.Fatalf("trial %d workers=%d: bound %g, serial %g", trial, w, par.Bound, serial.Bound)
+				if pb, sb := par.Stats.BestBound, serial.Stats.BestBound; math.Abs(pb-sb) > 1e-9*(1+math.Abs(sb)) {
+					t.Fatalf("trial %d workers=%d: bound %g, serial %g", trial, w, pb, sb)
 				}
 				if viol := p.LP.FirstViolation(par.X, 1e-6); viol != "" {
 					t.Fatalf("trial %d workers=%d: incumbent infeasible: %s", trial, w, viol)
@@ -84,16 +85,17 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestParallelDeterministic solves the same instances twice at the same
-// width and requires identical search statistics, incumbent trajectories,
-// and observer streams — the determinism contract for a fixed Workers
-// value.
+// width and requires identical search statistics and flight streams (node
+// and incumbent records included, the wall clock excluded) — the
+// determinism contract for a fixed Workers value.
 func TestParallelDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(902))
 	for trial := 0; trial < 40; trial++ {
 		p := randParallelMILP(rng)
-		run := func() (*Solution, []NodeEvent) {
-			var events []NodeEvent
-			sol, err := Solve(p, Options{Workers: 4, Observer: func(ev NodeEvent) {
+		run := func() (*Solution, []obs.SolveProgress) {
+			var events []obs.SolveProgress
+			sol, err := Solve(p, Options{Workers: 4, Progress: func(ev obs.SolveProgress) {
+				ev.TUS = 0
 				events = append(events, ev)
 			}})
 			if err != nil {
@@ -103,34 +105,30 @@ func TestParallelDeterministic(t *testing.T) {
 		}
 		a, evA := run()
 		b, evB := run()
-		if a.Objective != b.Objective || a.Bound != b.Bound || a.Status != b.Status {
+		if a.Objective != b.Objective || a.Stats.BestBound != b.Stats.BestBound || a.Status != b.Status {
 			t.Fatalf("trial %d: repeated solve differs: (%v %g %g) vs (%v %g %g)",
-				trial, a.Status, a.Objective, a.Bound, b.Status, b.Objective, b.Bound)
+				trial, a.Status, a.Objective, a.Stats.BestBound, b.Status, b.Objective, b.Stats.BestBound)
 		}
 		if a.Stats.Nodes != b.Stats.Nodes || a.Stats.Relaxations != b.Stats.Relaxations ||
 			a.Stats.Pivots != b.Stats.Pivots || a.Stats.WarmSolves != b.Stats.WarmSolves ||
 			a.Stats.ColdSolves != b.Stats.ColdSolves {
 			t.Fatalf("trial %d: stats differ: %+v vs %+v", trial, a.Stats, b.Stats)
 		}
-		if !reflect.DeepEqual(a.Stats.Incumbents, b.Stats.Incumbents) {
-			t.Fatalf("trial %d: incumbent trajectories differ", trial)
-		}
 		if !reflect.DeepEqual(evA, evB) {
-			t.Fatalf("trial %d: observer streams differ (%d vs %d events)", trial, len(evA), len(evB))
+			t.Fatalf("trial %d: flight streams differ (%d vs %d events)", trial, len(evA), len(evB))
 		}
 	}
 }
 
-// TestParallelObserverStream checks that the serialized parallel event
-// stream keeps the invariants TreeRecorder depends on: node ids are
+// TestParallelObserverStream checks that the serialized parallel node
+// records keep the invariants TreeRecorder depends on: node ids are
 // 1..Nodes in order, parent links point at previously streamed nodes, and
 // the incumbent field is monotone.
 func TestParallelObserverStream(t *testing.T) {
 	p := hardInstance(7, 14)
-	var events []NodeEvent
-	sol, err := Solve(p, Options{Workers: 4, Observer: func(ev NodeEvent) {
-		events = append(events, ev)
-	}})
+	rec := NewTreeRecorder()
+	sol, err := Solve(p, Options{Workers: 4, Progress: rec.Observe})
+	events := rec.Nodes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +151,6 @@ func TestParallelObserverStream(t *testing.T) {
 			lastInc = ev.Incumbent
 		}
 		seen[ev.Node] = true
-	}
-	var rec TreeRecorder
-	rsol, err := Solve(p, Options{Workers: 4, Observer: rec.Observe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(rec.Nodes()); got != rsol.Stats.Nodes {
-		t.Fatalf("TreeRecorder captured %d nodes out of %d", got, rsol.Stats.Nodes)
 	}
 }
 
@@ -213,13 +203,10 @@ func TestFractionalIntegerBoundsNeverYieldIncumbent(t *testing.T) {
 	}
 	p.LP.AddConstraint(idx, coef, lp.LE, 5, "cap")
 	for _, w := range widths {
-		sol, err := Solve(p, Options{Workers: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if sol.Status != Infeasible || sol.HasX || len(sol.Stats.Incumbents) != 0 {
+		sol, incs := incumbentRecords(t, p, Options{Workers: w})
+		if sol.Status != Infeasible || sol.HasX || len(incs) != 0 {
 			t.Fatalf("workers=%d: status %v, HasX %t, %d incumbents; want infeasible with none",
-				w, sol.Status, sol.HasX, len(sol.Stats.Incumbents))
+				w, sol.Status, sol.HasX, len(incs))
 		}
 		if sol.Stats.BranchedNodes == 0 {
 			t.Fatalf("workers=%d: nothing branched, the heuristic never ran below the root", w)
@@ -242,8 +229,8 @@ func TestParallelNodeLimit(t *testing.T) {
 		if sol.Stats.Nodes > 8 {
 			t.Fatalf("workers=%d: explored %d nodes past the budget of 8", w, sol.Stats.Nodes)
 		}
-		if sol.HasX && sol.Bound < sol.Objective-1e-9 {
-			t.Fatalf("workers=%d: terminal bound %g below incumbent %g", w, sol.Bound, sol.Objective)
+		if sol.HasX && sol.Stats.BestBound < sol.Objective-1e-9 {
+			t.Fatalf("workers=%d: terminal bound %g below incumbent %g", w, sol.Stats.BestBound, sol.Objective)
 		}
 	}
 }

@@ -49,7 +49,6 @@ func (s *search) emit(p obs.SolveProgress, bound float64, st Stats) {
 	p.Seq = s.progSeq
 	s.progSeq++
 	p.TUS = float64(s.opts.Now().Sub(s.started).Nanoseconds()) / 1e3
-	p.Wave = s.waveIdx
 	p.Open = s.queue.Len()
 	if !p.HasInc {
 		p.Incumbent = 0
@@ -92,16 +91,37 @@ func (s *search) emitStart() {
 	s.emit(p, math.Inf(1), s.counters())
 }
 
-// emitWave reports one consumed wave; bound is the current global bound.
-func (s *search) emitWave(waveSize int, bound float64) {
+// emitNode reports the explored node nd once its outcome is settled — a
+// branched node's children queued — so the record's Open counts them.
+// nodeBound is the node's own LP bound; the record's Bound is the global
+// bound, with extra the best bound among the wave's popped but unconsumed
+// nodes (see globalBound).
+func (s *search) emitNode(nd *node, nodeBound float64, action string, extra float64) {
 	if s.opts.Progress == nil {
 		return
 	}
-	s.emit(obs.SolveProgress{Kind: obs.SolveProgWave, WaveSize: waveSize, HasInc: s.best.HasX, Incumbent: s.best.Objective}, bound, s.counters())
+	p := obs.SolveProgress{
+		Kind:        obs.SolveProgNode,
+		HasInc:      s.best.HasX,
+		Incumbent:   s.best.Objective,
+		Depth:       nd.depth,
+		NodeBound:   nodeBound,
+		Action:      action,
+		BranchVar:   nd.branchVar,
+		BranchBound: nd.branchBound,
+	}
+	if nd.parent != nil {
+		p.Parent = nd.parent.id
+		p.BranchDir = "down"
+		if nd.up {
+			p.BranchDir = "up"
+		}
+	}
+	s.emit(p, s.globalBound(extra), s.counters())
 }
 
 // emitIncumbent reports an incumbent improvement; bound is the global bound
-// recorded with the incumbent (the same value recordIncumbent stores).
+// at that moment.
 func (s *search) emitIncumbent(obj, bound float64) {
 	if s.opts.Progress == nil {
 		return

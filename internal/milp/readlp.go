@@ -39,8 +39,9 @@ var lpSections = []string{"maximize", "subject to", "bounds", "generals", "sos",
 //	End
 //
 // Each set declares the next row a class (lp.Problem.Classes) and must list
-// exactly the columns that row has nonzero coefficients on. Comment lines
-// start with "\".
+// exactly the columns that row has nonzero coefficients on. A row of no terms
+// is read only in a model without columns, the one place WriteLP writes it.
+// Comment lines start with "\".
 func ReadLP(r io.Reader) (*Problem, error) {
 	p := &parser{
 		prob: NewProblem(&lp.Problem{}),
@@ -92,12 +93,16 @@ func ReadLP(r io.Reader) (*Problem, error) {
 	if section != "end" {
 		return nil, fmt.Errorf("milp: LP file is missing the End marker")
 	}
+	if p.empty && p.prob.LP.NumVars() > 0 {
+		return nil, fmt.Errorf("milp: LP file has a row of no terms in a model with columns")
+	}
 	return p.prob, nil
 }
 
 type parser struct {
-	prob *Problem
-	vars map[string]int
+	prob  *Problem
+	vars  map[string]int
+	empty bool // some row had no terms
 }
 
 // varIndex returns the column of name, creating a fresh continuous variable
@@ -127,6 +132,7 @@ func (p *parser) parseLinear(expr string) ([]int, []float64, error) {
 	if len(fields)%3 != 0 {
 		return nil, nil, fmt.Errorf("expression %q is not a list of sign, number, name terms", expr)
 	}
+	p.empty = p.empty || len(fields) == 0
 	idx := make([]int, 0, len(fields)/3)
 	coef := make([]float64, 0, len(fields)/3)
 	for k := 0; k < len(fields); k += 3 {

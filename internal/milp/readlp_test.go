@@ -56,6 +56,26 @@ func TestReadLPRoundTripObjective(t *testing.T) {
 	}
 }
 
+// TestLPRoundTripKeepsNoColumns: a model without columns writes its empty
+// objective with no term, and reads back without columns.
+func TestLPRoundTripKeepsNoColumns(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteLP(&buf, NewProblem(&lp.Problem{})); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	if strings.Contains(text, "x0") {
+		t.Fatalf("column-free model names a column:\n%s", text)
+	}
+	q, err := ReadLP(&buf)
+	if err != nil {
+		t.Fatalf("ReadLP: %v\n%s", err, text)
+	}
+	if n, m := q.LP.NumVars(), len(q.LP.Constraints); n != 0 || m != 0 {
+		t.Fatalf("reread %d columns and %d rows, want none", n, m)
+	}
+}
+
 func TestReadLPSecondRoundTripIsByteIdentical(t *testing.T) {
 	p := roundTripProblem()
 	var first bytes.Buffer
@@ -136,6 +156,7 @@ func TestReadLPRejectsMalformed(t *testing.T) {
 		{"set past the last row", setFile + " s0: S1:: x:1 y:2\n s1: S1:: z:1\n s2: S1:: x:1 y:2 z:3\n s3: S1:: x:1\nEnd\n", "past the last row"},
 		{"SOS before Subject To", "Maximize\n obj: + 1 x\nSOS\n s0: S1:: x:1\nSubject To\n c0: + 1 x <= 1\nEnd\n", ""},
 		{"non-S1 set", setFile + " s0: S2:: x:1 y:2\nEnd\n", "not an S1 set"},
+		{"no terms with columns", "Maximize\n obj:\nSubject To\n c0: + 1 x <= 1\nEnd\n", "no terms"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

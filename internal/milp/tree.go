@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"insitu/internal/obs"
 )
 
 // Tree is the JSON document a recorded search serializes to.
@@ -18,9 +20,10 @@ type Tree struct {
 // documents from a newer schema rather than misreading them.
 const TreeSchemaVersion = 1
 
-// TreeRecorder captures the branch-and-bound tree from the observer event
-// stream. Install it with Options{Observer: rec.Observe}; it is cheap enough
-// to run inside the search loop (one append per node).
+// TreeRecorder captures the branch-and-bound tree from the node records of a
+// flight stream. Install it with Options{Progress: rec.Observe}, or feed it a
+// stream read back from a ledger; it is cheap enough to run inside the search
+// loop (one append per node).
 type TreeRecorder struct {
 	names []string
 	nodes []NodeEvent
@@ -35,8 +38,26 @@ func (r *TreeRecorder) SetNames(names []string) {
 	r.names = append([]string(nil), names...)
 }
 
-// Observe appends one node; it is the Options.Observer hook.
-func (r *TreeRecorder) Observe(e NodeEvent) { r.nodes = append(r.nodes, e) }
+// Observe appends the node a node record describes and ignores every other
+// record; it is an Options.Progress hook. A record with no incumbent carries
+// Incumbent 0, so every recorded tree encodes as JSON.
+func (r *TreeRecorder) Observe(p obs.SolveProgress) {
+	if p.Kind != obs.SolveProgNode {
+		return
+	}
+	r.nodes = append(r.nodes, NodeEvent{
+		Node:        p.Nodes,
+		Parent:      p.Parent,
+		Depth:       p.Depth,
+		Bound:       p.NodeBound,
+		Incumbent:   p.Incumbent,
+		HasInc:      p.HasInc,
+		Action:      p.Action,
+		BranchVar:   p.BranchVar,
+		BranchDir:   p.BranchDir,
+		BranchBound: p.BranchBound,
+	})
+}
 
 // Nodes returns the recorded nodes in exploration order.
 func (r *TreeRecorder) Nodes() []NodeEvent { return r.nodes }

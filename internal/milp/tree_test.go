@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"insitu/internal/lp"
+	"insitu/internal/obs"
 )
 
 // recordTree solves p with a TreeRecorder installed and returns the recorder.
@@ -15,7 +16,7 @@ func recordTree(t *testing.T, p *Problem) *TreeRecorder {
 	t.Helper()
 	rec := NewTreeRecorder()
 	rec.SetNames(p.LP.Names)
-	sol, err := Solve(p, Options{Observer: rec.Observe})
+	sol, err := Solve(p, Options{Progress: rec.Observe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,4 +138,105 @@ func TestDotEscape(t *testing.T) {
 	if got := dotEscape(`a"b\c`); got != `a\"b\\c` {
 		t.Fatalf("dotEscape = %q", got)
 	}
+}
+
+// TestTreeJSONWithoutIncumbent: a search that never finds an incumbent still
+// writes its tree. Root rounding fails on x0+x1 = 1, x0-x1 <= 0,
+// -x0+x1+x2 <= 0 (only x0 = x1 = 0.5 is feasible), and both children of the
+// root are infeasible, so all three nodes are recorded with no incumbent.
+func TestTreeJSONWithoutIncumbent(t *testing.T) {
+	p := NewProblem(&lp.Problem{})
+	for j := 0; j < 3; j++ {
+		p.AddBinVar(1, fmt.Sprintf("x%d", j))
+	}
+	p.LP.AddConstraint([]int{0, 1}, []float64{1, 1}, lp.EQ, 1, "pick")
+	p.LP.AddConstraint([]int{0, 1}, []float64{1, -1}, lp.LE, 0, "order")
+	p.LP.AddConstraint([]int{0, 1, 2}, []float64{-1, 1, 1}, lp.LE, 0, "link")
+	rec := NewTreeRecorder()
+	sol, err := Solve(p, Options{Progress: rec.Observe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := rec.Nodes()
+	if sol.Status != Infeasible || len(nodes) != 3 {
+		t.Fatalf("status %v over %d nodes, want infeasible over 3", sol.Status, len(nodes))
+	}
+	for _, n := range nodes {
+		if n.HasInc || n.Incumbent != 0 {
+			t.Fatalf("node %d carries incumbent %g (has %t)", n.Node, n.Incumbent, n.HasInc)
+		}
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadTree(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, rec.Tree()) {
+		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, rec.Tree())
+	}
+}
+
+// TestLedgerRebuildsTree: the node records a flight recorder drains to a
+// ledger rebuild the search tree a live recorder captured, byte for byte, at
+// the default width and at Workers 4.
+func TestLedgerRebuildsTree(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		p       *Problem
+		workers int
+	}{
+		{"golden", goldenInstance(), 0},
+		{"workers 4", hardInstance(7, 14), 4},
+	} {
+		fr := obs.NewFlightRecorder(0)
+		live := NewTreeRecorder()
+		_, err := Solve(tc.p, Options{Workers: tc.workers, Progress: func(p obs.SolveProgress) {
+			fr.Record(p)
+			live.Observe(p)
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := treeJSON(t, live), treeJSON(t, ledgerTree(t, fr))
+		if len(live.Nodes()) < 3 || !bytes.Equal(got, want) {
+			t.Fatalf("%s: tree rebuilt from the ledger differs from the live one:\n%s\nwant\n%s", tc.name, got, want)
+		}
+	}
+}
+
+// ledgerTree drains fr to a ledger, reads it back, and feeds the first
+// solve's records to a fresh recorder.
+func ledgerTree(t *testing.T, fr *obs.FlightRecorder) *TreeRecorder {
+	t.Helper()
+	var buf bytes.Buffer
+	l := obs.NewEventLog(&buf)
+	fr.AppendLedger(l, "solve")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadLedger(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := obs.GroupSolveProgEvents(events)
+	if len(runs) == 0 {
+		t.Fatal("ledger holds no solve")
+	}
+	rec := NewTreeRecorder()
+	for _, p := range runs[0].Records {
+		rec.Observe(p)
+	}
+	return rec
+}
+
+func treeJSON(t *testing.T, rec *TreeRecorder) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

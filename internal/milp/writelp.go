@@ -36,8 +36,15 @@ func WriteLP(w io.Writer, p *Problem) error {
 		return fmt.Sprintf("x%d", j)
 	}
 
+	// An expression with no nonzero term is written as the one term
+	// "+ 0 x0": LP readers want a term. A model without columns has no x0 to
+	// name, and there it is written with no term at all.
+	zero := ""
+	if p.LP.NumVars() > 0 {
+		zero = " + 0 " + name(0)
+	}
 	printf("\\ exported by insitu/internal/milp\nMaximize\n obj:")
-	writeLinear(printf, nil, p.LP.Objective, name)
+	writeLinear(printf, nil, p.LP.Objective, name, zero)
 	printf("\nSubject To\n")
 	for r, c := range p.LP.Constraints {
 		label := c.Name
@@ -45,7 +52,7 @@ func WriteLP(w io.Writer, p *Problem) error {
 			label = fmt.Sprintf("c%d", r)
 		}
 		printf(" %s:", sanitize(label))
-		writeLinear(printf, c.Idx, c.Coef, name)
+		writeLinear(printf, c.Idx, c.Coef, name, zero)
 		op := "<="
 		switch c.Sense {
 		case lp.GE:
@@ -92,8 +99,8 @@ func WriteLP(w io.Writer, p *Problem) error {
 
 // writeLinear emits "+ c x" terms for the nonzero coefficients: coef[k] on
 // variable idx[k], or on variable k when idx is nil (the dense objective). An
-// expression with none is the one term "+ 0 x0".
-func writeLinear(printf func(string, ...any), idx []int, coef []float64, name func(int) string) {
+// expression with none is written as zero.
+func writeLinear(printf func(string, ...any), idx []int, coef []float64, name func(int) string, zero string) {
 	wrote := false
 	for j, c := range coef {
 		if c == 0 {
@@ -111,7 +118,7 @@ func writeLinear(printf func(string, ...any), idx []int, coef []float64, name fu
 		wrote = true
 	}
 	if !wrote {
-		printf(" + 0 %s", name(0))
+		printf("%s", zero)
 	}
 }
 

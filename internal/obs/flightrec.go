@@ -17,10 +17,10 @@ import (
 const SolveProgSchemaVersion = 1
 
 // Solve progress kinds, in the order a solve emits them: exactly one start,
-// zero or more incumbent and wave records interleaved, exactly one end.
+// zero or more incumbent and node records interleaved, exactly one end.
 const (
 	SolveProgStart     = "start"     // problem shape, before the root relaxation
-	SolveProgWave      = "wave"      // one consumed wave (one node at width 1)
+	SolveProgNode      = "node"      // one explored node, its place in the tree
 	SolveProgIncumbent = "incumbent" // the incumbent improved
 	SolveProgEnd       = "end"       // terminal status, objective and bound
 )
@@ -32,19 +32,19 @@ const (
 // a suffix of the stream still reads correct totals. TUS follows the
 // solver's wall clock and is the only field excluded from the per-width
 // determinism contract. It is a ledger record (RecordEvent): its JSON tags
-// are the solveprog event's schema.
+// are the solveprog event's schema. A kind rides the ledger as its index, so
+// the "wave" lines of ledgers written before node records existed read back
+// as node records without their tree fields.
 type SolveProgress struct {
 	Seq  int     `json:"seq"`
-	Kind string  `json:"kind" ledger:"start|wave|incumbent|end"`
+	Kind string  `json:"kind" ledger:"start|node|incumbent|end"`
 	TUS  float64 `json:"t_us"`
 
-	// Wave counts consumed waves (the root is wave 1) and Open the nodes left
-	// in the queue; WaveSize/Workers is a wave's worker occupancy.
-	Wave     int `json:"wave"`
-	WaveSize int `json:"wave_size,omitempty"`
-	Workers  int `json:"workers"`
-	Nodes    int `json:"nodes"`
-	Open     int `json:"open"`
+	// Open counts the nodes left in the queue (a node record's children
+	// included); Workers is the search's wave width.
+	Workers int `json:"workers"`
+	Nodes   int `json:"nodes"`
+	Open    int `json:"open"`
 
 	// HasInc gates Incumbent; HasBound gates Bound (the solver's bound can
 	// be ±Inf, which JSON cannot carry, so non-finite bounds are recorded as
@@ -86,6 +86,23 @@ type SolveProgress struct {
 	IntVars     int `json:"int_vars,omitempty"`
 	Constraints int `json:"constraints,omitempty"`
 
+	// Node records only: the explored node, whose id is Nodes, and its place
+	// in the search tree. Parent is the id of the node whose branching made
+	// it (0 for the root) and Depth its branching depth; NodeBound is its own
+	// LP bound, where Bound is the global one. Action says how it was
+	// resolved: "integral", "infeasible", "branched", or "pruned" (dominated
+	// by the incumbent after its relaxation solved). BranchVar is the
+	// variable the branch leading here fixed (-1 at the root), BranchDir the
+	// direction ("down" tightened its upper bound, "up" its lower, "" at the
+	// root) and BranchBound the bound applied.
+	Parent      int     `json:"parent,omitempty"`
+	Depth       int     `json:"depth,omitempty"`
+	NodeBound   float64 `json:"node_bound,omitempty"`
+	Action      string  `json:"action,omitempty" ledger:"integral|infeasible|branched|pruned"`
+	BranchVar   int     `json:"branch_var,omitempty"`
+	BranchDir   string  `json:"branch_dir,omitempty" ledger:"down|up"`
+	BranchBound float64 `json:"branch_bound,omitempty"`
+
 	// Status is set on end records only: "optimal", "infeasible",
 	// "unbounded", or "node-limit".
 	Status string `json:"status,omitempty" ledger:"optimal|infeasible|unbounded|node-limit"`
@@ -116,7 +133,7 @@ func SolveProgFromEvent(e LedgerEvent) (p SolveProgress, ok bool) {
 
 // DefaultFlightCapacity is the ring's size limit NewFlightRecorder uses for
 // capacity <= 0: large enough to hold every event of the paper instances
-// (hundreds of waves) with room for big what-if sweeps.
+// (hundreds of nodes) with room for big what-if sweeps.
 const DefaultFlightCapacity = 8192
 
 // FlightRecorder captures a solver progress stream into a ring buffer of
@@ -273,7 +290,7 @@ func DeterministicBytes(recs []SolveProgress) []byte {
 // different tree at different widths (see milp.Solve), but the
 // objective and terminal bound are identical at any width — so this
 // projection is byte-identical at Workers=1 and Workers=8 while
-// DeterministicBytes pins the full per-wave stream per width.
+// DeterministicBytes pins the full per-node stream per width.
 func CanonicalBytes(recs []SolveProgress) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "solveprog_v=%d canonical\n", SolveProgSchemaVersion)
@@ -372,7 +389,7 @@ func FinalGap(recs []SolveProgress) (gap float64, status string, ok bool) {
 
 // WriteGapTimeline renders the gap-closure timeline of one stream as text:
 // a header with the shape and outcome, then up to maxGapRows sampled curve
-// rows with a bar visualizing the remaining gap. Streams without any wave
+// rows with a bar visualizing the remaining gap. Streams without any node
 // data still render the header. It is the shared renderer behind
 // schedexplain and runmon report.
 func WriteGapTimeline(w io.Writer, name string, recs []SolveProgress) error {
@@ -395,8 +412,8 @@ func WriteGapTimeline(w io.Writer, name string, recs []SolveProgress) error {
 		}
 	}
 	last := recs[len(recs)-1]
-	if _, err := fmt.Fprintf(w, "%s: %d event(s), %d node(s), %d wave(s) at width %d\n",
-		head, len(recs), last.Nodes, last.Wave, last.Workers); err != nil {
+	if _, err := fmt.Fprintf(w, "%s: %d event(s), %d node(s) at width %d\n",
+		head, len(recs), last.Nodes, last.Workers); err != nil {
 		return err
 	}
 	if start != nil {

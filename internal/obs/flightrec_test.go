@@ -15,19 +15,21 @@ import (
 	"insitu/internal/obs/jsontest"
 )
 
-// progStream builds a small well-formed flight stream: start, two waves with
+// progStream builds a small well-formed flight stream: start, two nodes with
 // a tightening gap, an incumbent bump, and an optimal end.
 func progStream() []SolveProgress {
 	return []SolveProgress{
 		{Seq: 0, Kind: SolveProgStart, Workers: 1, Vars: 6, IntVars: 4, Constraints: 9},
-		{Seq: 1, Kind: SolveProgWave, Wave: 1, WaveSize: 1, Workers: 1, Nodes: 1, Open: 2,
-			HasInc: true, Incumbent: 10, HasBound: true, Bound: 20, Pivots: 12, Relaxations: 1, ColdSolves: 1, BranchedNodes: 1},
-		{Seq: 2, Kind: SolveProgIncumbent, Wave: 1, Workers: 1, Nodes: 2, Open: 1,
+		{Seq: 1, Kind: SolveProgNode, Workers: 1, Nodes: 1, Open: 2,
+			HasInc: true, Incumbent: 10, HasBound: true, Bound: 20, Pivots: 12, Relaxations: 1, ColdSolves: 1, BranchedNodes: 1,
+			NodeBound: 20, Action: "branched", BranchVar: -1},
+		{Seq: 2, Kind: SolveProgIncumbent, Workers: 1, Nodes: 2, Open: 1,
 			HasInc: true, Incumbent: 14, HasBound: true, Bound: 18, Pivots: 20, Relaxations: 2, WarmSolves: 1, ColdSolves: 1, BranchedNodes: 2},
-		{Seq: 3, Kind: SolveProgWave, Wave: 2, WaveSize: 1, Workers: 1, Nodes: 3, Open: 0,
+		{Seq: 3, Kind: SolveProgNode, Workers: 1, Nodes: 3, Open: 0,
 			HasInc: true, Incumbent: 15, HasBound: true, Bound: 15, Pivots: 25, Relaxations: 3, WarmSolves: 2, ColdSolves: 1,
-			PrunedBound: 1, IntegralNodes: 1, BranchedNodes: 2},
-		{Seq: 4, Kind: SolveProgEnd, Wave: 2, Workers: 1, Nodes: 3,
+			PrunedBound: 1, IntegralNodes: 1, BranchedNodes: 2,
+			Parent: 1, Depth: 1, NodeBound: 15, Action: "integral", BranchVar: 0, BranchDir: "up", BranchBound: 1},
+		{Seq: 4, Kind: SolveProgEnd, Workers: 1, Nodes: 3,
 			HasInc: true, Incumbent: 15, HasBound: true, Bound: 15, Pivots: 25, Relaxations: 3, WarmSolves: 2, ColdSolves: 1,
 			PrunedBound: 1, IntegralNodes: 1, BranchedNodes: 2, ReducedCostFixed: 3, Status: "optimal"},
 	}
@@ -69,7 +71,7 @@ func TestSolveProgLedgerRoundTrip(t *testing.T) {
 func everyFieldRecords(t *testing.T) []SolveProgress {
 	t.Helper()
 	var recs []SolveProgress
-	for k, kind := range []string{SolveProgStart, SolveProgWave, SolveProgIncumbent, SolveProgEnd} {
+	for k, kind := range []string{SolveProgStart, SolveProgNode, SolveProgIncumbent, SolveProgEnd} {
 		var p SolveProgress
 		if err := jsontest.FillRecord(&p, 100*(k+1)); err != nil {
 			t.Fatal(err)
@@ -108,10 +110,12 @@ func TestSolveProgEveryFieldRoundTrips(t *testing.T) {
 func TestSolveProgLedgerBytes(t *testing.T) {
 	recs := everyFieldRecords(t)
 	for i := range recs {
-		// The solver sets a wave size on wave records, the shape on start
-		// records and a status on end records only.
-		if recs[i].Kind != SolveProgWave {
-			recs[i].WaveSize = 0
+		// The solver sets the tree fields on node records, the shape on
+		// start records and a status on end records only.
+		if recs[i].Kind != SolveProgNode {
+			p := &recs[i]
+			p.Parent, p.Depth, p.NodeBound, p.Action = 0, 0, 0, ""
+			p.BranchVar, p.BranchDir, p.BranchBound = 0, "", 0
 		}
 		if recs[i].Kind != SolveProgStart {
 			recs[i].Vars, recs[i].IntVars, recs[i].Constraints = 0, 0, 0
@@ -136,10 +140,10 @@ func TestSolveProgLedgerBytes(t *testing.T) {
 	}
 }
 
-const solveProgLedgerPin = `{"v":2,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":112.25,"branched":127,"cold":116,"constraints":131,"dual_pivots":120,"eta_peak":122,"fallback_cold":117,"has_bound":1,"has_inc":1,"incumbent":110.25,"int_vars":130,"integral":126,"kind":0,"nodes":107,"open":108,"pivots":113,"primal_pivots":119,"prune_bound":124,"prune_infeasible":125,"queue_pruned":128,"rc_fixed":123,"refactorizations":121,"relaxations":114,"seq":101,"t_us":103.25,"vars":129,"warm":115,"warm_infeasible":118,"wave":104,"workers":106}}
-{"v":2,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":212.25,"branched":227,"cold":216,"dual_pivots":220,"eta_peak":222,"fallback_cold":217,"has_bound":1,"has_inc":1,"incumbent":210.25,"integral":226,"kind":1,"nodes":207,"open":208,"pivots":213,"primal_pivots":219,"prune_bound":224,"prune_infeasible":225,"queue_pruned":228,"rc_fixed":223,"refactorizations":221,"relaxations":214,"seq":201,"t_us":203.25,"warm":215,"warm_infeasible":218,"wave":204,"wave_size":205,"workers":206}}
-{"v":2,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":312.25,"branched":327,"cold":316,"dual_pivots":320,"eta_peak":322,"fallback_cold":317,"has_bound":1,"has_inc":1,"incumbent":310.25,"integral":326,"kind":2,"nodes":307,"open":308,"pivots":313,"primal_pivots":319,"prune_bound":324,"prune_infeasible":325,"queue_pruned":328,"rc_fixed":323,"refactorizations":321,"relaxations":314,"seq":301,"t_us":303.25,"warm":315,"warm_infeasible":318,"wave":304,"workers":306}}
-{"v":2,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":412.25,"branched":427,"cold":416,"dual_pivots":420,"eta_peak":422,"fallback_cold":417,"has_bound":1,"has_inc":1,"incumbent":410.25,"integral":426,"kind":3,"nodes":407,"open":408,"pivots":413,"primal_pivots":419,"prune_bound":424,"prune_infeasible":425,"queue_pruned":428,"rc_fixed":423,"refactorizations":421,"relaxations":414,"seq":401,"status":3,"t_us":403.25,"warm":415,"warm_infeasible":418,"wave":404,"workers":406}}
+const solveProgLedgerPin = `{"v":2,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":110.25,"branched":125,"cold":114,"constraints":129,"dual_pivots":118,"eta_peak":120,"fallback_cold":115,"has_bound":1,"has_inc":1,"incumbent":108.25,"int_vars":128,"integral":124,"kind":0,"nodes":105,"open":106,"pivots":111,"primal_pivots":117,"prune_bound":122,"prune_infeasible":123,"queue_pruned":126,"rc_fixed":121,"refactorizations":119,"relaxations":112,"seq":101,"t_us":103.25,"vars":127,"warm":113,"warm_infeasible":116,"workers":104}}
+{"v":2,"type":"solveprog","name":"pin","ts_us":0,"args":{"action":3,"bound":210.25,"branch_bound":236.25,"branch_dir":1,"branch_var":234,"branched":225,"cold":214,"depth":231,"dual_pivots":218,"eta_peak":220,"fallback_cold":215,"has_bound":1,"has_inc":1,"incumbent":208.25,"integral":224,"kind":1,"node_bound":232.25,"nodes":205,"open":206,"parent":230,"pivots":211,"primal_pivots":217,"prune_bound":222,"prune_infeasible":223,"queue_pruned":226,"rc_fixed":221,"refactorizations":219,"relaxations":212,"seq":201,"t_us":203.25,"warm":213,"warm_infeasible":216,"workers":204}}
+{"v":2,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":310.25,"branched":325,"cold":314,"dual_pivots":318,"eta_peak":320,"fallback_cold":315,"has_bound":1,"has_inc":1,"incumbent":308.25,"integral":324,"kind":2,"nodes":305,"open":306,"pivots":311,"primal_pivots":317,"prune_bound":322,"prune_infeasible":323,"queue_pruned":326,"rc_fixed":321,"refactorizations":319,"relaxations":312,"seq":301,"t_us":303.25,"warm":313,"warm_infeasible":316,"workers":304}}
+{"v":2,"type":"solveprog","name":"pin","ts_us":0,"args":{"bound":410.25,"branched":425,"cold":414,"dual_pivots":418,"eta_peak":420,"fallback_cold":415,"has_bound":1,"has_inc":1,"incumbent":408.25,"integral":424,"kind":3,"nodes":405,"open":406,"pivots":411,"primal_pivots":417,"prune_bound":422,"prune_infeasible":423,"queue_pruned":426,"rc_fixed":421,"refactorizations":419,"relaxations":412,"seq":401,"status":3,"t_us":403.25,"warm":413,"warm_infeasible":416,"workers":404}}
 `
 
 func TestSolveProgFromEventSkips(t *testing.T) {
@@ -157,7 +161,7 @@ func TestFlightRecorderRing(t *testing.T) {
 	r := NewFlightRecorder(3)
 	r.SetName("demo")
 	for i := 0; i < 5; i++ {
-		r.Record(SolveProgress{Seq: i, Kind: SolveProgWave, Nodes: i})
+		r.Record(SolveProgress{Seq: i, Kind: SolveProgNode, Nodes: i})
 	}
 	if r.Len() != 3 || r.Total() != 5 || r.Dropped() != 2 {
 		t.Fatalf("len/total/dropped = %d/%d/%d; want 3/5/2", r.Len(), r.Total(), r.Dropped())

@@ -424,9 +424,9 @@ func TestMonitorCollectsReplanEvents(t *testing.T) {
 func flightEvents(name string) []obs.LedgerEvent {
 	recs := []obs.SolveProgress{
 		{Seq: 0, Kind: obs.SolveProgStart, Workers: 1, Vars: 4, IntVars: 2, Constraints: 5},
-		{Seq: 1, Kind: obs.SolveProgWave, Wave: 1, Workers: 1, Nodes: 1, Open: 1,
+		{Seq: 1, Kind: obs.SolveProgNode, Workers: 1, Nodes: 1, Open: 1,
 			HasInc: true, Incumbent: 8, HasBound: true, Bound: 12},
-		{Seq: 2, Kind: obs.SolveProgEnd, Wave: 2, Workers: 1, Nodes: 2,
+		{Seq: 2, Kind: obs.SolveProgEnd, Workers: 1, Nodes: 2,
 			HasInc: true, Incumbent: 10, HasBound: true, Bound: 10, Status: "optimal"},
 	}
 	var out []obs.LedgerEvent

@@ -160,8 +160,8 @@ func checkMILP(rng *rand.Rand, p *milp.Problem, cov *milpCoverage) error {
 		if !objClose(wsol.Objective, sol.Objective) {
 			return fmt.Errorf("workers=8 changed objective %g -> %g", sol.Objective, wsol.Objective)
 		}
-		if !objClose(wsol.Bound, sol.Bound) {
-			return fmt.Errorf("workers=8 changed bound %g -> %g", sol.Bound, wsol.Bound)
+		if !objClose(wsol.Stats.BestBound, sol.Stats.BestBound) {
+			return fmt.Errorf("workers=8 changed bound %g -> %g", sol.Stats.BestBound, wsol.Stats.BestBound)
 		}
 	}
 
@@ -196,8 +196,8 @@ func checkEarlyStops(p *milp.Problem, optimum float64, cov *milpCoverage) error 
 	default:
 		return fmt.Errorf("2-node budget changed status to %v", nsol.Status)
 	}
-	if nsol.Bound < optimum-objTol {
-		return fmt.Errorf("2-node search reports bound %g below the optimum %g", nsol.Bound, optimum)
+	if nsol.Stats.BestBound < optimum-objTol {
+		return fmt.Errorf("2-node search reports bound %g below the optimum %g", nsol.Stats.BestBound, optimum)
 	}
 	if nsol.HasX {
 		if viol := p.LP.FirstViolation(nsol.X, lp.RowTol); viol != "" {

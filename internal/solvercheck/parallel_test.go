@@ -7,24 +7,38 @@ import (
 
 	"insitu/internal/core"
 	"insitu/internal/milp"
+	"insitu/internal/obs"
 )
+
+// solveTrajectory solves with opts and returns the recommendation and the
+// incumbent records of its flight stream.
+func solveTrajectory(specs []core.AnalysisSpec, res core.Resources, opts core.SolveOptions) (*core.Recommendation, []obs.SolveProgress, error) {
+	var incs []obs.SolveProgress
+	opts.Progress = func(p obs.SolveProgress) {
+		if p.Kind == obs.SolveProgIncumbent {
+			incs = append(incs, p)
+		}
+	}
+	rec, err := core.Solve(specs, res, opts)
+	return rec, incs, err
+}
 
 // trajectoryOK checks the shape every incumbent trajectory must have:
 // objectives never regress (the root-integral path may re-record the
 // heuristic seed at equal value), bounds never sit below their objective,
 // and the last entry carries the final objective.
-func trajectoryOK(inc []milp.Incumbent, finalObj float64) string {
+func trajectoryOK(inc []obs.SolveProgress, finalObj float64) string {
 	prev := math.Inf(-1)
 	for _, p := range inc {
-		if p.Objective < prev {
+		if p.Incumbent < prev {
 			return "objectives regress"
 		}
-		if p.Bound < p.Objective-objTol {
+		if !p.HasBound || p.Bound < p.Incumbent-objTol {
 			return "bound below objective"
 		}
-		prev = p.Objective
+		prev = p.Incumbent
 	}
-	if len(inc) > 0 && !objClose(inc[len(inc)-1].Objective, finalObj) {
+	if len(inc) > 0 && !objClose(inc[len(inc)-1].Incumbent, finalObj) {
 		return "last incumbent is not the final objective"
 	}
 	return ""
@@ -39,11 +53,11 @@ func TestParallelDeterminismScenarioCorpus(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		specs, res := RandScenario(rng, ScenarioConfig{MaxAnalyses: 3, MaxSteps: 12})
-		serial, err := core.Solve(specs, res, core.SolveOptions{})
+		serial, serialIncs, err := solveTrajectory(specs, res, core.SolveOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: serial: %v", seed, err)
 		}
-		par, err := core.Solve(specs, res, core.SolveOptions{Workers: 8})
+		par, parIncs, err := solveTrajectory(specs, res, core.SolveOptions{Workers: 8})
 		if err != nil {
 			t.Fatalf("seed %d: workers=8: %v", seed, err)
 		}
@@ -53,10 +67,10 @@ func TestParallelDeterminismScenarioCorpus(t *testing.T) {
 		if !objClose(par.Stats.BestBound, serial.Stats.BestBound) {
 			t.Errorf("seed %d: workers=8 bound %g, serial %g", seed, par.Stats.BestBound, serial.Stats.BestBound)
 		}
-		if msg := trajectoryOK(serial.Stats.Incumbents, serial.Objective); msg != "" {
+		if msg := trajectoryOK(serialIncs, serial.Objective); msg != "" {
 			t.Errorf("seed %d: serial trajectory: %s", seed, msg)
 		}
-		if msg := trajectoryOK(par.Stats.Incumbents, par.Objective); msg != "" {
+		if msg := trajectoryOK(parIncs, par.Objective); msg != "" {
 			t.Errorf("seed %d: workers=8 trajectory: %s", seed, msg)
 		}
 		if err := par.Validate(specs, res); err != nil {
