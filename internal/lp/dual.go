@@ -109,6 +109,7 @@ func (rv *revised) dualSimplex() (ok, infeasible bool) {
 		for _, j := range rv.mov {
 			j := int(j)
 			alpha := rv.colDot(j, rho)
+			rv.alpha[j] = alpha // certifyInfeasible reads the row back
 			if math.Abs(alpha) < dualPivTol {
 				continue
 			}
@@ -213,12 +214,34 @@ func (rv *revised) dualSimplex() (ok, infeasible bool) {
 // The pass is over every nonbasic column, not the movable list: a column
 // fixed within eps still adds its sliver of span to the capacity.
 func (rv *revised) certifyInfeasible(rho []float64, violation float64, above bool) (ok, infeasible bool) {
+	if rv.repairCapacity(rho, above) < violation-FeasTol {
+		return true, true
+	}
+	return false, false
+}
+
+// repairCapacity sums |alpha_j| times the bound span over the nonbasic
+// columns that repair the violated row of pivot row rho, in column order; it
+// is +Inf when one of them has unlimited room. The ratio test that just failed
+// left alpha_j of every movable column in rv.alpha, so only a nonbasic column
+// with a span in (0, eps] is dotted with rho again; one of span 0 adds an
+// exact 0 and is skipped. The sum is the one a full re-dot gives, bit for bit.
+func (rv *revised) repairCapacity(rho []float64, above bool) float64 {
 	capacity := 0.0
 	for j := 0; j < rv.width; j++ {
 		if rv.inBasis[j] {
 			continue
 		}
-		alpha := rv.colDot(j, rho)
+		span := rv.up[j] - rv.lo[j]
+		var alpha float64
+		switch {
+		case span > eps: // canMove: the ratio test priced it
+			alpha = rv.alpha[j]
+		case span == 0:
+			continue
+		default:
+			alpha = rv.colDot(j, rho)
+		}
 		if alpha == 0 {
 			continue
 		}
@@ -232,14 +255,10 @@ func (rv *revised) certifyInfeasible(rho []float64, violation float64, above boo
 		if !repairing {
 			continue
 		}
-		span := rv.up[j] - rv.lo[j]
 		if math.IsInf(span, 1) {
-			return false, false // unlimited repair room: not a certificate
+			return span // unlimited repair room: not a certificate
 		}
 		capacity += math.Abs(alpha) * span
 	}
-	if capacity < violation-FeasTol {
-		return true, true
-	}
-	return false, false
+	return capacity
 }

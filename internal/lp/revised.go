@@ -83,6 +83,7 @@ type revised struct {
 	rho   []float64
 	y     []float64
 	cPh1  []float64 // length width; phase-1 objective
+	alpha []float64 // length width; the dual ratio test's pivot row over mov
 	xLean []float64 // length nOrig; the point lean solutions return
 	sol   Solution  // lean mode: what every solve returns (see answer)
 	// Refactorization scratch.
@@ -119,7 +120,7 @@ func newRevised(p *Problem, cs *colStore) *revised {
 		basis: Resize(rv.basis, m), inBasis: Resize(rv.inBasis, width), atUpper: Resize(rv.atUpper, width), xB: Resize(rv.xB, m),
 		ef: rv.ef, ws: rv.ws, dvx: Resize(rv.dvx, width), mov: Resize(rv.mov, width)[:0],
 		wrk: Resize(rv.wrk, m), col: Resize(rv.col, m), rho: Resize(rv.rho, m), y: Resize(rv.y, m),
-		cPh1: Resize(rv.cPh1, width), xLean: Resize(rv.xLean, cs.nOrig),
+		cPh1: Resize(rv.cPh1, width), alpha: Resize(rv.alpha, width), xLean: Resize(rv.xLean, cs.nOrig),
 		factOrder: Resize(rv.factOrder, m), factBasis: Resize(rv.factBasis, m),
 		factCount: Resize(rv.factCount, m+2), inPattern: Resize(rv.inPattern, m),
 		shape: crashShape{cur: Resize(rv.shape.cur, p.Classes), next: Resize(rv.shape.next, p.Classes), heap: rv.shape.heap[:0]},
