@@ -470,13 +470,19 @@ func WriteGapTimeline(w io.Writer, name string, recs []SolveProgress) error {
 // maxGapRows bounds the curve rows WriteGapTimeline prints per stream.
 const maxGapRows = 12
 
-// gapRows filters a stream to the rows with a defined gap.
+// gapRows filters a stream to the rows with a defined gap, dropping a row
+// that repeats the last one kept in node count, incumbent and bound: the
+// incumbent record of a node and that node's own record usually do.
 func gapRows(recs []SolveProgress) []SolveProgress {
 	var out []SolveProgress
 	for _, p := range recs {
-		if _, ok := p.Gap(); ok && p.Kind != SolveProgStart {
-			out = append(out, p)
+		if _, ok := p.Gap(); !ok || p.Kind == SolveProgStart {
+			continue
 		}
+		if n := len(out); n > 0 && out[n-1].Nodes == p.Nodes && out[n-1].Incumbent == p.Incumbent && out[n-1].Bound == p.Bound {
+			continue
+		}
+		out = append(out, p)
 	}
 	return out
 }
