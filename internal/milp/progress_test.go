@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -73,5 +74,48 @@ func TestEndRecordEqualsStats(t *testing.T) {
 				t.Fatalf("%s workers %d: %d counters shared by name, want 18", name, w, matched)
 			}
 		}
+	}
+}
+
+// TestProofSplitMatchesStream: Stats.NodesToBest is the node count the last
+// incumbent record carries (the root's rounding records 0), Stats.RootBound
+// the bound of the root's node record, and Stats.Add sums the first and
+// leaves the second.
+func TestProofSplitMatchesStream(t *testing.T) {
+	var total Stats
+	toBest := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		var lastInc, rootBound float64
+		var incs int
+		sol, err := Solve(hardInstance(seed, 10+int(seed)), Options{Progress: func(rec obs.SolveProgress) {
+			switch {
+			case rec.Kind == obs.SolveProgIncumbent:
+				lastInc, incs = float64(rec.Nodes), incs+1
+			case rec.Kind == obs.SolveProgNode && rec.Nodes == 1:
+				rootBound = rec.Bound
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := sol.Stats
+		if incs == 0 || float64(st.NodesToBest) != lastInc || st.RootBound != rootBound {
+			t.Fatalf("seed %d: NodesToBest %d, RootBound %g; the stream's last incumbent at node %g (%d records), root bound %g", seed, st.NodesToBest, st.RootBound, lastInc, incs, rootBound)
+		}
+		if st.NodesToBest > st.Nodes || st.RootBound < sol.Objective-lp.BoundTol {
+			t.Fatalf("seed %d: %d nodes to best of %d, root bound %g under the optimum %g", seed, st.NodesToBest, st.Nodes, st.RootBound, sol.Objective)
+		}
+		toBest += st.NodesToBest
+		total.Add(&st)
+	}
+	if total.NodesToBest != toBest || total.RootBound != 0 {
+		t.Fatalf("Add summed NodesToBest to %d (want %d) and RootBound to %g (want it left alone)", total.NodesToBest, toBest, total.RootBound)
+	}
+	infeasible := NewProblem(&lp.Problem{})
+	addIntVar(infeasible, 1, 0, 1, "x")
+	infeasible.LP.AddConstraint([]int{0}, []float64{1}, lp.GE, 3, "impossible")
+	sol, err := Solve(infeasible, Options{})
+	if err != nil || !math.IsInf(sol.Stats.RootBound, -1) || sol.Stats.NodesToBest != 0 {
+		t.Fatalf("infeasible model: RootBound %g, NodesToBest %d, %v", sol.Stats.RootBound, sol.Stats.NodesToBest, err)
 	}
 }

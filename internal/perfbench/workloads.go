@@ -78,11 +78,13 @@ const (
 // search width and reports deterministic effort counters only: nodes and
 // simplex iterations over the corpus, the worst instance's nodes, the
 // iterations of the root relaxations alone (lp.Solve on the compact model, as
-// benchmark/'s lp.root_pivots probe takes them), the summed objective, and
-// the searches' refactorizations (summed) and eta peak (the worst instance's).
+// benchmark/'s lp.root_pivots probe takes them), the summed objective, the
+// searches' refactorizations (summed) and eta peak (the worst instance's),
+// and how the nodes split (see proofSplit).
 func offPoolWorkload() Workload {
 	return Workload{Name: "offpool_sparse_n100", Run: func() (Counters, error) {
 		var nodes, nodesMax, pivots, rootPivots, refactors, etaPeak int
+		var split proofSplit
 		objective := 0.0
 		for sub := int64(offPoolFirst); sub < offPoolFirst+offPoolCount; sub++ {
 			specs, res := solvercheck.SparseCampaign(sub, 100)
@@ -99,6 +101,7 @@ func offPoolWorkload() Workload {
 			pivots += rec.Stats.Pivots
 			refactors += rec.Stats.Refactorizations
 			etaPeak = max(etaPeak, rec.Stats.EtaPeak)
+			split.add(rec)
 			objective += rec.Objective
 			mp, err := core.CompactModel(specs, res, opts)
 			if err != nil {
@@ -110,7 +113,7 @@ func offPoolWorkload() Workload {
 			}
 			rootPivots += root.Iters
 		}
-		return Counters{
+		return split.counters(Counters{
 			"nodes_total":       float64(nodes),
 			"nodes_max":         float64(nodesMax),
 			"pivots_total":      float64(pivots),
@@ -118,8 +121,30 @@ func offPoolWorkload() Workload {
 			"objective_total":   objective,
 			"refactorizations":  float64(refactors),
 			"eta_peak":          float64(etaPeak),
-		}, nil
+		}), nil
 	}}
+}
+
+// proofSplit tells, over a corpus of solves, the nodes spent finding the
+// optimum from those spent proving it: nodes_to_best_total sums the node
+// each search found its final incumbent at (milp.Stats.NodesToBest), and
+// root_gap_max is the largest gap between a root relaxation bound and the
+// optimum. A search that finds the optimum at the root spends every node on
+// the proof; one whose root bound is the optimum needs no proof.
+type proofSplit struct {
+	nodesToBest int
+	rootGapMax  float64
+}
+
+func (p *proofSplit) add(rec *core.Recommendation) {
+	p.nodesToBest += rec.Stats.NodesToBest
+	p.rootGapMax = max(p.rootGapMax, rec.Stats.RootBound-rec.Objective)
+}
+
+func (p *proofSplit) counters(c Counters) Counters {
+	c["nodes_to_best_total"] = float64(p.nodesToBest)
+	c["root_gap_max"] = p.rootGapMax
+	return c
 }
 
 // solverWorkloads covers the paper's scheduling instances: LAMMPS
@@ -195,14 +220,14 @@ func solverWorkloads() []Workload {
 	ws = append(ws, Workload{Name: "sched_batch_scaling", Run: func() (Counters, error) {
 		c := Counters{}
 		for _, w := range []int{1, 2, 8} {
-			nodes, pivots, objective, err := solvePaperBatch(core.SolveOptions{Workers: w})
+			nodes, pivots, objective, split, err := solvePaperBatch(core.SolveOptions{Workers: w})
 			if err != nil {
 				return nil, err
 			}
 			c[fmt.Sprintf("pivots_w%d", w)] = float64(pivots)
 			if w == 1 {
 				c["objective"] = objective
-				effort(c, nodes, pivots)
+				effort(split.counters(c), nodes, pivots)
 			}
 		}
 		return c, nil
@@ -214,11 +239,11 @@ func solverWorkloads() []Workload {
 	// four-class models is a greedy pass and a pivot or two (the all-slack
 	// start took 561 pivots to the warm 203).
 	ws = append(ws, Workload{Name: "sched_batch_warmstart", Run: func() (Counters, error) {
-		warmNodes, warmPivots, objective, err := solvePaperBatch(core.SolveOptions{Workers: BenchWorkers})
+		warmNodes, warmPivots, objective, _, err := solvePaperBatch(core.SolveOptions{Workers: BenchWorkers})
 		if err != nil {
 			return nil, err
 		}
-		_, coldPivots, _, err := solvePaperBatch(core.SolveOptions{Workers: BenchWorkers, NoWarmStart: true})
+		_, coldPivots, _, _, err := solvePaperBatch(core.SolveOptions{Workers: BenchWorkers, NoWarmStart: true})
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +259,7 @@ func solverWorkloads() []Workload {
 	// recorder costs in time is benchmark/'s obs.flight_overhead_us.)
 	ws = append(ws, Workload{Name: "sched_flight_overhead", Run: func() (Counters, error) {
 		fr := obs.NewFlightRecorder(0)
-		nodes, pivots, objective, err := solvePaperBatch(core.SolveOptions{Workers: BenchWorkers, Flight: fr})
+		nodes, pivots, objective, _, err := solvePaperBatch(core.SolveOptions{Workers: BenchWorkers, Flight: fr})
 		if err != nil {
 			return nil, err
 		}
@@ -251,7 +276,7 @@ func solverWorkloads() []Workload {
 // solvePaperBatch solves the A1-A4/R1-R3/F1-F3 scheduling batch (the
 // paper's Table 5/6/8 instances the sched_* workloads cover individually)
 // with the given options and returns the summed branch-and-bound effort.
-func solvePaperBatch(opts core.SolveOptions) (nodes, pivots int, objective float64, err error) {
+func solvePaperBatch(opts core.SolveOptions) (nodes, pivots int, objective float64, split proofSplit, err error) {
 	mem := int64(12) << 30
 	instances := []struct {
 		specs []core.AnalysisSpec
@@ -266,13 +291,14 @@ func solvePaperBatch(opts core.SolveOptions) (nodes, pivots int, objective float
 	for _, in := range instances {
 		rec, err := core.Solve(in.specs, in.res, opts)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, 0, split, err
 		}
 		nodes += rec.Stats.Nodes
 		pivots += rec.Stats.Pivots
 		objective += rec.Objective
+		split.add(rec)
 	}
-	return nodes, pivots, objective, nil
+	return nodes, pivots, objective, split, nil
 }
 
 // benchKernel is a deterministic synthetic analysis kernel: Analyze does a
@@ -385,9 +411,11 @@ func pipelineWorkloads() []Workload {
 		// sched_replan drives the closed loop end to end: the hardest corpus
 		// scenario (bandwidth degrades 3x mid-run) simulated static and
 		// adaptive, whose solves run at the default width, plus one solve at
-		// BenchWorkers width for the effort counters. Any drift in values or
-		// replan counts is a behaviour change in the solver, the monitor, or
-		// the rescheduler.
+		// BenchWorkers width for the effort counters. replan_nodes counts
+		// the adaptive run's nodes, its up-front solve and every re-solve;
+		// solver_nodes_per_op counts the one solve alone. Any drift in values
+		// or replan counts is a behaviour change in the solver, the monitor,
+		// or the rescheduler.
 		{Name: "sched_replan", Run: func() (Counters, error) {
 			var sc replan.Scenario
 			for _, c := range experiments.ReplanScenarios() {
@@ -415,6 +443,7 @@ func pipelineWorkloads() []Workload {
 				"decisions":      float64(len(adaptive.Records)),
 				"ledger_events":  float64(len(adaptive.Events)),
 				"fallback_colds": float64(rec.Stats.FallbackColds),
+				"replan_nodes":   float64(adaptive.Nodes),
 			}, rec.Stats.Nodes, rec.Stats.Pivots), nil
 		}},
 	}

@@ -91,6 +91,9 @@ type SimResult struct {
 	// replan and re-emitted plan events; the determinism tests byte-compare
 	// it across solver worker counts. Excluded from JSON snapshots.
 	Events []obs.LedgerEvent `json:"-"`
+	// Nodes sums the branch-and-bound nodes of every solve of the run: the
+	// up-front one and each re-solve. Excluded from JSON snapshots.
+	Nodes int `json:"-"`
 }
 
 // exec is one executed analysis or output span, in execution order.
@@ -126,7 +129,7 @@ func Simulate(sc Scenario, adaptive bool, workers int) (SimResult, error) {
 		}
 	}
 	result := SimResult{
-		Name: sc.Name, Adaptive: adaptive, Analyses: map[string]int{},
+		Name: sc.Name, Adaptive: adaptive, Analyses: map[string]int{}, Nodes: rec.Stats.Nodes,
 		Events: make([]obs.LedgerEvent, 0, 2+len(plan)+sc.Steps+planned), // run start and end, plan, steps, work
 	}
 	push := func(e obs.LedgerEvent) { result.Events = append(result.Events, e) }
@@ -276,6 +279,7 @@ func Simulate(sc Scenario, adaptive bool, workers int) (SimResult, error) {
 		result.Value += 1 + w*float64(n)
 	}
 	if rp != nil {
+		result.Nodes += rp.Nodes()
 		result.Records = rp.Records()
 		for _, r := range result.Records {
 			if r.Adopted {
