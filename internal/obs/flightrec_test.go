@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -450,5 +451,64 @@ func TestFlightHandlers(t *testing.T) {
 	mux2.ServeHTTP(rec, httptest.NewRequest("GET", "/solve", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "no solveprog events") {
 		t.Fatalf("empty /solve page: %d %q", rec.Code, rec.Body.String())
+	}
+}
+
+// TestGapTimelineDropsRepeatedRows replays the flight stream of the rhodopsin
+// golden scenario as `insitu-sched -flight` wrote it when its search took 11
+// nodes: four of its incumbent records share node count, incumbent and bound
+// with the node record of the node that found them, and the gap timeline
+// samples its rows from the distinct ones.
+func TestGapTimelineDropsRepeatedRows(t *testing.T) {
+	f, err := os.Open("testdata/rhodopsin_flight.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := ReadLedger(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := GroupSolveProgEvents(events)
+	if len(runs) != 1 {
+		t.Fatalf("%d streams in the fixture, want 1", len(runs))
+	}
+	type row struct {
+		nodes      int
+		inc, bound float64
+	}
+	var rows []row
+	repeats := 0
+	for _, p := range runs[0].Records {
+		if _, ok := p.Gap(); !ok || p.Kind == SolveProgStart {
+			continue
+		}
+		r := row{p.Nodes, p.Incumbent, p.Bound}
+		if n := len(rows); n > 0 && rows[n-1] == r {
+			repeats++
+			continue
+		}
+		rows = append(rows, r)
+	}
+	if repeats != 4 || len(rows) != 13 {
+		t.Fatalf("the fixture holds %d distinct rows and %d repeats, want 13 and 4", len(rows), repeats)
+	}
+	var buf bytes.Buffer
+	if err := WriteGapTimeline(&buf, runs[0].Name, runs[0].Records); err != nil {
+		t.Fatal(err)
+	}
+	var printed []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "  node ") {
+			printed = append(printed, line)
+		}
+	}
+	if len(printed) != maxGapRows {
+		t.Fatalf("printed %d rows for %d distinct ones:\n%s", len(printed), len(rows), buf.String())
+	}
+	for i := 1; i < len(printed); i++ {
+		if printed[i] == printed[i-1] {
+			t.Fatalf("row %q printed twice:\n%s", printed[i], buf.String())
+		}
 	}
 }
