@@ -69,6 +69,28 @@ func TestDeclaredShapeMatchesDetector(t *testing.T) {
 	}
 }
 
+// TestPresolveRunsOnUndeclaredModels: the root presolve leaves a model that
+// declares its shape as it is, and tightens the forced probes, which declare
+// none.
+func TestPresolveRunsOnUndeclaredModels(t *testing.T) {
+	forced := 0
+	paperSweeps(t, func(specs []core.AnalysisSpec, res core.Resources, opts core.SolveOptions, force int) error {
+		n, err := core.PresolveTightened(specs, res, opts, force)
+		if err != nil {
+			return err
+		}
+		if force < 0 && n != 0 {
+			return fmt.Errorf("presolve tightened %d bounds of a declared model", n)
+		}
+		forced += n
+		return nil
+	})
+	t.Logf("presolve tightened %d bounds over the forced probes", forced)
+	if forced == 0 {
+		t.Fatal("presolve tightened no forced probe: it no longer runs on undeclared models")
+	}
+}
+
 func paperSweeps(t *testing.T, c check) {
 	apps := []struct {
 		name      string

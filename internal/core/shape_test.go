@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"insitu/internal/lp"
+	"insitu/internal/milp"
 )
 
 // This file keeps the row detector lp's crash ran over every solver state
@@ -96,4 +97,19 @@ func CheckFullShape(specs []AnalysisSpec, res Resources) error {
 	}
 	prob, _, _ := buildFullProblem(norm, res)
 	return checkDeclaredShape(prob.LP)
+}
+
+// PresolveTightened solves the compact model CheckDeclaredShape builds for
+// the same arguments and returns the root bound reductions of its presolve.
+func PresolveTightened(specs []AnalysisSpec, res Resources, opts SolveOptions, force int) (int, error) {
+	m, err := buildCompactProblem(specs, res, opts, force)
+	if err != nil {
+		return 0, err
+	}
+	defer modelPool.Put(m)
+	sol, err := milp.Solve(&m.prob, milp.Options{})
+	if err != nil {
+		return 0, err
+	}
+	return sol.Stats.PresolveTightened, nil
 }

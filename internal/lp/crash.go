@@ -23,10 +23,10 @@ type crashShape struct {
 // one fractional step in the knapsack row that blocked it, every other row
 // keeps its slack — primal feasible, and triangular up to the fractional
 // class's 2x2 block, whose determinant is the blocking row's positive
-// coefficient difference — so phase 2 starts from it directly. Whatever the
-// declaration, the bounds or the numbers decline leaves, or restores, the
-// all-slack start; a basis seated over rows that lack the declared shape is
-// kept only if it refactorizes and is feasible, so it is a valid start.
+// coefficient difference — so phase 2 starts from it directly. It trusts the
+// declaration, which Validate checked. Whatever the bounds or the numbers
+// decline leaves, or restores, the all-slack start; against roundoff, a basis
+// is kept only if it refactorizes and its basic values lie within FeasTol.
 func (rv *revised) crash(lower, upper []float64) {
 	if k := rv.p.Classes; rv.noCrash || k == 0 || k == rv.m {
 		return

@@ -21,19 +21,15 @@ func seatCrash(rv *revised, lower, upper []float64) bool {
 }
 
 // checkSeated verifies what crash promises about the basis it leaves: one
-// distinct basic column per row, every basic value inside its bounds, every
-// nonbasic column at zero, and the point satisfying the rows at the requested
-// bounds. On a model with the declared shape no artificial is in use, so
-// phase 1 is skipped; over rows that lack it, a row may keep its own
-// artificial basic, and that row is left to phase 1.
+// distinct basic column per row, none of them an artificial (so phase 1 is
+// skipped), every basic value inside its bounds, every nonbasic column at
+// zero, and the point satisfying the rows at the requested bounds.
 func checkSeated(t *testing.T, name string, rv *revised, upper []float64) {
 	t.Helper()
 	seen := map[int]bool{}
 	x := make([]float64, rv.cs.nOrig)
-	phase1 := make([]bool, rv.m)
 	for i, col := range rv.basis {
-		phase1[i] = col == rv.n+i && rv.artUsed[i]
-		if col >= rv.n && !phase1[i] || seen[col] || !rv.inBasis[col] {
+		if col >= rv.n || seen[col] || !rv.inBasis[col] {
 			t.Fatalf("%s: row %d holds column %d (repeated: %t)", name, i, col, seen[col])
 		}
 		seen[col] = true
@@ -49,25 +45,21 @@ func checkSeated(t *testing.T, name string, rv *revised, upper []float64) {
 			t.Fatalf("%s: nonbasic column %d rests at its upper bound", name, j)
 		}
 	}
-	if v := violation(rv.p, x, upper, phase1); v != "" {
+	if v := violation(rv.p, x, upper); v != "" {
 		t.Fatalf("%s: crash point infeasible: %s", name, v)
 	}
 }
 
-// violation is FirstViolation at the given upper bounds, over the rows skip
-// does not mark, with a tolerance relative to each row's right-hand side: the
-// campaign models carry a memory row in bytes, where one ulp of the
-// right-hand side is near 1e-7.
-func violation(p *Problem, x, upper []float64, skip []bool) string {
+// violation is FirstViolation at the given upper bounds, with a tolerance
+// relative to each row's right-hand side: the campaign models carry a memory
+// row in bytes, where one ulp of the right-hand side is near 1e-7.
+func violation(p *Problem, x, upper []float64) string {
 	for j := range x {
 		if x[j] < -1e-9 || x[j] > upper[j]+1e-9 {
 			return fmt.Sprintf("x[%d] = %g outside [0, %g]", j, x[j], upper[j])
 		}
 	}
 	for r, c := range p.Constraints {
-		if skip != nil && skip[r] {
-			continue
-		}
 		lhs := 0.0
 		for k, j := range c.Idx {
 			lhs += c.Coef[k] * x[j]
@@ -140,7 +132,7 @@ func TestCrashStartMatchesAllSlack(t *testing.T) {
 			if math.Abs(got.Objective-want.Objective) > 1e-9*(1+math.Abs(want.Objective)) {
 				t.Fatalf("%s round %d: crash start reached %.12g, all-slack start %.12g", name, round, got.Objective, want.Objective)
 			}
-			if v := violation(p, got.X, upper, nil); got.Status == Optimal && v != "" {
+			if v := violation(p, got.X, upper); got.Status == Optimal && v != "" {
 				t.Fatalf("%s round %d: %s", name, round, v)
 			}
 			if crash.stats.CrashStarts == 1 && got.Iters < want.Iters {
@@ -253,44 +245,6 @@ func TestCrashDeclines(t *testing.T) {
 	checkSeated(t, "one closed class", rv, p.Upper)
 	if col := rv.basis[0]; col != rv.cs.slackCol[0] {
 		t.Fatalf("the closed class's row holds column %d, want its slack %d", col, rv.cs.slackCol[0])
-	}
-}
-
-// TestCrashFalseDeclaration: a model whose rows lack the shape its Classes
-// declares still solves to the status and objective of the all-slack start,
-// and any basis the crash seats over it is a sound one.
-func TestCrashFalseDeclaration(t *testing.T) {
-	cases := []struct {
-		name string
-		edit func(p *Problem)
-	}{
-		{"equality row", func(p *Problem) { p.Constraints[0].Sense = EQ }},
-		{"greater-equal row", func(p *Problem) { p.AddConstraint([]int{0, 3}, []float64{1, 1}, GE, 1, "") }},
-		{"negative coefficient", func(p *Problem) { p.Constraints[2].Coef[1] = -3 }},
-		{"column in two classes", func(p *Problem) {
-			p.Constraints[1].Idx, p.Constraints[1].Coef = []int{2, 3, 4, 5}, []float64{1, 1, 1, 1}
-		}},
-		{"negative right-hand side", func(p *Problem) { p.Constraints[3].RHS = -1 }},
-		{"zero right-hand side on a knapsack row", func(p *Problem) { p.Constraints[3].RHS = 0 }},
-	}
-	seated := 0
-	for _, tc := range cases {
-		p := crashBase()
-		tc.edit(p)
-		cs := buildColStore(p)
-		if probe := newRevised(p, cs); seatCrash(probe, p.Lower, p.Upper) {
-			checkSeated(t, tc.name, probe, p.Upper)
-			seated++
-		}
-		crash, slack := newRevised(p, cs), newRevised(p, cs)
-		slack.noCrash = true
-		got, want := crash.solveCold(p.Lower, p.Upper), slack.solveCold(p.Lower, p.Upper)
-		if got.Status != want.Status || math.Abs(got.Objective-want.Objective) > 1e-9*(1+math.Abs(want.Objective)) {
-			t.Errorf("%s: %v/%v, all-slack start %v/%v", tc.name, got.Status, got.Objective, want.Status, want.Objective)
-		}
-	}
-	if seated < 5 {
-		t.Fatalf("the crash seated a basis on %d false declarations; the table no longer reaches it", seated)
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Sense is the direction of a linear constraint.
@@ -98,12 +99,12 @@ type Problem struct {
 	// Names are optional variable names used in diagnostics.
 	Names []string
 	// Classes declares the multiple-choice knapsack shape a cold solve
-	// crashes from (crash.go): the first Classes rows are "<= 1" rows with
-	// unit coefficients over disjoint columns, and every later row is a
-	// "<=" row with nonnegative coefficients and a positive RHS. 0 declares
-	// nothing. A problem that lacks the shape it declares still solves
-	// correctly, from a different start: the crash only seats a basis that
-	// refactorizes and whose basic values lie within FeasTol of their bounds.
+	// crashes from (crash.go) and package milp's rounding repairs over: the
+	// first Classes rows are "<= 1" rows with unit coefficients over
+	// disjoint columns whose lower bounds are nonnegative, and every later
+	// row is a "<=" row with nonnegative coefficients and a positive RHS. 0
+	// declares nothing. Validate checks the declaration, and rejects a
+	// problem that lacks the shape it declares; code past Validate trusts it.
 	Classes int
 }
 
@@ -197,7 +198,7 @@ func (p *Problem) Clone() *Problem {
 // Validate checks structural consistency: bound ordering, each row's index
 // and coefficient lists of equal length with indices in range and strictly
 // ascending, no NaN or infinite coefficient, and a class count within the
-// rows.
+// rows whose rows have the shape Classes declares, in one pass over them.
 func (p *Problem) Validate() error {
 	n := p.NumVars()
 	if len(p.Lower) != n || len(p.Upper) != n {
@@ -217,10 +218,15 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("lp: variable %d has -Inf lower bound (free variables are not supported)", j)
 		}
 	}
+	marks := classMarks.Get().(*[]bool)
+	defer classMarks.Put(marks)
+	*marks = Resize(*marks, n)
+	inClass := *marks // per column: an earlier class row is over it
 	for r, c := range p.Constraints {
 		if len(c.Idx) != len(c.Coef) {
 			return fmt.Errorf("lp: constraint %d has %d indices for %d coefficients", r, len(c.Idx), len(c.Coef))
 		}
+		class, knapsack := r < p.Classes, r >= p.Classes && p.Classes > 0
 		for k, j := range c.Idx {
 			if j < 0 || j >= n {
 				return fmt.Errorf("lp: constraint %d names variable %d of %d", r, j, n)
@@ -228,15 +234,42 @@ func (p *Problem) Validate() error {
 			if k > 0 && j <= c.Idx[k-1] {
 				return fmt.Errorf("lp: constraint %d indices not strictly ascending at %d, %d", r, c.Idx[k-1], j)
 			}
-			if v := c.Coef[k]; math.IsNaN(v) || math.IsInf(v, 0) {
+			v := c.Coef[k]
+			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("lp: constraint %d coefficient %d is %g", r, j, v)
+			}
+			switch {
+			case class && v != 1:
+				return shapeError(r, "class row coefficient %g on variable %d, want 1", v, j)
+			case class && inClass[j]:
+				return shapeError(r, "variable %d is in an earlier class row", j)
+			case class && p.Lower[j] < 0:
+				return shapeError(r, "class variable %d has lower bound %g, want >= 0", j, p.Lower[j])
+			case class:
+				inClass[j] = true
+			case knapsack && v < 0:
+				return shapeError(r, "knapsack row coefficient %g on variable %d, want >= 0", v, j)
 			}
 		}
 		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
 			return fmt.Errorf("lp: constraint %d has invalid RHS %g", r, c.RHS)
 		}
+		if class && (c.Sense != LE || c.RHS != 1) {
+			return shapeError(r, "class row is %s %g, want <= 1", c.Sense, c.RHS)
+		}
+		if knapsack && (c.Sense != LE || c.RHS <= 0) {
+			return shapeError(r, "knapsack row is %s %g, want <= with a positive right-hand side", c.Sense, c.RHS)
+		}
 	}
 	return nil
+}
+
+// classMarks pools Validate's per-column marks of the class rows seen.
+var classMarks = sync.Pool{New: func() any { return new([]bool) }}
+
+// shapeError reports that row r breaks the shape Classes declares, and why.
+func shapeError(r int, format string, args ...any) error {
+	return fmt.Errorf("lp: constraint %d breaks the declared shape: "+format, append([]any{r}, args...)...)
 }
 
 // Status describes the outcome of a solve.

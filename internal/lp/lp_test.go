@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -238,6 +239,52 @@ func TestValidateRejectsMalformedRows(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsFalseDeclaration: a problem whose rows lack the shape
+// its Classes declares is an error naming the row and the reason, from
+// Validate and from every solve, one case per shape test. The true
+// declaration validates without allocating.
+func TestValidateRejectsFalseDeclaration(t *testing.T) {
+	base := crashBase()
+	if err := base.Validate(); err != nil {
+		t.Fatalf("the base model: %v", err)
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = base.Validate() }); n != 0 {
+		t.Fatalf("Validate of a declared model allocates %v times", n)
+	}
+	cases := []struct {
+		name string
+		edit func(p *Problem)
+		why  string
+	}{
+		{"equality class row", func(p *Problem) { p.Constraints[0].Sense = EQ }, "constraint 0 breaks the declared shape: class row is == 1"},
+		{"class right-hand side of 2", func(p *Problem) { p.Constraints[0].RHS = 2 }, "constraint 0 breaks the declared shape: class row is <= 2"},
+		{"class coefficient of 2", func(p *Problem) { p.Constraints[1].Coef[0] = 2 }, "constraint 1 breaks the declared shape: class row coefficient 2 on variable 3"},
+		{"column in two classes", func(p *Problem) {
+			p.Constraints[1].Idx, p.Constraints[1].Coef = []int{2, 3, 4, 5}, []float64{1, 1, 1, 1}
+		}, "constraint 1 breaks the declared shape: variable 2 is in an earlier class row"},
+		{"negative class lower bound", func(p *Problem) { p.Lower[4] = -1 }, "constraint 1 breaks the declared shape: class variable 4 has lower bound -1"},
+		{"greater-equal knapsack row", func(p *Problem) { p.AddConstraint([]int{0, 3}, []float64{1, 1}, GE, 1, "cover") }, "constraint 4 breaks the declared shape: knapsack row is >= 1"},
+		{"negative coefficient", func(p *Problem) { p.Constraints[2].Coef[1] = -3 }, "constraint 2 breaks the declared shape: knapsack row coefficient -3 on variable 1"},
+		{"negative coefficient in the last row", func(p *Problem) { p.Constraints[3].Coef[1] = -1 }, "constraint 3 breaks the declared shape: knapsack row coefficient -1 on variable 1"},
+		{"negative knapsack right-hand side", func(p *Problem) { p.Constraints[3].RHS = -1 }, "constraint 3 breaks the declared shape: knapsack row is <= -1"},
+		{"zero knapsack right-hand side", func(p *Problem) { p.Constraints[3].RHS = 0 }, "constraint 3 breaks the declared shape: knapsack row is <= 0"},
+	}
+	for _, tc := range cases {
+		p := crashBase()
+		tc.edit(p)
+		err := p.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.why)
+		}
+		if _, err := Solve(p); err == nil {
+			t.Errorf("%s: Solve accepted the false declaration", tc.name)
+		}
+		if p.Classes = 0; p.Validate() != nil {
+			t.Errorf("%s: the rows are malformed undeclared too; the case tests nothing of the shape", tc.name)
+		}
+	}
+}
+
 // TestAddConstraintSortsAndSums: a row means what row[j] += coef[k] over the
 // caller's list meant, to the bit (sums of tenths depend on their order, and
 // a list this long would be reordered by an unstable sort), and the caller
@@ -289,17 +336,18 @@ func TestAddConstraintSortsAndSums(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	p := &Problem{}
+	p := &Problem{Classes: 1}
+	y := p.AddVar(0, 0, 1, "y")
 	x := p.AddVar(1, 0, 5, "x")
+	p.AddConstraint([]int{y}, []float64{1}, LE, 1, "")
 	p.AddConstraint([]int{x}, []float64{1}, LE, 3, "")
-	p.Classes = 1
 	q := p.Clone()
 	if q.Classes != 1 {
 		t.Fatalf("clone declares %d classes, want 1", q.Classes)
 	}
-	q.Upper[0] = 1
-	q.Constraints[0].RHS = 0.5
-	q.Constraints[0].Coef[0] = 100
+	q.Upper[x] = 1
+	q.Constraints[1].RHS = 0.5
+	q.Constraints[1].Coef[0] = 100
 	sol := solveOK(t, p)
 	approx(t, sol.Objective, 3, 1e-8, "original objective after clone mutation")
 }

@@ -11,7 +11,7 @@
 // and by the same cut-off fixes columns whose root reduced cost alone rules
 // them out. A node is its parent plus one bound change, re-solved by the
 // dual simplex from the parent's optimal basis. One wave-synchronous driver
-// runs every search after a root presolve; Options.Workers is the wave width
+// runs every search; Options.Workers is the wave width
 // (see Solve for the determinism contract). For the pure-binary compact
 // scheduling models in package core, solve times are well under a
 // millisecond; the time-indexed full model with hundreds of binaries solves
@@ -122,9 +122,10 @@ type Stats struct {
 	// limit it is the tightest bound the open nodes still allow, making
 	// BestBound-Objective the residual optimality gap CPLEX would report.
 	BestBound float64
-	// RootBound is the root relaxation's objective, solved over the presolved
-	// box: -Inf when presolve or the root found the model infeasible, +Inf
-	// when the root is unbounded. RootBound-Objective is the root gap.
+	// RootBound is the root relaxation's objective, solved over the box
+	// presolve left: -Inf when presolve or the root found the model
+	// infeasible, +Inf when the root is unbounded. RootBound-Objective is the
+	// root gap.
 	RootBound float64
 	// NodesToBest is the explored node that found the final incumbent (0 when
 	// the root's rounding or the root itself did, and when there is none), so
@@ -136,8 +137,9 @@ type Stats struct {
 	// the parent's basis, or cold (the root, warm attempts that fell back or
 	// had to be redone, and everything under NoWarmStart); heuristic
 	// re-solves, always cold, are excluded. PresolveTightened counts the
-	// root bound reductions. All three are deterministic for a fixed Workers
-	// value.
+	// root bound reductions, 0 on a model that declares its shape
+	// (lp.Problem.Classes), which presolve skips. All three are deterministic
+	// for a fixed Workers value.
 	Workers           int
 	WarmSolves        int
 	ColdSolves        int
@@ -374,16 +376,27 @@ type search struct {
 // grew.
 var searchPool = sync.Pool{New: func() any { return new(search) }}
 
-// newSearch validates the problem and prepares the shared search state, in a
-// search from searchPool.
+// newSearch validates the problem before anything reads it and prepares the
+// shared search state, in a search from searchPool: one solver per wave slot,
+// plus the rounding heuristic's where the model has continuous variables.
 func newSearch(p *Problem, opts Options) (*search, error) {
+	started := opts.Now()
 	if len(p.Integer) != p.LP.NumVars() {
 		return nil, fmt.Errorf("milp: integrality vector has %d entries for %d variables", len(p.Integer), p.LP.NumVars())
+	}
+	k := opts.workersWidth()
+	if hasContinuous(p) {
+		k++
+	}
+	solvers, err := lp.NewSolvers(p.LP, k) // the one Validate of the solve
+	if err != nil {
+		return nil, err
 	}
 	// Integer variables need finite bounds for branching to terminate; the
 	// scheduling models always provide them.
 	for j, isInt := range p.Integer {
 		if isInt && math.IsInf(p.LP.Upper[j], 1) {
+			lp.Release(solvers)
 			return nil, fmt.Errorf("milp: integer variable %d (%s) has infinite upper bound", j, name(p.LP, j))
 		}
 	}
@@ -391,7 +404,7 @@ func newSearch(p *Problem, opts Options) (*search, error) {
 	s := searchPool.Get().(*search)
 	n := p.LP.NumVars()
 	*s = search{
-		p: p, opts: opts, started: opts.Now(),
+		p: p, opts: opts, started: started, solvers: solvers,
 		best: Solution{Status: Infeasible, Objective: math.Inf(-1)}, queue: s.queue[:0],
 		rootLower: append(s.rootLower[:0], p.LP.Lower...), rootUpper: append(s.rootUpper[:0], p.LP.Upper...),
 		snapped: lp.Resize(s.snapped, n), incumbent: lp.Resize(s.incumbent, n),
@@ -752,7 +765,11 @@ func (s *search) solveWave(pctx context.Context, slots []slot, wave []*node, res
 }
 
 // Solve runs branch and bound and returns the best integer-feasible
-// solution. After a root presolve (bound tightening, see presolve.go) each
+// solution, or an error for a p that lp.Problem.Validate refuses. After a
+// root presolve (bound tightening, see presolve.go) of a model that declares
+// no shape — over a declared one it could only lower an upper bound above 1
+// in a class or close a column too big for a knapsack row by itself, which
+// the builders never emit — each
 // iteration pops up to Workers best-bound nodes (a "wave"), solves their
 // relaxations concurrently — node i on slot i, each warm-started from its
 // parent's optimal basis, so what a solve starts from depends on the tree
@@ -777,26 +794,16 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	s.roundCtx = pprof.WithLabels(pctx, pprof.Labels("solver_phase", "incumbent"))
 
 	n := p.LP.NumVars()
-	var infeasible bool
-	pprof.Do(pctx, pprof.Labels("solver_phase", "presolve"), func(context.Context) {
-		s.stats.PresolveTightened, infeasible = presolveBounds(p, s.rootLower, s.rootUpper)
-	})
-	if infeasible {
-		return s.finish(&Solution{Status: Infeasible}, math.Inf(-1)), nil
+	if p.LP.Classes == 0 { // see above for why a declared model skips presolve
+		var infeasible bool
+		pprof.Do(pctx, pprof.Labels("solver_phase", "presolve"), func(context.Context) {
+			s.stats.PresolveTightened, infeasible = presolveBounds(p, s.rootLower, s.rootUpper)
+		})
+		if infeasible {
+			return s.finish(&Solution{Status: Infeasible}, math.Inf(-1)), nil
+		}
 	}
-	// One solver per slot, plus the rounding heuristic's where the model has
-	// continuous variables to re-optimise, all over one column store. Flight
-	// events and the final Stats aggregate the lp-level counters of all of
-	// them.
-	k := w
-	if hasContinuous(p) {
-		k++
-	}
-	solvers, err := lp.NewSolvers(p.LP, k)
-	if err != nil {
-		return nil, err
-	}
-	s.solvers = solvers
+	solvers := s.solvers // Stats and flight events sum their lp counters
 	slots := lp.Resize(s.slots, w)
 	s.slots, s.slotBounds = slots, lp.Resize(s.slotBounds, 2*n*w)
 	scratch := s.slotBounds
@@ -808,7 +815,7 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 		scratch = scratch[2*n:]
 	}
 	var heurSolver *lp.Solver
-	if k > w {
+	if len(solvers) > w {
 		heurSolver = solvers[w]
 	}
 	heur := &s.heur
@@ -930,7 +937,7 @@ type heurCtx struct {
 	// box holds no integer (only an integral x rounds), or every bound is an
 	// integer already (it is its own ceiling or floor).
 	noInteger, integralBounds bool
-	rep                       repair // never active with a solver
+	rep                       repair // active only without a solver, on a declared model
 }
 
 // init prepares the heuristic for p over solver, which Solve passes exactly
@@ -944,7 +951,7 @@ func (h *heurCtx) init(p *Problem, solver *lp.Solver) {
 		solver.NoWarm = true
 		h.upper = lp.Resize(upper, p.LP.NumVars())
 	}
-	h.rep.stale, h.rep.active = solver == nil, false
+	h.rep.stale, h.rep.active = solver == nil && p.LP.Classes > 0, false
 	for j, isInt := range p.Integer {
 		if !isInt {
 			continue
@@ -963,8 +970,8 @@ func (h *heurCtx) init(p *Problem, solver *lp.Solver) {
 // the continuous remainder is re-solved with the integers fixed, and that LP
 // work is charged to st; without one (pure-integer model) the candidate is
 // complete — every variable written, nothing copied — and only the rows are
-// checked, the floor point after the class-wise repair (see repair), and as
-// it was if the repaired one fails them. The returned point lives in the
+// checked, the floor point after the class-wise repair (see repair), which
+// keeps every row the floor point kept. The returned point lives in the
 // heuristic's scratch until the next call — most nodes round to some
 // feasible point, few to a better one, so the caller copies on keeping.
 func (h *heurCtx) round(p *Problem, x []float64, integral bool, st *Stats) ([]float64, bool) {
@@ -1016,14 +1023,11 @@ func (h *heurCtx) round(p *Problem, x []float64, integral bool, st *Stats) ([]fl
 			}
 			cand = snap(h.upper, p, sol.X)
 		}
-		repaired := floor && h.rep.run(p, cand)
+		if floor {
+			h.rep.run(p, cand)
+		}
 		if p.LP.Feasible(cand) {
 			return cand, true
-		}
-		if repaired {
-			if h.rep.revert(cand); p.LP.Feasible(cand) {
-				return cand, true
-			}
 		}
 	}
 	return nil, false

@@ -111,6 +111,34 @@ func TestInfiniteIntegerBoundRejected(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsMalformedModel: a model Validate refuses is an error from
+// Solve at any width, before anything indexes it.
+func TestSolveRejectsMalformedModel(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(p *Problem)
+		why  string
+	}{
+		{"index out of range", func(p *Problem) {
+			p.LP.Constraints = append(p.LP.Constraints, lp.Constraint{Idx: []int{5}, Coef: []float64{1}, RHS: 1})
+		}, "constraint 1 names variable 5 of 1"},
+		{"short lower bounds", func(p *Problem) { p.LP.Lower = p.LP.Lower[:0] }, "bounds length 0/1"},
+		{"short upper bounds", func(p *Problem) { p.LP.Upper = nil }, "bounds length 1/0"},
+		{"false declaration", func(p *Problem) { p.LP.Constraints[0].RHS = 2 }, "class row is <= 2"},
+	}
+	for _, tc := range cases {
+		for _, w := range widths {
+			p := NewProblem(&lp.Problem{Classes: 1})
+			p.AddBinVar(1, "x")
+			p.LP.AddConstraint([]int{0}, []float64{1}, lp.LE, 1, "")
+			tc.edit(p)
+			if _, err := Solve(p, Options{Workers: w}); err == nil || !strings.Contains(err.Error(), tc.why) {
+				t.Errorf("%s, workers=%d: Solve error %v, want %q", tc.name, w, err, tc.why)
+			}
+		}
+	}
+}
+
 func TestEqualityMILP(t *testing.T) {
 	// x + y = 5, x,y in {0..5} integer, max 2x + 3y -> x=0, y=5, obj 15.
 	p := NewProblem(&lp.Problem{})

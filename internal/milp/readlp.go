@@ -41,7 +41,8 @@ var lpSections = []string{"maximize", "subject to", "bounds", "generals", "sos",
 // Each set declares the next row a class (lp.Problem.Classes) and must list
 // exactly the columns that row has nonzero coefficients on. A row of no terms
 // is read only in a model without columns, the one place WriteLP writes it.
-// Comment lines start with "\".
+// Comment lines start with "\". A model lp.Problem.Validate refuses is an
+// error: crossed bounds, a set over a ">=" row, two sets over one column.
 func ReadLP(r io.Reader) (*Problem, error) {
 	p := &parser{
 		prob: NewProblem(&lp.Problem{}),
@@ -95,6 +96,9 @@ func ReadLP(r io.Reader) (*Problem, error) {
 	}
 	if p.empty && p.prob.LP.NumVars() > 0 {
 		return nil, fmt.Errorf("milp: LP file has a row of no terms in a model with columns")
+	}
+	if err := p.prob.LP.Validate(); err != nil {
+		return nil, fmt.Errorf("milp: LP file: %w", err)
 	}
 	return p.prob, nil
 }
@@ -150,8 +154,9 @@ func (p *parser) parseLinear(expr string) ([]int, []float64, error) {
 		if sign == "-" {
 			v = -v
 		}
-		idx = append(idx, p.varIndex(name))
-		coef = append(coef, v)
+		if j := p.varIndex(name); v != 0 { // a zero term only names its column
+			idx, coef = append(idx, j), append(coef, v)
+		}
 	}
 	return idx, coef, nil
 }
@@ -227,7 +232,7 @@ func (p *parser) parseSet(line string) error {
 	if q.Classes == len(q.Constraints) {
 		return fmt.Errorf("set %q past the last row", line)
 	}
-	var got, want []int
+	var got []int
 	for _, m := range strings.Fields(members) {
 		name, weight, _ := strings.Cut(m, ":")
 		if _, err := strconv.ParseFloat(weight, 64); err != nil {
@@ -239,14 +244,8 @@ func (p *parser) parseSet(line string) error {
 		}
 		got = append(got, j)
 	}
-	c := q.Constraints[q.Classes]
-	for k, j := range c.Idx {
-		if c.Coef[k] != 0 {
-			want = append(want, j)
-		}
-	}
 	slices.Sort(got)
-	if !slices.Equal(got, want) {
+	if !slices.Equal(got, q.Constraints[q.Classes].Idx) {
 		return fmt.Errorf("set %q does not list the columns of row %d", line, q.Classes)
 	}
 	q.Classes++

@@ -137,6 +137,27 @@ func TestReadLPReadsSets(t *testing.T) {
 	}
 }
 
+// TestReadLPKeepsEmptyClass: a declared class row over no column, written as
+// the zero term "+ 0 x0", reads back as the empty class it was.
+func TestReadLPKeepsEmptyClass(t *testing.T) {
+	p := NewProblem(&lp.Problem{Classes: 2})
+	p.AddBinVar(1, "x")
+	p.LP.AddConstraint(nil, nil, lp.LE, 1, "empty")
+	p.LP.AddConstraint([]int{0}, []float64{1}, lp.LE, 1, "one")
+	p.LP.AddConstraint([]int{0}, []float64{2}, lp.LE, 3, "cap")
+	var buf bytes.Buffer
+	if err := WriteLP(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	q, err := ReadLP(&buf)
+	if err != nil {
+		t.Fatalf("ReadLP: %v\n%s", err, buf.String())
+	}
+	if q.LP.Classes != 2 || len(q.LP.Constraints[0].Idx) != 0 {
+		t.Fatalf("read %d classes, the first over %v", q.LP.Classes, q.LP.Constraints[0].Idx)
+	}
+}
+
 func TestReadLPRejectsMalformed(t *testing.T) {
 	cases := []struct {
 		name string
@@ -157,6 +178,13 @@ func TestReadLPRejectsMalformed(t *testing.T) {
 		{"SOS before Subject To", "Maximize\n obj: + 1 x\nSOS\n s0: S1:: x:1\nSubject To\n c0: + 1 x <= 1\nEnd\n", ""},
 		{"non-S1 set", setFile + " s0: S2:: x:1 y:2\nEnd\n", "not an S1 set"},
 		{"no terms with columns", "Maximize\n obj:\nSubject To\n c0: + 1 x <= 1\nEnd\n", "no terms"},
+		{"set over a greater-equal row", strings.Replace(setFile, "y <= 1", "y >= 1", 1) + " s0: S1:: x:1 y:2\nEnd\n",
+			"constraint 0 breaks the declared shape: class row is >= 1"},
+		{"set over a coefficient of 2", strings.Replace(setFile, "+ 1 x + 1 y", "+ 2 x + 1 y", 1) + " s0: S1:: x:1 y:2\nEnd\n",
+			"constraint 0 breaks the declared shape: class row coefficient 2 on variable 0"},
+		{"overlapping sets", strings.Replace(setFile, "c1: + 1 z", "c1: + 1 y + 1 z", 1) + " s0: S1:: x:1 y:2\n s1: S1:: y:1 z:2\nEnd\n",
+			"constraint 1 breaks the declared shape: variable 1 is in an earlier class row"},
+		{"crossed bounds", "Maximize\n obj: + 1 x\nSubject To\n c0: + 1 x <= 1\nBounds\n 2 <= x <= 1\nEnd\n", "lower bound 2 above upper bound 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,8 +199,8 @@ func TestReadLPRejectsMalformed(t *testing.T) {
 	}
 }
 
-// FuzzReadLP asserts the parser never panics and that anything it accepts is
-// structurally valid enough to validate and re-serialize.
+// FuzzReadLP asserts the parser never panics and that anything it accepts
+// validates and re-serializes.
 func FuzzReadLP(f *testing.F) {
 	var seed bytes.Buffer
 	if err := WriteLP(&seed, roundTripProblem()); err != nil {
@@ -188,9 +216,7 @@ func FuzzReadLP(f *testing.F) {
 			return
 		}
 		if verr := p.LP.Validate(); verr != nil {
-			// Accepted files may still describe crossed bounds etc.; that is
-			// Validate's job to report, not a parser crash.
-			return
+			t.Fatalf("ReadLP accepted a model that does not validate: %v", verr)
 		}
 		var buf bytes.Buffer
 		if err := WriteLP(&buf, p); err != nil {

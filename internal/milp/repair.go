@@ -12,19 +12,18 @@ const repairPasses = 4
 
 // repair is the rounding heuristic's class-wise fill-and-swap, for a
 // pure-integer model that declares the multiple-choice knapsack shape
-// (lp.Problem.Classes: the first Classes rows are "<= 1" rows with unit
-// coefficients over disjoint columns, every later row a "<=" row with
-// nonnegative coefficients). Floor-all empties every class the relaxation
-// split between modes, and the rows then have room a whole mode would fill.
-// run gives each class, pass by pass, the highest-objective mode that fits
-// what the rows have left plus what the class's own mode uses — which fills
-// an empty class and swaps a filled one up — so the point it leaves satisfies
-// every row the floor point did and scores at least as much.
+// (lp.Problem.Classes), which lp.Problem.Validate checked before the search
+// started. Floor-all empties every class the relaxation split between
+// modes, and the rows then have room a whole mode would fill. run gives each
+// class, pass by pass, the highest-objective mode that fits what the rows
+// have left plus what the class's own mode uses — which fills an empty class
+// and swaps a filled one up — so the point it leaves satisfies every row the
+// floor point did and scores at least as much.
 //
 // The tables are built by the first run of a solve, over the arrays the
 // pooled search held, so a repair allocates nothing and a search whose root
-// is integral builds none. A model that lacks the shape it declares, or
-// declares none, leaves them empty and run a no-op.
+// is integral builds none. A model with no class that has a mode leaves them
+// empty and run a no-op.
 type repair struct {
 	k      int       // knapsack rows: the model's rows from Classes on
 	coef   []float64 // column j's knapsack coefficients, coef[j*k : j*k+k]
@@ -35,15 +34,13 @@ type repair struct {
 	order  []int32   // each class's modes by objective descending, then index
 	class  []int32   // per column: the class row it is in, -1 for none
 	cur    []int32   // per class: its column the point sets to 1, -1 for none
-	floor  []int32   // per class: cur as the floor point had it
 	stale  bool      // the tables are not built for this solve's model yet
-	active bool      // the model has the shape, and some class a mode
+	active bool      // some class has a mode
 }
 
-// init builds the tables for p. A mode is a column of a class row that
-// rounding may set to 0 or 1: an integer column whose box holds both. A class
-// with a column that must be at least 1 keeps whatever the floor point gives
-// it, so it gets no modes; nor does a column whose box excludes 1.
+// init builds the tables for p. A mode is a class row's column whose upper
+// bound is 1 or more (its lower bound is nonnegative by the shape); a class
+// with a column that must be at least 1 keeps its floor mode, and has none.
 func (r *repair) init(p *Problem) {
 	lpp := p.LP
 	n, classes := lpp.NumVars(), lpp.Classes
@@ -52,20 +49,11 @@ func (r *repair) init(p *Problem) {
 		k: k, coef: lp.Resize(r.coef, n*k), rhs: lp.Resize(r.rhs, k),
 		resid: lp.Resize(r.resid, k), free: lp.Resize(r.free, k),
 		start: lp.Resize(r.start, classes+1), order: lp.Resize(r.order, n)[:0], class: lp.Resize(r.class, n),
-		cur: lp.Resize(r.cur, classes), floor: lp.Resize(r.floor, classes),
-	}
-	if classes == 0 {
-		return
+		cur: lp.Resize(r.cur, classes),
 	}
 	for i, c := range lpp.Constraints[classes:] {
-		if c.Sense != lp.LE {
-			return
-		}
 		r.rhs[i] = c.RHS
 		for t, j := range c.Idx {
-			if c.Coef[t] < 0 {
-				return
-			}
 			r.coef[j*k+i] = c.Coef[t]
 		}
 	}
@@ -73,17 +61,10 @@ func (r *repair) init(p *Problem) {
 		r.class[j] = -1
 	}
 	for g, c := range lpp.Constraints[:classes] {
-		if c.Sense != lp.LE || c.RHS != 1 {
-			return
-		}
 		locked := false
-		for t, j := range c.Idx {
-			lo := lpp.Lower[j]
-			if c.Coef[t] != 1 || !p.Integer[j] || r.class[j] != -1 || lo < 0 {
-				return
-			}
+		for _, j := range c.Idx {
 			r.class[j] = int32(g)
-			locked = locked || lo > 0
+			locked = locked || lpp.Lower[j] > 0
 		}
 		from := len(r.order)
 		if !locked {
@@ -108,14 +89,13 @@ func (r *repair) init(p *Problem) {
 // column of x to the knapsack rows, then makes up to repairPasses passes over
 // the classes in index order, giving each the first mode in its order that
 // scores more than the class's current one and fits the rows' residual plus
-// that mode's own use. It stops after a pass that changes nothing, and
-// reports whether x changed; revert then restores the floor point.
-func (r *repair) run(p *Problem, x []float64) bool {
+// that mode's own use. It stops after a pass that changes nothing.
+func (r *repair) run(p *Problem, x []float64) {
 	if r.stale {
 		r.init(p)
 	}
 	if !r.active {
-		return false
+		return
 	}
 	obj, k, coef, resid, free := p.LP.Objective, r.k, r.coef, r.resid, r.free
 	copy(resid, r.rhs)
@@ -133,8 +113,6 @@ func (r *repair) run(p *Problem, x []float64) bool {
 			resid[i] -= v * a
 		}
 	}
-	copy(r.floor, r.cur)
-	changed := false
 	for pass := 0; pass < repairPasses; pass++ {
 		moved := false
 		for g, c := range r.cur {
@@ -166,11 +144,9 @@ func (r *repair) run(p *Problem, x []float64) bool {
 			}
 		}
 		if !moved {
-			break
+			return
 		}
-		changed = true
 	}
-	return changed
 }
 
 // fits reports whether a mode using a of each knapsack row fits in free.
@@ -181,16 +157,4 @@ func fits(a, free []float64) bool {
 		}
 	}
 	return true
-}
-
-// revert puts the floor point's modes back into x, which run repaired.
-func (r *repair) revert(x []float64) {
-	for g, c := range r.cur {
-		if f := r.floor[g]; c != f {
-			x[c] = 0 // c >= 0: a class only moves to a mode
-			if f >= 0 {
-				x[f] = 1
-			}
-		}
-	}
 }

